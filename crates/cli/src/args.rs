@@ -41,12 +41,14 @@ the extension swapped).
 stream replays one scene frame-by-frame through the StreamingAssembler,
 re-ranking the partial scene after every frame and printing per-frame
 latency: the live-deployment path, where errors surface before the
-scene has even finished recording. Re-ranking is incremental (cached
-component scores, dirty-set invalidation); --compare-full additionally
-runs the full compile+score every frame, prints delta-vs-full latency,
-and exits non-zero if the worklists ever diverge. --trace enables
-loa_obs span tracing and prints a per-frame stage-timing table
-(push/snapshot/rescore/score/rank microseconds per frame).
+scene has even finished recording. Re-ranking is incremental (per-track
+log-probability stores, re-folded only for the tracks a frame changed);
+--compare-full additionally runs the full compile+score every frame,
+prints delta-vs-full latency, and exits non-zero if the worklists ever
+diverge. --trace enables loa_obs span tracing and prints a per-frame
+stage-timing table: self microseconds per stage (push/snapshot/rescore/
+score/rank, nested spans not counted twice), the rest of the frame
+(other), and the frame's measured time (wall).
 
 serve starts the resident multi-session audit server: each connection
 multiplexes any number of sessions, every session runs the incremental

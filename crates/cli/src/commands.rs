@@ -529,8 +529,10 @@ fn convert_corpus(data: &std::path::Path, out_dir: &std::path::Path) -> Result<S
 /// runs the from-scratch compile+score every frame, reports
 /// delta-vs-full latency, and fails on any worklist divergence (labels
 /// or score bits). `--trace` turns on `loa_obs` span recording and
-/// appends a per-frame stage-timing table (push / snapshot / rescore /
-/// score / rank) built from the drained span stream.
+/// appends a per-frame stage-timing table built from the drained span
+/// stream: each stage's self time (push / snapshot / rescore / score /
+/// rank, nested spans subtracted from their parent), the frame's
+/// measured time, and the remainder no stage span covers.
 pub fn stream(args: StreamArgs) -> Result<String, CliError> {
     if args.trace {
         loa_obs::enable_all();
@@ -617,8 +619,9 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
     let mut full_us: Vec<f64> = Vec::new();
     let mut worklist: Vec<(String, f64)> = Vec::new();
 
-    // `--trace`: per-frame per-stage totals, aggregated from the spans
-    // the instrumented layers record on this thread.
+    // `--trace`: per-frame per-stage self times, aggregated from the
+    // spans the instrumented layers record on this thread, beside the
+    // frame's measured time.
     const TRACE_STAGES: [loa_obs::Stage; 5] = [
         loa_obs::Stage::Push,
         loa_obs::Stage::Snapshot,
@@ -626,7 +629,7 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
         loa_obs::Stage::Score,
         loa_obs::Stage::Rank,
     ];
-    let mut trace_rows: Vec<(u64, [u64; TRACE_STAGES.len()])> = Vec::new();
+    let mut trace_rows: Vec<(u64, [u64; TRACE_STAGES.len()], f64)> = Vec::new();
 
     let mut replay_frame = |assembler: &mut StreamingAssembler,
                             scene: &mut Scene,
@@ -649,12 +652,13 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
 
         if args.trace {
             let mut totals = [0u64; TRACE_STAGES.len()];
-            for rec in loa_obs::drain_thread_spans() {
+            let spans = loa_obs::drain_thread_spans();
+            for (rec, own) in spans.iter().zip(loa_obs::self_times(&spans)) {
                 if let Some(col) = TRACE_STAGES.iter().position(|s| *s == rec.stage) {
-                    totals[col] += rec.dur_us;
+                    totals[col] += own;
                 }
             }
-            trace_rows.push((u64::from(frame.index.0), totals));
+            trace_rows.push((u64::from(frame.index.0), totals, push + score));
         }
 
         if args.compare_full {
@@ -753,24 +757,29 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
         );
     }
     if args.trace {
-        let _ = writeln!(summary, "per-frame stage timings (spans, us):");
-        let _ = writeln!(summary, "frame      push  snapshot   rescore     score      rank");
+        let _ = writeln!(summary, "per-frame stage self times (spans, us):");
+        let _ = writeln!(
+            summary,
+            "frame      push  snapshot   rescore     score      rank     other      wall"
+        );
         let mut totals = [0u64; TRACE_STAGES.len()];
-        for (frame, row) in &trace_rows {
+        let mut total_wall = 0.0;
+        let mut trace_line = |label: &str, row: &[u64; TRACE_STAGES.len()], wall: f64| {
+            let other = wall - row.iter().sum::<u64>() as f64;
             let _ = writeln!(
                 summary,
-                "{:>5} {:>9} {:>9} {:>9} {:>9} {:>9}",
-                frame, row[0], row[1], row[2], row[3], row[4],
+                "{:>5} {:>9} {:>9} {:>9} {:>9} {:>9} {:>9.1} {:>9.1}",
+                label, row[0], row[1], row[2], row[3], row[4], other, wall,
             );
+        };
+        for (frame, row, wall) in &trace_rows {
+            trace_line(&frame.to_string(), row, *wall);
             for (t, v) in totals.iter_mut().zip(row) {
                 *t += v;
             }
+            total_wall += wall;
         }
-        let _ = writeln!(
-            summary,
-            "total {:>9} {:>9} {:>9} {:>9} {:>9}",
-            totals[0], totals[1], totals[2], totals[3], totals[4],
-        );
+        trace_line("total", &totals, total_wall);
     }
     let _ = writeln!(summary, "final worklist ({} candidate(s)):", worklist.len());
     for (i, (label, score)) in worklist.iter().take(args.top).enumerate() {
@@ -1319,6 +1328,63 @@ mod tests {
         .unwrap_err();
         assert!(err.to_string().contains("no .json or .fscb scenes"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `stream --trace` reports self times: the nested `score` span is
+    /// no longer counted again inside `rank`, so every frame's stage
+    /// columns add up to no more than the frame's measured time.
+    #[test]
+    fn stream_trace_stages_fit_in_frame_time() {
+        let dir = tmp_dir("stream_trace");
+        let data_dir = dir.join("data");
+        run(parse(&argv(&format!(
+            "generate --profile lyft --scenes 1 --seed 12 --duration 4 --out {}",
+            data_dir.display()
+        )))
+        .unwrap())
+        .unwrap();
+        let lib_path = dir.join("library.json");
+        run(parse(&argv(&format!(
+            "learn --data {} --out {}",
+            data_dir.display(),
+            lib_path.display()
+        )))
+        .unwrap())
+        .unwrap();
+        let scene = std::fs::read_dir(&data_dir).unwrap().next().unwrap().unwrap().path();
+        let out = run(parse(&argv(&format!(
+            "stream --scene {} --library {} --trace",
+            scene.display(),
+            lib_path.display()
+        )))
+        .unwrap())
+        .unwrap();
+
+        let table: Vec<&str> = out
+            .lines()
+            .skip_while(|l| !l.starts_with("frame      push"))
+            .skip(1)
+            .take_while(|l| !l.starts_with("final worklist"))
+            .collect();
+        let frames = table.iter().filter(|l| !l.starts_with("total")).count();
+        let streamed = out
+            .lines()
+            .filter(|l| l.starts_with("frame ") && l.contains(" obs "))
+            .count();
+        assert!(streamed > 0);
+        assert_eq!(frames, streamed, "one row per frame:\n{out}");
+        for line in &table {
+            let cols: Vec<&str> = line.split_whitespace().collect();
+            assert_eq!(cols.len(), 8, "{line}");
+            let stages: u64 = cols[1..6].iter().map(|c| c.parse::<u64>().unwrap()).sum();
+            let other: f64 = cols[6].parse().unwrap();
+            let wall: f64 = cols[7].parse().unwrap();
+            assert!(
+                stages as f64 <= wall,
+                "stages {stages}us exceed frame time {wall}us: {line}"
+            );
+            assert!(other >= 0.0, "{line}");
+        }
     }
 
     #[test]

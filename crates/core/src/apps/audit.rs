@@ -97,7 +97,7 @@ impl LabelAuditFinder {
         scene: &Scene,
         scorer: &mut IncrementalScorer<'_>,
     ) -> Vec<TrackCandidate> {
-        self.rank_scored(scene, scorer.score_all_tracks(scene))
+        self.rank_scored(scene, scorer.track_scores(scene).iter().copied())
     }
 }
 

@@ -88,7 +88,7 @@ impl MissingTrackFinder {
         scene: &Scene,
         scorer: &mut IncrementalScorer<'_>,
     ) -> Vec<TrackCandidate> {
-        self.rank_scored(scene, scorer.score_all_tracks(scene))
+        self.rank_scored(scene, scorer.track_scores(scene).iter().copied())
     }
 }
 

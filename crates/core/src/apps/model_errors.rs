@@ -100,10 +100,12 @@ impl ModelErrorFinder {
             let Some(s) = score.score else {
                 continue;
             };
-            let track = scene.track(idx);
-            let obs = scene.track_obs(track);
-            let n_excluded = obs.iter().filter(|o| excluded.contains(o)).count();
-            if 2 * n_excluded > obs.len() {
+            let n_excluded = if excluded.is_empty() {
+                0
+            } else {
+                scene.track_obs_iter(idx).filter(|o| excluded.contains(o)).count()
+            };
+            if 2 * n_excluded > scene.track_n_obs(idx) {
                 continue;
             }
             candidates.push(track_candidate(scene, idx, s));
@@ -120,7 +122,7 @@ impl ModelErrorFinder {
         scorer: &mut IncrementalScorer<'_>,
         excluded: &BTreeSet<ObsIdx>,
     ) -> Vec<TrackCandidate> {
-        self.rank_scored(scene, scorer.score_all_tracks(scene), excluded)
+        self.rank_scored(scene, scorer.track_scores(scene).iter().copied(), excluded)
     }
 }
 

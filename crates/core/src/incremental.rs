@@ -4,20 +4,19 @@
 //! compiling and scoring from scratch makes that O(scene) per frame —
 //! per-frame latency *grows* with scene length, which a resident audit
 //! service over long-lived sessions cannot afford. [`IncrementalScorer`]
-//! makes it O(Δ): factor values and per-component scores are cached
-//! across frames, and a pushed frame re-scores only what its
-//! [`FrameDelta`] invalidates.
+//! makes it O(Δ): every factor is evaluated once, when the frame that
+//! creates it arrives, and kept as `ln p` in its track's store; a pushed
+//! frame re-folds only the tracks its [`FrameDelta`] changed.
 //!
-//! ## Why per-entity factor stores suffice
+//! ## Why per-track stores suffice
 //!
 //! Under the Section 4.3 compilation semantics no factor's scope spans
 //! two tracks (observation and bundle factors live inside one bundle,
-//! transition and track factors inside one track), so connected
-//! components never span tracks, and a candidate's `Within` factor set
-//! has a closed form:
+//! transition and track factors inside one track), so a candidate's
+//! `Within` factor set has a closed form:
 //!
-//! * a **track**'s factors are exactly the factors anchored at its own
-//!   observations (scope ⊆ track-obs ⟺ scope\[0\] ∈ track-obs);
+//! * a **track**'s factors are exactly the factors on its own
+//!   observations, bundles, transitions and the track itself;
 //! * a **bundle**'s factors are its members' observation factors, its own
 //!   bundle factors, and its track's factors iff the track has exactly
 //!   this one bundle (transition scopes span two bundles, never one).
@@ -34,44 +33,214 @@
 //! `(feature_index, target-visit-order)`, and both batch score paths
 //! fold factors in ascending id order. Per feature the visit order is:
 //! observation index, bundle index, `(track, later-bundle)` for
-//! transitions, track index. Sorting gathered factors by
-//! `(feature_index, key)` with those keys therefore reproduces the
-//! batch fold order **exactly** — f64 addition is not associative, so
-//! this is what makes incremental scores bit-identical, not merely
-//! close (the correctness bar, locked by proptests).
+//! transitions, track index. Within one track every one of those keys
+//! only grows as the track grows (a track gains at most one bundle per
+//! frame, always at its end, and a frame's observations and bundles
+//! come after every earlier frame's), so a store that appends each new
+//! factor to its feature's run already holds the batch fold order: no
+//! sort, and no `ln` at score time. The fold starts at `+0.0` and adds
+//! the same values in the same order as `normalized_log_score` — f64
+//! addition is not associative, so this is what makes incremental scores
+//! bit-identical, not merely close (the correctness bar, locked by
+//! proptests).
+//!
+//! Slots whose feature returned no value, and zeroed factors, hold
+//! `+0.0`. Adding `+0.0` changes no sum the fold can reach (a sum is
+//! `-0.0` only if every addend is, and `ln` never returns `-0.0`), and a
+//! zeroed candidate is answered from its counts without a fold.
 //!
 //! ## Cache lifecycle
 //!
 //! Per frame, [`rescore_delta`](IncrementalScorer::rescore_delta)
-//! ingests assembly facts (no snapshot diffing): new observations
-//! become union-find variables with their observation factors; new
-//! bundles contribute bundle factors and scope unions; changed tracks
-//! re-evaluate their track factors, append the new transition factor,
-//! and drop their cached scores. Components whose membership or factor
-//! set changed surface through the
-//! [`DeltaComponentIndex`] dirty set and lose their cached component
-//! scores; everything else is served from cache on the next
+//! ingests assembly facts (no snapshot diffing). Each changed track
+//! appends its new bundle: the members' observation factors, the
+//! bundle's own factors and the transition into it from the previous
+//! bundle. It then re-evaluates its track factors and drops its cached
+//! score; a bundle drops its cached score when it is new, or when it is
+//! the first of a track that now has more than this one bundle (it loses
+//! the track factors). The next
 //! [`score_all_tracks`](IncrementalScorer::score_all_tracks) /
-//! [`score_all_bundles`](IncrementalScorer::score_all_bundles) sweep.
+//! [`score_all_bundles`](IncrementalScorer::score_all_bundles) sweep
+//! serves every other candidate from cache and re-folds the dropped
+//! ones: a zeroed one in O(1) from its counts, any other in one
+//! sequential pass over its stored values.
 
 use crate::error::FixyError;
 use crate::feature::{FeatureKind, FeatureSet, FeatureTarget, ProbabilityModel};
 use crate::learner::{FeatureLibrary, FittedDistribution, PreparedDistribution};
 use crate::scene::{BundleIdx, FrameDelta, ObsIdx, Scene, TrackIdx};
-use loa_graph::{normalized_log_score, ComponentScore, DeltaComponentIndex, VarId};
-use std::collections::HashMap;
+use loa_graph::ComponentScore;
+use std::ops::Add;
 
-/// One cached factor, anchored at its scope's first observation.
+/// Where one feature's values sit in a [`TrackStore`]: the column of the
+/// rows its feature kind fills.
 #[derive(Debug, Clone, Copy)]
-struct FactorRec {
-    /// Index into the feature set (primary batch-order sort key).
-    feature: u32,
-    kind: FeatureKind,
-    /// Batch-order tiebreak within the feature: obs index / bundle index
-    /// / `(track << 32) | later_bundle` / track index (see module docs).
-    key: u64,
-    /// AOF-transformed probability, as `compile_scene` would store it.
-    prob: f64,
+enum Slot {
+    Obs(usize),
+    Bundle(usize),
+    Transition(usize),
+    Track(usize),
+}
+
+/// Factors present and factors zeroed — all `normalized_log_score` needs
+/// besides the sum.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    present: u32,
+    zeroed: u32,
+}
+
+impl Add for Counts {
+    type Output = Counts;
+    fn add(self, other: Counts) -> Counts {
+        Counts {
+            present: self.present + other.present,
+            zeroed: self.zeroed + other.zeroed,
+        }
+    }
+}
+
+impl Counts {
+    /// Count one evaluated factor; returns the value its slot keeps.
+    fn record(&mut self, p: Option<f64>) -> f64 {
+        let Some(p) = p else {
+            return 0.0;
+        };
+        self.present += 1;
+        if p <= 0.0 || !p.is_finite() {
+            self.zeroed += 1;
+            0.0
+        } else {
+            p.ln()
+        }
+    }
+
+    /// The score `normalized_log_score` gives these factors; `sum` folds
+    /// their values and runs only when the score needs it.
+    fn score(self, sum: impl FnOnce() -> f64) -> ComponentScore {
+        let factor_count = self.present as usize;
+        if factor_count == 0 {
+            ComponentScore::empty()
+        } else if self.zeroed > 0 {
+            ComponentScore { score: None, factor_count, zeroed: true }
+        } else {
+            ComponentScore {
+                score: Some(sum() / factor_count as f64),
+                factor_count,
+                zeroed: false,
+            }
+        }
+    }
+}
+
+/// How a feature set's values are laid out in every [`TrackStore`].
+#[derive(Debug)]
+struct Layout {
+    /// Each feature's slot, in feature-set (= batch fold) order.
+    slots: Vec<Slot>,
+    /// Values per observation row.
+    obs_width: usize,
+    /// Bundle-feature values per bundle row (transition values follow).
+    bundle_width: usize,
+    /// Values per bundle row: bundle features, then transition features.
+    row_width: usize,
+    /// Track-feature values at the head of `TrackStore::rows`.
+    head: usize,
+}
+
+impl Layout {
+    /// Sum a track's stored values in batch fold order.
+    fn fold_track(&self, store: &TrackStore) -> f64 {
+        let body = &store.rows[self.head..];
+        let mut sum = 0.0;
+        for &slot in &self.slots {
+            match slot {
+                Slot::Obs(c) => {
+                    for &v in store.obs_rows.iter().skip(c).step_by(self.obs_width) {
+                        sum += v;
+                    }
+                }
+                Slot::Bundle(c) => {
+                    for &v in body.iter().skip(c).step_by(self.row_width) {
+                        sum += v;
+                    }
+                }
+                // The first row has no transition into it.
+                Slot::Transition(c) => {
+                    let first = self.row_width + self.bundle_width + c;
+                    for &v in body.iter().skip(first).step_by(self.row_width) {
+                        sum += v;
+                    }
+                }
+                Slot::Track(c) => sum += store.rows[c],
+            }
+        }
+        sum
+    }
+
+    /// Sum a bundle's stored values in batch fold order: its members'
+    /// rows, its own row's bundle values, and the track values when the
+    /// track is this one bundle.
+    fn fold_bundle(&self, store: &TrackStore, loc: &BundleLoc, members: usize) -> f64 {
+        let obs = &store.obs_rows[loc.obs_row * self.obs_width..][..members * self.obs_width];
+        let row = &store.rows[self.head + loc.pos * self.row_width..][..self.row_width];
+        let alone = store.n_bundles == 1;
+        let mut sum = 0.0;
+        for &slot in &self.slots {
+            match slot {
+                Slot::Obs(c) => {
+                    for &v in obs.iter().skip(c).step_by(self.obs_width) {
+                        sum += v;
+                    }
+                }
+                Slot::Bundle(c) => sum += row[c],
+                Slot::Transition(_) => {}
+                Slot::Track(c) => {
+                    if alone {
+                        sum += store.rows[c];
+                    }
+                }
+            }
+        }
+        sum
+    }
+}
+
+/// One track's factor values, kept as `ln p` (`+0.0` for absent or
+/// zeroed factors, see the module docs) in rows the [`Layout`] folds in
+/// batch order.
+#[derive(Debug, Default)]
+struct TrackStore {
+    /// One row of observation-feature values per observation, ascending
+    /// observation index.
+    obs_rows: Vec<f64>,
+    /// The track-feature values, then one row per bundle: its
+    /// bundle-feature values and the transition into it from the previous
+    /// bundle (the first row's transition slots are never folded).
+    rows: Vec<f64>,
+    n_obs: usize,
+    n_bundles: usize,
+    /// Counts over the observation, bundle and transition factors.
+    counts: Counts,
+    /// Counts over the track factors, replaced whenever the track changes.
+    track_counts: Counts,
+    /// Changed since the last sweep (listed in `IncrementalScorer::stale`).
+    stale: bool,
+}
+
+/// Where a bundle's values sit in its track's store.
+#[derive(Debug, Clone, Copy, Default)]
+struct BundleLoc {
+    track: usize,
+    /// Its first member's observation row.
+    obs_row: usize,
+    /// Its position in the track (its bundle row).
+    pos: usize,
+    /// Counts over its members' observation factors and its own bundle
+    /// factors.
+    counts: Counts,
+    /// The score since it last changed.
+    score: Option<ComponentScore>,
 }
 
 /// Incremental counterpart of [`crate::score::ScoreEngine`]: same scores
@@ -93,32 +262,30 @@ pub struct IncrementalScorer<'a> {
     /// features / the other resolution form).
     prepared: Vec<Option<&'a PreparedDistribution>>,
     joint: Vec<Option<&'a FittedDistribution>>,
-    /// Feature indices by kind, in feature-set order.
+    /// Feature indices by kind, in feature-set order (a feature's column
+    /// is its position here).
     obs_features: Vec<usize>,
     bundle_features: Vec<usize>,
     transition_features: Vec<usize>,
     track_features: Vec<usize>,
+    layout: Layout,
 
-    /// Persistent union-find over observation variables (`VarId` ==
-    /// observation index) with the dirty set.
-    index: DeltaComponentIndex,
-    /// Factors anchored at each observation (scope\[0\]).
-    attached: Vec<Vec<FactorRec>>,
-
-    /// Cached per-candidate scores, invalidated by assembly facts.
-    track_cache: Vec<Option<ComponentScore>>,
-    bundle_cache: Vec<Option<ComponentScore>>,
-    /// Cached whole-component scores keyed by union-find root, evicted
-    /// through the dirty set.
-    comp_cache: HashMap<usize, ComponentScore>,
+    /// One store per track, by track index.
+    tracks: Vec<TrackStore>,
+    /// Every track's score as of the last sweep, in track order — the
+    /// sweep's output, patched in place.
+    track_scores: Vec<(TrackIdx, ComponentScore)>,
+    /// Tracks changed since the last sweep.
+    stale: Vec<TrackIdx>,
+    /// One location per bundle, by bundle index.
+    bundles: Vec<BundleLoc>,
 
     /// Watermarks: counts already ingested.
     n_obs: usize,
     n_bundles: usize,
 
-    // Scratch (reused across frames).
-    gather: Vec<(u32, u64, f64)>,
-    scope: Vec<VarId>,
+    /// Scratch: a bundle's members in ascending order.
+    members: Vec<ObsIdx>,
 }
 
 impl<'a> IncrementalScorer<'a> {
@@ -128,6 +295,7 @@ impl<'a> IncrementalScorer<'a> {
     pub fn new(features: &'a FeatureSet, library: &'a FeatureLibrary) -> Result<Self, FixyError> {
         let mut prepared = Vec::with_capacity(features.len());
         let mut joint = Vec::with_capacity(features.len());
+        let mut slots = Vec::with_capacity(features.len());
         let mut by_kind: [Vec<usize>; 4] = Default::default();
         for (fi, bf) in features.features.iter().enumerate() {
             let name = bf.feature.name();
@@ -150,15 +318,23 @@ impl<'a> IncrementalScorer<'a> {
             };
             prepared.push(p);
             joint.push(j);
-            let slot = match bf.feature.kind() {
-                FeatureKind::Observation => 0,
-                FeatureKind::Bundle => 1,
-                FeatureKind::Transition => 2,
-                FeatureKind::Track => 3,
+            let (kind, slot): (usize, fn(usize) -> Slot) = match bf.feature.kind() {
+                FeatureKind::Observation => (0, Slot::Obs),
+                FeatureKind::Bundle => (1, Slot::Bundle),
+                FeatureKind::Transition => (2, Slot::Transition),
+                FeatureKind::Track => (3, Slot::Track),
             };
-            by_kind[slot].push(fi);
+            slots.push(slot(by_kind[kind].len()));
+            by_kind[kind].push(fi);
         }
         let [obs_features, bundle_features, transition_features, track_features] = by_kind;
+        let layout = Layout {
+            slots,
+            obs_width: obs_features.len(),
+            bundle_width: bundle_features.len(),
+            row_width: bundle_features.len() + transition_features.len(),
+            head: track_features.len(),
+        };
         Ok(IncrementalScorer {
             features,
             prepared,
@@ -167,26 +343,24 @@ impl<'a> IncrementalScorer<'a> {
             bundle_features,
             transition_features,
             track_features,
-            index: DeltaComponentIndex::new(),
-            attached: Vec::new(),
-            track_cache: Vec::new(),
-            bundle_cache: Vec::new(),
-            comp_cache: HashMap::new(),
+            layout,
+            tracks: Vec::new(),
+            track_scores: Vec::new(),
+            stale: Vec::new(),
+            bundles: Vec::new(),
             n_obs: 0,
             n_bundles: 0,
-            gather: Vec::new(),
-            scope: Vec::new(),
+            members: Vec::new(),
         })
     }
 
     /// Start a new scene (pair with the assembler's `begin`). Drops all
-    /// cached state; allocations survive for reuse across scenes.
+    /// cached state.
     pub fn begin(&mut self) {
-        self.index.clear();
-        self.attached.clear();
-        self.track_cache.clear();
-        self.bundle_cache.clear();
-        self.comp_cache.clear();
+        self.tracks.clear();
+        self.track_scores.clear();
+        self.stale.clear();
+        self.bundles.clear();
         self.n_obs = 0;
         self.n_bundles = 0;
     }
@@ -197,9 +371,9 @@ impl<'a> IncrementalScorer<'a> {
     }
 
     /// Ingest one frame's assembly delta against the snapshot covering
-    /// it, invalidating exactly the caches the frame touched. Returns the
-    /// number of components invalidated (they re-score lazily on the
-    /// next query).
+    /// it, invalidating exactly the scores the frame touched. Returns the
+    /// number of tracks invalidated (they re-fold lazily on the next
+    /// sweep).
     ///
     /// # Panics
     /// If deltas are skipped or replayed: `delta.obs_start` /
@@ -215,148 +389,102 @@ impl<'a> IncrementalScorer<'a> {
             "rescore_delta: bundle watermark mismatch"
         );
 
-        // 1. New observations: fresh singleton variables + their
-        //    observation factors (key = obs index).
-        for o in delta.obs_start..scene.n_observations() {
-            let v = self.index.add_var();
-            debug_assert_eq!(v.0, o, "VarId == ObsIdx by construction");
-            self.attached.push(Vec::new());
-            for k in 0..self.obs_features.len() {
-                let fi = self.obs_features[k];
-                let p = self.eval(scene, fi, &FeatureTarget::Obs(scene.obs(ObsIdx(o))));
-                if let Some(p) = p {
-                    self.attached[o].push(FactorRec {
-                        feature: fi as u32,
-                        kind: FeatureKind::Observation,
-                        key: o as u64,
-                        prob: p,
-                    });
-                }
+        // Every new bundle ends a changed track, which places it below.
+        self.bundles.resize(scene.n_bundles(), BundleLoc::default());
+        for &t in &delta.changed_tracks {
+            if t.0 >= self.tracks.len() {
+                debug_assert_eq!(t.0, self.tracks.len(), "new tracks are contiguous");
+                self.tracks.resize_with(t.0 + 1, || TrackStore {
+                    rows: vec![0.0; self.layout.head],
+                    ..TrackStore::default()
+                });
+                let n = self.track_scores.len();
+                self.track_scores
+                    .extend((n..=t.0).map(|t| (TrackIdx(t), ComponentScore::empty())));
+            }
+            self.ingest_track(scene, t);
+            let store = &mut self.tracks[t.0];
+            if !store.stale {
+                store.stale = true;
+                self.stale.push(t);
             }
         }
-
-        // 2. New bundles: bundle factors (key = bundle index) anchored at
-        //    the first member, scope-unioning the members.
-        for b in delta.bundle_start..scene.n_bundles() {
-            self.bundle_cache.push(None);
-            let members = scene.bundle_obs(BundleIdx(b));
-            for k in 0..self.bundle_features.len() {
-                let fi = self.bundle_features[k];
-                let p = self.eval(scene, fi, &FeatureTarget::Bundle(scene.bundle(BundleIdx(b))));
-                if let Some(p) = p {
-                    self.attached[members[0].0].push(FactorRec {
-                        feature: fi as u32,
-                        kind: FeatureKind::Bundle,
-                        key: b as u64,
-                        prob: p,
-                    });
-                    self.scope.clear();
-                    self.scope.extend(members.iter().map(|o| VarId(o.0)));
-                    self.index.union_scope(&self.scope);
-                }
-            }
-        }
-
-        // 3. Changed tracks: new ones get cache slots; extended ones drop
-        //    their cached score, gain the new trailing transition factor,
-        //    and re-evaluate their track factors (track-local values
-        //    change with the track — e.g. the count crossing its
-        //    threshold, which is what merges previously-separate bundle
-        //    components mid-stream).
-        for ti in 0..delta.changed_tracks.len() {
-            let t = delta.changed_tracks[ti];
-            let bundles = scene.track_bundles(t);
-            let is_new = t.0 >= self.track_cache.len();
-            if is_new {
-                debug_assert_eq!(t.0, self.track_cache.len(), "new tracks are contiguous");
-                self.track_cache.push(None);
-            } else {
-                self.track_cache[t.0] = None;
-                // The only *old* bundle whose `Within` factor set can
-                // change is the first bundle of a track going 1 → 2
-                // bundles (it loses containment of the track factor).
-                if bundles.len() == 2 {
-                    self.bundle_cache[bundles[0].0] = None;
-                }
-            }
-
-            // 3a. The frame's new transition: always the trailing pair
-            //     (tracks extend at most one bundle per frame, always at
-            //     the end). Earlier transitions are untouched.
-            if !is_new && !self.transition_features.is_empty() {
-                let pair_a = bundles[bundles.len() - 2];
-                let pair_b = bundles[bundles.len() - 1];
-                let dt = (scene
-                    .bundle(pair_b)
-                    .frame
-                    .0
-                    .saturating_sub(scene.bundle(pair_a).frame.0)) as f64
-                    * scene.frame_dt;
-                for k in 0..self.transition_features.len() {
-                    let fi = self.transition_features[k];
-                    let target =
-                        FeatureTarget::Transition(scene.bundle(pair_a), scene.bundle(pair_b), dt);
-                    let p = self.eval(scene, fi, &target);
-                    if let Some(p) = p {
-                        let anchor = scene.bundle_obs(pair_a)[0].0;
-                        self.attached[anchor].push(FactorRec {
-                            feature: fi as u32,
-                            kind: FeatureKind::Transition,
-                            key: ((t.0 as u64) << 32) | pair_b.0 as u64,
-                            prob: p,
-                        });
-                        self.scope.clear();
-                        self.scope.extend(scene.bundle_obs(pair_a).iter().map(|o| VarId(o.0)));
-                        self.scope.extend(scene.bundle_obs(pair_b).iter().map(|o| VarId(o.0)));
-                        self.index.union_scope(&self.scope);
-                    }
-                }
-            }
-
-            // 3b. Track factors (key = track index): replace wholesale —
-            //     the track changed, so its factor values may have too.
-            if !self.track_features.is_empty() {
-                let first_var = scene.bundle_obs(bundles[0])[0].0;
-                let before = self.attached[first_var].len();
-                self.attached[first_var].retain(|r| r.kind != FeatureKind::Track);
-                let removed = self.attached[first_var].len() != before;
-                let mut added = false;
-                for k in 0..self.track_features.len() {
-                    let fi = self.track_features[k];
-                    let p = self.eval(scene, fi, &FeatureTarget::Track(scene.track(t)));
-                    if let Some(p) = p {
-                        self.attached[first_var].push(FactorRec {
-                            feature: fi as u32,
-                            kind: FeatureKind::Track,
-                            key: t.0 as u64,
-                            prob: p,
-                        });
-                        self.scope.clear();
-                        self.scope.extend(scene.track_obs_iter(t).map(|o| VarId(o.0)));
-                        self.index.union_scope(&self.scope);
-                        added = true;
-                    }
-                }
-                if removed && !added {
-                    // A factor disappeared without a replacement union —
-                    // the component still changed.
-                    self.index.mark_dirty(VarId(first_var));
-                }
-            }
-        }
-
-        // 4. Evict the cached scores of every dirtied component.
-        let dirty = self.index.take_dirty();
-        for root in &dirty {
-            self.comp_cache.remove(&root.0);
-        }
+        debug_assert!(
+            (delta.bundle_start..scene.n_bundles()).all(|b| {
+                let loc = &self.bundles[b];
+                scene.track_bundles(TrackIdx(loc.track)).get(loc.pos) == Some(&BundleIdx(b))
+            }),
+            "every new bundle belongs to a changed track"
+        );
 
         self.n_obs = scene.n_observations();
         self.n_bundles = scene.n_bundles();
+        let changed = delta.changed_tracks.len();
         if let Some(metrics) = loa_obs::recorder() {
-            metrics.dirty_components.record(dirty.len() as u64);
+            metrics.dirty_components.record(changed as u64);
         }
-        dirty.len()
+        changed
+    }
+
+    /// Append a changed track's new bundles to its store, re-evaluate its
+    /// track factors, and drop the scores that changed with it.
+    fn ingest_track(&mut self, scene: &Scene, t: TrackIdx) {
+        let bundles = scene.track_bundles(t);
+        // Taken out so the evaluations below can borrow `self`.
+        let mut store = std::mem::take(&mut self.tracks[t.0]);
+        let known = store.n_bundles;
+        for (pos, &b) in bundles.iter().enumerate().skip(known) {
+            let mut own = Counts::default();
+            let obs_row = store.n_obs;
+            self.members.clear();
+            self.members.extend_from_slice(scene.bundle_obs(b));
+            self.members.sort_unstable();
+            for &o in &self.members {
+                let target = FeatureTarget::Obs(scene.obs(o));
+                for &fi in &self.obs_features {
+                    store.obs_rows.push(own.record(self.eval(scene, fi, &target)));
+                }
+            }
+            store.n_obs += self.members.len();
+
+            let target = FeatureTarget::Bundle(scene.bundle(b));
+            for &fi in &self.bundle_features {
+                store.rows.push(own.record(self.eval(scene, fi, &target)));
+            }
+            let mut transition = Counts::default();
+            if pos == 0 {
+                store
+                    .rows
+                    .resize(store.rows.len() + self.transition_features.len(), 0.0);
+            } else {
+                let (from, to) = (scene.bundle(bundles[pos - 1]), scene.bundle(b));
+                let dt = (to.frame.0.saturating_sub(from.frame.0)) as f64 * scene.frame_dt;
+                let target = FeatureTarget::Transition(from, to, dt);
+                for &fi in &self.transition_features {
+                    store.rows.push(transition.record(self.eval(scene, fi, &target)));
+                }
+            }
+            store.counts = store.counts + own + transition;
+            self.bundles[b.0] = BundleLoc { track: t.0, obs_row, pos, counts: own, score: None };
+        }
+        store.n_bundles = bundles.len();
+
+        // Track factors: replaced wholesale — the track changed, so its
+        // factor values may have too (e.g. the count crossing its
+        // threshold).
+        store.track_counts = Counts::default();
+        let target = FeatureTarget::Track(scene.track(t));
+        for (c, &fi) in self.track_features.iter().enumerate() {
+            store.rows[c] = store.track_counts.record(self.eval(scene, fi, &target));
+        }
+        // The first bundle scores with the track factors while it is the
+        // whole track, and stops when a second one joins.
+        if known <= 1 {
+            if let Some(&first) = bundles.first() {
+                self.bundles[first.0].score = None;
+            }
+        }
+        self.tracks[t.0] = store;
     }
 
     /// Evaluate one feature on a target — the exact probability
@@ -378,135 +506,50 @@ impl<'a> IncrementalScorer<'a> {
         Some(bf.aof.apply(p))
     }
 
-    /// If `obs` is exactly one whole component, its root.
-    fn whole_root_of(&mut self, mut obs: impl Iterator<Item = ObsIdx>) -> Option<VarId> {
-        let first = obs.next()?;
-        let root = self.index.find(VarId(first.0));
-        let mut count = 1usize;
-        for o in obs {
-            if self.index.find(VarId(o.0)) != root {
-                return None;
-            }
-            count += 1;
-        }
-        (self.index.members_of_root(root).len() == count).then_some(root)
-    }
-
-    /// Sort the gathered factors into batch order and fold.
-    fn fold_gathered(gather: &mut [(u32, u64, f64)]) -> ComponentScore {
-        gather.sort_unstable_by_key(|&(feature, key, _)| (feature, key));
-        normalized_log_score(gather.iter().map(|&(_, _, p)| p))
-    }
-
-    /// Score a whole component through the root-keyed cache.
-    fn component_score(&mut self, root: VarId) -> ComponentScore {
-        if let Some(&s) = self.comp_cache.get(&root.0) {
-            return s;
-        }
-        self.gather.clear();
-        for &v in self.index.members_of_root(root) {
-            for rec in &self.attached[v.0] {
-                self.gather.push((rec.feature, rec.key, rec.prob));
-            }
-        }
-        let s = Self::fold_gathered(&mut self.gather);
-        self.comp_cache.insert(root.0, s);
-        s
-    }
-
-    /// Score a track (default `Within` scope) — bit-identical to
-    /// `ScoreEngine::score_track` on the same snapshot, served from cache
-    /// when the track is unchanged since the last pass.
-    pub fn score_track(&mut self, scene: &Scene, track: TrackIdx) -> ComponentScore {
-        self.score_track_inner(scene, track).0
-    }
-
-    /// [`score_track`](Self::score_track) plus whether the per-track
-    /// cache served it — the sweeps aggregate these into the global
-    /// hit/miss counters once per pass instead of per candidate.
-    fn score_track_inner(&mut self, scene: &Scene, track: TrackIdx) -> (ComponentScore, bool) {
-        if let Some(s) = self.track_cache[track.0] {
+    /// A bundle's score — bit-identical to `ScoreEngine::score_bundle` —
+    /// plus whether the cache served it; the sweep aggregates the latter
+    /// into the global hit/miss counters once per pass instead of per
+    /// candidate.
+    fn score_bundle(&mut self, scene: &Scene, bundle: BundleIdx) -> (ComponentScore, bool) {
+        let loc = &self.bundles[bundle.0];
+        if let Some(s) = loc.score {
             return (s, true);
         }
-        let s = if let Some(root) = self.whole_root_of(scene.track_obs_iter(track)) {
-            self.component_score(root)
-        } else {
-            // Generic path: every factor anchored at the track's own
-            // observations belongs to it (no factor spans tracks).
-            self.gather.clear();
-            for o in scene.track_obs_iter(track) {
-                for rec in &self.attached[o.0] {
-                    self.gather.push((rec.feature, rec.key, rec.prob));
-                }
-            }
-            Self::fold_gathered(&mut self.gather)
-        };
-        self.track_cache[track.0] = Some(s);
+        let store = &self.tracks[loc.track];
+        let counts =
+            if store.n_bundles == 1 { loc.counts + store.track_counts } else { loc.counts };
+        let members = scene.bundle_obs(bundle).len();
+        let s = counts.score(|| self.layout.fold_bundle(store, loc, members));
+        self.bundles[bundle.0].score = Some(s);
         (s, false)
     }
 
-    /// Score a bundle — bit-identical to `ScoreEngine::score_bundle`.
-    pub fn score_bundle(&mut self, scene: &Scene, bundle: BundleIdx) -> ComponentScore {
-        self.score_bundle_inner(scene, bundle).0
-    }
-
-    fn score_bundle_inner(&mut self, scene: &Scene, bundle: BundleIdx) -> (ComponentScore, bool) {
-        if let Some(s) = self.bundle_cache[bundle.0] {
-            return (s, true);
-        }
-        let members = scene.bundle_obs(bundle);
-        let s = if let Some(root) = self.whole_root_of(members.iter().copied()) {
-            self.component_score(root)
-        } else {
-            self.gather.clear();
-            for &o in members {
-                for rec in &self.attached[o.0] {
-                    let include = match rec.kind {
-                        // Single-obs scope, inside by membership.
-                        FeatureKind::Observation => true,
-                        // An anchor inside this bundle can only carry
-                        // this bundle's own factors.
-                        FeatureKind::Bundle => {
-                            debug_assert_eq!(rec.key, bundle.0 as u64);
-                            true
-                        }
-                        // Transition scopes span two bundles — never
-                        // contained in one.
-                        FeatureKind::Transition => false,
-                        // A track factor fits inside the bundle iff the
-                        // track is exactly this one bundle.
-                        FeatureKind::Track => {
-                            scene.track_bundles(TrackIdx(rec.key as usize)).len() == 1
-                        }
-                    };
-                    if include {
-                        self.gather.push((rec.feature, rec.key, rec.prob));
-                    }
-                }
-            }
-            Self::fold_gathered(&mut self.gather)
-        };
-        self.bundle_cache[bundle.0] = Some(s);
-        (s, false)
-    }
-
-    /// Score every track, in track order — the incremental counterpart
-    /// of `ScoreEngine::score_all_tracks`, O(Δ) when served from cache.
-    pub fn score_all_tracks(&mut self, scene: &Scene) -> Vec<(TrackIdx, ComponentScore)> {
+    /// Every track's score, in track order — the incremental counterpart
+    /// of `ScoreEngine::score_all_tracks` (bit-identical, default
+    /// `Within` scope), borrowed: re-folds the tracks changed since the
+    /// last call and serves the rest as they were.
+    pub fn track_scores(&mut self, scene: &Scene) -> &[(TrackIdx, ComponentScore)] {
         let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Score);
-        let mut hits = 0u64;
-        let out: Vec<_> = (0..scene.n_tracks())
-            .map(|t| {
-                let (s, hit) = self.score_track_inner(scene, TrackIdx(t));
-                hits += hit as u64;
-                (TrackIdx(t), s)
-            })
-            .collect();
-        if let Some(metrics) = loa_obs::recorder() {
-            metrics.cache_hits.add(hits);
-            metrics.cache_misses.add(out.len() as u64 - hits);
+        debug_assert_eq!(self.track_scores.len(), scene.n_tracks(), "scene and deltas disagree");
+        let misses = self.stale.len() as u64;
+        for t in self.stale.drain(..) {
+            let store = &mut self.tracks[t.0];
+            store.stale = false;
+            let layout = &self.layout;
+            self.track_scores[t.0].1 =
+                (store.counts + store.track_counts).score(|| layout.fold_track(store));
         }
-        out
+        if let Some(metrics) = loa_obs::recorder() {
+            metrics.cache_hits.add(self.track_scores.len() as u64 - misses);
+            metrics.cache_misses.add(misses);
+        }
+        &self.track_scores
+    }
+
+    /// Score every track, in track order: [`track_scores`](Self::track_scores),
+    /// owned.
+    pub fn score_all_tracks(&mut self, scene: &Scene) -> Vec<(TrackIdx, ComponentScore)> {
+        self.track_scores(scene).to_vec()
     }
 
     /// Score every bundle, in bundle order.
@@ -515,7 +558,7 @@ impl<'a> IncrementalScorer<'a> {
         let mut hits = 0u64;
         let out: Vec<_> = (0..scene.n_bundles())
             .map(|b| {
-                let (s, hit) = self.score_bundle_inner(scene, BundleIdx(b));
+                let (s, hit) = self.score_bundle(scene, BundleIdx(b));
                 hits += hit as u64;
                 (BundleIdx(b), s)
             })

@@ -33,24 +33,17 @@ pub struct BundleCandidate {
 }
 
 /// Sort candidates by descending score with a deterministic tiebreak.
+/// `total_cmp` orders every f64 (NaN included) without panicking, and
+/// candidate indices are unique, so no two candidates compare equal and
+/// the unstable sort's order is fully determined.
 pub fn sort_track_candidates(candidates: &mut [TrackCandidate]) {
-    candidates.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("scores are finite")
-            .then(a.track.cmp(&b.track))
-    });
+    candidates.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.track.cmp(&b.track)));
 }
 
 /// Sort bundle candidates by descending score with a deterministic
-/// tiebreak.
+/// tiebreak (see [`sort_track_candidates`]).
 pub fn sort_bundle_candidates(candidates: &mut [BundleCandidate]) {
-    candidates.sort_by(|a, b| {
-        b.score
-            .partial_cmp(&a.score)
-            .expect("scores are finite")
-            .then(a.bundle.cmp(&b.bundle))
-    });
+    candidates.sort_unstable_by(|a, b| b.score.total_cmp(&a.score).then(a.bundle.cmp(&b.bundle)));
 }
 
 /// Build a track candidate from its score.
@@ -60,7 +53,7 @@ pub fn track_candidate(scene: &Scene, track: TrackIdx, score: f64) -> TrackCandi
         track,
         score,
         class: scene.track_class(t),
-        n_obs: scene.track_obs(t).len(),
+        n_obs: scene.track_n_obs(track),
         mean_confidence: scene.track_mean_confidence(t),
     }
 }
@@ -93,6 +86,29 @@ mod tests {
         sort_track_candidates(&mut cs);
         let order: Vec<usize> = cs.iter().map(|c| c.track.0).collect();
         assert_eq!(order, vec![2, 5, 9]);
+    }
+
+    /// `total_cmp` ordering: a NaN score (impossible from the fold, but
+    /// not from a hand-built candidate) sorts without panicking, and
+    /// finite ties still break by index.
+    #[test]
+    fn nan_scores_sort_without_panicking() {
+        let mut cs = vec![cand(7, -1.0), cand(4, f64::NAN), cand(3, -1.0), cand(5, -0.5)];
+        sort_track_candidates(&mut cs);
+        let order: Vec<usize> = cs.iter().map(|c| c.track.0).collect();
+        // A positive NaN orders above every finite score.
+        assert_eq!(order, vec![4, 5, 3, 7]);
+
+        let mk = |b: usize, s: f64| BundleCandidate {
+            bundle: BundleIdx(b),
+            track: TrackIdx(0),
+            score: s,
+            class: ObjectClass::Car,
+        };
+        let mut bs = vec![mk(2, -2.0), mk(1, f64::NAN), mk(0, -2.0)];
+        sort_bundle_candidates(&mut bs);
+        let order: Vec<usize> = bs.iter().map(|c| c.bundle.0).collect();
+        assert_eq!(order, vec![1, 0, 2]);
     }
 
     #[test]

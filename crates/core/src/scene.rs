@@ -80,6 +80,47 @@ pub struct Track {
     pub idx: TrackIdx,
 }
 
+/// What a ranked candidate reports about its track (class, length, mean
+/// confidence), folded in once per bundle the track gains instead of
+/// re-walked on every rank.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+struct TrackFacts {
+    /// Member observations per class, by [`ObjectClass::index`].
+    class_counts: [u32; ObjectClass::ALL.len()],
+    /// Model confidences summed in track order, and how many there are.
+    confidence_sum: f64,
+    confidences: u32,
+}
+
+impl TrackFacts {
+    /// Fold in one bundle's members. Indices outside the arenas (a
+    /// malformed [`Scene::from_parts`] input, which validation rejects)
+    /// are skipped rather than panicking here.
+    fn add_bundle(
+        &mut self,
+        observations: &[Observation],
+        bundle_obs_offsets: &[u32],
+        bundle_obs_arena: &[ObsIdx],
+        bundle: BundleIdx,
+    ) {
+        let (Some(&lo), Some(&hi)) =
+            (bundle_obs_offsets.get(bundle.0), bundle_obs_offsets.get(bundle.0 + 1))
+        else {
+            return;
+        };
+        for o in bundle_obs_arena.get(lo as usize..hi as usize).unwrap_or_default() {
+            let Some(obs) = observations.get(o.0) else {
+                continue;
+            };
+            self.class_counts[obs.class.index()] += 1;
+            if let Some(c) = obs.confidence {
+                self.confidence_sum += c;
+                self.confidences += 1;
+            }
+        }
+    }
+}
+
 /// How raw observations are associated into bundles and tracks.
 #[derive(Debug, Clone, Copy, Serialize, Deserialize)]
 pub struct AssemblyConfig {
@@ -140,6 +181,8 @@ pub struct Scene {
     /// are track `t`'s bundles, frame-ordered.
     track_bundle_offsets: Vec<u32>,
     track_bundle_arena: Vec<BundleIdx>,
+    /// Per track, derived from the arenas above.
+    track_facts: Vec<TrackFacts>,
     /// Seconds between frames (for velocity features).
     pub frame_dt: f64,
     pub n_frames: usize,
@@ -373,9 +416,30 @@ impl Scene {
             tracks: track_metas,
             track_bundle_offsets,
             track_bundle_arena,
+            track_facts: Vec::new(),
             frame_dt,
             n_frames,
         }
+        .with_track_facts()
+    }
+
+    /// Fill `track_facts` from the arenas.
+    fn with_track_facts(mut self) -> Scene {
+        self.track_facts = (0..self.tracks.len())
+            .map(|t| {
+                let mut facts = TrackFacts::default();
+                for &b in self.track_bundles(TrackIdx(t)) {
+                    facts.add_bundle(
+                        &self.observations,
+                        &self.bundle_obs_offsets,
+                        &self.bundle_obs_arena,
+                        b,
+                    );
+                }
+                facts
+            })
+            .collect();
+        self
     }
 
     /// All observations, index-ordered.
@@ -472,12 +536,14 @@ impl Scene {
         best.expect("bundles are non-empty by construction")
     }
 
+    /// Number of observations in a track.
+    pub fn track_n_obs(&self, idx: TrackIdx) -> usize {
+        self.track_facts[idx.0].class_counts.iter().map(|&c| c as usize).sum()
+    }
+
     /// Majority class of a track (ties broken by class index).
     pub fn track_class(&self, track: &Track) -> ObjectClass {
-        let mut counts = [0usize; ObjectClass::ALL.len()];
-        for obs_idx in self.track_obs_iter(track.idx) {
-            counts[self.obs(obs_idx).class.index()] += 1;
-        }
+        let counts = &self.track_facts[track.idx.0].class_counts;
         let best = counts
             .iter()
             .enumerate()
@@ -490,15 +556,8 @@ impl Scene {
     /// Mean model confidence over a track's observations (None if the
     /// track has no model observations).
     pub fn track_mean_confidence(&self, track: &Track) -> Option<f64> {
-        let mut sum = 0.0;
-        let mut n = 0usize;
-        for o in self.track_obs_iter(track.idx) {
-            if let Some(c) = self.obs(o).confidence {
-                sum += c;
-                n += 1;
-            }
-        }
-        (n > 0).then(|| sum / n as f64)
+        let facts = &self.track_facts[track.idx.0];
+        (facts.confidences > 0).then(|| facts.confidence_sum / facts.confidences as f64)
     }
 }
 
@@ -810,9 +869,11 @@ impl AssemblyEngine {
             tracks,
             track_bundle_offsets,
             track_bundle_arena,
+            track_facts: Vec::new(),
             frame_dt: self.frame_dt,
             n_frames: self.n_frames,
-        };
+        }
+        .with_track_facts();
         self.frame_obs_start.clear();
         self.frame_bundle_start.clear();
         self.last_delta = None;
@@ -883,9 +944,11 @@ impl AssemblyEngine {
             tracks,
             track_bundle_offsets,
             track_bundle_arena,
+            track_facts: Vec::new(),
             frame_dt: self.frame_dt,
             n_frames,
         }
+        .with_track_facts()
     }
 
     /// Extend `scene` — a snapshot this stream produced earlier, via
@@ -946,19 +1009,39 @@ impl AssemblyEngine {
 
         // Track CSR: index-only, rebuilt from the live paths (creation
         // order == first-entry-sorted order, locked by the loa_assoc
-        // `last_touched_indexes_snapshot` test).
-        scene.tracks.clear();
-        scene.track_bundle_offsets.clear();
-        scene.track_bundle_offsets.push(0);
+        // `last_touched_indexes_snapshot` test), offsets overwritten in
+        // place. Paths only grow, at their end, and keep their index, so
+        // each track's facts fold in just the bundles it gained since the
+        // old CSR — in track order, so the confidence sums match a
+        // from-scratch fold bit for bit.
+        let old_tracks = scene.tracks.len();
+        debug_assert!(self.tracker.paths().len() >= old_tracks, "paths are never dropped");
+        let mut old_lo = 0u32;
         scene.track_bundle_arena.clear();
         for (i, path) in self.tracker.paths().iter().enumerate() {
-            scene.tracks.push(Track { idx: TrackIdx(i) });
-            scene.track_bundle_arena.extend(
-                path.entries
-                    .iter()
-                    .map(|&(f, b)| BundleIdx(self.frame_bundle_start[f] as usize + b)),
-            );
-            scene.track_bundle_offsets.push(scene.track_bundle_arena.len() as u32);
+            let known = if i < old_tracks {
+                let old_hi = scene.track_bundle_offsets[i + 1];
+                let known = old_hi - old_lo;
+                old_lo = old_hi;
+                known as usize
+            } else {
+                scene.tracks.push(Track { idx: TrackIdx(i) });
+                scene.track_facts.push(TrackFacts::default());
+                scene.track_bundle_offsets.push(0);
+                0
+            };
+            let bundle_of =
+                |&(f, b): &(usize, usize)| BundleIdx(self.frame_bundle_start[f] as usize + b);
+            for entry in &path.entries[known..] {
+                scene.track_facts[i].add_bundle(
+                    &scene.observations,
+                    &scene.bundle_obs_offsets,
+                    &scene.bundle_obs_arena,
+                    bundle_of(entry),
+                );
+            }
+            scene.track_bundle_arena.extend(path.entries.iter().map(bundle_of));
+            scene.track_bundle_offsets[i + 1] = scene.track_bundle_arena.len() as u32;
         }
         scene.frame_dt = self.frame_dt;
         scene.n_frames = self.n_frames;

@@ -166,57 +166,71 @@ fn encode_frame(enc: &mut Enc, frame: &Frame) {
     }
 }
 
+/// Encoded bytes of the smallest ground-truth, label and detection
+/// records. Counts are checked against them, so each list is allocated at
+/// its exact length (decoded scenes stay resident in batch corpora and
+/// benchmark pools) without a corrupt count reserving more than the
+/// payload could hold.
+const GT_BYTES: usize = 8 + 1 + 56 + 4 + 8 + 1;
+const LABEL_BYTES: usize = 56 + 1 + 8;
+const DETECTION_BYTES: usize = 56 + 1 + 8 + 1 + 2;
+
+/// A count-prefixed list of records of at least `min_bytes` each.
+fn decode_list<T>(
+    dec: &mut Dec<'_>,
+    min_bytes: usize,
+    mut record: impl FnMut(&mut Dec<'_>) -> Result<T, IngestError>,
+) -> Result<Vec<T>, IngestError> {
+    let n = dec.len_of(min_bytes)?;
+    let mut out = Vec::with_capacity(n);
+    for _ in 0..n {
+        out.push(record(dec)?);
+    }
+    Ok(out)
+}
+
 fn decode_frame(payload: &[u8]) -> Result<Frame, IngestError> {
     let mut dec = Dec::new(payload);
     let index = FrameId(dec.u32()?);
     let timestamp = dec.f64()?;
     let ego_pose = Pose2::new(dec.vec2()?, dec.f64()?);
-    let n_gt = dec.len()?;
-    let gt = (0..n_gt)
-        .map(|_| {
-            Ok(GtBox {
-                track: TrackId(dec.u64()?),
-                class: dec.class()?,
-                bbox: dec.box3()?,
-                lidar_points: dec.u32()?,
-                occlusion: dec.f64()?,
-                visible: dec.bool()?,
-            })
+    let gt = decode_list(&mut dec, GT_BYTES, |dec| {
+        Ok(GtBox {
+            track: TrackId(dec.u64()?),
+            class: dec.class()?,
+            bbox: dec.box3()?,
+            lidar_points: dec.u32()?,
+            occlusion: dec.f64()?,
+            visible: dec.bool()?,
         })
-        .collect::<Result<Vec<_>, IngestError>>()?;
-    let n_labels = dec.len()?;
-    let human_labels = (0..n_labels)
-        .map(|_| {
-            Ok(LabeledBox {
-                bbox: dec.box3()?,
-                class: dec.class()?,
-                gt_track: TrackId(dec.u64()?),
-            })
+    })?;
+    let human_labels = decode_list(&mut dec, LABEL_BYTES, |dec| {
+        Ok(LabeledBox {
+            bbox: dec.box3()?,
+            class: dec.class()?,
+            gt_track: TrackId(dec.u64()?),
         })
-        .collect::<Result<Vec<_>, IngestError>>()?;
-    let n_dets = dec.len()?;
-    let detections = (0..n_dets)
-        .map(|_| {
-            let bbox = dec.box3()?;
-            let class = dec.class()?;
-            let confidence = dec.f64()?;
-            let provenance = match dec.u8()? {
-                0 => DetectionProvenance::TrueObject(TrackId(dec.u64()?)),
-                1 => DetectionProvenance::Clutter,
-                2 => DetectionProvenance::PersistentGhost(GhostId(dec.u32()?)),
-                3 => DetectionProvenance::Duplicate(TrackId(dec.u64()?)),
-                tag => return Err(IngestError::Corrupt(format!("unknown provenance tag {tag}"))),
-            };
-            Ok(Detection {
-                bbox,
-                class,
-                confidence,
-                provenance,
-                class_correct: dec.bool()?,
-                localization_error: dec.bool()?,
-            })
+    })?;
+    let detections = decode_list(&mut dec, DETECTION_BYTES, |dec| {
+        let bbox = dec.box3()?;
+        let class = dec.class()?;
+        let confidence = dec.f64()?;
+        let provenance = match dec.u8()? {
+            0 => DetectionProvenance::TrueObject(TrackId(dec.u64()?)),
+            1 => DetectionProvenance::Clutter,
+            2 => DetectionProvenance::PersistentGhost(GhostId(dec.u32()?)),
+            3 => DetectionProvenance::Duplicate(TrackId(dec.u64()?)),
+            tag => return Err(IngestError::Corrupt(format!("unknown provenance tag {tag}"))),
+        };
+        Ok(Detection {
+            bbox,
+            class,
+            confidence,
+            provenance,
+            class_correct: dec.bool()?,
+            localization_error: dec.bool()?,
         })
-        .collect::<Result<Vec<_>, IngestError>>()?;
+    })?;
     dec.finish()?;
     Ok(Frame { index, timestamp, ego_pose, gt, human_labels, detections })
 }

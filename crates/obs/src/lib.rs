@@ -37,7 +37,7 @@ pub mod text;
 pub use journal::{Journal, JournalEvent};
 pub use metrics::{bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use registry::{Metrics, Stage};
-pub use span::{drain_thread_spans, ObsSpan, SpanRecord};
+pub use span::{drain_thread_spans, self_times, ObsSpan, SpanRecord};
 
 use std::sync::atomic::{AtomicU8, Ordering::Relaxed};
 

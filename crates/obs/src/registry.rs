@@ -282,7 +282,7 @@ impl Metrics {
         text::push_histogram(
             &mut out,
             "loa_dirty_components",
-            "Dirty components invalidated per incremental re-score",
+            "Tracks invalidated per incremental re-score",
             &[],
             &self.dirty_components,
         );

@@ -102,9 +102,52 @@ pub fn drain_thread_spans() -> Vec<SpanRecord> {
     THREAD_SPANS.with(|s| s.borrow_mut().completed.drain(..).collect())
 }
 
+/// Each record's self time: its duration minus the durations of the
+/// spans nested directly inside it. `records` must be in completion
+/// order, as [`drain_thread_spans`] returns them (a child completes
+/// before its parent), so the self times of one drained batch add up to
+/// its outermost spans' durations and no stage is counted twice.
+pub fn self_times(records: &[SpanRecord]) -> Vec<u64> {
+    // nested[d]: time of the completed depth-d spans whose parent is
+    // still open.
+    let mut nested: Vec<u64> = Vec::new();
+    records
+        .iter()
+        .map(|r| {
+            let d = usize::from(r.depth);
+            if nested.len() < d + 2 {
+                nested.resize(d + 2, 0);
+            }
+            let children = std::mem::take(&mut nested[d + 1]);
+            nested[d] += r.dur_us;
+            r.dur_us.saturating_sub(children)
+        })
+        .collect()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn rec(stage: Stage, dur_us: u64, depth: u8) -> SpanRecord {
+        SpanRecord { stage, dur_us, depth }
+    }
+
+    #[test]
+    fn self_times_subtract_direct_children() {
+        // push(3) | rank(10) { score(4) { snapshot(1) }, compile(2) } | push(5)
+        let records = [
+            rec(Stage::Push, 3, 0),
+            rec(Stage::Snapshot, 1, 2),
+            rec(Stage::Score, 4, 1),
+            rec(Stage::Compile, 2, 1),
+            rec(Stage::Rank, 10, 0),
+            rec(Stage::Push, 5, 0),
+        ];
+        let own = self_times(&records);
+        assert_eq!(own, vec![3, 1, 3, 2, 4, 5]);
+        assert_eq!(own.iter().sum::<u64>(), 3 + 10 + 5, "outermost spans' time");
+    }
 
     #[test]
     fn disabled_span_records_nothing() {

@@ -6,13 +6,13 @@
 //! app context, and a [`ReorderBuffer`] absorbing transport jitter in
 //! front of them. Each frame the buffer releases runs the full O(Δ)
 //! hot loop (`push_frame` → `update_snapshot` → `rescore_delta`), and
-//! the worklist is re-ranked from the cached component scores — so a
+//! the worklist is re-ranked from the cached per-track scores — so a
 //! session's worklist at watermark *n* is byte-identical to `fixy
 //! stream`'s after *n* in-order frames, no matter how the transport
 //! shuffled delivery inside the window.
 //!
-//! The engines (all their internal buffers: grids, union-find, score
-//! caches) outlive sessions: [`Session::close`] hands them back for the
+//! The engines (all their internal buffers: grids, union-find, reorder
+//! slots) outlive sessions: [`Session::close`] hands them back for the
 //! pool in [`AuditService`](crate::AuditService), and `begin()` resets
 //! reuse them for the next stream.
 
@@ -128,7 +128,7 @@ impl ServeContext {
     }
 
     /// The app's (label, score) worklist from the session's cached
-    /// component scores — the same labels `fixy stream` prints.
+    /// scores — the same labels `fixy stream` prints.
     fn rank(&self, scene: &Scene, scorer: &mut IncrementalScorer<'_>) -> Vec<(String, f64)> {
         let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Rank);
         match self.app {

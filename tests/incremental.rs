@@ -2,12 +2,16 @@
 //! path.
 //!
 //! The contract is **bit-identity**: after every pushed frame, scores
-//! served by `IncrementalScorer` (cached components + dirty-set
-//! invalidation) must equal a from-scratch `ScoreEngine` compile+score
-//! of the same snapshot — same f64 bits, same factor counts, same
-//! zeroed flags — across fuzzed corpora, all three `AssemblyConfig`
-//! presets (each paired with the application feature set that actually
-//! runs on it), assembler/scorer reuse across scenes, and the
+//! served by `IncrementalScorer` (per-track `ln p` stores re-folded only
+//! for changed tracks) must equal a from-scratch `ScoreEngine`
+//! compile+score of the same snapshot — same f64 bits, same factor
+//! counts, same zeroed flags — and every track app's incremental
+//! worklist must equal its batch `rank` of a freshly materialized
+//! snapshot, field for field. Covered: fuzzed corpora, all three
+//! `AssemblyConfig` presets (each paired with the application feature
+//! set that actually runs on it) plus `paper_default`, count factors
+//! crossing their threshold and tracks gaining their second bundle
+//! mid-stream, assembler/scorer reuse across scenes, and the
 //! empty/single-frame edges.
 
 use fixy::core::{IncrementalScorer, Learner};
@@ -18,23 +22,32 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
-/// A preset paired with the app feature set that runs on it, plus the
-/// library fitted for that pairing (fitting is the expensive part, so
-/// each is done once per process).
+/// The track ranking a fixture's worklists are compared under.
+#[derive(Clone, Copy)]
+enum Ranking {
+    MissingTracks,
+    ModelErrors,
+    LabelAudit,
+}
+
+/// A preset paired with a feature set that runs on it, plus the library
+/// fitted for that pairing (fitting is the expensive part, so each is
+/// done once per process).
 struct Fixture {
     name: &'static str,
     config: AssemblyConfig,
     features: FeatureSet,
     library: FeatureLibrary,
+    ranking: Ranking,
 }
 
-fn fixtures() -> &'static [Fixture; 3] {
-    static FIXTURES: OnceLock<[Fixture; 3]> = OnceLock::new();
+fn fixtures() -> &'static [Fixture; 4] {
+    static FIXTURES: OnceLock<[Fixture; 4]> = OnceLock::new();
     FIXTURES.get_or_init(|| {
         let train = ScenarioFuzzer::new(41).training_corpus(2);
-        let fit = |cfg: AssemblyConfig, features: FeatureSet, name| {
+        let fit = |cfg: AssemblyConfig, features: FeatureSet, name, ranking| {
             let library = Learner { assembly: cfg }.fit(&features, &train).expect("fit");
-            Fixture { name, config: cfg, features, library }
+            Fixture { name, config: cfg, features, library, ranking }
         };
         [
             // All four factor kinds (obs/bundle/transition/track).
@@ -42,21 +55,100 @@ fn fixtures() -> &'static [Fixture; 3] {
                 AssemblyConfig::default(),
                 MissingTrackFinder::default().feature_set(),
                 "default+missing_tracks",
+                Ranking::MissingTracks,
             ),
-            // Inverted AOFs; no bundle factors, so components start
-            // disconnected and merge only when the count feature fires.
+            // Inverted AOFs and no bundle factors; the count feature
+            // (min 3 observations) zeroes every track until it crosses.
             fit(
                 AssemblyConfig::model_only(),
                 ModelErrorFinder::default().feature_set(),
                 "model_only+model_errors",
+                Ranking::ModelErrors,
             ),
             fit(
                 AssemblyConfig::human_only(),
                 LabelAuditFinder::default().feature_set(),
                 "human_only+label_audit",
+                Ranking::LabelAudit,
+            ),
+            // The Table 2 set with its default parameters, ranked as
+            // missing tracks.
+            fit(
+                AssemblyConfig::default(),
+                FeatureSet::paper_default(),
+                "default+paper_default",
+                Ranking::MissingTracks,
             ),
         ]
     })
+}
+
+/// Two worklists agree field for field, scores and confidences by bits.
+fn assert_same_worklist(incr: &[TrackCandidate], batch: &[TrackCandidate], ctx: &str) {
+    assert_eq!(incr.len(), batch.len(), "{ctx}: worklist length");
+    for (a, b) in incr.iter().zip(batch) {
+        assert_eq!(a.track, b.track, "{ctx}");
+        assert_eq!(
+            a.score.to_bits(),
+            b.score.to_bits(),
+            "{ctx}: track {:?} score",
+            a.track
+        );
+        assert_eq!(a.class, b.class, "{ctx}: track {:?} class", a.track);
+        assert_eq!(a.n_obs, b.n_obs, "{ctx}: track {:?} n_obs", a.track);
+        assert_eq!(
+            a.mean_confidence.map(f64::to_bits),
+            b.mean_confidence.map(f64::to_bits),
+            "{ctx}: track {:?} mean confidence",
+            a.track
+        );
+    }
+}
+
+/// The fixture's incremental worklist and the batch `rank` of `fresh` (a
+/// snapshot materialized from scratch, so the per-track candidate facts
+/// are recomputed rather than shared with `scene`).
+fn worklists(
+    fx: &Fixture,
+    scene: &Scene,
+    fresh: &Scene,
+    scorer: &mut IncrementalScorer<'_>,
+) -> (Vec<TrackCandidate>, Vec<TrackCandidate>) {
+    match fx.ranking {
+        Ranking::MissingTracks => {
+            let finder = MissingTrackFinder::default();
+            let batch = ScoreEngine::new(fresh, &fx.features, &fx.library).expect("batch");
+            (
+                finder.rank_incremental(scene, scorer),
+                finder.rank_scored(fresh, batch.score_all_tracks()),
+            )
+        }
+        Ranking::ModelErrors => {
+            let finder = ModelErrorFinder::default();
+            let none = BTreeSet::new();
+            (
+                finder.rank_incremental(scene, scorer, &none),
+                finder.rank(fresh, &fx.library, &none).expect("rank"),
+            )
+        }
+        Ranking::LabelAudit => {
+            let finder = LabelAuditFinder::default();
+            (
+                finder.rank_incremental(scene, scorer),
+                finder.rank(fresh, &fx.library).expect("rank"),
+            )
+        }
+    }
+}
+
+/// What a checked replay saw besides the equalities it asserted.
+struct Replay {
+    scene: Scene,
+    /// Frames on which some track went from one bundle to two.
+    second_bundles: usize,
+    /// Times a track's score went from zeroed to ranked (a count factor
+    /// crossing its threshold: no other factor un-zeroes a track).
+    crossings: usize,
 }
 
 fn empty_scene(frame_dt: f64) -> Scene {
@@ -65,17 +157,24 @@ fn empty_scene(frame_dt: f64) -> Scene {
 
 /// Stream `data` through one (assembler, scorer) pair, asserting after
 /// every frame that track and bundle scores match a from-scratch batch
-/// compile+score of the identical snapshot, bit for bit.
+/// compile+score of the identical snapshot, bit for bit, and that the
+/// fixture's incremental worklist equals its batch worklist.
 fn assert_stream_matches_batch(
     fx: &Fixture,
     assembler: &mut StreamingAssembler,
     scorer: &mut IncrementalScorer<'_>,
     data: &fixy::data::SceneData,
     ctx: &str,
-) -> Scene {
+) -> Replay {
     assembler.begin(data.frame_dt);
     scorer.begin();
     let mut scene = empty_scene(data.frame_dt);
+    let mut replay = Replay {
+        scene: empty_scene(data.frame_dt),
+        second_bundles: 0,
+        crossings: 0,
+    };
+    let mut zeroed_before: Vec<bool> = Vec::new();
     for (k, frame) in data.frames.iter().enumerate() {
         assembler.push_frame(frame).expect("push");
         assembler.update_snapshot(&mut scene).expect("update");
@@ -96,6 +195,17 @@ fn assert_stream_matches_batch(
             );
             assert_eq!(bs.factor_count, is_.factor_count, "{ctx} frame {k}: track {btk:?}");
             assert_eq!(bs.zeroed, is_.zeroed, "{ctx} frame {k}: track {btk:?}");
+            if zeroed_before.get(btk.0) == Some(&true) && is_.score.is_some() {
+                replay.crossings += 1;
+            }
+        }
+        zeroed_before = it.iter().map(|(_, s)| s.zeroed).collect();
+        if delta
+            .changed_tracks
+            .iter()
+            .any(|&t| scene.track_bundles(t).len() == 2)
+        {
+            replay.second_bundles += 1;
         }
         let bb = batch.score_all_bundles();
         let ib = scorer.score_all_bundles(&scene);
@@ -108,11 +218,16 @@ fn assert_stream_matches_batch(
                 "{ctx} frame {k}: bundle {bbk:?} score bits"
             );
             assert_eq!(bs.factor_count, is_.factor_count, "{ctx} frame {k}: bundle {bbk:?}");
+            assert_eq!(bs.zeroed, is_.zeroed, "{ctx} frame {k}: bundle {bbk:?}");
         }
+
+        let (incr, batch) = worklists(fx, &scene, &assembler.snapshot(), scorer);
+        assert_same_worklist(&incr, &batch, &format!("{ctx} frame {k}"));
     }
     let final_scene = assembler.finalize().expect("finalize");
     assert_eq!(scene, final_scene, "{ctx}: grown snapshot != finalized scene");
-    final_scene
+    replay.scene = final_scene;
+    replay
 }
 
 proptest! {
@@ -156,6 +271,32 @@ proptest! {
                 &format!("reuse seed {} scene {}", seed, index),
             );
         }
+    }
+}
+
+/// Mid-stream events the stores must absorb: a count factor crossing
+/// its threshold (the track's score goes from zeroed to ranked) and a
+/// track gaining its second bundle (its first bundle loses the track
+/// factors). Both occur under every fixture, and every frame still
+/// matches batch.
+#[test]
+fn count_crossings_and_second_bundles_match_batch() {
+    for fx in fixtures() {
+        let data = ScenarioFuzzer::new(5).scene(1);
+        let mut assembler = StreamingAssembler::new(fx.config);
+        let mut scorer = IncrementalScorer::new(&fx.features, &fx.library).expect("scorer");
+        let replay = assert_stream_matches_batch(fx, &mut assembler, &mut scorer, &data, fx.name);
+        assert!(
+            replay.second_bundles > 0,
+            "{}: no track gained a second bundle",
+            fx.name
+        );
+        assert!(
+            replay.crossings > 0,
+            "{}: no count factor crossed its threshold",
+            fx.name
+        );
+        assert!(replay.scene.n_tracks() > 0, "{}", fx.name);
     }
 }
 
