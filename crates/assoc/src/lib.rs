@@ -18,7 +18,7 @@
 //!   overlap, with a configurable frame gap, scoring only
 //!   spatially-plausible track×item pairs.
 //!
-//! Everything here is generic over "things that have a [`Box3`]"; the LOA
+//! Everything here is generic over "things that have a [`Box3`](loa_geom::Box3)"; the LOA
 //! engine supplies its observation types. Both association passes retain
 //! their all-pairs implementations (`bundle_frame_brute`,
 //! `build_tracks_brute`) as the oracles equivalence proptests run

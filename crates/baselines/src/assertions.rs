@@ -1,4 +1,4 @@
-//! Ad-hoc model assertions (Kang et al. [11]).
+//! Ad-hoc model assertions (Kang et al. \[11\]).
 //!
 //! These are the hand-written, black-box checks the paper compares
 //! against. They flag candidates but produce no calibrated severity — the

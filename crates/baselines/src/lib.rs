@@ -1,6 +1,6 @@
 //! Baselines from the paper's evaluation (Section 8):
 //!
-//! * [`assertions`] — the ad-hoc model assertions of Kang et al. [11]:
+//! * [`assertions`] — the ad-hoc model assertions of Kang et al. \[11\]:
 //!   **consistency** (for finding missing labels) and **appear / flicker /
 //!   multibox** (for finding model errors). MAs flag candidates but have
 //!   no statistically grounded severity score, so flagged sets are ordered

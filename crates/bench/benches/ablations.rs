@@ -1,15 +1,11 @@
 //! Ablation benchmarks for design choices DESIGN.md calls out:
 //!
 //! * bandwidth rule and kernel choice (KDE quality knobs → fit/eval cost),
-//! * greedy vs Hungarian association inside the tracker,
-//! * scoring scope mode (Within vs Touching),
-//! * sum-product marginals vs normalized log-score on a track-shaped
-//!   graph (the related-work comparison).
+//! * greedy vs Hungarian association inside the tracker.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use loa_assoc::{build_tracks, TrackerConfig};
 use loa_geom::Box3;
-use loa_graph::{DiscreteFactor, FactorGraph, ScopeMode, SumProduct};
 use loa_stats::{BandwidthRule, Density1d, Kde1d, Kernel};
 use std::hint::black_box;
 
@@ -80,66 +76,5 @@ fn bench_tracker_matchers(c: &mut Criterion) {
     group.finish();
 }
 
-fn chain_graph(n: usize) -> (FactorGraph<usize, f64>, Vec<loa_graph::VarId>) {
-    let mut g: FactorGraph<usize, f64> = FactorGraph::new();
-    let vars: Vec<_> = (0..n).map(|i| g.add_var(i)).collect();
-    for &v in &vars {
-        g.add_factor(0.6, vec![v]).unwrap();
-    }
-    for w in vars.windows(2) {
-        g.add_factor(0.4, vec![w[0], w[1]]).unwrap();
-    }
-    (g, vars)
-}
-
-fn bench_scope_modes(c: &mut Criterion) {
-    let (g, vars) = chain_graph(100);
-    let mut group = c.benchmark_group("ablation_scope");
-    for (name, mode) in [("within", ScopeMode::Within), ("touching", ScopeMode::Touching)] {
-        group.bench_with_input(BenchmarkId::new("score_component", name), &mode, |b, mode| {
-            b.iter(|| {
-                let score = g.score_component(black_box(&vars), *mode, |&p| p);
-                black_box(score.factor_count)
-            })
-        });
-    }
-    group.finish();
-}
-
-fn bench_sum_product_vs_score(c: &mut Criterion) {
-    // A binary chain: sum-product marginals vs the normalized log score
-    // used by LOA — cost comparison of exact inference vs scoring.
-    let n = 50;
-    let mut g: loa_graph::sum_product::DiscreteGraph = FactorGraph::new();
-    let vars: Vec<_> = (0..n).map(|_| g.add_var(2)).collect();
-    for &v in &vars {
-        g.add_factor(DiscreteFactor::new(vec![0.7, 0.3]), vec![v]).unwrap();
-    }
-    for w in vars.windows(2) {
-        g.add_factor(DiscreteFactor::new(vec![0.9, 0.1, 0.1, 0.9]), vec![w[0], w[1]])
-            .unwrap();
-    }
-    let (score_graph, score_vars) = chain_graph(n);
-
-    let mut group = c.benchmark_group("ablation_inference");
-    group.sample_size(20);
-    group.bench_function("sum_product_marginals", |b| {
-        b.iter(|| black_box(SumProduct::marginals(black_box(&g)).unwrap().len()))
-    });
-    group.bench_function("normalized_log_score", |b| {
-        b.iter(|| {
-            let s = score_graph.score_component(black_box(&score_vars), ScopeMode::Within, |&p| p);
-            black_box(s.score)
-        })
-    });
-    group.finish();
-}
-
-criterion_group!(
-    benches,
-    bench_kernels_and_bandwidths,
-    bench_tracker_matchers,
-    bench_scope_modes,
-    bench_sum_product_vs_score
-);
+criterion_group!(benches, bench_kernels_and_bandwidths, bench_tracker_matchers);
 criterion_main!(benches);

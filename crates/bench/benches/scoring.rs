@@ -5,19 +5,20 @@
 //!   exact way (`FittedDistribution`: windowed kernel sums) vs the
 //!   prepared way (`PreparedDistribution`: precompiled probability grids,
 //!   one lookup + interpolation per query).
-//! * `scoring/components_*` — scoring every track of a compiled scene
-//!   per-candidate through the generic `score_component` (set rebuilds)
-//!   vs the single-sweep `score_all_tracks` over the `ComponentIndex`.
+//! * `scoring/components_*` — scoring every track of a scene through the
+//!   Section 4.3 reference (per-candidate `score_component` over the
+//!   compiled factor graph: set rebuilds) vs the engine's single-sweep
+//!   `score_all_tracks` over its per-track stores.
 //!
 //! Set `FIXY_BENCH_SMOKE=1` to run on a miniature scene with 3 samples —
 //! the CI smoke mode that keeps the bench compiling *and* executing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fixy_core::compile::compile_scene;
 use fixy_core::prelude::*;
 use fixy_core::score::ScoreEngine;
 use fixy_core::Learner;
 use loa_data::{generate_scene, DatasetProfile, ObjectClass, SceneData};
-use loa_graph::ScopeMode;
 use std::hint::black_box;
 
 fn smoke() -> bool {
@@ -80,22 +81,17 @@ fn bench_component_scoring(c: &mut Criterion) {
     let (data, library, finder) = setup();
     let scene = Scene::assemble(&data, &AssemblyConfig::default());
     let features = finder.feature_set();
-    let engine = ScoreEngine::new(&scene, &features, &library).expect("compile");
+    let engine = ScoreEngine::new(&scene, &features, &library).expect("engine");
+    let compiled = compile_scene(&scene, &features, &library).expect("compile");
 
     let mut group = c.benchmark_group("scoring");
     group.sample_size(if smoke() { 3 } else { 20 });
 
     group.bench_function("components_per_candidate_generic", |b| {
         b.iter(|| {
-            let compiled = engine.compiled();
             let mut scored = 0usize;
             for track in scene.tracks() {
-                let obs = scene.track_obs(track);
-                let vars = compiled.vars_of(&obs);
-                let s = compiled
-                    .graph
-                    .score_component(&vars, ScopeMode::Within, |info| info.probability);
-                if s.score.is_some() {
+                if compiled.score(&scene.track_obs(track)).score.is_some() {
                     scored += 1;
                 }
             }

@@ -19,7 +19,7 @@
 //! * `streaming/incremental_rescore_per_frame` vs
 //!   `full_rescore_per_frame` — the O(Δ) cached-component path
 //!   (`update_snapshot` + `rescore_delta` + cached sweep) against a
-//!   from-scratch compile+score of every snapshot, on a short and a
+//!   from-scratch whole-scene score of every snapshot, on a short and a
 //!   long scene. Divide medians by the frame count for per-frame cost:
 //!   the full path grows with scene length, the incremental path stays
 //!   flat.
@@ -244,7 +244,7 @@ fn bench_incremental_rescore(c: &mut Criterion) {
             })
         });
 
-        // O(scene): from-scratch snapshot + compile + score every frame —
+        // O(scene): from-scratch snapshot + whole-scene score every frame —
         // the pre-incremental live path.
         group.bench_function(BenchmarkId::new("full_rescore_per_frame", label), |b| {
             let mut assembler = StreamingAssembler::new(AssemblyConfig::default());

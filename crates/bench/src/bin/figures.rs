@@ -74,7 +74,7 @@ fn main() {
         obs.len()
     );
     let vars = compiled.vars_of(&obs);
-    let factors = compiled.graph.component_factors(&vars, loa_graph::ScopeMode::Within);
+    let factors = compiled.graph.component_factors(&vars);
     println!("variables (observations):");
     for &o in &obs {
         let ob = scene.obs(o);

@@ -43,7 +43,7 @@ re-ranking the partial scene after every frame and printing per-frame
 latency: the live-deployment path, where errors surface before the
 scene has even finished recording. Re-ranking is incremental (per-track
 log-probability stores, re-folded only for the tracks a frame changed);
---compare-full additionally runs the full compile+score every frame,
+--compare-full additionally scores the whole snapshot every frame,
 prints delta-vs-full latency, and exits non-zero if the worklists ever
 diverge. --trace enables loa_obs span tracing and prints a per-frame
 stage-timing table: self microseconds per stage (push/snapshot/rescore/
@@ -198,7 +198,7 @@ pub struct StreamArgs {
     pub library: PathBuf,
     pub app: App,
     pub top: usize,
-    /// Also run the full (from-scratch) compile+score every frame,
+    /// Also score the whole snapshot from scratch every frame,
     /// report delta-vs-full latency, and fail on any divergence.
     pub compare_full: bool,
     /// Enable span tracing and print a per-frame stage-timing table.

@@ -524,9 +524,9 @@ fn convert_corpus(data: &std::path::Path, out_dir: &std::path::Path) -> Result<S
 /// truly frame-by-frame; `.json` input is parsed once, then replayed.
 ///
 /// Re-ranking runs the O(Δ) incremental path: the snapshot grows in
-/// place, and `IncrementalScorer` re-scores only the components the
-/// frame's assembly delta invalidated. `--compare-full` additionally
-/// runs the from-scratch compile+score every frame, reports
+/// place, and `IncrementalScorer` re-scores only the tracks the frame's
+/// assembly delta changed. `--compare-full` additionally runs a
+/// from-scratch whole-scene `ScoreEngine` every frame, reports
 /// delta-vs-full latency, and fails on any worklist divergence (labels
 /// or score bits). `--trace` turns on `loa_obs` span recording and
 /// appends a per-frame stage-timing table built from the drained span

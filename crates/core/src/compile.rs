@@ -1,4 +1,5 @@
-//! Compiling a scene into a factor graph (Section 4.3).
+//! Compiling a scene into a factor graph (Section 4.3) — the reference
+//! the scoring engine is checked against.
 //!
 //! *"To compile a scene, Fixy will create nodes for each observation and
 //! feature distribution. Then, Fixy will create edges between each feature
@@ -6,12 +7,18 @@
 //! distribution applies to a group of observations (e.g., an observation
 //! bundle or track), Fixy will create one edge between each observation in
 //! the group and the feature distribution."*
+//!
+//! Ranking does not go through the graph: [`crate::score`] folds the same
+//! factors from per-track stores, bit-identical to
+//! [`CompiledScene::score`] under its precondition. The graph stays as the
+//! paper's semantics spelled out, for the equivalence tests and figures.
 
 use crate::error::FixyError;
-use crate::feature::{FeatureKind, FeatureSet, FeatureTarget, ProbabilityModel};
+use crate::feature::{FeatureKind, FeatureSet, FeatureTarget};
 use crate::learner::FeatureLibrary;
 use crate::scene::{ObsIdx, Scene};
-use loa_graph::{ComponentIndex, FactorGraph, VarId};
+use crate::score::Evaluator;
+use loa_graph::{ComponentScore, FactorGraph, VarId};
 use serde::{Deserialize, Serialize};
 
 /// One compiled factor: which feature produced it and the AOF-transformed
@@ -27,23 +34,25 @@ pub struct FactorInfo {
 /// The factor graph of a compiled scene: variables are observations.
 pub type SceneGraph = FactorGraph<ObsIdx, FactorInfo>;
 
-/// A compiled scene: the graph, the observation → variable mapping, and
-/// the connected-component index built once at compile time (candidates
-/// that form whole components — tracks, bundles under their app's feature
-/// set — score as a slice lookup + fold through it).
+/// A compiled scene: the graph and the observation → variable mapping.
 #[derive(Debug, Clone)]
 pub struct CompiledScene {
     pub graph: SceneGraph,
     /// `vars[i]` is the graph variable for `scene.observations[i]`.
     pub vars: Vec<VarId>,
-    /// Connected components of `graph`, grouped with their factors.
-    pub components: ComponentIndex,
 }
 
 impl CompiledScene {
     /// The graph variables of a set of observations.
     pub fn vars_of(&self, obs: &[ObsIdx]) -> Vec<VarId> {
         obs.iter().map(|o| self.vars[o.0]).collect()
+    }
+
+    /// The reference score of the candidate made of `obs`: the factors
+    /// whose whole scope lies inside it, folded in ascending id order.
+    pub fn score(&self, obs: &[ObsIdx]) -> ComponentScore {
+        self.graph
+            .score_component(&self.vars_of(obs), |info| info.probability)
     }
 }
 
@@ -100,54 +109,18 @@ pub fn compile_scene(
     features: &FeatureSet,
     library: &FeatureLibrary,
 ) -> Result<CompiledScene, FixyError> {
-    // Validate upfront so the loop below cannot fail halfway. Scalar
-    // learned features additionally need a prepared form — absent exactly
-    // when the library entry is a joint fit under a scalar feature's name
-    // (a library/feature-set mismatch).
-    for bf in features.learned() {
-        let name = bf.feature.name();
-        let present = if bf.feature.probability_model() == ProbabilityModel::LearnedJointKde {
-            library.get(name).is_some()
-        } else {
-            library.get_prepared(name).is_some()
-        };
-        if !present {
-            return Err(FixyError::MissingDistribution { feature: name.to_string() });
-        }
-    }
-
+    // Validates up front, so the loop below cannot fail halfway.
+    let ev = Evaluator::new(features, library)?;
     let mut graph: SceneGraph =
         FactorGraph::with_capacity(scene.n_observations(), scene.n_observations() * features.len());
     let vars: Vec<VarId> = scene.observations().iter().map(|o| graph.add_var(o.idx)).collect();
 
     let mut scope: Vec<VarId> = Vec::new();
     for (feature_index, bf) in features.features.iter().enumerate() {
-        let feature = bf.feature.as_ref();
-        let model = feature.probability_model();
-        // Scalar features evaluate the query-optimized prepared grids;
-        // joint features evaluate the fitted KdeNd directly (it is
-        // already windowed — the library keeps no duplicate of it).
-        let (prepared, joint) = match model {
-            ProbabilityModel::Manual => (None, None),
-            ProbabilityModel::LearnedJointKde => (None, library.get(feature.name())),
-            _ => (library.get_prepared(feature.name()), None),
-        };
-        for_each_target(scene, feature.kind(), |target, edge_obs| {
-            let p = match model {
-                ProbabilityModel::Manual => match feature.value(scene, &target) {
-                    Some(v) => v.x,
-                    None => return,
-                },
-                ProbabilityModel::LearnedJointKde => match feature.vector_value(scene, &target) {
-                    Some(v) => joint.expect("validated above").probability_vector(&v),
-                    None => return,
-                },
-                _ => match feature.value(scene, &target) {
-                    Some(v) => prepared.expect("validated above").probability(&v),
-                    None => return,
-                },
+        for_each_target(scene, bf.feature.kind(), |target, edge_obs| {
+            let Some(probability) = ev.eval(scene, feature_index, &target) else {
+                return;
             };
-            let probability = bf.aof.apply(p);
             scope.clear();
             scope.extend(edge_obs.iter().map(|o| vars[o.0]));
             graph
@@ -155,9 +128,7 @@ pub fn compile_scene(
                 .expect("scene indices are in range by construction");
         });
     }
-
-    let components = graph.component_index();
-    Ok(CompiledScene { graph, vars, components })
+    Ok(CompiledScene { graph, vars })
 }
 
 #[cfg(test)]

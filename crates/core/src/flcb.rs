@@ -33,7 +33,7 @@
 //!
 //! Truncation surfaces [`CodecError::Io`]/[`CodecError::Corrupt`] —
 //! never a panic — and every length prefix is capped
-//! ([`MAX_RECORD_LEN`](crate::codec::MAX_RECORD_LEN)) and checked
+//! ([`MAX_RECORD_LEN`]) and checked
 //! against the bytes actually present before any allocation, so a
 //! corrupt count cannot become an allocation bomb. The v1 JSON wire
 //! format stays fully supported; `fixy convert --library` migrates.

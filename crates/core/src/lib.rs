@@ -25,18 +25,22 @@
 //!
 //! ## Features and scoring (Sections 5–6)
 //!
-//! A [`Feature`](feature::Feature) maps an OBT (or a transition between
+//! A [`Feature`] maps an OBT (or a transition between
 //! adjacent bundles) to a scalar. Learned features get a fitted
 //! distribution ([`learner::FeatureLibrary`]); manual features (distance,
 //! model-only, count) emit probabilities directly. An
-//! [`Aof`](aof::Aof) (application objective function) transforms each
+//! [`Aof`] (application objective function) transforms each
 //! probability — identity to find likely-but-unlabeled objects, inversion
 //! to find unlikely predictions, zeroing to filter.
 //!
 //! A scene compiles into a bipartite factor graph
 //! ([`compile::compile_scene`]); any OBT is scored by the normalized sum of
 //! log-probabilities of the factors it contains (Section 6's worked
-//! example lives in `score::tests`).
+//! example lives in `score::tests`). No factor spans two tracks, so the
+//! one scoring engine ([`score::ScoreEngine`], and its streaming form
+//! [`IncrementalScorer`]) evaluates every factor once into a per-track
+//! `ln p` store and folds candidates from it, bit-identical to scoring
+//! the compiled graph, which stays as the Section 4.3 reference.
 //!
 //! ## Applications (Section 7)
 //!
@@ -94,5 +98,5 @@ pub mod prelude {
         AssemblyConfig, AssemblyEngine, Bundle, BundleIdx, FrameDelta, ObsIdx, Observation, Scene,
         Track, TrackIdx,
     };
-    pub use crate::score::{ScoreEngine, ScoreOptions};
+    pub use crate::score::ScoreEngine;
 }

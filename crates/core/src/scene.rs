@@ -5,7 +5,7 @@
 //! `β = {ω}` is a set of observations from different modalities.
 //!
 //! [`Scene::assemble`] builds this structure from a raw
-//! [`SceneData`](loa_data::SceneData) exactly the way the paper's worked
+//! [`SceneData`] exactly the way the paper's worked
 //! example does: same-frame observations associate by box overlap into
 //! bundles; bundles associate across adjacent frames into tracks. The
 //! work happens in an [`AssemblyEngine`] — a reusable, staged assembler
@@ -960,7 +960,7 @@ impl AssemblyEngine {
     /// this appends only the new observations and bundles and rebuilds
     /// the index-only track CSR from the live paths — O(Δ) plus the
     /// track-index rebuild. The result is field-for-field equal to
-    /// [`snapshot`] (the append-only arenas and the tracker's
+    /// [`snapshot`](Self::snapshot) (the append-only arenas and the tracker's
     /// creation-order == first-entry-order invariant, both locked by
     /// tests, make the two paths literally identical).
     ///

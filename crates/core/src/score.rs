@@ -1,135 +1,502 @@
-//! Scoring OBTs over the compiled factor graph (Section 6).
+//! Scoring OBTs (Section 6): the one scoring engine.
 //!
-//! The score of an observation is `Σ ln(f_i(π_i(ω)))` over its factors;
-//! the score of any component is the sum over its observations,
-//! normalized by the number of features connecting to the component.
-//! Components touched by an AOF-zeroed factor are excluded from ranking.
+//! A candidate's score is `Σ ln p` over the (AOF-transformed) factors
+//! inside it, divided by their count; a candidate with an AOF-zeroed
+//! factor is excluded from ranking. Batch [`ScoreEngine`] and streamed
+//! [`IncrementalScorer`](crate::incremental::IncrementalScorer) both
+//! evaluate every factor once into per-track `ln p` stores and fold
+//! candidates from them; the batch engine ingests the whole scene as a
+//! single delta (every track changed, nothing ingested before).
+//!
+//! ## Why per-track stores suffice
+//!
+//! Under the Section 4.3 compilation semantics no factor's scope spans
+//! two tracks (observation and bundle factors live inside one bundle,
+//! transition and track factors inside one track), so a candidate's
+//! factor set (the factors whose whole scope lies inside it) has a
+//! closed form:
+//!
+//! * a **track**'s factors are exactly the factors on its own
+//!   observations, bundles, transitions and the track itself;
+//! * a **bundle**'s factors are its members' observation factors, its own
+//!   bundle factors, and its track's factors iff the track has exactly
+//!   this one bundle (transition scopes span two bundles, never one).
+//!
+//! Factor *values* stay valid across frames because every shipped
+//! feature is target-local (a bundle factor depends only on its bundle,
+//! a track factor only on its track — locked by the `tests/incremental.rs`
+//! proptests); a track's factors are re-evaluated whenever the track
+//! itself changes.
+//!
+//! ## Bit-identity with the Section 4.3 reference
+//!
+//! The reference is [`compile_scene`](crate::compile::compile_scene) +
+//! `FactorGraph::score_component`: it assigns factor ids
+//! lexicographically in `(feature_index, target-visit-order)` and folds a
+//! candidate's factors in ascending id order. Per feature the visit order
+//! is: observation index, bundle index, `(track, later-bundle)` for
+//! transitions, track index. A store appends each track's bundles in
+//! track order (a bundle's members in ascending index), so when
+//! observation and bundle indices ascend along every track its runs
+//! already hold the reference fold order: no sort, and no `ln` at score
+//! time. The fold starts at `+0.0` and adds the same values in the same
+//! order as `normalized_log_score` — f64 addition is not associative, so
+//! this is what makes the scores bit-identical, not merely close (the
+//! correctness bar, locked by `tests/pipeline.rs` and
+//! `tests/incremental.rs`).
+//!
+//! Slots whose feature returned no value, and zeroed factors, hold
+//! `+0.0`. Adding `+0.0` changes no sum the fold can reach (a sum is
+//! `-0.0` only if every addend is, and `ln` never returns `-0.0`), and a
+//! zeroed candidate is answered from its counts without a fold.
+//!
+//! ## Precondition
+//!
+//! Every bundle is in exactly one track, and observation and bundle
+//! indices ascend along each track. [`AssemblyEngine`] guarantees both
+//! (tracks grow at their ends, and a frame's observations and bundles
+//! are numbered after every earlier frame's), and it is the only
+//! producer of scored scenes: the CLI, the pipeline and the server all
+//! assemble from `SceneData`. Debug builds assert it; there is no
+//! fallback path.
+//!
+//! [`AssemblyEngine`]: crate::scene::AssemblyEngine
 
-use crate::compile::{compile_scene, CompiledScene};
 use crate::error::FixyError;
-use crate::feature::FeatureSet;
-use crate::learner::FeatureLibrary;
+use crate::feature::{FeatureKind, FeatureSet, FeatureTarget, ProbabilityModel};
+use crate::learner::{FeatureLibrary, FittedDistribution, PreparedDistribution};
 use crate::scene::{BundleIdx, ObsIdx, Scene, TrackIdx};
-use loa_graph::{ComponentId, ComponentScore, ScopeMode};
-use serde::{Deserialize, Serialize};
+use loa_graph::ComponentScore;
+use std::ops::Add;
 
-/// Scoring options.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
-pub struct ScoreOptions {
-    /// Which factors count for a component (Section 6 normalization uses
-    /// fully-contained factors — see `loa_graph::ScopeMode`).
-    pub scope: ScopeMode,
+/// Resolves a feature on a target to its AOF-transformed probability —
+/// the one resolution path, shared by the stores and by `compile_scene`.
+pub(crate) struct Evaluator<'f> {
+    features: &'f FeatureSet,
+    /// Pre-resolved distributions, one slot per feature (None for manual
+    /// features / the other resolution form). Scalar learned features
+    /// evaluate the query-optimized prepared grids; joint features the
+    /// fitted `KdeNd` directly (it is already windowed, so the library
+    /// keeps no prepared duplicate of it).
+    prepared: Vec<Option<&'f PreparedDistribution>>,
+    joint: Vec<Option<&'f FittedDistribution>>,
 }
 
-/// A scene compiled and ready to score.
+impl<'f> Evaluator<'f> {
+    /// Bind a feature set and fitted library. Learned features missing
+    /// from the library are an error (manual features need none), so no
+    /// later evaluation can fail halfway. Scalar learned features need a
+    /// prepared form — absent exactly when the library entry is a joint
+    /// fit under a scalar feature's name (a library/feature-set mismatch).
+    pub(crate) fn new(
+        features: &'f FeatureSet,
+        library: &'f FeatureLibrary,
+    ) -> Result<Self, FixyError> {
+        let mut prepared = Vec::with_capacity(features.len());
+        let mut joint = Vec::with_capacity(features.len());
+        for bf in &features.features {
+            let name = bf.feature.name();
+            let missing = || FixyError::MissingDistribution { feature: name.to_string() };
+            let (p, j) = match bf.feature.probability_model() {
+                ProbabilityModel::Manual => (None, None),
+                ProbabilityModel::LearnedJointKde => {
+                    (None, Some(library.get(name).ok_or_else(missing)?))
+                }
+                _ => (Some(library.get_prepared(name).ok_or_else(missing)?), None),
+            };
+            prepared.push(p);
+            joint.push(j);
+        }
+        Ok(Evaluator { features, prepared, joint })
+    }
+
+    /// Evaluate feature `fi` on a target: its AOF-transformed
+    /// probability, or `None` when the feature has no value there (no
+    /// factor).
+    pub(crate) fn eval(&self, scene: &Scene, fi: usize, target: &FeatureTarget<'_>) -> Option<f64> {
+        let bf = &self.features.features[fi];
+        let feature = bf.feature.as_ref();
+        let p = match feature.probability_model() {
+            ProbabilityModel::Manual => feature.value(scene, target)?.x,
+            ProbabilityModel::LearnedJointKde => {
+                let v = feature.vector_value(scene, target)?;
+                self.joint[fi].expect("validated in new").probability_vector(&v)
+            }
+            _ => {
+                let v = feature.value(scene, target)?;
+                self.prepared[fi].expect("validated in new").probability(&v)
+            }
+        };
+        Some(bf.aof.apply(p))
+    }
+}
+
+/// Where one feature's values sit in a [`TrackStore`]: the column of the
+/// rows its feature kind fills.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Obs(usize),
+    Bundle(usize),
+    Transition(usize),
+    Track(usize),
+}
+
+/// Factors present and factors zeroed — all `normalized_log_score` needs
+/// besides the sum.
+#[derive(Debug, Clone, Copy, Default)]
+struct Counts {
+    present: u32,
+    zeroed: u32,
+}
+
+impl Add for Counts {
+    type Output = Counts;
+    fn add(self, other: Counts) -> Counts {
+        Counts {
+            present: self.present + other.present,
+            zeroed: self.zeroed + other.zeroed,
+        }
+    }
+}
+
+impl Counts {
+    /// Count one evaluated factor; returns the value its slot keeps.
+    fn record(&mut self, p: Option<f64>) -> f64 {
+        let Some(p) = p else {
+            return 0.0;
+        };
+        self.present += 1;
+        if p <= 0.0 || !p.is_finite() {
+            self.zeroed += 1;
+            0.0
+        } else {
+            p.ln()
+        }
+    }
+
+    /// The score `normalized_log_score` gives these factors; `sum` folds
+    /// their values and runs only when the score needs it.
+    fn score(self, sum: impl FnOnce() -> f64) -> ComponentScore {
+        let factor_count = self.present as usize;
+        if factor_count == 0 {
+            ComponentScore::empty()
+        } else if self.zeroed > 0 {
+            ComponentScore { score: None, factor_count, zeroed: true }
+        } else {
+            ComponentScore {
+                score: Some(sum() / factor_count as f64),
+                factor_count,
+                zeroed: false,
+            }
+        }
+    }
+}
+
+/// How a feature set's values are laid out in every [`TrackStore`]: one
+/// column per feature of a kind, in feature-set order.
+#[derive(Debug)]
+struct Layout {
+    /// Each feature's slot, in feature-set (= fold) order.
+    slots: Vec<Slot>,
+    /// Feature indices by kind, in feature-set order (a feature's column
+    /// is its position here).
+    obs: Vec<usize>,
+    bundle: Vec<usize>,
+    transition: Vec<usize>,
+    track: Vec<usize>,
+}
+
+impl Layout {
+    fn new(features: &FeatureSet) -> Self {
+        let mut slots = Vec::with_capacity(features.len());
+        let mut by_kind: [Vec<usize>; 4] = Default::default();
+        for (fi, bf) in features.features.iter().enumerate() {
+            let (kind, slot): (usize, fn(usize) -> Slot) = match bf.feature.kind() {
+                FeatureKind::Observation => (0, Slot::Obs),
+                FeatureKind::Bundle => (1, Slot::Bundle),
+                FeatureKind::Transition => (2, Slot::Transition),
+                FeatureKind::Track => (3, Slot::Track),
+            };
+            slots.push(slot(by_kind[kind].len()));
+            by_kind[kind].push(fi);
+        }
+        let [obs, bundle, transition, track] = by_kind;
+        Layout { slots, obs, bundle, transition, track }
+    }
+
+    /// Values per bundle row: bundle features, then transition features.
+    fn row_width(&self) -> usize {
+        self.bundle.len() + self.transition.len()
+    }
+
+    /// Sum a track's stored values in fold order.
+    fn fold_track(&self, store: &TrackStore) -> f64 {
+        let (obs_width, row_width) = (self.obs.len(), self.row_width());
+        let body = &store.rows[self.track.len()..];
+        let mut sum = 0.0;
+        for &slot in &self.slots {
+            match slot {
+                Slot::Obs(c) => {
+                    for &v in store.obs_rows.iter().skip(c).step_by(obs_width) {
+                        sum += v;
+                    }
+                }
+                Slot::Bundle(c) => {
+                    for &v in body.iter().skip(c).step_by(row_width) {
+                        sum += v;
+                    }
+                }
+                // The first row has no transition into it.
+                Slot::Transition(c) => {
+                    let first = row_width + self.bundle.len() + c;
+                    for &v in body.iter().skip(first).step_by(row_width) {
+                        sum += v;
+                    }
+                }
+                Slot::Track(c) => sum += store.rows[c],
+            }
+        }
+        sum
+    }
+
+    /// Sum a bundle's stored values in fold order: its members' rows, its
+    /// own row's bundle values, and the track values when the track is
+    /// this one bundle.
+    fn fold_bundle(&self, store: &TrackStore, loc: &BundleLoc, members: usize) -> f64 {
+        let (obs_width, row_width) = (self.obs.len(), self.row_width());
+        let obs = &store.obs_rows[loc.obs_row * obs_width..][..members * obs_width];
+        let row = &store.rows[self.track.len() + loc.pos * row_width..][..row_width];
+        let alone = store.n_bundles == 1;
+        let mut sum = 0.0;
+        for &slot in &self.slots {
+            match slot {
+                Slot::Obs(c) => {
+                    for &v in obs.iter().skip(c).step_by(obs_width) {
+                        sum += v;
+                    }
+                }
+                Slot::Bundle(c) => sum += row[c],
+                Slot::Transition(_) => {}
+                Slot::Track(c) => {
+                    if alone {
+                        sum += store.rows[c];
+                    }
+                }
+            }
+        }
+        sum
+    }
+}
+
+/// One track's factor values, kept as `ln p` (`+0.0` for absent or
+/// zeroed factors, see the module docs) in rows the [`Layout`] folds in
+/// reference order.
+#[derive(Debug, Default)]
+struct TrackStore {
+    /// One row of observation-feature values per observation, ascending
+    /// observation index.
+    obs_rows: Vec<f64>,
+    /// The track-feature values, then one row per bundle: its
+    /// bundle-feature values and the transition into it from the previous
+    /// bundle (the first row's transition slots are never folded).
+    rows: Vec<f64>,
+    n_obs: usize,
+    n_bundles: usize,
+    /// Counts over the observation, bundle and transition factors.
+    counts: Counts,
+    /// Counts over the track factors, replaced whenever the track changes.
+    track_counts: Counts,
+}
+
+/// Where a bundle's values sit in its track's store.
+#[derive(Debug, Clone, Copy, Default)]
+struct BundleLoc {
+    track: usize,
+    /// Its first member's observation row.
+    obs_row: usize,
+    /// Its position in the track (its bundle row).
+    pos: usize,
+    /// Counts over its members' observation factors and its own bundle
+    /// factors.
+    counts: Counts,
+}
+
+/// The per-track `ln p` stores of one scene: every factor evaluated
+/// once, every candidate folded from them by `&self` reads.
+#[derive(Debug)]
+pub(crate) struct TrackStores {
+    layout: Layout,
+    /// One store per track, by track index.
+    tracks: Vec<TrackStore>,
+    /// One location per bundle, by bundle index.
+    bundles: Vec<BundleLoc>,
+    /// Scratch: a bundle's members in ascending order.
+    members: Vec<ObsIdx>,
+}
+
+impl TrackStores {
+    /// Empty stores laid out for `features`.
+    pub(crate) fn new(features: &FeatureSet) -> Self {
+        TrackStores {
+            layout: Layout::new(features),
+            tracks: Vec::new(),
+            bundles: Vec::new(),
+            members: Vec::new(),
+        }
+    }
+
+    /// Drop every store (a new scene starts).
+    pub(crate) fn clear(&mut self) {
+        self.tracks.clear();
+        self.bundles.clear();
+    }
+
+    /// Ingest a new or changed track: append its bundles not yet stored
+    /// (their members' observation factors, their own bundle factors and
+    /// the transition into each from the previous bundle) and re-evaluate
+    /// its track factors. Returns how many bundles the track had before.
+    /// New tracks must arrive in index order.
+    pub(crate) fn ingest_track(&mut self, ev: &Evaluator<'_>, scene: &Scene, t: TrackIdx) -> usize {
+        if t.0 == self.tracks.len() {
+            let head = vec![0.0; self.layout.track.len()];
+            self.tracks.push(TrackStore { rows: head, ..TrackStore::default() });
+        }
+        if self.bundles.len() < scene.n_bundles() {
+            self.bundles.resize(scene.n_bundles(), BundleLoc::default());
+        }
+        let layout = &self.layout;
+        let bundles = scene.track_bundles(t);
+        let store = &mut self.tracks[t.0];
+        let known = store.n_bundles;
+        for (pos, &b) in bundles.iter().enumerate().skip(known) {
+            let mut own = Counts::default();
+            let obs_row = store.n_obs;
+            self.members.clear();
+            self.members.extend_from_slice(scene.bundle_obs(b));
+            self.members.sort_unstable();
+            for &o in &self.members {
+                let target = FeatureTarget::Obs(scene.obs(o));
+                for &fi in &layout.obs {
+                    store.obs_rows.push(own.record(ev.eval(scene, fi, &target)));
+                }
+            }
+            store.n_obs += self.members.len();
+
+            let target = FeatureTarget::Bundle(scene.bundle(b));
+            for &fi in &layout.bundle {
+                store.rows.push(own.record(ev.eval(scene, fi, &target)));
+            }
+            let mut transition = Counts::default();
+            if pos == 0 {
+                store.rows.resize(store.rows.len() + layout.transition.len(), 0.0);
+            } else {
+                let (from, to) = (scene.bundle(bundles[pos - 1]), scene.bundle(b));
+                let dt = (to.frame.0.saturating_sub(from.frame.0)) as f64 * scene.frame_dt;
+                let target = FeatureTarget::Transition(from, to, dt);
+                for &fi in &layout.transition {
+                    store.rows.push(transition.record(ev.eval(scene, fi, &target)));
+                }
+            }
+            store.counts = store.counts + own + transition;
+            self.bundles[b.0] = BundleLoc { track: t.0, obs_row, pos, counts: own };
+        }
+        store.n_bundles = bundles.len();
+
+        // Track factors: replaced wholesale — the track changed, so its
+        // factor values may have too (e.g. the count crossing its
+        // threshold).
+        store.track_counts = Counts::default();
+        let target = FeatureTarget::Track(scene.track(t));
+        for (c, &fi) in layout.track.iter().enumerate() {
+            store.rows[c] = store.track_counts.record(ev.eval(scene, fi, &target));
+        }
+        known
+    }
+
+    /// True when bundle `b` is stored at its place in its track.
+    pub(crate) fn holds(&self, scene: &Scene, b: BundleIdx) -> bool {
+        let loc = &self.bundles[b.0];
+        scene.track_bundles(TrackIdx(loc.track)).get(loc.pos) == Some(&b)
+    }
+
+    /// A track's score, folded from its store.
+    pub(crate) fn track_score(&self, t: TrackIdx) -> ComponentScore {
+        let store = &self.tracks[t.0];
+        (store.counts + store.track_counts).score(|| self.layout.fold_track(store))
+    }
+
+    /// A bundle's score, folded from its track's store.
+    pub(crate) fn bundle_score(&self, scene: &Scene, b: BundleIdx) -> ComponentScore {
+        let loc = &self.bundles[b.0];
+        let store = &self.tracks[loc.track];
+        let counts =
+            if store.n_bundles == 1 { loc.counts + store.track_counts } else { loc.counts };
+        let members = scene.bundle_obs(b).len();
+        counts.score(|| self.layout.fold_bundle(store, loc, members))
+    }
+}
+
+/// The module docs' precondition: every bundle is in exactly one track,
+/// and observation and bundle indices ascend along each track.
+fn assembly_ordered(scene: &Scene) -> bool {
+    let mut placed = vec![false; scene.n_bundles()];
+    let tracks_ok = scene.tracks().iter().all(|t| {
+        let mut last: Option<(BundleIdx, ObsIdx)> = None;
+        scene.track_bundles(t.idx).iter().all(|&b| {
+            let obs = scene.bundle_obs(b);
+            let (Some(&lo), Some(&hi)) = (obs.iter().min(), obs.iter().max()) else {
+                return false;
+            };
+            let ascends = last.is_none_or(|(lb, lo_hi)| lb < b && lo_hi < lo);
+            last = Some((b, hi));
+            ascends && !std::mem::replace(&mut placed[b.0], true)
+        })
+    });
+    tracks_ok && placed.into_iter().all(|p| p)
+}
+
+/// A scene's per-track stores, ready to score any track or bundle.
 pub struct ScoreEngine<'a> {
     scene: &'a Scene,
-    compiled: CompiledScene,
-    options: ScoreOptions,
+    stores: TrackStores,
 }
 
 impl<'a> ScoreEngine<'a> {
-    /// Compile `scene` against `features`/`library` and wrap it for
-    /// scoring.
+    /// Evaluate every factor of `scene` against `features`/`library` into
+    /// per-track stores: the whole scene ingested as a single delta. Fails
+    /// like `compile_scene` when a learned feature has no library entry.
+    ///
+    /// `scene` must satisfy the module docs' precondition (true of every
+    /// assembled scene; debug builds assert it).
     pub fn new(
         scene: &'a Scene,
         features: &FeatureSet,
         library: &FeatureLibrary,
     ) -> Result<Self, FixyError> {
-        Self::with_options(scene, features, library, ScoreOptions::default())
-    }
-
-    pub fn with_options(
-        scene: &'a Scene,
-        features: &FeatureSet,
-        library: &FeatureLibrary,
-        options: ScoreOptions,
-    ) -> Result<Self, FixyError> {
         let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Compile);
-        let compiled = compile_scene(scene, features, library)?;
-        Ok(ScoreEngine { scene, compiled, options })
-    }
-
-    pub fn scene(&self) -> &Scene {
-        self.scene
-    }
-
-    pub fn compiled(&self) -> &CompiledScene {
-        &self.compiled
-    }
-
-    /// If `obs` yields exactly one whole connected component of the
-    /// compiled graph (each observation in the same component, as many
-    /// observations as the component has variables; assembly guarantees
-    /// candidates never repeat an observation), return its component id.
-    /// For a full component `Within` and `Touching` factor sets coincide
-    /// (no factor crosses a component boundary), so the indexed fast path
-    /// is score-equivalent to the generic path under either scope mode.
-    fn whole_component_of(&self, mut obs: impl Iterator<Item = ObsIdx>) -> Option<ComponentId> {
-        let first = obs.next()?;
-        let components = &self.compiled.components;
-        let comp = components.component_of(self.compiled.vars[first.0]);
-        let mut count = 1usize;
-        for o in obs {
-            if components.component_of(self.compiled.vars[o.0]) != comp {
-                return None;
-            }
-            count += 1;
+        debug_assert!(
+            assembly_ordered(scene),
+            "scene violates the assembly-order precondition"
+        );
+        let ev = Evaluator::new(features, library)?;
+        let mut stores = TrackStores::new(features);
+        for t in scene.tracks() {
+            stores.ingest_track(&ev, scene, t.idx);
         }
-        (components.vars(comp).len() == count).then_some(comp)
-    }
-
-    fn score_whole_component(&self, comp: ComponentId) -> ComponentScore {
-        self.compiled
-            .graph
-            .score_indexed_component(&self.compiled.components, comp, |info| info.probability)
-    }
-
-    fn score_obs_set(&self, obs: &[ObsIdx]) -> ComponentScore {
-        if let Some(comp) = self.whole_component_of(obs.iter().copied()) {
-            return self.score_whole_component(comp);
-        }
-        let vars = self.compiled.vars_of(obs);
-        self.compiled
-            .graph
-            .score_component(&vars, self.options.scope, |info| info.probability)
-    }
-
-    /// Score a single observation.
-    pub fn score_observation(&self, obs: ObsIdx) -> ComponentScore {
-        self.score_obs_set(std::slice::from_ref(&obs))
+        Ok(ScoreEngine { scene, stores })
     }
 
     /// Score an observation bundle.
     pub fn score_bundle(&self, bundle: BundleIdx) -> ComponentScore {
-        self.score_obs_set(self.scene.bundle_obs(bundle))
+        self.stores.bundle_score(self.scene, bundle)
     }
 
     /// Score a track.
     pub fn score_track(&self, track: TrackIdx) -> ComponentScore {
-        // Fast path without materializing the obs list: check the track's
-        // observations form one whole component, then fold its factors.
-        if let Some(comp) = self.whole_component_of(self.scene.track_obs_iter(track)) {
-            return self.score_whole_component(comp);
-        }
-        // Generic fallback, without re-running the whole-component check
-        // score_obs_set would repeat.
-        let obs: Vec<ObsIdx> = self.scene.track_obs_iter(track).collect();
-        let vars = self.compiled.vars_of(&obs);
-        self.compiled
-            .graph
-            .score_component(&vars, self.options.scope, |info| info.probability)
+        self.stores.track_score(track)
     }
 
-    /// Score every track, in track order.
-    ///
-    /// Equivalent to calling [`score_track`](Self::score_track) per track
-    /// — the intended API for the applications. When every candidate is a
-    /// whole component of its compiled graph (true for the paper apps:
-    /// their feature sets add no factors that cross candidate boundaries)
-    /// each factor is folded exactly once, so the sweep is `O(V + E)` for
-    /// the scene; candidates that are not whole components fall back to
-    /// the per-candidate generic path.
+    /// Score every track, in track order: one sequential fold per track.
     pub fn score_all_tracks(&self) -> Vec<(TrackIdx, ComponentScore)> {
         let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Score);
         self.scene
@@ -139,8 +506,7 @@ impl<'a> ScoreEngine<'a> {
             .collect()
     }
 
-    /// Score every bundle, in bundle order (see
-    /// [`score_all_tracks`](Self::score_all_tracks) for the cost model).
+    /// Score every bundle, in bundle order.
     pub fn score_all_bundles(&self) -> Vec<(BundleIdx, ComponentScore)> {
         let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Score);
         self.scene
@@ -280,20 +646,11 @@ mod tests {
             BoundFeature::plain(Arc::new(FixedTrans(0.9))),
         ]);
         let engine = ScoreEngine::new(&scene, &features, &FeatureLibrary::default()).unwrap();
-        // A single observation's Within-score sees only its obs factor.
-        let s = engine.score_observation(crate::scene::ObsIdx(0));
+        // A one-observation bundle sees only its observation's factor: the
+        // transition's scope reaches into the other bundle.
+        let s = engine.score_bundle(BundleIdx(0));
         assert_eq!(s.factor_count, 1);
         assert!((s.score.unwrap() - 0.5f64.ln()).abs() < 1e-12);
-        // Touching scope would pull in the transition factor too.
-        let touching = ScoreEngine::with_options(
-            &scene,
-            &features,
-            &FeatureLibrary::default(),
-            ScoreOptions { scope: ScopeMode::Touching },
-        )
-        .unwrap();
-        let s = touching.score_observation(crate::scene::ObsIdx(0));
-        assert_eq!(s.factor_count, 2);
     }
 
     #[test]

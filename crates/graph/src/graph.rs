@@ -218,26 +218,6 @@ impl<V, F> FactorGraph<V, F> {
         }
         components
     }
-
-    /// True when the bipartite graph is acyclic (a forest), the
-    /// precondition for exact sum-product.
-    pub fn is_forest(&self) -> bool {
-        // A bipartite graph is a forest iff every connected component
-        // satisfies nodes = edges + 1 (counting both var and factor nodes).
-        let components = self.connected_components();
-        for comp in &components {
-            let mut factor_set = std::collections::BTreeSet::new();
-            for &v in comp {
-                factor_set.extend(self.incident[v.0].iter().copied());
-            }
-            let nodes = comp.len() + factor_set.len();
-            let edges: usize = factor_set.iter().map(|&f| self.scope(f).len()).sum();
-            if nodes != edges + 1 {
-                return false;
-            }
-        }
-        true
-    }
 }
 
 #[cfg(test)]
@@ -315,20 +295,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_is_forest_triangle_is_not() {
-        assert!(chain(5).is_forest());
-
-        let mut g: FactorGraph<(), ()> = FactorGraph::new();
-        let a = g.add_var(());
-        let b = g.add_var(());
-        let c = g.add_var(());
-        g.add_factor((), vec![a, b]).unwrap();
-        g.add_factor((), vec![b, c]).unwrap();
-        g.add_factor((), vec![c, a]).unwrap();
-        assert!(!g.is_forest());
-    }
-
-    #[test]
     fn payload_access() {
         let mut g: FactorGraph<String, f64> = FactorGraph::new();
         let v = g.add_var("obs".into());
@@ -346,7 +312,6 @@ mod tests {
         let g: FactorGraph<(), ()> = FactorGraph::new();
         assert_eq!(g.var_count(), 0);
         assert_eq!(g.connected_components().len(), 0);
-        assert!(g.is_forest());
     }
 
     proptest! {

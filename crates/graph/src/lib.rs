@@ -8,19 +8,13 @@
 //! `g(X) = Π_j f_j(S_j)`.
 //!
 //! [`FactorGraph`] is the structure LOA scenes compile into (Section 4.3);
-//! [`score`] implements the normalized log-likelihood scoring of Section 6;
-//! [`sum_product`] adds exact marginal inference on acyclic graphs — beyond
-//! what Fixy's ranking needs, but the natural extension the paper's related
-//! work (robot-perception factor graphs) points at, and used by an ablation.
+//! [`score`] implements the normalized log-likelihood scoring of Section 6
+//! over it. Together they are the reference `fixy_core`'s scoring engine
+//! is checked against; [`ComponentScore`] and [`normalized_log_score`]
+//! are the score type and rule both share.
 
-pub mod components;
-pub mod delta;
 pub mod graph;
 pub mod score;
-pub mod sum_product;
 
-pub use components::{ComponentId, ComponentIndex};
-pub use delta::{DeltaComponentIndex, UnionOutcome};
 pub use graph::{FactorGraph, FactorId, GraphError, VarId};
-pub use score::{normalized_log_score, ComponentScore, ScopeMode};
-pub use sum_product::{DiscreteFactor, SumProduct, SumProductError};
+pub use score::{normalized_log_score, ComponentScore};

@@ -6,24 +6,8 @@
 //! the total number of features that connect to the component"* — so a
 //! 10-observation track and a 100-observation track are comparable.
 
-use crate::components::{ComponentId, ComponentIndex};
 use crate::graph::{FactorGraph, FactorId, VarId};
 use serde::{Deserialize, Serialize};
-
-/// Which factors count as belonging to a component of variables.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum ScopeMode {
-    /// Factors whose entire scope lies inside the component. This is the
-    /// reading consistent with the paper's worked example (a two-
-    /// observation track scored by two volume factors and one transition
-    /// factor — all fully contained).
-    #[default]
-    Within,
-    /// Factors with at least one edge into the component. Included for the
-    /// ablation bench; over-counts boundary transition factors when scoring
-    /// single bundles inside a longer track.
-    Touching,
-}
 
 /// The result of scoring a component.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -79,9 +63,12 @@ pub fn normalized_log_score(probabilities: impl IntoIterator<Item = f64>) -> Com
 }
 
 impl<V, F> FactorGraph<V, F> {
-    /// The factors belonging to the variable set `component` under `mode`,
-    /// sorted ascending.
-    pub fn component_factors(&self, component: &[VarId], mode: ScopeMode) -> Vec<FactorId> {
+    /// The factors belonging to the variable set `component` — those
+    /// whose entire scope lies inside it — sorted ascending. This is the
+    /// reading consistent with the paper's worked example (a
+    /// two-observation track scored by two volume factors and one
+    /// transition factor, all fully contained).
+    pub fn component_factors(&self, component: &[VarId]) -> Vec<FactorId> {
         let mut members: Vec<VarId> = component.to_vec();
         members.sort_unstable();
         members.dedup();
@@ -89,15 +76,10 @@ impl<V, F> FactorGraph<V, F> {
         let mut out: Vec<FactorId> = Vec::new();
         for &v in &members {
             for &f in self.incident_factors(v) {
-                let scope = self.scope(f);
                 // Count each factor exactly once: at its first scope
-                // variable that lies in the component (for `Within`, that
-                // is necessarily `scope[0]`).
-                let include = match mode {
-                    ScopeMode::Touching => scope.iter().copied().find(|&w| contains(w)) == Some(v),
-                    ScopeMode::Within => scope[0] == v && scope.iter().all(|&w| contains(w)),
-                };
-                if include {
+                // variable, which lies in the component when it all does.
+                let scope = self.scope(f);
+                if scope[0] == v && scope.iter().all(|&w| contains(w)) {
                     out.push(f);
                 }
             }
@@ -111,31 +93,10 @@ impl<V, F> FactorGraph<V, F> {
     pub fn score_component(
         &self,
         component: &[VarId],
-        mode: ScopeMode,
         probability: impl Fn(&F) -> f64,
     ) -> ComponentScore {
-        let factors = self.component_factors(component, mode);
+        let factors = self.component_factors(component);
         normalized_log_score(factors.iter().map(|&f| probability(self.factor(f))))
-    }
-
-    /// Score one whole connected component through a prebuilt
-    /// [`ComponentIndex`]: a slice lookup plus a fold, no per-candidate
-    /// set building. For a full component `Within` and `Touching` scopes
-    /// coincide (no factor crosses a component boundary), so no mode is
-    /// taken.
-    pub fn score_indexed_component(
-        &self,
-        index: &ComponentIndex,
-        component: ComponentId,
-        probability: impl Fn(&F) -> f64,
-    ) -> ComponentScore {
-        normalized_log_score(index.factors(component).iter().map(|&f| probability(self.factor(f))))
-    }
-
-    /// Build the connected-component index for this graph (see
-    /// [`ComponentIndex`]).
-    pub fn component_index(&self) -> ComponentIndex {
-        ComponentIndex::new(self)
     }
 }
 
@@ -196,27 +157,16 @@ mod tests {
     #[test]
     fn graph_component_scoring_matches_worked_example() {
         let (g, vars) = track_graph();
-        let score = g.score_component(&vars, ScopeMode::Within, |&p| p);
+        let score = g.score_component(&vars, |&p| p);
         assert_eq!(score.factor_count, 3);
         assert!((score.score.unwrap() - (-1.17)).abs() < 0.005);
-    }
-
-    #[test]
-    fn within_vs_touching_scope() {
-        let (g, vars) = track_graph();
-        // Score only the first observation: the transition factor's scope is
-        // not fully inside, so Within sees 1 factor, Touching sees 2.
-        let within = g.component_factors(&vars[..1], ScopeMode::Within);
-        let touching = g.component_factors(&vars[..1], ScopeMode::Touching);
-        assert_eq!(within.len(), 1);
-        assert_eq!(touching.len(), 2);
     }
 
     #[test]
     fn component_factors_deduplicated() {
         let (g, vars) = track_graph();
         // The transition factor touches both vars but must be listed once.
-        let fs = g.component_factors(&vars, ScopeMode::Touching);
+        let fs = g.component_factors(&vars);
         assert_eq!(fs.len(), 3);
     }
 

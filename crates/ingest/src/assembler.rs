@@ -117,8 +117,8 @@ impl StreamingAssembler {
     /// The buffer must be dedicated to this stream and reset (via
     /// [`ReorderBuffer::begin`]) alongside [`begin`](Self::begin).
     ///
-    /// Note: callers that need the per-frame [`last_delta`]
-    /// (Self::last_delta) after *each* released frame — the incremental
+    /// Note: callers that need the per-frame
+    /// [`last_delta`](Self::last_delta) after *each* released frame — the incremental
     /// scoring path — should drive [`ReorderBuffer::accept_into`] and
     /// [`push_frame`](Self::push_frame) themselves; this convenience
     /// only reports the delta of the last released frame.

@@ -19,10 +19,10 @@
 //! * Frames **ahead** of the watermark but inside the window
 //!   (`index < watermark + window`) are buffered until the gap fills.
 //! * **Duplicates** — indexes below the watermark or already buffered —
-//!   are dropped silently and counted ([`duplicates_dropped`]
-//!   (ReorderBuffer::duplicates_dropped)). The first delivery wins;
-//!   payloads are not compared (the fleet case this models is a
-//!   transport redelivering the same record).
+//!   are dropped silently and counted
+//!   ([`duplicates_dropped`](ReorderBuffer::duplicates_dropped)). The
+//!   first delivery wins; payloads are not compared (the fleet case
+//!   this models is a transport redelivering the same record).
 //! * Frames **beyond** the window surface the typed
 //!   [`IngestError::ReorderWindowExceeded`] — the one failure the buffer
 //!   cannot absorb — without disturbing the watermark or the buffered

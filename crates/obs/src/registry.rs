@@ -16,7 +16,8 @@ use crate::text;
 pub enum Stage {
     /// Batch scene assembly (`ScenePipeline`).
     Assemble,
-    /// Scene → factor-graph compilation (`ScoreEngine::new`).
+    /// Whole-scene store ingest (`ScoreEngine::new`: every factor
+    /// evaluated into its track's `ln p` store). Labelled `compile`.
     Compile,
     /// Full candidate score sweep.
     Score,

@@ -12,7 +12,7 @@
 //! shuffled delivery inside the window.
 //!
 //! The engines (all their internal buffers: grids, union-find, reorder
-//! slots) outlive sessions: [`Session::close`] hands them back for the
+//! slots) outlive sessions: `Session::close` hands them back for the
 //! pool in [`AuditService`](crate::AuditService), and `begin()` resets
 //! reuse them for the next stream.
 
@@ -164,8 +164,8 @@ impl ServeContext {
 }
 
 /// The per-session engine trio. All internal allocations survive
-/// session churn: [`Session::close`] returns the engines and
-/// [`Engines::begin`] resets them for the next stream.
+/// session churn: `Session::close` returns the engines and
+/// `Engines::begin` resets them for the next stream.
 pub struct Engines<'c> {
     pub(crate) assembler: StreamingAssembler,
     pub(crate) scorer: IncrementalScorer<'c>,

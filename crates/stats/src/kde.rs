@@ -189,7 +189,7 @@ impl BinnedKde {
     /// samples onto the grid with linear weights and convolves the binned
     /// mass with the kernel sampled at grid offsets. The grid resolution
     /// adapts to the bandwidth (step ≤ h/8, within
-    /// [`MIN_BINS`](Self::MIN_BINS)..=[`MAX_BINS`](Self::MAX_BINS)).
+    /// `MIN_BINS..=MAX_BINS`).
     ///
     /// This is the canonical scoring representation: `Kde1d::fit` takes
     /// its `max_density` from this grid, so exact and prepared relative

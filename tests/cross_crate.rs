@@ -5,7 +5,7 @@ use fixy::assoc::{bundle_frame, greedy_match, hungarian_match, IouBundler};
 use fixy::data::scenarios::all_scenarios;
 use fixy::data::{generate_scene, DatasetProfile};
 use fixy::geom::{iou_bev, Box3};
-use fixy::graph::{normalized_log_score, ScopeMode};
+use fixy::graph::normalized_log_score;
 use fixy::prelude::*;
 use fixy::render::{render_frame_ascii, AsciiOptions, FrameLayers};
 use fixy::stats::{Density1d, Kde1d};
@@ -27,18 +27,25 @@ fn engine_score_matches_manual_graph_computation() {
     let engine = ScoreEngine::new(&scene, &features, &library).expect("compile");
 
     let compiled = fixy::core::compile::compile_scene(&scene, &features, &library).unwrap();
-    for track in scene.tracks().iter().take(20) {
+    for track in scene.tracks() {
         let engine_score = engine.score_track(track.idx);
         let obs = scene.track_obs(track);
         let vars = compiled.vars_of(&obs);
-        let factors = compiled.graph.component_factors(&vars, ScopeMode::Within);
+        let factors = compiled.graph.component_factors(&vars);
         let manual =
             normalized_log_score(factors.iter().map(|&f| compiled.graph.factor(f).probability));
-        assert_eq!(engine_score.factor_count, manual.factor_count);
-        match (engine_score.score, manual.score) {
-            (Some(a), Some(b)) => assert!((a - b).abs() < 1e-12),
-            (a, b) => assert_eq!(a.is_none(), b.is_none()),
-        }
+        assert_eq!(
+            engine_score.factor_count, manual.factor_count,
+            "track {:?}",
+            track.idx
+        );
+        assert_eq!(engine_score.zeroed, manual.zeroed, "track {:?}", track.idx);
+        assert_eq!(
+            engine_score.score.map(f64::to_bits),
+            manual.score.map(f64::to_bits),
+            "track {:?}",
+            track.idx
+        );
     }
 }
 

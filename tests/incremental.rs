@@ -3,19 +3,23 @@
 //!
 //! The contract is **bit-identity**: after every pushed frame, scores
 //! served by `IncrementalScorer` (per-track `ln p` stores re-folded only
-//! for changed tracks) must equal a from-scratch `ScoreEngine`
-//! compile+score of the same snapshot — same f64 bits, same factor
-//! counts, same zeroed flags — and every track app's incremental
-//! worklist must equal its batch `rank` of a freshly materialized
-//! snapshot, field for field. Covered: fuzzed corpora, all three
-//! `AssemblyConfig` presets (each paired with the application feature
-//! set that actually runs on it) plus `paper_default`, count factors
-//! crossing their threshold and tracks gaining their second bundle
-//! mid-stream, assembler/scorer reuse across scenes, and the
-//! empty/single-frame edges.
+//! for changed tracks) must equal the Section 4.3 reference —
+//! `compile_scene` + `score_component` of the same snapshot — same f64
+//! bits, same factor counts, same zeroed flags; and every track app's
+//! incremental worklist must equal its `rank_scored` over the reference
+//! scores of a freshly materialized snapshot, field for field. (Batch
+//! `ScoreEngine` folds from the same stores, so the reference, not the
+//! batch engine, is what these tests compare against.) Covered: fuzzed
+//! corpora, all three `AssemblyConfig` presets (each paired with the
+//! application feature set that actually runs on it) plus
+//! `paper_default`, count factors crossing their threshold and tracks
+//! gaining their second bundle mid-stream, assembler/scorer reuse across
+//! scenes, and the empty/single-frame edges.
 
+use fixy::core::compile::compile_scene;
 use fixy::core::{IncrementalScorer, Learner};
 use fixy::data::ScenarioFuzzer;
+use fixy::graph::ComponentScore;
 use fixy::ingest::StreamingAssembler;
 use fixy::prelude::*;
 use proptest::prelude::*;
@@ -84,9 +88,9 @@ fn fixtures() -> &'static [Fixture; 4] {
 }
 
 /// Two worklists agree field for field, scores and confidences by bits.
-fn assert_same_worklist(incr: &[TrackCandidate], batch: &[TrackCandidate], ctx: &str) {
-    assert_eq!(incr.len(), batch.len(), "{ctx}: worklist length");
-    for (a, b) in incr.iter().zip(batch) {
+fn assert_same_worklist(incr: &[TrackCandidate], reference: &[TrackCandidate], ctx: &str) {
+    assert_eq!(incr.len(), reference.len(), "{ctx}: worklist length");
+    for (a, b) in incr.iter().zip(reference) {
         assert_eq!(a.track, b.track, "{ctx}");
         assert_eq!(
             a.score.to_bits(),
@@ -105,22 +109,47 @@ fn assert_same_worklist(incr: &[TrackCandidate], batch: &[TrackCandidate], ctx: 
     }
 }
 
-/// The fixture's incremental worklist and the batch `rank` of `fresh` (a
-/// snapshot materialized from scratch, so the per-track candidate facts
-/// are recomputed rather than shared with `scene`).
+/// The Section 4.3 reference scores of a snapshot: every track and
+/// every bundle scored on its compiled factor graph.
+type Scores = (Vec<(TrackIdx, ComponentScore)>, Vec<(BundleIdx, ComponentScore)>);
+
+fn reference_scores(scene: &Scene, features: &FeatureSet, library: &FeatureLibrary) -> Scores {
+    let compiled = compile_scene(scene, features, library).expect("compile");
+    let tracks = scene
+        .tracks()
+        .iter()
+        .map(|t| (t.idx, compiled.score(&scene.track_obs(t))))
+        .collect();
+    let bundles = scene
+        .bundles()
+        .iter()
+        .map(|b| (b.idx, compiled.score(scene.bundle_obs(b.idx))))
+        .collect();
+    (tracks, bundles)
+}
+
+/// What two scores must agree on: score bits, factor count, zeroed flag.
+fn key(s: &ComponentScore) -> (Option<u64>, usize, bool) {
+    (s.score.map(f64::to_bits), s.factor_count, s.zeroed)
+}
+
+/// The fixture's incremental worklist and its `rank_scored` over the
+/// reference scores of `fresh` (a snapshot materialized from scratch, so
+/// the per-track candidate facts are recomputed rather than shared with
+/// `scene`).
 fn worklists(
     fx: &Fixture,
     scene: &Scene,
     fresh: &Scene,
     scorer: &mut IncrementalScorer<'_>,
 ) -> (Vec<TrackCandidate>, Vec<TrackCandidate>) {
+    let (reference, _) = reference_scores(fresh, &fx.features, &fx.library);
     match fx.ranking {
         Ranking::MissingTracks => {
             let finder = MissingTrackFinder::default();
-            let batch = ScoreEngine::new(fresh, &fx.features, &fx.library).expect("batch");
             (
                 finder.rank_incremental(scene, scorer),
-                finder.rank_scored(fresh, batch.score_all_tracks()),
+                finder.rank_scored(fresh, reference),
             )
         }
         Ranking::ModelErrors => {
@@ -128,14 +157,14 @@ fn worklists(
             let none = BTreeSet::new();
             (
                 finder.rank_incremental(scene, scorer, &none),
-                finder.rank(fresh, &fx.library, &none).expect("rank"),
+                finder.rank_scored(fresh, reference, &none),
             )
         }
         Ranking::LabelAudit => {
             let finder = LabelAuditFinder::default();
             (
                 finder.rank_incremental(scene, scorer),
-                finder.rank(fresh, &fx.library).expect("rank"),
+                finder.rank_scored(fresh, reference),
             )
         }
     }
@@ -156,10 +185,10 @@ fn empty_scene(frame_dt: f64) -> Scene {
 }
 
 /// Stream `data` through one (assembler, scorer) pair, asserting after
-/// every frame that track and bundle scores match a from-scratch batch
-/// compile+score of the identical snapshot, bit for bit, and that the
-/// fixture's incremental worklist equals its batch worklist.
-fn assert_stream_matches_batch(
+/// every frame that track and bundle scores match the reference scores
+/// of the identical snapshot, bit for bit, and that the fixture's
+/// incremental worklist equals its worklist over the reference scores.
+fn assert_stream_matches_reference(
     fx: &Fixture,
     assembler: &mut StreamingAssembler,
     scorer: &mut IncrementalScorer<'_>,
@@ -182,20 +211,13 @@ fn assert_stream_matches_batch(
         assert_eq!(delta.frame, k, "{ctx}: delta frame");
         scorer.rescore_delta(&scene, delta);
 
-        let batch = ScoreEngine::new(&scene, &fx.features, &fx.library).expect("batch");
-        let bt = batch.score_all_tracks();
+        let (rt, rb) = reference_scores(&scene, &fx.features, &fx.library);
         let it = scorer.score_all_tracks(&scene);
-        assert_eq!(bt.len(), it.len(), "{ctx} frame {k}: track count");
-        for ((btk, bs), (itk, is_)) in bt.iter().zip(&it) {
-            assert_eq!(btk, itk, "{ctx} frame {k}");
-            assert_eq!(
-                bs.score.map(f64::to_bits),
-                is_.score.map(f64::to_bits),
-                "{ctx} frame {k}: track {btk:?} score bits"
-            );
-            assert_eq!(bs.factor_count, is_.factor_count, "{ctx} frame {k}: track {btk:?}");
-            assert_eq!(bs.zeroed, is_.zeroed, "{ctx} frame {k}: track {btk:?}");
-            if zeroed_before.get(btk.0) == Some(&true) && is_.score.is_some() {
+        assert_eq!(rt.len(), it.len(), "{ctx} frame {k}: track count");
+        for ((rtk, rs), (itk, is_)) in rt.iter().zip(&it) {
+            assert_eq!(rtk, itk, "{ctx} frame {k}");
+            assert_eq!(key(rs), key(is_), "{ctx} frame {k}: track {rtk:?}");
+            if zeroed_before.get(rtk.0) == Some(&true) && is_.score.is_some() {
                 replay.crossings += 1;
             }
         }
@@ -207,22 +229,15 @@ fn assert_stream_matches_batch(
         {
             replay.second_bundles += 1;
         }
-        let bb = batch.score_all_bundles();
         let ib = scorer.score_all_bundles(&scene);
-        assert_eq!(bb.len(), ib.len(), "{ctx} frame {k}: bundle count");
-        for ((bbk, bs), (ibk, is_)) in bb.iter().zip(&ib) {
-            assert_eq!(bbk, ibk, "{ctx} frame {k}");
-            assert_eq!(
-                bs.score.map(f64::to_bits),
-                is_.score.map(f64::to_bits),
-                "{ctx} frame {k}: bundle {bbk:?} score bits"
-            );
-            assert_eq!(bs.factor_count, is_.factor_count, "{ctx} frame {k}: bundle {bbk:?}");
-            assert_eq!(bs.zeroed, is_.zeroed, "{ctx} frame {k}: bundle {bbk:?}");
+        assert_eq!(rb.len(), ib.len(), "{ctx} frame {k}: bundle count");
+        for ((rbk, rs), (ibk, is_)) in rb.iter().zip(&ib) {
+            assert_eq!(rbk, ibk, "{ctx} frame {k}");
+            assert_eq!(key(rs), key(is_), "{ctx} frame {k}: bundle {rbk:?}");
         }
 
-        let (incr, batch) = worklists(fx, &scene, &assembler.snapshot(), scorer);
-        assert_same_worklist(&incr, &batch, &format!("{ctx} frame {k}"));
+        let (incr, reference) = worklists(fx, &scene, &assembler.snapshot(), scorer);
+        assert_same_worklist(&incr, &reference, &format!("{ctx} frame {k}"));
     }
     let final_scene = assembler.finalize().expect("finalize");
     assert_eq!(scene, final_scene, "{ctx}: grown snapshot != finalized scene");
@@ -233,7 +248,7 @@ fn assert_stream_matches_batch(
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    // The tentpole contract: incremental ≡ batch after every frame, for
+    // The core contract: incremental ≡ reference after every frame, for
     // every preset × feature-set pairing, on fuzzed scenes (which inject
     // the full error taxonomy — class swaps, drops, ghosts — so late
     // association and component merges occur organically).
@@ -244,7 +259,7 @@ proptest! {
             let mut assembler = StreamingAssembler::new(fx.config);
             let mut scorer =
                 IncrementalScorer::new(&fx.features, &fx.library).expect("scorer");
-            assert_stream_matches_batch(
+            assert_stream_matches_reference(
                 fx,
                 &mut assembler,
                 &mut scorer,
@@ -263,7 +278,7 @@ proptest! {
         let mut scorer = IncrementalScorer::new(&fx.features, &fx.library).expect("scorer");
         for index in start..start + 3 {
             let data = ScenarioFuzzer::new(seed).scene(index);
-            assert_stream_matches_batch(
+            assert_stream_matches_reference(
                 fx,
                 &mut assembler,
                 &mut scorer,
@@ -278,14 +293,15 @@ proptest! {
 /// its threshold (the track's score goes from zeroed to ranked) and a
 /// track gaining its second bundle (its first bundle loses the track
 /// factors). Both occur under every fixture, and every frame still
-/// matches batch.
+/// matches the reference.
 #[test]
 fn count_crossings_and_second_bundles_match_batch() {
     for fx in fixtures() {
         let data = ScenarioFuzzer::new(5).scene(1);
         let mut assembler = StreamingAssembler::new(fx.config);
         let mut scorer = IncrementalScorer::new(&fx.features, &fx.library).expect("scorer");
-        let replay = assert_stream_matches_batch(fx, &mut assembler, &mut scorer, &data, fx.name);
+        let replay =
+            assert_stream_matches_reference(fx, &mut assembler, &mut scorer, &data, fx.name);
         assert!(
             replay.second_bundles > 0,
             "{}: no track gained a second bundle",
@@ -300,10 +316,10 @@ fn count_crossings_and_second_bundles_match_batch() {
     }
 }
 
-/// The rank layer too: per-frame incremental worklists equal the batch
-/// finders' worklists on the same snapshot (labels and score bits), for
-/// a track-ranking app and a bundle-ranking app, including the excluded
-/// set of `ModelErrorFinder`.
+/// The rank layer too: per-frame incremental worklists equal the
+/// finders' worklists over the reference scores of the same snapshot
+/// (labels and score bits), for a track-ranking app and a bundle-ranking
+/// app, including the excluded set of `ModelErrorFinder`.
 #[test]
 fn incremental_worklists_equal_batch_worklists() {
     let track_fx = &fixtures()[1]; // model_only + ModelErrorFinder
@@ -326,9 +342,10 @@ fn incremental_worklists_equal_batch_worklists() {
             excluded.insert(ObsIdx(scene.n_observations() / 2));
         }
         let incr = finder.rank_incremental(&scene, &mut scorer, &excluded);
-        let batch = finder.rank(&scene, &track_fx.library, &excluded).unwrap();
-        assert_eq!(incr.len(), batch.len());
-        for (a, b) in incr.iter().zip(&batch) {
+        let (tracks, _) = reference_scores(&scene, &track_fx.features, &track_fx.library);
+        let reference = finder.rank_scored(&scene, tracks, &excluded);
+        assert_eq!(incr.len(), reference.len());
+        for (a, b) in incr.iter().zip(&reference) {
             assert_eq!(a.track, b.track);
             assert_eq!(a.score.to_bits(), b.score.to_bits());
         }
@@ -352,9 +369,10 @@ fn incremental_worklists_equal_batch_worklists() {
         assembler.update_snapshot(&mut scene).unwrap();
         scorer.rescore_delta(&scene, assembler.last_delta().unwrap());
         let incr = finder.rank_incremental(&scene, &mut scorer);
-        let batch = finder.rank(&scene, &library).unwrap();
-        assert_eq!(incr.len(), batch.len());
-        for (a, b) in incr.iter().zip(&batch) {
+        let (_, bundles) = reference_scores(&scene, &features, &library);
+        let reference = finder.rank_scored(&scene, bundles);
+        assert_eq!(incr.len(), reference.len());
+        for (a, b) in incr.iter().zip(&reference) {
             assert_eq!(a.bundle, b.bundle);
             assert_eq!(a.score.to_bits(), b.score.to_bits());
         }
@@ -377,8 +395,8 @@ fn empty_and_single_frame_scenes() {
     assert!(scorer.score_all_tracks(&scene).is_empty());
     assert!(scorer.score_all_bundles(&scene).is_empty());
 
-    // One frame: the degenerate stream still matches batch.
+    // One frame: the degenerate stream still matches the reference.
     let mut data = ScenarioFuzzer::new(91).scene(2);
     data.frames.truncate(1);
-    assert_stream_matches_batch(fx, &mut assembler, &mut scorer, &data, "single-frame");
+    assert_stream_matches_reference(fx, &mut assembler, &mut scorer, &data, "single-frame");
 }

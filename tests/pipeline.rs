@@ -1,8 +1,12 @@
 //! End-to-end pipeline integration tests: generate → corrupt → learn →
 //! assemble → compile → score → rank, across crate boundaries.
 
-use fixy::data::{generate_scene, DatasetProfile, ObservationSource, SceneConfig};
+use fixy::core::compile::{compile_scene, CompiledScene};
+use fixy::data::{generate_scene, DatasetProfile, ObservationSource, ScenarioFuzzer, SceneConfig};
+use fixy::graph::ComponentScore;
 use fixy::prelude::*;
+use std::collections::BTreeSet;
+use std::sync::OnceLock;
 
 fn small_cfg() -> SceneConfig {
     let mut cfg = DatasetProfile::LyftLike.scene_config();
@@ -188,59 +192,90 @@ fn scene_pipeline_empty_and_single_scene() {
     }
 }
 
+/// The three `AssemblyConfig` presets: default, model-only, human-only.
+fn presets() -> [AssemblyConfig; 3] {
+    [AssemblyConfig::default(), AssemblyConfig::model_only(), AssemblyConfig::human_only()]
+}
+
+/// Every app's feature set, with a library fitted for it (under the
+/// app's own preset) on a fuzzed training corpus, built once per process.
+fn app_fixtures() -> &'static [(&'static str, FeatureSet, FeatureLibrary)] {
+    static FIXTURES: OnceLock<Vec<(&str, FeatureSet, FeatureLibrary)>> = OnceLock::new();
+    FIXTURES.get_or_init(|| {
+        let train = ScenarioFuzzer::new(97).training_corpus(2);
+        let fit = |name, assembly, features: FeatureSet| {
+            let library = Learner { assembly }.fit(&features, &train).expect("fit");
+            (name, features, library)
+        };
+        let [default, model_only, human_only] = presets();
+        vec![
+            fit("missing_tracks", default, MissingTrackFinder::default().feature_set()),
+            fit("missing_obs", default, MissingObsFinder::default().feature_set()),
+            fit("model_errors", model_only, ModelErrorFinder::default().feature_set()),
+            fit("label_audit", human_only, LabelAuditFinder::default().feature_set()),
+            fit("bundle_audit", default, BundleAuditFinder.feature_set()),
+        ]
+    })
+}
+
+/// Visit fuzzed scenes assembled under all three presets, each compiled
+/// (the Section 4.3 reference) against every app's feature set.
+fn for_each_compiled(
+    mut visit: impl FnMut(&str, &Scene, &FeatureSet, &FeatureLibrary, &CompiledScene),
+) {
+    for cfg in presets() {
+        for index in 0..3 {
+            let scene = Scene::assemble(&ScenarioFuzzer::new(98).scene(index), &cfg);
+            for (name, features, library) in app_fixtures() {
+                let compiled = compile_scene(&scene, features, library).expect("compile");
+                let ctx = format!("{name} {cfg:?} scene {index}");
+                visit(&ctx, &scene, features, library, &compiled);
+            }
+        }
+    }
+}
+
 #[test]
 fn indexed_sweep_matches_generic_component_scoring_bit_for_bit() {
-    // The score engine's fast path (ComponentIndex slice lookup + fold)
-    // and the generic per-candidate path (set rebuild over the graph)
-    // must agree bit-for-bit: both fold the same factors in the same
-    // (ascending id) order. This pins the equivalence the single-sweep
-    // APIs rely on.
-    use fixy::core::score::ScoreEngine;
-    use fixy::graph::ScopeMode;
-
-    let finder = MissingTrackFinder::default();
-    let library = train_library(&finder.feature_set(), 2, 9700);
-    let cfg = small_cfg();
-    let data = generate_scene(&cfg, "pl-sweep", 9777);
-    let scene = Scene::assemble(&data, &AssemblyConfig::default());
-    let features = finder.feature_set();
-    let engine = ScoreEngine::new(&scene, &features, &library).expect("compile");
-
-    let sweep = engine.score_all_tracks();
-    assert_eq!(sweep.len(), scene.n_tracks());
-    for (track, fast) in sweep {
-        let obs = scene.track_obs(scene.track(track));
-        let vars = engine.compiled().vars_of(&obs);
-        let generic = engine
-            .compiled()
-            .graph
-            .score_component(&vars, ScopeMode::Within, |info| info.probability);
-        assert_eq!(fast.factor_count, generic.factor_count, "track {track:?}");
-        assert_eq!(fast.zeroed, generic.zeroed, "track {track:?}");
-        match (fast.score, generic.score) {
-            (Some(a), Some(b)) => {
-                assert_eq!(a.to_bits(), b.to_bits(), "track {track:?} diverges")
-            }
-            (a, b) => assert_eq!(a, b, "track {track:?}"),
+    // The scoring engine (per-track `ln p` stores) against the reference
+    // (`score_component` per candidate over the compiled factor graph),
+    // for every track and bundle: same f64 bits, factor counts and zeroed
+    // flags. Both fold the same factors in the same order.
+    let key = |s: ComponentScore| (s.score.map(f64::to_bits), s.factor_count, s.zeroed);
+    for_each_compiled(|ctx, scene, features, library, reference| {
+        let engine = ScoreEngine::new(scene, features, library).expect("engine");
+        for (t, got) in engine.score_all_tracks() {
+            let want = reference.score(&scene.track_obs(scene.track(t)));
+            assert_eq!(key(got), key(want), "{ctx}: track {t:?}");
         }
-    }
-
-    let bundle_sweep = engine.score_all_bundles();
-    assert_eq!(bundle_sweep.len(), scene.n_bundles());
-    for (bundle, fast) in bundle_sweep {
-        let vars = engine.compiled().vars_of(scene.bundle_obs(bundle));
-        let generic = engine
-            .compiled()
-            .graph
-            .score_component(&vars, ScopeMode::Within, |info| info.probability);
-        assert_eq!(fast.factor_count, generic.factor_count, "bundle {bundle:?}");
-        match (fast.score, generic.score) {
-            (Some(a), Some(b)) => {
-                assert_eq!(a.to_bits(), b.to_bits(), "bundle {bundle:?} diverges")
-            }
-            (a, b) => assert_eq!(a, b, "bundle {bundle:?}"),
+        for (b, got) in engine.score_all_bundles() {
+            let want = reference.score(scene.bundle_obs(b));
+            assert_eq!(key(got), key(want), "{ctx}: bundle {b:?}");
         }
-    }
+    });
+}
+
+#[test]
+fn every_factor_graph_component_lies_inside_one_track() {
+    // The premise the single scoring engine rests on: no factor scope
+    // spans two tracks, so every connected component of a compiled scene
+    // lies inside one track.
+    for_each_compiled(|ctx, scene, _, _, compiled| {
+        let mut track_of = vec![None; scene.n_observations()];
+        for t in scene.tracks() {
+            for o in scene.track_obs_iter(t.idx) {
+                track_of[o.0] = Some(t.idx);
+            }
+        }
+        for component in compiled.graph.connected_components() {
+            let tracks: BTreeSet<_> =
+                component.iter().map(|v| track_of[compiled.graph.var(*v).0]).collect();
+            assert!(
+                tracks.len() == 1 && !tracks.contains(&None),
+                "{ctx}: tracks {tracks:?}"
+            );
+        }
+    });
 }
 
 #[test]
@@ -249,7 +284,6 @@ fn fuzzed_batch_is_byte_identical_across_runs_and_vs_sequential() {
     // runs and the sequential reference must agree bit-for-bit, and
     // regenerating the corpus from the same seed must too — the
     // conformance harness depends on this reproducibility.
-    use fixy::data::fuzz::ScenarioFuzzer;
 
     let fuzzer = ScenarioFuzzer::new(7);
     let train = fuzzer.training_corpus(2);
