@@ -22,7 +22,10 @@
 //!   from-scratch whole-scene score of every snapshot, on a short and a
 //!   long scene. Divide medians by the frame count for per-frame cost:
 //!   the full path grows with scene length, the incremental path stays
-//!   flat.
+//!   flat. The bench also times `update_snapshot` alone per frame on
+//!   both scenes and, outside smoke mode, asserts the long scene's
+//!   per-frame cost stays within 2× the short scene's — the snapshot
+//!   grows in O(Δ), flat in scene length.
 //!
 //! * `streaming/obs_recorder_absent_per_frame` vs
 //!   `obs_recorder_installed_per_frame` — the incremental hot loop with
@@ -264,6 +267,45 @@ fn bench_incremental_rescore(c: &mut Criterion) {
     }
 
     group.finish();
+
+    // Hard gate: per-frame `update_snapshot` is O(Δ), so its cost must
+    // be flat in scene length. Best-of-K replays clock only the
+    // `update_snapshot` calls. Smoke scenes are too small for the ratio
+    // to mean anything, so smoke mode measures without asserting.
+    let snapshot_us_per_frame = |data: &SceneData| {
+        let mut assembler = StreamingAssembler::new(AssemblyConfig::default());
+        let reps = if smoke() { 3 } else { 9 };
+        (0..reps)
+            .map(|_| {
+                assembler.begin(data.frame_dt);
+                let mut scene = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
+                let mut spent = std::time::Duration::ZERO;
+                for frame in &data.frames {
+                    assembler.push_frame(frame).expect("push");
+                    let t0 = std::time::Instant::now();
+                    assembler.update_snapshot(black_box(&mut scene)).expect("update");
+                    spent += t0.elapsed();
+                }
+                black_box(scene.n_tracks());
+                spent.as_secs_f64() / data.frames.len() as f64 * 1e6
+            })
+            .fold(f64::INFINITY, f64::min)
+    };
+    let short_us = snapshot_us_per_frame(&short);
+    let long_us = snapshot_us_per_frame(&long);
+    println!(
+        "streaming/update_snapshot_per_frame: short {short_us:.2}us ({} frames), \
+         long {long_us:.2}us ({} frames)",
+        short.frames.len(),
+        long.frames.len()
+    );
+    assert!(
+        smoke() || long_us <= 2.0 * short_us,
+        "update_snapshot is not flat in scene length: {long_us:.2}us per frame on the \
+         {}-frame scene vs {short_us:.2}us on the {}-frame scene",
+        long.frames.len(),
+        short.frames.len()
+    );
 }
 
 fn bench_obs_overhead(c: &mut Criterion) {

@@ -35,7 +35,7 @@ impl Feature for CountFeature {
     fn value(&self, scene: &Scene, target: &FeatureTarget<'_>) -> Option<FeatureValue> {
         match target {
             FeatureTarget::Track(track) => {
-                let n = scene.track_obs_iter(track.idx).count();
+                let n = scene.track_n_obs(track.idx);
                 Some(FeatureValue::scalar(if n > self.min_obs { 1.0 } else { 0.0 }))
             }
             _ => None,
@@ -69,7 +69,7 @@ impl Feature for TrackLengthFeature {
     fn value(&self, scene: &Scene, target: &FeatureTarget<'_>) -> Option<FeatureValue> {
         match target {
             FeatureTarget::Track(track) => {
-                Some(FeatureValue::scalar(scene.track_obs_iter(track.idx).count() as f64))
+                Some(FeatureValue::scalar(scene.track_n_obs(track.idx) as f64))
             }
             _ => None,
         }
@@ -144,6 +144,44 @@ mod tests {
             TrackLengthFeature.probability_model(),
             ProbabilityModel::LearnedHistogram
         );
+    }
+
+    /// The O(1) per-track count the features read agrees with a walk of
+    /// the track's observations, on batch scenes and on every streamed
+    /// snapshot (whose counts are folded per frame), under all three
+    /// assembly presets.
+    #[test]
+    fn track_n_obs_agrees_with_observation_walk_on_fuzzed_scenes() {
+        use crate::scene::{AssemblyConfig, AssemblyEngine};
+        let check = |scene: &Scene, what: &str| {
+            for t in scene.tracks() {
+                let walked = scene.track_obs_iter(t.idx).count();
+                assert_eq!(scene.track_n_obs(t.idx), walked, "{what}: track {:?}", t.idx);
+                let target = FeatureTarget::Track(t);
+                let len = TrackLengthFeature.value(scene, &target).unwrap().x;
+                assert_eq!(len, walked as f64, "{what}: track_length");
+                let count = CountFeature::default().value(scene, &target).unwrap().x;
+                assert_eq!(count, if walked > 2 { 1.0 } else { 0.0 }, "{what}: count");
+            }
+        };
+        let fuzzer = loa_data::ScenarioFuzzer::new(19);
+        for cfg in
+            [AssemblyConfig::default(), AssemblyConfig::model_only(), AssemblyConfig::human_only()]
+        {
+            for index in 0..4 {
+                let data = fuzzer.scene(index);
+                let what = format!("{} use_human {}", data.id, cfg.use_human);
+                let mut engine = AssemblyEngine::new(cfg);
+                engine.begin(data.frame_dt);
+                let mut scene = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
+                for frame in &data.frames {
+                    engine.push_frame(frame);
+                    engine.update_snapshot(&mut scene).unwrap();
+                    check(&scene, &what);
+                }
+                check(&engine.finish(), &what);
+            }
+        }
     }
 
     #[test]

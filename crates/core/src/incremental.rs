@@ -226,7 +226,7 @@ mod tests {
         let mut invalidations = 0;
         for frame in &data.frames {
             engine.push_frame(frame);
-            engine.update_snapshot(&mut scene);
+            engine.update_snapshot(&mut scene).unwrap();
             invalidations += scorer.rescore_delta(&scene, engine.last_delta().unwrap());
             let reference = compile_scene(&scene, features, library).unwrap();
             let tracks = scorer.score_all_tracks(&scene).into_iter().map(|(t, s)| {

@@ -78,7 +78,7 @@ pub use pipeline::{
 };
 pub use scene::{
     AssemblyConfig, AssemblyEngine, Bundle, BundleIdx, FrameDelta, ObsIdx, Observation, Scene,
-    Track, TrackIdx,
+    SnapshotMismatch, Track, TrackIdx,
 };
 
 /// Convenience prelude for downstream users.

@@ -13,12 +13,14 @@
 //! survive across scenes, which is what the batch pipeline fans out.
 //!
 //! Membership is stored flat: one `ObsIdx` arena (bundle → member
-//! observations) and one `BundleIdx` arena (track → member bundles), each
-//! addressed by an offsets array (CSR layout). [`Bundle`] and [`Track`]
-//! are small per-element metas; the member lists are reached through the
-//! slice accessors [`Scene::bundle_obs`] / [`Scene::track_bundles`]. The
-//! serialized form is unchanged (the v1 nested-vector wire format) via a
-//! manual serde impl.
+//! observations) addressed by an offsets array (CSR layout), and one
+//! `BundleIdx` arena (track → member bundles) addressed by per-track
+//! `(start, len, cap)` slots, so a live snapshot can grow a track in
+//! place. [`Bundle`] and [`Track`] are small per-element metas; the
+//! member lists are reached through the slice accessors
+//! [`Scene::bundle_obs`] / [`Scene::track_bundles`]. The serialized form
+//! is unchanged (the v1 nested-vector wire format) via a manual serde
+//! impl.
 
 use loa_assoc::{
     bundle_frame_into, BundleScratch, FrameBundles, IouBundler, TrackBuilder, TrackerConfig,
@@ -78,6 +80,40 @@ pub struct Bundle {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Track {
     pub idx: TrackIdx,
+}
+
+/// A track's slot in the scene's track arena: its `len` member bundles
+/// sit at `start..start + len`, with room for `cap` before the slot ends.
+#[derive(Debug, Clone, Copy, Default)]
+struct TrackSpan {
+    start: u32,
+    len: u32,
+    cap: u32,
+}
+
+/// Filler for the unused tail of a track slot; never read through
+/// [`Scene::track_bundles`].
+const SLACK: BundleIdx = BundleIdx(usize::MAX);
+
+/// Track metas plus a tight arena layout (slots in track order,
+/// `cap == len`) for the given member lists.
+fn tight_tracks<I: IntoIterator<Item = BundleIdx>>(
+    lists: impl IntoIterator<Item = I>,
+    n_bundles: usize,
+) -> (Vec<Track>, Vec<TrackSpan>, Vec<BundleIdx>) {
+    let lists = lists.into_iter();
+    let n_tracks = lists.size_hint().0;
+    let mut tracks = Vec::with_capacity(n_tracks);
+    let mut spans = Vec::with_capacity(n_tracks);
+    let mut arena = Vec::with_capacity(n_bundles);
+    for members in lists {
+        let start = arena.len() as u32;
+        arena.extend(members);
+        let len = arena.len() as u32 - start;
+        tracks.push(Track { idx: TrackIdx(tracks.len()) });
+        spans.push(TrackSpan { start, len, cap: len });
+    }
+    (tracks, spans, arena)
 }
 
 /// What a ranked candidate reports about its track (class, length, mean
@@ -164,11 +200,13 @@ impl AssemblyConfig {
 
 /// A fully assembled scene.
 ///
-/// Bundle and track membership is CSR: `bundle_obs_offsets` indexes the
-/// flat `bundle_obs_arena` (and likewise for tracks), so iterating every
-/// member of every element walks two contiguous arrays instead of chasing
-/// per-element heap vectors.
-#[derive(Debug, Clone, PartialEq)]
+/// Bundle membership is CSR: `bundle_obs_offsets` indexes the flat
+/// `bundle_obs_arena`. Track membership lives in one flat arena too,
+/// addressed by a per-track slot, so iterating every member of every
+/// element walks contiguous arrays instead of chasing per-element heap
+/// vectors. Equality compares the logical member lists, not the arena
+/// layout.
+#[derive(Debug, Clone)]
 pub struct Scene {
     observations: Vec<Observation>,
     bundles: Vec<Bundle>,
@@ -177,15 +215,36 @@ pub struct Scene {
     bundle_obs_offsets: Vec<u32>,
     bundle_obs_arena: Vec<ObsIdx>,
     tracks: Vec<Track>,
-    /// `track_bundle_arena[track_bundle_offsets[t] .. track_bundle_offsets[t+1]]`
-    /// are track `t`'s bundles, frame-ordered.
-    track_bundle_offsets: Vec<u32>,
+    /// Track `t`'s bundles, frame-ordered, fill the first `len` entries
+    /// of its slot `track_spans[t]` in `track_bundle_arena`. Batch scenes
+    /// are tight (`cap == len`, slots in track order); a streamed
+    /// snapshot grows each track inside its slot and moves one that
+    /// outgrows it to the arena's end with doubled capacity, leaving a
+    /// gap behind (see [`AssemblyEngine::update_snapshot`]).
+    track_spans: Vec<TrackSpan>,
     track_bundle_arena: Vec<BundleIdx>,
     /// Per track, derived from the arenas above.
     track_facts: Vec<TrackFacts>,
     /// Seconds between frames (for velocity features).
     pub frame_dt: f64,
     pub n_frames: usize,
+}
+
+impl PartialEq for Scene {
+    fn eq(&self, other: &Scene) -> bool {
+        self.observations == other.observations
+            && self.bundles == other.bundles
+            && self.bundle_obs_offsets == other.bundle_obs_offsets
+            && self.bundle_obs_arena == other.bundle_obs_arena
+            && self.tracks == other.tracks
+            && self
+                .tracks
+                .iter()
+                .all(|t| self.track_bundles(t.idx) == other.track_bundles(t.idx))
+            && self.track_facts == other.track_facts
+            && self.frame_dt == other.frame_dt
+            && self.n_frames == other.n_frames
+    }
 }
 
 /// The v1 wire format (nested membership vectors) — the manual serde
@@ -399,22 +458,15 @@ impl Scene {
             bundle_obs_arena.extend(obs);
             bundle_obs_offsets.push(bundle_obs_arena.len() as u32);
         }
-        let mut track_metas = Vec::with_capacity(tracks.len());
-        let mut track_bundle_offsets = Vec::with_capacity(tracks.len() + 1);
-        track_bundle_offsets.push(0u32);
-        let mut track_bundle_arena = Vec::new();
-        for (i, members) in tracks.into_iter().enumerate() {
-            track_metas.push(Track { idx: TrackIdx(i) });
-            track_bundle_arena.extend(members);
-            track_bundle_offsets.push(track_bundle_arena.len() as u32);
-        }
+        let n_members = tracks.iter().map(Vec::len).sum();
+        let (track_metas, track_spans, track_bundle_arena) = tight_tracks(tracks, n_members);
         Scene {
             observations,
             bundles: bundle_metas,
             bundle_obs_offsets,
             bundle_obs_arena,
             tracks: track_metas,
-            track_bundle_offsets,
+            track_spans,
             track_bundle_arena,
             track_facts: Vec::new(),
             frame_dt,
@@ -493,9 +545,35 @@ impl Scene {
     /// The member bundles of a track, frame-ordered.
     #[inline]
     pub fn track_bundles(&self, idx: TrackIdx) -> &[BundleIdx] {
-        let lo = self.track_bundle_offsets[idx.0] as usize;
-        let hi = self.track_bundle_offsets[idx.0 + 1] as usize;
-        &self.track_bundle_arena[lo..hi]
+        let span = self.track_spans[idx.0];
+        let lo = span.start as usize;
+        &self.track_bundle_arena[lo..lo + span.len as usize]
+    }
+
+    /// Append bundle `b` to track `t`: into the slot's slack when it has
+    /// some, at the arena's end when the slot ends the arena, and
+    /// otherwise after moving the slot to the arena's end with doubled
+    /// capacity. Amortized O(1); a slot's capacity stays at most twice
+    /// its length and the gaps it left behind sum to less than its
+    /// capacity, so the arena stays under 4× the live member count.
+    fn push_track_bundle(&mut self, t: TrackIdx, b: BundleIdx) {
+        let arena = &mut self.track_bundle_arena;
+        let span = &mut self.track_spans[t.0];
+        let (start, len, cap) = (span.start as usize, span.len as usize, span.cap as usize);
+        if len < cap {
+            arena[start + len] = b;
+        } else if start + cap == arena.len() {
+            arena.push(b);
+            span.cap += 1;
+        } else {
+            let (moved, new_cap) = (arena.len(), 2 * cap.max(1));
+            arena.extend_from_within(start..start + len);
+            arena.push(b);
+            arena.resize(moved + new_cap, SLACK);
+            span.start = moved as u32;
+            span.cap = new_cap as u32;
+        }
+        span.len += 1;
     }
 
     /// All observation indices of a track, bundle-ordered (lazy).
@@ -616,7 +694,7 @@ pub struct FrameDelta {
 /// Three stages per scene — (1) gather observations and bundle each frame
 /// (spatially-indexed union-find), (2) link bundle representative boxes
 /// across frames into tracks (spatially-pruned assignment), (3)
-/// materialize the CSR [`Scene`] — with every intermediate buffer owned
+/// materialize the [`Scene`] arenas — with every intermediate buffer owned
 /// by the engine and reused across scenes. `ScenePipeline` keeps one
 /// engine per worker thread, so a warm batch run allocates only for the
 /// scenes it returns.
@@ -845,21 +923,16 @@ impl AssemblyEngine {
     /// End the stream and materialize the [`Scene`]. The engine needs a
     /// [`begin`](Self::begin) before the next scene.
     pub fn finish(&mut self) -> Scene {
-        // Stage 3b: materialize the track CSR from the finished paths.
+        // Stage 3b: lay the finished paths out tight in the track arena.
         let paths = self.tracker.finish();
-        let mut tracks: Vec<Track> = Vec::with_capacity(paths.len());
-        let mut track_bundle_offsets: Vec<u32> = Vec::with_capacity(paths.len() + 1);
-        track_bundle_offsets.push(0);
-        let mut track_bundle_arena: Vec<BundleIdx> = Vec::with_capacity(self.bundles.len());
-        for (i, path) in paths.iter().enumerate() {
-            tracks.push(Track { idx: TrackIdx(i) });
-            track_bundle_arena.extend(
+        let (tracks, track_spans, track_bundle_arena) = tight_tracks(
+            paths.iter().map(|path| {
                 path.entries
                     .iter()
-                    .map(|&(f, b)| BundleIdx(self.frame_bundle_start[f] as usize + b)),
-            );
-            track_bundle_offsets.push(track_bundle_arena.len() as u32);
-        }
+                    .map(|&(f, b)| BundleIdx(self.frame_bundle_start[f] as usize + b))
+            }),
+            self.bundles.len(),
+        );
 
         let scene = Scene {
             observations: std::mem::take(&mut self.observations),
@@ -867,7 +940,7 @@ impl AssemblyEngine {
             bundle_obs_offsets: std::mem::take(&mut self.bundle_obs_offsets),
             bundle_obs_arena: std::mem::take(&mut self.bundle_obs_arena),
             tracks,
-            track_bundle_offsets,
+            track_spans,
             track_bundle_arena,
             track_facts: Vec::new(),
             frame_dt: self.frame_dt,
@@ -915,25 +988,21 @@ impl AssemblyEngine {
             )
         };
 
-        let mut tracks: Vec<Track> = Vec::new();
-        let mut track_bundle_offsets: Vec<u32> = vec![0];
-        let mut track_bundle_arena: Vec<BundleIdx> = Vec::new();
         // The snapshot paths are sorted by first entry; truncating a path
         // keeps its first entry (or empties it entirely), so the filtered
         // list stays sorted.
-        for path in self.tracker.snapshot() {
-            let cut = path.entries.partition_point(|&(f, _)| f < n_frames);
-            if cut == 0 {
-                continue;
-            }
-            tracks.push(Track { idx: TrackIdx(tracks.len()) });
-            track_bundle_arena.extend(
-                path.entries[..cut]
-                    .iter()
-                    .map(|&(f, b)| BundleIdx(self.frame_bundle_start[f] as usize + b)),
-            );
-            track_bundle_offsets.push(track_bundle_arena.len() as u32);
-        }
+        let paths = self.tracker.snapshot();
+        let (tracks, track_spans, track_bundle_arena) = tight_tracks(
+            paths.iter().filter_map(|path| {
+                let cut = path.entries.partition_point(|&(f, _)| f < n_frames);
+                (cut > 0).then(|| {
+                    path.entries[..cut]
+                        .iter()
+                        .map(|&(f, b)| BundleIdx(self.frame_bundle_start[f] as usize + b))
+                })
+            }),
+            bundle_end,
+        );
 
         Scene {
             observations: self.observations[..obs_end].to_vec(),
@@ -942,7 +1011,7 @@ impl AssemblyEngine {
             bundle_obs_arena: self.bundle_obs_arena[..self.bundle_obs_offsets[bundle_end] as usize]
                 .to_vec(),
             tracks,
-            track_bundle_offsets,
+            track_spans,
             track_bundle_arena,
             track_facts: Vec::new(),
             frame_dt: self.frame_dt,
@@ -951,102 +1020,137 @@ impl AssemblyEngine {
         .with_track_facts()
     }
 
-    /// Extend `scene` — a snapshot this stream produced earlier, via
+    /// Grow `scene` in place to cover every pushed frame. `scene` must be
+    /// this stream's snapshot as of the previous push (from
     /// [`snapshot`](Self::snapshot)/[`snapshot_prefix`](Self::snapshot_prefix)
-    /// or a previous call here (an empty [`Scene::from_parts`] scene seeds
-    /// the very first frame) — in place to cover every pushed frame.
+    /// or an earlier call here; an empty [`Scene::from_parts`] scene seeds
+    /// the very first frame) or as of the current one, which is left as
+    /// it is. So a live caller grows its snapshot once after every push.
+    /// Any other scene is refused, untouched, with a [`SnapshotMismatch`];
+    /// the check is O(Δ) (element counts against the stream's
+    /// watermarks, and each extended track's length against its path).
     ///
     /// Where `snapshot` copies the whole prefix (O(scene) per frame),
-    /// this appends only the new observations and bundles and rebuilds
-    /// the index-only track CSR from the live paths — O(Δ) plus the
-    /// track-index rebuild. The result is field-for-field equal to
-    /// [`snapshot`](Self::snapshot) (the append-only arenas and the tracker's
-    /// creation-order == first-entry-order invariant, both locked by
-    /// tests, make the two paths literally identical).
+    /// this is O(Δ): it appends the frame's observations and bundles,
+    /// appends one bundle to each track in the frame's
+    /// [`last_delta`](Self::last_delta) (moving a track that outgrows its
+    /// slot to the arena's end), opens the frame's new tracks at the end,
+    /// and folds the new bundles into those tracks' facts — in track
+    /// order, so the confidence sums match a from-scratch fold bit for
+    /// bit. The result equals [`snapshot`](Self::snapshot) (tracker path
+    /// indices are creation-ordered and agree with the sorted snapshot,
+    /// locked by the loa_assoc `last_touched_indexes_snapshot` test).
     ///
     /// # Panics
-    /// If `scene` is not a prefix snapshot of this stream.
-    pub fn update_snapshot(&self, scene: &mut Scene) {
+    /// If [`begin`](Self::begin) was not called.
+    pub fn update_snapshot(&self, scene: &mut Scene) -> Result<(), SnapshotMismatch> {
         assert!(
             !self.bundle_obs_offsets.is_empty(),
             "AssemblyEngine::begin must be called before update_snapshot"
         );
-        assert!(
-            scene.n_frames <= self.n_frames,
-            "update_snapshot: scene has {} frame(s), stream only {}",
-            scene.n_frames,
-            self.n_frames
-        );
-        let (prev_obs, prev_bundles) = if scene.n_frames == self.n_frames {
-            (self.observations.len(), self.bundles.len())
-        } else {
-            (
-                self.frame_obs_start[scene.n_frames] as usize,
-                self.frame_bundle_start[scene.n_frames] as usize,
-            )
+        let paths = self.tracker.paths();
+        let foreign = SnapshotMismatch::Foreign { scene_frames: scene.n_frames };
+        if scene.n_frames == self.n_frames {
+            let current = scene.observations.len() == self.observations.len()
+                && scene.bundles.len() == self.bundles.len()
+                && scene.tracks.len() == paths.len();
+            return if current { Ok(()) } else { Err(foreign) };
+        }
+        let delta = match &self.last_delta {
+            Some(delta) if scene.n_frames + 1 == self.n_frames => delta,
+            _ => {
+                return Err(SnapshotMismatch::Lagging {
+                    scene_frames: scene.n_frames,
+                    pushed: self.n_frames,
+                })
+            }
         };
-        assert_eq!(
-            scene.observations.len(),
-            prev_obs,
-            "update_snapshot: scene is not a prefix snapshot of this stream"
-        );
-        assert_eq!(
-            scene.bundles.len(),
-            prev_bundles,
-            "update_snapshot: scene is not a prefix snapshot of this stream"
-        );
+        // A changed track with one entry was opened by this frame; the
+        // rest gained exactly one entry each.
+        let opened = delta
+            .changed_tracks
+            .iter()
+            .filter(|t| paths[t.0].entries.len() == 1)
+            .count();
+        let extended_match = delta.changed_tracks.iter().all(|t| {
+            let len = paths[t.0].entries.len();
+            len == 1 || scene.track_spans.get(t.0).is_some_and(|s| s.len as usize + 1 == len)
+        });
+        if scene.observations.len() != delta.obs_start
+            || scene.bundles.len() != delta.bundle_start
+            || scene.bundle_obs_arena.len() != self.bundle_obs_offsets[delta.bundle_start] as usize
+            || scene.tracks.len() != paths.len() - opened
+            || !extended_match
+        {
+            return Err(foreign);
+        }
 
-        scene.observations.extend_from_slice(&self.observations[prev_obs..]);
-        scene.bundles.extend_from_slice(&self.bundles[prev_bundles..]);
+        scene
+            .observations
+            .extend_from_slice(&self.observations[delta.obs_start..]);
+        scene.bundles.extend_from_slice(&self.bundles[delta.bundle_start..]);
         // Offsets are global and append-only, so the prefix's entries are
         // byte-identical to ours — extend, don't rebuild.
         scene
             .bundle_obs_offsets
-            .extend_from_slice(&self.bundle_obs_offsets[scene.bundle_obs_offsets.len()..]);
+            .extend_from_slice(&self.bundle_obs_offsets[delta.bundle_start + 1..]);
         scene
             .bundle_obs_arena
             .extend_from_slice(&self.bundle_obs_arena[scene.bundle_obs_arena.len()..]);
 
-        // Track CSR: index-only, rebuilt from the live paths (creation
-        // order == first-entry-sorted order, locked by the loa_assoc
-        // `last_touched_indexes_snapshot` test), offsets overwritten in
-        // place. Paths only grow, at their end, and keep their index, so
-        // each track's facts fold in just the bundles it gained since the
-        // old CSR — in track order, so the confidence sums match a
-        // from-scratch fold bit for bit.
-        let old_tracks = scene.tracks.len();
-        debug_assert!(self.tracker.paths().len() >= old_tracks, "paths are never dropped");
-        let mut old_lo = 0u32;
-        scene.track_bundle_arena.clear();
-        for (i, path) in self.tracker.paths().iter().enumerate() {
-            let known = if i < old_tracks {
-                let old_hi = scene.track_bundle_offsets[i + 1];
-                let known = old_hi - old_lo;
-                old_lo = old_hi;
-                known as usize
-            } else {
-                scene.tracks.push(Track { idx: TrackIdx(i) });
+        // Changed tracks ascend and the opened ones are the last indices,
+        // so each opened track lands at the end in index order.
+        for &t in &delta.changed_tracks {
+            if t.0 == scene.tracks.len() {
+                scene.tracks.push(Track { idx: t });
                 scene.track_facts.push(TrackFacts::default());
-                scene.track_bundle_offsets.push(0);
-                0
-            };
-            let bundle_of =
-                |&(f, b): &(usize, usize)| BundleIdx(self.frame_bundle_start[f] as usize + b);
-            for entry in &path.entries[known..] {
-                scene.track_facts[i].add_bundle(
-                    &scene.observations,
-                    &scene.bundle_obs_offsets,
-                    &scene.bundle_obs_arena,
-                    bundle_of(entry),
-                );
+                let start = scene.track_bundle_arena.len() as u32;
+                scene.track_spans.push(TrackSpan { start, len: 0, cap: 0 });
             }
-            scene.track_bundle_arena.extend(path.entries.iter().map(bundle_of));
-            scene.track_bundle_offsets[i + 1] = scene.track_bundle_arena.len() as u32;
+            let &(f, b) = paths[t.0].entries.last().expect("changed tracks are non-empty");
+            let bundle = BundleIdx(self.frame_bundle_start[f] as usize + b);
+            scene.track_facts[t.0].add_bundle(
+                &scene.observations,
+                &scene.bundle_obs_offsets,
+                &scene.bundle_obs_arena,
+                bundle,
+            );
+            scene.push_track_bundle(t, bundle);
         }
         scene.frame_dt = self.frame_dt;
         scene.n_frames = self.n_frames;
+        Ok(())
     }
 }
+
+/// Why [`AssemblyEngine::update_snapshot`] refused a scene.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum SnapshotMismatch {
+    /// The scene covers `scene_frames` frames, but only the previous
+    /// push's snapshot (`pushed - 1` frames) or the current one
+    /// (`pushed`) can be grown.
+    Lagging { scene_frames: usize, pushed: usize },
+    /// The frame count fits, but the scene's observations, bundles or
+    /// tracks are not this stream's.
+    Foreign { scene_frames: usize },
+}
+
+impl std::fmt::Display for SnapshotMismatch {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            SnapshotMismatch::Lagging { scene_frames, pushed } => write!(
+                f,
+                "scene covers {scene_frames} frame(s) but the stream has pushed {pushed}; \
+                 only the previous or current snapshot can be grown"
+            ),
+            SnapshotMismatch::Foreign { scene_frames } => {
+                write!(f, "scene of {scene_frames} frame(s) is not a snapshot of this stream")
+            }
+        }
+    }
+}
+
+impl std::error::Error for SnapshotMismatch {}
 
 #[cfg(test)]
 mod tests {
@@ -1101,10 +1205,71 @@ mod tests {
             let mut current = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
             for frame in &data.frames {
                 engine.push_frame(frame);
-                engine.update_snapshot(&mut current);
+                engine.update_snapshot(&mut current).unwrap();
                 assert_eq!(current, engine.snapshot());
             }
             assert_eq!(current, engine.finish());
+        }
+    }
+
+    #[test]
+    fn grown_track_arena_stays_bounded_and_batch_is_tight() {
+        // A streamed snapshot keeps slack and gaps in its track arena but
+        // stays within a small factor of the live members; the batch
+        // layouts (finish, snapshot_prefix, from_parts) are tight.
+        for seed in [7, 23] {
+            let data = tiny_scene_data(seed);
+            let mut engine = AssemblyEngine::new(AssemblyConfig::default());
+            engine.begin(data.frame_dt);
+            let mut grown = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
+            let mut moved = 0;
+            for frame in &data.frames {
+                let starts: Vec<u32> = grown.track_spans.iter().map(|s| s.start).collect();
+                engine.push_frame(frame);
+                engine.update_snapshot(&mut grown).unwrap();
+                moved += starts
+                    .iter()
+                    .zip(&grown.track_spans)
+                    .filter(|(&a, b)| a != b.start)
+                    .count();
+                for s in &grown.track_spans {
+                    assert!(s.len <= s.cap, "len {} over cap {}", s.len, s.cap);
+                    assert!((s.start + s.cap) as usize <= grown.track_bundle_arena.len());
+                }
+                assert!(grown.track_bundle_arena.len() <= 4 * grown.n_bundles().max(1));
+            }
+            assert!(moved > 0, "seed {seed}: no track ever outgrew its slot");
+            let tight = |scene: &Scene| {
+                assert_eq!(scene.track_bundle_arena.len(), scene.n_bundles());
+                let mut next = 0;
+                for s in &scene.track_spans {
+                    assert_eq!((s.start, s.len), (next, s.cap));
+                    next += s.len;
+                }
+            };
+            tight(&engine.snapshot_prefix(data.frames.len() / 2));
+            let batch = engine.finish();
+            tight(&batch);
+            assert_eq!(grown, batch);
+            let lists = batch
+                .tracks()
+                .iter()
+                .map(|t| batch.track_bundles(t.idx).to_vec())
+                .collect();
+            let parts: Vec<(FrameId, Vec<ObsIdx>)> = batch
+                .bundles()
+                .iter()
+                .map(|b| (b.frame, batch.bundle_obs(b.idx).to_vec()))
+                .collect();
+            let rebuilt = Scene::from_parts(
+                batch.observations().to_vec(),
+                parts,
+                lists,
+                batch.frame_dt,
+                batch.n_frames,
+            );
+            tight(&rebuilt);
+            assert_eq!(rebuilt, grown);
         }
     }
 

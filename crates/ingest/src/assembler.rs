@@ -154,18 +154,24 @@ impl StreamingAssembler {
         self.engine.last_delta()
     }
 
-    /// Grow a previously materialized snapshot of *this* stream in place
-    /// to cover every pushed frame — O(Δ) instead of the O(scene) of
-    /// [`snapshot`](Self::snapshot). Seed with an empty scene
-    /// (`Scene::from_parts(vec![], vec![], vec![], frame_dt, 0)`) and
-    /// call after each push; the result is always identical to a fresh
-    /// `snapshot()`.
+    /// Grow this stream's snapshot in place to cover every pushed frame —
+    /// O(Δ) instead of the O(scene) of [`snapshot`](Self::snapshot). Seed
+    /// with an empty scene
+    /// (`Scene::from_parts(vec![], vec![], vec![], frame_dt, 0)`) and call
+    /// once after each push: `scene` must be the snapshot as of the
+    /// previous push (or the current one, which is left as it is). The
+    /// result is always identical to a fresh `snapshot()`.
+    ///
+    /// A scene that lags further behind, or is not this stream's, is
+    /// refused with [`IngestError::SnapshotMismatch`] and left untouched.
     pub fn update_snapshot(&self, scene: &mut Scene) -> Result<(), IngestError> {
         if !self.streaming {
             return Err(IngestError::NotStreaming);
         }
         let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Snapshot);
-        self.engine.update_snapshot(scene);
+        self.engine
+            .update_snapshot(scene)
+            .map_err(IngestError::SnapshotMismatch)?;
         if let Some(metrics) = loa_obs::recorder() {
             metrics.snapshot_tracks.record(scene.n_tracks() as u64);
         }
@@ -299,6 +305,65 @@ mod tests {
         let final_scene = asm.finalize().unwrap();
         assert_eq!(grown, final_scene);
         assert!(asm.last_delta().is_none(), "delta cleared by finalize");
+    }
+
+    #[test]
+    fn lagging_and_foreign_snapshots_are_typed_errors() {
+        use fixy_core::SnapshotMismatch;
+        let data = tiny_scene(10);
+        assert!(data.frames.len() >= 3, "scene too short");
+        let mut asm = StreamingAssembler::new(AssemblyConfig::default());
+        asm.begin(data.frame_dt);
+        let mut grown = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
+
+        // Lagging: two pushes since the seed scene's snapshot.
+        asm.push_frame(&data.frames[0]).unwrap();
+        asm.push_frame(&data.frames[1]).unwrap();
+        let before = grown.clone();
+        assert!(matches!(
+            asm.update_snapshot(&mut grown),
+            Err(IngestError::SnapshotMismatch(SnapshotMismatch::Lagging {
+                scene_frames: 0,
+                pushed: 2
+            }))
+        ));
+        assert_eq!(grown, before, "a refused scene is left untouched");
+
+        // Foreign: the right frame count, another stream's contents.
+        let mut other = StreamingAssembler::new(AssemblyConfig::default());
+        let other_data = tiny_scene(11);
+        other.begin(other_data.frame_dt);
+        other.push_frame(&other_data.frames[0]).unwrap();
+        let mut foreign = other.snapshot();
+        assert_ne!(
+            foreign.n_observations(),
+            asm.snapshot_at(FrameId(0)).unwrap().n_observations()
+        );
+        let err = asm.update_snapshot(&mut foreign).unwrap_err();
+        assert!(
+            matches!(
+                err,
+                IngestError::SnapshotMismatch(SnapshotMismatch::Foreign { scene_frames: 1 })
+            ),
+            "{err}"
+        );
+        assert!(err.to_string().contains("not a snapshot of this stream"), "{err}");
+
+        // The previous push's snapshot grows; the current one is kept.
+        let mut prev = asm.snapshot_at(FrameId(0)).unwrap();
+        asm.update_snapshot(&mut prev).unwrap();
+        assert_eq!(prev, asm.snapshot());
+        asm.update_snapshot(&mut prev).unwrap();
+        assert_eq!(prev, asm.snapshot());
+        // A scene ahead of the stream is refused too.
+        asm.begin(data.frame_dt);
+        assert!(matches!(
+            asm.update_snapshot(&mut prev),
+            Err(IngestError::SnapshotMismatch(SnapshotMismatch::Lagging {
+                scene_frames: 2,
+                pushed: 0
+            }))
+        ));
     }
 
     #[test]

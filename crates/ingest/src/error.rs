@@ -30,6 +30,9 @@ pub enum IngestError {
     FrameIndexOverflow { pushed: usize },
     /// A snapshot was requested for a frame that has not been pushed yet.
     FrameOutOfRange { frame: u32, pushed: usize },
+    /// `update_snapshot` was handed a scene that is neither the previous
+    /// push's snapshot of this stream nor the current one.
+    SnapshotMismatch(fixy_core::SnapshotMismatch),
     /// `push_frame`/`finalize` outside a `begin` … `finalize` window.
     NotStreaming,
     /// A corpus directory contains no `.json` or `.fscb` scenes.
@@ -65,6 +68,7 @@ impl std::fmt::Display for IngestError {
             IngestError::FrameOutOfRange { frame, pushed } => {
                 write!(f, "frame {frame} not pushed yet ({pushed} frame(s) so far)")
             }
+            IngestError::SnapshotMismatch(e) => write!(f, "snapshot mismatch: {e}"),
             IngestError::NotStreaming => {
                 write!(f, "no scene in progress: call begin() first")
             }

@@ -221,7 +221,7 @@ impl Metrics {
         text::push_histogram(
             &mut out,
             "loa_frame_latency_us",
-            "Service-wide per-frame latency, accept to rank (microseconds)",
+            "Service-wide per-frame latency, accept to scored (microseconds)",
             &[],
             &self.frame_latency_us,
         );

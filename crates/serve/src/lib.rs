@@ -11,7 +11,9 @@
 //!   [`fixy_core::IncrementalScorer`] + per-app `rank_incremental`)
 //!   behind a bounded [`loa_ingest::ReorderBuffer`], so the per-frame
 //!   cost stays O(Δ) and transport jitter (late, early, duplicated
-//!   frames) inside the window is absorbed instead of fatal. A session's
+//!   frames) inside the window is absorbed instead of fatal. Frames only
+//!   assemble and rescore; the worklist is ranked when it is read
+//!   ([`AuditService::peek`] or `CLOSE`). A session's
 //!   worklist at watermark *n* is byte-identical to `fixy stream`'s
 //!   after *n* in-order frames (locked by `tests/serve.rs`).
 //! * **Session table** — [`AuditService`]: bounded concurrent sessions,

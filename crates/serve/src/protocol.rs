@@ -110,7 +110,7 @@ pub struct SessionStats {
     /// watermark. Nonzero mid-session whenever the transport ran ahead;
     /// always 0 in a close-time worklist (stranding has resolved it).
     pub parked: u64,
-    /// Per-frame accept→rank latency estimates in microseconds (0 until
+    /// Per-frame accept→scored latency estimates in microseconds (0 until
     /// the first frame is scored).
     pub frame_p50_us: u64,
     pub frame_p99_us: u64,

@@ -117,7 +117,7 @@ impl<'c> AuditService<'c> {
             .sessions
             .get_mut(&session)
             .ok_or(ServeError::UnknownSession(session))?;
-        match sess.push(self.ctx, frame) {
+        match sess.push(frame) {
             Ok(_) => Ok(()),
             Err(e) if e.is_frame_recoverable() => {
                 loa_obs::journal_event("frame_reject", session as u64, frame_index(&e));
@@ -134,11 +134,14 @@ impl<'c> AuditService<'c> {
         self.frame(session, frame)
     }
 
-    /// The session's latest worklist entries without closing it.
-    pub fn peek(&self, session: u32) -> Result<&[(String, f64)], ServeError> {
+    /// The session's worklist after its last released frame, without
+    /// closing it. Frames are not ranked as they arrive; this ranks once
+    /// if frames were released since the session's last read.
+    pub fn peek(&mut self, session: u32) -> Result<&[(String, f64)], ServeError> {
+        let ctx = self.ctx;
         self.sessions
-            .get(&session)
-            .map(|s| s.worklist_entries())
+            .get_mut(&session)
+            .map(|s| s.peek(ctx))
             .ok_or(ServeError::UnknownSession(session))
     }
 
@@ -157,7 +160,7 @@ impl<'c> AuditService<'c> {
             .sessions
             .remove(&session)
             .ok_or(ServeError::UnknownSession(session))?;
-        let (worklist, engines) = sess.close();
+        let (worklist, engines) = sess.close(self.ctx);
         self.pool.push(engines);
         self.sessions_served += 1;
         if let Some(metrics) = loa_obs::recorder() {

@@ -4,12 +4,14 @@
 //! A session is the per-stream state of the service — a
 //! [`StreamingAssembler`], an [`IncrementalScorer`] bound to the shared
 //! app context, and a [`ReorderBuffer`] absorbing transport jitter in
-//! front of them. Each frame the buffer releases runs the full O(Δ)
-//! hot loop (`push_frame` → `update_snapshot` → `rescore_delta`), and
-//! the worklist is re-ranked from the cached per-track scores — so a
-//! session's worklist at watermark *n* is byte-identical to `fixy
-//! stream`'s after *n* in-order frames, no matter how the transport
-//! shuffled delivery inside the window.
+//! front of them. Each frame the buffer releases runs the O(Δ) hot loop
+//! (`push_frame` → `update_snapshot` → `rescore_delta`) and marks the
+//! worklist stale. The worklist is ranked from the cached per-track
+//! scores only when it is read ([`Session::peek`], or the close), once
+//! per read after new frames — so a frame costs O(Δ) however long the
+//! scene, and a session's worklist at watermark *n* is byte-identical to
+//! `fixy stream`'s after *n* in-order frames, no matter how the
+//! transport shuffled delivery inside the window.
 //!
 //! The engines (all their internal buffers: grids, union-find, reorder
 //! slots) outlive sessions: `Session::close` hands them back for the
@@ -181,18 +183,20 @@ impl Engines<'_> {
     }
 }
 
-/// One live audit stream: scene id, engine trio, grown snapshot, latest
-/// worklist, and delivery stats.
+/// One live audit stream: scene id, engine trio, grown snapshot, last
+/// ranked worklist, and delivery stats.
 pub struct Session<'c> {
     scene_id: String,
     engines: Engines<'c>,
     scene: Scene,
     worklist: Vec<(String, f64)>,
+    /// Whether frames were released since `worklist` was ranked.
+    stale: bool,
     stats: SessionStats,
     max_frames: usize,
     released: Vec<Frame>,
-    /// Per-frame accept→rank latency for *this* session, recorded only
-    /// while metrics are enabled; quantiles surface in
+    /// Per-frame accept→scored latency for *this* session, recorded
+    /// only while metrics are enabled; quantiles surface in
     /// [`SessionStats`] through `STATS` replies and the close worklist.
     latency: loa_obs::Histogram,
 }
@@ -212,6 +216,7 @@ impl<'c> Session<'c> {
             engines,
             scene,
             worklist: Vec::new(),
+            stale: false,
             stats: SessionStats::default(),
             max_frames,
             released: Vec::new(),
@@ -232,12 +237,15 @@ impl<'c> Session<'c> {
         self.stats.frames
     }
 
-    /// Accept one frame from the transport. Recoverable rejections
+    /// Accept one frame from the transport. Every frame the reorder
+    /// buffer releases is assembled into the snapshot and rescored —
+    /// O(Δ) — and marks the worklist stale; nothing is ranked here (see
+    /// [`peek`](Self::peek)). Recoverable rejections
     /// ([`ServeError::is_frame_recoverable`]) leave the session fully
     /// usable; the caller decides whether to absorb them into stats
     /// (the service does) or surface them. Returns the number of frames
     /// released and scored by this call.
-    pub fn push(&mut self, ctx: &ServeContext, frame: Frame) -> Result<usize, ServeError> {
+    pub fn push(&mut self, frame: Frame) -> Result<usize, ServeError> {
         let index = frame.index.0;
         if index as usize >= self.max_frames {
             return Err(ServeError::FrameLimit { frame: index, max: self.max_frames });
@@ -252,6 +260,7 @@ impl<'c> Session<'c> {
         }
         // The O(Δ) hot loop, once per released frame: the scorer's cache
         // contract needs every delta applied in order.
+        self.stale = true;
         for frame in &self.released {
             self.engines.assembler.push_frame(frame)?;
             self.engines.assembler.update_snapshot(&mut self.scene)?;
@@ -260,7 +269,6 @@ impl<'c> Session<'c> {
         }
         self.stats.frames += self.released.len() as u64;
         self.stats.reordered = self.engines.reorder.reordered_released();
-        self.worklist = ctx.rank(&self.scene, &mut self.engines.scorer);
         if let (Some(t0), Some(metrics)) = (t0, loa_obs::recorder()) {
             let us = u64::try_from(t0.elapsed().as_micros()).unwrap_or(u64::MAX);
             self.latency.record(us);
@@ -272,9 +280,9 @@ impl<'c> Session<'c> {
 
     /// Decode a `.fscb` frame record off the wire and [`push`](Self::push)
     /// it.
-    pub fn push_record(&mut self, ctx: &ServeContext, payload: &[u8]) -> Result<usize, ServeError> {
+    pub fn push_record(&mut self, payload: &[u8]) -> Result<usize, ServeError> {
         let frame = loa_ingest::decode_frame_record(payload)?;
-        self.push(ctx, frame)
+        self.push(frame)
     }
 
     /// Record a recoverable per-frame rejection: bump the counter and
@@ -286,8 +294,13 @@ impl<'c> Session<'c> {
         }
     }
 
-    /// The latest worklist entries (after the last released frame).
-    pub fn worklist_entries(&self) -> &[(String, f64)] {
+    /// The worklist after the last released frame. Ranks the cached
+    /// scores if frames were released since the last read, else returns
+    /// the worklist that read ranked.
+    pub fn peek(&mut self, ctx: &ServeContext) -> &[(String, f64)] {
+        if std::mem::take(&mut self.stale) {
+            self.worklist = ctx.rank(&self.scene, &mut self.engines.scorer);
+        }
         &self.worklist
     }
 
@@ -304,9 +317,11 @@ impl<'c> Session<'c> {
         stats
     }
 
-    /// End the stream: the final worklist plus the engines, ready for
-    /// the pool.
-    pub(crate) fn close(mut self) -> (Worklist, Engines<'c>) {
+    /// End the stream: the final worklist (ranked here if frames were
+    /// released since the last [`peek`](Self::peek)) plus the engines,
+    /// ready for the pool.
+    pub(crate) fn close(mut self, ctx: &ServeContext) -> (Worklist, Engines<'c>) {
+        self.peek(ctx);
         self.stats.stranded = self.engines.reorder.take_stranded().len() as u64;
         self.stats.frame_p50_us = self.latency.p50();
         self.stats.frame_p99_us = self.latency.p99();

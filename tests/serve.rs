@@ -8,10 +8,15 @@
 //! `ServeApp` (covering all three `AssemblyConfig` presets) and both the
 //! in-process `AuditService` and the TCP wire path. Beyond-window and
 //! over-budget frames must be rejected *recoverably*: counted in stats,
-//! session and connection fully usable afterwards.
+//! session and connection fully usable afterwards. Worklists are ranked
+//! on read: a frame only assembles and rescores, and `peek`/`close`
+//! rank once after new frames.
 
-use fixy::core::Learner;
+use fixy::baselines::MaExcludedModelErrors;
+use fixy::core::apps::{LabelAuditFinder, MissingObsFinder, MissingTrackFinder};
+use fixy::core::{AssemblyEngine, FeatureLibrary, Learner, Scene};
 use fixy::data::{ScenarioFuzzer, SceneData};
+use fixy::obs::Stage;
 use fixy::serve::{
     serve, AuditService, FeedClient, ServeApp, ServeContext, ServeError, ServiceCfg, Worklist,
 };
@@ -22,19 +27,19 @@ use std::sync::OnceLock;
 const APPS: [ServeApp; 4] =
     [ServeApp::MissingTracks, ServeApp::MissingObs, ServeApp::ModelErrors, ServeApp::LabelAudit];
 
+/// The library an app's context serves (fitting is deterministic).
+fn fit(app: ServeApp) -> FeatureLibrary {
+    let train = ScenarioFuzzer::new(41).training_corpus(2);
+    Learner { assembly: app.assembly() }
+        .fit(&app.feature_set(), &train)
+        .expect("fit")
+}
+
 /// One fitted context per app (fitting is the expensive part; done once
 /// per process). The four apps cover all three assembly presets.
 fn contexts() -> &'static [ServeContext; 4] {
     static CTXS: OnceLock<[ServeContext; 4]> = OnceLock::new();
-    CTXS.get_or_init(|| {
-        let train = ScenarioFuzzer::new(41).training_corpus(2);
-        APPS.map(|app| {
-            let library = Learner { assembly: app.assembly() }
-                .fit(&app.feature_set(), &train)
-                .expect("fit");
-            ServeContext::new(app, library).expect("context")
-        })
-    })
+    CTXS.get_or_init(|| APPS.map(|app| ServeContext::new(app, fit(app)).expect("context")))
 }
 
 /// SplitMix64 — deterministic jitter for the bounded shuffles below.
@@ -69,17 +74,111 @@ fn in_order_worklist(ctx: &ServeContext, data: &SceneData, cfg: ServiceCfg) -> W
     svc.close(0).expect("close")
 }
 
-fn assert_same_entries(got: &Worklist, want: &Worklist, ctx: &str) {
-    assert_eq!(got.entries.len(), want.entries.len(), "{ctx}: worklist length");
-    for (i, ((gl, gs), (wl, ws))) in got.entries.iter().zip(&want.entries).enumerate() {
+/// Labels and f64 score bits, rank by rank.
+fn assert_same_list(got: &[(String, f64)], want: &[(String, f64)], ctx: &str) {
+    assert_eq!(got.len(), want.len(), "{ctx}: worklist length");
+    for (i, ((gl, gs), (wl, ws))) in got.iter().zip(want).enumerate() {
         assert_eq!(gl, wl, "{ctx}: label at rank {i}");
         assert_eq!(gs.to_bits(), ws.to_bits(), "{ctx}: score bits at rank {i} ({gl})");
     }
+}
+
+fn assert_same_entries(got: &Worklist, want: &Worklist, ctx: &str) {
+    assert_same_list(&got.entries, &want.entries, ctx);
     assert_eq!(
         got.render_final(10),
         want.render_final(10),
         "{ctx}: rendered final-worklist block"
     );
+}
+
+/// Batch `rank` of one app on one scene, labelled the way the service
+/// labels its worklist entries.
+fn batch_entries(app: ServeApp, library: &FeatureLibrary, scene: &Scene) -> Vec<(String, f64)> {
+    let tracks = |ranked: Vec<fixy::core::rank::TrackCandidate>| {
+        ranked.into_iter().map(|c| (c.class.to_string(), c.score)).collect()
+    };
+    match app {
+        ServeApp::MissingTracks => {
+            tracks(MissingTrackFinder::default().rank(scene, library).unwrap())
+        }
+        ServeApp::MissingObs => MissingObsFinder::default()
+            .rank(scene, library)
+            .unwrap()
+            .into_iter()
+            .map(|c| {
+                (
+                    format!("frame {} {}", scene.bundle(c.bundle).frame.0, c.class),
+                    c.score,
+                )
+            })
+            .collect(),
+        ServeApp::ModelErrors => {
+            let ranker = MaExcludedModelErrors::default();
+            tracks(ranker.finder.rank(scene, library, &ranker.excluded(scene)).unwrap())
+        }
+        ServeApp::LabelAudit => tracks(LabelAuditFinder::default().rank(scene, library).unwrap()),
+    }
+}
+
+/// `Stage::Rank` spans this thread completed since the last call.
+fn rank_spans() -> usize {
+    fixy::obs::drain_thread_spans()
+        .iter()
+        .filter(|r| r.stage == Stage::Rank)
+        .count()
+}
+
+/// The rank-on-read contract, for every app: a frame with no read ranks
+/// nothing; `peek` after frame k equals batch `rank` of the k+1-frame
+/// prefix byte for byte and ranks once; a second `peek` with no new
+/// frames does not rank again; a `close` after `peek` returns the same
+/// entries without ranking, and a `close` with frames unread ranks once.
+#[test]
+fn worklists_rank_on_read_and_equal_batch_rank_of_the_prefix() {
+    // Span capture is per thread, so other tests cannot add to the count.
+    fixy::obs::enable_spans();
+    for ctx in contexts() {
+        let data = ScenarioFuzzer::new(21).scene(0);
+        let n = data.frames.len();
+        let mut engine = AssemblyEngine::new(ctx.app().assembly());
+        engine.begin(data.frame_dt);
+        for frame in &data.frames {
+            engine.push_frame(frame);
+        }
+        let name = ctx.app().name();
+        let library = fit(ctx.app());
+        let mut svc = AuditService::new(ctx, ServiceCfg::default());
+        svc.open(0, &data.id, data.frame_dt).unwrap();
+        svc.open(1, &data.id, data.frame_dt).unwrap();
+        let mut peeked = Vec::new();
+        let mut nonempty_reads = 0;
+        for (k, frame) in data.frames.iter().enumerate() {
+            rank_spans();
+            svc.frame(0, frame.clone()).unwrap();
+            svc.frame(1, frame.clone()).unwrap();
+            assert_eq!(rank_spans(), 0, "{name} frame {k}: a frame with no read ranked");
+            // Leave some frames unread, so reads also follow runs of frames.
+            if k % 3 == 1 && k + 1 < n {
+                continue;
+            }
+            peeked = svc.peek(0).unwrap().to_vec();
+            assert_eq!(rank_spans(), 1, "{name} frame {k}: peek ranks once");
+            let want = batch_entries(ctx.app(), &library, &engine.snapshot_prefix(k + 1));
+            assert_same_list(&peeked, &want, &format!("{name} peek after frame {k}"));
+            nonempty_reads += usize::from(!peeked.is_empty());
+            let again = svc.peek(0).unwrap().to_vec();
+            assert_eq!(rank_spans(), 0, "{name} frame {k}: a second peek ranked again");
+            assert_same_list(&again, &peeked, &format!("{name} second peek after frame {k}"));
+        }
+        assert!(nonempty_reads > 0, "{name}: every read was empty");
+        let closed = svc.close(0).unwrap();
+        assert_eq!(rank_spans(), 0, "{name}: close after peek ranked again");
+        assert_same_list(&closed.entries, &peeked, &format!("{name} close after peek"));
+        let unread = svc.close(1).unwrap();
+        assert_eq!(rank_spans(), 1, "{name}: close with unread frames ranks once");
+        assert_same_list(&unread.entries, &peeked, &format!("{name} close without peek"));
+    }
 }
 
 proptest! {
