@@ -2,12 +2,16 @@
 //!
 //! These are the hand-written, black-box checks the paper compares
 //! against. They flag candidates but produce no calibrated severity — the
-//! orderings live in [`crate::ordering`].
+//! orderings live in [`crate::ordering`]. The three model-error
+//! assertions (appear, flicker, multibox) are part of the model-error
+//! application itself, so they live in [`fixy_core::apps::model_errors`]
+//! and are re-exported here unchanged.
 
-use fixy_core::{ObsIdx, Scene, TrackIdx};
+pub use fixy_core::apps::model_errors::{
+    appear_assertion, flicker_assertion, multibox_assertion, AdHocAssertions,
+};
+use fixy_core::{Scene, TrackIdx};
 use loa_data::ObservationSource;
-use loa_geom::iou_bev;
-use std::collections::BTreeSet;
 
 /// The **consistency** assertion, used to find missing human labels
 /// (Section 8.2 baseline): flag model-prediction tracks that persist
@@ -26,130 +30,12 @@ pub fn consistency_assertion(scene: &Scene, min_frames: usize) -> Vec<TrackIdx> 
         .collect()
 }
 
-/// The **appear** assertion: *"an observation should have observations in
-/// nearby timestamps"* — flags observations in single-frame tracks.
-pub fn appear_assertion(scene: &Scene) -> BTreeSet<ObsIdx> {
-    let mut flagged = BTreeSet::new();
-    for track in scene.tracks() {
-        if scene.track_bundles(track.idx).len() == 1 {
-            flagged.extend(scene.track_obs(track));
-        }
-    }
-    flagged
-}
-
-/// The **flicker** assertion: *"an observation should not appear and
-/// disappear rapidly"* — flags the observations of short-lived contiguous
-/// segments: either a whole track living at most `max_span_frames` frames,
-/// or a ≤`max_span_frames` segment of a longer track bounded by gaps
-/// (appeared, vanished, reappeared). Long segments of a track with a
-/// dropout are *not* flagged: it is the flickering observations that are
-/// the error, not the object.
-pub fn flicker_assertion(scene: &Scene, max_span_frames: u32) -> BTreeSet<ObsIdx> {
-    let mut flagged = BTreeSet::new();
-    for track in scene.tracks() {
-        let bundles = scene.track_bundles(track.idx);
-        if bundles.len() < 2 {
-            continue; // appear's territory
-        }
-        // Split the track's bundles into contiguous segments.
-        let mut segments: Vec<Vec<usize>> = vec![vec![0]];
-        for i in 1..bundles.len() {
-            let prev = scene.bundle(bundles[i - 1]).frame.0;
-            let cur = scene.bundle(bundles[i]).frame.0;
-            if cur - prev > 1 {
-                segments.push(Vec::new());
-            }
-            segments.last_mut().expect("non-empty").push(i);
-        }
-        let whole_track_rapid = {
-            let first = scene.bundle(bundles[0]).frame.0;
-            let last = scene.bundle(*bundles.last().expect("non-empty")).frame.0;
-            last - first < max_span_frames
-        };
-        for segment in &segments {
-            let seg_first = scene.bundle(bundles[segment[0]]).frame.0;
-            let seg_last = scene.bundle(bundles[*segment.last().expect("non-empty")]).frame.0;
-            let seg_rapid = seg_last - seg_first < max_span_frames;
-            // A short segment flickers when it is not the whole story of
-            // the track (there are other segments) or the track itself is
-            // rapid.
-            if whole_track_rapid || (seg_rapid && segments.len() >= 2) {
-                for &i in segment {
-                    flagged.extend(scene.bundle_obs(bundles[i]).iter().copied());
-                }
-            }
-        }
-    }
-    flagged
-}
-
-/// The **multibox** assertion: *"3 boxes should not overlap"* — flags
-/// model observations participating in a same-frame triple of mutually
-/// overlapping boxes.
-pub fn multibox_assertion(scene: &Scene, min_iou: f64) -> BTreeSet<ObsIdx> {
-    let mut flagged = BTreeSet::new();
-    // Group model observations per frame.
-    let mut per_frame: std::collections::BTreeMap<u32, Vec<ObsIdx>> = Default::default();
-    for obs in scene.observations() {
-        if obs.source == ObservationSource::Model {
-            per_frame.entry(obs.frame.0).or_default().push(obs.idx);
-        }
-    }
-    for obs_list in per_frame.values() {
-        let n = obs_list.len();
-        for a in 0..n {
-            for b in (a + 1)..n {
-                for c in (b + 1)..n {
-                    let (oa, ob, oc) = (
-                        &scene.obs(obs_list[a]).bbox,
-                        &scene.obs(obs_list[b]).bbox,
-                        &scene.obs(obs_list[c]).bbox,
-                    );
-                    if iou_bev(oa, ob) > min_iou
-                        && iou_bev(ob, oc) > min_iou
-                        && iou_bev(oa, oc) > min_iou
-                    {
-                        flagged.insert(obs_list[a]);
-                        flagged.insert(obs_list[b]);
-                        flagged.insert(obs_list[c]);
-                    }
-                }
-            }
-        }
-    }
-    flagged
-}
-
-/// Convenience wrapper running the three model-error assertions with the
-/// paper's deployment (Section 8.4: appear, flicker, multibox).
-#[derive(Debug, Clone, Copy)]
-pub struct AdHocAssertions {
-    pub flicker_max_span: u32,
-    pub multibox_min_iou: f64,
-}
-
-impl Default for AdHocAssertions {
-    fn default() -> Self {
-        AdHocAssertions { flicker_max_span: 2, multibox_min_iou: 0.1 }
-    }
-}
-
-impl AdHocAssertions {
-    /// Union of all observations flagged by appear, flicker, and multibox.
-    pub fn flag_all(&self, scene: &Scene) -> BTreeSet<ObsIdx> {
-        let mut flagged = appear_assertion(scene);
-        flagged.extend(flicker_assertion(scene, self.flicker_max_span));
-        flagged.extend(multibox_assertion(scene, self.multibox_min_iou));
-        flagged
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use fixy_core::AssemblyConfig;
     use loa_data::{generate_scene, DatasetProfile, SceneData};
+    use std::collections::BTreeSet;
 
     fn scene_data(seed: u64) -> SceneData {
         let mut cfg = DatasetProfile::LyftLike.scene_config();

@@ -42,7 +42,7 @@ fn bench_scene_runtime(c: &mut Criterion) {
     group.bench_function("online_phase_15s_scene", |b| {
         b.iter(|| {
             let scene = Scene::assemble(black_box(&data), &AssemblyConfig::default());
-            let ranked = finder.rank(&scene, &library).expect("rank");
+            let ranked = finder.rank_scene(&data, &scene, &library).expect("rank");
             black_box(ranked.len())
         })
     });
@@ -59,7 +59,7 @@ fn bench_scene_runtime(c: &mut Criterion) {
         b.iter_batched(
             || scene.clone(),
             |scene| {
-                let ranked = finder.rank(&scene, &library).expect("rank");
+                let ranked = finder.rank_scene(&data, &scene, &library).expect("rank");
                 black_box(ranked.len())
             },
             BatchSize::SmallInput,

@@ -18,9 +18,10 @@
 //! mode that keeps the bench compiling *and* executing.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use fixy_core::apps::App;
 use fixy_core::Learner;
 use loa_data::{generate_scene, DatasetProfile, SceneData};
-use loa_serve::{AuditService, Request, ServeApp, ServeContext, ServiceCfg};
+use loa_serve::{AuditService, Request, ServeContext, ServiceCfg};
 use std::hint::black_box;
 
 fn smoke() -> bool {
@@ -37,7 +38,7 @@ fn scene_data(name: &str, seed: u64) -> SceneData {
 }
 
 fn context() -> ServeContext {
-    let app = ServeApp::MissingTracks;
+    let app = App::MissingTracks;
     let train: Vec<_> = (0..2)
         .map(|i| scene_data(&format!("serve-train-{i}"), 700 + i))
         .collect();
@@ -196,7 +197,7 @@ fn bench_wire_roundtrip(c: &mut Criterion) {
 /// `.flcb` format exists to collapse its library-load component from a
 /// fit-state reconstruction to a bulk copy.
 fn bench_cold_start(c: &mut Criterion) {
-    let app = ServeApp::MissingTracks;
+    let app = App::MissingTracks;
     let train: Vec<_> = (0..2)
         .map(|i| scene_data(&format!("serve-cold-train-{i}"), 910 + i))
         .collect();

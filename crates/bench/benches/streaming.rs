@@ -362,22 +362,22 @@ fn bench_obs_overhead(c: &mut Criterion) {
 
     // Hard gate, not just a snapshot: best-of-K replays with the
     // recorder absent vs installed. Installed must cost <3% — or, for
-    // tiny smoke scenes where 3% is below timer noise, <2us/frame.
-    let best_of = |assembler: &mut StreamingAssembler, scorer: &mut IncrementalScorer<'_>| {
-        let reps = if smoke() { 3 } else { 7 };
-        (0..reps)
-            .map(|_| {
-                let t0 = std::time::Instant::now();
-                black_box(replay(assembler, scorer));
-                t0.elapsed().as_secs_f64()
-            })
-            .fold(f64::INFINITY, f64::min)
+    // tiny smoke scenes where 3% is below timer noise, <2us/frame. The
+    // two kinds of replay alternate (off, on, off, on, …) so a drift in
+    // host speed lands on both sides instead of on one.
+    let timed = |assembler: &mut StreamingAssembler, scorer: &mut IncrementalScorer<'_>| {
+        let t0 = std::time::Instant::now();
+        black_box(replay(assembler, scorer));
+        t0.elapsed().as_secs_f64()
     };
     replay(&mut assembler, &mut scorer); // warm caches/allocations
-    loa_obs::disable_all();
-    let off = best_of(&mut assembler, &mut scorer);
-    loa_obs::enable_metrics();
-    let on = best_of(&mut assembler, &mut scorer);
+    let (mut off, mut on) = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..if smoke() { 3 } else { 7 } {
+        loa_obs::disable_all();
+        off = off.min(timed(&mut assembler, &mut scorer));
+        loa_obs::enable_metrics();
+        on = on.min(timed(&mut assembler, &mut scorer));
+    }
     loa_obs::disable_all();
     let per_frame_overhead_us = (on - off).max(0.0) / data.frames.len() as f64 * 1e6;
     assert!(

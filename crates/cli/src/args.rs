@@ -1,10 +1,26 @@
 //! Argument parsing (hand-rolled; the workspace avoids heavyweight CLI
 //! dependencies).
 
+use fixy_core::apps::App;
 use std::path::PathBuf;
 
-/// Top-level usage text.
-pub const USAGE: &str = "\
+/// Top-level usage text: the commands, the registry's app names, then
+/// the notes.
+pub fn usage() -> String {
+    let apps: Vec<String> = App::ALL
+        .iter()
+        .map(|&app| {
+            if app == App::default() {
+                format!("{} (default)", app.name())
+            } else {
+                app.name().to_string()
+            }
+        })
+        .collect();
+    format!("{USAGE_COMMANDS}\nAPPS: {}\n\n{USAGE_NOTES}", apps.join(", "))
+}
+
+const USAGE_COMMANDS: &str = "\
 fixy — Learned Observation Assertions (SIGMOD 2022 reproduction)
 
 USAGE:
@@ -20,9 +36,9 @@ USAGE:
     fixy render   --scene <FILE> [--frame <N>] [--svg <FILE>]
     fixy bench-record --json <FILE> [--out <FILE>] [--note <TEXT>]
     fixy help
+";
 
-APPS: missing-tracks (default), missing-obs, model-errors
-
+const USAGE_NOTES: &str = "\
 Library files come in two wire formats, auto-detected on load (by
 extension, then by magic bytes): v1 JSON (human-readable, the default)
 and .flcb — the zero-copy binary format that stores the prepared
@@ -86,32 +102,9 @@ snapshot file (default BENCH_pipeline.json) as a new dated snapshot with
 toolchain and host metadata — see scripts/bench_record.sh.
 ";
 
-/// Which application pipeline to use.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum App {
-    #[default]
-    MissingTracks,
-    MissingObs,
-    ModelErrors,
-}
-
-impl App {
-    pub fn parse(s: &str) -> Result<App, ParseError> {
-        match s {
-            "missing-tracks" => Ok(App::MissingTracks),
-            "missing-obs" => Ok(App::MissingObs),
-            "model-errors" => Ok(App::ModelErrors),
-            other => Err(ParseError(format!("unknown app '{other}'"))),
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            App::MissingTracks => "missing-tracks",
-            App::MissingObs => "missing-obs",
-            App::ModelErrors => "model-errors",
-        }
-    }
+/// Parse `--app` against the registry's names.
+fn parse_app(name: &str) -> Result<App, ParseError> {
+    App::parse(name).ok_or_else(|| ParseError(format!("unknown app '{name}'")))
 }
 
 /// `fixy generate`.
@@ -305,7 +298,7 @@ pub struct ParseError(pub String);
 
 impl std::fmt::Display for ParseError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "{}\n\n{USAGE}", self.0)
+        write!(f, "{}\n\n{}", self.0, usage())
     }
 }
 
@@ -393,7 +386,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             let flags = collect_flags(rest, &[])?;
             Ok(Command::Learn(LearnArgs {
                 data: PathBuf::from(flags.required("data")?),
-                app: flags.optional("app").map(App::parse).transpose()?.unwrap_or_default(),
+                app: flags.optional("app").map(parse_app).transpose()?.unwrap_or_default(),
                 out: PathBuf::from(flags.required("out")?),
                 out_format: flags
                     .optional("out-format")
@@ -407,7 +400,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             Ok(Command::Rank(RankArgs {
                 scene: PathBuf::from(flags.required("scene")?),
                 library: PathBuf::from(flags.required("library")?),
-                app: flags.optional("app").map(App::parse).transpose()?.unwrap_or_default(),
+                app: flags.optional("app").map(parse_app).transpose()?.unwrap_or_default(),
                 top: flags.parse_num("top", 10usize)?,
                 grade: flags.switches.contains("grade"),
             }))
@@ -440,7 +433,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             Ok(Command::Stream(StreamArgs {
                 scene: PathBuf::from(flags.required("scene")?),
                 library: PathBuf::from(flags.required("library")?),
-                app: flags.optional("app").map(App::parse).transpose()?.unwrap_or_default(),
+                app: flags.optional("app").map(parse_app).transpose()?.unwrap_or_default(),
                 top: flags.parse_num("top", 5usize)?,
                 compare_full: flags.switches.contains("compare-full"),
                 trace: flags.switches.contains("trace"),
@@ -451,7 +444,7 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
             Ok(Command::Serve(ServeArgs {
                 listen: flags.required("listen")?.to_string(),
                 library: PathBuf::from(flags.required("library")?),
-                app: flags.optional("app").map(App::parse).transpose()?.unwrap_or_default(),
+                app: flags.optional("app").map(parse_app).transpose()?.unwrap_or_default(),
                 window: flags.parse_num("window", 8u32)?,
                 max_frames: flags.parse_num("max-frames", 100_000usize)?,
                 max_sessions: flags.parse_num("max-sessions", 4096usize)?,
@@ -775,9 +768,10 @@ mod tests {
 
     #[test]
     fn app_roundtrip() {
-        for app in [App::MissingTracks, App::MissingObs, App::ModelErrors] {
-            assert_eq!(App::parse(app.name()).unwrap(), app);
+        for app in App::ALL {
+            assert_eq!(parse_app(app.name()).unwrap(), app);
+            assert!(usage().contains(app.name()), "{} missing from USAGE", app.name());
         }
-        assert!(App::parse("nope").is_err());
+        assert!(parse_app("nope").is_err());
     }
 }

@@ -1,13 +1,13 @@
 //! Command implementations.
 
 use crate::args::{
-    App, ConvertArgs, FeedArgs, FuzzArgs, GenerateArgs, LearnArgs, RankArgs, RenderArgs, ServeArgs,
+    ConvertArgs, FeedArgs, FuzzArgs, GenerateArgs, LearnArgs, RankArgs, RenderArgs, ServeArgs,
     StreamArgs,
 };
 use crate::CliError;
 use fixy_core::prelude::*;
-use fixy_core::{FeatureSet, Learner};
 use loa_data::SceneData;
+use loa_eval::resolve::HitResolver;
 use loa_ingest::{CorpusSource, StreamingAssembler};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -56,14 +56,6 @@ fn load_library_for(path: &std::path::Path, app: App) -> Result<FeatureLibrary, 
     Ok(file.library)
 }
 
-fn feature_set_for(app: App) -> FeatureSet {
-    match app {
-        App::MissingTracks => MissingTrackFinder::default().feature_set(),
-        App::MissingObs => MissingObsFinder::default().feature_set(),
-        App::ModelErrors => ModelErrorFinder::default().feature_set(),
-    }
-}
-
 /// `fixy generate`: write `scenes` JSON scene files into `out`.
 pub fn generate(args: GenerateArgs) -> Result<String, CliError> {
     let mut cfg = args.profile.scene_config();
@@ -107,8 +99,7 @@ pub fn learn(args: LearnArgs) -> Result<String, CliError> {
     // Learning needs every training scene at once (distribution fitting
     // is a whole-corpus operation), so the shared corpus walk buffers.
     let scenes = CorpusSource::open(&args.data)?.load_all()?;
-    let features = feature_set_for(args.app);
-    let library = Learner::new().fit(&features, &scenes)?;
+    let library = args.app.fit(&scenes)?;
     match args.out_format {
         crate::args::LibFormat::Json => {
             let file = LibraryFile { app: args.app.name().to_string(), library };
@@ -192,69 +183,78 @@ fn render_chunks(header: &str, mut chunks: Vec<SceneChunk>, n_scenes: usize) -> 
     out
 }
 
-/// Format one scene's track-level candidates (shared by the
-/// missing-tracks and model-errors batch modes).
-fn track_chunk(r: RankedScene<TrackCandidate>, app: App, top: usize, grade: bool) -> SceneChunk {
-    let mut body = String::new();
-    for (i, c) in r.candidates.iter().take(top).enumerate() {
-        let grade = if grade {
-            let hit = match app {
-                App::ModelErrors => {
-                    loa_eval::resolve::is_model_error_hit(&r.data, &r.scene, c.track)
-                }
-                _ => loa_eval::resolve::is_missing_track_hit(&r.data, &r.scene, c.track),
-            };
-            if hit {
-                "YES"
-            } else {
-                "no"
-            }
-        } else {
-            ""
-        };
-        let _ = writeln!(
-            body,
-            "{:<30} {:<5} {:<12} {:<8.3} {:<5} {:<6} {}",
-            r.id,
-            i + 1,
-            c.class.to_string(),
-            c.score,
-            c.n_obs,
-            c.mean_confidence
-                .map(|x| format!("{x:.2}"))
-                .unwrap_or_else(|| "-".into()),
-            grade
-        );
-    }
-    SceneChunk {
-        id: r.id,
-        index: r.index,
-        body,
-        candidates: r.candidates.len(),
+/// The worklist's column header: track apps print size and confidence
+/// (and the `--grade` hit column), bundle apps the frame.
+fn worklist_header(app: App, graded: bool) -> String {
+    if app.ranks_bundles() {
+        "rank  frame  class        score".to_string()
+    } else {
+        format!(
+            "rank  class        score    #obs  conf   {}",
+            if graded { "hit" } else { "" }
+        )
     }
 }
 
-/// Format one scene's bundle-level candidates (missing-obs batch mode).
-fn bundle_chunk(r: RankedScene<BundleCandidate>, top: usize) -> SceneChunk {
-    let mut body = String::new();
-    for (i, c) in r.candidates.iter().take(top).enumerate() {
-        let bundle = r.scene.bundle(c.bundle);
-        let _ = writeln!(
-            body,
-            "{:<30} {:<5} {:<6} {:<12} {:.3}",
-            r.id,
-            i + 1,
-            bundle.frame.0,
-            c.class.to_string(),
-            c.score
-        );
+/// Write the top `top` candidates of one scene as worklist rows, each
+/// prefixed with the scene id in batch mode.
+fn write_rows(
+    out: &mut String,
+    scene_id: Option<&str>,
+    data: &SceneData,
+    scene: &Scene,
+    ranked: &[Candidate],
+    top: usize,
+    grade: Option<HitResolver>,
+) {
+    for (i, candidate) in ranked.iter().take(top).enumerate() {
+        if let Some(id) = scene_id {
+            let _ = write!(out, "{id:<30} ");
+        }
+        let _ = match candidate {
+            Candidate::Track(c) => {
+                let hit = match grade {
+                    Some(is_hit) if is_hit(data, scene, c.track) => "YES",
+                    Some(_) => "no",
+                    None => "",
+                };
+                writeln!(
+                    out,
+                    "{:<5} {:<12} {:<8.3} {:<5} {:<6} {}",
+                    i + 1,
+                    c.class.to_string(),
+                    c.score,
+                    c.n_obs,
+                    c.mean_confidence
+                        .map(|x| format!("{x:.2}"))
+                        .unwrap_or_else(|| "-".into()),
+                    hit
+                )
+            }
+            Candidate::Bundle(c) => writeln!(
+                out,
+                "{:<5} {:<6} {:<12} {:.3}",
+                i + 1,
+                scene.bundle(c.bundle).frame.0,
+                c.class.to_string(),
+                c.score
+            ),
+        };
     }
-    SceneChunk {
-        id: r.id,
-        index: r.index,
-        body,
-        candidates: r.candidates.len(),
+}
+
+/// The `--grade` hit resolver, if grading was asked for. Apps without
+/// one are refused before anything is ranked.
+fn grader(args: &RankArgs) -> Result<Option<HitResolver>, CliError> {
+    if !args.grade {
+        return Ok(None);
     }
+    loa_eval::resolve::hit_resolver(args.app).map(Some).ok_or_else(|| {
+        CliError::Invalid(format!(
+            "--grade has no ground-truth resolver for app '{}'",
+            args.app.name()
+        ))
+    })
 }
 
 /// `fixy rank` in batch mode: stream every scene in a directory (`.json`
@@ -262,156 +262,63 @@ fn bundle_chunk(r: RankedScene<BundleCandidate>, top: usize) -> SceneChunk {
 /// worklist (stable by scene id, then per-scene rank). At most
 /// O(workers) scenes are in memory at any moment — the worklist is
 /// byte-identical to the old buffered path (locked by `tests/ingest.rs`).
-fn rank_batch(args: &RankArgs, library: &FeatureLibrary) -> Result<String, CliError> {
+fn rank_batch(
+    args: &RankArgs,
+    library: &FeatureLibrary,
+    grade: Option<HitResolver>,
+) -> Result<String, CliError> {
     let source = CorpusSource::open(&args.scene)?;
     let n_scenes = source.len();
     // Workers pull paths (cheap tokens) and decode scenes themselves, so
     // load cost parallelizes with ranking.
     let paths = source.into_paths();
     let load = |p: std::path::PathBuf| loa_ingest::load_scene_auto(&p);
-    let track_header = format!(
-        "scene                          rank  class        score    #obs  conf   {}",
-        if args.grade { "hit" } else { "" }
-    );
-
-    let (header, chunks) = match args.app {
-        App::MissingTracks => {
-            let chunks = ScenePipeline::new(MissingTrackFinder::default())
-                .process_stream(library, paths, load, |r| {
-                    track_chunk(r, args.app, args.top, args.grade)
-                })
-                .map_err(CliError::from)?;
-            (track_header, chunks)
+    let chunks = ScenePipeline::new(args.app).process_stream(library, paths, load, |r| {
+        let mut body = String::new();
+        write_rows(
+            &mut body,
+            Some(&r.id),
+            &r.data,
+            &r.scene,
+            &r.candidates,
+            args.top,
+            grade,
+        );
+        SceneChunk {
+            id: r.id,
+            index: r.index,
+            body,
+            candidates: r.candidates.len(),
         }
-        // The Section 8.4 protocol (assertion pre-exclusion) is shared
-        // with the evaluation harness via loa_baselines.
-        App::ModelErrors => {
-            let chunks = ScenePipeline::new(loa_baselines::MaExcludedModelErrors::default())
-                .process_stream(library, paths, load, |r| {
-                    track_chunk(r, args.app, args.top, args.grade)
-                })
-                .map_err(CliError::from)?;
-            (track_header, chunks)
-        }
-        // Bundle-level candidates take a different worklist shape.
-        App::MissingObs => {
-            let chunks = ScenePipeline::new(MissingObsFinder::default())
-                .process_stream(library, paths, load, |r| bundle_chunk(r, args.top))
-                .map_err(CliError::from)?;
-            (
-                "scene                          rank  frame  class        score".to_string(),
-                chunks,
-            )
-        }
-    };
+    })?;
+    let header = format!("{:<30} {}", "scene", worklist_header(args.app, grade.is_some()));
     Ok(render_chunks(&header, chunks, n_scenes))
 }
 
 /// `fixy rank`: rank one scene's candidates (or, given a directory, a
 /// whole batch via the scene pipeline) and print the worklist.
 pub fn rank(args: RankArgs) -> Result<String, CliError> {
+    let grade = grader(&args)?;
     let library = load_library_for(&args.library, args.app)?;
     if args.scene.is_dir() {
-        return rank_batch(&args, &library);
+        return rank_batch(&args, &library, grade);
     }
     let data = loa_ingest::load_scene_auto(&args.scene)?;
+    let scene = Scene::assemble(&data, &args.app.assembly());
+    let ranked = args.app.rank(&scene, &library)?;
 
     let mut out = String::new();
-    match args.app {
-        App::MissingTracks => {
-            let scene = Scene::assemble(&data, &AssemblyConfig::default());
-            let finder = MissingTrackFinder::default();
-            let ranked = finder.rank(&scene, &library)?;
-            let _ = writeln!(
-                out,
-                "rank  class        score    #obs  conf   {}",
-                if args.grade { "hit" } else { "" }
-            );
-            for (i, c) in ranked.iter().take(args.top).enumerate() {
-                let grade = if args.grade {
-                    if loa_eval::resolve::is_missing_track_hit(&data, &scene, c.track) {
-                        "YES"
-                    } else {
-                        "no"
-                    }
-                } else {
-                    ""
-                };
-                let _ = writeln!(
-                    out,
-                    "{:<5} {:<12} {:<8.3} {:<5} {:<6} {}",
-                    i + 1,
-                    c.class.to_string(),
-                    c.score,
-                    c.n_obs,
-                    c.mean_confidence
-                        .map(|x| format!("{x:.2}"))
-                        .unwrap_or_else(|| "-".into()),
-                    grade
-                );
-            }
-            let _ = writeln!(out, "{} candidate(s) total", ranked.len());
-        }
-        App::MissingObs => {
-            let scene = Scene::assemble(&data, &AssemblyConfig::default());
-            let finder = MissingObsFinder::default();
-            let ranked = finder.rank(&scene, &library)?;
-            let _ = writeln!(out, "rank  frame  class        score");
-            for (i, c) in ranked.iter().take(args.top).enumerate() {
-                let bundle = scene.bundle(c.bundle);
-                let _ = writeln!(
-                    out,
-                    "{:<5} {:<6} {:<12} {:.3}",
-                    i + 1,
-                    bundle.frame.0,
-                    c.class.to_string(),
-                    c.score
-                );
-            }
-            let _ = writeln!(out, "{} candidate(s) total", ranked.len());
-        }
-        App::ModelErrors => {
-            // Same shared Section 8.4 protocol as batch mode.
-            let ranker = loa_baselines::MaExcludedModelErrors::default();
-            let scene = Scene::assemble(&data, &ranker.assembly());
-            let excluded = ranker.excluded(&scene);
-            let ranked = ranker.finder.rank(&scene, &library, &excluded)?;
-            let _ = writeln!(
-                out,
-                "rank  class        score    #obs  conf   {}",
-                if args.grade { "hit" } else { "" }
-            );
-            for (i, c) in ranked.iter().take(args.top).enumerate() {
-                let grade = if args.grade {
-                    if loa_eval::resolve::is_model_error_hit(&data, &scene, c.track) {
-                        "YES"
-                    } else {
-                        "no"
-                    }
-                } else {
-                    ""
-                };
-                let _ = writeln!(
-                    out,
-                    "{:<5} {:<12} {:<8.3} {:<5} {:<6} {}",
-                    i + 1,
-                    c.class.to_string(),
-                    c.score,
-                    c.n_obs,
-                    c.mean_confidence
-                        .map(|x| format!("{x:.2}"))
-                        .unwrap_or_else(|| "-".into()),
-                    grade
-                );
-            }
-            let _ = writeln!(
-                out,
-                "{} candidate(s) total ({} observations excluded by ad-hoc assertions)",
-                ranked.len(),
-                excluded.len()
-            );
-        }
-    }
+    let _ = writeln!(out, "{}", worklist_header(args.app, grade.is_some()));
+    write_rows(&mut out, None, &data, &scene, &ranked, args.top, grade);
+    let excluded = args.app.pre_excluded(&scene).map(|excluded| {
+        format!(" ({} observations excluded by ad-hoc assertions)", excluded.len())
+    });
+    let _ = writeln!(
+        out,
+        "{} candidate(s) total{}",
+        ranked.len(),
+        excluded.unwrap_or_default()
+    );
     Ok(out)
 }
 
@@ -540,79 +447,16 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
     let library = load_library_for(&args.library, args.app)?;
     let library = &library;
 
-    // Per-app snapshot ranking: a (label, score) worklist so the replay
-    // loop stays app-agnostic.
-    let me_ranker = loa_baselines::MaExcludedModelErrors::default();
-    let assembly = match args.app {
-        App::MissingTracks | App::MissingObs => AssemblyConfig::default(),
-        App::ModelErrors => me_ranker.assembly(),
+    // The app's worklist as (label, score) entries, so the replay loop
+    // stays app-agnostic.
+    let app = args.app;
+    let entries = |scene: &Scene, ranked: Vec<Candidate>| -> Vec<(String, f64)> {
+        ranked.iter().map(|c| (c.label(scene), c.score())).collect()
     };
-    let features = match args.app {
-        App::MissingTracks => MissingTrackFinder::default().feature_set(),
-        App::MissingObs => MissingObsFinder::default().feature_set(),
-        App::ModelErrors => me_ranker.finder.feature_set(),
-    };
-
-    // The full (from-scratch) path — the `--compare-full` reference.
-    let rank_snapshot = |scene: &Scene| -> Result<Vec<(String, f64)>, CliError> {
-        Ok(match args.app {
-            App::MissingTracks => MissingTrackFinder::default()
-                .rank(scene, library)?
-                .into_iter()
-                .map(|c| (c.class.to_string(), c.score))
-                .collect(),
-            App::MissingObs => MissingObsFinder::default()
-                .rank(scene, library)?
-                .into_iter()
-                .map(|c| {
-                    let frame = scene.bundle(c.bundle).frame.0;
-                    (format!("frame {frame} {}", c.class), c.score)
-                })
-                .collect(),
-            App::ModelErrors => {
-                let excluded = me_ranker.excluded(scene);
-                me_ranker
-                    .finder
-                    .rank(scene, library, &excluded)?
-                    .into_iter()
-                    .map(|c| (c.class.to_string(), c.score))
-                    .collect()
-            }
-        })
-    };
-
-    // The incremental path: same worklist, served from cached component
-    // scores.
-    let rank_incremental =
-        |scene: &Scene, scorer: &mut IncrementalScorer<'_>| -> Vec<(String, f64)> {
-            match args.app {
-                App::MissingTracks => MissingTrackFinder::default()
-                    .rank_incremental(scene, scorer)
-                    .into_iter()
-                    .map(|c| (c.class.to_string(), c.score))
-                    .collect(),
-                App::MissingObs => MissingObsFinder::default()
-                    .rank_incremental(scene, scorer)
-                    .into_iter()
-                    .map(|c| {
-                        let frame = scene.bundle(c.bundle).frame.0;
-                        (format!("frame {frame} {}", c.class), c.score)
-                    })
-                    .collect(),
-                App::ModelErrors => {
-                    let excluded = me_ranker.excluded(scene);
-                    me_ranker
-                        .finder
-                        .rank_incremental(scene, scorer, &excluded)
-                        .into_iter()
-                        .map(|c| (c.class.to_string(), c.score))
-                        .collect()
-                }
-            }
-        };
+    let features = app.feature_set();
 
     let mut out = String::new();
-    let mut assembler = StreamingAssembler::new(assembly);
+    let mut assembler = StreamingAssembler::new(app.assembly());
     let mut scorer = IncrementalScorer::new(&features, library)?;
     let mut push_us: Vec<f64> = Vec::new();
     let mut score_us: Vec<f64> = Vec::new();
@@ -646,7 +490,7 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
             // Core instruments scoring; the final rank happens here in
             // the CLI closure, so the Rank span lives here too.
             let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Rank);
-            rank_incremental(scene, scorer)
+            entries(scene, app.rank_streamed(scene, scorer))
         };
         let score = t1.elapsed().as_secs_f64() * 1e6;
 
@@ -664,7 +508,7 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
         if args.compare_full {
             let t2 = std::time::Instant::now();
             let snapshot = assembler.snapshot();
-            let full_ranked = rank_snapshot(&snapshot)?;
+            let full_ranked = entries(&snapshot, app.rank(&snapshot, library)?);
             let full = t2.elapsed().as_secs_f64() * 1e6;
             let diverged = full_ranked.len() != ranked.len()
                 || full_ranked
@@ -801,12 +645,7 @@ pub fn serve(args: ServeArgs) -> Result<String, CliError> {
     loa_obs::enable_metrics();
     let t0 = std::time::Instant::now();
     let library = load_library_for(&args.library, args.app)?;
-    let app = match args.app {
-        App::MissingTracks => loa_serve::ServeApp::MissingTracks,
-        App::MissingObs => loa_serve::ServeApp::MissingObs,
-        App::ModelErrors => loa_serve::ServeApp::ModelErrors,
-    };
-    let ctx = loa_serve::ServeContext::new(app, library)?;
+    let ctx = loa_serve::ServeContext::new(args.app, library)?;
     // Cold start: library file open through scoring-ready context. The
     // .flcb path skips fit-state reconstruction, so this is the number
     // the binary format exists to shrink. Printed for scripts AND
@@ -830,7 +669,7 @@ pub fn serve(args: ServeArgs) -> Result<String, CliError> {
     // the port file, not our output.
     eprintln!(
         "fixy serve: listening on {addr} (app {}, window {}, max {} session(s))",
-        app.name(),
+        args.app.name(),
         args.window,
         args.max_sessions
     );
@@ -1229,6 +1068,87 @@ mod tests {
         assert!(out.contains("frame"), "{out}");
 
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// Every registry app through the whole CLI: learn, rank one scene
+    /// and a directory, and a streamed replay whose worklist equals a
+    /// from-scratch rank on every frame.
+    #[test]
+    fn every_app_learns_ranks_and_streams() {
+        let dir = tmp_dir("every_app");
+        let data_dir = dir.join("data");
+        run(parse(&argv(&format!(
+            "generate --profile lyft --scenes 2 --seed 23 --duration 4 --out {}",
+            data_dir.display()
+        )))
+        .unwrap())
+        .unwrap();
+        let scene = std::fs::read_dir(&data_dir).unwrap().next().unwrap().unwrap().path();
+        for app in fixy_core::apps::App::ALL {
+            let name = app.name();
+            let lib = dir.join(format!("{name}.json"));
+            let out = run(parse(&argv(&format!(
+                "learn --data {} --app {name} --out {}",
+                data_dir.display(),
+                lib.display()
+            )))
+            .unwrap())
+            .unwrap();
+            assert!(out.contains("fitted"), "{name}: {out}");
+
+            let out = run(parse(&argv(&format!(
+                "rank --scene {} --library {} --app {name}",
+                scene.display(),
+                lib.display()
+            )))
+            .unwrap())
+            .unwrap();
+            assert!(out.contains("candidate(s) total"), "{name}: {out}");
+            let header = if app.ranks_bundles() { "rank  frame" } else { "rank  class" };
+            assert!(out.starts_with(header), "{name}: {out}");
+            assert_eq!(out.contains("excluded by ad-hoc assertions"), name == "model-errors");
+
+            let out = run(parse(&argv(&format!(
+                "rank --scene {} --library {} --app {name}",
+                data_dir.display(),
+                lib.display()
+            )))
+            .unwrap())
+            .unwrap();
+            assert!(out.contains("across 2 scene(s)"), "{name}: {out}");
+
+            let out = run(parse(&argv(&format!(
+                "stream --scene {} --library {} --app {name} --compare-full",
+                scene.display(),
+                lib.display()
+            )))
+            .unwrap())
+            .unwrap();
+            assert!(out.contains("worklists identical on every frame"), "{name}: {out}");
+        }
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    /// `--grade` needs a ground-truth resolver: apps without one are
+    /// refused by name before the library is even opened.
+    #[test]
+    fn grade_is_refused_for_apps_without_a_resolver() {
+        for app in ["missing-obs", "label-audit", "bundle-audit"] {
+            let err = run(parse(&argv(&format!(
+                "rank --scene s.json --library missing.json --app {app} --grade"
+            )))
+            .unwrap())
+            .unwrap_err();
+            let msg = err.to_string();
+            assert!(msg.contains("--grade") && msg.contains(app), "{app}: {msg}");
+        }
+        // Apps with a resolver get as far as the library.
+        let err = run(parse(&argv(
+            "rank --scene s.json --library missing.json --app model-errors --grade",
+        ))
+        .unwrap())
+        .unwrap_err();
+        assert!(err.to_string().contains("cannot read library"), "{err}");
     }
 
     #[test]

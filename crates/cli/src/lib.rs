@@ -34,7 +34,7 @@ pub fn run(command: Command) -> Result<String, CliError> {
         Command::Fuzz(f) => commands::fuzz(f),
         Command::Render(r) => commands::render(r),
         Command::BenchRecord(b) => commands::bench_record(b),
-        Command::Help => Ok(args::USAGE.to_string()),
+        Command::Help => Ok(args::usage()),
     }
 }
 

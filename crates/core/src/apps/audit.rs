@@ -23,16 +23,10 @@
 //!   distribution.
 
 use crate::aof::Aof;
-use crate::error::FixyError;
 use crate::feature::{BoundFeature, FeatureSet};
 use crate::features::{CountFeature, VolumeFeature, VolumeRatioFeature};
-use crate::incremental::IncrementalScorer;
-use crate::learner::FeatureLibrary;
-use crate::rank::{
-    sort_bundle_candidates, sort_track_candidates, track_candidate, BundleCandidate, TrackCandidate,
-};
+use crate::rank::{rank_scored_tracks, sort_bundle_candidates, BundleCandidate, TrackCandidate};
 use crate::scene::{BundleIdx, Scene, TrackIdx};
-use crate::score::ScoreEngine;
 use loa_graph::ComponentScore;
 use std::sync::Arc;
 
@@ -62,42 +56,13 @@ impl LabelAuditFinder {
         ])
     }
 
-    /// Rank labeled tracks, most implausible first.
-    pub fn rank(
-        &self,
-        scene: &Scene,
-        library: &FeatureLibrary,
-    ) -> Result<Vec<TrackCandidate>, FixyError> {
-        let features = self.feature_set();
-        let engine = ScoreEngine::new(scene, &features, library)?;
-        Ok(self.rank_scored(scene, engine.score_all_tracks()))
-    }
-
-    /// Rank from already-computed track scores — the shared back half of
-    /// the batch and incremental paths.
+    /// Rank labeled tracks from their scores, most implausible first.
     pub fn rank_scored(
         &self,
         scene: &Scene,
         scores: impl IntoIterator<Item = (TrackIdx, ComponentScore)>,
     ) -> Vec<TrackCandidate> {
-        let mut candidates = Vec::new();
-        for (track, score) in scores {
-            if let Some(s) = score.score {
-                candidates.push(track_candidate(scene, track, s));
-            }
-        }
-        sort_track_candidates(&mut candidates);
-        candidates
-    }
-
-    /// Rank using an [`IncrementalScorer`] bound to
-    /// [`feature_set`](Self::feature_set) — O(Δ) after `rescore_delta`.
-    pub fn rank_incremental(
-        &self,
-        scene: &Scene,
-        scorer: &mut IncrementalScorer<'_>,
-    ) -> Vec<TrackCandidate> {
-        self.rank_scored(scene, scorer.track_scores(scene).iter().copied())
+        rank_scored_tracks(scene, scores)
     }
 }
 
@@ -114,20 +79,9 @@ impl BundleAuditFinder {
         FeatureSet::new(vec![BoundFeature::new(Arc::new(VolumeRatioFeature), Aof::Invert)])
     }
 
-    /// Rank multi-member bundles, most inconsistent first. Singleton
-    /// bundles carry no ratio factor and never become candidates.
-    pub fn rank(
-        &self,
-        scene: &Scene,
-        library: &FeatureLibrary,
-    ) -> Result<Vec<BundleCandidate>, FixyError> {
-        let features = self.feature_set();
-        let engine = ScoreEngine::new(scene, &features, library)?;
-        Ok(self.rank_scored(scene, engine.score_all_bundles()))
-    }
-
-    /// Rank from already-computed bundle scores — the shared back half of
-    /// the batch and incremental paths.
+    /// Rank multi-member bundles from their scores, most inconsistent
+    /// first. Singleton bundles carry no ratio factor and never become
+    /// candidates.
     pub fn rank_scored(
         &self,
         scene: &Scene,
@@ -155,25 +109,34 @@ impl BundleAuditFinder {
         sort_bundle_candidates(&mut candidates);
         candidates
     }
-
-    /// Rank using an [`IncrementalScorer`] bound to
-    /// [`feature_set`](Self::feature_set) — O(Δ) after `rescore_delta`.
-    pub fn rank_incremental(
-        &self,
-        scene: &Scene,
-        scorer: &mut IncrementalScorer<'_>,
-    ) -> Vec<BundleCandidate> {
-        self.rank_scored(scene, scorer.score_all_bundles(scene))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::learner::Learner;
+    use crate::learner::{FeatureLibrary, Learner};
     use crate::scene::AssemblyConfig;
+    use crate::score::ScoreEngine;
     use loa_data::fuzz::{swap_partner, ScenarioFuzzer};
     use loa_data::ObservationSource;
+
+    fn rank_tracks(
+        f: &LabelAuditFinder,
+        scene: &Scene,
+        lib: &FeatureLibrary,
+    ) -> Vec<TrackCandidate> {
+        let engine = ScoreEngine::new(scene, &f.feature_set(), lib).unwrap();
+        f.rank_scored(scene, engine.score_all_tracks())
+    }
+
+    fn rank_bundles(
+        f: &BundleAuditFinder,
+        scene: &Scene,
+        lib: &FeatureLibrary,
+    ) -> Vec<BundleCandidate> {
+        let engine = ScoreEngine::new(scene, &f.feature_set(), lib).unwrap();
+        f.rank_scored(scene, engine.score_all_bundles())
+    }
 
     fn fuzzer() -> ScenarioFuzzer {
         ScenarioFuzzer::new(404)
@@ -204,7 +167,7 @@ mod tests {
                 continue;
             }
             let scene = Scene::assemble(&data, &AssemblyConfig::human_only());
-            let ranked = finder.rank(&scene, &library).unwrap();
+            let ranked = rank_tracks(&finder, &scene, &library);
             for swap in &data.injected.class_swaps {
                 // Find the candidate whose human labels belong to the
                 // swapped actor.
@@ -238,7 +201,7 @@ mod tests {
                 continue;
             }
             let scene = Scene::assemble(&data, &AssemblyConfig::default());
-            let ranked = finder.rank(&scene, &library).unwrap();
+            let ranked = rank_bundles(&finder, &scene, &library);
             for ib in &data.injected.inconsistent_bundles {
                 let pos = ranked.iter().position(|c| {
                     let bundle = scene.bundle(c.bundle);
@@ -268,7 +231,7 @@ mod tests {
         let data = fuzzer().scene(0);
 
         let human_scene = Scene::assemble(&data, &AssemblyConfig::human_only());
-        let ranked = lf.rank(&human_scene, &llib).unwrap();
+        let ranked = rank_tracks(&lf, &human_scene, &llib);
         for w in ranked.windows(2) {
             assert!(w[0].score >= w[1].score);
         }
@@ -277,7 +240,7 @@ mod tests {
         }
 
         let scene = Scene::assemble(&data, &AssemblyConfig::default());
-        let ranked = bf.rank(&scene, &blib).unwrap();
+        let ranked = rank_bundles(&bf, &scene, &blib);
         for w in ranked.windows(2) {
             assert!(w[0].score >= w[1].score);
         }

@@ -6,14 +6,10 @@
 //! the remaining bundles only contain ML model predictions and are in
 //! tracks that contain at least one human proposal."*
 
-use crate::error::FixyError;
 use crate::feature::{BoundFeature, FeatureSet};
 use crate::features::{DistanceFeature, ModelOnlyFeature, VolumeFeature};
-use crate::incremental::IncrementalScorer;
-use crate::learner::FeatureLibrary;
 use crate::rank::{sort_bundle_candidates, BundleCandidate};
 use crate::scene::{BundleIdx, Scene, TrackIdx};
-use crate::score::ScoreEngine;
 use loa_data::ObservationSource;
 use loa_graph::ComponentScore;
 use std::sync::Arc;
@@ -41,20 +37,9 @@ impl MissingObsFinder {
         ])
     }
 
-    /// Rank candidate missing observations: model-only bundles inside
-    /// tracks that do contain human proposals, most plausible first.
-    pub fn rank(
-        &self,
-        scene: &Scene,
-        library: &FeatureLibrary,
-    ) -> Result<Vec<BundleCandidate>, FixyError> {
-        let features = self.feature_set();
-        let engine = ScoreEngine::new(scene, &features, library)?;
-        Ok(self.rank_scored(scene, engine.score_all_bundles()))
-    }
-
-    /// Rank from already-computed bundle scores — the shared back half of
-    /// the batch and incremental paths.
+    /// Rank candidate missing observations from their scores: model-only
+    /// bundles inside tracks that do contain human proposals, most
+    /// plausible first.
     pub fn rank_scored(
         &self,
         scene: &Scene,
@@ -95,25 +80,25 @@ impl MissingObsFinder {
         sort_bundle_candidates(&mut candidates);
         candidates
     }
-
-    /// Rank using an [`IncrementalScorer`] bound to
-    /// [`feature_set`](Self::feature_set) — O(Δ) after `rescore_delta`.
-    pub fn rank_incremental(
-        &self,
-        scene: &Scene,
-        scorer: &mut IncrementalScorer<'_>,
-    ) -> Vec<BundleCandidate> {
-        self.rank_scored(scene, scorer.score_all_bundles(scene))
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::learner::Learner;
+    use crate::learner::{FeatureLibrary, Learner};
     use crate::scene::AssemblyConfig;
+    use crate::score::ScoreEngine;
     use loa_data::scenarios::trailing_car_missing_label;
     use loa_data::{generate_scene, DatasetProfile};
+
+    fn rank(
+        finder: &MissingObsFinder,
+        scene: &Scene,
+        library: &FeatureLibrary,
+    ) -> Vec<BundleCandidate> {
+        let engine = ScoreEngine::new(scene, &finder.feature_set(), library).unwrap();
+        finder.rank_scored(scene, engine.score_all_bundles())
+    }
 
     fn library(finder: &MissingObsFinder) -> FeatureLibrary {
         let mut cfg = DatasetProfile::LyftLike.scene_config();
@@ -131,7 +116,7 @@ mod tests {
         let lib = library(&finder);
         let scenario = trailing_car_missing_label(7);
         let scene = Scene::assemble(&scenario.scene, &AssemblyConfig::default());
-        let ranked = finder.rank(&scene, &lib).unwrap();
+        let ranked = rank(&finder, &scene, &lib);
         for c in &ranked {
             let bundle = scene.bundle(c.bundle);
             assert!(!scene.bundle_has_source(bundle, ObservationSource::Human));
@@ -149,7 +134,7 @@ mod tests {
         let lib = library(&finder);
         let scenario = trailing_car_missing_label(11);
         let scene = Scene::assemble(&scenario.scene, &AssemblyConfig::default());
-        let ranked = finder.rank(&scene, &lib).unwrap();
+        let ranked = rank(&finder, &scene, &lib);
         assert!(!ranked.is_empty(), "no candidates found");
         let missing = &scenario.scene.injected.missing_boxes[0];
         // Find the rank of a candidate bundle in the missing frame whose

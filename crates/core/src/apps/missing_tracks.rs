@@ -10,16 +10,12 @@
 //! the `count` track factor is 0 for flicker-length tracks; zeroed
 //! components drop out of the ranking.
 
-use crate::error::FixyError;
 use crate::feature::{BoundFeature, FeatureSet};
 use crate::features::{
     CountFeature, DistanceFeature, ModelOnlyFeature, VelocityFeature, VolumeFeature,
 };
-use crate::incremental::IncrementalScorer;
-use crate::learner::FeatureLibrary;
-use crate::rank::{sort_track_candidates, track_candidate, TrackCandidate};
+use crate::rank::{rank_scored_tracks, TrackCandidate};
 use crate::scene::{Scene, TrackIdx};
-use crate::score::ScoreEngine;
 use loa_graph::ComponentScore;
 use std::sync::Arc;
 
@@ -51,53 +47,34 @@ impl MissingTrackFinder {
         ])
     }
 
-    /// Rank candidate missing tracks in an assembled scene (most likely
+    /// Rank candidate missing tracks from their scores (most likely
     /// real-but-unlabeled object first). The scene must be assembled with
     /// both human and model observations.
-    pub fn rank(
-        &self,
-        scene: &Scene,
-        library: &FeatureLibrary,
-    ) -> Result<Vec<TrackCandidate>, FixyError> {
-        let features = self.feature_set();
-        let engine = ScoreEngine::new(scene, &features, library)?;
-        Ok(self.rank_scored(scene, engine.score_all_tracks()))
-    }
-
-    /// Rank from already-computed track scores — the shared back half of
-    /// the batch and incremental paths.
     pub fn rank_scored(
         &self,
         scene: &Scene,
         scores: impl IntoIterator<Item = (TrackIdx, ComponentScore)>,
     ) -> Vec<TrackCandidate> {
-        let mut candidates = Vec::new();
-        for (track, score) in scores {
-            if let Some(s) = score.score {
-                candidates.push(track_candidate(scene, track, s));
-            }
-        }
-        sort_track_candidates(&mut candidates);
-        candidates
-    }
-
-    /// Rank using an [`IncrementalScorer`] bound to
-    /// [`feature_set`](Self::feature_set) — O(Δ) after `rescore_delta`.
-    pub fn rank_incremental(
-        &self,
-        scene: &Scene,
-        scorer: &mut IncrementalScorer<'_>,
-    ) -> Vec<TrackCandidate> {
-        self.rank_scored(scene, scorer.track_scores(scene).iter().copied())
+        rank_scored_tracks(scene, scores)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::learner::Learner;
+    use crate::learner::{FeatureLibrary, Learner};
     use crate::scene::AssemblyConfig;
+    use crate::score::ScoreEngine;
     use loa_data::{generate_scene, DatasetProfile, ObservationSource, SceneData};
+
+    fn rank(
+        finder: &MissingTrackFinder,
+        scene: &Scene,
+        library: &FeatureLibrary,
+    ) -> Vec<TrackCandidate> {
+        let engine = ScoreEngine::new(scene, &finder.feature_set(), library).unwrap();
+        finder.rank_scored(scene, engine.score_all_tracks())
+    }
 
     fn dataset(n: usize, base_seed: u64) -> Vec<SceneData> {
         let mut cfg = DatasetProfile::LyftLike.scene_config();
@@ -116,7 +93,7 @@ mod tests {
         let library = Learner::new().fit(&finder.feature_set(), &train).unwrap();
         for data in &test {
             let scene = Scene::assemble(data, &AssemblyConfig::default());
-            let ranked = finder.rank(&scene, &library).unwrap();
+            let ranked = rank(&finder, &scene, &library);
             for c in &ranked {
                 let track = scene.track(c.track);
                 assert!(
@@ -136,8 +113,8 @@ mod tests {
         let finder = MissingTrackFinder::default();
         let library = Learner::new().fit(&finder.feature_set(), &train).unwrap();
         let scene = Scene::assemble(test, &AssemblyConfig::default());
-        let r1 = finder.rank(&scene, &library).unwrap();
-        let r2 = finder.rank(&scene, &library).unwrap();
+        let r1 = rank(&finder, &scene, &library);
+        let r2 = rank(&finder, &scene, &library);
         assert_eq!(r1.len(), r2.len());
         for (a, b) in r1.iter().zip(&r2) {
             assert_eq!(a.track, b.track);
@@ -161,7 +138,7 @@ mod tests {
         let mut bottom_half_hits = 0usize;
         for data in dataset(4, 400) {
             let scene = Scene::assemble(&data, &AssemblyConfig::default());
-            let ranked = finder.rank(&scene, &library).unwrap();
+            let ranked = rank(&finder, &scene, &library);
             if ranked.len() < 2 || data.injected.missing_tracks.is_empty() {
                 continue;
             }

@@ -51,6 +51,10 @@
 //!   (gross class swaps),
 //! * [`apps::BundleAuditFinder`] — bundles with wildly inconsistent
 //!   members.
+//!
+//! [`apps::App`] registers the five: one enum naming each app's feature
+//! set, assembly presets and ranking, which every surface dispatches
+//! through.
 
 pub mod aof;
 pub mod apps;
@@ -85,7 +89,8 @@ pub use scene::{
 pub mod prelude {
     pub use crate::aof::Aof;
     pub use crate::apps::{
-        BundleAuditFinder, LabelAuditFinder, MissingObsFinder, MissingTrackFinder, ModelErrorFinder,
+        App, BundleAuditFinder, LabelAuditFinder, MissingObsFinder, MissingTrackFinder,
+        ModelErrorFinder,
     };
     pub use crate::feature::{Feature, FeatureKind, FeatureSet, FeatureTarget, FeatureValue};
     pub use crate::incremental::IncrementalScorer;
@@ -93,7 +98,7 @@ pub mod prelude {
     pub use crate::pipeline::{
         sort_ranked_scenes, BatchCandidate, RankedScene, ScenePipeline, SceneRanker,
     };
-    pub use crate::rank::{BundleCandidate, TrackCandidate};
+    pub use crate::rank::{BundleCandidate, Candidate, TrackCandidate};
     pub use crate::scene::{
         AssemblyConfig, AssemblyEngine, Bundle, BundleIdx, FrameDelta, ObsIdx, Observation, Scene,
         Track, TrackIdx,

@@ -27,6 +27,7 @@ use crate::error::FixyError;
 use crate::learner::FeatureLibrary;
 use crate::rank::{BundleCandidate, TrackCandidate};
 use crate::scene::{AssemblyConfig, AssemblyEngine, Scene};
+use crate::score::ScoreEngine;
 use loa_data::SceneData;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -49,11 +50,12 @@ fn assemble_reusing_engine(data: &SceneData, cfg: &AssemblyConfig) -> Scene {
 }
 
 /// An application that can rank one assembled scene — the unit of work
-/// the pipeline fans out. Implemented by the track-level finders (with
-/// [`TrackCandidate`] output) and the bundle-level finders (with
-/// [`BundleCandidate`] output); custom protocols (e.g. excluding
-/// ad-hoc-assertion hits first, as in the Section 8.4 evaluation)
-/// implement it over their own state.
+/// the pipeline fans out. Implemented by the registry
+/// [`App`](crate::apps::App) (with [`Candidate`](crate::rank::Candidate)
+/// output), and by each finder with its default settings: the track-level
+/// finders yield [`TrackCandidate`], the bundle-level ones
+/// [`BundleCandidate`]. The finder impls rank without pre-exclusion; the
+/// Section 8.4 protocol is [`App::ModelErrors`](crate::apps::App::ModelErrors).
 pub trait SceneRanker: Sync {
     /// What one ranked worklist entry is for this application.
     type Candidate: Send;
@@ -81,7 +83,8 @@ impl SceneRanker for MissingTrackFinder {
         scene: &Scene,
         library: &FeatureLibrary,
     ) -> Result<Vec<TrackCandidate>, FixyError> {
-        self.rank(scene, library)
+        let engine = ScoreEngine::new(scene, &self.feature_set(), library)?;
+        Ok(self.rank_scored(scene, engine.score_all_tracks()))
     }
 }
 
@@ -98,7 +101,8 @@ impl SceneRanker for ModelErrorFinder {
         scene: &Scene,
         library: &FeatureLibrary,
     ) -> Result<Vec<TrackCandidate>, FixyError> {
-        self.rank(scene, library, &BTreeSet::new())
+        let engine = ScoreEngine::new(scene, &self.feature_set(), library)?;
+        Ok(self.rank_scored(scene, engine.score_all_tracks(), &BTreeSet::new()))
     }
 }
 
@@ -111,7 +115,8 @@ impl SceneRanker for MissingObsFinder {
         scene: &Scene,
         library: &FeatureLibrary,
     ) -> Result<Vec<BundleCandidate>, FixyError> {
-        self.rank(scene, library)
+        let engine = ScoreEngine::new(scene, &self.feature_set(), library)?;
+        Ok(self.rank_scored(scene, engine.score_all_bundles()))
     }
 }
 
@@ -128,7 +133,8 @@ impl SceneRanker for LabelAuditFinder {
         scene: &Scene,
         library: &FeatureLibrary,
     ) -> Result<Vec<TrackCandidate>, FixyError> {
-        self.rank(scene, library)
+        let engine = ScoreEngine::new(scene, &self.feature_set(), library)?;
+        Ok(self.rank_scored(scene, engine.score_all_tracks()))
     }
 }
 
@@ -141,7 +147,8 @@ impl SceneRanker for BundleAuditFinder {
         scene: &Scene,
         library: &FeatureLibrary,
     ) -> Result<Vec<BundleCandidate>, FixyError> {
-        self.rank(scene, library)
+        let engine = ScoreEngine::new(scene, &self.feature_set(), library)?;
+        Ok(self.rank_scored(scene, engine.score_all_bundles()))
     }
 }
 

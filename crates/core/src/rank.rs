@@ -6,6 +6,7 @@
 
 use crate::scene::{BundleIdx, Scene, TrackIdx};
 use loa_data::ObjectClass;
+use loa_graph::ComponentScore;
 use serde::{Deserialize, Serialize};
 
 /// A ranked track candidate.
@@ -32,6 +33,45 @@ pub struct BundleCandidate {
     pub class: ObjectClass,
 }
 
+/// One worklist entry of any application: a track or a bundle candidate.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Candidate {
+    Track(TrackCandidate),
+    Bundle(BundleCandidate),
+}
+
+impl Candidate {
+    pub fn score(&self) -> f64 {
+        match self {
+            Candidate::Track(c) => c.score,
+            Candidate::Bundle(c) => c.score,
+        }
+    }
+
+    /// The worklist label `fixy stream` and `fixy serve` print: the class
+    /// of a track, `frame <n> <class>` for a bundle.
+    pub fn label(&self, scene: &Scene) -> String {
+        match self {
+            Candidate::Track(c) => c.class.to_string(),
+            Candidate::Bundle(c) => format!("frame {} {}", scene.bundle(c.bundle).frame.0, c.class),
+        }
+    }
+
+    pub fn as_track(&self) -> Option<&TrackCandidate> {
+        match self {
+            Candidate::Track(c) => Some(c),
+            Candidate::Bundle(_) => None,
+        }
+    }
+
+    pub fn as_bundle(&self) -> Option<&BundleCandidate> {
+        match self {
+            Candidate::Bundle(c) => Some(c),
+            Candidate::Track(_) => None,
+        }
+    }
+}
+
 /// Sort candidates by descending score with a deterministic tiebreak.
 /// `total_cmp` orders every f64 (NaN included) without panicking, and
 /// candidate indices are unique, so no two candidates compare equal and
@@ -56,6 +96,21 @@ pub fn track_candidate(scene: &Scene, track: TrackIdx, score: f64) -> TrackCandi
         n_obs: scene.track_n_obs(track),
         mean_confidence: scene.track_mean_confidence(t),
     }
+}
+
+/// Every track with a score (not zeroed by an AOF) as a candidate,
+/// sorted: the whole ranking step of the apps whose factors already zero
+/// every track that is not a candidate.
+pub(crate) fn rank_scored_tracks(
+    scene: &Scene,
+    scores: impl IntoIterator<Item = (TrackIdx, ComponentScore)>,
+) -> Vec<TrackCandidate> {
+    let mut candidates: Vec<TrackCandidate> = scores
+        .into_iter()
+        .filter_map(|(track, score)| Some(track_candidate(scene, track, score.score?)))
+        .collect();
+    sort_track_candidates(&mut candidates);
+    candidates
 }
 
 #[cfg(test)]

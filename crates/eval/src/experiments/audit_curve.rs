@@ -67,7 +67,7 @@ pub fn run_audit_curve(
         let scene = Scene::assemble(&data, &AssemblyConfig::default());
 
         let fixy_order: Vec<fixy_core::TrackIdx> = finder
-            .rank(&scene, &library)
+            .rank_scene(&data, &scene, &library)
             .expect("library fits")
             .into_iter()
             .map(|c| c.track)

@@ -46,7 +46,7 @@ pub fn run_missing_obs_experiment(seed: u64, n_train: usize, n_cases: usize) -> 
         let data = &scenario.scene;
         let missing = data.injected.missing_boxes.first()?;
         let scene = Scene::assemble(data, &AssemblyConfig::default());
-        let ranked = finder.rank(&scene, &library).expect("library fits");
+        let ranked = finder.rank_scene(data, &scene, &library).expect("library fits");
         if ranked.is_empty() {
             return None;
         }

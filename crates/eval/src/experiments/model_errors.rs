@@ -10,8 +10,7 @@ use crate::experiments::{parallel_map, shrink_config};
 use crate::metrics::{mean_of, precision_at_k};
 use crate::resolve::is_model_error_hit;
 use fixy_core::prelude::*;
-use fixy_core::Learner;
-use loa_baselines::{uncertainty_sample_tracks, MaExcludedModelErrors};
+use loa_baselines::uncertainty_sample_tracks;
 use loa_data::{generate_scene, DatasetProfile};
 use serde::{Deserialize, Serialize};
 
@@ -37,13 +36,11 @@ pub fn run_model_error_experiment(
     if fast {
         shrink_config(&mut scene_cfg, 8.0, 300);
     }
-    let finder = ModelErrorFinder::default();
+    let app = App::ModelErrors;
     let train: Vec<_> = (0..n_train)
         .map(|i| generate_scene(&scene_cfg, &format!("me-train-{i}"), seed + i as u64))
         .collect();
-    let library = Learner::new()
-        .fit(&finder.feature_set(), &train)
-        .expect("training scenes produce feature values");
+    let library = app.fit(&train).expect("training scenes produce feature values");
 
     let seeds: Vec<u64> = (0..n_scenes).map(|i| seed + 3_000 + i as u64).collect();
     struct SceneOutcome {
@@ -52,18 +49,16 @@ pub fn run_model_error_experiment(
         max_hit_conf: Option<f64>,
     }
     let scenes = parallel_map(seeds, |s| generate_scene(&scene_cfg, &format!("me-eval-{s}"), s));
-    let ranker = MaExcludedModelErrors::default();
-    let assertions = ranker.assertions;
-    let outcomes: Vec<SceneOutcome> = ScenePipeline::new(ranker)
+    let outcomes: Vec<SceneOutcome> = ScenePipeline::new(app)
         .process(&library, scenes, |r| {
             let (data, scene) = (&r.data, &r.scene);
-            let fixy: Vec<bool> = r
-                .candidates
+            let candidates: Vec<&TrackCandidate> =
+                r.candidates.iter().filter_map(Candidate::as_track).collect();
+            let fixy: Vec<bool> = candidates
                 .iter()
                 .map(|c| is_model_error_hit(data, scene, c.track))
                 .collect();
-            let max_hit_conf = r
-                .candidates
+            let max_hit_conf = candidates
                 .iter()
                 .take(10)
                 .filter(|c| is_model_error_hit(data, scene, c.track))
@@ -72,11 +67,11 @@ pub fn run_model_error_experiment(
 
             // Uncertainty sampling over the same candidate universe
             // (tracks not flagged by the MAs). The assertions run a
-            // second time here — the ranker already excluded them
-            // during ranking — which is the accepted cost of keeping
-            // the pipeline's per-scene output to ranked candidates;
-            // the scans are linear and cheap next to compile+score.
-            let excluded = assertions.flag_all(scene);
+            // second time here — the app already excluded them during
+            // ranking — which is the accepted cost of keeping the
+            // pipeline's per-scene output to ranked candidates; the
+            // scans are linear and cheap next to compile+score.
+            let excluded = app.pre_excluded(scene).unwrap_or_default();
             let unc_tracks = uncertainty_sample_tracks(scene, 0.5);
             let uncertainty: Vec<bool> = unc_tracks
                 .iter()

@@ -51,7 +51,7 @@ pub fn run_recall_experiment(seed: u64, n_train: usize, fast: bool) -> RecallRes
 
     let data = generate_scene(&audited_cfg, "recall-audited", seed + 999);
     let scene = Scene::assemble(&data, &AssemblyConfig::default());
-    let ranked = finder.rank(&scene, &library).expect("library fits");
+    let ranked = finder.rank_scene(&data, &scene, &library).expect("library fits");
 
     // Top-10 ranked errors per class (the paper's protocol).
     let mut found: BTreeSet<TrackId> = BTreeSet::new();

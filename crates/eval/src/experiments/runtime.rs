@@ -47,7 +47,7 @@ pub fn run_runtime_experiment(seed: u64, n_train: usize) -> RuntimeResult {
     let data = generate_scene(&scene_cfg, "rt-eval", seed + 10_000);
     let online_start = Instant::now();
     let scene = Scene::assemble(&data, &AssemblyConfig::default());
-    let ranked = finder.rank(&scene, &library).expect("library fits");
+    let ranked = finder.rank_scene(&data, &scene, &library).expect("library fits");
     let online_ms = online_start.elapsed().as_secs_f64() * 1_000.0;
     // Keep the ranking alive so the work is not optimized away.
     assert!(ranked.len() <= scene.n_tracks());

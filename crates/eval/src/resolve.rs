@@ -2,6 +2,7 @@
 //! the role the paper's expert auditors played, exact here because the
 //! generator recorded every injected error.
 
+use fixy_core::apps::App;
 use fixy_core::{ObsIdx, Scene, TrackIdx};
 use loa_data::{DetectionProvenance, ObservationSource, SceneData, TrackId};
 use std::collections::BTreeMap;
@@ -96,6 +97,20 @@ pub fn is_missing_track_hit(data: &SceneData, scene: &Scene, track: TrackIdx) ->
 pub fn is_model_error_hit(data: &SceneData, scene: &Scene, track: TrackIdx) -> bool {
     let res = resolve_track(data, scene, track);
     res.n_model_obs > 0 && 2 * res.n_error_obs > res.n_model_obs
+}
+
+/// Judges whether a track candidate is a true error of its app's kind.
+pub type HitResolver = fn(&SceneData, &Scene, TrackIdx) -> bool;
+
+/// The resolver that grades `app`'s candidates (`fixy rank --grade`), if
+/// the app has one: missing-tracks and model-errors do; the bundle apps
+/// and label-audit have none.
+pub fn hit_resolver(app: App) -> Option<HitResolver> {
+    match app {
+        App::MissingTracks => Some(is_missing_track_hit),
+        App::ModelErrors => Some(is_model_error_hit),
+        App::MissingObs | App::LabelAudit | App::BundleAudit => None,
+    }
 }
 
 /// Coarse classification of a flagged track.

@@ -30,18 +30,15 @@
 //! let train: Vec<_> = (0..2)
 //!     .map(|i| generate_scene(&cfg, &format!("train-{i}"), i))
 //!     .collect();
-//! let finder = MissingTrackFinder::default();
-//! let library = Learner::new().fit(&finder.feature_set(), &train).unwrap();
+//! let app = App::MissingTracks;
+//! let library = app.fit(&train).unwrap();
 //!
 //! // Online: rank potential missing labels in a new scene.
 //! let data = generate_scene(&cfg, "new-scene", 99);
-//! let scene = Scene::assemble(&data, &AssemblyConfig::default());
-//! let ranked = finder.rank(&scene, &library).unwrap();
+//! let scene = Scene::assemble(&data, &app.assembly());
+//! let ranked = app.rank(&scene, &library).unwrap();
 //! for candidate in ranked.iter().take(3) {
-//!     println!(
-//!         "track {:?}: score {:.2}, class {}, {} observations",
-//!         candidate.track, candidate.score, candidate.class, candidate.n_obs
-//!     );
+//!     println!("{}: score {:.2}", candidate.label(&scene), candidate.score());
 //! }
 //! ```
 

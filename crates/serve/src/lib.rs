@@ -8,7 +8,8 @@
 //!
 //! * **Sessions** — each live stream owns the incremental trio
 //!   ([`loa_ingest::StreamingAssembler`] +
-//!   [`fixy_core::IncrementalScorer`] + per-app `rank_incremental`)
+//!   [`fixy_core::IncrementalScorer`] + the app's
+//!   [`rank_streamed`](fixy_core::apps::App::rank_streamed))
 //!   behind a bounded [`loa_ingest::ReorderBuffer`], so the per-frame
 //!   cost stays O(Δ) and transport jitter (late, early, duplicated
 //!   frames) inside the window is absorbed instead of fatal. Frames only

@@ -20,70 +20,13 @@
 
 use crate::error::ServeError;
 use crate::protocol::{SessionStats, Worklist};
-use fixy_core::apps::{LabelAuditFinder, MissingObsFinder, MissingTrackFinder};
-use fixy_core::{
-    AssemblyConfig, FeatureLibrary, FeatureSet, IncrementalScorer, Scene, SceneRanker,
-};
-use loa_baselines::MaExcludedModelErrors;
+use fixy_core::apps::App;
+use fixy_core::{AssemblyConfig, FeatureLibrary, FeatureSet, IncrementalScorer, Scene};
 use loa_data::Frame;
 use loa_ingest::{ReorderBuffer, StreamingAssembler};
 
-/// The audit application a serving context runs — the three paper apps
-/// plus the label audit, covering all three assembly presets.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeApp {
-    /// Missing human tracks in model output (default assembly).
-    MissingTracks,
-    /// Missing per-frame observations in human tracks (default assembly).
-    MissingObs,
-    /// Model-error ranking with ad-hoc-assertion exclusion (model-only
-    /// assembly).
-    ModelErrors,
-    /// Implausibly-labeled human tracks (human-only assembly).
-    LabelAudit,
-}
-
-impl ServeApp {
-    /// CLI / library-file name.
-    pub fn name(self) -> &'static str {
-        match self {
-            ServeApp::MissingTracks => "missing-tracks",
-            ServeApp::MissingObs => "missing-obs",
-            ServeApp::ModelErrors => "model-errors",
-            ServeApp::LabelAudit => "label-audit",
-        }
-    }
-
-    /// Parse a [`name`](Self::name).
-    pub fn parse(s: &str) -> Option<Self> {
-        match s {
-            "missing-tracks" => Some(ServeApp::MissingTracks),
-            "missing-obs" => Some(ServeApp::MissingObs),
-            "model-errors" => Some(ServeApp::ModelErrors),
-            "label-audit" => Some(ServeApp::LabelAudit),
-            _ => None,
-        }
-    }
-
-    /// The assembly preset this app's scenes are built with.
-    pub fn assembly(self) -> AssemblyConfig {
-        match self {
-            ServeApp::MissingTracks | ServeApp::MissingObs => AssemblyConfig::default(),
-            ServeApp::ModelErrors => MaExcludedModelErrors::default().assembly(),
-            ServeApp::LabelAudit => AssemblyConfig::human_only(),
-        }
-    }
-
-    /// The app's feature set — what a serving library must be fitted for.
-    pub fn feature_set(self) -> FeatureSet {
-        match self {
-            ServeApp::MissingTracks => MissingTrackFinder::default().feature_set(),
-            ServeApp::MissingObs => MissingObsFinder::default().feature_set(),
-            ServeApp::ModelErrors => MaExcludedModelErrors::default().finder.feature_set(),
-            ServeApp::LabelAudit => LabelAuditFinder::default().feature_set(),
-        }
-    }
-}
+/// The audit application a serving context runs: any registry app.
+pub use fixy_core::apps::App as ServeApp;
 
 /// The shared, read-only serving state: app, feature set, fitted
 /// library, assembly preset. Every session (across every connection)
@@ -91,30 +34,23 @@ impl ServeApp {
 /// matter how many streams are live.
 #[derive(Debug)]
 pub struct ServeContext {
-    app: ServeApp,
+    app: App,
     features: FeatureSet,
     library: FeatureLibrary,
     assembly: AssemblyConfig,
-    me_ranker: MaExcludedModelErrors,
 }
 
 impl ServeContext {
     /// Bind an app to its fitted library. Fails up front (not per
     /// session) when a learned feature has no library entry.
-    pub fn new(app: ServeApp, library: FeatureLibrary) -> Result<Self, ServeError> {
+    pub fn new(app: App, library: FeatureLibrary) -> Result<Self, ServeError> {
         let features = app.feature_set();
         // Validate once so sessions cannot fail halfway through opening.
         IncrementalScorer::new(&features, &library)?;
-        Ok(ServeContext {
-            app,
-            features,
-            library,
-            assembly: app.assembly(),
-            me_ranker: MaExcludedModelErrors::default(),
-        })
+        Ok(ServeContext { app, features, library, assembly: app.assembly() })
     }
 
-    pub fn app(&self) -> ServeApp {
+    pub fn app(&self) -> App {
         self.app
     }
 
@@ -133,35 +69,8 @@ impl ServeContext {
     /// scores — the same labels `fixy stream` prints.
     fn rank(&self, scene: &Scene, scorer: &mut IncrementalScorer<'_>) -> Vec<(String, f64)> {
         let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Rank);
-        match self.app {
-            ServeApp::MissingTracks => MissingTrackFinder::default()
-                .rank_incremental(scene, scorer)
-                .into_iter()
-                .map(|c| (c.class.to_string(), c.score))
-                .collect(),
-            ServeApp::MissingObs => MissingObsFinder::default()
-                .rank_incremental(scene, scorer)
-                .into_iter()
-                .map(|c| {
-                    let frame = scene.bundle(c.bundle).frame.0;
-                    (format!("frame {frame} {}", c.class), c.score)
-                })
-                .collect(),
-            ServeApp::ModelErrors => {
-                let excluded = self.me_ranker.excluded(scene);
-                self.me_ranker
-                    .finder
-                    .rank_incremental(scene, scorer, &excluded)
-                    .into_iter()
-                    .map(|c| (c.class.to_string(), c.score))
-                    .collect()
-            }
-            ServeApp::LabelAudit => LabelAuditFinder::default()
-                .rank_incremental(scene, scorer)
-                .into_iter()
-                .map(|c| (c.class.to_string(), c.score))
-                .collect(),
-        }
+        let ranked = self.app.rank_streamed(scene, scorer);
+        ranked.iter().map(|c| (c.label(scene), c.score())).collect()
     }
 }
 

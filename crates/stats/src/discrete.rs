@@ -1,13 +1,12 @@
-//! Discrete distributions.
+//! The Bernoulli distribution.
 //!
 //! The paper's bundle-consistency example (Section 5.1): *"a user could
 //! provide a feature that returns 0 if all the classes agree and 1
 //! otherwise. The feature would then learn the Bernoulli probability of the
 //! class agreement between observation types."*
 
-use crate::{Density1d, FitError, P_FLOOR};
+use crate::{Density1d, FitError};
 use serde::{Deserialize, Serialize};
-use std::collections::BTreeMap;
 
 /// A fitted Bernoulli distribution over {0, 1}.
 ///
@@ -65,76 +64,6 @@ impl Density1d for Bernoulli {
     }
 }
 
-/// A fitted categorical distribution over integer-coded categories.
-///
-/// Also Laplace-smoothed over the observed support; categories never seen
-/// at all fall back to [`P_FLOOR`].
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Categorical {
-    probs: BTreeMap<i64, f64>,
-    max_p: f64,
-}
-
-impl Categorical {
-    /// Fit from integer-coded category samples.
-    pub fn fit(samples: &[i64]) -> Result<Self, FitError> {
-        if samples.is_empty() {
-            return Err(FitError::EmptySample);
-        }
-        let mut counts: BTreeMap<i64, u64> = BTreeMap::new();
-        for &s in samples {
-            *counts.entry(s).or_insert(0) += 1;
-        }
-        let k = counts.len() as f64;
-        let n = samples.len() as f64;
-        let probs: BTreeMap<i64, f64> = counts
-            .into_iter()
-            .map(|(cat, c)| (cat, (c as f64 + 1.0) / (n + k)))
-            .collect();
-        let max_p = probs.values().copied().fold(0.0f64, f64::max);
-        Ok(Categorical { probs, max_p })
-    }
-
-    /// Probability mass of a category (smoothed floor for unseen ones).
-    pub fn pmf(&self, category: i64) -> f64 {
-        self.probs.get(&category).copied().unwrap_or(P_FLOOR)
-    }
-
-    /// Relative likelihood of a category in `[P_FLOOR, 1]`.
-    pub fn relative_likelihood_of(&self, category: i64) -> f64 {
-        if self.max_p <= 0.0 {
-            return P_FLOOR;
-        }
-        (self.pmf(category) / self.max_p).clamp(P_FLOOR, 1.0)
-    }
-
-    /// Number of distinct categories seen at fit time.
-    pub fn support_size(&self) -> usize {
-        self.probs.len()
-    }
-
-    /// The modal category.
-    pub fn mode(&self) -> Option<i64> {
-        self.probs
-            .iter()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite probabilities"))
-            .map(|(&cat, _)| cat)
-    }
-}
-
-impl Density1d for Categorical {
-    fn density(&self, x: f64) -> f64 {
-        if !x.is_finite() {
-            return 0.0;
-        }
-        self.pmf(x.round() as i64)
-    }
-
-    fn max_density(&self) -> f64 {
-        self.max_p
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -171,38 +100,6 @@ mod tests {
         assert!(Bernoulli::from_p(f64::NAN).is_err());
     }
 
-    #[test]
-    fn categorical_fit_counts() {
-        let samples = [0, 0, 0, 1, 1, 2];
-        let c = Categorical::fit(&samples).unwrap();
-        assert_eq!(c.support_size(), 3);
-        // Smoothed: (3+1)/(6+3), (2+1)/9, (1+1)/9.
-        assert!((c.pmf(0) - 4.0 / 9.0).abs() < 1e-12);
-        assert!((c.pmf(1) - 3.0 / 9.0).abs() < 1e-12);
-        assert!((c.pmf(2) - 2.0 / 9.0).abs() < 1e-12);
-        assert_eq!(c.mode(), Some(0));
-    }
-
-    #[test]
-    fn categorical_unseen_category_floored() {
-        let c = Categorical::fit(&[1, 1, 2]).unwrap();
-        assert_eq!(c.pmf(99), P_FLOOR);
-        assert_eq!(c.relative_likelihood_of(99), P_FLOOR / c.max_density());
-    }
-
-    #[test]
-    fn categorical_empty_rejected() {
-        assert!(matches!(Categorical::fit(&[]), Err(FitError::EmptySample)));
-    }
-
-    #[test]
-    fn categorical_density_rounds() {
-        let c = Categorical::fit(&[5, 5, 6]).unwrap();
-        assert_eq!(c.density(5.2), c.pmf(5));
-        assert_eq!(c.density(5.6), c.pmf(6));
-        assert_eq!(c.density(f64::NAN), 0.0);
-    }
-
     proptest! {
         #[test]
         fn prop_bernoulli_mass_sums_to_one(
@@ -210,15 +107,6 @@ mod tests {
         ) {
             let b = Bernoulli::fit(&xs).unwrap();
             prop_assert!((b.pmf(0.0) + b.pmf(1.0) - 1.0).abs() < 1e-12);
-        }
-
-        #[test]
-        fn prop_categorical_mass_sums_to_one(
-            xs in proptest::collection::vec(-5i64..5, 1..200),
-        ) {
-            let c = Categorical::fit(&xs).unwrap();
-            let total: f64 = c.probs.values().sum();
-            prop_assert!((total - 1.0).abs() < 1e-9);
         }
     }
 }

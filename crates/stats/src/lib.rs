@@ -11,8 +11,8 @@
 //!   paper says work in all cases they tried),
 //! * [`BinnedKde`] — a grid-accelerated KDE for large training sets,
 //! * [`Histogram`] — Freedman–Diaconis / Sturges histogram densities,
-//! * [`Gaussian`], [`Bernoulli`], [`Categorical`] — parametric alternatives
-//!   users can substitute for the default KDE,
+//! * [`Bernoulli`] — for binary features (class agreement within a
+//!   bundle),
 //! * [`KdeNd`] — diagonal-bandwidth multivariate KDE for vector features,
 //! * [`summary`] — Welford accumulators and quantiles.
 //!
@@ -24,9 +24,6 @@
 
 pub mod bandwidth;
 pub mod discrete;
-pub mod ecdf;
-pub mod exponential;
-pub mod gaussian;
 pub mod histogram;
 pub mod kde;
 pub mod kde_nd;
@@ -34,10 +31,7 @@ pub mod kernel;
 pub mod summary;
 
 pub use bandwidth::{Bandwidth, BandwidthRule};
-pub use discrete::{Bernoulli, Categorical};
-pub use ecdf::EmpiricalCdf;
-pub use exponential::Exponential;
-pub use gaussian::Gaussian;
+pub use discrete::Bernoulli;
 pub use histogram::Histogram;
 pub use kde::{BinnedKde, Kde1d};
 pub use kde_nd::KdeNd;

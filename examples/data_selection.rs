@@ -39,7 +39,7 @@ fn main() {
         .map(|i| {
             let data = generate_scene(&cfg, &format!("drive-{i:02}"), 7000 + i as u64);
             let scene = Scene::assemble(&data, &AssemblyConfig::default());
-            let ranked = finder.rank(&scene, &library).expect("rank");
+            let ranked = finder.rank_scene(&data, &scene, &library).expect("rank");
             // Priority: total likelihood mass in the top 5 candidates —
             // scenes with several consistent-but-unlabeled tracks first.
             let priority: f64 = ranked.iter().take(5).map(|c| c.score.exp()).sum();

@@ -29,7 +29,9 @@ fn main() {
 
     let scenario = missing_truck(7);
     let scene = Scene::assemble(&scenario.scene, &AssemblyConfig::default());
-    let ranked = track_finder.rank(&scene, &library).expect("rank");
+    let ranked = track_finder
+        .rank_scene(&scenario.scene, &scene, &library)
+        .expect("rank");
     println!("\n=== {} ===", scenario.description);
     println!("Fixy flags {} candidate track(s); top candidate:", ranked.len());
     if let Some(top) = ranked.first() {
@@ -58,7 +60,9 @@ fn main() {
     let obs_library = Learner::new().fit(&obs_finder.feature_set(), &train).expect("fit");
     let scenario = trailing_car_missing_label(11);
     let scene = Scene::assemble(&scenario.scene, &AssemblyConfig::default());
-    let ranked = obs_finder.rank(&scene, &obs_library).expect("rank");
+    let ranked = obs_finder
+        .rank_scene(&scenario.scene, &scene, &obs_library)
+        .expect("rank");
     println!("=== {} ===", scenario.description);
     println!("Candidate bundles (model-only, inside human-labeled tracks):");
     for (i, c) in ranked.iter().take(5).enumerate() {

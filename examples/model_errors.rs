@@ -12,7 +12,6 @@ use fixy::baselines::{uncertainty_sample_tracks, AdHocAssertions};
 use fixy::data::{generate_scene, DatasetProfile};
 use fixy::eval::resolve::is_model_error_hit;
 use fixy::prelude::*;
-use std::collections::BTreeSet;
 
 fn main() {
     let cfg = DatasetProfile::LyftLike.scene_config();
@@ -20,12 +19,12 @@ fn main() {
     let train: Vec<_> = (0..4)
         .map(|i| generate_scene(&cfg, &format!("me-train-{i}"), 300 + i))
         .collect();
-    let finder = ModelErrorFinder::default();
-    let library = Learner::new().fit(&finder.feature_set(), &train).expect("fit");
+    let app = App::ModelErrors;
+    let library = app.fit(&train).expect("fit");
 
     let data = generate_scene(&cfg, "deployment-scene", 4242);
     // Model predictions only — monitoring, not labeling.
-    let scene = Scene::assemble(&data, &AssemblyConfig::model_only());
+    let scene = Scene::assemble(&data, &app.assembly());
     println!(
         "\nDeployment scene: {} detections across {} frames; {} injected ghost tracks",
         scene.n_observations(),
@@ -41,8 +40,15 @@ fn main() {
         excluded.len()
     );
 
-    // Step 2: Fixy ranks the remaining tracks by inverted likelihood.
-    let ranked = finder.rank(&scene, &library, &excluded).expect("rank");
+    // Step 2: Fixy ranks the tracks the assertions mostly missed by
+    // inverted likelihood (the app runs step 1 itself before ranking).
+    let ranked: Vec<TrackCandidate> = app
+        .rank(&scene, &library)
+        .expect("rank")
+        .iter()
+        .filter_map(Candidate::as_track)
+        .copied()
+        .collect();
     println!("\nFixy's top 10 suspicious tracks:");
     println!(
         "{:<6} {:<12} {:<8} {:>6} {:>7} {:>7}",
@@ -98,6 +104,4 @@ fn main() {
             c.mean_confidence.unwrap_or(0.0) * 100.0
         );
     }
-    let excluded_set: BTreeSet<ObsIdx> = excluded;
-    let _ = excluded_set; // exclusion set retained for clarity
 }

@@ -46,7 +46,9 @@ fn main() {
         scene.n_tracks()
     );
 
-    let ranked = finder.rank(&scene, &library).expect("library matches features");
+    let ranked = finder
+        .rank_scene(&data, &scene, &library)
+        .expect("library matches features");
     println!("\nAudit worklist (top 10 potential missing labels):");
     println!(
         "{:<6} {:<12} {:<8} {:>6} {:>8}",

@@ -4,7 +4,7 @@
 use fixy::data::{Frame, FrameId, InjectedErrors, SceneData};
 use fixy::geom::Pose2;
 use fixy::prelude::*;
-use fixy::stats::{FitError, Gaussian, Histogram, Kde1d};
+use fixy::stats::{FitError, Histogram, Kde1d};
 
 fn empty_frame(i: u32) -> Frame {
     Frame {
@@ -25,7 +25,6 @@ fn stats_reject_bad_samples() {
         Histogram::fit(&[f64::INFINITY]),
         Err(FitError::NonFiniteSample)
     ));
-    assert!(matches!(Gaussian::fit(&[]), Err(FitError::EmptySample)));
 }
 
 #[test]
@@ -82,9 +81,10 @@ fn empty_scene_flows_through_pipeline_without_panicking() {
     cfg.world.duration = 3.0;
     cfg.lidar.beam_count = 240;
     let train = fixy::data::generate_scene(&cfg, "fi-train", 7);
-    let finder = MissingTrackFinder::default();
-    let library = Learner::new().fit(&finder.feature_set(), &[train]).expect("fit");
-    let ranked = finder.rank(&scene, &library).expect("rank on empty scene");
+    let library = App::MissingTracks.fit(&[train]).expect("fit");
+    let ranked = App::MissingTracks
+        .rank(&scene, &library)
+        .expect("rank on empty scene");
     assert!(ranked.is_empty());
 }
 
@@ -95,9 +95,10 @@ fn missing_distribution_is_reported_not_panicked() {
     cfg.lidar.beam_count = 240;
     let data = fixy::data::generate_scene(&cfg, "fi-md", 8);
     let scene = Scene::assemble(&data, &AssemblyConfig::default());
-    let finder = MissingTrackFinder::default();
     // Empty library: learned features are missing.
-    let err = finder.rank(&scene, &FeatureLibrary::default()).unwrap_err();
+    let err = App::MissingTracks
+        .rank(&scene, &FeatureLibrary::default())
+        .unwrap_err();
     assert!(matches!(err, FixyError::MissingDistribution { .. }));
 }
 

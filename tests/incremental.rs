@@ -26,14 +26,6 @@ use proptest::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
 
-/// The track ranking a fixture's worklists are compared under.
-#[derive(Clone, Copy)]
-enum Ranking {
-    MissingTracks,
-    ModelErrors,
-    LabelAudit,
-}
-
 /// A preset paired with a feature set that runs on it, plus the library
 /// fitted for that pairing (fitting is the expensive part, so each is
 /// done once per process).
@@ -42,7 +34,8 @@ struct Fixture {
     config: AssemblyConfig,
     features: FeatureSet,
     library: FeatureLibrary,
-    ranking: Ranking,
+    /// The track-ranking app the fixture's worklists are compared under.
+    ranking: App,
 }
 
 fn fixtures() -> &'static [Fixture; 4] {
@@ -56,24 +49,25 @@ fn fixtures() -> &'static [Fixture; 4] {
         [
             // All four factor kinds (obs/bundle/transition/track).
             fit(
-                AssemblyConfig::default(),
-                MissingTrackFinder::default().feature_set(),
+                App::MissingTracks.assembly(),
+                App::MissingTracks.feature_set(),
                 "default+missing_tracks",
-                Ranking::MissingTracks,
+                App::MissingTracks,
             ),
             // Inverted AOFs and no bundle factors; the count feature
             // (min 3 observations) zeroes every track until it crosses.
+            // Ranked with the ad-hoc assertions' pre-exclusion.
             fit(
-                AssemblyConfig::model_only(),
-                ModelErrorFinder::default().feature_set(),
+                App::ModelErrors.assembly(),
+                App::ModelErrors.feature_set(),
                 "model_only+model_errors",
-                Ranking::ModelErrors,
+                App::ModelErrors,
             ),
             fit(
-                AssemblyConfig::human_only(),
-                LabelAuditFinder::default().feature_set(),
+                App::LabelAudit.assembly(),
+                App::LabelAudit.feature_set(),
                 "human_only+label_audit",
-                Ranking::LabelAudit,
+                App::LabelAudit,
             ),
             // The Table 2 set with its default parameters, ranked as
             // missing tracks.
@@ -81,7 +75,7 @@ fn fixtures() -> &'static [Fixture; 4] {
                 AssemblyConfig::default(),
                 FeatureSet::paper_default(),
                 "default+paper_default",
-                Ranking::MissingTracks,
+                App::MissingTracks,
             ),
         ]
     })
@@ -133,10 +127,10 @@ fn key(s: &ComponentScore) -> (Option<u64>, usize, bool) {
     (s.score.map(f64::to_bits), s.factor_count, s.zeroed)
 }
 
-/// The fixture's incremental worklist and its `rank_scored` over the
-/// reference scores of `fresh` (a snapshot materialized from scratch, so
-/// the per-track candidate facts are recomputed rather than shared with
-/// `scene`).
+/// The fixture app's streamed worklist, and its finder's `rank_scored`
+/// over the reference scores of `fresh` (a snapshot materialized from
+/// scratch, so the per-track candidate facts are recomputed rather than
+/// shared with `scene`).
 fn worklists(
     fx: &Fixture,
     scene: &Scene,
@@ -144,30 +138,20 @@ fn worklists(
     scorer: &mut IncrementalScorer<'_>,
 ) -> (Vec<TrackCandidate>, Vec<TrackCandidate>) {
     let (reference, _) = reference_scores(fresh, &fx.features, &fx.library);
-    match fx.ranking {
-        Ranking::MissingTracks => {
-            let finder = MissingTrackFinder::default();
-            (
-                finder.rank_incremental(scene, scorer),
-                finder.rank_scored(fresh, reference),
-            )
+    let reference = match fx.ranking {
+        App::MissingTracks => MissingTrackFinder::default().rank_scored(fresh, reference),
+        App::ModelErrors => {
+            let excluded = fx.ranking.pre_excluded(fresh).expect("model-errors pre-excludes");
+            ModelErrorFinder::default().rank_scored(fresh, reference, &excluded)
         }
-        Ranking::ModelErrors => {
-            let finder = ModelErrorFinder::default();
-            let none = BTreeSet::new();
-            (
-                finder.rank_incremental(scene, scorer, &none),
-                finder.rank_scored(fresh, reference, &none),
-            )
-        }
-        Ranking::LabelAudit => {
-            let finder = LabelAuditFinder::default();
-            (
-                finder.rank_incremental(scene, scorer),
-                finder.rank_scored(fresh, reference),
-            )
-        }
-    }
+        App::LabelAudit => LabelAuditFinder::default().rank_scored(fresh, reference),
+        App::MissingObs | App::BundleAudit => unreachable!("the fixtures rank tracks"),
+    };
+    let streamed = fx.ranking.rank_streamed(scene, scorer);
+    (
+        streamed.iter().filter_map(Candidate::as_track).copied().collect(),
+        reference,
+    )
 }
 
 /// What a checked replay saw besides the equalities it asserted.
@@ -318,8 +302,9 @@ fn count_crossings_and_second_bundles_match_batch() {
 
 /// The rank layer too: per-frame incremental worklists equal the
 /// finders' worklists over the reference scores of the same snapshot
-/// (labels and score bits), for a track-ranking app and a bundle-ranking
-/// app, including the excluded set of `ModelErrorFinder`.
+/// (labels and score bits), for a track-ranking app with an exclusion
+/// set growing mid-stream and for the registry's bundle-ranking
+/// missing-obs app.
 #[test]
 fn incremental_worklists_equal_batch_worklists() {
     let track_fx = &fixtures()[1]; // model_only + ModelErrorFinder
@@ -341,7 +326,8 @@ fn incremental_worklists_equal_batch_worklists() {
         if scene.n_observations() > 4 {
             excluded.insert(ObsIdx(scene.n_observations() / 2));
         }
-        let incr = finder.rank_incremental(&scene, &mut scorer, &excluded);
+        let incr =
+            finder.rank_scored(&scene, scorer.track_scores(&scene).iter().copied(), &excluded);
         let (tracks, _) = reference_scores(&scene, &track_fx.features, &track_fx.library);
         let reference = finder.rank_scored(&scene, tracks, &excluded);
         assert_eq!(incr.len(), reference.len());
@@ -351,14 +337,12 @@ fn incremental_worklists_equal_batch_worklists() {
         }
     }
 
-    // Bundle ranking path (MissingObsFinder-shaped via BundleAuditFinder
-    // machinery is covered by the score-level proptest; here exercise
-    // rank_incremental on bundles with the full feature set).
+    // Bundle ranking path: the registry's streamed missing-obs worklist
+    // against the finder's ranking of the reference bundle scores.
+    let app = App::MissingObs;
     let finder = MissingObsFinder::default();
-    let features = finder.feature_set();
-    let library = Learner::new()
-        .fit(&features, &ScenarioFuzzer::new(41).training_corpus(2))
-        .unwrap();
+    let features = app.feature_set();
+    let library = app.fit(&ScenarioFuzzer::new(41).training_corpus(2)).unwrap();
     let data = ScenarioFuzzer::new(78).scene(5);
     let mut assembler = StreamingAssembler::new(bundle_fx.config);
     let mut scorer = IncrementalScorer::new(&features, &library).expect("scorer");
@@ -368,13 +352,13 @@ fn incremental_worklists_equal_batch_worklists() {
         assembler.push_frame(frame).unwrap();
         assembler.update_snapshot(&mut scene).unwrap();
         scorer.rescore_delta(&scene, assembler.last_delta().unwrap());
-        let incr = finder.rank_incremental(&scene, &mut scorer);
+        let incr = app.rank_streamed(&scene, &mut scorer);
         let (_, bundles) = reference_scores(&scene, &features, &library);
         let reference = finder.rank_scored(&scene, bundles);
         assert_eq!(incr.len(), reference.len());
         for (a, b) in incr.iter().zip(&reference) {
-            assert_eq!(a.bundle, b.bundle);
-            assert_eq!(a.score.to_bits(), b.score.to_bits());
+            assert_eq!(a.as_bundle().map(|a| a.bundle), Some(b.bundle));
+            assert_eq!(a.score().to_bits(), b.score.to_bits());
         }
     }
 }

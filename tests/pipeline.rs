@@ -33,7 +33,7 @@ fn full_missing_track_pipeline() {
     for seed in 0..3 {
         let data = generate_scene(&cfg, &format!("pl-eval-{seed}"), 9100 + seed);
         let scene = Scene::assemble(&data, &AssemblyConfig::default());
-        let ranked = finder.rank(&scene, &library).expect("rank");
+        let ranked = finder.rank_scene(&data, &scene, &library).expect("rank");
         total_candidates += ranked.len();
         // Structural invariants of the output.
         for w in ranked.windows(2) {
@@ -58,8 +58,8 @@ fn pipeline_is_deterministic_end_to_end() {
     let cfg = small_cfg();
     let data = generate_scene(&cfg, "pl-det", 9999);
     let scene = Scene::assemble(&data, &AssemblyConfig::default());
-    let r1 = finder.rank(&scene, &library1).expect("rank");
-    let r2 = finder.rank(&scene, &library2).expect("rank");
+    let r1 = finder.rank_scene(&data, &scene, &library1).expect("rank");
+    let r2 = finder.rank_scene(&data, &scene, &library2).expect("rank");
     assert_eq!(r1.len(), r2.len());
     for (a, b) in r1.iter().zip(&r2) {
         assert_eq!(a.track, b.track);
@@ -79,8 +79,8 @@ fn library_survives_serialization() {
     let cfg = small_cfg();
     let data = generate_scene(&cfg, "pl-serde", 9800);
     let scene = Scene::assemble(&data, &AssemblyConfig::default());
-    let r1 = finder.rank(&scene, &library).expect("rank");
-    let r2 = finder.rank(&scene, &reloaded).expect("rank");
+    let r1 = finder.rank_scene(&data, &scene, &library).expect("rank");
+    let r2 = finder.rank_scene(&data, &scene, &reloaded).expect("rank");
     assert_eq!(r1.len(), r2.len());
     for (a, b) in r1.iter().zip(&r2) {
         assert_eq!(a.track, b.track);
@@ -178,17 +178,18 @@ fn scene_pipeline_empty_and_single_scene() {
     let empty = pipeline.run_merged(&library, Vec::new()).expect("empty batch");
     assert!(empty.is_empty());
 
-    // Single scene: the batch result equals the direct single-scene rank.
+    // Single scene: the batch result equals the registry app's direct
+    // single-scene rank.
     let cfg = small_cfg();
     let data = generate_scene(&cfg, "sp-single", 8750);
     let scene = Scene::assemble(&data, &AssemblyConfig::default());
-    let direct = finder.rank(&scene, &library).expect("rank");
+    let direct = App::MissingTracks.rank(&scene, &library).expect("rank");
     let batched = pipeline.run_merged(&library, vec![data]).expect("single batch");
     assert_eq!(batched.len(), direct.len());
     for (b, d) in batched.iter().zip(&direct) {
         assert_eq!(b.scene_id, "sp-single");
-        assert_eq!(b.candidate.track, d.track);
-        assert_eq!(b.candidate.score.to_bits(), d.score.to_bits());
+        assert_eq!(d.as_track(), Some(&b.candidate));
+        assert_eq!(b.candidate.score.to_bits(), d.score().to_bits());
     }
 }
 
@@ -329,38 +330,38 @@ fn bundle_level_pipeline_matches_direct_rank() {
     let data = generate_scene(&cfg, "sp-bundle", 8650);
 
     let scene = Scene::assemble(&data, &AssemblyConfig::default());
-    let direct = finder.rank(&scene, &library).expect("rank");
+    let direct = App::MissingObs.rank(&scene, &library).expect("rank");
     let batched = ScenePipeline::new(MissingObsFinder::default())
         .run_merged(&library, vec![data])
         .expect("bundle batch");
     assert_eq!(batched.len(), direct.len());
     for (b, d) in batched.iter().zip(&direct) {
-        assert_eq!(b.candidate.bundle, d.bundle);
-        assert_eq!(b.candidate.score.to_bits(), d.score.to_bits());
+        assert_eq!(d.as_bundle(), Some(&b.candidate));
+        assert_eq!(b.candidate.score.to_bits(), d.score().to_bits());
     }
 }
 
 #[test]
 fn all_three_applications_run_on_one_scene() {
+    // Every registry app, not only the paper's three: fit on its
+    // training preset, rank on its ranking preset, and agree with the
+    // batch pipeline.
     let cfg = small_cfg();
     let train: Vec<_> = (0..3)
         .map(|i| generate_scene(&cfg, &format!("pl3-train-{i}"), 9600 + i))
         .collect();
     let data = generate_scene(&cfg, "pl3-eval", 9650);
 
-    let mt = MissingTrackFinder::default();
-    let mo = MissingObsFinder::default();
-    let me = ModelErrorFinder::default();
-
-    let mt_lib = Learner::new().fit(&mt.feature_set(), &train).expect("fit mt");
-    let mo_lib = Learner::new().fit(&mo.feature_set(), &train).expect("fit mo");
-    let me_lib = Learner::new().fit(&me.feature_set(), &train).expect("fit me");
-
-    let scene = Scene::assemble(&data, &AssemblyConfig::default());
-    let model_scene = Scene::assemble(&data, &AssemblyConfig::model_only());
-
-    mt.rank(&scene, &mt_lib).expect("missing tracks");
-    mo.rank(&scene, &mo_lib).expect("missing obs");
-    me.rank(&model_scene, &me_lib, &Default::default())
-        .expect("model errors");
+    for app in App::ALL {
+        let library = app.fit(&train).expect("fit");
+        let scene = Scene::assemble(&data, &app.assembly());
+        let direct = app.rank(&scene, &library).expect("rank");
+        let batched = ScenePipeline::new(app)
+            .run_merged(&library, vec![data.clone()])
+            .expect("batch");
+        assert_eq!(batched.len(), direct.len(), "{}", app.name());
+        for (b, d) in batched.iter().zip(&direct) {
+            assert_eq!(&b.candidate, d, "{}", app.name());
+        }
+    }
 }

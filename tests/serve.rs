@@ -5,30 +5,27 @@
 //! final worklist is byte-identical (labels and f64 score bits) whether
 //! its frames arrived in order, shuffled within the reorder window,
 //! duplicated, or interleaved with other sessions — across every
-//! `ServeApp` (covering all three `AssemblyConfig` presets) and both the
+//! registry app (covering all three `AssemblyConfig` presets) and both the
 //! in-process `AuditService` and the TCP wire path. Beyond-window and
 //! over-budget frames must be rejected *recoverably*: counted in stats,
 //! session and connection fully usable afterwards. Worklists are ranked
 //! on read: a frame only assembles and rescores, and `peek`/`close`
 //! rank once after new frames.
 
-use fixy::baselines::MaExcludedModelErrors;
-use fixy::core::apps::{LabelAuditFinder, MissingObsFinder, MissingTrackFinder};
+use fixy::core::apps::App;
+use fixy::core::rank::Candidate;
 use fixy::core::{AssemblyEngine, FeatureLibrary, Learner, Scene};
 use fixy::data::{ScenarioFuzzer, SceneData};
 use fixy::obs::Stage;
 use fixy::serve::{
-    serve, AuditService, FeedClient, ServeApp, ServeContext, ServeError, ServiceCfg, Worklist,
+    serve, AuditService, FeedClient, ServeContext, ServeError, ServiceCfg, Worklist,
 };
 use proptest::prelude::*;
 use std::net::TcpListener;
 use std::sync::OnceLock;
 
-const APPS: [ServeApp; 4] =
-    [ServeApp::MissingTracks, ServeApp::MissingObs, ServeApp::ModelErrors, ServeApp::LabelAudit];
-
 /// The library an app's context serves (fitting is deterministic).
-fn fit(app: ServeApp) -> FeatureLibrary {
+fn fit(app: App) -> FeatureLibrary {
     let train = ScenarioFuzzer::new(41).training_corpus(2);
     Learner { assembly: app.assembly() }
         .fit(&app.feature_set(), &train)
@@ -36,10 +33,10 @@ fn fit(app: ServeApp) -> FeatureLibrary {
 }
 
 /// One fitted context per app (fitting is the expensive part; done once
-/// per process). The four apps cover all three assembly presets.
-fn contexts() -> &'static [ServeContext; 4] {
-    static CTXS: OnceLock<[ServeContext; 4]> = OnceLock::new();
-    CTXS.get_or_init(|| APPS.map(|app| ServeContext::new(app, fit(app)).expect("context")))
+/// per process). The five apps cover all three assembly presets.
+fn contexts() -> &'static [ServeContext; 5] {
+    static CTXS: OnceLock<[ServeContext; 5]> = OnceLock::new();
+    CTXS.get_or_init(|| App::ALL.map(|app| ServeContext::new(app, fit(app)).expect("context")))
 }
 
 /// SplitMix64 — deterministic jitter for the bounded shuffles below.
@@ -94,31 +91,18 @@ fn assert_same_entries(got: &Worklist, want: &Worklist, ctx: &str) {
 
 /// Batch `rank` of one app on one scene, labelled the way the service
 /// labels its worklist entries.
-fn batch_entries(app: ServeApp, library: &FeatureLibrary, scene: &Scene) -> Vec<(String, f64)> {
-    let tracks = |ranked: Vec<fixy::core::rank::TrackCandidate>| {
-        ranked.into_iter().map(|c| (c.class.to_string(), c.score)).collect()
-    };
-    match app {
-        ServeApp::MissingTracks => {
-            tracks(MissingTrackFinder::default().rank(scene, library).unwrap())
-        }
-        ServeApp::MissingObs => MissingObsFinder::default()
-            .rank(scene, library)
-            .unwrap()
-            .into_iter()
-            .map(|c| {
-                (
-                    format!("frame {} {}", scene.bundle(c.bundle).frame.0, c.class),
-                    c.score,
-                )
-            })
-            .collect(),
-        ServeApp::ModelErrors => {
-            let ranker = MaExcludedModelErrors::default();
-            tracks(ranker.finder.rank(scene, library, &ranker.excluded(scene)).unwrap())
-        }
-        ServeApp::LabelAudit => tracks(LabelAuditFinder::default().rank(scene, library).unwrap()),
-    }
+fn batch_entries(app: App, library: &FeatureLibrary, scene: &Scene) -> Vec<(String, f64)> {
+    let ranked = app.rank(scene, library).unwrap();
+    ranked
+        .into_iter()
+        .map(|c| match c {
+            Candidate::Track(c) => (c.class.to_string(), c.score),
+            Candidate::Bundle(c) => (
+                format!("frame {} {}", scene.bundle(c.bundle).frame.0, c.class),
+                c.score,
+            ),
+        })
+        .collect()
 }
 
 /// `Stage::Rank` spans this thread completed since the last call.
@@ -485,11 +469,11 @@ fn metrics_endpoint_serves_prometheus_text() {
 #[test]
 fn context_rejects_mismatched_library() {
     let train = ScenarioFuzzer::new(41).training_corpus(1);
-    let library = Learner { assembly: ServeApp::MissingTracks.assembly() }
-        .fit(&ServeApp::MissingTracks.feature_set(), &train)
+    let library = Learner { assembly: App::MissingTracks.assembly() }
+        .fit(&App::MissingTracks.feature_set(), &train)
         .unwrap();
     // MissingTracks' library has no yaw-rate entry, which the
     // model-errors feature set requires.
-    let err = ServeContext::new(ServeApp::ModelErrors, library);
+    let err = ServeContext::new(App::ModelErrors, library);
     assert!(err.is_err(), "mismatched library must fail at context build");
 }
