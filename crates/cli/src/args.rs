@@ -25,7 +25,7 @@ fixy — Learned Observation Assertions (SIGMOD 2022 reproduction)
 
 USAGE:
     fixy generate --profile <lyft|internal> --scenes <N> [--seed <S>] --out <DIR> [--duration <SECS>]
-    fixy learn    --data <DIR> [--app <APP>] --out <FILE> [--out-format <json|flcb>]
+    fixy learn    --data <DIR> [--app <APP>] --out <FILE>
     fixy rank     --scene <FILE|DIR> --library <FILE> [--app <APP>] [--top <K>] [--grade]
     fixy convert  --data <DIR> --out <DIR>
     fixy convert  --library <FILE> [--out <FILE>]
@@ -43,7 +43,9 @@ Library files come in two wire formats, auto-detected on load (by
 extension, then by magic bytes): v1 JSON (human-readable, the default)
 and .flcb — the zero-copy binary format that stores the prepared
 probability grids verbatim, so opening a library is a bounds-checked
-bulk copy instead of a refit. Both score bit-identically.
+bulk copy instead of a refit. Both score bit-identically. learn picks
+the format from --out: a .flcb path gets the binary format, any other
+path JSON.
 
 rank over a directory streams scenes (.json or .fscb) through the
 bounded scene pipeline, holding at most O(workers) scenes in memory.
@@ -118,41 +120,13 @@ pub struct GenerateArgs {
     pub duration: Option<f64>,
 }
 
-/// Library wire format selector for `fixy learn --out-format`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum LibFormat {
-    /// v1 human-readable JSON (the default).
-    #[default]
-    Json,
-    /// `.flcb` — the zero-copy binary format with on-disk prepared grids.
-    Flcb,
-}
-
-impl LibFormat {
-    pub fn parse(s: &str) -> Result<LibFormat, ParseError> {
-        match s {
-            "json" => Ok(LibFormat::Json),
-            "flcb" => Ok(LibFormat::Flcb),
-            other => Err(ParseError(format!("unknown library format '{other}'"))),
-        }
-    }
-
-    pub fn name(self) -> &'static str {
-        match self {
-            LibFormat::Json => "json",
-            LibFormat::Flcb => "flcb",
-        }
-    }
-}
-
 /// `fixy learn`.
 #[derive(Debug, Clone)]
 pub struct LearnArgs {
     pub data: PathBuf,
     pub app: App,
+    /// Written as `.flcb` when the extension is `.flcb`, else as JSON.
     pub out: PathBuf,
-    /// Wire format for the written library file.
-    pub out_format: LibFormat,
 }
 
 /// `fixy rank`.
@@ -388,11 +362,6 @@ pub fn parse(args: &[String]) -> Result<Command, ParseError> {
                 data: PathBuf::from(flags.required("data")?),
                 app: flags.optional("app").map(parse_app).transpose()?.unwrap_or_default(),
                 out: PathBuf::from(flags.required("out")?),
-                out_format: flags
-                    .optional("out-format")
-                    .map(LibFormat::parse)
-                    .transpose()?
-                    .unwrap_or_default(),
             }))
         }
         "rank" => {
@@ -624,22 +593,6 @@ mod tests {
         }
         // --json is a corpus-materialization format switch, not standalone.
         assert!(parse(&argv("fuzz --json")).is_err());
-    }
-
-    #[test]
-    fn learn_out_format() {
-        match parse(&argv("learn --data d --out l.flcb --out-format flcb")).unwrap() {
-            Command::Learn(l) => assert_eq!(l.out_format, LibFormat::Flcb),
-            other => panic!("{other:?}"),
-        }
-        match parse(&argv("learn --data d --out l.json")).unwrap() {
-            Command::Learn(l) => assert_eq!(l.out_format, LibFormat::Json),
-            other => panic!("{other:?}"),
-        }
-        assert!(parse(&argv("learn --data d --out l --out-format msgpack")).is_err());
-        for fmt in [LibFormat::Json, LibFormat::Flcb] {
-            assert_eq!(LibFormat::parse(fmt.name()).unwrap(), fmt);
-        }
     }
 
     #[test]

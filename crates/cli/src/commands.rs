@@ -29,10 +29,7 @@ pub struct LibraryFile {
 pub fn load_library_file(path: &std::path::Path) -> Result<LibraryFile, CliError> {
     let bytes = std::fs::read(path)
         .map_err(|e| CliError::Invalid(format!("cannot read library {}: {e}", path.display())))?;
-    let is_flcb = path.extension().and_then(|e| e.to_str())
-        == Some(fixy_core::flcb::FLCB_EXTENSION)
-        || bytes.starts_with(&fixy_core::flcb::FLCB_MAGIC);
-    if is_flcb {
+    if has_flcb_extension(path) || bytes.starts_with(&fixy_core::flcb::FLCB_MAGIC) {
         let (app, library) = fixy_core::flcb::decode_library(&bytes)?;
         Ok(LibraryFile { app, library })
     } else {
@@ -41,6 +38,11 @@ pub fn load_library_file(path: &std::path::Path) -> Result<LibraryFile, CliError
         })?;
         Ok(serde_json::from_str(&text)?)
     }
+}
+
+/// Whether `path` names a `.flcb` binary library.
+fn has_flcb_extension(path: &std::path::Path) -> bool {
+    path.extension().and_then(|e| e.to_str()) == Some(fixy_core::flcb::FLCB_EXTENSION)
 }
 
 /// Load a library and reject it if it was fitted for a different app.
@@ -94,33 +96,27 @@ pub fn generate(args: GenerateArgs) -> Result<String, CliError> {
 }
 
 /// `fixy learn`: fit the app's feature distributions over a scene
-/// directory and write the library file.
+/// directory and write the library file — `.flcb` when `--out` has that
+/// extension, JSON otherwise.
 pub fn learn(args: LearnArgs) -> Result<String, CliError> {
     // Learning needs every training scene at once (distribution fitting
     // is a whole-corpus operation), so the shared corpus walk buffers.
     let scenes = CorpusSource::open(&args.data)?.load_all()?;
     let library = args.app.fit(&scenes)?;
-    match args.out_format {
-        crate::args::LibFormat::Json => {
-            let file = LibraryFile { app: args.app.name().to_string(), library };
-            std::fs::write(&args.out, serde_json::to_string_pretty(&file)?)?;
-            Ok(format!(
-                "fitted {} distribution(s) from {} scene(s) → {}\n",
-                file.library.len(),
-                scenes.len(),
-                args.out.display()
-            ))
-        }
-        crate::args::LibFormat::Flcb => {
-            fixy_core::flcb::write_library_file(&args.out, args.app.name(), &library)?;
-            Ok(format!(
-                "fitted {} distribution(s) from {} scene(s) → {} (flcb)\n",
-                library.len(),
-                scenes.len(),
-                args.out.display()
-            ))
-        }
+    let distributions = library.len();
+    let flcb = has_flcb_extension(&args.out);
+    if flcb {
+        fixy_core::flcb::write_library_file(&args.out, args.app.name(), &library)?;
+    } else {
+        let file = LibraryFile { app: args.app.name().to_string(), library };
+        std::fs::write(&args.out, serde_json::to_string_pretty(&file)?)?;
     }
+    Ok(format!(
+        "fitted {distributions} distribution(s) from {} scene(s) → {}{}\n",
+        scenes.len(),
+        args.out.display(),
+        if flcb { " (flcb)" } else { "" }
+    ))
 }
 
 /// `fixy fuzz`: the injection-recall conformance harness. A seeded
@@ -1428,6 +1424,43 @@ mod tests {
     }
 
     #[test]
+    fn learn_picks_format_from_out_extension() {
+        let dir = tmp_dir("learn_ext");
+        let data_dir = dir.join("data");
+        run(parse(&argv(&format!(
+            "generate --profile lyft --scenes 2 --seed 19 --duration 4 --out {}",
+            data_dir.display()
+        )))
+        .unwrap())
+        .unwrap();
+        let learn_rank = |lib: &std::path::Path| {
+            run(parse(&argv(&format!(
+                "learn --data {} --out {}",
+                data_dir.display(),
+                lib.display()
+            )))
+            .unwrap())
+            .unwrap();
+            run(parse(&argv(&format!(
+                "rank --scene {} --library {} --top 5 --grade",
+                data_dir.display(),
+                lib.display()
+            )))
+            .unwrap())
+            .unwrap()
+        };
+        let flcb_lib = dir.join("x.flcb");
+        let json_lib = dir.join("x.json");
+        let flcb_ranked = learn_rank(&flcb_lib);
+        let json_ranked = learn_rank(&json_lib);
+        assert!(std::fs::read(&flcb_lib).unwrap().starts_with(b"FLCB"));
+        assert!(std::fs::read(&json_lib).unwrap().starts_with(b"{"));
+        assert_eq!(flcb_ranked, json_ranked);
+
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
     fn flcb_library_workflow() {
         let dir = tmp_dir("flcb_lib");
         let data_dir = dir.join("data");
@@ -1449,7 +1482,7 @@ mod tests {
         .unwrap())
         .unwrap();
         let out = run(parse(&argv(&format!(
-            "learn --data {} --out {} --out-format flcb",
+            "learn --data {} --out {}",
             data_dir.display(),
             flcb_lib.display()
         )))
@@ -1536,7 +1569,7 @@ mod tests {
         // App mismatch is detected through the flcb header's app tag.
         let me_lib = dir.join("me.flcb");
         run(parse(&argv(&format!(
-            "learn --data {} --app model-errors --out {} --out-format flcb",
+            "learn --data {} --app model-errors --out {}",
             data_dir.display(),
             me_lib.display()
         )))

@@ -11,9 +11,15 @@
 //! ```text
 //!  SceneData ──┐
 //!  SceneData ──┼─► assemble ─► compile ─► score ─► rank ──┐
-//!  SceneData ──┘  (atomic-cursor fan-out, shared library)  ├─► merge
+//!  SceneData ──┘   (pull-pool fan-out, shared library)     ├─► merge
 //!                                                          ┘   (scene id, then score)
 //! ```
+//!
+//! One worker pool serves every entry point: workers pull one scene at
+//! a time from one shared source ([`ScenePipeline::process_stream`]);
+//! the batch entry points ([`run`](ScenePipeline::run),
+//! [`run_merged`](ScenePipeline::run_merged),
+//! [`process`](ScenePipeline::process)) feed it their collected scenes.
 //!
 //! Determinism is a contract, not an accident: the parallel path yields
 //! results byte-identical to the sequential path (`tests/pipeline.rs`
@@ -181,21 +187,13 @@ pub struct BatchCandidate<C = TrackCandidate> {
 #[derive(Debug, Clone)]
 pub struct ScenePipeline<R> {
     ranker: R,
-    assembly: AssemblyConfig,
     parallel: bool,
 }
 
 impl<R: SceneRanker> ScenePipeline<R> {
     /// A parallel pipeline using the ranker's preferred assembly.
     pub fn new(ranker: R) -> Self {
-        let assembly = ranker.assembly();
-        ScenePipeline { ranker, assembly, parallel: true }
-    }
-
-    /// Override the assembly configuration.
-    pub fn with_assembly(mut self, assembly: AssemblyConfig) -> Self {
-        self.assembly = assembly;
-        self
+        ScenePipeline { ranker, parallel: true }
     }
 
     /// Disable the fan-out: process scenes one by one on the calling
@@ -214,7 +212,7 @@ impl<R: SceneRanker> ScenePipeline<R> {
     ) -> Result<RankedScene<R::Candidate>, FixyError> {
         let scene = {
             let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Assemble);
-            assemble_reusing_engine(&data, &self.assembly)
+            assemble_reusing_engine(&data, &self.ranker.assembly())
         };
         let candidates = {
             let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Rank);
@@ -239,16 +237,13 @@ impl<R: SceneRanker> ScenePipeline<R> {
     /// extraction, …) so per-scene state is dropped before the batch
     /// collects. Results keep input order.
     ///
-    /// The fan-out is an atomic-cursor worker pool: each worker claims
-    /// the next scene index with one uncontended `fetch_add` (no shared
-    /// lock on the hot path), accumulates results worker-locally, and —
-    /// because a worker takes scenes until the cursor runs dry rather
-    /// than a fixed contiguous chunk — both load-balances uneven scenes
-    /// and amortizes its thread-local `AssemblyEngine` buffers across
-    /// everything it claims. Contiguous chunking did neither: at 8
-    /// scenes on 8 threads every chunk was a single scene, so every
-    /// scene paid a cold engine and the batch ran *slower* than
-    /// sequential (`pipeline/parallel/8` in `BENCH_pipeline.json`).
+    /// The collected scenes run through the pull pool behind
+    /// [`process_stream`](Self::process_stream), with at most one worker
+    /// per scene so a small batch spawns no idle threads. A worker takes
+    /// the next scene as soon as it is free, so uneven scenes balance
+    /// and each worker's thread-local `AssemblyEngine` buffers amortize
+    /// over every scene it takes. The returned error is the lowest-index
+    /// failure, as on the sequential path.
     pub fn process<T, F>(
         &self,
         library: &FeatureLibrary,
@@ -259,76 +254,10 @@ impl<R: SceneRanker> ScenePipeline<R> {
         T: Send,
         F: Fn(RankedScene<R::Candidate>) -> T + Sync + Send,
     {
-        let indexed: Vec<(usize, SceneData)> = scenes.into_iter().enumerate().collect();
+        let scenes: Vec<SceneData> = scenes.into_iter().collect();
         let workers =
-            if self.parallel { rayon::current_num_threads().min(indexed.len()) } else { 1 };
-        if workers <= 1 {
-            return indexed
-                .into_iter()
-                .map(|(i, data)| self.process_scene(i, data, library).map(&post))
-                .collect();
-        }
-
-        use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        // Owned scenes parked in per-index slots; the cursor hands each
-        // index to exactly one worker, so every slot lock is uncontended.
-        let slots: Vec<Mutex<Option<SceneData>>> =
-            indexed.into_iter().map(|(_, data)| Mutex::new(Some(data))).collect();
-        let cursor = AtomicUsize::new(0);
-        let stop = AtomicBool::new(false);
-        // Lowest-index failure wins, as in the sequential path: indices
-        // are claimed in increasing order, so any lower-index failure is
-        // already in flight when index `k` fails and records its own win.
-        let first_error: Mutex<Option<(usize, FixyError)>> = Mutex::new(None);
-
-        let mut locals: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            let i = cursor.fetch_add(1, Ordering::Relaxed);
-                            if i >= slots.len() {
-                                break;
-                            }
-                            let data = slots[i]
-                                .lock()
-                                .expect("scene slot poisoned")
-                                .take()
-                                .expect("slot claimed twice");
-                            match self.process_scene(i, data, library) {
-                                Ok(ranked) => local.push((i, post(ranked))),
-                                Err(e) => {
-                                    let mut slot = first_error.lock().expect("error slot poisoned");
-                                    match &*slot {
-                                        Some((winner, _)) if *winner <= i => {}
-                                        _ => *slot = Some((i, e)),
-                                    }
-                                    stop.store(true, Ordering::Relaxed);
-                                    break;
-                                }
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                locals.push(h.join().expect("pipeline worker panicked"));
-            }
-        });
-
-        if let Some((_, error)) = first_error.into_inner().expect("error slot poisoned") {
-            return Err(error);
-        }
-        let mut flat: Vec<(usize, T)> = locals.into_iter().flatten().collect();
-        flat.sort_by_key(|&(index, _)| index);
-        Ok(flat.into_iter().map(|(_, value)| value).collect())
+            if self.parallel { rayon::current_num_threads().min(scenes.len()) } else { 1 };
+        self.process_stream_with_workers(workers, library, scenes, Ok::<_, FixyError>, post)
     }
 
     /// Like [`process`](ScenePipeline::process), but over a *stream* of
@@ -366,8 +295,8 @@ impl<R: SceneRanker> ScenePipeline<R> {
     }
 
     /// [`process_stream`](Self::process_stream) with an explicit worker
-    /// count (the public wrapper picks the thread-pool width; tests pin
-    /// it to exercise the threaded branch on any host).
+    /// count (the public wrappers pick it from the thread-pool width;
+    /// tests pin it to exercise the threaded branch on any host).
     fn process_stream_with_workers<S, T, F, L, E, I>(
         &self,
         workers: usize,
@@ -657,7 +586,7 @@ mod tests {
     }
 
     /// A ranker that fails on a chosen set of scene ids — exercises the
-    /// abort path of the cursor fan-out.
+    /// abort path of the worker pool.
     struct FailOn(std::collections::BTreeSet<String>);
 
     impl SceneRanker for FailOn {
@@ -683,16 +612,19 @@ mod tests {
         let lib = library(&train);
         let batch = small_batch(5, 1500);
         // Scenes 1 and 3 fail; parallel and sequential must both report
-        // scene 1 — the error the sequential path hits first.
+        // scene 1 — the error the sequential path hits first. The pinned
+        // three-worker pool is what `process` runs on a multi-core host.
         let failing: std::collections::BTreeSet<String> =
             [batch[1].id.clone(), batch[3].id.clone()].into();
-        for pipeline in [
-            ScenePipeline::new(FailOn(failing.clone())),
-            ScenePipeline::new(FailOn(failing.clone())).sequential(),
+        let parallel = ScenePipeline::new(FailOn(failing.clone()));
+        let sequential = ScenePipeline::new(FailOn(failing)).sequential();
+        let post = |r: RankedScene| r.id;
+        for result in [
+            parallel.process_stream_with_workers(3, &lib, batch.clone(), Ok::<_, FixyError>, post),
+            parallel.process(&lib, batch.clone(), post),
+            sequential.process(&lib, batch.clone(), post),
         ] {
-            let err = pipeline
-                .process(&lib, batch.clone(), |r| r.id)
-                .expect_err("must fail");
+            let err = result.expect_err("must fail");
             match err {
                 FixyError::SceneSource(msg) => {
                     assert!(msg.contains(&batch[1].id), "wrong scene failed first: {msg}")

@@ -18,9 +18,9 @@
 //! `(start, len, cap)` slots, so a live snapshot can grow a track in
 //! place. [`Bundle`] and [`Track`] are small per-element metas; the
 //! member lists are reached through the slice accessors
-//! [`Scene::bundle_obs`] / [`Scene::track_bundles`]. The serialized form
-//! is unchanged (the v1 nested-vector wire format) via a manual serde
-//! impl.
+//! [`Scene::bundle_obs`] / [`Scene::track_bundles`]. A `Scene` has no
+//! wire format: only the raw [`SceneData`] is persisted, and the scene
+//! is re-assembled from it whenever it is scored.
 
 use loa_assoc::{
     bundle_frame_into, BundleScratch, FrameBundles, IouBundler, TrackBuilder, TrackerConfig,
@@ -31,7 +31,7 @@ use loa_geom::{Box3, Vec2};
 use serde::{Deserialize, Serialize};
 
 /// Index of an observation within a [`Scene`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct ObsIdx(pub usize);
 
 /// Index of a bundle within a [`Scene`].
@@ -43,7 +43,7 @@ pub struct BundleIdx(pub usize);
 pub struct TrackIdx(pub usize);
 
 /// One observation `ω`: a 3D box from one source in one frame.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Observation {
     pub idx: ObsIdx,
     pub frame: FrameId,
@@ -244,189 +244,6 @@ impl PartialEq for Scene {
             && self.track_facts == other.track_facts
             && self.frame_dt == other.frame_dt
             && self.n_frames == other.n_frames
-    }
-}
-
-/// The v1 wire format (nested membership vectors) — the manual serde
-/// below reads and writes exactly the shape the derived impl on the old
-/// `Vec<Bundle>` / `Vec<Track>` layout produced, so persisted scenes keep
-/// loading.
-impl Serialize for Scene {
-    fn to_json_value(&self) -> serde::Value {
-        use serde::Value;
-        let bundles: Vec<Value> = self
-            .bundles
-            .iter()
-            .map(|b| {
-                Value::Object(vec![
-                    ("idx".to_string(), b.idx.to_json_value()),
-                    ("frame".to_string(), b.frame.to_json_value()),
-                    ("obs".to_string(), self.bundle_obs(b.idx).to_vec().to_json_value()),
-                ])
-            })
-            .collect();
-        let tracks: Vec<Value> = self
-            .tracks
-            .iter()
-            .map(|t| {
-                Value::Object(vec![
-                    ("idx".to_string(), t.idx.to_json_value()),
-                    (
-                        "bundles".to_string(),
-                        self.track_bundles(t.idx).to_vec().to_json_value(),
-                    ),
-                ])
-            })
-            .collect();
-        Value::Object(vec![
-            ("observations".to_string(), self.observations.to_json_value()),
-            ("bundles".to_string(), Value::Array(bundles)),
-            ("tracks".to_string(), Value::Array(tracks)),
-            ("frame_dt".to_string(), self.frame_dt.to_json_value()),
-            ("n_frames".to_string(), self.n_frames.to_json_value()),
-        ])
-    }
-}
-
-impl Deserialize for Scene {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let field = |name: &str| {
-            v.get(name)
-                .ok_or_else(|| serde::DeError::custom(format!("Scene: missing field `{name}`")))
-        };
-        let observations: Vec<Observation> = Deserialize::from_json_value(field("observations")?)?;
-        let bundle_values = field("bundles")?
-            .as_array()
-            .ok_or_else(|| serde::DeError::custom("Scene: `bundles` must be an array"))?;
-        let mut bundles: Vec<(FrameId, Vec<ObsIdx>)> = Vec::with_capacity(bundle_values.len());
-        for (pos, bv) in bundle_values.iter().enumerate() {
-            let get = |name: &str| {
-                bv.get(name).ok_or_else(|| {
-                    serde::DeError::custom(format!("Scene bundle: missing field `{name}`"))
-                })
-            };
-            let idx: BundleIdx = Deserialize::from_json_value(get("idx")?)?;
-            if idx.0 != pos {
-                return Err(serde::DeError::custom(format!(
-                    "Scene bundle {pos}: stored idx {} out of order",
-                    idx.0
-                )));
-            }
-            let frame: FrameId = Deserialize::from_json_value(get("frame")?)?;
-            let obs: Vec<ObsIdx> = Deserialize::from_json_value(get("obs")?)?;
-            bundles.push((frame, obs));
-        }
-        let track_values = field("tracks")?
-            .as_array()
-            .ok_or_else(|| serde::DeError::custom("Scene: `tracks` must be an array"))?;
-        let mut tracks: Vec<Vec<BundleIdx>> = Vec::with_capacity(track_values.len());
-        for (pos, tv) in track_values.iter().enumerate() {
-            let get = |name: &str| {
-                tv.get(name).ok_or_else(|| {
-                    serde::DeError::custom(format!("Scene track: missing field `{name}`"))
-                })
-            };
-            let idx: TrackIdx = Deserialize::from_json_value(get("idx")?)?;
-            if idx.0 != pos {
-                return Err(serde::DeError::custom(format!(
-                    "Scene track {pos}: stored idx {} out of order",
-                    idx.0
-                )));
-            }
-            tracks.push(Deserialize::from_json_value(get("bundles")?)?);
-        }
-        let frame_dt: f64 = Deserialize::from_json_value(field("frame_dt")?)?;
-        let n_frames: usize = Deserialize::from_json_value(field("n_frames")?)?;
-        Ok(Scene::from_parts(observations, bundles, tracks, frame_dt, n_frames))
-    }
-
-    // Streaming twin of the v1 wire format: nested bundle/track objects
-    // decode straight off the reader (any key order, unknown keys
-    // skipped), with the same stored-idx == position validation.
-    fn from_json_stream(r: &mut serde::json::JsonReader<'_>) -> Result<Self, serde::DeError> {
-        fn take<T>(slot: Option<T>, what: &str) -> Result<T, serde::DeError> {
-            slot.ok_or_else(|| serde::DeError::custom(format!("Scene: missing field `{what}`")))
-        }
-        let mut observations: Option<Vec<Observation>> = None;
-        let mut bundles: Option<Vec<(FrameId, Vec<ObsIdx>)>> = None;
-        let mut tracks: Option<Vec<Vec<BundleIdx>>> = None;
-        let mut frame_dt: Option<f64> = None;
-        let mut n_frames: Option<usize> = None;
-        r.begin_object()?;
-        loop {
-            match r.next_key()? {
-                None => break,
-                Some("observations") => observations = Some(Deserialize::from_json_stream(r)?),
-                Some("bundles") => {
-                    let mut out: Vec<(FrameId, Vec<ObsIdx>)> = Vec::new();
-                    r.begin_array()?;
-                    while r.next_element()? {
-                        let pos = out.len();
-                        let mut idx: Option<BundleIdx> = None;
-                        let mut frame: Option<FrameId> = None;
-                        let mut obs: Option<Vec<ObsIdx>> = None;
-                        r.begin_object()?;
-                        loop {
-                            match r.next_key()? {
-                                None => break,
-                                Some("idx") => idx = Some(Deserialize::from_json_stream(r)?),
-                                Some("frame") => frame = Some(Deserialize::from_json_stream(r)?),
-                                Some("obs") => obs = Some(Deserialize::from_json_stream(r)?),
-                                Some(_) => r.skip_value()?,
-                            }
-                        }
-                        let idx = take(idx, "bundle idx")?;
-                        if idx.0 != pos {
-                            return Err(serde::DeError::custom(format!(
-                                "Scene bundle {pos}: stored idx {} out of order",
-                                idx.0
-                            )));
-                        }
-                        out.push((take(frame, "bundle frame")?, take(obs, "bundle obs")?));
-                    }
-                    bundles = Some(out);
-                }
-                Some("tracks") => {
-                    let mut out: Vec<Vec<BundleIdx>> = Vec::new();
-                    r.begin_array()?;
-                    while r.next_element()? {
-                        let pos = out.len();
-                        let mut idx: Option<TrackIdx> = None;
-                        let mut track_bundles: Option<Vec<BundleIdx>> = None;
-                        r.begin_object()?;
-                        loop {
-                            match r.next_key()? {
-                                None => break,
-                                Some("idx") => idx = Some(Deserialize::from_json_stream(r)?),
-                                Some("bundles") => {
-                                    track_bundles = Some(Deserialize::from_json_stream(r)?)
-                                }
-                                Some(_) => r.skip_value()?,
-                            }
-                        }
-                        let idx = take(idx, "track idx")?;
-                        if idx.0 != pos {
-                            return Err(serde::DeError::custom(format!(
-                                "Scene track {pos}: stored idx {} out of order",
-                                idx.0
-                            )));
-                        }
-                        out.push(take(track_bundles, "track bundles")?);
-                    }
-                    tracks = Some(out);
-                }
-                Some("frame_dt") => frame_dt = Some(Deserialize::from_json_stream(r)?),
-                Some("n_frames") => n_frames = Some(Deserialize::from_json_stream(r)?),
-                Some(_) => r.skip_value()?,
-            }
-        }
-        Ok(Scene::from_parts(
-            take(observations, "observations")?,
-            take(bundles, "bundles")?,
-            take(tracks, "tracks")?,
-            take(frame_dt, "frame_dt")?,
-            take(n_frames, "n_frames")?,
-        ))
     }
 }
 
@@ -1525,52 +1342,6 @@ mod tests {
             AssemblyConfig::default().bundle_iou,
             loa_assoc::IouBundler::default().threshold
         );
-    }
-
-    #[test]
-    fn scene_serde_roundtrips_and_reads_v1_format() {
-        // Round-trip through JSON preserves the full structure.
-        let data = tiny_scene_data(10);
-        let scene = Scene::assemble(&data, &AssemblyConfig::default());
-        let json = serde_json::to_string(&scene).unwrap();
-        let back: Scene = serde_json::from_str(&json).unwrap();
-        assert_eq!(scene, back, "serde round-trip changed the scene");
-
-        // And a handwritten v1-format document (nested membership
-        // vectors, as the pre-CSR derived impl wrote) still loads.
-        let v1 = r#"{
-            "observations": [
-                {"idx": 0, "frame": 0, "source": "Human", "source_index": 0,
-                 "bbox": {"center": {"x": 10.0, "y": 0.0, "z": 0.8},
-                          "size": {"length": 4.5, "width": 1.9, "height": 1.6},
-                          "yaw": 0.0},
-                 "class": "Car", "confidence": null,
-                 "world_center": {"x": 10.0, "y": 0.0}},
-                {"idx": 1, "frame": 0, "source": "Model", "source_index": 0,
-                 "bbox": {"center": {"x": 10.1, "y": 0.0, "z": 0.8},
-                          "size": {"length": 4.4, "width": 1.8, "height": 1.6},
-                          "yaw": 0.0},
-                 "class": "Car", "confidence": 0.9,
-                 "world_center": {"x": 10.1, "y": 0.0}}
-            ],
-            "bundles": [{"idx": 0, "frame": 0, "obs": [0, 1]}],
-            "tracks": [{"idx": 0, "bundles": [0]}],
-            "frame_dt": 0.2,
-            "n_frames": 1
-        }"#;
-        let scene: Scene = serde_json::from_str(v1).expect("v1 format must keep loading");
-        assert_eq!(scene.n_observations(), 2);
-        assert_eq!(scene.n_bundles(), 1);
-        assert_eq!(scene.bundle_obs(BundleIdx(0)), &[ObsIdx(0), ObsIdx(1)]);
-        assert_eq!(scene.track_bundles(TrackIdx(0)), &[BundleIdx(0)]);
-        assert_eq!(scene.bundle(BundleIdx(0)).frame, FrameId(0));
-        // The writer produces the same nested shape (spot-check the text).
-        let out = serde_json::to_string(&scene).unwrap();
-        assert!(
-            out.contains("\"bundles\":[{\"idx\":0,\"frame\":0,\"obs\":[0,1]}]"),
-            "{out}"
-        );
-        assert!(out.contains("\"tracks\":[{\"idx\":0,\"bundles\":[0]}]"), "{out}");
     }
 
     #[test]

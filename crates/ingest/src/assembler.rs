@@ -16,7 +16,6 @@
 //! batch assembly of the truncated scene.
 
 use crate::error::IngestError;
-use crate::reorder::ReorderBuffer;
 use fixy_core::{AssemblyConfig, AssemblyEngine, FrameDelta, Scene};
 use loa_data::{Frame, FrameId, SceneData};
 
@@ -71,12 +70,6 @@ impl StreamingAssembler {
         self.streaming = true;
     }
 
-    /// Whether a scene is in progress (`begin` called, not yet
-    /// `finalize`d).
-    pub fn is_streaming(&self) -> bool {
-        self.streaming
-    }
-
     /// Number of frames pushed since [`begin`](Self::begin).
     pub fn frames_pushed(&self) -> usize {
         self.engine.frames_pushed()
@@ -86,9 +79,10 @@ impl StreamingAssembler {
     ///
     /// Frames must arrive in strictly increasing index order with no
     /// gaps — a lower-or-equal index is a [`IngestError::DuplicateFrame`],
-    /// a higher one an [`IngestError::OutOfOrderFrame`]. (For transports
-    /// that cannot guarantee this, see
-    /// [`push_frame_reordered`](Self::push_frame_reordered).)
+    /// a higher one an [`IngestError::OutOfOrderFrame`]. Transports that
+    /// cannot guarantee this release frames through a
+    /// [`ReorderBuffer`](crate::ReorderBuffer) first (see
+    /// [`accept_into`](crate::ReorderBuffer::accept_into)).
     pub fn push_frame(&mut self, frame: &Frame) -> Result<(), IngestError> {
         if !self.streaming {
             return Err(IngestError::NotStreaming);
@@ -105,37 +99,6 @@ impl StreamingAssembler {
             metrics.ingest_frames_pushed.inc();
         }
         Ok(())
-    }
-
-    /// Ingest a frame from an unordered transport through a
-    /// [`ReorderBuffer`]: late and duplicate frames inside the buffer's
-    /// window are absorbed, and every frame the buffer releases is
-    /// pushed in index order. Returns how many frames were ingested by
-    /// this call (0 when the frame was buffered or dropped as a
-    /// duplicate).
-    ///
-    /// The buffer must be dedicated to this stream and reset (via
-    /// [`ReorderBuffer::begin`]) alongside [`begin`](Self::begin).
-    ///
-    /// Note: callers that need the per-frame
-    /// [`last_delta`](Self::last_delta) after *each* released frame — the incremental
-    /// scoring path — should drive [`ReorderBuffer::accept_into`] and
-    /// [`push_frame`](Self::push_frame) themselves; this convenience
-    /// only reports the delta of the last released frame.
-    pub fn push_frame_reordered(
-        &mut self,
-        buf: &mut ReorderBuffer,
-        frame: Frame,
-    ) -> Result<usize, IngestError> {
-        if !self.streaming {
-            return Err(IngestError::NotStreaming);
-        }
-        let mut released = Vec::new();
-        buf.accept_into(frame, &mut released)?;
-        for frame in &released {
-            self.push_frame(frame)?;
-        }
-        Ok(released.len())
     }
 
     /// The partial scene over every frame pushed so far — what a live
@@ -216,6 +179,7 @@ impl StreamingAssembler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reorder::ReorderBuffer;
     use loa_data::{generate_scene, DatasetProfile};
 
     fn tiny_scene(seed: u64) -> SceneData {
@@ -389,12 +353,22 @@ mod tests {
         buf.begin();
         let n = data.frames.len();
         assert!(n >= 3, "scene too short to shuffle");
-        // Deliver 1 before 0, duplicate 0, then the rest in order.
-        assert_eq!(asm.push_frame_reordered(&mut buf, data.frames[1].clone()).unwrap(), 0);
-        assert_eq!(asm.push_frame_reordered(&mut buf, data.frames[0].clone()).unwrap(), 2);
-        assert_eq!(asm.push_frame_reordered(&mut buf, data.frames[0].clone()).unwrap(), 0);
+        // Deliver 1 before 0, duplicate 0, then the rest in order; push
+        // every frame the buffer releases, the way a served session does.
+        let mut released = Vec::new();
+        let mut deliver = |asm: &mut StreamingAssembler, frame: &Frame| {
+            released.clear();
+            buf.accept_into(frame.clone(), &mut released).unwrap();
+            for frame in &released {
+                asm.push_frame(frame).unwrap();
+            }
+            released.len()
+        };
+        assert_eq!(deliver(&mut asm, &data.frames[1]), 0);
+        assert_eq!(deliver(&mut asm, &data.frames[0]), 2);
+        assert_eq!(deliver(&mut asm, &data.frames[0]), 0);
         for frame in &data.frames[2..] {
-            assert_eq!(asm.push_frame_reordered(&mut buf, frame.clone()).unwrap(), 1);
+            assert_eq!(deliver(&mut asm, frame), 1);
         }
         assert_eq!(buf.duplicates_dropped(), 1);
         assert_eq!(buf.reordered_released(), 1);

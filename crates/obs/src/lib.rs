@@ -1,6 +1,6 @@
 //! `loa_obs` — zero-overhead-when-off observability for the LOA stack.
 //!
-//! Three pieces, all hand-rolled on `std` atomics (no deps, no
+//! Two pieces, both hand-rolled on `std` atomics (no deps, no
 //! network):
 //!
 //! * **Metrics** — a fixed registry ([`Metrics`]) of lock-free
@@ -10,8 +10,6 @@
 //! * **Spans** — [`ObsSpan`] RAII stage timers feeding the per-stage
 //!   duration histograms and (when tracing is on) a bounded
 //!   thread-local ring drained by [`drain_thread_spans`].
-//! * **Journal** — a bounded ring of coarse events ([`Journal`]) for
-//!   postmortems.
 //!
 //! # The disabled path is the contract
 //!
@@ -28,13 +26,11 @@
 //! [`Metrics`] or [`Histogram`] always records, so tests (and embedders
 //! that want their own registry) never depend on global state.
 
-mod journal;
 mod metrics;
 mod registry;
 mod span;
 pub mod text;
 
-pub use journal::{Journal, JournalEvent};
 pub use metrics::{bucket_index, bucket_upper_bound, Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use registry::{Metrics, Stage};
 pub use span::{drain_thread_spans, self_times, ObsSpan, SpanRecord};
@@ -46,7 +42,6 @@ const SPANS_BIT: u8 = 1 << 1;
 
 static STATE: AtomicU8 = AtomicU8::new(0);
 static GLOBAL: Metrics = Metrics::new();
-static JOURNAL: Journal = Journal::new(1024);
 
 /// Raw state bits — the single relaxed load on every disabled-path
 /// check. `0` means fully off.
@@ -104,23 +99,9 @@ pub fn global() -> &'static Metrics {
     &GLOBAL
 }
 
-/// The global event journal (ungated read access).
-pub fn journal() -> &'static Journal {
-    &JOURNAL
-}
-
-/// Record a journal event iff metrics are enabled. Coarse events only —
-/// this takes a `Mutex`.
-pub fn journal_event(label: &'static str, a: u64, b: u64) {
-    if metrics_enabled() {
-        JOURNAL.push(label, a, b);
-    }
-}
-
-/// Zero the global metrics bank and journal (state bits unchanged).
+/// Zero the global metrics bank (state bits unchanged).
 pub fn reset() {
     GLOBAL.reset();
-    JOURNAL.clear();
 }
 
 /// Serialize tests that flip the process-wide state bits.
@@ -147,21 +128,5 @@ mod tests {
         assert!(metrics_enabled() && spans_enabled());
         disable_all();
         assert!(recorder().is_none());
-    }
-
-    #[test]
-    fn journal_event_is_gated() {
-        let _g = test_guard();
-        disable_all();
-        reset();
-        journal_event("ignored", 1, 2);
-        assert!(journal().is_empty());
-        enable_metrics();
-        journal_event("kept", 3, 4);
-        disable_all();
-        let recent = journal().recent(10);
-        reset();
-        assert_eq!(recent.len(), 1);
-        assert_eq!((recent[0].label, recent[0].a, recent[0].b), ("kept", 3, 4));
     }
 }

@@ -97,7 +97,6 @@ impl<'c> AuditService<'c> {
                 metrics.engines_built.inc();
             }
         }
-        loa_obs::journal_event("session_open", session as u64, self.sessions.len() as u64 + 1);
         let engines = pooled.unwrap_or_else(|| {
             self.engines_built += 1;
             self.ctx.new_engines(self.cfg.window)
@@ -120,7 +119,6 @@ impl<'c> AuditService<'c> {
         match sess.push(frame) {
             Ok(_) => Ok(()),
             Err(e) if e.is_frame_recoverable() => {
-                loa_obs::journal_event("frame_reject", session as u64, frame_index(&e));
                 sess.record_reject(e.to_string());
                 Ok(())
             }
@@ -167,22 +165,6 @@ impl<'c> AuditService<'c> {
             metrics.sessions_closed.inc();
             metrics.active_sessions.add(-1.0);
         }
-        loa_obs::journal_event("session_close", session as u64, worklist.stats.frames);
-        if worklist.stats.stranded > 0 {
-            loa_obs::journal_event("session_stranded", session as u64, worklist.stats.stranded);
-        }
         Ok(worklist)
-    }
-}
-
-/// Best-effort frame index out of a recoverable rejection, for the
-/// journal's numeric operand.
-fn frame_index(e: &ServeError) -> u64 {
-    match e {
-        ServeError::FrameLimit { frame, .. } => *frame as u64,
-        ServeError::Ingest(loa_ingest::IngestError::ReorderWindowExceeded { frame, .. }) => {
-            *frame as u64
-        }
-        _ => 0,
     }
 }

@@ -187,13 +187,6 @@ impl<'c> Session<'c> {
         Ok(self.released.len())
     }
 
-    /// Decode a `.fscb` frame record off the wire and [`push`](Self::push)
-    /// it.
-    pub fn push_record(&mut self, payload: &[u8]) -> Result<usize, ServeError> {
-        let frame = loa_ingest::decode_frame_record(payload)?;
-        self.push(frame)
-    }
-
     /// Record a recoverable per-frame rejection: bump the counter and
     /// keep the first message for the close-time report.
     pub(crate) fn record_reject(&mut self, message: String) {

@@ -8,7 +8,7 @@
 //!    identically: proptested over random `Value` trees and over fuzzed
 //!    scene corpora (field-for-field via re-serialization, since scene
 //!    types carry no `PartialEq`), plus the real persisted shapes
-//!    (`FeatureLibrary`, assembled `Scene`).
+//!    (`FeatureLibrary`, a `Frame` with reordered and unknown keys).
 //! 2. **Backward compatibility** — legacy scene JSON written before the
 //!    fuzzer's taxonomy fields existed still loads, on both paths.
 //! 3. **Adversarial input** — truncation at every byte boundary is a
@@ -297,16 +297,6 @@ fn feature_library_streams_identically_and_rebuilds_prepared() {
 }
 
 #[test]
-fn assembled_scene_wire_format_streams_identically() {
-    let scene = Scene::assemble(&fuzzed_scene(77, 1), &AssemblyConfig::default());
-    let text = serde_json::to_string(&scene).expect("serialize");
-    let streamed: Scene = serde_json::from_str(&text).expect("streamed");
-    let tree: Scene = serde_json::from_str_via_tree(&text).expect("tree");
-    assert_eq!(streamed, tree);
-    assert_eq!(streamed, scene);
-}
-
-#[test]
 fn integer_keyed_maps_stream_through_from_json_key() {
     use std::collections::BTreeMap;
     let mut m: BTreeMap<u64, Vec<i32>> = BTreeMap::new();
@@ -323,12 +313,27 @@ fn integer_keyed_maps_stream_through_from_json_key() {
 
 #[test]
 fn out_of_order_and_unknown_keys_stream_like_the_tree() {
-    // Reordered fields plus an unknown key whose value is a deep
-    // subtree the streamed path must skip without building.
-    let doc = r#"{"future_field":{"a":[1,2,{"b":null}]},"n_frames":4,"frame_dt":0.1,
-                  "tracks":[],"bundles":[],"observations":[]}"#;
-    let streamed: Scene = serde_json::from_str(doc).expect("streamed");
-    let tree: Scene = serde_json::from_str_via_tree(doc).expect("tree");
-    assert_eq!(streamed, tree);
-    assert_eq!(streamed.n_frames, 4);
+    // A persisted frame with its fields reversed, plus an unknown key
+    // whose value is a deep subtree the streamed path must skip without
+    // building.
+    let data = fuzzed_scene(77, 1);
+    let frame = data
+        .frames
+        .iter()
+        .find(|f| !f.human_labels.is_empty() && !f.detections.is_empty())
+        .expect("a frame with labels and detections");
+    let canonical = serde_json::to_string(frame).unwrap();
+    let Value::Object(mut fields) = serde_json::parse_value(&canonical).unwrap() else {
+        panic!("a frame serializes to an object");
+    };
+    fields.reverse();
+    let deep = serde_json::parse_value(r#"{"a":[1,2,{"b":null,"c":[[{}]]}]}"#).unwrap();
+    fields.insert(1, ("future_field".to_string(), deep));
+    let doc = serde_json::value_to_string(&Value::Object(fields));
+    assert_ne!(doc, canonical);
+
+    let streamed: fixy::data::Frame = serde_json::from_str(&doc).expect("streamed");
+    let tree: fixy::data::Frame = serde_json::from_str_via_tree(&doc).expect("tree");
+    assert_eq!(serde_json::to_string(&streamed).unwrap(), canonical);
+    assert_eq!(serde_json::to_string(&tree).unwrap(), canonical);
 }
