@@ -52,11 +52,8 @@ pub struct PreparedBox {
 
 impl PreparedBox {
     pub fn new(b: &Box3) -> Self {
-        PreparedBox {
-            aabb: b.bev_aabb(),
-            corners: b.bev_corners(),
-            area: b.bev_area(),
-        }
+        let (aabb, corners) = b.bev_aabb_and_corners();
+        PreparedBox { aabb, corners, area: b.bev_area() }
     }
 }
 
@@ -221,7 +218,17 @@ pub struct BundleScratch {
     grid: BevGrid,
     candidates: Vec<u32>,
     uf: UnionFind,
-    by_root: Vec<(usize, usize)>,
+    roots: Vec<u32>,
+    group_start: Vec<u32>,
+}
+
+impl BundleScratch {
+    /// Footprint geometry of every observation of the most recently
+    /// bundled frame, in source-then-index order (observation `i` of
+    /// source `s` sits after all of sources `0..s`).
+    pub fn prepared(&self) -> &[PreparedBox] {
+        &self.prepared
+    }
 }
 
 /// Bundle one frame's observations.
@@ -256,41 +263,49 @@ pub fn bundle_frame_into(
     }
     let n = scratch.flat.len();
     scratch.uf.reset(n);
+    // Every observation's footprint geometry, in flat order: the pruned
+    // sweeps below score pairs from it, and the caller's tracker reuses
+    // it for the bundles' representative boxes.
+    scratch.prepared.clear();
+    scratch.prepared.extend(scratch.boxes.iter().map(PreparedBox::new));
 
     // Pairs are visited in ascending (a, b) order on all paths, and the
     // pruned paths only skip pairs the predicate could not fire on
-    // (disjoint AABBs), so the union sequence — and the resulting roots —
-    // are identical. Small frames prune through a precomputed-AABB pair
-    // sweep (four comparisons per pair, no index setup); past
-    // [`GRID_MIN_ITEMS`] the `BevGrid` takes over and the sweep's
-    // `O(n²)` disappears.
+    // (same-source or disjoint-AABB pairs), so the union sequence — and
+    // the resulting roots — are identical. Small frames prune through a
+    // precomputed-AABB pair sweep (four comparisons per pair, no index
+    // setup) whose rows start at the next source, as `flat` is grouped by
+    // source; past [`GRID_MIN_ITEMS`] the `BevGrid` takes over and the
+    // sweep's `O(n²)` disappears.
     if n >= 2 && bundler.overlap_only() {
-        scratch.prepared.clear();
-        scratch.prepared.extend(scratch.boxes.iter().map(PreparedBox::new));
+        let prepared = &scratch.prepared;
         if n < GRID_MIN_ITEMS {
-            for a in 0..n {
-                for b in (a + 1)..n {
-                    if scratch.flat[a].0 == scratch.flat[b].0
-                        || !scratch.prepared[a].aabb.intersects(&scratch.prepared[b].aabb)
-                    {
-                        continue;
-                    }
-                    if bundler.is_associated_prepared(
-                        &scratch.boxes[a],
-                        &scratch.boxes[b],
-                        &scratch.prepared[a],
-                        &scratch.prepared[b],
-                    ) {
-                        scratch.uf.union(a, b);
+            let mut start = 0;
+            for boxes in sources {
+                let end = start + boxes.len();
+                for a in start..end {
+                    for b in end..n {
+                        if !prepared[a].aabb.intersects(&prepared[b].aabb) {
+                            continue;
+                        }
+                        if bundler.is_associated_prepared(
+                            &scratch.boxes[a],
+                            &scratch.boxes[b],
+                            &prepared[a],
+                            &prepared[b],
+                        ) {
+                            scratch.uf.union(a, b);
+                        }
                     }
                 }
+                start = end;
             }
         } else {
             scratch.aabbs.clear();
-            scratch.aabbs.extend(scratch.prepared.iter().map(|p| p.aabb));
+            scratch.aabbs.extend(prepared.iter().map(|p| p.aabb));
             scratch.grid.build(&scratch.aabbs);
             for a in 0..n {
-                let query = scratch.prepared[a].aabb;
+                let query = prepared[a].aabb;
                 scratch.grid.query_into(&query, &mut scratch.candidates);
                 for &cand in &scratch.candidates {
                     let b = cand as usize;
@@ -300,8 +315,8 @@ pub fn bundle_frame_into(
                     if bundler.is_associated_prepared(
                         &scratch.boxes[a],
                         &scratch.boxes[b],
-                        &scratch.prepared[a],
-                        &scratch.prepared[b],
+                        &prepared[a],
+                        &prepared[b],
                     ) {
                         scratch.uf.union(a, b);
                     }
@@ -322,26 +337,29 @@ pub fn bundle_frame_into(
     }
 
     // Group by root, roots ascending, members ascending within a group —
-    // the same order `UnionFind::groups` produces, without its BTreeMap.
-    scratch.by_root.clear();
+    // the order `UnionFind::groups` produces — by a counting sort over
+    // the root ids (all `< n`): no comparisons, no BTreeMap.
+    scratch.roots.clear();
+    scratch.group_start.clear();
+    scratch.group_start.resize(n + 1, 0);
     for x in 0..n {
         let r = scratch.uf.find(x);
-        scratch.by_root.push((r, x));
+        scratch.roots.push(r as u32);
+        scratch.group_start[r + 1] += 1;
     }
-    scratch.by_root.sort_unstable();
     out.clear();
-    let mut prev_root: Option<usize> = None;
-    for &(root, x) in &scratch.by_root {
-        if prev_root != Some(root) {
-            if prev_root.is_some() {
-                out.offsets.push(out.members.len() as u32);
-            }
-            prev_root = Some(root);
+    for r in 0..n {
+        let count = scratch.group_start[r + 1];
+        scratch.group_start[r + 1] += scratch.group_start[r];
+        if count > 0 {
+            out.offsets.push(scratch.group_start[r + 1]);
         }
-        out.members.push(scratch.flat[x]);
     }
-    if prev_root.is_some() {
-        out.offsets.push(out.members.len() as u32);
+    out.members.resize(n, (0, 0));
+    for x in 0..n {
+        let slot = &mut scratch.group_start[scratch.roots[x] as usize];
+        out.members[*slot as usize] = scratch.flat[x];
+        *slot += 1;
     }
 }
 

@@ -33,7 +33,7 @@ pub mod union_find;
 
 pub use bundler::{
     bundle_frame, bundle_frame_brute, bundle_frame_into, BundleGroup, BundleScratch, Bundler,
-    FrameBundles, IouBundler, DEFAULT_BUNDLE_IOU,
+    FrameBundles, IouBundler, PreparedBox, DEFAULT_BUNDLE_IOU,
 };
 pub use matching::{
     greedy_match, greedy_match_into, greedy_match_matrix, hungarian_match, hungarian_match_matrix,

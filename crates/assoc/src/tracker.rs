@@ -92,7 +92,7 @@ pub struct TrackerScratch {
     matches: Vec<crate::matching::Match>,
     item_taken: Vec<bool>,
     /// Tracks created or extended by the most recent frame step (indices
-    /// into the caller's track list, in match-then-creation order).
+    /// into the caller's track list, ascending).
     touched: Vec<usize>,
 }
 
@@ -113,10 +113,19 @@ pub fn build_tracks_with(
     let mut tracks: Vec<TrackPath> = Vec::new();
     scratch.active.clear();
     for (f, items) in frames.iter().enumerate() {
+        scratch.item_prepared.clear();
+        scratch.item_prepared.extend(items.iter().map(PreparedBox::new));
         track_frame_step(cfg, scratch, &mut tracks, f, items);
     }
-    tracks.sort_by_key(|t| t.entries.first().copied());
+    debug_assert_sorted_by_first_entry(&tracks);
     tracks
+}
+
+/// Tracks open at the frame sweep's tail, each frame's in ascending item
+/// order, so creation order is already strictly increasing in first
+/// entry: the "sorted by first entry" the builders promise needs no sort.
+fn debug_assert_sorted_by_first_entry(tracks: &[TrackPath]) {
+    debug_assert!(tracks.windows(2).all(|w| w[0].entries.first() < w[1].entries.first()));
 }
 
 /// Incremental cross-frame track builder: the per-frame sweep of
@@ -148,6 +157,26 @@ impl TrackBuilder {
 
     /// Extend tracks with the next frame's item boxes.
     pub fn step(&mut self, cfg: &TrackerConfig, items: &[Box3]) {
+        self.step_prepared(cfg, items, items.iter().map(PreparedBox::new));
+    }
+
+    /// [`step`](Self::step) with each item's footprint geometry already
+    /// prepared (the `i`-th yielded is `PreparedBox::new(&items[i])`) —
+    /// the assembly engine hands over the bundler's instead of
+    /// recomputing.
+    pub fn step_prepared(
+        &mut self,
+        cfg: &TrackerConfig,
+        items: &[Box3],
+        prepared: impl IntoIterator<Item = PreparedBox>,
+    ) {
+        self.scratch.item_prepared.clear();
+        self.scratch.item_prepared.extend(prepared);
+        assert_eq!(
+            self.scratch.item_prepared.len(),
+            items.len(),
+            "one prepared box per item"
+        );
         track_frame_step(cfg, &mut self.scratch, &mut self.tracks, self.next_frame, items);
         self.next_frame += 1;
     }
@@ -162,8 +191,8 @@ impl TrackBuilder {
     pub fn finish(&mut self) -> Vec<TrackPath> {
         self.scratch.active.clear();
         self.next_frame = 0;
-        let mut tracks = std::mem::take(&mut self.tracks);
-        tracks.sort_by_key(|t| t.entries.first().copied());
+        let tracks = std::mem::take(&mut self.tracks);
+        debug_assert_sorted_by_first_entry(&tracks);
         tracks
     }
 
@@ -171,24 +200,22 @@ impl TrackBuilder {
     /// [`finish`](Self::finish) would return right now, without ending
     /// the scene.
     pub fn snapshot(&self) -> Vec<TrackPath> {
-        let mut tracks = self.tracks.clone();
-        tracks.sort_by_key(|t| t.entries.first().copied());
-        tracks
+        debug_assert_sorted_by_first_entry(&self.tracks);
+        self.tracks.clone()
     }
 
     /// The tracks created or extended by the most recent
-    /// [`step`](Self::step), as indices into [`paths`](Self::paths)
-    /// (match-then-creation order, may repeat nothing — indices are
-    /// unique within a frame since each track gains at most one entry).
+    /// [`step`](Self::step), as ascending indices into
+    /// [`paths`](Self::paths) (unique: each track gains at most one entry
+    /// per frame).
     pub fn last_touched(&self) -> &[usize] {
         &self.scratch.touched
     }
 
-    /// The paths built so far, unsorted, in creation order. Because new
-    /// tracks open at the frame sweep's tail, creation order is already
-    /// non-decreasing in first entry — [`snapshot`](Self::snapshot)'s
-    /// sort is a stable no-op over this list, so indices here agree with
-    /// the sorted snapshot (locked by `last_touched_indexes_snapshot`).
+    /// The paths built so far, in creation order — which is already
+    /// strictly increasing in first entry, so indices here agree with
+    /// [`snapshot`](Self::snapshot) (locked by
+    /// `last_touched_indexes_snapshot`).
     pub fn paths(&self) -> &[TrackPath] {
         &self.tracks
     }
@@ -197,6 +224,8 @@ impl TrackBuilder {
 /// One frame of the track sweep: expire stale actives, score
 /// spatially-plausible track×item pairs into the sparse matrix, match,
 /// extend matched tracks and open singletons for the rest.
+/// `scratch.item_prepared` holds the items' footprint geometry
+/// (`PreparedBox::new` of each, in order).
 fn track_frame_step(
     cfg: &TrackerConfig,
     scratch: &mut TrackerScratch,
@@ -223,13 +252,12 @@ fn track_frame_step(
         // flat AABB sweep; large ones (fleet-scale frames) go through
         // the grid. Both push the identical AABB-intersecting entry set,
         // in the identical (track, item-ascending) order.
+        let item_prepared = &scratch.item_prepared;
         scratch.matrix.reset(scratch.active.len(), items.len());
         if prune && scratch.active.len() * items.len() < GRID_MIN_PAIRS {
-            scratch.item_prepared.clear();
-            scratch.item_prepared.extend(items.iter().map(PreparedBox::new));
             for (a, active) in scratch.active.iter().enumerate() {
                 let pa = &active.prepared;
-                for (j, pj) in scratch.item_prepared.iter().enumerate() {
+                for (j, pj) in item_prepared.iter().enumerate() {
                     if pa.aabb.intersects(&pj.aabb) {
                         scratch.matrix.push(
                             a,
@@ -240,19 +268,15 @@ fn track_frame_step(
                 }
             }
         } else if prune {
-            scratch.item_prepared.clear();
-            scratch.item_prepared.extend(items.iter().map(PreparedBox::new));
             scratch.item_aabbs.clear();
-            scratch
-                .item_aabbs
-                .extend(scratch.item_prepared.iter().map(|p| p.aabb));
+            scratch.item_aabbs.extend(item_prepared.iter().map(|p| p.aabb));
             scratch.grid.build(&scratch.item_aabbs);
             for (a, active) in scratch.active.iter().enumerate() {
                 let pa = active.prepared;
                 scratch.grid.query_into(&pa.aabb, &mut scratch.candidates);
                 for &cand in &scratch.candidates {
                     let j = cand as usize;
-                    let pj = &scratch.item_prepared[j];
+                    let pj = &item_prepared[j];
                     scratch.matrix.push(
                         a,
                         j,
@@ -278,23 +302,13 @@ fn track_frame_step(
             );
         }
 
-        // On the pruned paths every item's geometry was already prepared
-        // above; reuse it rather than recomputing per match.
-        let item_prepared = |scratch: &TrackerScratch, i: usize| {
-            if prune {
-                scratch.item_prepared[i]
-            } else {
-                PreparedBox::new(&items[i])
-            }
-        };
         scratch.item_taken.clear();
         scratch.item_taken.resize(items.len(), false);
         for i in 0..scratch.matches.len() {
             let m = scratch.matches[i];
-            let prepared = item_prepared(scratch, m.right);
+            let prepared = item_prepared[m.right];
             let a = &mut scratch.active[m.left];
             tracks[a.track_idx].entries.push((f, m.right));
-            scratch.touched.push(a.track_idx);
             a.last_frame = f;
             a.last_box = items[m.right];
             a.prepared = prepared;
@@ -303,11 +317,10 @@ fn track_frame_step(
         for i in 0..items.len() {
             if !scratch.item_taken[i] {
                 let track_idx = tracks.len();
-                scratch.touched.push(track_idx);
                 let mut entries = Vec::with_capacity(8);
                 entries.push((f, i));
                 tracks.push(TrackPath { entries });
-                let prepared = item_prepared(scratch, i);
+                let prepared = item_prepared[i];
                 scratch.active.push(Active {
                     track_idx,
                     last_frame: f,
@@ -316,6 +329,16 @@ fn track_frame_step(
                 });
             }
         }
+        // Actives stay in creation (track index) order — new ones are
+        // pushed at the tail, `retain` keeps order — so the tracks this
+        // frame extended or opened come out ascending, without a sort.
+        scratch.touched.extend(
+            scratch
+                .active
+                .iter()
+                .filter(|a| a.last_frame == f)
+                .map(|a| a.track_idx),
+        );
     }
 }
 

@@ -30,12 +30,13 @@ impl Aabb2 {
 
     /// Whether two rectangles overlap (inclusive: touching edges count —
     /// as a pruning predicate this only errs on the safe side).
+    /// All four comparisons are evaluated (`&`, not `&&`).
     #[inline]
     pub fn intersects(&self, other: &Aabb2) -> bool {
-        self.min.x <= other.max.x
-            && other.min.x <= self.max.x
-            && self.min.y <= other.max.y
-            && other.min.y <= self.max.y
+        (self.min.x <= other.max.x)
+            & (other.min.x <= self.max.x)
+            & (self.min.y <= other.max.y)
+            & (other.min.y <= self.max.y)
     }
 
     /// The smallest rectangle containing both.

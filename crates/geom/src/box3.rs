@@ -92,14 +92,10 @@ impl Box3 {
 
     /// The four BEV footprint corners, counter-clockwise.
     pub fn bev_corners(&self) -> [Vec2; 4] {
-        let hl = self.size.length / 2.0;
-        let hw = self.size.width / 2.0;
-        let c = self.center.bev();
-        // One sin_cos for all four corners (association calls this in its
-        // innermost loop; `Vec2::rotated` would recompute it per corner).
-        let (s, cos) = self.yaw.sin_cos();
-        let rot = |x: f64, y: f64| Vec2::new(x * cos - y * s, x * s + y * cos);
-        [c + rot(hl, hw), c + rot(-hl, hw), c + rot(-hl, -hw), c + rot(hl, -hw)]
+        // One sin_cos for all four corners (`Vec2::rotated` would
+        // recompute it per corner).
+        let (s, c) = self.yaw.sin_cos();
+        self.corners_sin_cos(s, c)
     }
 
     /// BEV footprint polygon.
@@ -108,20 +104,33 @@ impl Box3 {
     }
 
     /// Axis-aligned bounds of the BEV footprint — the primitive the
-    /// [`BevGrid`](crate::BevGrid) spatial index bins. Closed form (no
-    /// corner materialization): a rotated `l × w` rectangle spans
-    /// `l·|cos| + w·|sin|` along x and `l·|sin| + w·|cos|` along y.
+    /// [`BevGrid`](crate::BevGrid) spatial index bins — and the
+    /// [`bev_corners`](Self::bev_corners), from one `sin_cos`: the
+    /// footprint geometry association prepares once per box. The bounds
+    /// are closed form (no corner materialization): a rotated `l × w`
+    /// rectangle spans `l·|cos| + w·|sin|` along x and `l·|sin| + w·|cos|`
+    /// along y.
     #[inline]
-    pub fn bev_aabb(&self) -> crate::Aabb2 {
+    pub fn bev_aabb_and_corners(&self) -> (crate::Aabb2, [Vec2; 4]) {
         let (s, c) = self.yaw.sin_cos();
-        let (s, c) = (s.abs(), c.abs());
-        let hx = 0.5 * (self.size.length * c + self.size.width * s);
-        let hy = 0.5 * (self.size.length * s + self.size.width * c);
+        let (sa, ca) = (s.abs(), c.abs());
+        let hx = 0.5 * (self.size.length * ca + self.size.width * sa);
+        let hy = 0.5 * (self.size.length * sa + self.size.width * ca);
         let center = self.center.bev();
-        crate::Aabb2::new(
+        let aabb = crate::Aabb2::new(
             Vec2::new(center.x - hx, center.y - hy),
             Vec2::new(center.x + hx, center.y + hy),
-        )
+        );
+        (aabb, self.corners_sin_cos(s, c))
+    }
+
+    #[inline]
+    fn corners_sin_cos(&self, s: f64, cos: f64) -> [Vec2; 4] {
+        let hl = self.size.length / 2.0;
+        let hw = self.size.width / 2.0;
+        let c = self.center.bev();
+        let rot = |x: f64, y: f64| Vec2::new(x * cos - y * s, x * s + y * cos);
+        [c + rot(hl, hw), c + rot(-hl, hw), c + rot(-hl, -hw), c + rot(hl, -hw)]
     }
 
     /// BEV footprint area.
@@ -261,7 +270,7 @@ mod tests {
     #[test]
     fn bev_aabb_axis_aligned_box() {
         let b = Box3::new(Vec3::new(1.0, -2.0, 0.5), Size3::new(4.0, 2.0, 1.0), 0.0);
-        let a = b.bev_aabb();
+        let a = b.bev_aabb_and_corners().0;
         assert!((a.min.x - -1.0).abs() < 1e-12);
         assert!((a.max.x - 3.0).abs() < 1e-12);
         assert!((a.min.y - -3.0).abs() < 1e-12);
@@ -275,7 +284,7 @@ mod tests {
             l in 0.3f64..10.0, w in 0.3f64..4.0, yaw in -6.3f64..6.3,
         ) {
             let b = Box3::on_ground(x, y, 0.0, l, w, 1.5, yaw);
-            let a = b.bev_aabb();
+            let a = b.bev_aabb_and_corners().0;
             prop_assert!(a.is_valid());
             for c in b.bev_corners() {
                 prop_assert!(c.x >= a.min.x - 1e-9 && c.x <= a.max.x + 1e-9);

@@ -6,14 +6,13 @@
 //! overlap term and is used by evaluation matching.
 
 use crate::box3::Box3;
-use crate::polygon::convex_clip_area;
+use crate::polygon::box_clip_area;
 use crate::vec::Vec2;
 
 /// BEV footprint intersection area of two boxes, allocation-free: corner
-/// arrays straight into the fixed-buffer Sutherland–Hodgman clip. The
-/// association passes run this once per candidate pair.
+/// arrays straight into the fixed-buffer 4 × 4 box clip.
 fn bev_intersection_area(a: &Box3, b: &Box3) -> f64 {
-    convex_clip_area(&a.bev_corners(), &b.bev_corners())
+    box_clip_area(&a.bev_corners(), &b.bev_corners())
 }
 
 /// [`iou_bev`] over precomputed footprint corners and areas — for callers
@@ -29,7 +28,7 @@ pub fn iou_bev_prepared(
     corners_b: &[Vec2; 4],
     area_b: f64,
 ) -> f64 {
-    let inter = convex_clip_area(corners_a, corners_b);
+    let inter = box_clip_area(corners_a, corners_b);
     let union = area_a + area_b - inter;
     if union <= 0.0 || !union.is_finite() {
         return 0.0;

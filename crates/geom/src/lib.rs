@@ -32,7 +32,7 @@ pub use angle::{angle_diff, normalize_angle, undirected_angle_diff};
 pub use box3::{Box3, Size3};
 pub use grid::BevGrid;
 pub use iou::{iou_3d, iou_bev, iou_bev_prepared};
-pub use polygon::{convex_clip_area, ConvexPolygon};
+pub use polygon::ConvexPolygon;
 pub use pose::Pose2;
 pub use vec::{Vec2, Vec3};
 

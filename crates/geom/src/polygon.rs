@@ -140,20 +140,108 @@ impl ConvexPolygon {
     }
 }
 
+/// Vertex slots of each [`box_clip_area`] buffer. Clipping a convex quad
+/// by another grows it by at most one vertex per clip edge, so 8 slots
+/// hold any result; the ninth holds a copy of vertex 0, which the closing
+/// segment reads instead of wrapping its index.
+const BOX_CLIP_SLOTS: usize = 9;
+const BOX_CLIP_LAST: usize = BOX_CLIP_SLOTS - 1;
+
+/// Intersection area of two box footprints (convex CCW quads, e.g.
+/// [`Box3::bev_corners`](crate::Box3::bev_corners)) — the kernel every
+/// box-overlap IOU runs, once per candidate pair in association.
+///
+/// Sutherland–Hodgman specialised to 4 × 4: fixed buffers, the four clip
+/// edges unrolled (no ping-pong flag, no modulo), and each polygon closed
+/// by a copy of its first vertex. The floating-point operations and their
+/// order are those of the general slice clip (retained as the test
+/// oracle), so every area is bit-identical to it.
+///
+/// The inside/crossing tests stay branches. Branch-free emit-and-advance
+/// forms (write the candidate, advance by the predicate) were measured
+/// slower on pairs recorded from corpus assembly: they pay a division
+/// per vertex instead of per crossing, and the compaction index they
+/// carry serialises each edge on the previous one, where a predicted
+/// branch lets the next edge start early.
+pub(crate) fn box_clip_area(subject: &[Vec2; 4], clip: &[Vec2; 4]) -> f64 {
+    let mut a = [Vec2::ZERO; BOX_CLIP_SLOTS];
+    let mut b = [Vec2::ZERO; BOX_CLIP_SLOTS];
+    a[..4].copy_from_slice(subject);
+    a[4] = subject[0];
+    let n = clip_box_edge(&a, 4, clip[0], clip[1], &mut b);
+    let n = clip_box_edge(&b, n, clip[1], clip[2], &mut a);
+    let n = clip_box_edge(&a, n, clip[2], clip[3], &mut b);
+    let n = clip_box_edge(&b, n, clip[3], clip[0], &mut a);
+    if n < 3 {
+        return 0.0;
+    }
+    let mut acc = 0.0;
+    for i in 0..n {
+        acc += a[i].cross(a[i + 1]);
+    }
+    // CCW ∩ CCW stays CCW; clamp tiny negative shoelace noise like
+    // `ConvexPolygon::area` does.
+    (acc / 2.0).max(0.0)
+}
+
+/// Keep the part of `src[..n]` (with `src[n] == src[0]`) on the left of
+/// the directed edge `from -> to`, into `dst`; returns the kept vertex
+/// count and closes `dst` the same way.
+#[inline(always)]
+fn clip_box_edge(
+    src: &[Vec2; BOX_CLIP_SLOTS],
+    n: usize,
+    from: Vec2,
+    to: Vec2,
+    dst: &mut [Vec2; BOX_CLIP_SLOTS],
+) -> usize {
+    let edge = to - from;
+    let mut dp = edge.cross(src[0] - from);
+    let mut out = 0usize;
+    // A convex quad clipped by another never exceeds 8 vertices; the
+    // clamps only keep degenerate float input from indexing past the
+    // buffers.
+    for j in 0..n.min(BOX_CLIP_LAST) {
+        let (p, q) = (src[j], src[j + 1]);
+        let dq = edge.cross(q - from);
+        let p_inside = dp >= -GEOM_EPS;
+        let q_inside = dq >= -GEOM_EPS;
+        if p_inside {
+            dst[out.min(BOX_CLIP_LAST)] = p;
+            out += 1;
+        }
+        if p_inside != q_inside {
+            // Segment crosses the edge line: p + (q - p) · dp/(dp - dq)
+            // (the denominator equals the segment×edge cross product, so
+            // the near-parallel guard matches `line_intersection`).
+            let denom = dp - dq;
+            if denom.abs() >= GEOM_EPS {
+                dst[out.min(BOX_CLIP_LAST)] = p + (q - p) * (dp / denom);
+                out += 1;
+            }
+        }
+        dp = dq;
+    }
+    let n = out.min(BOX_CLIP_LAST);
+    dst[n] = dst[0];
+    n
+}
+
 /// Maximum vertex count [`convex_clip_area`] supports:
 /// `subject.len() + clip.len()` must not exceed it (Sutherland–Hodgman
 /// grows the subject by at most one vertex per clip edge).
-pub const CLIP_AREA_MAX_VERTICES: usize = 16;
+#[cfg(test)]
+const CLIP_AREA_MAX_VERTICES: usize = 16;
 
 /// Area of the intersection of two convex CCW polygons, without
-/// allocating — the fixed-buffer twin of
-/// [`ConvexPolygon::intersection_area`], for the association hot path
-/// (box-vs-box IOU runs this once per candidate pair, so the Vec-based
-/// clip's per-edge allocations dominate it).
+/// allocating — the general fixed-buffer clip [`box_clip_area`]
+/// specialises, kept as the oracle the bit-identity tests hold the box
+/// kernel to.
 ///
 /// Runs the identical Sutherland–Hodgman edge loop over stack buffers.
 /// Requires `subject.len() + clip.len() <= CLIP_AREA_MAX_VERTICES`.
-pub fn convex_clip_area(subject: &[Vec2], clip: &[Vec2]) -> f64 {
+#[cfg(test)]
+fn convex_clip_area(subject: &[Vec2], clip: &[Vec2]) -> f64 {
     if subject.len() < 3 || clip.len() < 3 {
         return 0.0;
     }
@@ -403,6 +491,106 @@ mod tests {
             convex_clip_area(sq.vertices(), &[Vec2::ZERO, Vec2::new(1.0, 0.0)]),
             0.0
         );
+    }
+
+    fn footprint(x: f64, y: f64, l: f64, w: f64, yaw: f64) -> [Vec2; 4] {
+        crate::Box3::on_ground(x, y, 0.0, l, w, 1.0, yaw).bev_corners()
+    }
+
+    /// The box kernel returns the general clip's exact bits, both ways
+    /// round.
+    fn assert_box_clip_bits(a: &[Vec2; 4], b: &[Vec2; 4]) -> Result<(), TestCaseError> {
+        for (s, c) in [(a, b), (b, a)] {
+            let fast = box_clip_area(s, c);
+            let oracle = convex_clip_area(s, c);
+            prop_assert!(
+                fast.to_bits() == oracle.to_bits(),
+                "{:?} ∩ {:?}: box kernel {} vs general clip {}",
+                s,
+                c,
+                fast,
+                oracle
+            );
+        }
+        Ok(())
+    }
+
+    #[test]
+    fn box_clip_matches_general_clip_on_degenerate_boxes() {
+        use std::f64::consts::{FRAC_PI_2, PI};
+        let unit = (0.0, 0.0, 4.0, 2.0, 0.0);
+        let cases = [
+            // Identical boxes, axis-aligned and rotated.
+            (unit, unit),
+            ((1.0, -2.0, 4.5, 1.9, 0.3), (1.0, -2.0, 4.5, 1.9, 0.3)),
+            // Shared edge, shared corner, and a touching rotated pair.
+            (unit, (4.0, 0.0, 4.0, 2.0, 0.0)),
+            (unit, (4.0, 2.0, 4.0, 2.0, 0.0)),
+            (unit, (3.0, 0.0, 2.0, 2.0, FRAC_PI_2)),
+            // 90° and 180° rotations of the same footprint.
+            (unit, (0.0, 0.0, 4.0, 2.0, FRAC_PI_2)),
+            (unit, (0.0, 0.0, 4.0, 2.0, PI)),
+            (unit, (0.0, 0.0, 4.0, 2.0, -PI)),
+            ((0.0, 0.0, 2.0, 2.0, 0.0), (0.0, 0.0, 2.0, 2.0, FRAC_PI_2)),
+            // Zero-width and zero-size boxes.
+            (unit, (0.0, 0.0, 4.0, 0.0, 0.2)),
+            (unit, (0.0, 0.0, 0.0, 0.0, 0.0)),
+            ((0.0, 0.0, 4.0, 0.0, 0.0), (0.0, 0.0, 4.0, 0.0, 0.0)),
+            // One box inside another.
+            ((0.0, 0.0, 10.0, 10.0, 0.1), (1.0, 0.5, 2.0, 1.0, 0.7)),
+            ((0.0, 0.0, 10.0, 10.0, 0.0), (0.0, 0.0, 2.0, 1.0, 0.0)),
+            // Disjoint.
+            (unit, (50.0, 0.0, 4.0, 2.0, 1.0)),
+        ];
+        for ((ax, ay, al, aw, ayaw), (bx, by, bl, bw, byaw)) in cases {
+            let a = footprint(ax, ay, al, aw, ayaw);
+            let b = footprint(bx, by, bl, bw, byaw);
+            assert_box_clip_bits(&a, &b).unwrap();
+        }
+    }
+
+    #[test]
+    fn box_clip_known_areas() {
+        let a = footprint(0.0, 0.0, 4.0, 2.0, 0.0);
+        assert_eq!(box_clip_area(&a, &a), 8.0);
+        let half = footprint(2.0, 0.0, 4.0, 2.0, 0.0);
+        assert_eq!(box_clip_area(&a, &half), 4.0);
+        let far = footprint(50.0, 0.0, 4.0, 2.0, 0.0);
+        assert_eq!(box_clip_area(&a, &far).to_bits(), 0.0f64.to_bits());
+        let octagon = box_clip_area(
+            &footprint(0.0, 0.0, 2.0, 2.0, 0.0),
+            &footprint(0.0, 0.0, 2.0, 2.0, std::f64::consts::FRAC_PI_4),
+        );
+        assert!((octagon - 8.0 * (2.0_f64.sqrt() - 1.0)).abs() < 1e-12);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(2048))]
+
+        #[test]
+        fn prop_box_clip_bits_match_general_clip(
+            ax in -4.0f64..4.0, ay in -4.0f64..4.0,
+            al in 0.0f64..7.0, aw in 0.0f64..3.0, ayaw in -7.0f64..7.0,
+            bx in -4.0f64..4.0, by in -4.0f64..4.0,
+            bl in 0.0f64..7.0, bw in 0.0f64..3.0, byaw in -7.0f64..7.0,
+        ) {
+            let a = footprint(ax, ay, al, aw, ayaw);
+            let b = footprint(bx, by, bl, bw, byaw);
+            assert_box_clip_bits(&a, &b)?;
+        }
+
+        #[test]
+        fn prop_box_clip_bits_match_on_snapped_boxes(
+            ax in -4i32..4, ay in -4i32..4, al in 0i32..6, aw in 0i32..4, ayaw in -4i32..4,
+            bx in -4i32..4, by in -4i32..4, bl in 0i32..6, bw in 0i32..4, byaw in -4i32..4,
+        ) {
+            // Half-metre grid and quarter-turn yaws: shared edges and
+            // corners, coincident and collinear vertices, zero extents.
+            let q = std::f64::consts::FRAC_PI_2;
+            let a = footprint(ax as f64 * 0.5, ay as f64 * 0.5, al as f64, aw as f64, ayaw as f64 * q);
+            let b = footprint(bx as f64 * 0.5, by as f64 * 0.5, bl as f64, bw as f64, byaw as f64 * q);
+            assert_box_clip_bits(&a, &b)?;
+        }
     }
 
     proptest! {

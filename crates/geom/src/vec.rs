@@ -58,6 +58,13 @@ impl Vec2 {
     #[inline]
     pub fn rotated(self, yaw: f64) -> Vec2 {
         let (s, c) = yaw.sin_cos();
+        self.rotated_sin_cos(s, c)
+    }
+
+    /// [`rotated`](Self::rotated) by the angle whose `sin_cos()` is
+    /// `(s, c)` — for callers rotating many points by one angle.
+    #[inline]
+    pub fn rotated_sin_cos(self, s: f64, c: f64) -> Vec2 {
         Vec2::new(c * self.x - s * self.y, s * self.x + c * self.y)
     }
 

@@ -25,9 +25,23 @@
 //! vendored-crate style: no external codec dependencies). `f64`s are
 //! bit-exact (`to_le_bytes`), so a binary↔JSON round trip reproduces the
 //! scene *exactly* — locked over fuzzed corpora by `tests/ingest.rs`.
+//! That includes the ego pose: its yaw is stored and read back verbatim,
+//! never renormalised, so a yaw outside (−π, π] survives the round trip
+//! as it does through JSON.
+//!
+//! A frame record decodes in one pass. The frame head, each ground-truth
+//! and label list, and each detection's fixed 66-byte head cost one
+//! bounds check apiece, and every field is then read at a fixed offset.
+//! Only a detection's provenance payload, whose length depends on its
+//! tag, needs a second check. The writer sizes each record exactly
+//! before encoding it, so a record is one allocation.
+//!
 //! A file that ends mid-record surfaces [`IngestError::Io`]
 //! (`UnexpectedEof`), never a panic; structural nonsense (bad magic,
-//! unknown tags, record overruns) surfaces [`IngestError::Corrupt`].
+//! unknown tags, record overruns) surfaces [`IngestError::Corrupt`]. The
+//! trailer ends the file: any byte after it is [`IngestError::Corrupt`],
+//! as trailing characters are for JSON. The reader probes at most 4 KiB
+//! past the trailer to say so, so a long tail is never read in full.
 
 use crate::error::IngestError;
 use fixy_core::codec::{Dec, Enc, MAX_RECORD_LEN};
@@ -62,7 +76,6 @@ const TAG_TRAILER: u8 = 0x02;
 /// Scene-domain extensions of the shared [`Enc`] builder.
 trait EncExt {
     fn class(&mut self, c: ObjectClass);
-    fn vec2(&mut self, v: Vec2);
     fn box3(&mut self, b: &Box3);
     fn frame_ids(&mut self, ids: &[FrameId]);
 }
@@ -70,10 +83,6 @@ trait EncExt {
 impl EncExt for Enc {
     fn class(&mut self, c: ObjectClass) {
         self.u8(c.index() as u8);
-    }
-    fn vec2(&mut self, v: Vec2) {
-        self.f64(v.x);
-        self.f64(v.y);
     }
     fn box3(&mut self, b: &Box3) {
         self.f64(b.center.x);
@@ -92,28 +101,16 @@ impl EncExt for Enc {
     }
 }
 
-/// Scene-domain extensions of the shared [`Dec`] cursor.
+/// Scene-domain extensions of the shared [`Dec`] cursor (the
+/// injected-error trailer's variable-length records).
 trait DecExt {
     fn class(&mut self) -> Result<ObjectClass, IngestError>;
-    fn vec2(&mut self) -> Result<Vec2, IngestError>;
-    fn box3(&mut self) -> Result<Box3, IngestError>;
     fn frame_ids(&mut self) -> Result<Vec<FrameId>, IngestError>;
 }
 
 impl DecExt for Dec<'_> {
     fn class(&mut self) -> Result<ObjectClass, IngestError> {
-        let idx = self.u8()?;
-        ObjectClass::from_index(idx as usize)
-            .ok_or_else(|| IngestError::Corrupt(format!("unknown object class {idx}")))
-    }
-    fn vec2(&mut self) -> Result<Vec2, IngestError> {
-        Ok(Vec2::new(self.f64()?, self.f64()?))
-    }
-    fn box3(&mut self) -> Result<Box3, IngestError> {
-        let center = Vec3::new(self.f64()?, self.f64()?, self.f64()?);
-        let size = Size3::new(self.f64()?, self.f64()?, self.f64()?);
-        let yaw = self.f64()?;
-        Ok(Box3::new(center, size, yaw))
+        class_from(self.u8()?)
     }
     fn frame_ids(&mut self) -> Result<Vec<FrameId>, IngestError> {
         let n = self.len()?;
@@ -121,10 +118,63 @@ impl DecExt for Dec<'_> {
     }
 }
 
+fn class_from(idx: u8) -> Result<ObjectClass, IngestError> {
+    ObjectClass::from_index(idx as usize)
+        .ok_or_else(|| IngestError::Corrupt(format!("unknown object class {idx}")))
+}
+
+/// Encoded bytes of the frame head (index, timestamp, ego pose x/y/yaw).
+const FRAME_HEAD_BYTES: usize = 4 + 8 + 3 * 8;
+/// Encoded bytes of one box (centre, size, yaw).
+const BOX_BYTES: usize = 7 * 8;
+/// Encoded bytes of a ground-truth and a label record (fixed size).
+const GT_BYTES: usize = 8 + 1 + BOX_BYTES + 4 + 8 + 1;
+const LABEL_BYTES: usize = BOX_BYTES + 1 + 8;
+/// A detection record is a fixed head (box, class, confidence,
+/// provenance tag), a tag-dependent provenance payload, and two flags.
+const DETECTION_HEAD_BYTES: usize = BOX_BYTES + 1 + 8 + 1;
+const DETECTION_FLAG_BYTES: usize = 2;
+/// The smallest detection record (a `Clutter` provenance has no payload).
+/// Counts are checked against the record sizes, so each list is allocated
+/// at its exact length (decoded scenes stay resident in batch corpora and
+/// benchmark pools) without a corrupt count reserving more than the
+/// payload could hold.
+const DETECTION_BYTES: usize = DETECTION_HEAD_BYTES + DETECTION_FLAG_BYTES;
+
+/// Provenance tag and payload length of a detection.
+fn provenance_tag(p: DetectionProvenance) -> (u8, usize) {
+    match p {
+        DetectionProvenance::TrueObject(_) => (0, 8),
+        DetectionProvenance::Clutter => (1, 0),
+        DetectionProvenance::PersistentGhost(_) => (2, 4),
+        DetectionProvenance::Duplicate(_) => (3, 8),
+    }
+}
+
+/// Exact encoded length of a frame record.
+fn frame_record_len(frame: &Frame) -> usize {
+    let detections: usize = frame
+        .detections
+        .iter()
+        .map(|d| DETECTION_BYTES + provenance_tag(d.provenance).1)
+        .sum();
+    FRAME_HEAD_BYTES
+        + 4
+        + frame.gt.len() * GT_BYTES
+        + 4
+        + frame.human_labels.len() * LABEL_BYTES
+        + 4
+        + detections
+}
+
 fn encode_frame(enc: &mut Enc, frame: &Frame) {
+    let record_len = frame_record_len(frame);
+    enc.buf.reserve(record_len);
+    let start = enc.buf.len();
     enc.u32(frame.index.0);
     enc.f64(frame.timestamp);
-    enc.vec2(frame.ego_pose.translation);
+    enc.f64(frame.ego_pose.translation.x);
+    enc.f64(frame.ego_pose.translation.y);
     enc.f64(frame.ego_pose.yaw);
     enc.len(frame.gt.len());
     for g in &frame.gt {
@@ -146,91 +196,136 @@ fn encode_frame(enc: &mut Enc, frame: &Frame) {
         enc.box3(&d.bbox);
         enc.class(d.class);
         enc.f64(d.confidence);
+        enc.u8(provenance_tag(d.provenance).0);
         match d.provenance {
-            DetectionProvenance::TrueObject(t) => {
-                enc.u8(0);
-                enc.u64(t.0);
-            }
-            DetectionProvenance::Clutter => enc.u8(1),
-            DetectionProvenance::PersistentGhost(g) => {
-                enc.u8(2);
-                enc.u32(g.0);
-            }
-            DetectionProvenance::Duplicate(t) => {
-                enc.u8(3);
-                enc.u64(t.0);
-            }
+            DetectionProvenance::TrueObject(t) | DetectionProvenance::Duplicate(t) => enc.u64(t.0),
+            DetectionProvenance::Clutter => {}
+            DetectionProvenance::PersistentGhost(g) => enc.u32(g.0),
         }
         enc.bool(d.class_correct);
         enc.bool(d.localization_error);
     }
+    debug_assert_eq!(enc.buf.len() - start, record_len);
 }
 
-/// Encoded bytes of the smallest ground-truth, label and detection
-/// records. Counts are checked against them, so each list is allocated at
-/// its exact length (decoded scenes stay resident in batch corpora and
-/// benchmark pools) without a corrupt count reserving more than the
-/// payload could hold.
-const GT_BYTES: usize = 8 + 1 + 56 + 4 + 8 + 1;
-const LABEL_BYTES: usize = 56 + 1 + 8;
-const DETECTION_BYTES: usize = 56 + 1 + 8 + 1 + 2;
+// Fixed-offset field readers over a record whose length the caller has
+// already checked: with constant offsets into a fixed-size array the
+// per-field bounds checks fold away.
 
-/// A count-prefixed list of records of at least `min_bytes` each.
-fn decode_list<T>(
+#[inline(always)]
+fn u32_at<const N: usize>(r: &[u8; N], at: usize) -> u32 {
+    u32::from_le_bytes(r[at..at + 4].try_into().unwrap())
+}
+
+#[inline(always)]
+fn u64_at<const N: usize>(r: &[u8; N], at: usize) -> u64 {
+    u64::from_le_bytes(r[at..at + 8].try_into().unwrap())
+}
+
+#[inline(always)]
+fn f64_at<const N: usize>(r: &[u8; N], at: usize) -> f64 {
+    f64::from_le_bytes(r[at..at + 8].try_into().unwrap())
+}
+
+#[inline(always)]
+fn box3_at<const N: usize>(r: &[u8; N], at: usize) -> Box3 {
+    Box3::new(
+        Vec3::new(f64_at(r, at), f64_at(r, at + 8), f64_at(r, at + 16)),
+        Size3::new(f64_at(r, at + 24), f64_at(r, at + 32), f64_at(r, at + 40)),
+        f64_at(r, at + 48),
+    )
+}
+
+/// `N` bytes off the cursor as a fixed-size array (one bounds check).
+#[inline(always)]
+fn take_array<'a, const N: usize>(dec: &mut Dec<'a>) -> Result<&'a [u8; N], IngestError> {
+    Ok(dec.take(N)?.try_into().expect("take returns exactly N bytes"))
+}
+
+/// A count-prefixed list of fixed-size records: one count check, one
+/// bounds check for the whole block, then fixed-offset reads per record.
+fn decode_fixed_list<T, const N: usize>(
     dec: &mut Dec<'_>,
-    min_bytes: usize,
-    mut record: impl FnMut(&mut Dec<'_>) -> Result<T, IngestError>,
+    record: impl Fn(&[u8; N]) -> Result<T, IngestError>,
 ) -> Result<Vec<T>, IngestError> {
-    let n = dec.len_of(min_bytes)?;
+    let n = dec.len_of(N)?;
+    let block = dec.take(n * N)?;
     let mut out = Vec::with_capacity(n);
-    for _ in 0..n {
-        out.push(record(dec)?);
+    for r in block.chunks_exact(N) {
+        out.push(record(r.try_into().expect("chunks_exact yields N bytes"))?);
     }
     Ok(out)
 }
 
 fn decode_frame(payload: &[u8]) -> Result<Frame, IngestError> {
     let mut dec = Dec::new(payload);
-    let index = FrameId(dec.u32()?);
-    let timestamp = dec.f64()?;
-    let ego_pose = Pose2::new(dec.vec2()?, dec.f64()?);
-    let gt = decode_list(&mut dec, GT_BYTES, |dec| {
+    let head = take_array::<FRAME_HEAD_BYTES>(&mut dec)?;
+    let index = FrameId(u32_at(head, 0));
+    let timestamp = f64_at(head, 4);
+    // The stored yaw verbatim (no renormalisation), so decode is the
+    // exact inverse of encode — as the JSON path is.
+    let ego_pose = Pose2 {
+        translation: Vec2::new(f64_at(head, 12), f64_at(head, 20)),
+        yaw: f64_at(head, 28),
+    };
+    let gt = decode_fixed_list(&mut dec, |r: &[u8; GT_BYTES]| {
         Ok(GtBox {
-            track: TrackId(dec.u64()?),
-            class: dec.class()?,
-            bbox: dec.box3()?,
-            lidar_points: dec.u32()?,
-            occlusion: dec.f64()?,
-            visible: dec.bool()?,
+            track: TrackId(u64_at(r, 0)),
+            class: class_from(r[8])?,
+            bbox: box3_at(r, 9),
+            lidar_points: u32_at(r, 9 + BOX_BYTES),
+            occlusion: f64_at(r, 13 + BOX_BYTES),
+            visible: r[21 + BOX_BYTES] != 0,
         })
     })?;
-    let human_labels = decode_list(&mut dec, LABEL_BYTES, |dec| {
+    let human_labels = decode_fixed_list(&mut dec, |r: &[u8; LABEL_BYTES]| {
         Ok(LabeledBox {
-            bbox: dec.box3()?,
-            class: dec.class()?,
-            gt_track: TrackId(dec.u64()?),
+            bbox: box3_at(r, 0),
+            class: class_from(r[BOX_BYTES])?,
+            gt_track: TrackId(u64_at(r, BOX_BYTES + 1)),
         })
     })?;
-    let detections = decode_list(&mut dec, DETECTION_BYTES, |dec| {
-        let bbox = dec.box3()?;
-        let class = dec.class()?;
-        let confidence = dec.f64()?;
-        let provenance = match dec.u8()? {
-            0 => DetectionProvenance::TrueObject(TrackId(dec.u64()?)),
-            1 => DetectionProvenance::Clutter,
-            2 => DetectionProvenance::PersistentGhost(GhostId(dec.u32()?)),
-            3 => DetectionProvenance::Duplicate(TrackId(dec.u64()?)),
+    let n = dec.len_of(DETECTION_BYTES)?;
+    let mut detections = Vec::with_capacity(n);
+    for _ in 0..n {
+        let head = take_array::<DETECTION_HEAD_BYTES>(&mut dec)?;
+        let bbox = box3_at(head, 0);
+        let class = class_from(head[BOX_BYTES])?;
+        let confidence = f64_at(head, BOX_BYTES + 1);
+        let tag = head[BOX_BYTES + 9];
+        let (provenance, flags) = match tag {
+            0 | 3 => {
+                let tail = take_array::<{ 8 + DETECTION_FLAG_BYTES }>(&mut dec)?;
+                let track = TrackId(u64_at(tail, 0));
+                let provenance = if tag == 0 {
+                    DetectionProvenance::TrueObject(track)
+                } else {
+                    DetectionProvenance::Duplicate(track)
+                };
+                (provenance, [tail[8], tail[9]])
+            }
+            1 => (
+                DetectionProvenance::Clutter,
+                *take_array::<DETECTION_FLAG_BYTES>(&mut dec)?,
+            ),
+            2 => {
+                let tail = take_array::<{ 4 + DETECTION_FLAG_BYTES }>(&mut dec)?;
+                (
+                    DetectionProvenance::PersistentGhost(GhostId(u32_at(tail, 0))),
+                    [tail[4], tail[5]],
+                )
+            }
             tag => return Err(IngestError::Corrupt(format!("unknown provenance tag {tag}"))),
         };
-        Ok(Detection {
+        detections.push(Detection {
             bbox,
             class,
             confidence,
             provenance,
-            class_correct: dec.bool()?,
-            localization_error: dec.bool()?,
-        })
-    })?;
+            class_correct: flags[0] != 0,
+            localization_error: flags[1] != 0,
+        });
+    }
     dec.finish()?;
     Ok(Frame { index, timestamp, ego_pose, gt, human_labels, detections })
 }
@@ -517,7 +612,20 @@ impl<Rd: Read> FrameReader<Rd> {
         match tag[0] {
             TAG_FRAME => Ok(Some(decode_frame(&self.buf)?)),
             TAG_TRAILER => {
-                self.injected = Some(decode_injected(&self.buf)?);
+                let injected = decode_injected(&self.buf)?;
+                // The trailer ends the stream: anything after it is not
+                // part of the scene. The probe is bounded, so a long tail
+                // is reported without being read in full.
+                const PROBE: u64 = 4096;
+                let trailing =
+                    std::io::copy(&mut (&mut self.input).take(PROBE), &mut std::io::sink())?;
+                if trailing != 0 {
+                    let at_least = if trailing == PROBE { "at least " } else { "" };
+                    return Err(IngestError::Corrupt(format!(
+                        "{at_least}{trailing} trailing byte(s) after the trailer"
+                    )));
+                }
+                self.injected = Some(injected);
                 self.done = true;
                 Ok(None)
             }
@@ -578,12 +686,76 @@ pub fn read_scene(path: &Path) -> Result<SceneData, IngestError> {
 mod tests {
     use super::*;
     use loa_data::{generate_scene, DatasetProfile};
+    use proptest::prelude::*;
 
     fn tiny_scene(seed: u64) -> SceneData {
         let mut cfg = DatasetProfile::LyftLike.scene_config();
         cfg.world.duration = 3.0;
         cfg.lidar.beam_count = 240;
         generate_scene(&cfg, &format!("fscb-{seed}"), seed)
+    }
+
+    /// The per-field decoder the one-pass [`decode_frame`] replaced: one
+    /// bounds-checked cursor read per field. Kept as the oracle the
+    /// fuzzed equivalence proptest holds `decode_frame` to.
+    fn decode_frame_fields(payload: &[u8]) -> Result<Frame, IngestError> {
+        fn box3(dec: &mut Dec<'_>) -> Result<Box3, IngestError> {
+            let center = Vec3::new(dec.f64()?, dec.f64()?, dec.f64()?);
+            let size = Size3::new(dec.f64()?, dec.f64()?, dec.f64()?);
+            Ok(Box3::new(center, size, dec.f64()?))
+        }
+        fn list<T>(
+            dec: &mut Dec<'_>,
+            min_bytes: usize,
+            mut record: impl FnMut(&mut Dec<'_>) -> Result<T, IngestError>,
+        ) -> Result<Vec<T>, IngestError> {
+            let n = dec.len_of(min_bytes)?;
+            (0..n).map(|_| record(dec)).collect()
+        }
+        let mut dec = Dec::new(payload);
+        let index = FrameId(dec.u32()?);
+        let timestamp = dec.f64()?;
+        let translation = Vec2::new(dec.f64()?, dec.f64()?);
+        let ego_pose = Pose2 { translation, yaw: dec.f64()? };
+        let gt = list(&mut dec, GT_BYTES, |dec| {
+            Ok(GtBox {
+                track: TrackId(dec.u64()?),
+                class: dec.class()?,
+                bbox: box3(dec)?,
+                lidar_points: dec.u32()?,
+                occlusion: dec.f64()?,
+                visible: dec.bool()?,
+            })
+        })?;
+        let human_labels = list(&mut dec, LABEL_BYTES, |dec| {
+            Ok(LabeledBox {
+                bbox: box3(dec)?,
+                class: dec.class()?,
+                gt_track: TrackId(dec.u64()?),
+            })
+        })?;
+        let detections = list(&mut dec, DETECTION_BYTES, |dec| {
+            let bbox = box3(dec)?;
+            let class = dec.class()?;
+            let confidence = dec.f64()?;
+            let provenance = match dec.u8()? {
+                0 => DetectionProvenance::TrueObject(TrackId(dec.u64()?)),
+                1 => DetectionProvenance::Clutter,
+                2 => DetectionProvenance::PersistentGhost(GhostId(dec.u32()?)),
+                3 => DetectionProvenance::Duplicate(TrackId(dec.u64()?)),
+                tag => return Err(IngestError::Corrupt(format!("unknown provenance tag {tag}"))),
+            };
+            Ok(Detection {
+                bbox,
+                class,
+                confidence,
+                provenance,
+                class_correct: dec.bool()?,
+                localization_error: dec.bool()?,
+            })
+        })?;
+        dec.finish()?;
+        Ok(Frame { index, timestamp, ego_pose, gt, human_labels, detections })
     }
 
     fn tmp(name: &str) -> std::path::PathBuf {
@@ -740,5 +912,181 @@ mod tests {
             json.len()
         );
         std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn bytes_after_the_trailer_are_corrupt() {
+        let scene = tiny_scene(18);
+        let path = tmp("trailing.fscb");
+        write_scene(&scene, &path).unwrap();
+        let mut bytes = std::fs::read(&path).unwrap();
+        bytes.extend_from_slice(b"GARBAGE AFTER TRAILER");
+        std::fs::write(&path, &bytes).unwrap();
+        match read_scene(&path) {
+            Err(IngestError::Corrupt(msg)) => assert!(msg.contains("21 trailing byte"), "{msg}"),
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn a_long_tail_after_the_trailer_is_probed_not_read() {
+        let scene = tiny_scene(18);
+        let mut bytes = Vec::new();
+        let mut writer = FrameWriter::new(&mut bytes, &scene.id, scene.frame_dt).unwrap();
+        for frame in &scene.frames {
+            writer.push_frame(frame).unwrap();
+        }
+        writer.finish(&scene.injected).unwrap();
+        let scene_len = bytes.len();
+        bytes.resize(scene_len + 10_000, 0xAB);
+        let mut input = bytes.as_slice();
+        let mut reader = FrameReader::new(&mut input).unwrap();
+        let err = loop {
+            match reader.next_frame() {
+                Ok(Some(_)) => continue,
+                Ok(None) => panic!("a tail after the trailer must be rejected"),
+                Err(e) => break e,
+            }
+        };
+        match err {
+            IngestError::Corrupt(msg) => {
+                assert!(msg.contains("at least 4096 trailing byte"), "{msg}")
+            }
+            other => panic!("expected Corrupt, got {other:?}"),
+        }
+        // The rest of the tail was left unread.
+        assert_eq!(input.len(), 10_000 - 4096);
+    }
+
+    #[test]
+    fn ego_yaw_outside_pi_roundtrips_exactly() {
+        let mut scene = tiny_scene(19);
+        scene.frames[0].ego_pose.yaw = 4.0;
+        let path = tmp("yaw.fscb");
+        write_scene(&scene, &path).unwrap();
+        let back = read_scene(&path).unwrap();
+        assert_eq!(back.frames[0].ego_pose.yaw.to_bits(), 4.0f64.to_bits());
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn encoded_length_is_exact() {
+        // `frame_record_len` sizes the one allocation `encode_frame`
+        // makes; it must match what is written for every provenance.
+        for frame in &tiny_scene(20).frames {
+            let payload = encode_frame_record(frame);
+            assert_eq!(payload.len(), frame_record_len(frame));
+            assert_eq!(payload.capacity(), payload.len());
+        }
+    }
+
+    /// Same outcome from both decoders: both accept with bit-identical
+    /// frames (compared by re-encoding, which preserves every `f64` bit),
+    /// or both reject with the same variant.
+    fn assert_decoders_agree(payload: &[u8]) -> Result<(), TestCaseError> {
+        match (decode_frame(payload), decode_frame_fields(payload)) {
+            (Ok(fast), Ok(oracle)) => {
+                prop_assert_eq!(encode_frame_record(&fast), encode_frame_record(&oracle));
+            }
+            (Err(fast), Err(oracle)) => prop_assert!(
+                std::mem::discriminant(&fast) == std::mem::discriminant(&oracle),
+                "fast {:?} vs oracle {:?}",
+                fast,
+                oracle
+            ),
+            (fast, oracle) => prop_assert!(false, "fast {:?} vs oracle {:?}", fast, oracle),
+        }
+        Ok(())
+    }
+
+    /// Frames of a few generated scenes, with every provenance kind and
+    /// some ego yaws pushed outside (−π, π].
+    fn sample_frames() -> &'static [Frame] {
+        static FRAMES: std::sync::OnceLock<Vec<Frame>> = std::sync::OnceLock::new();
+        FRAMES.get_or_init(|| {
+            let mut frames: Vec<Frame> =
+                (21..23).flat_map(|seed| tiny_scene(seed).frames).collect();
+            for (i, frame) in frames.iter_mut().enumerate().step_by(3) {
+                frame.ego_pose.yaw = 3.0 + i as f64;
+            }
+            let detections: Vec<&Detection> = frames.iter().flat_map(|f| &f.detections).collect();
+            for kind in [0, 1, 2, 3] {
+                assert!(
+                    detections.iter().any(|d| provenance_tag(d.provenance).0 == kind),
+                    "sample frames lack provenance {kind}"
+                );
+            }
+            frames
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn prop_one_pass_decode_matches_per_field_oracle(
+            pick in any::<u64>(),
+            mutation in 0u8..4,
+            at in any::<u64>(),
+            byte in any::<u8>(),
+            count in any::<u32>(),
+            list in 0usize..3,
+        ) {
+            let frames = sample_frames();
+            let frame = &frames[(pick % frames.len() as u64) as usize];
+            let mut payload = encode_frame_record(frame);
+            match mutation {
+                // Intact record: decodes to the encoded frame exactly.
+                0 => {
+                    let back = decode_frame(&payload).unwrap();
+                    prop_assert_eq!(encode_frame_record(&back), payload.clone());
+                }
+                // Truncated anywhere.
+                1 => payload.truncate((at % payload.len() as u64) as usize),
+                // One byte replaced.
+                2 => {
+                    let i = (at % payload.len() as u64) as usize;
+                    payload[i] = byte;
+                }
+                // A forged list count: small forgeries land inside the
+                // record, large ones must fail the plausibility check.
+                _ => {
+                    let offset = match list {
+                        0 => FRAME_HEAD_BYTES,
+                        1 => FRAME_HEAD_BYTES + 4 + frame.gt.len() * GT_BYTES,
+                        _ => {
+                            FRAME_HEAD_BYTES
+                                + 8
+                                + frame.gt.len() * GT_BYTES
+                                + frame.human_labels.len() * LABEL_BYTES
+                        }
+                    };
+                    let forged = if byte & 1 == 0 { count % 64 } else { count };
+                    payload[offset..offset + 4].copy_from_slice(&forged.to_le_bytes());
+                }
+            }
+            assert_decoders_agree(&payload)?;
+        }
+
+        #[test]
+        fn prop_write_read_scene_roundtrips_any_ego_yaw(
+            seed in 0u64..4,
+            yaws in prop::collection::vec(-20.0f64..20.0, 1..8),
+        ) {
+            let mut scene = tiny_scene(30 + seed);
+            for (frame, &yaw) in scene.frames.iter_mut().zip(&yaws) {
+                frame.ego_pose.yaw = yaw;
+            }
+            let path = tmp(&format!("yaw-prop-{seed}-{}.fscb", yaws.len()));
+            write_scene(&scene, &path).unwrap();
+            let back = read_scene(&path).unwrap();
+            std::fs::remove_file(&path).unwrap();
+            prop_assert_eq!(back.frames.len(), scene.frames.len());
+            for (a, b) in scene.frames.iter().zip(&back.frames) {
+                prop_assert_eq!(encode_frame_record(a), encode_frame_record(b));
+                prop_assert_eq!(a.ego_pose.yaw.to_bits(), b.ego_pose.yaw.to_bits());
+            }
+        }
     }
 }
