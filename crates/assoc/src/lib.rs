@@ -6,9 +6,8 @@
 //! perception problem; this crate provides the machinery:
 //!
 //! * [`matching`] — one-shot assignment between two box sets over a flat
-//!   (possibly sparse) [`ScoreMatrix`]: greedy highest-overlap-first (the
-//!   paper's default behavior) and an exact Hungarian solver for the
-//!   ablation,
+//!   (possibly sparse) [`ScoreMatrix`]: greedy highest-overlap-first, the
+//!   paper's association rule,
 //! * [`union_find`] — disjoint sets for multi-source bundling,
 //! * [`bundler`] — group same-frame observations from different sources
 //!   into observation bundles by IOU (the `TrackBundler` of Section 3),
@@ -36,8 +35,7 @@ pub use bundler::{
     FrameBundles, IouBundler, PreparedBox, DEFAULT_BUNDLE_IOU,
 };
 pub use matching::{
-    greedy_match, greedy_match_into, greedy_match_matrix, hungarian_match, hungarian_match_matrix,
-    Match, MatchScratch, ScoreMatrix,
+    greedy_match, greedy_match_into, greedy_match_matrix, Match, MatchScratch, ScoreMatrix,
 };
 pub use tracker::{
     build_tracks, build_tracks_brute, build_tracks_with, TrackBuilder, TrackPath, TrackerConfig,

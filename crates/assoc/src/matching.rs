@@ -1,8 +1,7 @@
 //! One-shot assignment between two sets scored by overlap.
 //!
-//! The paper associates observations greedily by box overlap; the Hungarian
-//! solver is provided for the greedy-vs-optimal ablation bench (and as a
-//! correctness oracle in tests).
+//! The paper associates observations greedily by box overlap, and that is
+//! the one matcher here: highest score first, each side used at most once.
 //!
 //! Scores live in a [`ScoreMatrix`]: a flat, possibly-sparse collection of
 //! explicitly scored pairs with known dimensions. Entries never pushed are
@@ -79,15 +78,6 @@ impl ScoreMatrix {
     pub fn entries(&self) -> &[Match] {
         &self.entries
     }
-
-    /// Materialize as a flat row-major dense matrix (implicit pairs = 0).
-    pub fn to_dense(&self) -> Vec<f64> {
-        let mut dense = vec![0.0; self.rows * self.cols];
-        for e in &self.entries {
-            dense[e.left * self.cols + e.right] = e.score;
-        }
-        dense
-    }
 }
 
 /// Reusable buffers for [`greedy_match_into`] — the tracker calls the
@@ -155,115 +145,6 @@ pub fn greedy_match(scores: &[Vec<f64>], min_score: f64) -> Vec<Match> {
     greedy_match_matrix(&ScoreMatrix::from_rows(scores), min_score)
 }
 
-/// Exact maximum-total-score matching (Hungarian algorithm, O(n³)) over a
-/// [`ScoreMatrix`], with pairs scoring below `min_score` removed
-/// afterwards. Implicit pairs participate with score 0 — identical to the
-/// dense formulation whenever unscored pairs truly score 0 (the overlap
-/// case the sparse tracker produces).
-pub fn hungarian_match_matrix(scores: &ScoreMatrix, min_score: f64) -> Vec<Match> {
-    let n = scores.rows();
-    let m = scores.cols();
-    if n == 0 || m == 0 {
-        return Vec::new();
-    }
-    let dense = scores.to_dense();
-
-    // Solve with the smaller side as rows; index arithmetic handles the
-    // transpose on the flat buffer.
-    let transpose = n > m;
-    let (rows, cols) = if transpose { (m, n) } else { (n, m) };
-    let at = |i: usize, j: usize| -> f64 {
-        if transpose {
-            dense[j * m + i]
-        } else {
-            dense[i * m + j]
-        }
-    };
-
-    // Minimization form: cost = max_score - score (non-negative).
-    let mut max_score = 0.0f64;
-    for i in 0..rows {
-        for j in 0..cols {
-            max_score = max_score.max(at(i, j));
-        }
-    }
-    let cost = |i: usize, j: usize| max_score - at(i, j);
-
-    // Hungarian with potentials (1-indexed internals).
-    let inf = f64::INFINITY;
-    let mut u = vec![0.0; rows + 1];
-    let mut v = vec![0.0; cols + 1];
-    let mut p = vec![0usize; cols + 1]; // p[j] = row matched to column j
-    let mut way = vec![0usize; cols + 1];
-    for i in 1..=rows {
-        p[0] = i;
-        let mut j0 = 0usize;
-        let mut minv = vec![inf; cols + 1];
-        let mut used = vec![false; cols + 1];
-        loop {
-            used[j0] = true;
-            let i0 = p[j0];
-            let mut delta = inf;
-            let mut j1 = 0usize;
-            for j in 1..=cols {
-                if used[j] {
-                    continue;
-                }
-                let cur = cost(i0 - 1, j - 1) - u[i0] - v[j];
-                if cur < minv[j] {
-                    minv[j] = cur;
-                    way[j] = j0;
-                }
-                if minv[j] < delta {
-                    delta = minv[j];
-                    j1 = j;
-                }
-            }
-            for j in 0..=cols {
-                if used[j] {
-                    u[p[j]] += delta;
-                    v[j] -= delta;
-                } else {
-                    minv[j] -= delta;
-                }
-            }
-            j0 = j1;
-            if p[j0] == 0 {
-                break;
-            }
-        }
-        loop {
-            let j1 = way[j0];
-            p[j0] = p[j1];
-            j0 = j1;
-            if j0 == 0 {
-                break;
-            }
-        }
-    }
-
-    let mut out = Vec::new();
-    #[allow(clippy::needless_range_loop)] // j indexes both p and the score matrix
-    for j in 1..=cols {
-        let i = p[j];
-        if i == 0 {
-            continue;
-        }
-        let (left, right) = if transpose { (j - 1, i - 1) } else { (i - 1, j - 1) };
-        let s = dense[left * m + right];
-        if s >= min_score {
-            out.push(Match { left, right, score: s });
-        }
-    }
-    out.sort_by_key(|m| (m.left, m.right));
-    out
-}
-
-/// Hungarian matching over nested rows (legacy entry point).
-pub fn hungarian_match(scores: &[Vec<f64>], min_score: f64) -> Vec<Match> {
-    hungarian_match_matrix(&ScoreMatrix::from_rows(scores), min_score)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -297,51 +178,31 @@ mod tests {
     #[test]
     fn empty_inputs() {
         assert!(greedy_match(&[], 0.5).is_empty());
-        assert!(hungarian_match(&[], 0.5).is_empty());
         let no_cols: Vec<Vec<f64>> = vec![vec![], vec![]];
         assert!(greedy_match(&no_cols, 0.5).is_empty());
-        assert!(hungarian_match(&no_cols, 0.5).is_empty());
         let empty = ScoreMatrix::new();
         assert!(greedy_match_matrix(&empty, 0.0).is_empty());
-        assert!(hungarian_match_matrix(&empty, 0.0).is_empty());
     }
 
     #[test]
     fn simple_diagonal() {
         let scores = vec![vec![0.9, 0.1], vec![0.2, 0.8]];
-        for matcher in [greedy_match, hungarian_match] {
-            let ms = matcher(&scores, 0.5);
-            assert_eq!(ms.len(), 2);
-            assert_eq!(ms[0], Match { left: 0, right: 0, score: 0.9 });
-            assert_eq!(ms[1], Match { left: 1, right: 1, score: 0.8 });
-        }
-    }
-
-    #[test]
-    fn greedy_can_be_suboptimal_hungarian_is_not() {
-        // Greedy takes (0,0)=0.9 then 1 gets nothing ≥ threshold at col 1;
-        // optimal pairs (0,1)=0.8 and (1,0)=0.8.
-        let scores = vec![vec![0.9, 0.8], vec![0.8, 0.0]];
-        let g = greedy_match(&scores, 0.1);
-        let h = hungarian_match(&scores, 0.1);
-        assert!((total(&g) - 0.9).abs() < 1e-9, "greedy total {}", total(&g));
-        assert!((total(&h) - 1.6).abs() < 1e-9, "hungarian total {}", total(&h));
+        let ms = greedy_match(&scores, 0.5);
+        assert_eq!(ms.len(), 2);
+        assert_eq!(ms[0], Match { left: 0, right: 0, score: 0.9 });
+        assert_eq!(ms[1], Match { left: 1, right: 1, score: 0.8 });
     }
 
     #[test]
     fn threshold_filters_pairs() {
         let scores = vec![vec![0.4]];
         assert!(greedy_match(&scores, 0.5).is_empty());
-        assert!(hungarian_match(&scores, 0.5).is_empty());
         assert_eq!(greedy_match(&scores, 0.3).len(), 1);
     }
 
     #[test]
     fn rectangular_more_rows_than_cols() {
         let scores = vec![vec![0.9], vec![0.8], vec![0.7]];
-        let h = hungarian_match(&scores, 0.1);
-        assert_eq!(h.len(), 1);
-        assert_eq!(h[0].left, 0);
         let g = greedy_match(&scores, 0.1);
         assert_eq!(g.len(), 1);
         assert_eq!(g[0].left, 0);
@@ -350,31 +211,29 @@ mod tests {
     #[test]
     fn rectangular_more_cols_than_rows() {
         let scores = vec![vec![0.1, 0.9, 0.3]];
-        let h = hungarian_match(&scores, 0.05);
-        assert_eq!(h, vec![Match { left: 0, right: 1, score: 0.9 }]);
+        let g = greedy_match(&scores, 0.05);
+        assert_eq!(g, vec![Match { left: 0, right: 1, score: 0.9 }]);
     }
 
     #[test]
     fn matching_is_one_to_one() {
         let scores = vec![vec![0.9, 0.9, 0.9], vec![0.9, 0.9, 0.9], vec![0.9, 0.9, 0.9]];
-        for matcher in [greedy_match, hungarian_match] {
-            let ms = matcher(&scores, 0.5);
-            assert_eq!(ms.len(), 3);
-            let mut lefts: Vec<_> = ms.iter().map(|m| m.left).collect();
-            let mut rights: Vec<_> = ms.iter().map(|m| m.right).collect();
-            lefts.dedup();
-            rights.sort();
-            rights.dedup();
-            assert_eq!(lefts.len(), 3);
-            assert_eq!(rights.len(), 3);
-        }
+        let ms = greedy_match(&scores, 0.5);
+        assert_eq!(ms.len(), 3);
+        let mut lefts: Vec<_> = ms.iter().map(|m| m.left).collect();
+        let mut rights: Vec<_> = ms.iter().map(|m| m.right).collect();
+        lefts.dedup();
+        rights.sort();
+        rights.dedup();
+        assert_eq!(lefts.len(), 3);
+        assert_eq!(rights.len(), 3);
     }
 
     #[test]
     fn sparse_matrix_equals_dense_when_omissions_are_zero() {
         // A sparse matrix that skips exactly the zero entries must match
-        // the dense formulation for both matchers — the contract the
-        // spatially-pruned tracker relies on.
+        // the dense formulation — the contract the spatially-pruned
+        // tracker relies on.
         let dense_rows = vec![vec![0.7, 0.0, 0.2], vec![0.0, 0.0, 0.9], vec![0.3, 0.6, 0.0]];
         let mut sparse = ScoreMatrix::new();
         sparse.reset(3, 3);
@@ -385,22 +244,13 @@ mod tests {
                 }
             }
         }
-        // Greedy equivalence needs a positive threshold (at 0.0 the dense
-        // form admits explicit zero-score pairs the sparse form never
-        // sees); hungarian materializes the identical dense matrix either
-        // way, so it agrees at 0.0 too.
+        // Equivalence needs a positive threshold: at 0.0 the dense form
+        // admits explicit zero-score pairs the sparse form never sees.
         for min in [0.1, 0.5] {
             assert_eq!(
                 greedy_match_matrix(&sparse, min),
                 greedy_match(&dense_rows, min),
                 "greedy at min {min}"
-            );
-        }
-        for min in [0.0, 0.1, 0.5] {
-            assert_eq!(
-                hungarian_match_matrix(&sparse, min),
-                hungarian_match(&dense_rows, min),
-                "hungarian at min {min}"
             );
         }
     }
@@ -416,38 +266,11 @@ mod tests {
         }
     }
 
-    #[test]
-    fn to_dense_layout() {
-        let mut m = ScoreMatrix::new();
-        m.reset(2, 3);
-        m.push(0, 2, 0.5);
-        m.push(1, 0, 0.25);
-        assert_eq!(m.to_dense(), vec![0.0, 0.0, 0.5, 0.25, 0.0, 0.0]);
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         #[test]
-        fn prop_hungarian_matches_brute_force(
-            rows in 1usize..5, cols in 1usize..5, seed in 0u64..10_000,
-        ) {
-            let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(1);
-            let mut next = || {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((state >> 33) % 1000) as f64 / 1000.0
-            };
-            let scores: Vec<Vec<f64>> =
-                (0..rows).map(|_| (0..cols).map(|_| next()).collect()).collect();
-            let h = hungarian_match(&scores, 0.0);
-            let best = brute_force_best(&scores, 0.0);
-            // Hungarian maximizes before thresholding at 0, so totals match.
-            prop_assert!((total(&h) - best).abs() < 1e-9,
-                "hungarian {} vs brute {best} on {:?}", total(&h), scores);
-        }
-
-        #[test]
-        fn prop_greedy_never_beats_hungarian(
+        fn prop_greedy_is_one_to_one_within_optimum(
             rows in 1usize..6, cols in 1usize..6, seed in 0u64..10_000,
         ) {
             let mut state = seed.wrapping_add(13);
@@ -458,16 +281,12 @@ mod tests {
             let scores: Vec<Vec<f64>> =
                 (0..rows).map(|_| (0..cols).map(|_| next()).collect()).collect();
             let g = greedy_match(&scores, 0.0);
-            let h = hungarian_match(&scores, 0.0);
-            prop_assert!(total(&g) <= total(&h) + 1e-9);
-            // Both are valid one-to-one matchings.
-            for ms in [&g, &h] {
-                let mut seen_l = std::collections::BTreeSet::new();
-                let mut seen_r = std::collections::BTreeSet::new();
-                for m in ms.iter() {
-                    prop_assert!(seen_l.insert(m.left));
-                    prop_assert!(seen_r.insert(m.right));
-                }
+            prop_assert!(total(&g) <= brute_force_best(&scores, 0.0) + 1e-9);
+            let mut seen_l = std::collections::BTreeSet::new();
+            let mut seen_r = std::collections::BTreeSet::new();
+            for m in &g {
+                prop_assert!(seen_l.insert(m.left));
+                prop_assert!(seen_r.insert(m.right));
             }
         }
 
@@ -477,9 +296,9 @@ mod tests {
             min_pct in 1usize..60,
         ) {
             // Random matrices with plenty of exact zeros: the sparse
-            // (zeros omitted) and dense paths must agree for both
-            // matchers at any positive threshold (the tracker's regime —
-            // at exactly 0, dense greedy admits zero-score pairs).
+            // (zeros omitted) and dense paths must agree at any positive
+            // threshold (the tracker's regime — at exactly 0, dense greedy
+            // admits zero-score pairs).
             let mut state = seed.wrapping_add(99);
             let mut next = || {
                 state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -499,10 +318,6 @@ mod tests {
             }
             let min = min_pct as f64 / 100.0;
             prop_assert_eq!(greedy_match_matrix(&sparse, min), greedy_match(&scores, min));
-            prop_assert_eq!(
-                hungarian_match_matrix(&sparse, min),
-                hungarian_match(&scores, min)
-            );
         }
     }
 }

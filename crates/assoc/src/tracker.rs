@@ -16,7 +16,7 @@
 //! [`TrackerScratch`] reused across frames and scenes.
 
 use crate::bundler::PreparedBox;
-use crate::matching::{greedy_match_into, hungarian_match_matrix, MatchScratch, ScoreMatrix};
+use crate::matching::{greedy_match_into, MatchScratch, ScoreMatrix};
 use loa_geom::{iou_bev, iou_bev_prepared, BevGrid, Box3};
 use serde::{Deserialize, Serialize};
 
@@ -29,13 +29,11 @@ pub struct TrackerConfig {
     /// Maximum number of frames between a track's last entry and a new
     /// one (1 = strictly adjacent frames).
     pub max_gap: u32,
-    /// Use the exact Hungarian matcher instead of greedy (ablation).
-    pub use_hungarian: bool,
 }
 
 impl Default for TrackerConfig {
     fn default() -> Self {
-        TrackerConfig { iou_threshold: 0.05, max_gap: 2, use_hungarian: false }
+        TrackerConfig { iou_threshold: 0.05, max_gap: 2 }
     }
 }
 
@@ -291,16 +289,12 @@ fn track_frame_step(
                 }
             }
         }
-        if cfg.use_hungarian {
-            scratch.matches = hungarian_match_matrix(&scratch.matrix, cfg.iou_threshold);
-        } else {
-            greedy_match_into(
-                &scratch.matrix,
-                cfg.iou_threshold,
-                &mut scratch.matcher,
-                &mut scratch.matches,
-            );
-        }
+        greedy_match_into(
+            &scratch.matrix,
+            cfg.iou_threshold,
+            &mut scratch.matcher,
+            &mut scratch.matches,
+        );
 
         scratch.item_taken.clear();
         scratch.item_taken.resize(items.len(), false);
@@ -345,7 +339,7 @@ fn track_frame_step(
 /// The retained dense all-pairs reference (the seed implementation) — the
 /// oracle the equivalence proptests hold [`build_tracks`] to.
 pub fn build_tracks_brute(frames: &[Vec<Box3>], cfg: &TrackerConfig) -> Vec<TrackPath> {
-    use crate::matching::{greedy_match, hungarian_match};
+    use crate::matching::greedy_match;
 
     let mut tracks: Vec<TrackPath> = Vec::new();
     let mut active: Vec<Active> = Vec::new();
@@ -362,11 +356,7 @@ pub fn build_tracks_brute(frames: &[Vec<Box3>], cfg: &TrackerConfig) -> Vec<Trac
             .iter()
             .map(|a| items.iter().map(|b| iou_bev(&a.last_box, b)).collect())
             .collect();
-        let matches = if cfg.use_hungarian {
-            hungarian_match(&scores, cfg.iou_threshold)
-        } else {
-            greedy_match(&scores, cfg.iou_threshold)
-        };
+        let matches = greedy_match(&scores, cfg.iou_threshold);
 
         let mut item_taken = vec![false; items.len()];
         for m in &matches {
@@ -475,18 +465,6 @@ mod tests {
                 assert!(w[0].0 < w[1].0);
             }
         }
-    }
-
-    #[test]
-    fn hungarian_and_greedy_agree_on_easy_scenes() {
-        let frames: Vec<Vec<Box3>> = (0..8)
-            .map(|i| vec![car(10.0 + i as f64, 0.0), car(20.0 - i as f64, 15.0)])
-            .collect();
-        let greedy =
-            build_tracks(&frames, &TrackerConfig { use_hungarian: false, ..Default::default() });
-        let hung =
-            build_tracks(&frames, &TrackerConfig { use_hungarian: true, ..Default::default() });
-        assert_eq!(greedy.len(), hung.len());
     }
 
     #[test]
@@ -671,18 +649,12 @@ mod tests {
             spread in 3.0f64..60.0,
             threshold in 0.01f64..0.6,
             max_gap in 1u32..4,
-            hungarian_sel in 0u8..2,
         ) {
-            let hungarian = hungarian_sel == 1;
             // Dense clouds (heavy overlap, crossings, dropouts) and sparse
             // ones: the spatially-pruned tracker must match the retained
-            // dense reference exactly, under both matchers.
+            // dense reference exactly.
             let frames = random_frames(seed, n_frames, n_objects, spread);
-            let cfg = TrackerConfig {
-                iou_threshold: threshold,
-                max_gap,
-                use_hungarian: hungarian,
-            };
+            let cfg = TrackerConfig { iou_threshold: threshold, max_gap };
             let fast = build_tracks(&frames, &cfg);
             let brute = build_tracks_brute(&frames, &cfg);
             prop_assert_eq!(fast, brute);

@@ -1,12 +1,27 @@
-//! Association microbenchmarks: bundling, greedy vs Hungarian matching,
-//! and track building — the Section 4 substrate.
+//! Association microbenchmarks: bundling, greedy matching, and track
+//! building — the Section 4 substrate.
+//!
+//! Set `FIXY_BENCH_SMOKE=1` to run the smallest size of each group with 3
+//! samples — the CI smoke mode that keeps the bench compiling *and*
+//! executing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use loa_assoc::{
-    build_tracks, bundle_frame, greedy_match, hungarian_match, IouBundler, TrackerConfig,
-};
+use loa_assoc::{build_tracks, bundle_frame, greedy_match, IouBundler, TrackerConfig};
 use loa_geom::Box3;
 use std::hint::black_box;
+
+fn smoke() -> bool {
+    std::env::var_os("FIXY_BENCH_SMOKE").is_some_and(|v| v != "0")
+}
+
+/// The sizes to run: all of them, or only the smallest in smoke mode.
+fn sizes(all: &[usize]) -> &[usize] {
+    if smoke() {
+        &all[..1]
+    } else {
+        all
+    }
+}
 
 fn boxes(n: usize, jitter: f64) -> Vec<Box3> {
     (0..n)
@@ -27,7 +42,8 @@ fn boxes(n: usize, jitter: f64) -> Vec<Box3> {
 
 fn bench_bundling(c: &mut Criterion) {
     let mut group = c.benchmark_group("bundling");
-    for n in [10usize, 40, 80] {
+    group.sample_size(if smoke() { 3 } else { 20 });
+    for &n in sizes(&[10, 40, 80]) {
         let human = boxes(n, 0.0);
         let model = boxes(n, 0.3);
         group.bench_with_input(BenchmarkId::new("bundle_frame", n), &n, |b, _| {
@@ -43,7 +59,8 @@ fn bench_bundling(c: &mut Criterion) {
 
 fn bench_matching(c: &mut Criterion) {
     let mut group = c.benchmark_group("matching");
-    for n in [10usize, 40, 80] {
+    group.sample_size(if smoke() { 3 } else { 20 });
+    for &n in sizes(&[10, 40, 80]) {
         let a = boxes(n, 0.0);
         let bxs = boxes(n, 0.4);
         let scores: Vec<Vec<f64>> = a
@@ -53,16 +70,14 @@ fn bench_matching(c: &mut Criterion) {
         group.bench_with_input(BenchmarkId::new("greedy", n), &scores, |b, s| {
             b.iter(|| black_box(greedy_match(black_box(s), 0.1).len()))
         });
-        group.bench_with_input(BenchmarkId::new("hungarian", n), &scores, |b, s| {
-            b.iter(|| black_box(hungarian_match(black_box(s), 0.1).len()))
-        });
     }
     group.finish();
 }
 
 fn bench_tracking(c: &mut Criterion) {
     let mut group = c.benchmark_group("tracking");
-    for frames in [50usize, 150] {
+    group.sample_size(if smoke() { 3 } else { 20 });
+    for &frames in sizes(&[50, 150]) {
         let per_frame: Vec<Vec<Box3>> = (0..frames)
             .map(|f| {
                 (0..30)

@@ -1,9 +1,26 @@
 //! KDE microbenchmarks: fitting and evaluation, exact vs binned — the
 //! distribution-learning substrate behind every learned feature.
+//!
+//! Set `FIXY_BENCH_SMOKE=1` to run the smallest training set of each group
+//! with 3 samples — the CI smoke mode that keeps the bench compiling *and*
+//! executing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use loa_stats::{BinnedKde, Density1d, Kde1d};
 use std::hint::black_box;
+
+fn smoke() -> bool {
+    std::env::var_os("FIXY_BENCH_SMOKE").is_some_and(|v| v != "0")
+}
+
+/// Training-set sizes: all of them, or only the smallest in smoke mode.
+fn sizes() -> &'static [usize] {
+    if smoke() {
+        &[100]
+    } else {
+        &[100, 1_000, 10_000]
+    }
+}
 
 fn samples(n: usize) -> Vec<f64> {
     // Deterministic pseudo-random mixture: two modes, like real volume
@@ -22,13 +39,14 @@ fn samples(n: usize) -> Vec<f64> {
 
 fn bench_fit(c: &mut Criterion) {
     let mut group = c.benchmark_group("kde_fit");
-    for n in [100usize, 1_000, 10_000] {
+    group.sample_size(if smoke() { 3 } else { 20 });
+    for &n in sizes() {
         let xs = samples(n);
         group.bench_with_input(BenchmarkId::new("exact", n), &xs, |b, xs| {
             b.iter(|| black_box(Kde1d::fit(black_box(xs)).unwrap().bandwidth_value()))
         });
         group.bench_with_input(BenchmarkId::new("binned", n), &xs, |b, xs| {
-            b.iter(|| black_box(BinnedKde::fit(black_box(xs)).unwrap().bins()))
+            b.iter(|| black_box(BinnedKde::prepare(&Kde1d::fit(black_box(xs)).unwrap()).bins()))
         });
     }
     group.finish();
@@ -36,10 +54,11 @@ fn bench_fit(c: &mut Criterion) {
 
 fn bench_eval(c: &mut Criterion) {
     let mut group = c.benchmark_group("kde_eval");
-    for n in [100usize, 1_000, 10_000] {
+    group.sample_size(if smoke() { 3 } else { 20 });
+    for &n in sizes() {
         let xs = samples(n);
         let kde = Kde1d::fit(&xs).unwrap();
-        let binned = BinnedKde::from_kde(&kde);
+        let binned = BinnedKde::prepare(&kde);
         group.bench_with_input(BenchmarkId::new("exact", n), &kde, |b, kde| {
             b.iter(|| {
                 let mut acc = 0.0;

@@ -35,13 +35,16 @@
 //! never a panic — and every length prefix is capped
 //! ([`MAX_RECORD_LEN`]) and checked
 //! against the bytes actually present before any allocation, so a
-//! corrupt count cannot become an allocation bomb. The v1 JSON wire
-//! format stays fully supported; `fixy convert --library` migrates.
+//! corrupt count cannot become an allocation bomb. Every distribution
+//! is rebuilt through its validating `from_parts` constructor — the one
+//! the JSON deserializers use — so both formats accept and reject the
+//! same stored values. The v1 JSON wire format stays fully supported;
+//! `fixy convert --library` migrates.
 
 use crate::codec::{CodecError, Dec, Enc, MAX_RECORD_LEN};
 use crate::learner::{FeatureLibrary, FittedDistribution, PreparedDistribution};
 use loa_data::ObjectClass;
-use loa_stats::{Bernoulli, BinnedKde, Density1d, Histogram, Kde1d, KdeNd, Kernel};
+use loa_stats::{Bernoulli, BinnedKde, Density1d, FitError, Histogram, Kde1d, KdeNd, Kernel};
 use std::collections::BTreeMap;
 use std::path::Path;
 use std::sync::Arc;
@@ -71,6 +74,12 @@ fn corrupt(msg: impl Into<String>) -> CodecError {
     CodecError::Corrupt(msg.into())
 }
 
+/// Stored parts a distribution's `from_parts` rejected — the same checks
+/// a JSON library load applies.
+fn implausible(e: FitError) -> CodecError {
+    corrupt(e.to_string())
+}
+
 // ---------------------------------------------------------------------------
 // Scalar-distribution sections
 // ---------------------------------------------------------------------------
@@ -86,21 +95,8 @@ fn dec_kde1d(dec: &mut Dec<'_>) -> Result<Kde1d, CodecError> {
     let kernel = dec_kernel(dec)?;
     let bandwidth = dec.f64()?;
     let max_density = dec.f64()?;
-    let mut samples = dec.f64_vec()?;
-    if samples.is_empty() {
-        return Err(corrupt("kde with no samples"));
-    }
-    if samples.iter().any(|x| !x.is_finite()) {
-        return Err(corrupt("kde with non-finite sample"));
-    }
-    if !(bandwidth.is_finite() && bandwidth > 0.0) {
-        return Err(corrupt(format!("implausible kde bandwidth {bandwidth}")));
-    }
-    // Defensive re-sort (a no-op for well-formed files): the windowed
-    // evaluation binary-searches, so unsorted adversarial samples would
-    // silently score wrong rather than fail.
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
-    Ok(Kde1d::from_sorted_parts(samples, kernel, bandwidth, max_density))
+    let samples = dec.f64_vec()?;
+    Kde1d::from_parts(samples, kernel, bandwidth, max_density).map_err(implausible)
 }
 
 fn dec_kernel(dec: &mut Dec<'_>) -> Result<Kernel, CodecError> {
@@ -120,18 +116,7 @@ fn dec_binned(dec: &mut Dec<'_>) -> Result<BinnedKde, CodecError> {
     let grid_step = dec.f64()?;
     let max_density = dec.f64()?;
     let densities = dec.f64_vec()?;
-    if densities.len() < 2 {
-        return Err(corrupt(format!("prepared grid with {} point(s)", densities.len())));
-    }
-    if !(grid_step.is_finite() && grid_step > 0.0) {
-        return Err(corrupt(format!("implausible grid step {grid_step}")));
-    }
-    Ok(BinnedKde::from_raw_parts(
-        grid_start,
-        grid_step,
-        densities,
-        max_density,
-    ))
+    BinnedKde::from_parts(grid_start, grid_step, densities, max_density).map_err(implausible)
 }
 
 fn enc_hist(enc: &mut Enc, h: &Histogram) {
@@ -148,22 +133,7 @@ fn dec_hist(dec: &mut Dec<'_>) -> Result<Histogram, CodecError> {
     let max_density = dec.f64()?;
     let n = dec.u64()?;
     let densities = dec.f64_vec()?;
-    if densities.is_empty() {
-        return Err(corrupt("histogram with no bins"));
-    }
-    if !(bin_width.is_finite() && bin_width > 0.0) {
-        return Err(corrupt(format!("implausible bin width {bin_width}")));
-    }
-    if n == 0 {
-        return Err(corrupt("histogram with no samples"));
-    }
-    Ok(Histogram::from_raw_parts(
-        start,
-        bin_width,
-        densities,
-        max_density,
-        n as usize,
-    ))
+    Histogram::from_parts(start, bin_width, densities, max_density, n as usize).map_err(implausible)
 }
 
 fn enc_bern(enc: &mut Enc, b: &Bernoulli) {
@@ -172,7 +142,7 @@ fn enc_bern(enc: &mut Enc, b: &Bernoulli) {
 
 fn dec_bern(dec: &mut Dec<'_>) -> Result<Bernoulli, CodecError> {
     let p_one = dec.f64()?;
-    Bernoulli::from_p(p_one).map_err(|_| corrupt(format!("implausible bernoulli p {p_one}")))
+    Bernoulli::from_p(p_one).map_err(implausible)
 }
 
 fn enc_kde_nd(enc: &mut Enc, kde: &KdeNd) {
@@ -189,13 +159,7 @@ fn dec_kde_nd(dec: &mut Dec<'_>) -> Result<KdeNd, CodecError> {
     let bandwidths = dec.f64_vec()?;
     let max_density = dec.f64()?;
     let samples = dec.f64_vec()?;
-    if bandwidths.iter().any(|&h| !(h.is_finite() && h > 0.0)) {
-        return Err(corrupt("implausible joint-kde bandwidth"));
-    }
-    // Shape validation + defensive row re-sort, exactly like the JSON
-    // deserializer — loads from either wire format are bit-identical.
-    KdeNd::from_flat_parts(dim, samples, kernel, bandwidths, max_density)
-        .map_err(|e| corrupt(format!("implausible joint kde: {e}")))
+    KdeNd::from_flat_parts(dim, samples, kernel, bandwidths, max_density).map_err(implausible)
 }
 
 // ---------------------------------------------------------------------------
@@ -783,6 +747,102 @@ mod tests {
             "got: {err}"
         );
         drop(bytes);
+    }
+
+    // -- Stored values no fit produces --------------------------------------
+
+    /// Byte offset of the `nth` stored copy of `x` in `bytes`.
+    fn offset_of(bytes: &[u8], x: f64, nth: usize) -> usize {
+        let mut hits = bytes.windows(8).enumerate().filter(|(_, w)| *w == x.to_le_bytes());
+        hits.nth(nth).expect("value stored").0
+    }
+
+    fn encoded(dist: FittedDistribution) -> Vec<u8> {
+        let mut lib = FeatureLibrary::default();
+        lib.insert("f".into(), dist);
+        encode_library("x", &lib)
+    }
+
+    /// A one-entry library's bytes with the `nth` stored copy of `old`
+    /// replaced by `new`.
+    fn patched(dist: FittedDistribution, old: f64, nth: usize, new: f64) -> Vec<u8> {
+        let mut bytes = encoded(dist);
+        let at = offset_of(&bytes, old, nth);
+        bytes[at..at + 8].copy_from_slice(&new.to_le_bytes());
+        bytes
+    }
+
+    fn assert_rejected(bytes: &[u8], bad: f64) {
+        match decode_library(bytes) {
+            Err(CodecError::Corrupt(msg)) => assert!(msg.contains("implausible"), "{bad}: {msg}"),
+            other => panic!("{bad}: expected Corrupt, got {:?}", other.map(|(app, _)| app)),
+        }
+    }
+
+    const XS: [f64; 6] = [0.5, 1.0, 1.5, 2.5, 4.0, 4.5];
+    const BAD_SCALES: [f64; 4] = [0.0, -1.0, f64::NAN, f64::INFINITY];
+
+    #[test]
+    fn kde_and_grid_max_density_must_be_finite_positive() {
+        // The fitted normalizer is the grid's: copy 0 is the fitted
+        // section's, copy 1 the prepared grid's.
+        let kde = Kde1d::fit(&XS).unwrap();
+        for nth in [0, 1] {
+            for bad in BAD_SCALES {
+                let dist = FittedDistribution::Kde(kde.clone());
+                assert_rejected(&patched(dist, kde.max_density(), nth, bad), bad);
+            }
+        }
+    }
+
+    #[test]
+    fn grid_densities_must_be_finite_nonnegative() {
+        let kde = Kde1d::fit(&XS).unwrap();
+        let density = BinnedKde::prepare(&kde).densities()[5];
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let dist = FittedDistribution::Kde(kde.clone());
+            assert_rejected(&patched(dist, density, 0, bad), bad);
+        }
+    }
+
+    #[test]
+    fn histogram_max_density_and_densities_must_be_plausible() {
+        let h = Histogram::fit(&[1.0, 2.0, 2.0, 3.0, 9.0]).unwrap();
+        let density = *h
+            .densities()
+            .iter()
+            .find(|&&d| d > 0.0 && d != h.max_density())
+            .unwrap();
+        for bad in BAD_SCALES {
+            let dist = FittedDistribution::Histogram(h.clone());
+            assert_rejected(&patched(dist, h.max_density(), 0, bad), bad);
+        }
+        for bad in [-1.0, f64::NAN, f64::INFINITY] {
+            let dist = FittedDistribution::Histogram(h.clone());
+            assert_rejected(&patched(dist, density, 0, bad), bad);
+        }
+    }
+
+    #[test]
+    fn joint_max_density_must_be_finite_positive() {
+        let rows: Vec<Vec<f64>> = XS.iter().map(|&x| vec![x, 2.0 * x]).collect();
+        let kde = KdeNd::fit(&rows).unwrap();
+        for bad in BAD_SCALES {
+            let dist = FittedDistribution::Joint(kde.clone());
+            assert_rejected(&patched(dist, kde.max_density(), 0, bad), bad);
+        }
+    }
+
+    #[test]
+    fn non_gaussian_kernel_tag_rejected() {
+        // The kernel tag byte sits right before the stored bandwidth.
+        let kde = Kde1d::fit(&XS).unwrap();
+        let h = kde.bandwidth_value();
+        let mut bytes = encoded(FittedDistribution::Kde(kde));
+        let at = offset_of(&bytes, h, 0);
+        bytes[at - 1] = 1;
+        let err = decode_library(&bytes).unwrap_err();
+        assert!(err.to_string().contains("unknown kernel tag 1"), "got: {err}");
     }
 
     /// Handwritten golden bytes for a one-entry Bernoulli library lock

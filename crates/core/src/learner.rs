@@ -749,4 +749,125 @@ mod tests {
                 < 1e-12
         );
     }
+
+    // -- Load-time validation (JSON) ----------------------------------------
+
+    /// Load a one-entry library through the streaming and the tree
+    /// deserializer, which must agree.
+    fn load(entry: &str) -> Result<FeatureLibrary, String> {
+        let text = format!(r#"{{"map":{{"f":{entry}}}}}"#);
+        let tree = serde_json::from_str_via_tree::<FeatureLibrary>(&text).is_ok();
+        let streamed = serde_json::from_str::<FeatureLibrary>(&text).map_err(|e| e.to_string());
+        assert_eq!(tree, streamed.is_ok(), "deserializers disagree on {text}");
+        streamed
+    }
+
+    fn kde(samples: &str, kernel: &str, bandwidth: &str, max_density: &str) -> String {
+        format!(
+            r#"{{"samples":{samples},"kernel":"{kernel}","bandwidth":{bandwidth},"max_density":{max_density}}}"#
+        )
+    }
+
+    fn hist(bin_width: &str, densities: &str, max_density: &str) -> String {
+        format!(
+            r#"{{"Histogram":{{"start":0,"bin_width":{bin_width},"densities":{densities},"max_density":{max_density},"n":4}}}}"#
+        )
+    }
+
+    fn joint(bandwidths: &str, max_density: &str) -> String {
+        format!(
+            r#"{{"Joint":{{"dim":2,"samples":[1,2,3,4],"kernel":"Gaussian","bandwidths":{bandwidths},"max_density":{max_density}}}}}"#
+        )
+    }
+
+    /// Not finite and positive (`null` decodes as NaN).
+    const BAD_SCALES: [&str; 3] = ["0", "-1", "null"];
+
+    #[test]
+    fn json_handcrafted_entries_load_when_plausible() {
+        let pooled = kde("[3,1,2]", "Gaussian", "0.5", "0.4");
+        let lib = load(&format!(r#"{{"Kde":{pooled}}}"#)).unwrap();
+        // Samples stored out of order are sorted on load, as `.flcb` does.
+        let FittedDistribution::Kde(k) = lib.get("f").unwrap() else { unreachable!() };
+        assert_eq!(k.samples(), [1.0, 2.0, 3.0]);
+        load(&format!(
+            r#"{{"ClassConditional":{{"per_class":{{"Car":{pooled}}},"pooled":{pooled}}}}}"#
+        ))
+        .unwrap();
+        load(&hist("1", "[0.5,0.25]", "0.5")).unwrap();
+        load(&joint("[0.5,0.5]", "0.3")).unwrap();
+        load(r#"{"Bernoulli":{"p_one":0.7}}"#).unwrap();
+    }
+
+    #[test]
+    fn json_kde_bandwidth_must_be_finite_positive() {
+        for bad in BAD_SCALES {
+            let bad_kde = kde("[1,2]", "Gaussian", bad, "0.4");
+            assert!(load(&format!(r#"{{"Kde":{bad_kde}}}"#)).is_err(), "{bad}");
+            let cc = format!(
+                r#"{{"ClassConditional":{{"per_class":{{"Car":{bad_kde}}},"pooled":{}}}}}"#,
+                kde("[1]", "Gaussian", "0.5", "0.4")
+            );
+            assert!(load(&cc).is_err(), "per-class {bad}");
+        }
+    }
+
+    #[test]
+    fn json_kde_max_density_must_be_finite_positive() {
+        for bad in BAD_SCALES {
+            let bad_kde = kde("[1,2]", "Gaussian", "0.5", bad);
+            assert!(load(&format!(r#"{{"Kde":{bad_kde}}}"#)).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn json_kde_samples_must_be_nonempty_and_finite() {
+        for bad in ["[]", "[1,null]"] {
+            let bad_kde = kde(bad, "Gaussian", "0.5", "0.4");
+            assert!(load(&format!(r#"{{"Kde":{bad_kde}}}"#)).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn json_histogram_bin_width_and_max_density_must_be_finite_positive() {
+        for bad in BAD_SCALES {
+            assert!(load(&hist(bad, "[0.5,0.25]", "0.5")).is_err(), "bin width {bad}");
+            assert!(load(&hist("1", "[0.5,0.25]", bad)).is_err(), "max_density {bad}");
+        }
+    }
+
+    #[test]
+    fn json_histogram_densities_must_be_finite_nonnegative() {
+        for bad in ["[0.5,-1]", "[0.5,null]", "[]"] {
+            assert!(load(&hist("1", bad, "0.5")).is_err(), "{bad}");
+        }
+    }
+
+    #[test]
+    fn json_bernoulli_p_must_be_a_probability() {
+        for bad in ["1.5", "-0.1", "null"] {
+            assert!(
+                load(&format!(r#"{{"Bernoulli":{{"p_one":{bad}}}}}"#)).is_err(),
+                "{bad}"
+            );
+        }
+    }
+
+    #[test]
+    fn json_joint_bandwidths_and_max_density_must_be_finite_positive() {
+        for bad in BAD_SCALES {
+            assert!(
+                load(&joint(&format!("[0.5,{bad}]"), "0.3")).is_err(),
+                "bandwidth {bad}"
+            );
+            assert!(load(&joint("[0.5,0.5]", bad)).is_err(), "max_density {bad}");
+        }
+    }
+
+    #[test]
+    fn json_non_gaussian_kernel_rejected() {
+        let tophat = kde("[1,2]", "Tophat", "0.5", "0.4");
+        let err = load(&format!(r#"{{"Kde":{tophat}}}"#)).unwrap_err();
+        assert!(err.contains("unknown Kernel variant"), "got: {err}");
+    }
 }

@@ -332,18 +332,6 @@ impl SceneData {
         self.frames.len()
     }
 
-    /// Distinct ground-truth tracks visible at least once.
-    pub fn visible_track_ids(&self) -> Vec<TrackId> {
-        let mut ids: Vec<TrackId> = self
-            .frames
-            .iter()
-            .flat_map(|f| f.visible_gt().map(|g| g.track))
-            .collect();
-        ids.sort();
-        ids.dedup();
-        ids
-    }
-
     /// Validate structural invariants (frame ordering, box validity).
     /// Generated scenes always pass; loaders run this on untrusted input.
     pub fn validate(&self) -> Result<(), String> {
@@ -446,7 +434,6 @@ mod tests {
         };
         assert_eq!(scene.frame_count(), 3);
         assert!((scene.duration() - 0.6).abs() < 1e-12);
-        assert_eq!(scene.visible_track_ids(), vec![TrackId(1)]);
         scene.validate().unwrap();
     }
 

@@ -48,15 +48,6 @@ impl Aabb2 {
         }
     }
 
-    /// The rectangle grown by `pad` on every side.
-    #[inline]
-    pub fn inflated(&self, pad: f64) -> Aabb2 {
-        Aabb2 {
-            min: Vec2::new(self.min.x - pad, self.min.y - pad),
-            max: Vec2::new(self.max.x + pad, self.max.y + pad),
-        }
-    }
-
     #[inline]
     pub fn width(&self) -> f64 {
         self.max.x - self.min.x
@@ -98,10 +89,9 @@ mod tests {
     }
 
     #[test]
-    fn union_and_inflate() {
+    fn union_covers_both_and_empty_is_identity() {
         let u = rect(0.0, 0.0, 1.0, 1.0).union(&rect(2.0, -1.0, 3.0, 0.5));
         assert_eq!(u, rect(0.0, -1.0, 3.0, 1.0));
-        assert_eq!(rect(0.0, 0.0, 1.0, 1.0).inflated(0.5), rect(-0.5, -0.5, 1.5, 1.5));
         assert_eq!(Aabb2::EMPTY.union(&u), u);
     }
 

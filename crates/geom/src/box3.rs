@@ -173,19 +173,6 @@ impl Box3 {
     pub fn translated(&self, delta: Vec3) -> Box3 {
         Box3::new(self.center + delta, self.size, self.yaw)
     }
-
-    /// The box with extents scaled by `factor` (> 0) about its center.
-    pub fn scaled(&self, factor: f64) -> Box3 {
-        Box3::new(
-            self.center,
-            Size3::new(
-                self.size.length * factor,
-                self.size.width * factor,
-                self.size.height * factor,
-            ),
-            self.yaw,
-        )
-    }
 }
 
 #[cfg(test)]
@@ -260,11 +247,9 @@ mod tests {
     }
 
     #[test]
-    fn translated_and_scaled() {
+    fn translated_moves_center() {
         let b = unit_box().translated(Vec3::new(1.0, 2.0, 3.0));
         assert_eq!(b.center, Vec3::new(1.0, 2.0, 3.0));
-        let s = unit_box().scaled(2.0);
-        assert!((s.volume() - 8.0).abs() < 1e-12);
     }
 
     #[test]

@@ -58,12 +58,6 @@ impl Pose2 {
             normalize_angle(self.yaw + other.yaw),
         )
     }
-
-    /// Rotate a direction vector (no translation), local → parent frame.
-    #[inline]
-    pub fn rotate(&self, v: Vec2) -> Vec2 {
-        v.rotated(self.yaw)
-    }
 }
 
 #[cfg(test)]

@@ -175,13 +175,6 @@ impl Vec3 {
         (self - other).norm()
     }
 
-    /// Distance in the BEV plane only (the paper's "distance to AV" feature
-    /// is ground distance, ignoring height).
-    #[inline]
-    pub fn ground_distance(self, other: Vec3) -> f64 {
-        self.bev().distance(other.bev())
-    }
-
     /// True when all components are finite.
     #[inline]
     pub fn is_finite(self) -> bool {
@@ -297,14 +290,6 @@ mod tests {
     fn vec3_bev_projection() {
         let v = Vec3::new(1.0, 2.0, 3.0);
         assert_eq!(v.bev(), Vec2::new(1.0, 2.0));
-    }
-
-    #[test]
-    fn vec3_ground_distance_ignores_height() {
-        let a = Vec3::new(0.0, 0.0, 0.0);
-        let b = Vec3::new(3.0, 4.0, 100.0);
-        assert!((a.ground_distance(b) - 5.0).abs() < 1e-12);
-        assert!(a.distance(b) > 100.0);
     }
 
     #[test]

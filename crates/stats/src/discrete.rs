@@ -13,10 +13,18 @@ use serde::{Deserialize, Serialize};
 /// Fitted with add-one (Laplace) smoothing so that an event never seen in
 /// training keeps a small nonzero probability — unseen ≠ impossible, and
 /// LOA needs finite log-likelihoods.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Serialize)]
 pub struct Bernoulli {
     p_one: f64,
 }
+
+/// [`Bernoulli`]'s wire format, checked by [`Bernoulli::from_p`] on load.
+#[derive(Deserialize)]
+struct StoredBernoulli {
+    p_one: f64,
+}
+
+crate::deserialize_via_parts!(Bernoulli, StoredBernoulli, |s| Bernoulli::from_p(s.p_one));
 
 impl Bernoulli {
     /// Fit from 0/1-valued samples (values are thresholded at 0.5).
@@ -31,7 +39,7 @@ impl Bernoulli {
     /// Construct directly from `P(X = 1)`.
     pub fn from_p(p_one: f64) -> Result<Self, FitError> {
         if !(0.0..=1.0).contains(&p_one) {
-            return Err(FitError::NonFiniteSample);
+            return Err(FitError::Implausible(format!("bernoulli p {p_one}")));
         }
         Ok(Bernoulli { p_one })
     }

@@ -1,27 +1,15 @@
 //! Histogram densities with automatic binning.
 //!
-//! A histogram is the coarsest density estimator Fixy offers; it is mainly
-//! useful as an ablation against KDE and for integer-valued features (e.g.,
-//! the track-length Count feature) where kernel smoothing is unnatural.
+//! A histogram is the coarsest density estimator Fixy offers, for
+//! integer-valued features (e.g., the track-length Count feature) where
+//! kernel smoothing is unnatural. Bins follow the Freedman–Diaconis rule.
 
 use crate::summary::iqr;
-use crate::{validate_sample, Density1d, FitError};
+use crate::{check_densities, check_scale, validate_sample, Density1d, FitError};
 use serde::{Deserialize, Serialize};
 
-/// How to choose the number of histogram bins.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
-pub enum BinningRule {
-    /// Freedman–Diaconis: bin width `2·IQR·n^(−1/3)` (robust default).
-    #[default]
-    FreedmanDiaconis,
-    /// Sturges: `⌈log2 n⌉ + 1` bins.
-    Sturges,
-    /// Fixed bin count (≥ 1).
-    Fixed(usize),
-}
-
 /// A fitted histogram density with uniform bins.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Histogram {
     start: f64,
     bin_width: f64,
@@ -31,31 +19,36 @@ pub struct Histogram {
     n: usize,
 }
 
-impl Histogram {
-    /// Fit with the default binning rule.
-    pub fn fit(samples: &[f64]) -> Result<Self, FitError> {
-        Self::fit_with(samples, BinningRule::default())
-    }
+/// [`Histogram`]'s wire format, checked by [`Histogram::from_parts`] on
+/// load.
+#[derive(Deserialize)]
+struct StoredHistogram {
+    start: f64,
+    bin_width: f64,
+    densities: Vec<f64>,
+    max_density: f64,
+    n: usize,
+}
 
-    /// Fit with an explicit binning rule.
-    pub fn fit_with(samples: &[f64], rule: BinningRule) -> Result<Self, FitError> {
+crate::deserialize_via_parts!(Histogram, StoredHistogram, |s| {
+    Histogram::from_parts(s.start, s.bin_width, s.densities, s.max_density, s.n)
+});
+
+impl Histogram {
+    /// Fit with Freedman–Diaconis bins: width `2·IQR·n^(−1/3)`, at most
+    /// 10 000 of them.
+    pub fn fit(samples: &[f64]) -> Result<Self, FitError> {
         validate_sample(samples)?;
         let n = samples.len();
         let min = samples.iter().copied().fold(f64::INFINITY, f64::min);
         let max = samples.iter().copied().fold(f64::NEG_INFINITY, f64::max);
         let span = (max - min).max(0.0);
 
-        let bins = match rule {
-            BinningRule::Fixed(b) => b.max(1),
-            BinningRule::Sturges => (n as f64).log2().ceil() as usize + 1,
-            BinningRule::FreedmanDiaconis => {
-                let width = 2.0 * iqr(samples) * (n as f64).powf(-1.0 / 3.0);
-                if width > 0.0 && span > 0.0 {
-                    ((span / width).ceil() as usize).clamp(1, 10_000)
-                } else {
-                    1
-                }
-            }
+        let width = 2.0 * iqr(samples) * (n as f64).powf(-1.0 / 3.0);
+        let bins = if width > 0.0 && span > 0.0 {
+            ((span / width).ceil() as usize).clamp(1, 10_000)
+        } else {
+            1
         };
 
         // A degenerate span (all samples equal) gets one narrow bin.
@@ -95,20 +88,30 @@ impl Histogram {
         &self.densities
     }
 
-    /// Reassemble a fitted histogram from its serialized parts — the
-    /// binary codec's bulk-copy load path. Callers are responsible for
-    /// validating untrusted input (≥ 1 bin, finite, positive width).
-    pub fn from_raw_parts(
+    /// Reassemble a fitted histogram from stored parts — the load path of
+    /// both library formats. Rejects what no fit produces: no bins, no
+    /// samples, a non-finite start, a bin width or `max_density` that is
+    /// not finite and positive, or a negative or non-finite density.
+    pub fn from_parts(
         start: f64,
         bin_width: f64,
         densities: Vec<f64>,
         max_density: f64,
         n: usize,
-    ) -> Self {
-        debug_assert!(!densities.is_empty(), "a histogram needs at least one bin");
-        debug_assert!(bin_width > 0.0);
-        debug_assert!(n > 0);
-        Histogram { start, bin_width, densities, max_density, n }
+    ) -> Result<Self, FitError> {
+        if densities.is_empty() {
+            return Err(FitError::Implausible("histogram with no bins".into()));
+        }
+        if n == 0 {
+            return Err(FitError::EmptySample);
+        }
+        if !start.is_finite() {
+            return Err(FitError::Implausible(format!("histogram start {start}")));
+        }
+        check_scale("bin width", bin_width)?;
+        check_scale("histogram max_density", max_density)?;
+        check_densities("histogram", &densities)?;
+        Ok(Histogram { start, bin_width, densities, max_density, n })
     }
 }
 
@@ -138,7 +141,8 @@ mod tests {
     #[test]
     fn uniform_sample_flat_histogram() {
         let xs: Vec<f64> = (0..1000).map(|i| i as f64 / 100.0).collect(); // [0, 10)
-        let h = Histogram::fit_with(&xs, BinningRule::Fixed(10)).unwrap();
+        let h = Histogram::fit(&xs).unwrap();
+        // Freedman–Diaconis: IQR ≈ 5, width 2·5·1000^(−1/3) ≈ 1 → 10 bins.
         assert_eq!(h.bins(), 10);
         // Uniform density over [0, ~10] should be ≈ 0.1 everywhere.
         for x in [0.5, 3.5, 7.5, 9.5] {
@@ -167,13 +171,6 @@ mod tests {
         let h = Histogram::fit(&[5.0; 20]).unwrap();
         assert!(h.relative_likelihood(5.0) > 0.99);
         assert!(h.relative_likelihood(6.0) < 1e-6);
-    }
-
-    #[test]
-    fn sturges_bin_count() {
-        let xs: Vec<f64> = (0..128).map(|i| i as f64).collect();
-        let h = Histogram::fit_with(&xs, BinningRule::Sturges).unwrap();
-        assert_eq!(h.bins(), 8); // log2(128) = 7, + 1
     }
 
     #[test]

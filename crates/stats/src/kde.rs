@@ -4,17 +4,17 @@
 //! this: collect feature values over historical labels, fit a KDE, and use
 //! the (normalized) density of a new feature value as its likelihood.
 
-use crate::bandwidth::{Bandwidth, BandwidthRule};
+use crate::bandwidth::silverman;
 use crate::kernel::Kernel;
-use crate::{validate_sample, Density1d, FitError};
+use crate::{check_densities, check_scale, validate_sample, Density1d, FitError};
 use serde::{Deserialize, Serialize};
 
 /// Exact 1D kernel density estimator.
 ///
-/// Samples are kept sorted so that compact-support (and numerically
-/// truncated Gaussian) kernels only sum over the window of contributing
+/// Samples are kept sorted so that the Gaussian kernel, truncated at its
+/// numerical support radius, only sums over the window of contributing
 /// samples, found by binary search.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize)]
 pub struct Kde1d {
     samples: Vec<f64>, // sorted
     kernel: Kernel,
@@ -22,27 +22,30 @@ pub struct Kde1d {
     max_density: f64,
 }
 
-impl Kde1d {
-    /// Fit with the default kernel (Gaussian) and bandwidth rule
-    /// (Silverman).
-    pub fn fit(samples: &[f64]) -> Result<Self, FitError> {
-        Self::fit_with(samples, Kernel::default(), BandwidthRule::default())
-    }
+/// [`Kde1d`]'s wire format, checked by [`Kde1d::from_parts`] on load.
+#[derive(Deserialize)]
+struct StoredKde1d {
+    samples: Vec<f64>,
+    kernel: Kernel,
+    bandwidth: f64,
+    max_density: f64,
+}
 
-    /// Fit with an explicit kernel and bandwidth rule.
-    pub fn fit_with(
-        samples: &[f64],
-        kernel: Kernel,
-        rule: BandwidthRule,
-    ) -> Result<Self, FitError> {
+crate::deserialize_via_parts!(Kde1d, StoredKde1d, |s| {
+    Kde1d::from_parts(s.samples, s.kernel, s.bandwidth, s.max_density)
+});
+
+impl Kde1d {
+    /// Fit with the Gaussian kernel and Silverman's bandwidth.
+    pub fn fit(samples: &[f64]) -> Result<Self, FitError> {
         validate_sample(samples)?;
-        let bandwidth = rule.resolve(samples);
+        let bandwidth = silverman(samples);
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
         let mut kde = Kde1d {
             samples: sorted,
-            kernel,
-            bandwidth: bandwidth.value(),
+            kernel: Kernel::Gaussian,
+            bandwidth,
             max_density: 0.0,
         };
         // The normalizer is the density mode. Evaluating at every sample
@@ -63,11 +66,6 @@ impl Kde1d {
         self.samples.is_empty()
     }
 
-    /// The resolved bandwidth.
-    pub fn bandwidth(&self) -> Bandwidth {
-        Bandwidth::new(self.bandwidth)
-    }
-
     /// The resolved bandwidth as a raw value.
     pub fn bandwidth_value(&self) -> f64 {
         self.bandwidth
@@ -82,23 +80,25 @@ impl Kde1d {
         &self.samples
     }
 
-    /// Reassemble a fitted KDE from its serialized parts — the binary
-    /// codec's bulk-copy load path, skipping the fit entirely.
+    /// Reassemble a fitted KDE from stored parts — the load path of both
+    /// library formats, skipping the fit.
     ///
-    /// `samples` must be the sorted, finite sample vector of a previous
-    /// fit, `bandwidth` its resolved bandwidth, and `max_density` the
-    /// normalizer taken from [`BinnedKde::prepare`] at fit time. Callers
-    /// are responsible for validating untrusted input before this.
-    pub fn from_sorted_parts(
-        samples: Vec<f64>,
+    /// Stored parts are untrusted, so this enforces what a fit
+    /// guarantees: samples non-empty and finite, bandwidth and
+    /// `max_density` finite and positive. Samples are sorted here (a
+    /// no-op for a well-formed file): the windowed evaluation
+    /// binary-searches, so unsorted samples would score wrong silently.
+    pub fn from_parts(
+        mut samples: Vec<f64>,
         kernel: Kernel,
         bandwidth: f64,
         max_density: f64,
-    ) -> Self {
-        debug_assert!(!samples.is_empty(), "Kde1d is never empty");
-        debug_assert!(samples.windows(2).all(|w| w[0] <= w[1]), "samples must be sorted");
-        debug_assert!(bandwidth.is_finite() && bandwidth > 0.0);
-        Kde1d { samples, kernel, bandwidth, max_density }
+    ) -> Result<Self, FitError> {
+        validate_sample(&samples)?;
+        check_scale("kde bandwidth", bandwidth)?;
+        check_scale("kde max_density", max_density)?;
+        samples.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
+        Ok(Kde1d { samples, kernel, bandwidth, max_density })
     }
 
     /// Indices of samples within the kernel support window around `x`.
@@ -136,13 +136,12 @@ impl Density1d for Kde1d {
 /// time, evaluated by linear interpolation.
 ///
 /// Evaluation is O(1) instead of O(window); fitting is O(n + grid·window).
-/// Used for the large pooled distributions in the learner (an ablation
-/// bench quantifies the approximation error and the speedup).
+/// Used for the large pooled distributions in the learner.
 ///
 /// `PartialEq` compares the full grid — the learner uses it to detect
 /// classes whose prepared grids came out identical (same samples, same
 /// fit) and share one allocation between them.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct BinnedKde {
     grid_start: f64,
     grid_step: f64,
@@ -151,27 +150,6 @@ pub struct BinnedKde {
 }
 
 impl BinnedKde {
-    /// Default grid resolution.
-    pub const DEFAULT_BINS: usize = 1024;
-
-    /// Build from an exact KDE with the default grid resolution.
-    pub fn from_kde(kde: &Kde1d) -> Self {
-        Self::from_kde_with_bins(kde, Self::DEFAULT_BINS)
-    }
-
-    /// Build from an exact KDE with an explicit grid resolution (≥ 2).
-    pub fn from_kde_with_bins(kde: &Kde1d, bins: usize) -> Self {
-        let bins = bins.max(2);
-        let radius = kde.kernel().support_radius() * kde.bandwidth_value();
-        let lo = kde.samples().first().copied().unwrap_or(0.0) - radius;
-        let hi = kde.samples().last().copied().unwrap_or(0.0) + radius;
-        let span = (hi - lo).max(f64::MIN_POSITIVE);
-        let step = span / (bins - 1) as f64;
-        let densities: Vec<f64> = (0..bins).map(|i| kde.density(lo + i as f64 * step)).collect();
-        let max_density = densities.iter().copied().fold(0.0f64, f64::max);
-        BinnedKde { grid_start: lo, grid_step: step, densities, max_density }
-    }
-
     /// Grid steps per bandwidth unit for [`prepare`](Self::prepare): the
     /// step is at most `h / 8`, so the kernel is always well resolved and
     /// linear interpolation stays within a fraction of a percent of the
@@ -184,12 +162,11 @@ impl BinnedKde {
 
     /// Build the query-optimized scoring grid in `O(n + grid · kernel)`.
     ///
-    /// Unlike [`from_kde`](Self::from_kde) — which evaluates the exact
-    /// density at every grid point, `O(grid · window)` — this bins the
-    /// samples onto the grid with linear weights and convolves the binned
-    /// mass with the kernel sampled at grid offsets. The grid resolution
-    /// adapts to the bandwidth (step ≤ h/8, within
-    /// `MIN_BINS..=MAX_BINS`).
+    /// Rather than evaluating the exact density at every grid point,
+    /// `O(grid · window)`, this bins the samples onto the grid with
+    /// linear weights and convolves the binned mass with the kernel
+    /// sampled at grid offsets. The grid resolution adapts to the
+    /// bandwidth (step ≤ h/8, within `MIN_BINS..=MAX_BINS`).
     ///
     /// This is the canonical scoring representation: `Kde1d::fit` takes
     /// its `max_density` from this grid, so exact and prepared relative
@@ -258,11 +235,6 @@ impl BinnedKde {
         BinnedKde { grid_start: lo, grid_step: step, densities, max_density }
     }
 
-    /// Fit directly from samples (exact KDE fit, then binned).
-    pub fn fit(samples: &[f64]) -> Result<Self, FitError> {
-        Ok(Self::from_kde(&Kde1d::fit(samples)?))
-    }
-
     /// Number of grid points.
     pub fn bins(&self) -> usize {
         self.densities.len()
@@ -283,19 +255,31 @@ impl BinnedKde {
         &self.densities
     }
 
-    /// Reassemble a prepared grid from its serialized parts — the binary
-    /// codec's bulk-copy load path, skipping the `O(n + grid · kernel)`
-    /// convolution of [`prepare`](Self::prepare). Callers are responsible
-    /// for validating untrusted input (≥ 2 bins, finite, positive step).
-    pub fn from_raw_parts(
+    /// Reassemble a prepared grid from stored parts — the binary codec's
+    /// bulk-copy load path, skipping the `O(n + grid · kernel)`
+    /// convolution of [`prepare`](Self::prepare). Rejects what no
+    /// prepare produces: fewer than two points, a non-finite start, a
+    /// step or `max_density` that is not finite and positive, or a
+    /// negative or non-finite density.
+    pub fn from_parts(
         grid_start: f64,
         grid_step: f64,
         densities: Vec<f64>,
         max_density: f64,
-    ) -> Self {
-        debug_assert!(densities.len() >= 2, "a grid needs at least two points");
-        debug_assert!(grid_step > 0.0);
-        BinnedKde { grid_start, grid_step, densities, max_density }
+    ) -> Result<Self, FitError> {
+        if densities.len() < 2 {
+            return Err(FitError::Implausible(format!(
+                "prepared grid with {} point(s)",
+                densities.len()
+            )));
+        }
+        if !grid_start.is_finite() {
+            return Err(FitError::Implausible(format!("grid start {grid_start}")));
+        }
+        check_scale("grid step", grid_step)?;
+        check_scale("grid max_density", max_density)?;
+        check_densities("grid", &densities)?;
+        Ok(BinnedKde { grid_start, grid_step, densities, max_density })
     }
 }
 
@@ -353,19 +337,17 @@ mod tests {
     #[test]
     fn kde_integrates_to_one() {
         let xs = normal_sample(800, 0.0, 1.0, 7);
-        for kernel in [Kernel::Gaussian, Kernel::Epanechnikov, Kernel::Tophat] {
-            let kde = Kde1d::fit_with(&xs, kernel, BandwidthRule::Silverman).unwrap();
-            let (lo, hi) = (-8.0, 8.0);
-            let n = 4000;
-            let dx = (hi - lo) / n as f64;
-            let mut sum = 0.0;
-            for i in 0..=n {
-                let w = if i == 0 || i == n { 0.5 } else { 1.0 };
-                sum += w * kde.density(lo + i as f64 * dx);
-            }
-            sum *= dx;
-            assert!((sum - 1.0).abs() < 1e-2, "{kernel:?} integrates to {sum}");
+        let kde = Kde1d::fit(&xs).unwrap();
+        let (lo, hi) = (-8.0, 8.0);
+        let n = 4000;
+        let dx = (hi - lo) / n as f64;
+        let mut sum = 0.0;
+        for i in 0..=n {
+            let w = if i == 0 || i == n { 0.5 } else { 1.0 };
+            sum += w * kde.density(lo + i as f64 * dx);
         }
+        sum *= dx;
+        assert!((sum - 1.0).abs() < 1e-2, "integrates to {sum}");
     }
 
     #[test]
@@ -405,24 +387,31 @@ mod tests {
 
     #[test]
     fn compact_kernel_exact_window() {
-        // Tophat with fixed bandwidth: density is piecewise constant and
-        // exactly computable: K(u)=0.5 for |u|<=1, h=1 → each sample within
-        // distance 1 contributes 0.5 / n.
-        let xs = [0.0, 1.0, 2.0, 10.0];
-        let kde = Kde1d::fit_with(&xs, Kernel::Tophat, BandwidthRule::Fixed(1.0)).unwrap();
-        // At x=1: samples 0,1,2 are within distance 1 → 3 * 0.5 / 4 = 0.375.
-        assert!((kde.density(1.0) - 0.375).abs() < 1e-12);
-        // At x=10: only the sample at 10 → 0.125.
-        assert!((kde.density(10.0) - 0.125).abs() < 1e-12);
-        // Far away: zero.
-        assert_eq!(kde.density(100.0), 0.0);
+        // The binary-searched window truncates the Gaussian at its support
+        // radius; beyond it every term is below f64 epsilon relative to
+        // the peak, so the windowed density equals the direct sum over
+        // all samples.
+        let xs = [0.0, 1.0, 2.0, 10.0, 10.5, 40.0];
+        let kde = Kde1d::fit(&xs).unwrap();
+        let h = kde.bandwidth_value();
+        for q in [-3.0, 0.0, 1.0, 5.0, 10.0, 25.0, 40.0, 100.0] {
+            let direct: f64 = xs.iter().map(|&s| Kernel::Gaussian.eval((q - s) / h)).sum::<f64>()
+                / (h * xs.len() as f64);
+            let windowed = kde.density(q);
+            assert!(
+                (windowed - direct).abs() <= 1e-12 * direct.max(kde.max_density()),
+                "at {q}: windowed {windowed} vs direct {direct}"
+            );
+        }
+        // Far outside every window: exactly zero.
+        assert_eq!(kde.density(1e6), 0.0);
     }
 
     #[test]
     fn binned_kde_tracks_exact_kde() {
         let xs = normal_sample(2000, -3.0, 1.5, 99);
         let kde = Kde1d::fit(&xs).unwrap();
-        let binned = BinnedKde::from_kde_with_bins(&kde, 4096);
+        let binned = BinnedKde::prepare(&kde);
         for i in -80..80 {
             let x = i as f64 * 0.1;
             let exact = kde.density(x);
@@ -437,7 +426,7 @@ mod tests {
     #[test]
     fn binned_kde_zero_outside_grid() {
         let kde = Kde1d::fit(&[0.0, 1.0, 2.0]).unwrap();
-        let binned = BinnedKde::from_kde(&kde);
+        let binned = BinnedKde::prepare(&kde);
         assert_eq!(binned.density(1e6), 0.0);
         assert_eq!(binned.density(-1e6), 0.0);
         assert_eq!(binned.density(f64::NAN), 0.0);
@@ -513,7 +502,7 @@ mod tests {
             q in -60.0f64..60.0,
         ) {
             let kde = Kde1d::fit(&xs).unwrap();
-            let binned = BinnedKde::from_kde(&kde);
+            let binned = BinnedKde::prepare(&kde);
             prop_assert!(binned.density(q) <= binned.max_density() + 1e-12);
         }
 

@@ -5,9 +5,9 @@
 //! (volume, distance)), `KdeNd` fits an independent per-dimension bandwidth
 //! and evaluates a product kernel.
 
-use crate::bandwidth::BandwidthRule;
+use crate::bandwidth::silverman;
 use crate::kernel::Kernel;
-use crate::{FitError, P_FLOOR};
+use crate::{check_scale, FitError, P_FLOOR};
 use serde::{Deserialize, Serialize};
 
 /// A multivariate (product-kernel, diagonal-bandwidth) KDE.
@@ -28,81 +28,23 @@ pub struct KdeNd {
     max_density: f64,
 }
 
-/// Manual impl (same wire format as the derive) because deserialization
-/// must re-establish the sorted-rows invariant the windowed evaluation
-/// depends on: libraries serialized before rows were kept sorted store
-/// them in insertion order, and binary-searching unsorted rows would
-/// silently drop contributing samples.
-impl Deserialize for KdeNd {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        fn field<'a>(v: &'a serde::Value, name: &str) -> Result<&'a serde::Value, serde::DeError> {
-            v.get(name)
-                .ok_or_else(|| serde::DeError::custom(format!("KdeNd: missing field `{name}`")))
-        }
-        let dim: usize = Deserialize::from_json_value(field(v, "dim")?)?;
-        let samples: Vec<f64> = Deserialize::from_json_value(field(v, "samples")?)?;
-        let kernel: Kernel = Deserialize::from_json_value(field(v, "kernel")?)?;
-        let bandwidths: Vec<f64> = Deserialize::from_json_value(field(v, "bandwidths")?)?;
-        let max_density: f64 = Deserialize::from_json_value(field(v, "max_density")?)?;
-        if dim == 0 || !samples.len().is_multiple_of(dim) || bandwidths.len() != dim {
-            return Err(serde::DeError::custom(format!(
-                "KdeNd: inconsistent shape (dim {dim}, {} sample values, {} bandwidths)",
-                samples.len(),
-                bandwidths.len()
-            )));
-        }
-        Ok(KdeNd {
-            dim,
-            samples: sort_rows(dim, samples),
-            kernel,
-            bandwidths,
-            max_density,
-        })
-    }
-
-    // Streaming twin: same shape validation and row re-sort, fed
-    // directly from the reader (out-of-order keys fine, unknown keys
-    // skipped).
-    fn from_json_stream(r: &mut serde::json::JsonReader<'_>) -> Result<Self, serde::DeError> {
-        fn take<T>(slot: Option<T>, name: &'static str) -> Result<T, serde::DeError> {
-            slot.ok_or_else(|| serde::DeError::custom(format!("KdeNd: missing field `{name}`")))
-        }
-        let mut dim: Option<usize> = None;
-        let mut samples: Option<Vec<f64>> = None;
-        let mut kernel: Option<Kernel> = None;
-        let mut bandwidths: Option<Vec<f64>> = None;
-        let mut max_density: Option<f64> = None;
-        r.begin_object()?;
-        loop {
-            match r.next_key()? {
-                None => break,
-                Some("dim") => dim = Some(Deserialize::from_json_stream(r)?),
-                Some("samples") => samples = Some(Deserialize::from_json_stream(r)?),
-                Some("kernel") => kernel = Some(Deserialize::from_json_stream(r)?),
-                Some("bandwidths") => bandwidths = Some(Deserialize::from_json_stream(r)?),
-                Some("max_density") => max_density = Some(Deserialize::from_json_stream(r)?),
-                Some(_) => r.skip_value()?,
-            }
-        }
-        let dim = take(dim, "dim")?;
-        let samples = take(samples, "samples")?;
-        let bandwidths = take(bandwidths, "bandwidths")?;
-        if dim == 0 || !samples.len().is_multiple_of(dim) || bandwidths.len() != dim {
-            return Err(serde::DeError::custom(format!(
-                "KdeNd: inconsistent shape (dim {dim}, {} sample values, {} bandwidths)",
-                samples.len(),
-                bandwidths.len()
-            )));
-        }
-        Ok(KdeNd {
-            dim,
-            samples: sort_rows(dim, samples),
-            kernel: take(kernel, "kernel")?,
-            bandwidths,
-            max_density: take(max_density, "max_density")?,
-        })
-    }
+/// [`KdeNd`]'s wire format, passed through [`KdeNd::from_flat_parts`] on
+/// load: the shape and value checks, and the sorted-rows invariant the
+/// windowed evaluation depends on — libraries serialized before rows were
+/// kept sorted store them in insertion order, and binary-searching
+/// unsorted rows would silently drop contributing samples.
+#[derive(Deserialize)]
+struct StoredKdeNd {
+    dim: usize,
+    samples: Vec<f64>,
+    kernel: Kernel,
+    bandwidths: Vec<f64>,
+    max_density: f64,
 }
+
+crate::deserialize_via_parts!(KdeNd, StoredKdeNd, |s| {
+    KdeNd::from_flat_parts(s.dim, s.samples, s.kernel, s.bandwidths, s.max_density)
+});
 
 /// Sort a flat row-major matrix by first dimension with a full-row
 /// lexicographic tiebreak — the invariant the windowed evaluation needs.
@@ -122,20 +64,11 @@ fn sort_rows(dim: usize, samples: Vec<f64>) -> Vec<f64> {
 }
 
 impl KdeNd {
-    /// Fit with the default kernel and per-dimension Silverman bandwidths
-    /// (each scaled by the standard `n^(−1/(d+4))` multivariate exponent is
-    /// approximated by the univariate rule — adequate for the low
-    /// dimensions used here).
+    /// Fit with the Gaussian kernel and per-dimension Silverman
+    /// bandwidths (each scaled by the standard `n^(−1/(d+4))` multivariate
+    /// exponent is approximated by the univariate rule — adequate for the
+    /// low dimensions used here).
     pub fn fit(samples: &[Vec<f64>]) -> Result<Self, FitError> {
-        Self::fit_with(samples, Kernel::default(), BandwidthRule::default())
-    }
-
-    /// Fit with an explicit kernel and bandwidth rule.
-    pub fn fit_with(
-        samples: &[Vec<f64>],
-        kernel: Kernel,
-        rule: BandwidthRule,
-    ) -> Result<Self, FitError> {
         let first = samples.first().ok_or(FitError::EmptySample)?;
         let dim = first.len();
         if dim == 0 {
@@ -163,9 +96,15 @@ impl KdeNd {
         for d in 0..dim {
             column.clear();
             column.extend((0..n).map(|i| flat[i * dim + d]));
-            bandwidths.push(rule.resolve(&column).value());
+            bandwidths.push(silverman(&column));
         }
-        let mut kde = KdeNd { dim, samples: flat, kernel, bandwidths, max_density: 0.0 };
+        let mut kde = KdeNd {
+            dim,
+            samples: flat,
+            kernel: Kernel::Gaussian,
+            bandwidths,
+            max_density: 0.0,
+        };
         // Each evaluation is windowed, so the normalizer sweep is
         // O(n · window) rather than the old O(n²) full cross product.
         kde.max_density = (0..n)
@@ -233,10 +172,11 @@ impl KdeNd {
         &self.samples
     }
 
-    /// Reassemble a fitted KDE from its serialized parts — the binary
-    /// codec's bulk-copy load path. Validates the shape and re-sorts rows
-    /// (a no-op for rows stored in sorted order) exactly like the JSON
-    /// deserializer, so loads from either wire format are bit-identical.
+    /// Reassemble a fitted KDE from stored parts — the load path of both
+    /// library formats. Validates the shape, the samples (non-empty,
+    /// finite), the bandwidths and `max_density` (finite, positive), and
+    /// re-sorts rows (a no-op for rows stored in sorted order), so loads
+    /// from either wire format are bit-identical.
     pub fn from_flat_parts(
         dim: usize,
         samples: Vec<f64>,
@@ -256,6 +196,10 @@ impl KdeNd {
         if samples.iter().any(|x| !x.is_finite()) {
             return Err(FitError::NonFiniteSample);
         }
+        for &h in &bandwidths {
+            check_scale("joint-kde bandwidth", h)?;
+        }
+        check_scale("joint-kde max_density", max_density)?;
         Ok(KdeNd {
             dim,
             samples: sort_rows(dim, samples),

@@ -1,94 +1,50 @@
-//! Smoothing kernels for kernel density estimation.
+//! The smoothing kernel for kernel density estimation.
 
 use serde::{Deserialize, Serialize};
 use std::f64::consts::PI;
 
-/// A smoothing kernel: a symmetric probability density `K(u)` on ℝ.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+/// The smoothing kernel: a symmetric probability density `K(u)` on ℝ.
+///
+/// The Gaussian is the only kernel; the enum survives as the kernel marker
+/// both library formats record (`"kernel": "Gaussian"` in JSON, tag `0` in
+/// `.flcb`), so a file naming any other kernel is rejected on load.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum Kernel {
-    /// Standard normal density. Infinite support; the classical default.
-    #[default]
+    /// Standard normal density.
     Gaussian,
-    /// `3/4 (1 - u²)` on `[-1, 1]` — mean-square-error optimal, compact
-    /// support (fast: far samples contribute exactly zero).
-    Epanechnikov,
-    /// Uniform on `[-1, 1]` (a.k.a. boxcar). Mostly useful in tests because
-    /// densities become piecewise-constant and exactly checkable.
-    Tophat,
 }
 
 impl Kernel {
     /// Kernel density at `u` (already scaled by bandwidth by the caller).
     #[inline]
     pub fn eval(self, u: f64) -> f64 {
-        match self {
-            Kernel::Gaussian => (-0.5 * u * u).exp() / (2.0 * PI).sqrt(),
-            Kernel::Epanechnikov => {
-                if u.abs() <= 1.0 {
-                    0.75 * (1.0 - u * u)
-                } else {
-                    0.0
-                }
-            }
-            Kernel::Tophat => {
-                if u.abs() <= 1.0 {
-                    0.5
-                } else {
-                    0.0
-                }
-            }
-        }
+        (-0.5 * u * u).exp() / (2.0 * PI).sqrt()
     }
 
     /// Radius beyond which the kernel is (numerically) zero, in bandwidth
-    /// units. Used to truncate sums.
+    /// units. Used to truncate sums: exp(-0.5 · 8.5²) ≈ 2e-16, below f64
+    /// epsilon relative to the peak.
     #[inline]
     pub fn support_radius(self) -> f64 {
-        match self {
-            // exp(-0.5 * 8.5²) ≈ 2e-16: below f64 epsilon relative to peak.
-            Kernel::Gaussian => 8.5,
-            Kernel::Epanechnikov | Kernel::Tophat => 1.0,
-        }
+        8.5
     }
 
     /// Peak value `K(0)`.
     #[inline]
     pub fn peak(self) -> f64 {
-        match self {
-            Kernel::Gaussian => 1.0 / (2.0 * PI).sqrt(),
-            Kernel::Epanechnikov => 0.75,
-            Kernel::Tophat => 0.5,
-        }
+        1.0 / (2.0 * PI).sqrt()
     }
 
     /// Stable one-byte wire tag (the `.flcb` binary library format).
     #[inline]
     pub fn tag(self) -> u8 {
-        match self {
-            Kernel::Gaussian => 0,
-            Kernel::Epanechnikov => 1,
-            Kernel::Tophat => 2,
-        }
+        0
     }
 
     /// Inverse of [`tag`](Self::tag); `None` for unknown wire bytes.
     #[inline]
     pub fn from_tag(tag: u8) -> Option<Self> {
-        match tag {
-            0 => Some(Kernel::Gaussian),
-            1 => Some(Kernel::Epanechnikov),
-            2 => Some(Kernel::Tophat),
-            _ => None,
-        }
-    }
-
-    /// Human-readable name (used in ablation tables).
-    pub fn name(self) -> &'static str {
-        match self {
-            Kernel::Gaussian => "gaussian",
-            Kernel::Epanechnikov => "epanechnikov",
-            Kernel::Tophat => "tophat",
-        }
+        (tag == 0).then_some(Kernel::Gaussian)
     }
 }
 
@@ -97,64 +53,47 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    const KERNELS: [Kernel; 3] = [Kernel::Gaussian, Kernel::Epanechnikov, Kernel::Tophat];
+    const K: Kernel = Kernel::Gaussian;
 
     #[test]
     fn peak_matches_eval_at_zero() {
-        for k in KERNELS {
-            assert!((k.eval(0.0) - k.peak()).abs() < 1e-12, "{:?}", k);
-        }
+        assert!((K.eval(0.0) - K.peak()).abs() < 1e-12);
     }
 
     #[test]
     fn kernels_are_symmetric() {
-        for k in KERNELS {
-            for u in [0.1, 0.5, 0.9, 1.5, 3.0] {
-                assert!((k.eval(u) - k.eval(-u)).abs() < 1e-12, "{:?} at {}", k, u);
-            }
+        for u in [0.1, 0.5, 0.9, 1.5, 3.0] {
+            assert!((K.eval(u) - K.eval(-u)).abs() < 1e-12, "at {}", u);
         }
-    }
-
-    #[test]
-    fn compact_kernels_vanish_outside_support() {
-        assert_eq!(Kernel::Epanechnikov.eval(1.01), 0.0);
-        assert_eq!(Kernel::Tophat.eval(-1.01), 0.0);
     }
 
     #[test]
     fn kernels_integrate_to_one() {
         // Trapezoidal integration over the support.
-        for k in KERNELS {
-            let r = k.support_radius().min(10.0);
-            let n = 20_000;
-            let dx = 2.0 * r / n as f64;
-            let mut sum = 0.0;
-            for i in 0..=n {
-                let x = -r + i as f64 * dx;
-                let w = if i == 0 || i == n { 0.5 } else { 1.0 };
-                sum += w * k.eval(x);
-            }
-            sum *= dx;
-            assert!((sum - 1.0).abs() < 1e-3, "{:?} integrates to {}", k, sum);
+        let r = K.support_radius();
+        let n = 20_000;
+        let dx = 2.0 * r / n as f64;
+        let mut sum = 0.0;
+        for i in 0..=n {
+            let x = -r + i as f64 * dx;
+            let w = if i == 0 || i == n { 0.5 } else { 1.0 };
+            sum += w * K.eval(x);
         }
+        sum *= dx;
+        assert!((sum - 1.0).abs() < 1e-3, "integrates to {}", sum);
     }
 
     proptest! {
         #[test]
         fn prop_nonnegative_and_bounded(u in -20.0f64..20.0) {
-            for k in KERNELS {
-                let v = k.eval(u);
-                prop_assert!(v >= 0.0);
-                prop_assert!(v <= k.peak() + 1e-12);
-            }
+            let v = K.eval(u);
+            prop_assert!(v >= 0.0);
+            prop_assert!(v <= K.peak() + 1e-12);
         }
 
         #[test]
         fn prop_zero_outside_support_radius(u in 1.0f64..100.0) {
-            for k in KERNELS {
-                let v = k.eval(k.support_radius() + u);
-                prop_assert!(v < 1e-15);
-            }
+            prop_assert!(K.eval(K.support_radius() + u) < 1e-15);
         }
     }
 }

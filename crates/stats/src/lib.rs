@@ -6,11 +6,11 @@
 //! a kernel density estimator (KDE) to learn feature distributions over the
 //! features."* This crate provides that fitting machinery:
 //!
-//! * [`Kde1d`] — Gaussian/Epanechnikov/Tophat kernel density estimation with
-//!   Scott/Silverman bandwidth selection (the "default hyperparameters" the
-//!   paper says work in all cases they tried),
+//! * [`Kde1d`] — Gaussian kernel density estimation with Silverman's
+//!   bandwidth (the "default hyperparameters" the paper says work in all
+//!   cases they tried),
 //! * [`BinnedKde`] — a grid-accelerated KDE for large training sets,
-//! * [`Histogram`] — Freedman–Diaconis / Sturges histogram densities,
+//! * [`Histogram`] — Freedman–Diaconis histogram densities,
 //! * [`Bernoulli`] — for binary features (class agreement within a
 //!   bundle),
 //! * [`KdeNd`] — diagonal-bandwidth multivariate KDE for vector features,
@@ -30,7 +30,6 @@ pub mod kde_nd;
 pub mod kernel;
 pub mod summary;
 
-pub use bandwidth::{Bandwidth, BandwidthRule};
 pub use discrete::Bernoulli;
 pub use histogram::Histogram;
 pub use kde::{BinnedKde, Kde1d};
@@ -53,6 +52,10 @@ pub enum FitError {
     NonFiniteSample,
     /// A dimension mismatch in multivariate fitting.
     DimensionMismatch { expected: usize, got: usize },
+    /// Stored fit parts (a loaded library) break a fitted invariant: a
+    /// scale that is not finite and positive, or a negative or
+    /// non-finite density.
+    Implausible(String),
 }
 
 impl std::fmt::Display for FitError {
@@ -65,6 +68,7 @@ impl std::fmt::Display for FitError {
             FitError::DimensionMismatch { expected, got } => {
                 write!(f, "dimension mismatch: expected {expected}, got {got}")
             }
+            FitError::Implausible(what) => write!(f, "implausible {what}"),
         }
     }
 }
@@ -105,6 +109,48 @@ pub(crate) fn validate_sample(samples: &[f64]) -> Result<(), FitError> {
     Ok(())
 }
 
+/// `Deserialize` for a fitted distribution: decode its stored fields
+/// through `$stored` (a derived twin of the wire format), then rebuild
+/// through `$build` — the validating `from_parts` constructor the binary
+/// library codec uses too, so both library formats accept and reject
+/// exactly the same stored values.
+macro_rules! deserialize_via_parts {
+    ($ty:ty, $stored:ty, |$s:ident| $build:expr) => {
+        impl serde::Deserialize for $ty {
+            fn from_json_value(v: &serde::Value) -> Result<Self, serde::DeError> {
+                let $s = <$stored as serde::Deserialize>::from_json_value(v)?;
+                $build.map_err(|e| serde::DeError::custom(e.to_string()))
+            }
+
+            fn from_json_stream(
+                r: &mut serde::json::JsonReader<'_>,
+            ) -> Result<Self, serde::DeError> {
+                let $s = <$stored as serde::Deserialize>::from_json_stream(r)?;
+                $build.map_err(|e| serde::DeError::custom(e.to_string()))
+            }
+        }
+    };
+}
+pub(crate) use deserialize_via_parts;
+
+/// Check a stored scale — bandwidth, grid step, bin width or
+/// normalizer: finite and positive.
+pub(crate) fn check_scale(what: &str, x: f64) -> Result<(), FitError> {
+    if x.is_finite() && x > 0.0 {
+        Ok(())
+    } else {
+        Err(FitError::Implausible(format!("{what} {x}")))
+    }
+}
+
+/// Check stored densities: finite and non-negative.
+pub(crate) fn check_densities(what: &str, densities: &[f64]) -> Result<(), FitError> {
+    match densities.iter().find(|d| !(d.is_finite() && **d >= 0.0)) {
+        Some(d) => Err(FitError::Implausible(format!("{what} density {d}"))),
+        None => Ok(()),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -139,6 +185,10 @@ mod tests {
         assert!(FitError::DimensionMismatch { expected: 2, got: 3 }
             .to_string()
             .contains("expected 2"));
+        assert_eq!(
+            FitError::Implausible("kde bandwidth 0".into()).to_string(),
+            "implausible kde bandwidth 0"
+        );
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Streaming summaries: Welford mean/variance, quantiles, IQR.
 //!
-//! Bandwidth selection (Scott/Silverman) needs the sample standard deviation
+//! Bandwidth selection (Silverman's rule) needs the sample standard deviation
 //! and interquartile range; the dataset simulator and the evaluation harness
 //! reuse the same accumulators for reporting.
 
