@@ -55,11 +55,6 @@ impl TrackPath {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
-
-    /// First and last frame indices.
-    pub fn frame_span(&self) -> Option<(usize, usize)> {
-        Some((self.entries.first()?.0, self.entries.last()?.0))
-    }
 }
 
 /// An active (extendable) track during the sweep.
@@ -177,11 +172,6 @@ impl TrackBuilder {
         );
         track_frame_step(cfg, &mut self.scratch, &mut self.tracks, self.next_frame, items);
         self.next_frame += 1;
-    }
-
-    /// Number of frames stepped since [`begin`](Self::begin).
-    pub fn frames_stepped(&self) -> usize {
-        self.next_frame
     }
 
     /// Take the finished paths, sorted by first entry. The builder needs
@@ -404,7 +394,8 @@ mod tests {
         let tracks = build_tracks(&frames, &TrackerConfig::default());
         assert_eq!(tracks.len(), 1);
         assert_eq!(tracks[0].len(), 10);
-        assert_eq!(tracks[0].frame_span(), Some((0, 9)));
+        let entries = &tracks[0].entries;
+        assert_eq!((entries[0].0, entries[entries.len() - 1].0), (0, 9));
     }
 
     #[test]
@@ -500,7 +491,7 @@ mod tests {
             for items in &frames {
                 builder.step(&cfg, items);
             }
-            assert_eq!(builder.frames_stepped(), frames.len());
+            assert_eq!(builder.next_frame, frames.len());
             let streamed = builder.finish();
             assert_eq!(streamed, build_tracks(&frames, &cfg), "seed {seed}");
         }

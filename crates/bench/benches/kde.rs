@@ -1,12 +1,13 @@
-//! KDE microbenchmarks: fitting and evaluation, exact vs binned — the
-//! distribution-learning substrate behind every learned feature.
+//! KDE microbenchmarks: fitting (which builds the scoring grid) and
+//! evaluation, exact vs grid — the distribution-learning substrate behind
+//! every learned feature.
 //!
 //! Set `FIXY_BENCH_SMOKE=1` to run the smallest training set of each group
 //! with 3 samples — the CI smoke mode that keeps the bench compiling *and*
 //! executing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use loa_stats::{BinnedKde, Density1d, Kde1d};
+use loa_stats::{Density1d, Kde1d};
 use std::hint::black_box;
 
 fn smoke() -> bool {
@@ -43,10 +44,7 @@ fn bench_fit(c: &mut Criterion) {
     for &n in sizes() {
         let xs = samples(n);
         group.bench_with_input(BenchmarkId::new("exact", n), &xs, |b, xs| {
-            b.iter(|| black_box(Kde1d::fit(black_box(xs)).unwrap().bandwidth_value()))
-        });
-        group.bench_with_input(BenchmarkId::new("binned", n), &xs, |b, xs| {
-            b.iter(|| black_box(BinnedKde::prepare(&Kde1d::fit(black_box(xs)).unwrap()).bins()))
+            b.iter(|| black_box(Kde1d::fit(black_box(xs)).unwrap().grid().bins()))
         });
     }
     group.finish();
@@ -58,7 +56,7 @@ fn bench_eval(c: &mut Criterion) {
     for &n in sizes() {
         let xs = samples(n);
         let kde = Kde1d::fit(&xs).unwrap();
-        let binned = BinnedKde::prepare(&kde);
+        let binned = kde.grid();
         group.bench_with_input(BenchmarkId::new("exact", n), &kde, |b, kde| {
             b.iter(|| {
                 let mut acc = 0.0;
@@ -68,7 +66,7 @@ fn bench_eval(c: &mut Criterion) {
                 black_box(acc)
             })
         });
-        group.bench_with_input(BenchmarkId::new("binned", n), &binned, |b, binned| {
+        group.bench_with_input(BenchmarkId::new("binned", n), binned, |b, binned| {
             b.iter(|| {
                 let mut acc = 0.0;
                 for q in 0..100 {

@@ -87,11 +87,11 @@ fn bench_offline_learning(c: &mut Criterion) {
     });
 
     // Library load, per wire format — the fleet-scale per-app startup
-    // cost. The v1 JSON path pays a streamed typed parse (no
-    // intermediate Value tree since the streaming lexer landed) + eager
-    // prepared-grid rebuild (a KDE convolution per distribution); the
-    // .flcb path is a bounds-checked bulk copy of the prepared grids,
-    // which is the whole point of the binary format.
+    // cost. The JSON path pays a streamed typed parse (no intermediate
+    // Value tree since the streaming lexer landed) + a grid rebuild per
+    // KDE (a convolution each); the .flcb path is a bounds-checked bulk
+    // copy of the stored grids, which is the whole point of the binary
+    // format.
     let library = Learner::new().fit(&finder.feature_set(), &train).expect("fit");
     let json = serde_json::to_string(&library).expect("serialize library");
     group.bench_function("library_load_json", |b| {

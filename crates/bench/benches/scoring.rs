@@ -1,10 +1,10 @@
 //! Score-path microbenchmarks: the two layers the fast online phase is
 //! built from.
 //!
-//! * `scoring/density_*` — evaluating a learned feature distribution the
-//!   exact way (`FittedDistribution`: windowed kernel sums) vs the
-//!   prepared way (`PreparedDistribution`: precompiled probability grids,
-//!   one lookup + interpolation per query).
+//! * `scoring/density_*` — evaluating a learned KDE the exact way
+//!   (`Kde1d`'s density: windowed kernel sums) vs the way scoring does
+//!   (`FittedDistribution::probability`: the KDE's precomputed grid, one
+//!   lookup + interpolation per query).
 //! * `scoring/components_*` — scoring every track of a scene through the
 //!   Section 4.3 reference (per-candidate `score_component` over the
 //!   compiled factor graph: set rebuilds) vs the engine's single-sweep
@@ -17,8 +17,9 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use fixy_core::compile::compile_scene;
 use fixy_core::prelude::*;
 use fixy_core::score::ScoreEngine;
-use fixy_core::Learner;
+use fixy_core::{FittedDistribution, Learner};
 use loa_data::{generate_scene, DatasetProfile, ObjectClass, SceneData};
+use loa_stats::Density1d;
 use std::hint::black_box;
 
 fn smoke() -> bool {
@@ -43,7 +44,10 @@ fn setup() -> (SceneData, FeatureLibrary, MissingTrackFinder) {
 fn bench_density(c: &mut Criterion) {
     let (_, library, _) = setup();
     let fitted = library.get("volume").expect("volume distribution");
-    let prepared = library.get_prepared("volume").expect("prepared volume");
+    let FittedDistribution::ClassConditional { per_class, .. } = fitted else {
+        panic!("volume is class-conditional");
+    };
+    let car = per_class.get(&ObjectClass::Car).expect("car volume KDE");
     let queries: Vec<FeatureValue> = (0..256)
         .map(|i| {
             let x = ((i * 2654435761u64) % 9000) as f64 / 100.0;
@@ -58,7 +62,7 @@ fn bench_density(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0;
             for q in &queries {
-                acc += fitted.probability(black_box(q));
+                acc += car.relative_likelihood(black_box(q).x);
             }
             black_box(acc)
         })
@@ -68,7 +72,7 @@ fn bench_density(c: &mut Criterion) {
         b.iter(|| {
             let mut acc = 0.0;
             for q in &queries {
-                acc += prepared.probability(black_box(q));
+                acc += fitted.probability(black_box(q));
             }
             black_box(acc)
         })

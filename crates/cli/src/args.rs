@@ -41,9 +41,9 @@ USAGE:
 const USAGE_NOTES: &str = "\
 Library files come in two wire formats, auto-detected on load (by
 extension, then by magic bytes): v1 JSON (human-readable, the default)
-and .flcb — the zero-copy binary format that stores the prepared
-probability grids verbatim, so opening a library is a bounds-checked
-bulk copy instead of a refit. Both score bit-identically. learn picks
+and .flcb — the binary format that stores the KDE probability grids
+verbatim, so opening a library is a bounds-checked bulk copy instead
+of a grid rebuild. Both score bit-identically. learn picks
 the format from --out: a .flcb path gets the binary format, any other
 path JSON.
 

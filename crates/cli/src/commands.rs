@@ -643,8 +643,8 @@ pub fn serve(args: ServeArgs) -> Result<String, CliError> {
     let library = load_library_for(&args.library, args.app)?;
     let ctx = loa_serve::ServeContext::new(args.app, library)?;
     // Cold start: library file open through scoring-ready context. The
-    // .flcb path skips fit-state reconstruction, so this is the number
-    // the binary format exists to shrink. Printed for scripts AND
+    // .flcb path bulk-copies the KDE grids a JSON load rebuilds, so this
+    // is the number the binary format exists to shrink. Printed for scripts AND
     // recorded as a gauge so a scrape sees it too.
     let cold_us = t0.elapsed().as_secs_f64() * 1e6;
     eprintln!("fixy serve: cold start (library open → scoring context ready) {cold_us:.1}us");
@@ -1195,6 +1195,44 @@ mod tests {
         .unwrap())
         .unwrap_err();
         assert!(err.to_string().contains("fitted for app"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn rank_rejects_library_with_altered_max_density() {
+        // A JSON library whose first KDE's stored max_density no longer
+        // matches the grid its samples rebuild must be refused on load.
+        let dir = tmp_dir("altered_max_density");
+        let data_dir = dir.join("data");
+        run(parse(&argv(&format!(
+            "generate --profile lyft --scenes 1 --seed 9 --duration 3 --out {}",
+            data_dir.display()
+        )))
+        .unwrap())
+        .unwrap();
+        let lib_path = dir.join("lib.json");
+        run(parse(&argv(&format!(
+            "learn --data {} --out {}",
+            data_dir.display(),
+            lib_path.display()
+        )))
+        .unwrap())
+        .unwrap();
+        let text = std::fs::read_to_string(&lib_path).unwrap();
+        let key = r#""max_density":"#;
+        let at = text.find(key).unwrap() + key.len();
+        let end = at + text[at..].find([',', '}']).unwrap();
+        let stored: f64 = text[at..end].trim().parse().unwrap();
+        let altered = format!("{}{}{}", &text[..at], stored * 1.5, &text[end..]);
+        std::fs::write(&lib_path, altered).unwrap();
+        let err = run(parse(&argv(&format!(
+            "rank --scene {} --library {}",
+            data_dir.display(),
+            lib_path.display()
+        )))
+        .unwrap())
+        .unwrap_err();
+        assert!(err.to_string().contains("implausible kde max_density"), "{err}");
         std::fs::remove_dir_all(&dir).unwrap();
     }
 

@@ -183,14 +183,6 @@ impl FeatureSet {
             .filter(|bf| bf.feature.probability_model() != ProbabilityModel::Manual)
     }
 
-    /// Replace every AOF (e.g. invert everything for model-error search).
-    pub fn with_aof(mut self, aof: Aof) -> Self {
-        for bf in &mut self.features {
-            bf.aof = aof;
-        }
-        self
-    }
-
     /// Find a bound feature by name.
     pub fn get(&self, name: &str) -> Option<&BoundFeature> {
         self.features.iter().find(|bf| bf.feature.name() == name)
@@ -256,12 +248,6 @@ mod tests {
         let learned: Vec<&str> = set.learned().map(|bf| bf.feature.name()).collect();
         // Volume and velocity learn; distance/model_only/count are manual.
         assert_eq!(learned, vec!["volume", "velocity"]);
-    }
-
-    #[test]
-    fn with_aof_replaces_all() {
-        let set = FeatureSet::paper_default().with_aof(Aof::Invert);
-        assert!(set.features.iter().all(|bf| bf.aof == Aof::Invert));
     }
 
     #[test]

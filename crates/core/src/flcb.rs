@@ -1,13 +1,12 @@
 //! The `.flcb` (feature-library compact binary) format.
 //!
 //! Library JSON is convenient but wrong-shaped for fleet cold starts:
-//! loading one pays a full tree-walking parse *and* an eager
-//! [`BinnedKde::prepare`] convolution per KDE feature before the first
-//! frame can be scored. `.flcb` serializes both the fitted state and the
-//! *prepared* scoring forms — probability grids, sorted joint-KDE rows,
+//! loading one pays a full tree-walking parse *and* a
+//! [`BinnedKde`] grid rebuild per KDE before the first frame can be
+//! scored. `.flcb` stores each distribution's state together with its
+//! scoring grid — KDE samples and grids, sorted joint-KDE rows,
 //! histogram and Bernoulli tables — verbatim as flat little-endian `f64`
-//! arrays, so loading is a bounds-checked bulk copy instead of fit-state
-//! reconstruction:
+//! arrays, so loading is a bounds-checked bulk copy instead of a rebuild:
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
@@ -16,38 +15,32 @@
 //! ├──────────────────────────────────────────────────────────────┤
 //! │ entry    payload_len u32 · payload:                          │ × n
 //! │            name (u32 len + utf-8)                            │
-//! │            fitted   tag u8 · distribution state              │
-//! │            prepared tag u8 · precompiled scoring form        │
-//! │              (class-conditional: unique-grid pool stored     │
-//! │               once, per-class references by pool index)      │
+//! │            tag u8 · distribution state                       │
+//! │              (a KDE: kernel · bandwidth · samples · grid     │
+//! │               start, step, max density, densities)           │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
-//! Prepared grids travel bit-exact (`to_le_bytes`), so an `.flcb` load
-//! scores **bit-identically** to the JSON path — which rebuilds the same
-//! grids deterministically — without ever running the rebuild. Per-class
-//! grids that shared one `Arc` at fit time (the learner dedups classes
-//! whose grids came out identical) are stored once in a per-entry pool
-//! and rehydrated into one `Arc`, so `Arc::ptr_eq` sharing survives the
-//! round trip.
+//! Grids travel bit-exact (`to_le_bytes`), so an `.flcb` load scores
+//! **bit-identically** to the JSON path — which rebuilds the same grids
+//! deterministically — without ever running the rebuild.
 //!
 //! Truncation surfaces [`CodecError::Io`]/[`CodecError::Corrupt`] —
 //! never a panic — and every length prefix is capped
 //! ([`MAX_RECORD_LEN`]) and checked
 //! against the bytes actually present before any allocation, so a
 //! corrupt count cannot become an allocation bomb. Every distribution
-//! is rebuilt through its validating `from_parts` constructor — the one
-//! the JSON deserializers use — so both formats accept and reject the
-//! same stored values. The v1 JSON wire format stays fully supported;
-//! `fixy convert --library` migrates.
+//! is rebuilt through a validating constructor in `loa_stats` — for all
+//! but KDEs the `from_parts` the JSON deserializers use — so both formats
+//! reject the same implausible stored values. The JSON wire format stays
+//! fully supported; `fixy convert --library` migrates.
 
 use crate::codec::{CodecError, Dec, Enc, MAX_RECORD_LEN};
-use crate::learner::{FeatureLibrary, FittedDistribution, PreparedDistribution};
+use crate::learner::{FeatureLibrary, FittedDistribution};
 use loa_data::ObjectClass;
 use loa_stats::{Bernoulli, BinnedKde, Density1d, FitError, Histogram, Kde1d, KdeNd, Kernel};
 use std::collections::BTreeMap;
 use std::path::Path;
-use std::sync::Arc;
 
 /// File extension of the binary library format.
 pub const FLCB_EXTENSION: &str = "flcb";
@@ -55,20 +48,14 @@ pub const FLCB_EXTENSION: &str = "flcb";
 /// The four magic bytes opening every `.flcb` file.
 pub const FLCB_MAGIC: [u8; 4] = *b"FLCB";
 
-const VERSION: u16 = 1;
+const VERSION: u16 = 2;
 
-// Fitted-section tags (one per [`FittedDistribution`] variant).
+// Section tags (one per [`FittedDistribution`] variant).
 const FIT_CLASS_COND: u8 = 1;
 const FIT_KDE: u8 = 2;
 const FIT_HIST: u8 = 3;
 const FIT_BERN: u8 = 4;
 const FIT_JOINT: u8 = 5;
-
-/// Prepared-section tag for "no prepared form" (joint KDEs: the fitted
-/// rows are already the query-optimized representation). Every other
-/// prepared section reuses its fitted tag, and the decoder rejects
-/// mismatched pairs.
-const PREP_NONE: u8 = 0;
 
 fn corrupt(msg: impl Into<String>) -> CodecError {
     CodecError::Corrupt(msg.into())
@@ -87,16 +74,16 @@ fn implausible(e: FitError) -> CodecError {
 fn enc_kde1d(enc: &mut Enc, kde: &Kde1d) {
     enc.u8(kde.kernel().tag());
     enc.f64(kde.bandwidth_value());
-    enc.f64(kde.max_density());
     enc.f64_slice(kde.samples());
+    enc_binned(enc, kde.grid());
 }
 
 fn dec_kde1d(dec: &mut Dec<'_>) -> Result<Kde1d, CodecError> {
     let kernel = dec_kernel(dec)?;
     let bandwidth = dec.f64()?;
-    let max_density = dec.f64()?;
     let samples = dec.f64_vec()?;
-    Kde1d::from_parts(samples, kernel, bandwidth, max_density).map_err(implausible)
+    let grid = dec_binned(dec)?;
+    Kde1d::with_grid(samples, kernel, bandwidth, grid).map_err(implausible)
 }
 
 fn dec_kernel(dec: &mut Dec<'_>) -> Result<Kernel, CodecError> {
@@ -219,116 +206,7 @@ fn dec_fitted(dec: &mut Dec<'_>) -> Result<FittedDistribution, CodecError> {
         FIT_HIST => Ok(FittedDistribution::Histogram(dec_hist(dec)?)),
         FIT_BERN => Ok(FittedDistribution::Bernoulli(dec_bern(dec)?)),
         FIT_JOINT => Ok(FittedDistribution::Joint(dec_kde_nd(dec)?)),
-        tag => Err(corrupt(format!("unknown fitted-distribution tag {tag}"))),
-    }
-}
-
-fn enc_prepared(enc: &mut Enc, prepared: Option<&PreparedDistribution>) {
-    let Some(prepared) = prepared else {
-        enc.u8(PREP_NONE);
-        return;
-    };
-    match prepared {
-        PreparedDistribution::ClassConditional { per_class, pooled } => {
-            enc.u8(FIT_CLASS_COND);
-            // Unique grids once, in first-seen order (pooled first, then
-            // per-class in key order); classes reference by pool index so
-            // the learner's Arc sharing survives the round trip.
-            fn index_of<'p>(pool: &mut Vec<&'p Arc<BinnedKde>>, arc: &'p Arc<BinnedKde>) -> u32 {
-                match pool.iter().position(|u| Arc::ptr_eq(u, arc)) {
-                    Some(i) => i as u32,
-                    None => {
-                        pool.push(arc);
-                        (pool.len() - 1) as u32
-                    }
-                }
-            }
-            let mut pool: Vec<&Arc<BinnedKde>> = Vec::new();
-            let pooled_idx = index_of(&mut pool, pooled);
-            let refs: Vec<(ObjectClass, u32)> = per_class
-                .iter()
-                .map(|(&class, arc)| (class, index_of(&mut pool, arc)))
-                .collect();
-            enc.len(pool.len());
-            for grid in &pool {
-                enc_binned(enc, grid);
-            }
-            enc.u32(pooled_idx);
-            enc.len(refs.len());
-            for (class, idx) in refs {
-                enc.u8(class.index() as u8);
-                enc.u32(idx);
-            }
-        }
-        PreparedDistribution::Kde(grid) => {
-            enc.u8(FIT_KDE);
-            enc_binned(enc, grid);
-        }
-        PreparedDistribution::Histogram(h) => {
-            enc.u8(FIT_HIST);
-            enc_hist(enc, h);
-        }
-        PreparedDistribution::Bernoulli(b) => {
-            enc.u8(FIT_BERN);
-            enc_bern(enc, b);
-        }
-    }
-}
-
-fn dec_prepared(dec: &mut Dec<'_>) -> Result<Option<PreparedDistribution>, CodecError> {
-    match dec.u8()? {
-        PREP_NONE => Ok(None),
-        FIT_CLASS_COND => {
-            let n_grids = dec.len()?;
-            if n_grids == 0 {
-                return Err(corrupt("class-conditional entry with empty grid pool"));
-            }
-            let pool: Vec<Arc<BinnedKde>> = (0..n_grids)
-                .map(|_| Ok(Arc::new(dec_binned(dec)?)))
-                .collect::<Result<_, CodecError>>()?;
-            let grid_at = |idx: u32| -> Result<Arc<BinnedKde>, CodecError> {
-                pool.get(idx as usize)
-                    .cloned()
-                    .ok_or_else(|| corrupt(format!("grid index {idx} out of pool of {n_grids}")))
-            };
-            let pooled = grid_at(dec.u32()?)?;
-            let n_classes = dec.len()?;
-            let mut per_class = BTreeMap::new();
-            for _ in 0..n_classes {
-                let class = dec_class(dec)?;
-                let grid = grid_at(dec.u32()?)?;
-                if per_class.insert(class, grid).is_some() {
-                    return Err(corrupt(format!("duplicate class {class:?} in entry")));
-                }
-            }
-            Ok(Some(PreparedDistribution::ClassConditional { per_class, pooled }))
-        }
-        FIT_KDE => Ok(Some(PreparedDistribution::Kde(dec_binned(dec)?))),
-        FIT_HIST => Ok(Some(PreparedDistribution::Histogram(dec_hist(dec)?))),
-        FIT_BERN => Ok(Some(PreparedDistribution::Bernoulli(dec_bern(dec)?))),
-        tag => Err(corrupt(format!("unknown prepared-distribution tag {tag}"))),
-    }
-}
-
-/// `true` when the prepared section's tag is the one the fitted section
-/// requires (joint ↔ none, everything else ↔ its own tag).
-fn sections_consistent(
-    fitted: &FittedDistribution,
-    prepared: Option<&PreparedDistribution>,
-) -> bool {
-    match (fitted, prepared) {
-        (FittedDistribution::Joint(_), None) => true,
-        (FittedDistribution::ClassConditional { .. }, Some(p)) => {
-            matches!(p, PreparedDistribution::ClassConditional { .. })
-        }
-        (FittedDistribution::Kde(_), Some(p)) => matches!(p, PreparedDistribution::Kde(_)),
-        (FittedDistribution::Histogram(_), Some(p)) => {
-            matches!(p, PreparedDistribution::Histogram(_))
-        }
-        (FittedDistribution::Bernoulli(_), Some(p)) => {
-            matches!(p, PreparedDistribution::Bernoulli(_))
-        }
-        _ => false,
+        tag => Err(corrupt(format!("unknown distribution tag {tag}"))),
     }
 }
 
@@ -348,15 +226,14 @@ pub fn encode_library(app: &str, library: &FeatureLibrary) -> Vec<u8> {
         entry.buf.clear();
         entry.str(name);
         enc_fitted(&mut entry, fitted);
-        enc_prepared(&mut entry, library.get_prepared(name));
         out.len(entry.buf.len());
         out.buf.extend_from_slice(&entry.buf);
     }
     out.buf
 }
 
-/// Decode `.flcb` bytes into the fitting app and the library, prepared
-/// forms bulk-copied straight off the wire (no `prepare()` rebuild).
+/// Decode `.flcb` bytes into the fitting app and the library, KDE grids
+/// bulk-copied straight off the wire (no rebuild).
 pub fn decode_library(bytes: &[u8]) -> Result<(String, FeatureLibrary), CodecError> {
     let mut dec = Dec::new(bytes);
     let magic = dec.take(4)?;
@@ -371,8 +248,7 @@ pub fn decode_library(bytes: &[u8]) -> Result<(String, FeatureLibrary), CodecErr
     }
     let app = dec.str()?;
     let n_entries = dec.len()?;
-    let mut map = BTreeMap::new();
-    let mut prepared = BTreeMap::new();
+    let mut library = FeatureLibrary::default();
     for _ in 0..n_entries {
         let payload_len = dec.u32()?;
         if payload_len > MAX_RECORD_LEN {
@@ -381,22 +257,14 @@ pub fn decode_library(bytes: &[u8]) -> Result<(String, FeatureLibrary), CodecErr
         let mut entry = Dec::new(dec.take(payload_len as usize)?);
         let name = entry.str()?;
         let fitted = dec_fitted(&mut entry)?;
-        let prep = dec_prepared(&mut entry)?;
         entry.finish()?;
-        if !sections_consistent(&fitted, prep.as_ref()) {
-            return Err(corrupt(format!(
-                "entry '{name}': prepared section does not match fitted section"
-            )));
-        }
-        if let Some(p) = prep {
-            prepared.insert(name.clone(), p);
-        }
-        if map.insert(name.clone(), fitted).is_some() {
+        if library.get(&name).is_some() {
             return Err(corrupt(format!("duplicate entry '{name}'")));
         }
+        library.insert(name, fitted);
     }
     dec.finish()?;
-    Ok((app, FeatureLibrary::from_parts(map, prepared)))
+    Ok((app, library))
 }
 
 /// Write a library as an `.flcb` file.
@@ -420,8 +288,8 @@ mod tests {
     use super::*;
     use crate::feature::FeatureValue;
 
-    /// A small library exercising every variant: class-conditional with a
-    /// deliberately Arc-shared grid, pooled KDE, histogram, Bernoulli,
+    /// A small library exercising every variant: class-conditional (one
+    /// class fit to the pooled samples), pooled KDE, histogram, Bernoulli,
     /// joint.
     fn sample_library() -> FeatureLibrary {
         let mut lib = FeatureLibrary::default();
@@ -430,8 +298,6 @@ mod tests {
         let mut per_class = BTreeMap::new();
         per_class.insert(ObjectClass::Car, Kde1d::fit(&car).unwrap());
         per_class.insert(ObjectClass::Pedestrian, Kde1d::fit(&ped).unwrap());
-        // A class whose samples equal the pooled fit prepares to an
-        // identical grid — the learner shares the allocation.
         let pooled_samples: Vec<f64> = car.iter().chain(&ped).copied().collect();
         per_class.insert(ObjectClass::Bus, Kde1d::fit(&pooled_samples).unwrap());
         let pooled = Kde1d::fit(&pooled_samples).unwrap();
@@ -496,66 +362,7 @@ mod tests {
                     "vector probability diverges for '{name}'"
                 );
             }
-            // Prepared forms travel verbatim: same probabilities without
-            // any rebuild.
-            match (lib.get_prepared(name), back.get_prepared(name)) {
-                (Some(a), Some(b)) => {
-                    for q in queries() {
-                        assert_eq!(
-                            a.probability(&q).to_bits(),
-                            b.probability(&q).to_bits(),
-                            "prepared probability diverges for '{name}' at {q:?}"
-                        );
-                    }
-                }
-                (None, None) => {}
-                (a, b) => panic!(
-                    "prepared presence diverges for '{name}': {} vs {}",
-                    a.is_some(),
-                    b.is_some()
-                ),
-            }
         }
-    }
-
-    /// The learner's `Arc::ptr_eq` grid dedup must survive the round
-    /// trip: grids stored once in the pool, rehydrated into one `Arc`.
-    #[test]
-    fn arc_sharing_survives_roundtrip() {
-        fn unique_grids(p: &PreparedDistribution) -> usize {
-            let PreparedDistribution::ClassConditional { per_class, pooled } = p else {
-                panic!("class-conditional expected");
-            };
-            let mut uniq: Vec<*const BinnedKde> = vec![Arc::as_ptr(pooled)];
-            for arc in per_class.values() {
-                if !uniq.contains(&Arc::as_ptr(arc)) {
-                    uniq.push(Arc::as_ptr(arc));
-                }
-            }
-            uniq.len()
-        }
-
-        let lib = sample_library();
-        let before = unique_grids(lib.get_prepared("speed").unwrap());
-        // The Bus class and the pooled fallback were fit from identical
-        // samples — the learner shares their grid.
-        assert!(
-            before < 4,
-            "expected shared grids in the fixture, got {before} uniques"
-        );
-
-        let bytes = encode_library("a", &lib);
-        let (_, back) = decode_library(&bytes).unwrap();
-        let loaded = back.get_prepared("speed").unwrap();
-        assert_eq!(unique_grids(loaded), before, "Arc dedup lost in the round trip");
-
-        let PreparedDistribution::ClassConditional { per_class, pooled } = loaded else {
-            unreachable!()
-        };
-        assert!(
-            Arc::ptr_eq(per_class.get(&ObjectClass::Bus).unwrap(), pooled),
-            "Bus grid must rehydrate into the pooled Arc"
-        );
     }
 
     #[test]
@@ -624,9 +431,9 @@ mod tests {
         assert!(err.to_string().contains("bad magic"), "got: {err}");
 
         let mut bytes = encode_library("x", &FeatureLibrary::default());
-        bytes[4] = 2; // version 2
+        bytes[4] = 1; // version 1
         let err = decode_library(&bytes).unwrap_err();
-        assert!(err.to_string().contains("unsupported flcb version 2"), "got: {err}");
+        assert!(err.to_string().contains("unsupported flcb version 1"), "got: {err}");
     }
 
     /// A payload length past [`MAX_RECORD_LEN`] is rejected before any
@@ -649,7 +456,6 @@ mod tests {
         payload.u8(FIT_KDE);
         payload.u8(Kernel::Gaussian.tag());
         payload.f64(1.0); // bandwidth
-        payload.f64(1.0); // max_density
         payload.u32(u32::MAX); // sample count with no samples behind it
         let mut enc = header("x", 1);
         enc.len(payload.buf.len());
@@ -682,8 +488,6 @@ mod tests {
         payload.str("ok");
         payload.u8(FIT_BERN);
         payload.f64(0.25);
-        payload.u8(FIT_BERN);
-        payload.f64(0.25);
         payload.u8(0xff); // one stray byte inside the declared payload
         let mut enc = header("x", 1);
         enc.len(payload.buf.len());
@@ -691,28 +495,10 @@ mod tests {
         assert!(matches!(decode_library(&enc.buf), Err(CodecError::Corrupt(_))));
     }
 
-    /// A fitted section whose prepared partner carries the wrong tag
-    /// (here: Bernoulli fitted, "none" prepared) is rejected.
-    #[test]
-    fn mismatched_prepared_section_rejected() {
-        let mut payload = Enc::default();
-        payload.str("flag");
-        payload.u8(FIT_BERN);
-        payload.f64(0.5);
-        payload.u8(PREP_NONE);
-        let mut enc = header("x", 1);
-        enc.len(payload.buf.len());
-        enc.buf.extend_from_slice(&payload.buf);
-        let err = decode_library(&enc.buf).unwrap_err();
-        assert!(err.to_string().contains("does not match"), "got: {err}");
-    }
-
     #[test]
     fn duplicate_entries_rejected() {
         let mut payload = Enc::default();
         payload.str("flag");
-        payload.u8(FIT_BERN);
-        payload.f64(0.5);
         payload.u8(FIT_BERN);
         payload.f64(0.5);
         let mut enc = header("x", 2);
@@ -722,31 +508,6 @@ mod tests {
         }
         let err = decode_library(&enc.buf).unwrap_err();
         assert!(err.to_string().contains("duplicate entry 'flag'"), "got: {err}");
-    }
-
-    /// A class-conditional grid reference pointing past the pool is
-    /// rejected (the rehydration path is index-based).
-    #[test]
-    fn out_of_pool_grid_index_rejected() {
-        let lib = sample_library();
-        let bytes = encode_library("x", &lib);
-        // Corrupting a pool index structurally is fiddly; instead decode a
-        // handcrafted prepared section directly.
-        let mut payload = Enc::default();
-        payload.u8(FIT_CLASS_COND);
-        payload.len(1); // one grid in the pool
-        payload.f64(0.0); // grid_start
-        payload.f64(0.5); // grid_step
-        payload.f64(1.0); // max_density
-        payload.f64_slice(&[1.0, 2.0, 1.0]);
-        payload.u32(7); // pooled index — out of a pool of 1
-        let mut dec = Dec::new(&payload.buf);
-        let err = dec_prepared(&mut dec).unwrap_err();
-        assert!(
-            err.to_string().contains("grid index 7 out of pool of 1"),
-            "got: {err}"
-        );
-        drop(bytes);
     }
 
     // -- Stored values no fit produces --------------------------------------
@@ -784,21 +545,19 @@ mod tests {
 
     #[test]
     fn kde_and_grid_max_density_must_be_finite_positive() {
-        // The fitted normalizer is the grid's: copy 0 is the fitted
-        // section's, copy 1 the prepared grid's.
+        // The KDE's normalizer is its grid's, stored once, ahead of the
+        // grid densities (which hold the same value again).
         let kde = Kde1d::fit(&XS).unwrap();
-        for nth in [0, 1] {
-            for bad in BAD_SCALES {
-                let dist = FittedDistribution::Kde(kde.clone());
-                assert_rejected(&patched(dist, kde.max_density(), nth, bad), bad);
-            }
+        for bad in BAD_SCALES {
+            let dist = FittedDistribution::Kde(kde.clone());
+            assert_rejected(&patched(dist, kde.max_density(), 0, bad), bad);
         }
     }
 
     #[test]
     fn grid_densities_must_be_finite_nonnegative() {
         let kde = Kde1d::fit(&XS).unwrap();
-        let density = BinnedKde::prepare(&kde).densities()[5];
+        let density = kde.grid().densities()[5];
         for bad in [-1.0, f64::NAN, f64::INFINITY] {
             let dist = FittedDistribution::Kde(kde.clone());
             assert_rejected(&patched(dist, density, 0, bad), bad);
@@ -846,7 +605,7 @@ mod tests {
     }
 
     /// Handwritten golden bytes for a one-entry Bernoulli library lock
-    /// the v1 layout in both directions: `encode_library` must emit
+    /// the v2 layout in both directions: `encode_library` must emit
     /// exactly these bytes, and decoding them must yield the library.
     /// If this test breaks, the wire format changed — bump [`VERSION`].
     #[test]
@@ -860,24 +619,22 @@ mod tests {
         #[rustfmt::skip]
         let golden: Vec<u8> = [
             b"FLCB".as_slice(),            // magic
-            &[0x01, 0x00],                 // version 1, u16 LE
+            &[0x02, 0x00],                 // version 2, u16 LE
             &[0x01, 0x00, 0x00, 0x00],     // app length 1
             b"a",                          // app
             &[0x01, 0x00, 0x00, 0x00],     // entry count 1
-            &[0x17, 0x00, 0x00, 0x00],     // entry payload length 23
+            &[0x0e, 0x00, 0x00, 0x00],     // entry payload length 14
             &[0x01, 0x00, 0x00, 0x00],     // name length 1
             b"b",                          // name
-            &[FIT_BERN],                   // fitted tag
+            &[FIT_BERN],                   // distribution tag
             &0.5f64.to_le_bytes(),         // p_one
-            &[FIT_BERN],                   // prepared tag
-            &0.5f64.to_le_bytes(),         // prepared p_one
         ]
         .concat();
 
         assert_eq!(
             encode_library("a", &lib),
             golden,
-            "encoder output diverged from the v1 golden layout"
+            "encoder output diverged from the v2 golden layout"
         );
         let (app, back) = decode_library(&golden).expect("golden bytes decode");
         assert_eq!(app, "a");

@@ -15,10 +15,9 @@ use crate::error::FixyError;
 use crate::feature::{FeatureSet, FeatureValue, ProbabilityModel};
 use crate::scene::{AssemblyConfig, Scene};
 use loa_data::{ObjectClass, SceneData};
-use loa_stats::{Bernoulli, BinnedKde, Density1d, Histogram, Kde1d, KdeNd};
+use loa_stats::{Bernoulli, Density1d, Histogram, Kde1d, KdeNd};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
-use std::sync::Arc;
 
 /// Minimum per-class sample count before a class gets its own
 /// distribution (smaller classes fall back to the pooled fit).
@@ -42,19 +41,24 @@ pub enum FittedDistribution {
 impl FittedDistribution {
     /// Relative likelihood of a feature value in `(0, 1]`.
     ///
-    /// Joint distributions cannot be evaluated on a scalar; they return
-    /// the floor (callers use [`probability_vector`](Self::probability_vector)).
+    /// KDEs are read off their scoring grids ([`Kde1d::grid`]): an
+    /// evaluation is a bin lookup plus a linear interpolation instead of
+    /// an `O(window)` kernel sum, which is what makes scene scoring cheap
+    /// enough to sweep fleets of scenes (Section 8.1's "nine minutes for
+    /// 1,000 scenes" regime). Joint distributions cannot be evaluated on a
+    /// scalar; they return the floor (callers use
+    /// [`probability_vector`](Self::probability_vector)).
     pub fn probability(&self, value: &FeatureValue) -> f64 {
         match self {
             FittedDistribution::ClassConditional { per_class, pooled } => {
                 if let Some(class) = value.class {
                     if let Some(kde) = per_class.get(&class) {
-                        return kde.relative_likelihood(value.x);
+                        return kde.grid().relative_likelihood(value.x);
                     }
                 }
-                pooled.relative_likelihood(value.x)
+                pooled.grid().relative_likelihood(value.x)
             }
-            FittedDistribution::Kde(kde) => kde.relative_likelihood(value.x),
+            FittedDistribution::Kde(kde) => kde.grid().relative_likelihood(value.x),
             FittedDistribution::Histogram(h) => h.relative_likelihood(value.x),
             FittedDistribution::Bernoulli(b) => b.relative_likelihood(value.x),
             FittedDistribution::Joint(_) => loa_stats::P_FLOOR,
@@ -79,154 +83,12 @@ impl FittedDistribution {
             FittedDistribution::Joint(kde) => kde.len(),
         }
     }
-
-    /// Build the query-optimized scoring form, or `None` when the fitted
-    /// form already is one (joint KDEs: rows sorted, windowed evaluation
-    /// — duplicating the sample matrix would buy nothing), so the library
-    /// never stores a second copy.
-    pub fn prepare(&self) -> Option<PreparedDistribution> {
-        match self {
-            FittedDistribution::ClassConditional { per_class, pooled } => {
-                // Classes with identical fits (and classes matching the
-                // pooled fallback — common when one class dominates the
-                // training data) prepare to bit-identical grids; share
-                // one allocation instead of duplicating ~8 KiB per grid.
-                let pooled = Arc::new(BinnedKde::prepare(pooled));
-                let mut uniques: Vec<Arc<BinnedKde>> = vec![Arc::clone(&pooled)];
-                let shared = per_class
-                    .iter()
-                    .map(|(&class, kde)| {
-                        let grid = BinnedKde::prepare(kde);
-                        let arc = match uniques.iter().find(|u| ***u == grid) {
-                            Some(existing) => Arc::clone(existing),
-                            None => {
-                                let fresh = Arc::new(grid);
-                                uniques.push(Arc::clone(&fresh));
-                                fresh
-                            }
-                        };
-                        (class, arc)
-                    })
-                    .collect();
-                Some(PreparedDistribution::ClassConditional { per_class: shared, pooled })
-            }
-            FittedDistribution::Kde(kde) => {
-                Some(PreparedDistribution::Kde(BinnedKde::prepare(kde)))
-            }
-            FittedDistribution::Histogram(h) => Some(PreparedDistribution::Histogram(h.clone())),
-            FittedDistribution::Bernoulli(b) => Some(PreparedDistribution::Bernoulli(*b)),
-            FittedDistribution::Joint(_) => None,
-        }
-    }
-}
-
-/// The query-optimized scoring form of a [`FittedDistribution`] — the
-/// canonical representation the online phase evaluates for scalar
-/// features.
-///
-/// KDE variants are precompiled onto probability grids
-/// ([`BinnedKde::prepare`]): an evaluation is a bin lookup plus a linear
-/// interpolation instead of an `O(window)` kernel sum, which is what makes
-/// scene scoring cheap enough to sweep fleets of scenes (Section 8.1's
-/// "nine minutes for 1,000 scenes" regime). Histograms and Bernoullis are
-/// already `O(1)` and pass through. Joint KDEs have no separate prepared
-/// form: the fitted [`KdeNd`] is already query-optimized (rows sorted by
-/// the first dimension, truncated-kernel window binary-searched), so the
-/// compile path evaluates it directly rather than duplicating its sample
-/// matrix.
-///
-/// Prepared forms are built deterministically from the fitted state, so a
-/// library deserialized from disk prepares to bit-identical grids — the
-/// sequential and parallel pipelines score through identical numbers
-/// whether the library was just fit or loaded.
-#[derive(Debug, Clone)]
-pub enum PreparedDistribution {
-    /// Per-class grids with a pooled fallback. Grids are `Arc`-shared:
-    /// classes whose prepared grids are bit-identical (to each other or
-    /// to the pooled fallback) point at one allocation.
-    ClassConditional { per_class: BTreeMap<ObjectClass, Arc<BinnedKde>>, pooled: Arc<BinnedKde> },
-    /// A single pooled grid.
-    Kde(BinnedKde),
-    /// Histograms are already constant-time lookups.
-    Histogram(Histogram),
-    /// Bernoullis are already constant-time lookups.
-    Bernoulli(Bernoulli),
-}
-
-impl PreparedDistribution {
-    /// Relative likelihood of a feature value in `(0, 1]` — mirrors
-    /// [`FittedDistribution::probability`] through the prepared forms.
-    pub fn probability(&self, value: &FeatureValue) -> f64 {
-        match self {
-            PreparedDistribution::ClassConditional { per_class, pooled } => {
-                if let Some(class) = value.class {
-                    if let Some(grid) = per_class.get(&class) {
-                        return grid.relative_likelihood(value.x);
-                    }
-                }
-                pooled.relative_likelihood(value.x)
-            }
-            PreparedDistribution::Kde(grid) => grid.relative_likelihood(value.x),
-            PreparedDistribution::Histogram(h) => h.relative_likelihood(value.x),
-            PreparedDistribution::Bernoulli(b) => b.relative_likelihood(value.x),
-        }
-    }
 }
 
 /// The fitted distributions, keyed by feature name.
-///
-/// Every insert also builds the feature's [`PreparedDistribution`], and
-/// deserializing a library rebuilds all prepared forms — so by the time a
-/// library reaches the scoring path (sequential or fanned out across the
-/// [`ScenePipeline`](crate::pipeline::ScenePipeline) workers), the
-/// query-optimized grids exist exactly once, shared immutably.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, Serialize, Deserialize)]
 pub struct FeatureLibrary {
     map: BTreeMap<String, FittedDistribution>,
-    /// Query-optimized forms, keyed identically to `map`. Never
-    /// serialized: rebuilt deterministically from the fitted state.
-    prepared: BTreeMap<String, PreparedDistribution>,
-}
-
-/// Only the fitted state persists (same wire format as the former derived
-/// impl); prepared grids are rebuilt deterministically on load.
-impl Serialize for FeatureLibrary {
-    fn to_json_value(&self) -> serde::Value {
-        serde::Value::Object(vec![(String::from("map"), self.map.to_json_value())])
-    }
-}
-
-impl Deserialize for FeatureLibrary {
-    fn from_json_value(v: &serde::Value) -> Result<Self, serde::DeError> {
-        let map: BTreeMap<String, FittedDistribution> = match v.get("map") {
-            Some(m) => Deserialize::from_json_value(m)?,
-            None => return Err(serde::DeError::custom("FeatureLibrary: missing field `map`")),
-        };
-        let prepared = map
-            .iter()
-            .filter_map(|(k, v)| Some((k.clone(), v.prepare()?)))
-            .collect();
-        Ok(FeatureLibrary { map, prepared })
-    }
-
-    fn from_json_stream(r: &mut serde::json::JsonReader<'_>) -> Result<Self, serde::DeError> {
-        let mut map: Option<BTreeMap<String, FittedDistribution>> = None;
-        r.begin_object()?;
-        loop {
-            match r.next_key()? {
-                None => break,
-                Some("map") => map = Some(Deserialize::from_json_stream(r)?),
-                Some(_) => r.skip_value()?,
-            }
-        }
-        let map =
-            map.ok_or_else(|| serde::DeError::custom("FeatureLibrary: missing field `map`"))?;
-        let prepared = map
-            .iter()
-            .filter_map(|(k, v)| Some((k.clone(), v.prepare()?)))
-            .collect();
-        Ok(FeatureLibrary { map, prepared })
-    }
 }
 
 impl FeatureLibrary {
@@ -234,26 +96,7 @@ impl FeatureLibrary {
         self.map.get(feature)
     }
 
-    /// The query-optimized form of a feature's distribution — what the
-    /// compile/score path evaluates for scalar features. Joint features
-    /// have none (the fitted [`KdeNd`] is already query-optimized); they
-    /// evaluate through [`get`](Self::get).
-    pub fn get_prepared(&self, feature: &str) -> Option<&PreparedDistribution> {
-        self.prepared.get(feature)
-    }
-
     pub fn insert(&mut self, feature: String, dist: FittedDistribution) {
-        match dist.prepare() {
-            Some(prepared) => {
-                self.prepared.insert(feature.clone(), prepared);
-            }
-            // A joint fit overwriting a scalar entry must also evict the
-            // scalar's prepared grid, or lookups would keep scoring
-            // through the stale distribution.
-            None => {
-                self.prepared.remove(&feature);
-            }
-        }
         self.map.insert(feature, dist);
     }
 
@@ -273,18 +116,6 @@ impl FeatureLibrary {
     /// the binary codec writes entries in.
     pub fn entries(&self) -> impl Iterator<Item = (&str, &FittedDistribution)> {
         self.map.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
-    /// Reassemble a library from already-validated fitted + prepared
-    /// maps — the `.flcb` bulk-copy load path, which must *not* re-run
-    /// [`FittedDistribution::prepare`] (the grids were stored verbatim).
-    /// Crate-internal: only the codec constructs libraries this way, and
-    /// it guarantees the two maps describe the same features.
-    pub(crate) fn from_parts(
-        map: BTreeMap<String, FittedDistribution>,
-        prepared: BTreeMap<String, PreparedDistribution>,
-    ) -> Self {
-        FeatureLibrary { map, prepared }
     }
 }
 
@@ -599,6 +430,19 @@ mod tests {
         }
     }
 
+    /// The exact-window counterpart of [`FittedDistribution::probability`]
+    /// for a KDE entry: the same class lookup, the exact kernel sum.
+    fn exact_probability(dist: &FittedDistribution, v: &FeatureValue) -> f64 {
+        let kde = match dist {
+            FittedDistribution::ClassConditional { per_class, pooled } => {
+                v.class.and_then(|c| per_class.get(&c)).unwrap_or(pooled)
+            }
+            FittedDistribution::Kde(kde) => kde,
+            other => panic!("KDE entry expected, got {other:?}"),
+        };
+        kde.relative_likelihood(v.x)
+    }
+
     #[test]
     fn prepared_tracks_fitted_across_random_queries() {
         let scenes = training_scenes(2);
@@ -615,108 +459,48 @@ mod tests {
                 FeatureValue::class_conditional(x, classes[class_idx])
             };
             for name in ["volume", "velocity"] {
-                let exact = library.get(name).unwrap().probability(&v);
-                let fast = library.get_prepared(name).unwrap().probability(&v);
+                let dist = library.get(name).unwrap();
+                let exact = exact_probability(dist, &v);
+                let grid = dist.probability(&v);
                 // Grid interpolation error is bounded by a couple of
                 // percent of the mode-normalized likelihood.
                 assert!(
-                    (exact - fast).abs() <= 0.03 + 1e-9,
-                    "{name} at {v:?}: exact {exact} vs prepared {fast}"
+                    (exact - grid).abs() <= 0.03 + 1e-9,
+                    "{name} at {v:?}: exact {exact} vs grid {grid}"
                 );
             }
         }
     }
 
     #[test]
-    fn identical_per_class_grids_share_one_allocation() {
-        // A single-class training set: the class's KDE fits the exact
-        // same samples as the pooled fallback, so both prepare to
-        // bit-identical grids — the library must hold ONE allocation.
-        let xs: Vec<FeatureValue> = (0..32)
-            .map(|i| FeatureValue::class_conditional(10.0 + (i % 7) as f64 * 0.5, ObjectClass::Car))
-            .collect();
-        let dist = fit_values("volume", ProbabilityModel::LearnedKde, &xs).unwrap();
-        let prepared = dist.prepare().unwrap();
-        let PreparedDistribution::ClassConditional { per_class, pooled } = &prepared else {
-            panic!("expected class-conditional, got {prepared:?}");
-        };
-        let car = per_class.get(&ObjectClass::Car).expect("car grid");
-        assert!(
-            Arc::ptr_eq(car, pooled),
-            "bit-identical class grid must share the pooled allocation"
-        );
-
-        // Two classes with identical samples share one grid between them
-        // even when the pooled fit (twice the samples) differs.
-        let mut values = Vec::new();
-        for class in [ObjectClass::Car, ObjectClass::Truck] {
-            for i in 0..32 {
-                values.push(FeatureValue::class_conditional(5.0 + (i % 5) as f64, class));
-            }
-        }
-        let dist = fit_values("volume", ProbabilityModel::LearnedKde, &values).unwrap();
-        let prepared = dist.prepare().unwrap();
-        let PreparedDistribution::ClassConditional { per_class, pooled } = &prepared else {
-            panic!("expected class-conditional");
-        };
-        let car = per_class.get(&ObjectClass::Car).unwrap();
-        let truck = per_class.get(&ObjectClass::Truck).unwrap();
-        assert!(Arc::ptr_eq(car, truck), "identical class fits must share");
-        assert!(!Arc::ptr_eq(car, pooled), "pooled (2n samples) is a different grid");
-        // The memory win is real: 3 logical grids, 2 allocations.
-        let mut unique: Vec<*const BinnedKde> = per_class
-            .values()
-            .chain(std::iter::once(pooled))
-            .map(Arc::as_ptr)
-            .collect();
-        unique.sort();
-        unique.dedup();
-        assert_eq!(unique.len(), 2, "expected exactly two distinct grid allocations");
-    }
-
-    #[test]
-    fn shared_grids_score_identically_to_unshared() {
-        // Sharing is an allocation optimization only: probabilities through
-        // the shared grids equal the fitted path within grid tolerance.
-        let scenes = training_scenes(2);
-        let library = Learner::new().fit(&FeatureSet::paper_default(), &scenes).unwrap();
-        for i in 0..128 {
-            let x = ((i * 97) % 2000) as f64 / 50.0;
-            let v = FeatureValue::class_conditional(x, ObjectClass::Car);
-            let exact = library.get("volume").unwrap().probability(&v);
-            let fast = library.get_prepared("volume").unwrap().probability(&v);
-            assert!((exact - fast).abs() <= 0.03 + 1e-9, "{exact} vs {fast} at {x}");
-        }
-    }
-
-    #[test]
     fn joint_overwrite_evicts_stale_prepared_entry() {
-        // Overwriting a scalar entry with a joint fit must drop the old
-        // prepared grid: joints have no prepared form, and a stale grid
-        // would silently score through the replaced distribution (and
-        // diverge from a serde-reloaded copy of the same library).
+        // Overwriting a scalar entry with a joint fit must leave nothing of
+        // the scalar fit behind: a scalar lookup scores through the joint
+        // (the floor), as a serde-reloaded copy of the library does.
         let mut library = FeatureLibrary::default();
         let kde = loa_stats::Kde1d::fit(&[1.0, 2.0, 3.0]).unwrap();
         library.insert("f".into(), FittedDistribution::Kde(kde));
-        assert!(library.get_prepared("f").is_some());
+        let v = FeatureValue::scalar(2.0);
+        assert!(library.get("f").unwrap().probability(&v) > 0.5);
         let joint = loa_stats::KdeNd::fit(&[vec![0.0, 1.0], vec![2.0, 0.5]]).unwrap();
         library.insert("f".into(), FittedDistribution::Joint(joint));
-        assert!(library.get_prepared("f").is_none(), "stale prepared grid survived");
         assert!(matches!(library.get("f"), Some(FittedDistribution::Joint(_))));
+        assert_eq!(library.get("f").unwrap().probability(&v), loa_stats::P_FLOOR);
+        assert_eq!(library.len(), 1);
     }
 
     #[test]
     fn prepared_forms_rebuild_bit_identical_after_serde() {
         // The fit/load determinism contract: a deserialized library must
-        // score through byte-identical numbers, because the prepared grids
+        // score through byte-identical numbers, because the scoring grids
         // are rebuilt from the identical fitted state.
         let scenes = training_scenes(1);
         let library = Learner::new().fit(&FeatureSet::paper_default(), &scenes).unwrap();
         let json = serde_json::to_string(&library).unwrap();
         let back: FeatureLibrary = serde_json::from_str(&json).unwrap();
         for name in ["volume", "velocity"] {
-            let a = library.get_prepared(name).unwrap();
-            let b = back.get_prepared(name).unwrap();
+            let a = library.get(name).unwrap();
+            let b = back.get(name).unwrap();
             for i in 0..400 {
                 let x = i as f64 * 0.5;
                 for v in [
@@ -768,6 +552,14 @@ mod tests {
         )
     }
 
+    /// A well-formed KDE entry: the samples `[1, 2, 3]`, stored out of
+    /// order, with the bandwidth and grid maximum their fit produces.
+    fn plausible_kde() -> String {
+        let fitted = Kde1d::fit(&[1.0, 2.0, 3.0]).unwrap();
+        let bandwidth = fitted.bandwidth_value().to_string();
+        kde("[3,1,2]", "Gaussian", &bandwidth, &fitted.max_density().to_string())
+    }
+
     fn hist(bin_width: &str, densities: &str, max_density: &str) -> String {
         format!(
             r#"{{"Histogram":{{"start":0,"bin_width":{bin_width},"densities":{densities},"max_density":{max_density},"n":4}}}}"#
@@ -785,7 +577,7 @@ mod tests {
 
     #[test]
     fn json_handcrafted_entries_load_when_plausible() {
-        let pooled = kde("[3,1,2]", "Gaussian", "0.5", "0.4");
+        let pooled = plausible_kde();
         let lib = load(&format!(r#"{{"Kde":{pooled}}}"#)).unwrap();
         // Samples stored out of order are sorted on load, as `.flcb` does.
         let FittedDistribution::Kde(k) = lib.get("f").unwrap() else { unreachable!() };
@@ -806,7 +598,7 @@ mod tests {
             assert!(load(&format!(r#"{{"Kde":{bad_kde}}}"#)).is_err(), "{bad}");
             let cc = format!(
                 r#"{{"ClassConditional":{{"per_class":{{"Car":{bad_kde}}},"pooled":{}}}}}"#,
-                kde("[1]", "Gaussian", "0.5", "0.4")
+                plausible_kde()
             );
             assert!(load(&cc).is_err(), "per-class {bad}");
         }
@@ -818,6 +610,28 @@ mod tests {
             let bad_kde = kde("[1,2]", "Gaussian", "0.5", bad);
             assert!(load(&format!(r#"{{"Kde":{bad_kde}}}"#)).is_err(), "{bad}");
         }
+    }
+
+    #[test]
+    fn json_kde_max_density_must_match_its_grid() {
+        // The stored normalizer of a learned library's first KDE, altered
+        // to another finite, positive value: a load rebuilds the grid and
+        // must refuse the file rather than score with the wrong mode.
+        let library = Learner::new()
+            .fit(&FeatureSet::paper_default(), &training_scenes(1))
+            .unwrap();
+        let json = serde_json::to_string(&library).unwrap();
+        let key = r#""max_density":"#;
+        let at = json.find(key).unwrap() + key.len();
+        let end = at + json[at..].find([',', '}']).unwrap();
+        let stored: f64 = json[at..end].parse().unwrap();
+        let altered = format!("{}{}{}", &json[..at], stored * 1.5, &json[end..]);
+        serde_json::from_str::<FeatureLibrary>(&json).unwrap();
+        let err = serde_json::from_str::<FeatureLibrary>(&altered)
+            .unwrap_err()
+            .to_string();
+        assert!(err.contains("implausible kde max_density"), "got: {err}");
+        assert!(serde_json::from_str_via_tree::<FeatureLibrary>(&altered).is_err());
     }
 
     #[test]

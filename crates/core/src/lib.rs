@@ -76,7 +76,7 @@ pub use codec::CodecError;
 pub use error::FixyError;
 pub use feature::{BoundFeature, Feature, FeatureKind, FeatureSet, FeatureTarget, FeatureValue};
 pub use incremental::IncrementalScorer;
-pub use learner::{FeatureLibrary, FittedDistribution, Learner, PreparedDistribution};
+pub use learner::{FeatureLibrary, FittedDistribution, Learner};
 pub use pipeline::{
     merge_ranked, sort_ranked_scenes, BatchCandidate, RankedScene, ScenePipeline, SceneRanker,
 };
@@ -94,7 +94,7 @@ pub mod prelude {
     };
     pub use crate::feature::{Feature, FeatureKind, FeatureSet, FeatureTarget, FeatureValue};
     pub use crate::incremental::IncrementalScorer;
-    pub use crate::learner::{FeatureLibrary, Learner, PreparedDistribution};
+    pub use crate::learner::{FeatureLibrary, Learner};
     pub use crate::pipeline::{
         sort_ranked_scenes, BatchCandidate, RankedScene, ScenePipeline, SceneRanker,
     };

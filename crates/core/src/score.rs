@@ -64,7 +64,7 @@
 
 use crate::error::FixyError;
 use crate::feature::{FeatureKind, FeatureSet, FeatureTarget, ProbabilityModel};
-use crate::learner::{FeatureLibrary, FittedDistribution, PreparedDistribution};
+use crate::learner::{FeatureLibrary, FittedDistribution};
 use crate::scene::{BundleIdx, ObsIdx, Scene, TrackIdx};
 use loa_graph::ComponentScore;
 use std::ops::Add;
@@ -74,40 +74,39 @@ use std::ops::Add;
 pub(crate) struct Evaluator<'f> {
     features: &'f FeatureSet,
     /// Pre-resolved distributions, one slot per feature (None for manual
-    /// features / the other resolution form). Scalar learned features
-    /// evaluate the query-optimized prepared grids; joint features the
-    /// fitted `KdeNd` directly (it is already windowed, so the library
-    /// keeps no prepared duplicate of it).
-    prepared: Vec<Option<&'f PreparedDistribution>>,
-    joint: Vec<Option<&'f FittedDistribution>>,
+    /// features).
+    dists: Vec<Option<&'f FittedDistribution>>,
 }
 
 impl<'f> Evaluator<'f> {
     /// Bind a feature set and fitted library. Learned features missing
     /// from the library are an error (manual features need none), so no
-    /// later evaluation can fail halfway. Scalar learned features need a
-    /// prepared form — absent exactly when the library entry is a joint
-    /// fit under a scalar feature's name (a library/feature-set mismatch).
+    /// later evaluation can fail halfway. A joint fit under a scalar
+    /// feature's name (a library/feature-set mismatch) counts as missing.
     pub(crate) fn new(
         features: &'f FeatureSet,
         library: &'f FeatureLibrary,
     ) -> Result<Self, FixyError> {
-        let mut prepared = Vec::with_capacity(features.len());
-        let mut joint = Vec::with_capacity(features.len());
+        let mut dists = Vec::with_capacity(features.len());
         for bf in &features.features {
             let name = bf.feature.name();
-            let missing = || FixyError::MissingDistribution { feature: name.to_string() };
-            let (p, j) = match bf.feature.probability_model() {
-                ProbabilityModel::Manual => (None, None),
-                ProbabilityModel::LearnedJointKde => {
-                    (None, Some(library.get(name).ok_or_else(missing)?))
-                }
-                _ => (Some(library.get_prepared(name).ok_or_else(missing)?), None),
+            let dist = match bf.feature.probability_model() {
+                ProbabilityModel::Manual => None,
+                model => Some(
+                    library
+                        .get(name)
+                        .filter(|d| {
+                            model == ProbabilityModel::LearnedJointKde
+                                || !matches!(d, FittedDistribution::Joint(_))
+                        })
+                        .ok_or_else(|| FixyError::MissingDistribution {
+                            feature: name.to_string(),
+                        })?,
+                ),
             };
-            prepared.push(p);
-            joint.push(j);
+            dists.push(dist);
         }
-        Ok(Evaluator { features, prepared, joint })
+        Ok(Evaluator { features, dists })
     }
 
     /// Evaluate feature `fi` on a target: its AOF-transformed
@@ -120,11 +119,11 @@ impl<'f> Evaluator<'f> {
             ProbabilityModel::Manual => feature.value(scene, target)?.x,
             ProbabilityModel::LearnedJointKde => {
                 let v = feature.vector_value(scene, target)?;
-                self.joint[fi].expect("validated in new").probability_vector(&v)
+                self.dists[fi].expect("validated in new").probability_vector(&v)
             }
             _ => {
                 let v = feature.value(scene, target)?;
-                self.prepared[fi].expect("validated in new").probability(&v)
+                self.dists[fi].expect("validated in new").probability(&v)
             }
         };
         Some(bf.aof.apply(p))

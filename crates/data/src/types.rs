@@ -302,11 +302,6 @@ impl InjectedErrors {
             + self.class_flips.len()
             + self.class_swaps.len()
     }
-
-    /// Whether the scene contains any vendor label error.
-    pub fn has_label_errors(&self) -> bool {
-        self.label_error_count() > 0
-    }
 }
 
 /// A complete generated scene.
@@ -482,7 +477,7 @@ mod tests {
     #[test]
     fn injected_error_counting() {
         let mut inj = InjectedErrors::default();
-        assert!(!inj.has_label_errors());
+        assert_eq!(inj.label_error_count(), 0);
         inj.missing_tracks.push(MissingTrack {
             track: TrackId(3),
             class: ObjectClass::Truck,
@@ -494,7 +489,6 @@ mod tests {
             frame: FrameId(2),
         });
         assert_eq!(inj.label_error_count(), 2);
-        assert!(inj.has_label_errors());
     }
 
     #[test]

@@ -67,14 +67,6 @@ impl Motion {
             }
         }
     }
-
-    /// Instantaneous world-frame speed at time `t` (m/s), by finite
-    /// difference (matches what a transition feature would estimate).
-    pub fn speed_at(&self, t: f64, dt: f64) -> f64 {
-        let (p0, _) = self.pose_at(t);
-        let (p1, _) = self.pose_at(t + dt);
-        p0.distance(p1) / dt
-    }
 }
 
 /// One simulated actor.
@@ -301,6 +293,11 @@ mod tests {
     use super::*;
     use rand::rngs::StdRng;
 
+    /// World-frame speed at time `t` by finite difference over `dt`.
+    fn speed_at(m: &Motion, t: f64, dt: f64) -> f64 {
+        m.pose_at(t).0.distance(m.pose_at(t + dt).0) / dt
+    }
+
     #[test]
     fn stationary_motion_does_not_move() {
         let m = Motion::Stationary { pos: Vec2::new(3.0, 4.0), yaw: 0.5 };
@@ -308,7 +305,7 @@ mod tests {
         let (p1, y1) = m.pose_at(10.0);
         assert_eq!(p0, p1);
         assert_eq!(y0, y1);
-        assert!(m.speed_at(1.0, 0.1) < 1e-9);
+        assert!(speed_at(&m, 1.0, 0.1) < 1e-9);
     }
 
     #[test]
@@ -317,7 +314,7 @@ mod tests {
         let (p, yaw) = m.pose_at(2.0);
         assert!((p - Vec2::new(6.0, 8.0)).norm() < 1e-12);
         assert!((yaw - (4.0f64).atan2(3.0)).abs() < 1e-12);
-        assert!((m.speed_at(1.0, 0.2) - 5.0).abs() < 1e-9);
+        assert!((speed_at(&m, 1.0, 0.2) - 5.0).abs() < 1e-9);
     }
 
     #[test]
@@ -351,7 +348,7 @@ mod tests {
             assert!((p.distance(Vec2::new(10.0, 0.0)) - 5.0).abs() < 1e-9);
         }
         // Tangential speed = ω r.
-        assert!((m.speed_at(1.0, 0.01) - 2.0).abs() < 0.01);
+        assert!((speed_at(&m, 1.0, 0.01) - 2.0).abs() < 0.01);
     }
 
     #[test]

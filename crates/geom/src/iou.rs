@@ -75,16 +75,6 @@ pub fn iou_3d(a: &Box3, b: &Box3) -> f64 {
     (inter / union).clamp(0.0, 1.0)
 }
 
-/// Fraction of `a`'s footprint covered by `b` (asymmetric overlap, used by
-/// the multibox assertion where containment matters more than IOU).
-pub fn bev_overlap_fraction(a: &Box3, b: &Box3) -> f64 {
-    let area = a.bev_area();
-    if area <= 0.0 {
-        return 0.0;
-    }
-    (bev_intersection_area(a, b) / area).clamp(0.0, 1.0)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,14 +123,6 @@ mod tests {
         let b = Box3::new(Vec3::new(0.0, 0.0, 1.0), Size3::new(2.0, 2.0, 1.0), 0.0);
         // z overlap = 0.5, intersection vol = 4*0.5 = 2, union = 4+4-2 = 6.
         assert!((iou_3d(&a, &b) - 2.0 / 6.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn overlap_fraction_is_asymmetric() {
-        let small = boxed(0.0, 0.0, 1.0, 1.0, 0.0);
-        let big = boxed(0.0, 0.0, 10.0, 10.0, 0.0);
-        assert!((bev_overlap_fraction(&small, &big) - 1.0).abs() < 1e-9);
-        assert!((bev_overlap_fraction(&big, &small) - 0.01).abs() < 1e-9);
     }
 
     #[test]

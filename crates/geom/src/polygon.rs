@@ -55,30 +55,6 @@ impl ConvexPolygon {
         signed_area(&self.vertices).max(0.0)
     }
 
-    /// Centroid of the polygon. Returns the vertex mean for degenerate
-    /// polygons (area below tolerance).
-    pub fn centroid(&self) -> Vec2 {
-        let n = self.vertices.len();
-        if n == 0 {
-            return Vec2::ZERO;
-        }
-        let a = signed_area(&self.vertices);
-        if a.abs() < GEOM_EPS {
-            let sum = self.vertices.iter().fold(Vec2::ZERO, |acc, &v| acc + v);
-            return sum / n as f64;
-        }
-        let mut cx = 0.0;
-        let mut cy = 0.0;
-        for i in 0..n {
-            let p = self.vertices[i];
-            let q = self.vertices[(i + 1) % n];
-            let w = p.cross(q);
-            cx += (p.x + q.x) * w;
-            cy += (p.y + q.y) * w;
-        }
-        Vec2::new(cx / (6.0 * a), cy / (6.0 * a))
-    }
-
     /// True if `point` lies inside or on the boundary.
     pub fn contains(&self, point: Vec2) -> bool {
         let n = self.vertices.len();
@@ -399,13 +375,6 @@ mod tests {
     }
 
     #[test]
-    fn centroid_of_square() {
-        let c = unit_square().centroid();
-        assert!((c.x - 0.5).abs() < 1e-12);
-        assert!((c.y - 0.5).abs() < 1e-12);
-    }
-
-    #[test]
     fn contains_interior_and_excludes_exterior() {
         let sq = unit_square();
         assert!(sq.contains(Vec2::new(0.5, 0.5)));
@@ -478,9 +447,11 @@ mod tests {
         let tri =
             ConvexPolygon::new(vec![Vec2::new(0.0, 0.0), Vec2::new(2.0, 0.0), Vec2::new(0.0, 2.0)]);
         assert!((tri.area() - 2.0).abs() < 1e-12);
-        let c = tri.centroid();
+        // A triangle's centroid is its vertex mean.
+        let c = tri.vertices().iter().fold(Vec2::ZERO, |acc, &v| acc + v) / 3.0;
         assert!((c.x - 2.0 / 3.0).abs() < 1e-12);
         assert!((c.y - 2.0 / 3.0).abs() < 1e-12);
+        assert!(tri.contains(c));
     }
 
     #[test]
@@ -684,7 +655,9 @@ mod tests {
                 .map(|v| v.rotated(yaw))
                 .collect();
             let p = ConvexPolygon::new(pts);
-            prop_assert!(p.contains(p.centroid()));
+            let n = p.vertices().len() as f64;
+            let centroid = p.vertices().iter().fold(Vec2::ZERO, |acc, &v| acc + v) / n;
+            prop_assert!(p.contains(centroid));
         }
     }
 }

@@ -40,12 +40,6 @@ impl Pose2 {
         p.rotated(self.yaw) + self.translation
     }
 
-    /// Map a point from the parent frame into the local frame.
-    #[inline]
-    pub fn inverse_transform(&self, p: Vec2) -> Vec2 {
-        (p - self.translation).rotated(-self.yaw)
-    }
-
     /// The inverse transform as a pose.
     pub fn inverse(&self) -> Pose2 {
         Pose2::new((-self.translation).rotated(-self.yaw), -self.yaw)
@@ -70,14 +64,14 @@ mod tests {
     fn identity_is_noop() {
         let p = Vec2::new(3.0, -2.0);
         assert_eq!(Pose2::identity().transform(p), p);
-        assert_eq!(Pose2::identity().inverse_transform(p), p);
+        assert_eq!(Pose2::identity().inverse().transform(p), p);
     }
 
     #[test]
     fn translation_only() {
         let pose = Pose2::new(Vec2::new(1.0, 2.0), 0.0);
         assert_eq!(pose.transform(Vec2::ZERO), Vec2::new(1.0, 2.0));
-        assert_eq!(pose.inverse_transform(Vec2::new(1.0, 2.0)), Vec2::ZERO);
+        assert_eq!(pose.inverse().transform(Vec2::new(1.0, 2.0)), Vec2::ZERO);
     }
 
     #[test]
@@ -114,7 +108,7 @@ mod tests {
         ) {
             let pose = Pose2::new(Vec2::new(tx, ty), yaw);
             let p = Vec2::new(px, py);
-            let rt = pose.inverse_transform(pose.transform(p));
+            let rt = pose.inverse().transform(pose.transform(p));
             prop_assert!((rt - p).norm() < 1e-8);
         }
 

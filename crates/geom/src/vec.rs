@@ -29,12 +29,6 @@ impl Vec2 {
         self.x.hypot(self.y)
     }
 
-    /// Squared Euclidean norm (avoids the sqrt when only comparing).
-    #[inline]
-    pub fn norm_sq(self) -> f64 {
-        self.x * self.x + self.y * self.y
-    }
-
     /// Distance to another point.
     #[inline]
     pub fn distance(self, other: Vec2) -> f64 {
@@ -240,7 +234,6 @@ mod tests {
     #[test]
     fn vec2_norm_and_distance() {
         assert!((Vec2::new(3.0, 4.0).norm() - 5.0).abs() < 1e-12);
-        assert!((Vec2::new(3.0, 4.0).norm_sq() - 25.0).abs() < 1e-12);
         assert!((Vec2::new(1.0, 1.0).distance(Vec2::new(4.0, 5.0)) - 5.0).abs() < 1e-12);
     }
 

@@ -145,16 +145,8 @@ impl<V, F> FactorGraph<V, F> {
         &self.vars[id.0]
     }
 
-    pub fn var_mut(&mut self, id: VarId) -> &mut V {
-        &mut self.vars[id.0]
-    }
-
     pub fn factor(&self, id: FactorId) -> &F {
         &self.factors[id.0]
-    }
-
-    pub fn factor_mut(&mut self, id: FactorId) -> &mut F {
-        &mut self.factors[id.0]
     }
 
     /// The variables a factor touches.
@@ -167,24 +159,9 @@ impl<V, F> FactorGraph<V, F> {
         &self.incident[id.0]
     }
 
-    /// Degree of a variable (number of incident factors).
-    pub fn var_degree(&self, id: VarId) -> usize {
-        self.incident[id.0].len()
-    }
-
-    /// Iterate over variable ids.
-    pub fn var_ids(&self) -> impl Iterator<Item = VarId> + '_ {
-        (0..self.vars.len()).map(VarId)
-    }
-
     /// Iterate over factor ids.
     pub fn factor_ids(&self) -> impl Iterator<Item = FactorId> + '_ {
         (0..self.factors.len()).map(FactorId)
-    }
-
-    /// Total edge count.
-    pub fn edge_count(&self) -> usize {
-        self.scope_arena.len()
     }
 
     /// Connected components over the bipartite graph, each reported as the
@@ -243,7 +220,8 @@ mod tests {
         let g = chain(4);
         assert_eq!(g.var_count(), 4);
         assert_eq!(g.factor_count(), 7); // 4 unary + 3 pairwise
-        assert_eq!(g.edge_count(), 4 + 6);
+        let edges: usize = g.factor_ids().map(|f| g.scope(f).len()).sum();
+        assert_eq!(edges, 4 + 6);
     }
 
     #[test]
@@ -254,7 +232,7 @@ mod tests {
                 assert!(g.incident_factors(v).contains(&f));
             }
         }
-        for v in g.var_ids() {
+        for v in (0..g.var_count()).map(VarId) {
             for &f in g.incident_factors(v) {
                 assert!(g.scope(f).contains(&v));
             }
@@ -275,8 +253,8 @@ mod tests {
     fn var_degree_counts_factors() {
         let g = chain(3);
         // Middle variable: 1 unary + 2 pairwise.
-        assert_eq!(g.var_degree(VarId(1)), 3);
-        assert_eq!(g.var_degree(VarId(0)), 2);
+        assert_eq!(g.incident_factors(VarId(1)).len(), 3);
+        assert_eq!(g.incident_factors(VarId(0)).len(), 2);
     }
 
     #[test]
@@ -301,10 +279,6 @@ mod tests {
         let f = g.add_factor(0.5, vec![v]).unwrap();
         assert_eq!(g.var(v), "obs");
         assert_eq!(*g.factor(f), 0.5);
-        *g.factor_mut(f) = 0.7;
-        assert_eq!(*g.factor(f), 0.7);
-        g.var_mut(v).push_str("ervation");
-        assert_eq!(g.var(v), "observation");
     }
 
     #[test]

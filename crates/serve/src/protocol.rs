@@ -15,7 +15,9 @@
 //! Frame payloads are **exactly** the `.fscb` frame-record bytes
 //! ([`loa_ingest::encode_frame_record`]) — a recorded scene replays
 //! over the wire without recoding, and the server decodes with the same
-//! code path as a file read.
+//! code path as a file read. Every other payload is built from the
+//! little-endian primitives of [`fixy_core::codec`], which `.fscb` and
+//! `.flcb` share.
 //!
 //! Flow-control discipline: `OPEN`, `CLOSE`, `STATS`, and `SHUTDOWN`
 //! are request/response (the client awaits `OPENED` / `WORKLIST` /
@@ -29,6 +31,7 @@
 //! doubles as a synchronization barrier for the fire-and-forget stream.
 
 use crate::error::ServeError;
+use fixy_core::codec::{CodecError, Dec, Enc};
 use std::io::{Read, Write};
 
 /// Connection preamble magic.
@@ -148,54 +151,17 @@ impl Worklist {
 // Little-endian wire encoding
 // ---------------------------------------------------------------------------
 
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    buf.extend_from_slice(&(s.len() as u32).to_le_bytes());
-    buf.extend_from_slice(s.as_bytes());
-}
-
-struct Cursor<'a> {
-    buf: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Cursor<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], ServeError> {
-        let end = self.pos.checked_add(n).filter(|&e| e <= self.buf.len());
-        let Some(end) = end else {
-            return Err(ServeError::Protocol(format!(
-                "payload overrun: wanted {n} byte(s) at offset {} of {}",
-                self.pos,
-                self.buf.len()
-            )));
-        };
-        let s = &self.buf[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-    fn u32(&mut self) -> Result<u32, ServeError> {
-        Ok(u32::from_le_bytes(self.take(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> Result<u64, ServeError> {
-        Ok(u64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> Result<f64, ServeError> {
-        Ok(f64::from_le_bytes(self.take(8)?.try_into().unwrap()))
-    }
-    fn str(&mut self) -> Result<String, ServeError> {
-        let n = self.u32()? as usize;
-        let bytes = self.take(n)?;
-        String::from_utf8(bytes.to_vec())
-            .map_err(|e| ServeError::Protocol(format!("non-utf8 string on the wire: {e}")))
-    }
-    fn finish(self) -> Result<(), ServeError> {
-        if self.pos != self.buf.len() {
-            return Err(ServeError::Protocol(format!(
-                "payload underrun: {} trailing byte(s)",
-                self.buf.len() - self.pos
-            )));
-        }
-        Ok(())
-    }
+/// Decode a whole payload with `f`, which must consume every byte. The
+/// codec's errors (overruns, implausible counts, non-UTF-8 strings,
+/// trailing bytes) are the peer's fault: [`ServeError::Protocol`].
+fn decode<T>(
+    payload: &[u8],
+    f: impl FnOnce(&mut Dec<'_>) -> Result<T, CodecError>,
+) -> Result<T, ServeError> {
+    let mut dec = Dec::new(payload);
+    f(&mut dec)
+        .and_then(|v| dec.finish().map(|()| v))
+        .map_err(|e| ServeError::Protocol(e.to_string()))
 }
 
 fn write_envelope(
@@ -267,10 +233,10 @@ pub fn read_preamble(r: &mut impl Read) -> Result<(), ServeError> {
 pub fn write_request(w: &mut impl Write, req: &Request) -> Result<(), ServeError> {
     match req {
         Request::Open { session, scene_id, frame_dt } => {
-            let mut payload = Vec::with_capacity(4 + scene_id.len() + 8);
-            put_str(&mut payload, scene_id);
-            payload.extend_from_slice(&frame_dt.to_le_bytes());
-            write_envelope(w, TAG_OPEN, *session, &payload)
+            let mut payload = Enc { buf: Vec::with_capacity(4 + scene_id.len() + 8) };
+            payload.str(scene_id);
+            payload.f64(*frame_dt);
+            write_envelope(w, TAG_OPEN, *session, &payload.buf)
         }
         Request::Frame { session, record } => write_envelope(w, TAG_FRAME, *session, record),
         Request::Close { session } => write_envelope(w, TAG_CLOSE, *session, &[]),
@@ -286,10 +252,7 @@ pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, ServeError> {
     };
     let req = match tag {
         TAG_OPEN => {
-            let mut c = Cursor { buf: &payload, pos: 0 };
-            let scene_id = c.str()?;
-            let frame_dt = c.f64()?;
-            c.finish()?;
+            let (scene_id, frame_dt) = decode(&payload, |d| Ok((d.str()?, d.f64()?)))?;
             Request::Open { session, scene_id, frame_dt }
         }
         TAG_FRAME => Request::Frame { session, record: payload },
@@ -316,7 +279,7 @@ pub fn read_request(r: &mut impl Read) -> Result<Option<Request>, ServeError> {
     Ok(Some(req))
 }
 
-fn encode_stats(payload: &mut Vec<u8>, s: &SessionStats) {
+fn encode_stats(payload: &mut Enc, s: &SessionStats) {
     for v in [
         s.frames,
         s.duplicates_dropped,
@@ -328,60 +291,57 @@ fn encode_stats(payload: &mut Vec<u8>, s: &SessionStats) {
         s.frame_p99_us,
         s.frame_max_us,
     ] {
-        payload.extend_from_slice(&v.to_le_bytes());
+        payload.u64(v);
     }
     match &s.first_reject {
         Some(msg) => {
-            payload.push(1);
-            put_str(payload, msg);
+            payload.u8(1);
+            payload.str(msg);
         }
-        None => payload.push(0),
+        None => payload.u8(0),
     }
 }
 
-fn decode_stats(c: &mut Cursor<'_>) -> Result<SessionStats, ServeError> {
+fn decode_stats(d: &mut Dec<'_>) -> Result<SessionStats, CodecError> {
     Ok(SessionStats {
-        frames: c.u64()?,
-        duplicates_dropped: c.u64()?,
-        reordered: c.u64()?,
-        rejected: c.u64()?,
-        stranded: c.u64()?,
-        parked: c.u64()?,
-        frame_p50_us: c.u64()?,
-        frame_p99_us: c.u64()?,
-        frame_max_us: c.u64()?,
-        first_reject: match c.take(1)?[0] {
+        frames: d.u64()?,
+        duplicates_dropped: d.u64()?,
+        reordered: d.u64()?,
+        rejected: d.u64()?,
+        stranded: d.u64()?,
+        parked: d.u64()?,
+        frame_p50_us: d.u64()?,
+        frame_p99_us: d.u64()?,
+        frame_max_us: d.u64()?,
+        first_reject: match d.u8()? {
             0 => None,
-            1 => Some(c.str()?),
-            b => return Err(ServeError::Protocol(format!("bad option byte {b}"))),
+            1 => Some(d.str()?),
+            b => return Err(CodecError::Corrupt(format!("bad option byte {b}"))),
         },
     })
 }
 
-fn encode_worklist(worklist: &Worklist) -> Vec<u8> {
-    let mut payload = Vec::new();
-    put_str(&mut payload, &worklist.scene_id);
+fn encode_worklist(worklist: &Worklist) -> Enc {
+    let mut payload = Enc::default();
+    payload.str(&worklist.scene_id);
     encode_stats(&mut payload, &worklist.stats);
-    payload.extend_from_slice(&(worklist.entries.len() as u32).to_le_bytes());
+    payload.len(worklist.entries.len());
     for (label, score) in &worklist.entries {
-        put_str(&mut payload, label);
-        payload.extend_from_slice(&score.to_le_bytes());
+        payload.str(label);
+        payload.f64(*score);
     }
     payload
 }
 
-fn decode_worklist(payload: &[u8]) -> Result<Worklist, ServeError> {
-    let mut c = Cursor { buf: payload, pos: 0 };
-    let scene_id = c.str()?;
-    let stats = decode_stats(&mut c)?;
-    let n = c.u32()? as usize;
-    let mut entries = Vec::with_capacity(n.min(1024));
+fn decode_worklist(d: &mut Dec<'_>) -> Result<Worklist, CodecError> {
+    let scene_id = d.str()?;
+    let stats = decode_stats(d)?;
+    // An entry is at least a string length and a score: 12 bytes.
+    let n = d.len_of(12)?;
+    let mut entries = Vec::with_capacity(n);
     for _ in 0..n {
-        let label = c.str()?;
-        let score = c.f64()?;
-        entries.push((label, score));
+        entries.push((d.str()?, d.f64()?));
     }
-    c.finish()?;
     Ok(Worklist { scene_id, entries, stats })
 }
 
@@ -390,17 +350,17 @@ pub fn write_response(w: &mut impl Write, resp: &Response) -> Result<(), ServeEr
     match resp {
         Response::Opened { session } => write_envelope(w, TAG_OPENED, *session, &[]),
         Response::Worklist { session, worklist } => {
-            write_envelope(w, TAG_WORKLIST, *session, &encode_worklist(worklist))
+            write_envelope(w, TAG_WORKLIST, *session, &encode_worklist(worklist).buf)
         }
         Response::Stats { session, stats } => {
-            let mut payload = Vec::with_capacity(9 * 8 + 1);
+            let mut payload = Enc { buf: Vec::with_capacity(9 * 8 + 1) };
             encode_stats(&mut payload, stats);
-            write_envelope(w, TAG_STATS_REPLY, *session, &payload)
+            write_envelope(w, TAG_STATS_REPLY, *session, &payload.buf)
         }
         Response::Error { session, message } => {
-            let mut payload = Vec::with_capacity(4 + message.len());
-            put_str(&mut payload, message);
-            write_envelope(w, TAG_ERROR, *session, &payload)
+            let mut payload = Enc { buf: Vec::with_capacity(4 + message.len()) };
+            payload.str(message);
+            write_envelope(w, TAG_ERROR, *session, &payload.buf)
         }
         Response::Bye => write_envelope(w, TAG_BYE, 0, &[]),
     }
@@ -418,19 +378,11 @@ pub fn read_response(r: &mut impl Read) -> Result<Option<Response>, ServeError> 
             }
             Response::Opened { session }
         }
-        TAG_WORKLIST => Response::Worklist { session, worklist: decode_worklist(&payload)? },
-        TAG_STATS_REPLY => {
-            let mut c = Cursor { buf: &payload, pos: 0 };
-            let stats = decode_stats(&mut c)?;
-            c.finish()?;
-            Response::Stats { session, stats }
+        TAG_WORKLIST => {
+            Response::Worklist { session, worklist: decode(&payload, decode_worklist)? }
         }
-        TAG_ERROR => {
-            let mut c = Cursor { buf: &payload, pos: 0 };
-            let message = c.str()?;
-            c.finish()?;
-            Response::Error { session, message }
-        }
+        TAG_STATS_REPLY => Response::Stats { session, stats: decode(&payload, decode_stats)? },
+        TAG_ERROR => Response::Error { session, message: decode(&payload, |d| d.str())? },
         TAG_BYE => {
             if !payload.is_empty() {
                 return Err(ServeError::Protocol("bye carries no payload".into()));

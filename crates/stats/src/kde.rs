@@ -9,17 +9,32 @@ use crate::kernel::Kernel;
 use crate::{check_densities, check_scale, validate_sample, Density1d, FitError};
 use serde::{Deserialize, Serialize};
 
-/// Exact 1D kernel density estimator.
+/// Exact 1D kernel density estimator with its scoring grid.
 ///
 /// Samples are kept sorted so that the Gaussian kernel, truncated at its
 /// numerical support radius, only sums over the window of contributing
-/// samples, found by binary search.
-#[derive(Debug, Clone, Serialize)]
+/// samples, found by binary search. That exact window sum is the
+/// [`Density1d`] impl; scoring evaluates [`grid`](Self::grid), built once
+/// from the samples and bandwidth, whose maximum is the normalizer of both.
+#[derive(Debug, Clone)]
 pub struct Kde1d {
     samples: Vec<f64>, // sorted
     kernel: Kernel,
     bandwidth: f64,
-    max_density: f64,
+    grid: BinnedKde,
+}
+
+/// The wire format stores the grid's maximum, not the grid: a load
+/// rebuilds the grid and checks the stored maximum against it.
+impl Serialize for Kde1d {
+    fn to_json_value(&self) -> serde::Value {
+        serde::Value::Object(vec![
+            (String::from("samples"), self.samples.to_json_value()),
+            (String::from("kernel"), self.kernel.to_json_value()),
+            (String::from("bandwidth"), self.bandwidth.to_json_value()),
+            (String::from("max_density"), self.grid.max_density.to_json_value()),
+        ])
+    }
 }
 
 /// [`Kde1d`]'s wire format, checked by [`Kde1d::from_parts`] on load.
@@ -42,19 +57,13 @@ impl Kde1d {
         let bandwidth = silverman(samples);
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
-        let mut kde = Kde1d {
-            samples: sorted,
-            kernel: Kernel::Gaussian,
-            bandwidth,
-            max_density: 0.0,
-        };
-        // The normalizer is the density mode. Evaluating at every sample
-        // is exact but O(n · window) — quadratic on dense samples — so it
-        // is estimated from the same binned grid the prepared scoring path
-        // uses, in O(n + grid). The grid resolves the kernel (step ≤ h/8),
-        // keeping the estimate within a fraction of a percent of the mode.
-        kde.max_density = BinnedKde::prepare(&kde).max_density;
-        Ok(kde)
+        Ok(Kde1d::with_bandwidth(sorted, Kernel::Gaussian, bandwidth))
+    }
+
+    /// Build the grid for sorted, validated samples.
+    fn with_bandwidth(samples: Vec<f64>, kernel: Kernel, bandwidth: f64) -> Self {
+        let grid = BinnedKde::build(&samples, kernel, bandwidth);
+        Kde1d { samples, kernel, bandwidth, grid }
     }
 
     /// Number of training samples.
@@ -75,73 +84,102 @@ impl Kde1d {
         self.kernel
     }
 
-    /// Sorted training samples (used by [`BinnedKde`] and tests).
+    /// Sorted training samples.
     pub fn samples(&self) -> &[f64] {
         &self.samples
     }
 
-    /// Reassemble a fitted KDE from stored parts — the load path of both
-    /// library formats, skipping the fit.
+    /// The scoring grid: what a learned feature's likelihood is read from.
+    pub fn grid(&self) -> &BinnedKde {
+        &self.grid
+    }
+
+    /// Reassemble a fitted KDE from stored parts — the JSON load path,
+    /// skipping the fit but rebuilding the grid.
     ///
     /// Stored parts are untrusted, so this enforces what a fit
-    /// guarantees: samples non-empty and finite, bandwidth and
-    /// `max_density` finite and positive. Samples are sorted here (a
-    /// no-op for a well-formed file): the windowed evaluation
-    /// binary-searches, so unsorted samples would score wrong silently.
+    /// guarantees: samples non-empty and finite, bandwidth finite and
+    /// positive, and `max_density` equal to the rebuilt grid's. Samples
+    /// are sorted here (a no-op for a well-formed file): the windowed
+    /// evaluation binary-searches, so unsorted samples would score wrong
+    /// silently.
     pub fn from_parts(
-        mut samples: Vec<f64>,
+        samples: Vec<f64>,
         kernel: Kernel,
         bandwidth: f64,
         max_density: f64,
     ) -> Result<Self, FitError> {
-        validate_sample(&samples)?;
-        check_scale("kde bandwidth", bandwidth)?;
+        let samples = checked_samples(samples, bandwidth)?;
         check_scale("kde max_density", max_density)?;
-        samples.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
-        Ok(Kde1d { samples, kernel, bandwidth, max_density })
+        let kde = Kde1d::with_bandwidth(samples, kernel, bandwidth);
+        if max_density.to_bits() != kde.grid.max_density.to_bits() {
+            return Err(FitError::Implausible(format!(
+                "kde max_density {max_density} (its grid's is {})",
+                kde.grid.max_density
+            )));
+        }
+        Ok(kde)
     }
 
-    /// Indices of samples within the kernel support window around `x`.
-    fn window(&self, x: f64) -> (usize, usize) {
-        let radius = self.kernel.support_radius() * self.bandwidth;
-        let lo = self.samples.partition_point(|&s| s < x - radius);
-        let hi = self.samples.partition_point(|&s| s <= x + radius);
-        (lo, hi)
+    /// Reassemble a fitted KDE from stored parts and a stored grid — the
+    /// binary codec's bulk-copy load path, which skips the grid rebuild
+    /// of [`from_parts`](Self::from_parts). The grid is checked by
+    /// [`BinnedKde::from_parts`], not against the samples.
+    pub fn with_grid(
+        samples: Vec<f64>,
+        kernel: Kernel,
+        bandwidth: f64,
+        grid: BinnedKde,
+    ) -> Result<Self, FitError> {
+        let samples = checked_samples(samples, bandwidth)?;
+        Ok(Kde1d { samples, kernel, bandwidth, grid })
     }
+}
+
+/// Validate stored samples and bandwidth, and sort the samples.
+fn checked_samples(mut samples: Vec<f64>, bandwidth: f64) -> Result<Vec<f64>, FitError> {
+    validate_sample(&samples)?;
+    check_scale("kde bandwidth", bandwidth)?;
+    samples.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
+    Ok(samples)
+}
+
+/// The exact density of sorted `samples` at `x`: the kernel sum over the
+/// window of samples within the kernel's support radius.
+fn exact_density(samples: &[f64], kernel: Kernel, bandwidth: f64, x: f64) -> f64 {
+    if !x.is_finite() {
+        return 0.0;
+    }
+    let radius = kernel.support_radius() * bandwidth;
+    let lo = samples.partition_point(|&s| s < x - radius);
+    let hi = samples.partition_point(|&s| s <= x + radius);
+    if lo >= hi {
+        return 0.0;
+    }
+    let inv_h = 1.0 / bandwidth;
+    let mut acc = 0.0;
+    for &s in &samples[lo..hi] {
+        acc += kernel.eval((x - s) * inv_h);
+    }
+    acc * inv_h / samples.len() as f64
 }
 
 impl Density1d for Kde1d {
     fn density(&self, x: f64) -> f64 {
-        if !x.is_finite() || self.samples.is_empty() {
-            return 0.0;
-        }
-        let (lo, hi) = self.window(x);
-        if lo >= hi {
-            return 0.0;
-        }
-        let inv_h = 1.0 / self.bandwidth;
-        let mut acc = 0.0;
-        for &s in &self.samples[lo..hi] {
-            acc += self.kernel.eval((x - s) * inv_h);
-        }
-        acc * inv_h / self.samples.len() as f64
+        exact_density(&self.samples, self.kernel, self.bandwidth, x)
     }
 
     fn max_density(&self) -> f64 {
-        self.max_density
+        self.grid.max_density
     }
 }
 
-/// Grid-accelerated KDE: densities precomputed on a uniform grid at fit
+/// A KDE's scoring grid: densities precomputed on a uniform grid at fit
 /// time, evaluated by linear interpolation.
 ///
-/// Evaluation is O(1) instead of O(window); fitting is O(n + grid·window).
-/// Used for the large pooled distributions in the learner.
-///
-/// `PartialEq` compares the full grid — the learner uses it to detect
-/// classes whose prepared grids came out identical (same samples, same
-/// fit) and share one allocation between them.
-#[derive(Debug, Clone, PartialEq)]
+/// Evaluation is O(1) instead of O(window); building is
+/// O(n + grid · kernel). Every [`Kde1d`] owns one.
+#[derive(Debug, Clone)]
 pub struct BinnedKde {
     grid_start: f64,
     grid_step: f64,
@@ -150,17 +188,18 @@ pub struct BinnedKde {
 }
 
 impl BinnedKde {
-    /// Grid steps per bandwidth unit for [`prepare`](Self::prepare): the
+    /// Grid steps per bandwidth unit for [`build`](Self::build): the
     /// step is at most `h / 8`, so the kernel is always well resolved and
     /// linear interpolation stays within a fraction of a percent of the
     /// exact density.
     const STEPS_PER_BANDWIDTH: f64 = 8.0;
 
-    /// Resolution bounds for [`prepare`](Self::prepare).
+    /// Resolution bounds for [`build`](Self::build).
     const MIN_BINS: usize = 64;
     const MAX_BINS: usize = 32_768;
 
-    /// Build the query-optimized scoring grid in `O(n + grid · kernel)`.
+    /// Build the scoring grid of sorted, non-empty `samples` in
+    /// `O(n + grid · kernel)`.
     ///
     /// Rather than evaluating the exact density at every grid point,
     /// `O(grid · window)`, this bins the samples onto the grid with
@@ -168,14 +207,10 @@ impl BinnedKde {
     /// sampled at grid offsets. The grid resolution adapts to the
     /// bandwidth (step ≤ h/8, within `MIN_BINS..=MAX_BINS`).
     ///
-    /// This is the canonical scoring representation: `Kde1d::fit` takes
-    /// its `max_density` from this grid, so exact and prepared relative
-    /// likelihoods share one normalizer and rebuilding the grid from a
+    /// The grid's maximum is the KDE's normalizer, so exact and grid
+    /// relative likelihoods share it, and rebuilding the grid from a
     /// deserialized [`Kde1d`] is bit-identical to building it at fit time.
-    pub fn prepare(kde: &Kde1d) -> Self {
-        let samples = kde.samples();
-        let kernel = kde.kernel();
-        let h = kde.bandwidth_value();
+    fn build(samples: &[f64], kernel: Kernel, h: f64) -> Self {
         let n = samples.len();
         debug_assert!(n > 0, "Kde1d is never empty");
         let radius = kernel.support_radius() * h;
@@ -230,7 +265,10 @@ impl BinnedKde {
             // modes, so recover the normalizer exactly from the samples.
             // Windows are tiny in exactly this regime, so this stays
             // O(n · window) with a small window.
-            max_density = samples.iter().map(|&x| kde.density(x)).fold(max_density, f64::max);
+            max_density = samples
+                .iter()
+                .map(|&x| exact_density(samples, kernel, h, x))
+                .fold(max_density, f64::max);
         }
         BinnedKde { grid_start: lo, grid_step: step, densities, max_density }
     }
@@ -255,10 +293,10 @@ impl BinnedKde {
         &self.densities
     }
 
-    /// Reassemble a prepared grid from stored parts — the binary codec's
+    /// Reassemble a grid from stored parts — the binary codec's
     /// bulk-copy load path, skipping the `O(n + grid · kernel)`
-    /// convolution of [`prepare`](Self::prepare). Rejects what no
-    /// prepare produces: fewer than two points, a non-finite start, a
+    /// grid convolution a fit or a JSON load runs. Rejects what no build
+    /// produces: fewer than two points, a non-finite start, a
     /// step or `max_density` that is not finite and positive, or a
     /// negative or non-finite density.
     pub fn from_parts(
@@ -269,7 +307,7 @@ impl BinnedKde {
     ) -> Result<Self, FitError> {
         if densities.len() < 2 {
             return Err(FitError::Implausible(format!(
-                "prepared grid with {} point(s)",
+                "kde grid with {} point(s)",
                 densities.len()
             )));
         }
@@ -408,10 +446,26 @@ mod tests {
     }
 
     #[test]
+    fn from_parts_rejects_max_density_off_its_grid() {
+        let kde = Kde1d::fit(&[0.5, 1.0, 2.5, 4.0, 4.5]).unwrap();
+        let load = |max_density| {
+            Kde1d::from_parts(
+                kde.samples().to_vec(),
+                kde.kernel(),
+                kde.bandwidth_value(),
+                max_density,
+            )
+        };
+        assert!(load(kde.max_density()).is_ok());
+        let err = load(kde.max_density() * 1.5).unwrap_err();
+        assert!(matches!(err, FitError::Implausible(_)), "got {err:?}");
+    }
+
+    #[test]
     fn binned_kde_tracks_exact_kde() {
         let xs = normal_sample(2000, -3.0, 1.5, 99);
         let kde = Kde1d::fit(&xs).unwrap();
-        let binned = BinnedKde::prepare(&kde);
+        let binned = kde.grid();
         for i in -80..80 {
             let x = i as f64 * 0.1;
             let exact = kde.density(x);
@@ -426,7 +480,7 @@ mod tests {
     #[test]
     fn binned_kde_zero_outside_grid() {
         let kde = Kde1d::fit(&[0.0, 1.0, 2.0]).unwrap();
-        let binned = BinnedKde::prepare(&kde);
+        let binned = kde.grid();
         assert_eq!(binned.density(1e6), 0.0);
         assert_eq!(binned.density(-1e6), 0.0);
         assert_eq!(binned.density(f64::NAN), 0.0);
@@ -450,7 +504,7 @@ mod tests {
         fn prop_max_density_dominates_samples(
             xs in proptest::collection::vec(-50.0f64..50.0, 2..60),
         ) {
-            // max_density is estimated on the prepared grid (step ≤ h/8),
+            // max_density is estimated on the scoring grid (step ≤ h/8),
             // which can undershoot the true mode by a fraction of a
             // percent — relative_likelihood clamps the excess to 1.
             let kde = Kde1d::fit(&xs).unwrap();
@@ -465,15 +519,15 @@ mod tests {
             qs in proptest::collection::vec(-60.0f64..60.0, 1..20),
         ) {
             let kde = Kde1d::fit(&xs).unwrap();
-            let prepared = BinnedKde::prepare(&kde);
+            let grid = kde.grid();
             for q in qs {
                 let exact = kde.density(q);
-                let approx = prepared.density(q);
+                let approx = grid.density(q);
                 prop_assert!(
                     (exact - approx).abs() <= 0.02 * kde.max_density() + 1e-9,
-                    "at {q}: exact {exact} vs prepared {approx}"
+                    "at {q}: exact {exact} vs grid {approx}"
                 );
-                let rl_gap = (kde.relative_likelihood(q) - prepared.relative_likelihood(q)).abs();
+                let rl_gap = (kde.relative_likelihood(q) - grid.relative_likelihood(q)).abs();
                 prop_assert!(rl_gap <= 0.02 + 1e-9, "relative likelihood gap {rl_gap} at {q}");
             }
         }
@@ -486,8 +540,14 @@ mod tests {
             // bit-identical — the fit/load byte-determinism contract — and
             // the exact KDE's normalizer IS the grid max.
             let kde = Kde1d::fit(&xs).unwrap();
-            let a = BinnedKde::prepare(&kde);
-            let b = BinnedKde::prepare(&kde);
+            let back = Kde1d::from_parts(
+                kde.samples().to_vec(),
+                kde.kernel(),
+                kde.bandwidth_value(),
+                kde.max_density(),
+            )
+            .unwrap();
+            let (a, b) = (kde.grid(), back.grid());
             prop_assert_eq!(a.max_density().to_bits(), b.max_density().to_bits());
             prop_assert_eq!(a.bins(), b.bins());
             prop_assert_eq!(a.max_density().to_bits(), kde.max_density().to_bits());
@@ -502,7 +562,7 @@ mod tests {
             q in -60.0f64..60.0,
         ) {
             let kde = Kde1d::fit(&xs).unwrap();
-            let binned = BinnedKde::prepare(&kde);
+            let binned = kde.grid();
             prop_assert!(binned.density(q) <= binned.max_density() + 1e-12);
         }
 

@@ -9,7 +9,7 @@
 //! * [`Kde1d`] — Gaussian kernel density estimation with Silverman's
 //!   bandwidth (the "default hyperparameters" the paper says work in all
 //!   cases they tried),
-//! * [`BinnedKde`] — a grid-accelerated KDE for large training sets,
+//! * [`BinnedKde`] — the interpolated scoring grid each [`Kde1d`] owns,
 //! * [`Histogram`] — Freedman–Diaconis histogram densities,
 //! * [`Bernoulli`] — for binary features (class agreement within a
 //!   bundle),

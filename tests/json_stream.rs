@@ -288,8 +288,8 @@ fn feature_library_streams_identically_and_rebuilds_prepared() {
         serde_json::to_string(&streamed).unwrap(),
         serde_json::to_string(&tree).unwrap(),
     );
-    // The prepared grids must be rebuilt by the streaming path too —
-    // and scoring through both libraries must agree bit-for-bit.
+    // The KDE grids must be rebuilt by the streaming path too — and
+    // scoring through both libraries must agree bit-for-bit.
     let scene = Scene::assemble(&fuzzed_scene(901, 0), &AssemblyConfig::default());
     let a = App::MissingTracks.rank(&scene, &streamed).expect("rank streamed");
     let b = App::MissingTracks.rank(&scene, &tree).expect("rank tree");
