@@ -2,7 +2,7 @@
 //! fraction of all injected missing tracks recovered as a function of the
 //! per-scene audit budget k, for Fixy vs the consistency-MA orderings.
 //!
-//! `cargo run --release -p loa-bench --bin audit_curve [--fast] [--seed N]`
+//! `cargo run --release -p loa_bench --bin audit_curve [--fast] [--seed N]`
 
 use loa_bench::parse_args;
 use loa_eval::report::{pct, Table};

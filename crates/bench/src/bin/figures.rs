@@ -8,7 +8,7 @@
 //! * Figure 6 — missing human label within a track,
 //! * Figure 7 — low-probability person/truck bundle.
 //!
-//! `cargo run --release -p loa-bench --bin figures [--out DIR]`
+//! `cargo run --release -p loa_bench --bin figures [--out DIR]`
 
 use fixy_core::prelude::*;
 use fixy_core::Learner;

@@ -3,7 +3,7 @@
 //! ranked it at the top. We instantiate the Figure 6 scenario across
 //! seeds and report the rank statistics vs random candidate ordering.
 //!
-//! `cargo run --release -p loa-bench --bin missing_obs [--fast] [--seed N]`
+//! `cargo run --release -p loa_bench --bin missing_obs [--fast] [--seed N]`
 
 use loa_bench::parse_args;
 use loa_eval::run_missing_obs_experiment;

@@ -2,7 +2,7 @@
 //! AOFs, after excluding what the appear/flicker/multibox assertions
 //! find) vs uncertainty sampling, over 5 Lyft-like scenes.
 //!
-//! `cargo run --release -p loa-bench --bin model_errors [--fast] [--seed N]`
+//! `cargo run --release -p loa_bench --bin model_errors [--fast] [--seed N]`
 
 use loa_bench::parse_args;
 use loa_eval::report::pct_opt;

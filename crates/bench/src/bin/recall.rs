@@ -3,7 +3,7 @@
 //! the scene-level experiment (paper: errors in 32/46 Lyft scenes; 100% of
 //! scenes-with-errors hit in the top 10).
 //!
-//! `cargo run --release -p loa-bench --bin recall [--fast] [--seed N]`
+//! `cargo run --release -p loa_bench --bin recall [--fast] [--seed N]`
 
 use loa_bench::parse_args;
 use loa_eval::report::pct_opt;

@@ -2,7 +2,7 @@
 //! five seconds on a single CPU core for processing a 15 second scene of
 //! data."*
 //!
-//! `cargo run --release -p loa-bench --bin runtime [--seed N]`
+//! `cargo run --release -p loa_bench --bin runtime [--seed N]`
 
 use loa_bench::parse_args;
 use loa_eval::run_runtime_experiment;

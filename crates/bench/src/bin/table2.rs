@@ -1,6 +1,6 @@
 //! Reproduces **Table 2**: the features used in the evaluation.
 //!
-//! `cargo run --release -p loa-bench --bin table2`
+//! `cargo run --release -p loa_bench --bin table2`
 
 use fixy_core::prelude::*;
 use loa_eval::report::Table;

@@ -1,7 +1,7 @@
 //! Reproduces **Table 3**: precision at top 10/5/1 of Fixy and ad-hoc MA
 //! baselines for finding tracks missed by humans.
 //!
-//! `cargo run --release -p loa-bench --bin table3 [--fast] [--seed N]`
+//! `cargo run --release -p loa_bench --bin table3 [--fast] [--seed N]`
 //!
 //! Default run: 46 Lyft-like + 13 Internal-like evaluation scenes (the
 //! paper's counts), 8 training scenes per profile.

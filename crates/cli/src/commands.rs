@@ -7,7 +7,6 @@ use crate::args::{
 use crate::CliError;
 use fixy_core::prelude::*;
 use loa_data::SceneData;
-use loa_eval::resolve::HitResolver;
 use loa_ingest::{CorpusSource, StreamingAssembler};
 use serde::{Deserialize, Serialize};
 use std::fmt::Write as _;
@@ -179,11 +178,14 @@ fn render_chunks(header: &str, mut chunks: Vec<SceneChunk>, n_scenes: usize) -> 
     out
 }
 
-/// The worklist's column header: track apps print size and confidence
-/// (and the `--grade` hit column), bundle apps the frame.
+/// The worklist's column header: track apps print size and confidence,
+/// bundle apps the frame, and `--grade` adds the hit column.
 fn worklist_header(app: App, graded: bool) -> String {
     if app.ranks_bundles() {
-        "rank  frame  class        score".to_string()
+        format!(
+            "rank  frame  class        score{}",
+            if graded { "    hit" } else { "" }
+        )
     } else {
         format!(
             "rank  class        score    #obs  conf   {}",
@@ -193,7 +195,8 @@ fn worklist_header(app: App, graded: bool) -> String {
 }
 
 /// Write the top `top` candidates of one scene as worklist rows, each
-/// prefixed with the scene id in batch mode.
+/// prefixed with the scene id in batch mode; `grade` adds whether each
+/// is a true error of that app's kind.
 fn write_rows(
     out: &mut String,
     scene_id: Option<&str>,
@@ -201,56 +204,41 @@ fn write_rows(
     scene: &Scene,
     ranked: &[Candidate],
     top: usize,
-    grade: Option<HitResolver>,
+    grade: Option<App>,
 ) {
     for (i, candidate) in ranked.iter().take(top).enumerate() {
         if let Some(id) = scene_id {
             let _ = write!(out, "{id:<30} ");
         }
+        let hit = match grade {
+            Some(app) if loa_eval::resolve::is_hit(app, data, scene, candidate) => "YES",
+            Some(_) => "no",
+            None => "",
+        };
         let _ = match candidate {
-            Candidate::Track(c) => {
-                let hit = match grade {
-                    Some(is_hit) if is_hit(data, scene, c.track) => "YES",
-                    Some(_) => "no",
-                    None => "",
-                };
-                writeln!(
-                    out,
-                    "{:<5} {:<12} {:<8.3} {:<5} {:<6} {}",
-                    i + 1,
-                    c.class.to_string(),
-                    c.score,
-                    c.n_obs,
-                    c.mean_confidence
-                        .map(|x| format!("{x:.2}"))
-                        .unwrap_or_else(|| "-".into()),
-                    hit
-                )
-            }
-            Candidate::Bundle(c) => writeln!(
+            Candidate::Track(c) => writeln!(
                 out,
-                "{:<5} {:<6} {:<12} {:.3}",
+                "{:<5} {:<12} {:<8.3} {:<5} {:<6} {}",
                 i + 1,
-                scene.bundle(c.bundle).frame.0,
                 c.class.to_string(),
-                c.score
+                c.score,
+                c.n_obs,
+                c.mean_confidence
+                    .map(|x| format!("{x:.2}"))
+                    .unwrap_or_else(|| "-".into()),
+                hit
             ),
+            Candidate::Bundle(c) => {
+                let frame = scene.bundle(c.bundle).frame.0;
+                let class = c.class.to_string();
+                if grade.is_some() {
+                    writeln!(out, "{:<5} {frame:<6} {class:<12} {:<8.3} {hit}", i + 1, c.score)
+                } else {
+                    writeln!(out, "{:<5} {frame:<6} {class:<12} {:.3}", i + 1, c.score)
+                }
+            }
         };
     }
-}
-
-/// The `--grade` hit resolver, if grading was asked for. Apps without
-/// one are refused before anything is ranked.
-fn grader(args: &RankArgs) -> Result<Option<HitResolver>, CliError> {
-    if !args.grade {
-        return Ok(None);
-    }
-    loa_eval::resolve::hit_resolver(args.app).map(Some).ok_or_else(|| {
-        CliError::Invalid(format!(
-            "--grade has no ground-truth resolver for app '{}'",
-            args.app.name()
-        ))
-    })
 }
 
 /// `fixy rank` in batch mode: stream every scene in a directory (`.json`
@@ -258,11 +246,7 @@ fn grader(args: &RankArgs) -> Result<Option<HitResolver>, CliError> {
 /// worklist (stable by scene id, then per-scene rank). At most
 /// O(workers) scenes are in memory at any moment — the worklist is
 /// byte-identical to the old buffered path (locked by `tests/ingest.rs`).
-fn rank_batch(
-    args: &RankArgs,
-    library: &FeatureLibrary,
-    grade: Option<HitResolver>,
-) -> Result<String, CliError> {
+fn rank_batch(args: &RankArgs, library: &FeatureLibrary) -> Result<String, CliError> {
     let source = CorpusSource::open(&args.scene)?;
     let n_scenes = source.len();
     // Workers pull paths (cheap tokens) and decode scenes themselves, so
@@ -278,7 +262,7 @@ fn rank_batch(
             &r.scene,
             &r.candidates,
             args.top,
-            grade,
+            args.grade.then_some(args.app),
         );
         SceneChunk {
             id: r.id,
@@ -287,24 +271,24 @@ fn rank_batch(
             candidates: r.candidates.len(),
         }
     })?;
-    let header = format!("{:<30} {}", "scene", worklist_header(args.app, grade.is_some()));
+    let header = format!("{:<30} {}", "scene", worklist_header(args.app, args.grade));
     Ok(render_chunks(&header, chunks, n_scenes))
 }
 
 /// `fixy rank`: rank one scene's candidates (or, given a directory, a
 /// whole batch via the scene pipeline) and print the worklist.
 pub fn rank(args: RankArgs) -> Result<String, CliError> {
-    let grade = grader(&args)?;
     let library = load_library_for(&args.library, args.app)?;
     if args.scene.is_dir() {
-        return rank_batch(&args, &library, grade);
+        return rank_batch(&args, &library);
     }
     let data = loa_ingest::load_scene_auto(&args.scene)?;
     let scene = Scene::assemble(&data, &args.app.assembly());
     let ranked = args.app.rank(&scene, &library)?;
 
     let mut out = String::new();
-    let _ = writeln!(out, "{}", worklist_header(args.app, grade.is_some()));
+    let _ = writeln!(out, "{}", worklist_header(args.app, args.grade));
+    let grade = args.grade.then_some(args.app);
     write_rows(&mut out, None, &data, &scene, &ranked, args.top, grade);
     let excluded = args.app.pre_excluded(&scene).map(|excluded| {
         format!(" ({} observations excluded by ad-hoc assertions)", excluded.len())
@@ -1125,26 +1109,48 @@ mod tests {
         std::fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// `--grade` needs a ground-truth resolver: apps without one are
-    /// refused by name before the library is even opened.
+    /// `--grade` grades every registry app against the generator's
+    /// injected errors: the header and each row carry the `hit` column,
+    /// for one scene and for a batch.
     #[test]
-    fn grade_is_refused_for_apps_without_a_resolver() {
-        for app in ["missing-obs", "label-audit", "bundle-audit"] {
-            let err = run(parse(&argv(&format!(
-                "rank --scene s.json --library missing.json --app {app} --grade"
+    fn every_app_ranks_with_grade() {
+        let dir = tmp_dir("grade_every_app");
+        let data_dir = dir.join("data");
+        run(parse(&argv(&format!(
+            "generate --profile lyft --scenes 2 --seed 11 --duration 4 --out {}",
+            data_dir.display()
+        )))
+        .unwrap())
+        .unwrap();
+        let scene = std::fs::read_dir(&data_dir).unwrap().next().unwrap().unwrap().path();
+        for app in fixy_core::apps::App::ALL {
+            let name = app.name();
+            let lib = dir.join(format!("{name}.json"));
+            run(parse(&argv(&format!(
+                "learn --data {} --app {name} --out {}",
+                data_dir.display(),
+                lib.display()
             )))
             .unwrap())
-            .unwrap_err();
-            let msg = err.to_string();
-            assert!(msg.contains("--grade") && msg.contains(app), "{app}: {msg}");
+            .unwrap();
+            for target in [&scene, &data_dir] {
+                let out = run(parse(&argv(&format!(
+                    "rank --scene {} --library {} --app {name} --top 5 --grade",
+                    target.display(),
+                    lib.display()
+                )))
+                .unwrap())
+                .unwrap();
+                let mut lines = out.lines();
+                assert!(lines.next().unwrap().ends_with(" hit"), "{name}: {out}");
+                let rows: Vec<&str> = lines.filter(|l| !l.contains("candidate(s)")).collect();
+                assert!(!rows.is_empty(), "{name}: {out}");
+                for row in rows {
+                    assert!(row.ends_with(" YES") || row.ends_with(" no"), "{name}: {row}");
+                }
+            }
         }
-        // Apps with a resolver get as far as the library.
-        let err = run(parse(&argv(
-            "rank --scene s.json --library missing.json --app model-errors --grade",
-        ))
-        .unwrap())
-        .unwrap_err();
-        assert!(err.to_string().contains("cannot read library"), "{err}");
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

@@ -7,7 +7,7 @@
 //! the practical "how much audit time does Fixy save" view of Table 3.
 
 use crate::experiments::{parallel_map, shrink_config};
-use crate::resolve::{is_missing_track_hit, resolve_track};
+use crate::resolve::missing_track_hit_actor;
 use fixy_core::prelude::*;
 use fixy_core::Learner;
 use loa_baselines::{consistency_assertion, order_by_confidence, order_randomly};
@@ -80,16 +80,11 @@ pub fn run_audit_curve(
             budgets_vec
                 .iter()
                 .map(|&k| {
-                    let mut set = BTreeSet::new();
-                    for &t in order.iter().take(k) {
-                        if is_missing_track_hit(&data, &scene, t) {
-                            if let Some((actor, _)) = resolve_track(&data, &scene, t).majority_actor
-                            {
-                                set.insert(actor);
-                            }
-                        }
-                    }
-                    set
+                    order
+                        .iter()
+                        .take(k)
+                        .filter_map(|&t| missing_track_hit_actor(&data, &scene, t))
+                        .collect()
                 })
                 .collect()
         };

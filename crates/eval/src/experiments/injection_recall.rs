@@ -6,13 +6,17 @@
 //! scene through the [`ScenePipeline`] batch engine, and every injected
 //! error must appear in the top-`k` of its scene's worklist:
 //!
-//! | Error kind | Application | Worklist entry |
+//! | Error kind | Registry app | Worklist entry |
 //! |---|---|---|
-//! | missing-track | `MissingTrackFinder` | model-only track of the actor |
-//! | missing-box | `MissingObsFinder` | model-only bundle at the dropped frame |
-//! | class-swap | `LabelAuditFinder` | the implausibly-labeled human track |
-//! | ghost-track | `ModelErrorFinder` | the erratic model-only track |
-//! | inconsistent-bundle | `BundleAuditFinder` | the mixed bundle at the frame |
+//! | missing-track | `missing-tracks` | model-only track of the actor |
+//! | missing-box | `missing-obs` | model-only bundle at the dropped frame |
+//! | class-swap | `label-audit` | the implausibly-labeled human track |
+//! | ghost-track | `model-errors`, ranked after the ad-hoc exclusion | the erratic model-only track |
+//! | inconsistent-bundle | `bundle-audit` | the mixed bundle at the frame |
+//!
+//! Each app's library is fitted with [`App::fit`], and every verdict is
+//! [`InjectedError::is_flagged_by`](crate::resolve::InjectedError::is_flagged_by),
+//! the grader `fixy rank --grade` shares.
 //!
 //! The result is a conformance verdict, not a statistic: the fuzzer only
 //! injects errors that are observable by construction, so anything below
@@ -20,10 +24,10 @@
 //! an injector) — and the report pins the seed so the failure replays
 //! exactly.
 
+use crate::resolve::{app_for, injected_errors};
 use fixy_core::prelude::*;
-use fixy_core::Learner;
 use loa_data::fuzz::{ErrorKind, ScenarioFuzzer};
-use loa_data::{DetectionProvenance, FrameId, ObservationSource, SceneData, TrackId};
+use loa_data::SceneData;
 use serde::{Deserialize, Serialize};
 
 /// Parameters of the conformance run.
@@ -184,80 +188,6 @@ impl InjectionRecallResult {
     }
 }
 
-/// Which actor a model-only track detects, by majority provenance.
-fn majority_actor(data: &SceneData, scene: &Scene, track: TrackIdx) -> Option<TrackId> {
-    crate::resolve::resolve_track(data, scene, track)
-        .majority_actor
-        .map(|(actor, _)| actor)
-}
-
-/// Whether a candidate track is majority-composed of the given ghost's
-/// detections.
-fn is_ghost_track(
-    data: &SceneData,
-    scene: &Scene,
-    track: TrackIdx,
-    ghost: loa_data::GhostId,
-) -> bool {
-    let t = scene.track(track);
-    let obs = scene.track_obs(t);
-    let ghostly = obs
-        .iter()
-        .filter(|&&o| {
-            let ob = scene.obs(o);
-            ob.source == ObservationSource::Model
-                && data.frames[ob.frame.0 as usize].detections[ob.source_index].provenance
-                    == DetectionProvenance::PersistentGhost(ghost)
-        })
-        .count();
-    2 * ghostly > obs.len()
-}
-
-/// Whether a bundle contains a model detection of the given actor.
-fn bundle_has_detection_of(
-    data: &SceneData,
-    scene: &Scene,
-    bundle: BundleIdx,
-    track: TrackId,
-    frame: FrameId,
-) -> bool {
-    let b = scene.bundle(bundle);
-    b.frame == frame
-        && scene.bundle_obs(bundle).iter().any(|&o| {
-            let ob = scene.obs(o);
-            ob.source == ObservationSource::Model
-                && data.frames[ob.frame.0 as usize].detections[ob.source_index].provenance
-                    == DetectionProvenance::TrueObject(track)
-        })
-}
-
-/// Whether a bundle contains the human label of the given actor.
-fn bundle_has_label_of(
-    data: &SceneData,
-    scene: &Scene,
-    bundle: BundleIdx,
-    track: TrackId,
-    frame: FrameId,
-) -> bool {
-    let b = scene.bundle(bundle);
-    b.frame == frame
-        && scene.bundle_obs(bundle).iter().any(|&o| {
-            let ob = scene.obs(o);
-            ob.source == ObservationSource::Human
-                && data.frames[ob.frame.0 as usize].human_labels[ob.source_index].gt_track == track
-        })
-}
-
-/// Whether a track contains any human label of the given actor.
-fn track_has_label_of(data: &SceneData, scene: &Scene, track: TrackIdx, target: TrackId) -> bool {
-    let t = scene.track(track);
-    scene.track_obs(t).iter().any(|&o| {
-        let ob = scene.obs(o);
-        ob.source == ObservationSource::Human
-            && data.frames[ob.frame.0 as usize].human_labels[ob.source_index].gt_track == target
-    })
-}
-
 /// Run the conformance experiment. Streams the fuzzed corpus through
 /// one [`ScenePipeline`] per error kind — scenes are regenerated lazily
 /// from the seed per kind and pulled by the workers, so the whole
@@ -325,194 +255,40 @@ pub fn run_injection_recall_with_corpus(
             None => Ok(fuzzer.scene(i)),
         }
     };
-    let k = config.top_k;
-
-    let mt = MissingTrackFinder::default();
-    let mo = MissingObsFinder::default();
-    let me = ModelErrorFinder::default();
-    let la = LabelAuditFinder::default();
-    let ba = BundleAuditFinder;
-
-    // The five libraries share two assemblies of the training corpus
-    // (human-only for the four standard learners, mixed for the
-    // bundle-consistency one) instead of re-assembling per application.
-    let human_learner = Learner::new();
-    let human_train: Vec<Scene> = train
-        .iter()
-        .map(|s| Scene::assemble(s, &human_learner.assembly))
-        .collect();
-    let mt_lib = roundtrip_flcb(
-        "missing-tracks",
-        human_learner
-            .fit_assembled(&mt.feature_set(), &human_train)
-            .expect("fit missing-track"),
-    );
-    let mo_lib = roundtrip_flcb(
-        "missing-obs",
-        human_learner
-            .fit_assembled(&mo.feature_set(), &human_train)
-            .expect("fit missing-obs"),
-    );
-    let me_lib = roundtrip_flcb(
-        "model-errors",
-        human_learner
-            .fit_assembled(&me.feature_set(), &human_train)
-            .expect("fit model-error"),
-    );
-    let la_lib = roundtrip_flcb(
-        "label-audit",
-        human_learner
-            .fit_assembled(&la.feature_set(), &human_train)
-            .expect("fit label-audit"),
-    );
-    // Bundle consistency is learned from matched human+model bundles.
-    let mixed_train: Vec<Scene> = train
-        .iter()
-        .map(|s| Scene::assemble(s, &AssemblyConfig::default()))
-        .collect();
-    let ba_lib = roundtrip_flcb(
-        "bundle-audit",
-        Learner { assembly: AssemblyConfig::default() }
-            .fit_assembled(&ba.feature_set(), &mixed_train)
-            .expect("fit bundle-audit"),
-    );
-    drop((human_train, mixed_train, train));
-
-    // Pipeline failures are scene-source failures once the corpus lives
-    // on disk (a deleted or truncated file mid-run); carry them as the
-    // ingest error they started as.
-    let pipe_err = |stage: &str| {
-        let stage = stage.to_string();
-        move |e: fixy_core::FixyError| {
-            loa_ingest::IngestError::Corrupt(format!("{stage} pipeline: {e}"))
-        }
-    };
-
-    let mut outcomes: Vec<ErrorOutcome> = Vec::new();
-
-    // --- missing-track ----------------------------------------------------
-    let per_scene = ScenePipeline::new(mt.clone())
-        .process_stream(&mt_lib, corpus(), gen_scene, |r| {
-            let mut out = Vec::new();
-            for m in &r.data.injected.missing_tracks {
-                let rank = r
-                    .candidates
-                    .iter()
-                    .take(k)
-                    .position(|c| majority_actor(&r.data, &r.scene, c.track) == Some(m.track));
-                out.push(ErrorOutcome {
-                    kind: ErrorKind::MissingTrack.name().to_string(),
-                    scene_id: r.id.clone(),
-                    target: format!("track {}", m.track.0),
-                    rank,
-                });
-            }
-            out
-        })
-        .map_err(pipe_err("missing-track"))?;
-    outcomes.extend(per_scene.into_iter().flatten());
-
-    // --- missing-box ------------------------------------------------------
-    let per_scene = ScenePipeline::new(mo.clone())
-        .process_stream(&mo_lib, corpus(), gen_scene, |r| {
-            let mut out = Vec::new();
-            for m in &r.data.injected.missing_boxes {
-                let rank = r.candidates.iter().take(k).position(|c| {
-                    bundle_has_detection_of(&r.data, &r.scene, c.bundle, m.track, m.frame)
-                });
-                out.push(ErrorOutcome {
-                    kind: ErrorKind::MissingBox.name().to_string(),
-                    scene_id: r.id.clone(),
-                    target: format!("track {} @ frame {}", m.track.0, m.frame.0),
-                    rank,
-                });
-            }
-            out
-        })
-        .map_err(pipe_err("missing-box"))?;
-    outcomes.extend(per_scene.into_iter().flatten());
-
-    // --- class-swap -------------------------------------------------------
-    let per_scene = ScenePipeline::new(la.clone())
-        .process_stream(&la_lib, corpus(), gen_scene, |r| {
-            let mut out = Vec::new();
-            for s in &r.data.injected.class_swaps {
-                let rank = r
-                    .candidates
-                    .iter()
-                    .take(k)
-                    .position(|c| track_has_label_of(&r.data, &r.scene, c.track, s.track));
-                out.push(ErrorOutcome {
-                    kind: ErrorKind::ClassSwap.name().to_string(),
-                    scene_id: r.id.clone(),
-                    target: format!(
-                        "track {} ({} as {})",
-                        s.track.0, s.true_class, s.labeled_class
-                    ),
-                    rank,
-                });
-            }
-            out
-        })
-        .map_err(pipe_err("class-swap"))?;
-    outcomes.extend(per_scene.into_iter().flatten());
-
-    // --- ghost-track ------------------------------------------------------
-    let per_scene = ScenePipeline::new(me.clone())
-        .process_stream(&me_lib, corpus(), gen_scene, |r| {
-            let mut out = Vec::new();
-            for (ghost, span) in &r.data.injected.ghost_tracks {
-                let rank = r
-                    .candidates
-                    .iter()
-                    .take(k)
-                    .position(|c| is_ghost_track(&r.data, &r.scene, c.track, *ghost));
-                out.push(ErrorOutcome {
-                    kind: ErrorKind::GhostTrack.name().to_string(),
-                    scene_id: r.id.clone(),
-                    target: format!("ghost {} ({} frames)", ghost.0, span.len()),
-                    rank,
-                });
-            }
-            out
-        })
-        .map_err(pipe_err("ghost-track"))?;
-    outcomes.extend(per_scene.into_iter().flatten());
-
-    // --- inconsistent-bundle ----------------------------------------------
-    let per_scene = ScenePipeline::new(ba.clone())
-        .process_stream(&ba_lib, corpus(), gen_scene, |r| {
-            let mut out = Vec::new();
-            for ib in &r.data.injected.inconsistent_bundles {
-                let rank = r.candidates.iter().take(k).position(|c| {
-                    bundle_has_label_of(&r.data, &r.scene, c.bundle, ib.track, ib.frame)
-                });
-                out.push(ErrorOutcome {
-                    kind: ErrorKind::InconsistentBundle.name().to_string(),
-                    scene_id: r.id.clone(),
-                    target: format!("track {} @ frame {}", ib.track.0, ib.frame.0),
-                    rank,
-                });
-            }
-            out
-        })
-        .map_err(pipe_err("inconsistent-bundle"))?;
-    outcomes.extend(per_scene.into_iter().flatten());
-
-    // --- aggregate (stable kind order) ------------------------------------
-    let per_kind: Vec<KindRecall> = ErrorKind::ALL
-        .iter()
-        .map(|kind| {
-            let name = kind.name();
-            let of_kind: Vec<&ErrorOutcome> = outcomes.iter().filter(|o| o.kind == name).collect();
-            KindRecall {
-                kind: name.to_string(),
-                injected: of_kind.len(),
-                found: of_kind.iter().filter(|o| o.rank.is_some()).count(),
-            }
-        })
-        .collect();
-    let misses: Vec<ErrorOutcome> = outcomes.into_iter().filter(|o| o.rank.is_none()).collect();
+    let mut per_kind = Vec::with_capacity(ErrorKind::ALL.len());
+    let mut misses = Vec::new();
+    for kind in ErrorKind::ALL {
+        let app = app_for(kind);
+        let library = app.fit(&train).unwrap_or_else(|e| panic!("fit {}: {e}", app.name()));
+        let library = roundtrip_flcb(app.name(), library);
+        let per_scene = ScenePipeline::new(app)
+            .process_stream(&library, corpus(), gen_scene, |r| {
+                injected_errors(&r.data)
+                    .filter(|e| e.kind() == kind)
+                    .map(|e| ErrorOutcome {
+                        kind: kind.name().to_string(),
+                        scene_id: r.id.clone(),
+                        target: e.target(),
+                        rank: r
+                            .candidates
+                            .iter()
+                            .take(config.top_k)
+                            .position(|c| e.is_flagged_by(&r.data, &r.scene, c)),
+                    })
+                    .collect::<Vec<_>>()
+            })
+            // Pipeline failures are scene-source failures once the corpus
+            // lives on disk (a deleted or truncated file mid-run); carry
+            // them as the ingest error they started as.
+            .map_err(|e| loa_ingest::IngestError::Corrupt(format!("{kind} pipeline: {e}")))?;
+        let outcomes: Vec<ErrorOutcome> = per_scene.into_iter().flatten().collect();
+        per_kind.push(KindRecall {
+            kind: kind.name().to_string(),
+            injected: outcomes.len(),
+            found: outcomes.iter().filter(|o| o.rank.is_some()).count(),
+        });
+        misses.extend(outcomes.into_iter().filter(|o| o.rank.is_none()));
+    }
 
     Ok(InjectionRecallResult { config: config.clone(), per_kind, misses })
 }
@@ -604,5 +380,14 @@ mod tests {
         let report = result.report();
         assert!(report.contains("FAIL"), "{report}");
         assert!(report.contains("--seed 13"), "{report}");
+        // Every error is listed, grouped by kind in registry order.
+        assert_eq!(result.misses.len(), result.total_injected());
+        let kinds: Vec<usize> = result
+            .misses
+            .iter()
+            .map(|m| ErrorKind::ALL.iter().position(|k| k.name() == m.kind).unwrap())
+            .collect();
+        assert!(kinds.windows(2).all(|w| w[0] <= w[1]), "{report}");
+        assert!(kinds.first() < kinds.last(), "more than one kind missed: {report}");
     }
 }

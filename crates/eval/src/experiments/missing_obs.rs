@@ -7,10 +7,11 @@
 //! of the true missing observation under Fixy versus random ordering.
 
 use crate::experiments::parallel_map;
+use crate::resolve::InjectedError;
 use fixy_core::prelude::*;
 use fixy_core::Learner;
 use loa_data::scenarios::trailing_car_missing_label;
-use loa_data::{generate_scene, DatasetProfile, DetectionProvenance, ObservationSource};
+use loa_data::{generate_scene, DatasetProfile};
 use rand::prelude::*;
 use serde::{Deserialize, Serialize};
 
@@ -50,19 +51,9 @@ pub fn run_missing_obs_experiment(seed: u64, n_train: usize, n_cases: usize) -> 
         if ranked.is_empty() {
             return None;
         }
-        let is_hit = |c: &BundleCandidate| {
-            let bundle = scene.bundle(c.bundle);
-            bundle.frame == missing.frame
-                && scene.bundle_obs(bundle.idx).iter().any(|&o| {
-                    let obs = scene.obs(o);
-                    obs.source == ObservationSource::Model
-                        && matches!(
-                            data.frames[obs.frame.0 as usize].detections[obs.source_index]
-                                .provenance,
-                            DetectionProvenance::TrueObject(t) if t == missing.track
-                        )
-                })
-        };
+        let missing = InjectedError::MissingBox(missing);
+        let is_hit =
+            |c: &BundleCandidate| missing.is_flagged_by(data, &scene, &Candidate::Bundle(*c));
         let fixy_rank = ranked.iter().position(is_hit)? + 1;
         // Random baseline: the true bundle lands anywhere uniformly.
         let mut order: Vec<usize> = (0..ranked.len()).collect();

@@ -9,7 +9,7 @@
 //!    the paper reports 100% of the 32/46 scenes with errors.
 
 use crate::experiments::{parallel_map, shrink_config};
-use crate::resolve::{is_missing_track_hit, resolve_track};
+use crate::resolve::{is_missing_track_hit, missing_track_hit_actor};
 use fixy_core::prelude::*;
 use fixy_core::Learner;
 use loa_data::{generate_scene, DatasetProfile, TrackId};
@@ -57,10 +57,8 @@ pub fn run_recall_experiment(seed: u64, n_train: usize, fast: bool) -> RecallRes
     let mut found: BTreeSet<TrackId> = BTreeSet::new();
     for class in loa_data::ObjectClass::ALL {
         for c in ranked.iter().filter(|c| c.class == class).take(10) {
-            if is_missing_track_hit(&data, &scene, c.track) {
-                if let Some((actor, _)) = resolve_track(&data, &scene, c.track).majority_actor {
-                    found.insert(actor);
-                }
+            if let Some(actor) = missing_track_hit_actor(&data, &scene, c.track) {
+                found.insert(actor);
             }
         }
     }

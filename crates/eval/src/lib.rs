@@ -4,12 +4,14 @@
 //! against the synthetic datasets:
 //!
 //! * [`metrics`] — precision@k, recall, average precision,
-//! * [`resolve`] — deciding whether a flagged candidate is a real injected
-//!   error (the role the paper's expert auditors played),
+//! * [`resolve`] — the one grader: deciding whether a flagged candidate
+//!   is a real injected error (the role the paper's expert auditors
+//!   played), per typed injected error and per candidate, for every app,
 //! * [`experiments`] — one runner per experiment: Table 3
 //!   (missing-track precision), the Section 8.2 recall study, the Section
 //!   8.3 missing-observation case study, the Section 8.4 model-error
-//!   comparison, and the Section 8.1 runtime check,
+//!   comparison, the Section 8.1 runtime check, and the injection-recall
+//!   conformance run over the fuzzer's whole error taxonomy,
 //! * [`report`] — plain-text table formatting for the reproduction
 //!   binaries and EXPERIMENTS.md.
 
