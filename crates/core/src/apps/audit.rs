@@ -27,7 +27,7 @@ use crate::feature::{BoundFeature, FeatureSet};
 use crate::features::{CountFeature, VolumeFeature, VolumeRatioFeature};
 use crate::rank::{rank_scored_tracks, sort_bundle_candidates, BundleCandidate, TrackCandidate};
 use crate::scene::{BundleIdx, Scene, TrackIdx};
-use loa_graph::ComponentScore;
+use crate::score::ComponentScore;
 use std::sync::Arc;
 
 /// Ranks human-labeled tracks by label implausibility (class swaps, wildly

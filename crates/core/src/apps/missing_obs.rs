@@ -10,8 +10,8 @@ use crate::feature::{BoundFeature, FeatureSet};
 use crate::features::{DistanceFeature, ModelOnlyFeature, VolumeFeature};
 use crate::rank::{sort_bundle_candidates, BundleCandidate};
 use crate::scene::{BundleIdx, Scene, TrackIdx};
+use crate::score::ComponentScore;
 use loa_data::ObservationSource;
-use loa_graph::ComponentScore;
 use std::sync::Arc;
 
 /// The missing-observation application.

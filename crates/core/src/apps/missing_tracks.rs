@@ -16,7 +16,7 @@ use crate::features::{
 };
 use crate::rank::{rank_scored_tracks, TrackCandidate};
 use crate::scene::{Scene, TrackIdx};
-use loa_graph::ComponentScore;
+use crate::score::ComponentScore;
 use std::sync::Arc;
 
 /// The missing-track application.

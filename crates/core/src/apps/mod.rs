@@ -35,9 +35,8 @@ use crate::learner::{FeatureLibrary, Learner};
 use crate::pipeline::SceneRanker;
 use crate::rank::Candidate;
 use crate::scene::{AssemblyConfig, BundleIdx, ObsIdx, Scene, TrackIdx};
-use crate::score::ScoreEngine;
+use crate::score::{ComponentScore, ScoreEngine};
 use loa_data::SceneData;
-use loa_graph::ComponentScore;
 use std::collections::BTreeSet;
 
 /// One of the five applications, with everything that differs between

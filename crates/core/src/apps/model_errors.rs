@@ -20,9 +20,9 @@ use crate::features::{
 };
 use crate::rank::{sort_track_candidates, track_candidate, TrackCandidate};
 use crate::scene::{ObsIdx, Scene, TrackIdx};
+use crate::score::ComponentScore;
 use loa_data::ObservationSource;
 use loa_geom::iou_bev;
-use loa_graph::ComponentScore;
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 

@@ -17,13 +17,11 @@ use crate::error::FixyError;
 use crate::feature::{FeatureKind, FeatureSet, FeatureTarget};
 use crate::learner::FeatureLibrary;
 use crate::scene::{ObsIdx, Scene};
-use crate::score::Evaluator;
-use loa_graph::{ComponentScore, FactorGraph, VarId};
-use serde::{Deserialize, Serialize};
+use crate::score::{normalized_log_score, ComponentScore, Evaluator};
 
 /// One compiled factor: which feature produced it and the AOF-transformed
 /// probability it contributes.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FactorInfo {
     /// Index into the feature set this graph was compiled with.
     pub feature_index: usize,
@@ -31,8 +29,184 @@ pub struct FactorInfo {
     pub probability: f64,
 }
 
-/// The factor graph of a compiled scene: variables are observations.
-pub type SceneGraph = FactorGraph<ObsIdx, FactorInfo>;
+/// Index of a variable node: one per observation.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct VarId(pub usize);
+
+/// Index of a factor node.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
+pub struct FactorId(pub usize);
+
+/// The factor graph of a compiled scene (Section 2): a bipartite graph
+/// `G = (X, F, E)` between observation variables `X` and factors `F`
+/// (feature-distribution instances), with an edge from factor `f_j` to
+/// variable `X_i` iff `X_i ∈ S_j` in the factorization
+/// `g(X) = Π_j f_j(S_j)`. Edges only ever connect a factor to a
+/// variable, so bipartiteness holds by construction.
+///
+/// Factor scopes live in one flat CSR arena (`scope_offsets` +
+/// `scope_arena`) rather than a `Vec<Vec<VarId>>`: scopes are written once
+/// and then only read, so the per-factor slices sit contiguous in one
+/// allocation.
+#[derive(Debug, Clone)]
+pub struct SceneGraph {
+    vars: Vec<ObsIdx>,
+    factors: Vec<FactorInfo>,
+    /// CSR offsets into `scope_arena`: factor `i`'s scope is
+    /// `scope_arena[scope_offsets[i]..scope_offsets[i + 1]]`.
+    scope_offsets: Vec<usize>,
+    /// All factor scopes, concatenated in factor order.
+    scope_arena: Vec<VarId>,
+    /// Reverse adjacency (variable → incident factors).
+    incident: Vec<Vec<FactorId>>,
+}
+
+impl SceneGraph {
+    /// An empty graph, pre-allocated for an expected node count.
+    pub fn with_capacity(vars: usize, factors: usize) -> Self {
+        let mut scope_offsets = Vec::with_capacity(factors + 1);
+        scope_offsets.push(0);
+        SceneGraph {
+            vars: Vec::with_capacity(vars),
+            factors: Vec::with_capacity(factors),
+            scope_offsets,
+            scope_arena: Vec::with_capacity(2 * factors),
+            incident: Vec::with_capacity(vars),
+        }
+    }
+
+    /// Add the variable of an observation, returning its id.
+    pub fn add_var(&mut self, obs: ObsIdx) -> VarId {
+        let id = VarId(self.vars.len());
+        self.vars.push(obs);
+        self.incident.push(Vec::new());
+        id
+    }
+
+    /// Add a factor over `scope`, copied into the CSR arena, returning
+    /// its id.
+    ///
+    /// # Panics
+    ///
+    /// If the scope is empty, names a variable that does not exist, or
+    /// repeats a variable.
+    pub fn add_factor_from_slice(&mut self, info: FactorInfo, scope: &[VarId]) -> FactorId {
+        assert!(!scope.is_empty(), "factor scope must be non-empty");
+        for (i, v) in scope.iter().enumerate() {
+            assert!(v.0 < self.vars.len(), "unknown variable id {}", v.0);
+            assert!(
+                !scope[..i].contains(v),
+                "variable {} appears twice in a factor scope",
+                v.0
+            );
+        }
+        let id = FactorId(self.factors.len());
+        self.factors.push(info);
+        for v in scope {
+            self.incident[v.0].push(id);
+        }
+        self.scope_arena.extend_from_slice(scope);
+        self.scope_offsets.push(self.scope_arena.len());
+        id
+    }
+
+    pub fn var_count(&self) -> usize {
+        self.vars.len()
+    }
+
+    pub fn factor_count(&self) -> usize {
+        self.factors.len()
+    }
+
+    /// The observation a variable stands for.
+    pub fn var(&self, id: VarId) -> &ObsIdx {
+        &self.vars[id.0]
+    }
+
+    pub fn factor(&self, id: FactorId) -> &FactorInfo {
+        &self.factors[id.0]
+    }
+
+    /// The variables a factor touches.
+    pub fn scope(&self, id: FactorId) -> &[VarId] {
+        &self.scope_arena[self.scope_offsets[id.0]..self.scope_offsets[id.0 + 1]]
+    }
+
+    /// The factors incident to a variable.
+    pub fn incident_factors(&self, id: VarId) -> &[FactorId] {
+        &self.incident[id.0]
+    }
+
+    /// Iterate over factor ids.
+    pub fn factor_ids(&self) -> impl Iterator<Item = FactorId> + '_ {
+        (0..self.factors.len()).map(FactorId)
+    }
+
+    /// Connected components over the bipartite graph, each reported as the
+    /// set of variable ids it contains (sorted). Isolated variables form
+    /// singleton components.
+    pub fn connected_components(&self) -> Vec<Vec<VarId>> {
+        let n = self.vars.len();
+        let mut seen = vec![false; n];
+        let mut components = Vec::new();
+        let mut stack = Vec::new();
+        for start in 0..n {
+            if seen[start] {
+                continue;
+            }
+            seen[start] = true;
+            stack.push(VarId(start));
+            let mut comp = Vec::new();
+            while let Some(v) = stack.pop() {
+                comp.push(v);
+                for &f in &self.incident[v.0] {
+                    for &w in self.scope(f) {
+                        if !seen[w.0] {
+                            seen[w.0] = true;
+                            stack.push(w);
+                        }
+                    }
+                }
+            }
+            comp.sort();
+            components.push(comp);
+        }
+        components
+    }
+
+    /// The factors belonging to the variable set `component` — those
+    /// whose entire scope lies inside it — sorted ascending. This is the
+    /// reading consistent with the paper's worked example (a
+    /// two-observation track scored by two volume factors and one
+    /// transition factor, all fully contained).
+    pub fn component_factors(&self, component: &[VarId]) -> Vec<FactorId> {
+        let mut members: Vec<VarId> = component.to_vec();
+        members.sort_unstable();
+        members.dedup();
+        let contains = |w: VarId| members.binary_search(&w).is_ok();
+        let mut out: Vec<FactorId> = Vec::new();
+        for &v in &members {
+            for &f in self.incident_factors(v) {
+                // Count each factor exactly once: at its first scope
+                // variable, which lies in the component when it all does.
+                let scope = self.scope(f);
+                if scope[0] == v && scope.iter().all(|&w| contains(w)) {
+                    out.push(f);
+                }
+            }
+        }
+        out.sort_unstable();
+        out
+    }
+
+    /// Score a component of variables (Section 6): its factors'
+    /// probabilities through [`normalized_log_score`], in ascending
+    /// factor id order.
+    pub fn score_component(&self, component: &[VarId]) -> ComponentScore {
+        let factors = self.component_factors(component);
+        normalized_log_score(factors.iter().map(|&f| self.factor(f).probability))
+    }
+}
 
 /// A compiled scene: the graph and the observation → variable mapping.
 #[derive(Debug, Clone)]
@@ -51,8 +225,7 @@ impl CompiledScene {
     /// The reference score of the candidate made of `obs`: the factors
     /// whose whole scope lies inside it, folded in ascending id order.
     pub fn score(&self, obs: &[ObsIdx]) -> ComponentScore {
-        self.graph
-            .score_component(&self.vars_of(obs), |info| info.probability)
+        self.graph.score_component(&self.vars_of(obs))
     }
 }
 
@@ -111,8 +284,8 @@ pub fn compile_scene(
 ) -> Result<CompiledScene, FixyError> {
     // Validates up front, so the loop below cannot fail halfway.
     let ev = Evaluator::new(features, library)?;
-    let mut graph: SceneGraph =
-        FactorGraph::with_capacity(scene.n_observations(), scene.n_observations() * features.len());
+    let mut graph =
+        SceneGraph::with_capacity(scene.n_observations(), scene.n_observations() * features.len());
     let vars: Vec<VarId> = scene.observations().iter().map(|o| graph.add_var(o.idx)).collect();
 
     let mut scope: Vec<VarId> = Vec::new();
@@ -123,9 +296,8 @@ pub fn compile_scene(
             };
             scope.clear();
             scope.extend(edge_obs.iter().map(|o| vars[o.0]));
-            graph
-                .add_factor_from_slice(FactorInfo { feature_index, probability }, &scope)
-                .expect("scene indices are in range by construction");
+            // Scene indices are in range by construction.
+            graph.add_factor_from_slice(FactorInfo { feature_index, probability }, &scope);
         });
     }
     Ok(CompiledScene { graph, vars })
@@ -138,6 +310,7 @@ mod tests {
     use crate::learner::Learner;
     use crate::scene::AssemblyConfig;
     use loa_data::{generate_scene, DatasetProfile, SceneData};
+    use proptest::prelude::*;
 
     fn tiny(seed: u64) -> SceneData {
         let mut cfg = DatasetProfile::LyftLike.scene_config();
@@ -241,5 +414,127 @@ mod tests {
         let compiled = compile_scene(&scene, &FeatureSet::default(), &library).unwrap();
         assert_eq!(compiled.graph.var_count(), 0);
         assert_eq!(compiled.graph.factor_count(), 0);
+    }
+
+    fn info(probability: f64) -> FactorInfo {
+        FactorInfo { feature_index: 0, probability }
+    }
+
+    /// `n` variables plus one unary factor per variable and one
+    /// pairwise factor per neighbouring pair.
+    fn chain(n_vars: usize) -> SceneGraph {
+        let mut g = SceneGraph::with_capacity(n_vars, 2 * n_vars);
+        let vars: Vec<VarId> = (0..n_vars).map(|i| g.add_var(ObsIdx(i))).collect();
+        for &v in &vars {
+            g.add_factor_from_slice(info(0.5), &[v]);
+        }
+        for w in vars.windows(2) {
+            g.add_factor_from_slice(info(0.5), w);
+        }
+        g
+    }
+
+    #[test]
+    fn construction_and_counts() {
+        let g = chain(4);
+        assert_eq!(g.var_count(), 4);
+        assert_eq!(g.factor_count(), 7); // 4 unary + 3 pairwise
+        let edges: usize = g.factor_ids().map(|f| g.scope(f).len()).sum();
+        assert_eq!(edges, 4 + 6);
+    }
+
+    #[test]
+    fn scope_and_incidence_are_consistent() {
+        let g = chain(3);
+        for f in g.factor_ids() {
+            for &v in g.scope(f) {
+                assert!(g.incident_factors(v).contains(&f));
+            }
+        }
+        for v in (0..g.var_count()).map(VarId) {
+            for &f in g.incident_factors(v) {
+                assert!(g.scope(f).contains(&v));
+            }
+        }
+    }
+
+    #[test]
+    fn add_factor_validation() {
+        // Whether adding a factor over `scope` to a one-variable graph
+        // panics.
+        let rejects = |scope: &[VarId]| {
+            let mut g = SceneGraph::with_capacity(1, 1);
+            g.add_var(ObsIdx(0));
+            std::panic::catch_unwind(move || {
+                g.add_factor_from_slice(info(0.5), scope);
+            })
+            .is_err()
+        };
+        assert!(rejects(&[]), "empty scope");
+        assert!(rejects(&[VarId(7)]), "unknown variable");
+        assert!(rejects(&[VarId(0), VarId(0)]), "repeated variable");
+        assert!(!rejects(&[VarId(0)]));
+    }
+
+    #[test]
+    fn var_degree_counts_factors() {
+        let g = chain(3);
+        // Middle variable: 1 unary + 2 pairwise.
+        assert_eq!(g.incident_factors(VarId(1)).len(), 3);
+        assert_eq!(g.incident_factors(VarId(0)).len(), 2);
+    }
+
+    #[test]
+    fn connected_components_split() {
+        let mut g = SceneGraph::with_capacity(4, 1);
+        let [a, b, c, d] = [0, 1, 2, 3].map(|i| g.add_var(ObsIdx(i))); // d isolated
+        g.add_factor_from_slice(info(0.5), &[a, b]);
+        let comps = g.connected_components();
+        assert_eq!(comps.len(), 3);
+        assert!(comps.contains(&vec![a, b]));
+        assert!(comps.contains(&vec![c]));
+        assert!(comps.contains(&vec![d]));
+    }
+
+    #[test]
+    fn payload_access() {
+        let mut g = SceneGraph::with_capacity(1, 1);
+        let v = g.add_var(ObsIdx(3));
+        let f = g.add_factor_from_slice(info(0.5), &[v]);
+        assert_eq!(*g.var(v), ObsIdx(3));
+        assert_eq!(*g.factor(f), info(0.5));
+    }
+
+    #[test]
+    fn empty_graph() {
+        let g = SceneGraph::with_capacity(0, 0);
+        assert_eq!(g.var_count(), 0);
+        assert_eq!(g.connected_components().len(), 0);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_components_partition_vars(n in 1usize..20, extra_edges in 0usize..10) {
+            let mut g = SceneGraph::with_capacity(n, extra_edges);
+            let vars: Vec<VarId> = (0..n).map(|i| g.add_var(ObsIdx(i))).collect();
+            // Pseudo-random pairwise factors.
+            for e in 0..extra_edges {
+                let a = vars[(e * 7 + 1) % n];
+                let b = vars[(e * 13 + 3) % n];
+                if a != b {
+                    g.add_factor_from_slice(info(0.5), &[a, b]);
+                }
+            }
+            let comps = g.connected_components();
+            let total: usize = comps.iter().map(Vec::len).sum();
+            prop_assert_eq!(total, n);
+            // No var appears in two components.
+            let mut seen = std::collections::BTreeSet::new();
+            for comp in &comps {
+                for v in comp {
+                    prop_assert!(seen.insert(*v));
+                }
+            }
+        }
     }
 }

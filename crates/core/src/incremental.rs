@@ -32,8 +32,7 @@ use crate::error::FixyError;
 use crate::feature::FeatureSet;
 use crate::learner::FeatureLibrary;
 use crate::scene::{BundleIdx, FrameDelta, Scene, TrackIdx};
-use crate::score::{Evaluator, TrackStores};
-use loa_graph::ComponentScore;
+use crate::score::{ComponentScore, Evaluator, TrackStores};
 
 /// Streaming counterpart of [`crate::score::ScoreEngine`]: the same
 /// stores and folds (so the same scores, bit for bit), O(Δ) per streamed

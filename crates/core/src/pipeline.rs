@@ -15,11 +15,12 @@
 //!                                                          ┘   (scene id, then score)
 //! ```
 //!
-//! One worker pool serves every entry point: workers pull one scene at
-//! a time from one shared source ([`ScenePipeline::process_stream`]);
-//! the batch entry points ([`run`](ScenePipeline::run),
-//! [`run_merged`](ScenePipeline::run_merged),
+//! One worker pool, [`pool_map`], serves every entry point: workers pull
+//! one scene at a time from one shared source
+//! ([`ScenePipeline::process_stream`]); the batch entry points
+//! ([`run`](ScenePipeline::run), [`run_merged`](ScenePipeline::run_merged),
 //! [`process`](ScenePipeline::process)) feed it their collected scenes.
+//! [`worker_count`] sizes it.
 //!
 //! Determinism is a contract, not an accident: the parallel path yields
 //! results byte-identical to the sequential path (`tests/pipeline.rs`
@@ -37,6 +38,9 @@ use crate::score::ScoreEngine;
 use loa_data::SceneData;
 use std::cell::RefCell;
 use std::collections::BTreeSet;
+use std::num::NonZeroUsize;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Mutex;
 
 thread_local! {
     /// One [`AssemblyEngine`] per worker thread: scenes fanned out to the
@@ -53,6 +57,93 @@ fn assemble_reusing_engine(data: &SceneData, cfg: &AssemblyConfig) -> Scene {
         engine.set_config(*cfg);
         engine.assemble(data)
     })
+}
+
+/// The worker count of the parallel pool: a positive integer in
+/// `RAYON_NUM_THREADS` (the conventional name, which the benchmark sets),
+/// else the machine's available parallelism, else 1.
+pub fn worker_count() -> usize {
+    worker_count_from(std::env::var("RAYON_NUM_THREADS").ok().as_deref())
+}
+
+/// [`worker_count`] given the variable's value.
+fn worker_count_from(var: Option<&str>) -> usize {
+    match var.and_then(|s| s.parse::<usize>().ok()) {
+        Some(n) if n > 0 => n,
+        _ => std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1),
+    }
+}
+
+/// Map `work` over `items` on a pull pool of `workers` scoped threads,
+/// keeping input order. `work` gets each item with its input index.
+///
+/// Items are pulled one at a time, in input order, under one lock (the
+/// only per-item lock; the source is a generic iterator), and `work` runs
+/// on the worker that pulled it, so uneven items balance and at most
+/// `workers` items are in flight. The first failure stops further pulls,
+/// and the error returned is the lowest-index one: items are pulled in
+/// order, so by the time item `k` fails every item before it was pulled
+/// and records its own failure if it has one — exactly the error a
+/// sequential run returns first. With at most one worker the map runs on
+/// the calling thread.
+pub fn pool_map<S, T, E, I, W>(workers: usize, items: I, work: W) -> Result<Vec<T>, E>
+where
+    I: IntoIterator<Item = S>,
+    I::IntoIter: Send,
+    S: Send,
+    T: Send,
+    E: Send,
+    W: Fn(usize, S) -> Result<T, E> + Sync,
+{
+    if workers <= 1 {
+        return items
+            .into_iter()
+            .enumerate()
+            .map(|(index, item)| work(index, item))
+            .collect();
+    }
+
+    let source = Mutex::new(items.into_iter().enumerate());
+    let first_error: Mutex<Option<(usize, E)>> = Mutex::new(None);
+    let stop = AtomicBool::new(false);
+    // Workers buffer results locally and are merged by index at the end.
+    let mut results: Vec<(usize, T)> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..workers)
+            .map(|_| {
+                scope.spawn(|| {
+                    let mut local = Vec::new();
+                    while !stop.load(Ordering::Relaxed) {
+                        let next = source.lock().expect("pool source poisoned").next();
+                        let Some((index, item)) = next else { break };
+                        match work(index, item) {
+                            Ok(value) => local.push((index, value)),
+                            Err(error) => {
+                                let mut slot = first_error.lock().expect("error slot poisoned");
+                                if !matches!(&*slot, Some((winner, _)) if *winner <= index) {
+                                    *slot = Some((index, error));
+                                }
+                                stop.store(true, Ordering::Relaxed);
+                                break;
+                            }
+                        }
+                    }
+                    local
+                })
+            })
+            .collect();
+        handles
+            .into_iter()
+            .flat_map(|h| h.join().expect("pool worker panicked"))
+            .collect()
+    });
+
+    if let Some((_, error)) = first_error.into_inner().expect("error slot poisoned") {
+        return Err(error);
+    }
+    results.sort_by_key(|&(index, _)| index);
+    Ok(results.into_iter().map(|(_, value)| value).collect())
 }
 
 /// An application that can rank one assembled scene — the unit of work
@@ -237,13 +328,12 @@ impl<R: SceneRanker> ScenePipeline<R> {
     /// extraction, …) so per-scene state is dropped before the batch
     /// collects. Results keep input order.
     ///
-    /// The collected scenes run through the pull pool behind
-    /// [`process_stream`](Self::process_stream), with at most one worker
-    /// per scene so a small batch spawns no idle threads. A worker takes
-    /// the next scene as soon as it is free, so uneven scenes balance
-    /// and each worker's thread-local `AssemblyEngine` buffers amortize
-    /// over every scene it takes. The returned error is the lowest-index
-    /// failure, as on the sequential path.
+    /// The collected scenes run through [`pool_map`], with at most one
+    /// worker per scene so a small batch spawns no idle threads. A worker
+    /// takes the next scene as soon as it is free, so uneven scenes
+    /// balance and each worker's thread-local `AssemblyEngine` buffers
+    /// amortize over every scene it takes. The returned error is the
+    /// lowest-index failure, as on the sequential path.
     pub fn process<T, F>(
         &self,
         library: &FeatureLibrary,
@@ -255,8 +345,7 @@ impl<R: SceneRanker> ScenePipeline<R> {
         F: Fn(RankedScene<R::Candidate>) -> T + Sync + Send,
     {
         let scenes: Vec<SceneData> = scenes.into_iter().collect();
-        let workers =
-            if self.parallel { rayon::current_num_threads().min(scenes.len()) } else { 1 };
+        let workers = if self.parallel { worker_count().min(scenes.len()) } else { 1 };
         self.process_stream_with_workers(workers, library, scenes, Ok::<_, FixyError>, post)
     }
 
@@ -266,8 +355,8 @@ impl<R: SceneRanker> ScenePipeline<R> {
     /// The batch entry points materialize the whole input before fanning
     /// out — fine for a handful of scenes, unaffordable for a
     /// fleet-scale corpus directory. Here `sources` yields cheap scene
-    /// *tokens* (paths, seeds) which workers pull one at a time under a
-    /// lock, in input order; `load` then materializes the scene inside
+    /// *tokens* (paths, seeds) which [`pool_map`]'s workers pull one at a
+    /// time, in input order; `load` then materializes the scene inside
     /// the worker — so decode cost parallelizes instead of serializing
     /// on the pull lock — and only `post`'s output is retained. `load`
     /// failures propagate like scene errors. Results keep input order
@@ -290,13 +379,13 @@ impl<R: SceneRanker> ScenePipeline<R> {
         T: Send,
         F: Fn(RankedScene<R::Candidate>) -> T + Sync + Send,
     {
-        let workers = if self.parallel { rayon::current_num_threads() } else { 1 };
+        let workers = if self.parallel { worker_count() } else { 1 };
         self.process_stream_with_workers(workers, library, sources, load, post)
     }
 
     /// [`process_stream`](Self::process_stream) with an explicit worker
-    /// count (the public wrappers pick it from the thread-pool width;
-    /// tests pin it to exercise the threaded branch on any host).
+    /// count (the public wrappers take it from [`worker_count`]; tests
+    /// pin it to exercise the threaded branch on any host).
     fn process_stream_with_workers<S, T, F, L, E, I>(
         &self,
         workers: usize,
@@ -314,82 +403,10 @@ impl<R: SceneRanker> ScenePipeline<R> {
         T: Send,
         F: Fn(RankedScene<R::Candidate>) -> T + Sync + Send,
     {
-        if workers <= 1 {
-            // Sequential reference path: one scene in memory, first
-            // error aborts.
-            let mut out = Vec::new();
-            for (index, token) in sources.into_iter().enumerate() {
-                let data = load(token).map_err(Into::into)?;
-                out.push(post(self.process_scene(index, data, library)?));
-            }
-            return Ok(out);
-        }
-
-        use std::sync::atomic::{AtomicBool, Ordering};
-        use std::sync::Mutex;
-        let source = Mutex::new(sources.into_iter().enumerate());
-        // Lowest-index failure wins: tokens are pulled in input order, so
-        // by the time index `k` fails every scene before `k` was already
-        // pulled and will record its own (lower-index) failure if it has
-        // one — the winner is exactly the error the sequential path
-        // would have returned first.
-        let first_error: Mutex<Option<(usize, FixyError)>> = Mutex::new(None);
-        let stop = AtomicBool::new(false);
-        let record_error = |index: usize, error: FixyError| {
-            let mut slot = first_error.lock().expect("error slot poisoned");
-            match &*slot {
-                Some((winner, _)) if *winner <= index => {}
-                _ => *slot = Some((index, error)),
-            }
-            stop.store(true, Ordering::Relaxed);
-        };
-
-        // Workers buffer results locally; the only per-scene lock is the
-        // token pull (unavoidable — the source is a generic iterator).
-        let mut locals: Vec<Vec<(usize, T)>> = Vec::with_capacity(workers);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|_| {
-                    scope.spawn(|| {
-                        let mut local: Vec<(usize, T)> = Vec::new();
-                        loop {
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
-                            // Only the token pull is serialized; the load
-                            // (file read, decode, generation) runs on this
-                            // worker.
-                            let next = source.lock().expect("scene source poisoned").next();
-                            let Some((index, token)) = next else { break };
-                            match load(token) {
-                                Err(e) => {
-                                    record_error(index, e.into());
-                                    break;
-                                }
-                                Ok(data) => match self.process_scene(index, data, library) {
-                                    Ok(ranked) => local.push((index, post(ranked))),
-                                    Err(e) => {
-                                        record_error(index, e);
-                                        break;
-                                    }
-                                },
-                            }
-                        }
-                        local
-                    })
-                })
-                .collect();
-            for h in handles {
-                locals.push(h.join().expect("pipeline worker panicked"));
-            }
-        });
-
-        if let Some((_, error)) = first_error.into_inner().expect("error slot poisoned") {
-            return Err(error);
-        }
-        let mut results: Vec<(usize, T)> = locals.into_iter().flatten().collect();
-        results.sort_by_key(|&(index, _)| index);
-        Ok(results.into_iter().map(|(_, value)| value).collect())
+        pool_map(workers, sources, |index, token| {
+            let data = load(token).map_err(Into::into)?;
+            Ok(post(self.process_scene(index, data, library)?))
+        })
     }
 
     /// Run the batch and merge all candidates into one deterministic
@@ -448,6 +465,34 @@ mod tests {
     fn library(train: &[SceneData]) -> FeatureLibrary {
         let finder = MissingTrackFinder::default();
         Learner::new().fit(&finder.feature_set(), train).expect("fit")
+    }
+
+    #[test]
+    fn worker_count_takes_a_positive_integer_else_the_machine() {
+        let machine = std::thread::available_parallelism()
+            .map(NonZeroUsize::get)
+            .unwrap_or(1);
+        assert_eq!(worker_count_from(Some("2")), 2);
+        for var in [None, Some("0"), Some(""), Some("x")] {
+            assert_eq!(worker_count_from(var), machine, "{var:?}");
+        }
+    }
+
+    #[test]
+    fn pool_preserves_order() {
+        for workers in [1, 2, 3, 8] {
+            for n in [0, 1, 50] {
+                let out = pool_map(workers, 0..n, |index, x| {
+                    assert_eq!(index, x);
+                    Ok::<_, ()>(x * 2)
+                });
+                assert_eq!(
+                    out,
+                    Ok((0..n).map(|x| x * 2).collect()),
+                    "{workers} workers, {n} items"
+                );
+            }
+        }
     }
 
     #[test]

@@ -5,8 +5,8 @@
 //! to contain errors."*
 
 use crate::scene::{BundleIdx, Scene, TrackIdx};
+use crate::score::ComponentScore;
 use loa_data::ObjectClass;
-use loa_graph::ComponentScore;
 use serde::{Deserialize, Serialize};
 
 /// A ranked track candidate.

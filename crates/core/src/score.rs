@@ -1,8 +1,12 @@
-//! Scoring OBTs (Section 6): the one scoring engine.
+//! Scoring OBTs (Section 6): the one score rule and the one scoring
+//! engine.
 //!
 //! A candidate's score is `Σ ln p` over the (AOF-transformed) factors
 //! inside it, divided by their count; a candidate with an AOF-zeroed
-//! factor is excluded from ranking. Batch [`ScoreEngine`] and streamed
+//! factor is excluded from ranking. `ComponentScore::from_fold` states
+//! that rule once; [`normalized_log_score`] applies it to a list of
+//! probabilities (the reference graph's fold), and the engine applies it
+//! to counts kept beside its stores. Batch [`ScoreEngine`] and streamed
 //! [`IncrementalScorer`](crate::incremental::IncrementalScorer) both
 //! evaluate every factor once into per-track `ln p` stores and fold
 //! candidates from them; the batch engine ingests the whole scene as a
@@ -31,7 +35,8 @@
 //! ## Bit-identity with the Section 4.3 reference
 //!
 //! The reference is [`compile_scene`](crate::compile::compile_scene) +
-//! `FactorGraph::score_component`: it assigns factor ids
+//! [`SceneGraph::score_component`](crate::compile::SceneGraph::score_component):
+//! it assigns factor ids
 //! lexicographically in `(feature_index, target-visit-order)` and folds a
 //! candidate's factors in ascending id order. Per feature the visit order
 //! is: observation index, bundle index, `(track, later-bundle)` for
@@ -66,8 +71,74 @@ use crate::error::FixyError;
 use crate::feature::{FeatureKind, FeatureSet, FeatureTarget, ProbabilityModel};
 use crate::learner::{FeatureLibrary, FittedDistribution};
 use crate::scene::{BundleIdx, ObsIdx, Scene, TrackIdx};
-use loa_graph::ComponentScore;
 use std::ops::Add;
+
+/// The result of scoring a component.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct ComponentScore {
+    /// Mean log-likelihood: `Σ ln p / n_factors`. `None` when no factor is
+    /// attached (no evidence — the component cannot be ranked), or when an
+    /// AOF zeroed a factor (`ln 0 = −∞` means "excluded", per Section 7's
+    /// applications).
+    pub score: Option<f64>,
+    /// Number of factors that contributed.
+    pub factor_count: usize,
+    /// True when some factor evaluated to exactly zero (AOF suppression).
+    pub zeroed: bool,
+}
+
+impl ComponentScore {
+    /// An empty score (no factors).
+    pub fn empty() -> Self {
+        ComponentScore { score: None, factor_count: 0, zeroed: false }
+    }
+
+    /// The score rule: no factors give [`empty`](Self::empty), a zeroed
+    /// factor excludes the component, and otherwise the score is the
+    /// mean of the factors' `ln p`, whose sum `sum` folds (called only
+    /// then).
+    fn from_fold(factor_count: usize, zeroed: bool, sum: impl FnOnce() -> f64) -> Self {
+        if factor_count == 0 {
+            ComponentScore::empty()
+        } else if zeroed {
+            ComponentScore { score: None, factor_count, zeroed: true }
+        } else {
+            ComponentScore {
+                score: Some(sum() / factor_count as f64),
+                factor_count,
+                zeroed: false,
+            }
+        }
+    }
+}
+
+/// A factor's `ln p`, or `None` when it is zeroed: `p` is zero, negative
+/// or not finite. Values are expected in `(0, 1]`; they are not clamped
+/// here (the stats crate guarantees the floor).
+fn factor_ln(p: f64) -> Option<f64> {
+    if p <= 0.0 || !p.is_finite() {
+        None
+    } else {
+        Some(p.ln())
+    }
+}
+
+/// Compute `Σ ln(pᵢ) / n` over factor probabilities, folded in the given
+/// order: no probabilities give [`ComponentScore::empty`], and a zero,
+/// negative or non-finite one excludes the component (`score = None`).
+pub fn normalized_log_score(probabilities: impl IntoIterator<Item = f64>) -> ComponentScore {
+    let mut sum = 0.0;
+    let mut count = 0usize;
+    let mut zeroed = false;
+    for p in probabilities {
+        count += 1;
+        match factor_ln(p) {
+            Some(ln) => sum += ln,
+            None => zeroed = true,
+        }
+    }
+    ComponentScore::from_fold(count, zeroed, || sum)
+}
 
 /// Resolves a feature on a target to its AOF-transformed probability —
 /// the one resolution path, shared by the stores and by `compile_scene`.
@@ -140,8 +211,8 @@ enum Slot {
     Track(usize),
 }
 
-/// Factors present and factors zeroed — all `normalized_log_score` needs
-/// besides the sum.
+/// Factors present and factors zeroed — all [`ComponentScore::from_fold`]
+/// needs besides the sum.
 #[derive(Debug, Clone, Copy, Default)]
 struct Counts {
     present: u32,
@@ -165,29 +236,16 @@ impl Counts {
             return 0.0;
         };
         self.present += 1;
-        if p <= 0.0 || !p.is_finite() {
+        factor_ln(p).unwrap_or_else(|| {
             self.zeroed += 1;
             0.0
-        } else {
-            p.ln()
-        }
+        })
     }
 
     /// The score `normalized_log_score` gives these factors; `sum` folds
     /// their values and runs only when the score needs it.
     fn score(self, sum: impl FnOnce() -> f64) -> ComponentScore {
-        let factor_count = self.present as usize;
-        if factor_count == 0 {
-            ComponentScore::empty()
-        } else if self.zeroed > 0 {
-            ComponentScore { score: None, factor_count, zeroed: true }
-        } else {
-            ComponentScore {
-                score: Some(sum() / factor_count as f64),
-                factor_count,
-                zeroed: false,
-            }
-        }
+        ComponentScore::from_fold(self.present as usize, self.zeroed > 0, sum)
     }
 }
 
@@ -520,6 +578,7 @@ impl<'a> ScoreEngine<'a> {
 mod tests {
     use super::*;
     use crate::aof::Aof;
+    use crate::compile::{FactorInfo, SceneGraph, VarId};
     use crate::feature::{
         BoundFeature, Feature, FeatureKind, FeatureSet, FeatureTarget, FeatureValue,
         ProbabilityModel,
@@ -527,6 +586,7 @@ mod tests {
     use crate::scene::{AssemblyConfig, Observation, Scene};
     use loa_data::{FrameId, ObjectClass, ObservationSource};
     use loa_geom::{Box3, Vec2};
+    use proptest::prelude::*;
     use std::sync::Arc;
 
     /// A manual observation feature with a fixed probability.
@@ -622,6 +682,92 @@ mod tests {
         let expected = (0.37f64.ln() + 0.39f64.ln() + 0.21f64.ln()) / 3.0;
         assert!((s - expected).abs() < 1e-12, "{s} vs {expected}");
         assert!((s - (-1.17)).abs() < 0.005, "paper reports −1.17, got {s}");
+
+        // The same three factors through the reference fold.
+        let reference = normalized_log_score([0.37, 0.39, 0.21]);
+        assert_eq!(reference.factor_count, 3);
+        assert_eq!(reference.score.unwrap().to_bits(), expected.to_bits());
+    }
+
+    #[test]
+    fn empty_component_has_no_score() {
+        let score = normalized_log_score(std::iter::empty());
+        assert_eq!(score, ComponentScore::empty());
+    }
+
+    #[test]
+    fn zero_probability_excludes() {
+        let score = normalized_log_score([0.5, 0.0, 0.9]);
+        assert!(score.zeroed);
+        assert_eq!(score.score, None);
+        assert_eq!(score.factor_count, 3);
+    }
+
+    #[test]
+    fn nan_probability_excludes() {
+        let score = normalized_log_score([0.5, f64::NAN]);
+        assert!(score.zeroed);
+    }
+
+    #[test]
+    fn normalization_makes_sizes_comparable() {
+        // Same per-factor likelihood → same score regardless of length.
+        let short = normalized_log_score(vec![0.5; 3]).score.unwrap();
+        let long = normalized_log_score(vec![0.5; 30]).score.unwrap();
+        assert!((short - long).abs() < 1e-12);
+    }
+
+    /// Two observations with a volume factor each and one transition.
+    fn track_graph() -> (SceneGraph, Vec<VarId>) {
+        let mut g = SceneGraph::with_capacity(2, 3);
+        let o1 = g.add_var(ObsIdx(0));
+        let o2 = g.add_var(ObsIdx(1));
+        for (probability, scope) in [(0.37, vec![o1]), (0.39, vec![o2]), (0.21, vec![o1, o2])] {
+            g.add_factor_from_slice(FactorInfo { feature_index: 0, probability }, &scope);
+        }
+        (g, vec![o1, o2])
+    }
+
+    #[test]
+    fn graph_component_scoring_matches_worked_example() {
+        let (g, vars) = track_graph();
+        let score = g.score_component(&vars);
+        assert_eq!(score.factor_count, 3);
+        assert!((score.score.unwrap() - (-1.17)).abs() < 0.005);
+    }
+
+    #[test]
+    fn component_factors_deduplicated() {
+        let (g, vars) = track_graph();
+        // The transition factor touches both vars but must be listed once.
+        let fs = g.component_factors(&vars);
+        assert_eq!(fs.len(), 3);
+    }
+
+    proptest! {
+        #[test]
+        fn prop_score_bounded_by_extremes(
+            ps in proptest::collection::vec(0.001f64..1.0, 1..50),
+        ) {
+            let score = normalized_log_score(ps.iter().copied()).score.unwrap();
+            let min_ln = ps.iter().copied().fold(f64::INFINITY, |a, p: f64| a.min(p.ln()));
+            let max_ln = ps.iter().copied().fold(f64::NEG_INFINITY, |a, p: f64| a.max(p.ln()));
+            prop_assert!(score >= min_ln - 1e-9);
+            prop_assert!(score <= max_ln + 1e-9);
+        }
+
+        #[test]
+        fn prop_score_monotone_in_each_probability(
+            ps in proptest::collection::vec(0.01f64..0.99, 2..20),
+            idx in 0usize..19,
+        ) {
+            let idx = idx % ps.len();
+            let base = normalized_log_score(ps.iter().copied()).score.unwrap();
+            let mut better = ps.clone();
+            better[idx] = (better[idx] * 1.5).min(1.0);
+            let improved = normalized_log_score(better).score.unwrap();
+            prop_assert!(improved >= base);
+        }
     }
 
     #[test]

@@ -8,17 +8,19 @@ pub mod recall;
 pub mod runtime;
 pub mod table3;
 
-use rayon::prelude::*;
+use fixy_core::pipeline::{pool_map, worker_count};
+use std::convert::Infallible;
 
-/// Map a function over items in parallel (scenes are independent),
-/// keeping input order.
+/// Map a function over items in parallel (scenes are independent) on the
+/// pipeline's worker pool, keeping input order.
 pub(crate) fn parallel_map<T, R, F>(items: Vec<T>, f: F) -> Vec<R>
 where
     T: Send,
     R: Send,
     F: Fn(T) -> R + Sync + Send,
 {
-    items.into_par_iter().map(f).collect()
+    let workers = worker_count().min(items.len());
+    pool_map(workers, items, |_, item| Ok::<_, Infallible>(f(item))).unwrap_or_else(|e| match e {})
 }
 
 /// Shrink a scene config for fast test runs.

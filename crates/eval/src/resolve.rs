@@ -100,6 +100,27 @@ pub fn resolve_track(data: &SceneData, scene: &Scene, track: TrackIdx) -> TrackR
     TrackResolution { n_model_obs, n_error_obs, majority_actor }
 }
 
+impl TrackResolution {
+    /// The actor a strict majority of the model observations detect.
+    fn strict_majority_actor(&self) -> Option<TrackId> {
+        match self.majority_actor {
+            Some((actor, count)) if 2 * count > self.n_model_obs => Some(actor),
+            _ => None,
+        }
+    }
+
+    /// See [`missing_track_hit_actor`].
+    fn missing_track_actor(&self, data: &SceneData) -> Option<TrackId> {
+        self.strict_majority_actor()
+            .filter(|&actor| data.injected.missing_tracks.iter().any(|m| m.track == actor))
+    }
+
+    /// See [`is_model_error_hit`].
+    fn is_model_error(&self) -> bool {
+        self.n_model_obs > 0 && 2 * self.n_error_obs > self.n_model_obs
+    }
+}
+
 /// The missed actor a track candidate is a missing-track hit for: the
 /// strict majority of its model observations detect an actor the vendor
 /// missed entirely.
@@ -108,16 +129,7 @@ pub fn missing_track_hit_actor(
     scene: &Scene,
     track: TrackIdx,
 ) -> Option<TrackId> {
-    let res = resolve_track(data, scene, track);
-    match res.majority_actor {
-        Some((actor, count))
-            if 2 * count > res.n_model_obs
-                && data.injected.missing_tracks.iter().any(|m| m.track == actor) =>
-        {
-            Some(actor)
-        }
-        _ => None,
-    }
+    resolve_track(data, scene, track).missing_track_actor(data)
 }
 
 /// Whether a track candidate is a hit for the missing-track experiment
@@ -129,22 +141,22 @@ pub fn is_missing_track_hit(data: &SceneData, scene: &Scene, track: TrackIdx) ->
 /// Whether a track candidate is a hit for the model-error experiment: a
 /// majority of its model observations are erroneous.
 pub fn is_model_error_hit(data: &SceneData, scene: &Scene, track: TrackIdx) -> bool {
-    let res = resolve_track(data, scene, track);
-    res.n_model_obs > 0 && 2 * res.n_error_obs > res.n_model_obs
+    resolve_track(data, scene, track).is_model_error()
 }
 
-/// Coarse classification of a flagged track.
+/// Coarse classification of a flagged track, from one
+/// [`resolve_track`]: a missing-track hit, else a model-error hit, else
+/// labelled real when a strict majority detects one actor.
 pub fn resolve_track_candidate(data: &SceneData, scene: &Scene, track: TrackIdx) -> CandidateTruth {
-    if is_missing_track_hit(data, scene, track) {
-        return CandidateTruth::MissingTrack;
-    }
-    if is_model_error_hit(data, scene, track) {
-        return CandidateTruth::ModelError;
-    }
     let res = resolve_track(data, scene, track);
-    match res.majority_actor {
-        Some((_, count)) if 2 * count > res.n_model_obs => CandidateTruth::LabeledReal,
-        _ => CandidateTruth::Ambiguous,
+    if res.missing_track_actor(data).is_some() {
+        CandidateTruth::MissingTrack
+    } else if res.is_model_error() {
+        CandidateTruth::ModelError
+    } else if res.strict_majority_actor().is_some() {
+        CandidateTruth::LabeledReal
+    } else {
+        CandidateTruth::Ambiguous
     }
 }
 
@@ -479,6 +491,31 @@ mod tests {
             }
         }
         assert!(found, "ghost track did not resolve as model error");
+    }
+
+    #[test]
+    fn candidate_truth_agrees_with_the_separate_predicates() {
+        let data = ScenarioFuzzer::new(7).scene(0);
+        let mut seen = BTreeMap::new();
+        for preset in [AssemblyConfig::default(), AssemblyConfig::model_only()] {
+            let scene = Scene::assemble(&data, &preset);
+            for t in scene.tracks() {
+                let res = resolve_track(&data, &scene, t.idx);
+                let expected = if is_missing_track_hit(&data, &scene, t.idx) {
+                    CandidateTruth::MissingTrack
+                } else if is_model_error_hit(&data, &scene, t.idx) {
+                    CandidateTruth::ModelError
+                } else if matches!(res.majority_actor, Some((_, c)) if 2 * c > res.n_model_obs) {
+                    CandidateTruth::LabeledReal
+                } else {
+                    CandidateTruth::Ambiguous
+                };
+                let truth = resolve_track_candidate(&data, &scene, t.idx);
+                assert_eq!(truth, expected, "track {:?}", t.idx);
+                *seen.entry(format!("{truth:?}")).or_insert(0usize) += 1;
+            }
+        }
+        assert!(seen.len() >= 3, "too few verdicts exercised: {seen:?}");
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! * [`core`] — the LOA DSL and engine (scenes, features, AOFs, learner,
 //!   factor-graph scoring, applications),
 //! * [`data`] — the synthetic AV perception dataset substrate,
-//! * [`geom`], [`stats`], [`graph`], [`assoc`] — the substrates,
+//! * [`geom`], [`stats`], [`assoc`] — the substrates,
 //! * [`baselines`] — ad-hoc model assertions and uncertainty sampling,
 //! * [`eval`] — the experiment harness reproducing Section 8,
 //! * [`ingest`] — streaming ingest (incremental frame-by-frame assembly,
@@ -48,7 +48,6 @@ pub use loa_baselines as baselines;
 pub use loa_data as data;
 pub use loa_eval as eval;
 pub use loa_geom as geom;
-pub use loa_graph as graph;
 pub use loa_ingest as ingest;
 pub use loa_obs as obs;
 pub use loa_render as render;

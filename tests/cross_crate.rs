@@ -2,10 +2,10 @@
 //! where their responsibilities overlap.
 
 use fixy::assoc::{bundle_frame, greedy_match, IouBundler, Match};
+use fixy::core::score::normalized_log_score;
 use fixy::data::scenarios::all_scenarios;
 use fixy::data::{generate_scene, DatasetProfile};
 use fixy::geom::{iou_bev, Box3};
-use fixy::graph::normalized_log_score;
 use fixy::prelude::*;
 use fixy::render::{render_frame_ascii, AsciiOptions, FrameLayers};
 use fixy::stats::{Density1d, Kde1d};

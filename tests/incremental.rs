@@ -17,9 +17,9 @@
 //! scenes, and the empty/single-frame edges.
 
 use fixy::core::compile::compile_scene;
+use fixy::core::score::ComponentScore;
 use fixy::core::{IncrementalScorer, Learner};
 use fixy::data::ScenarioFuzzer;
-use fixy::graph::ComponentScore;
 use fixy::ingest::StreamingAssembler;
 use fixy::prelude::*;
 use proptest::prelude::*;

@@ -2,8 +2,8 @@
 //! assemble → compile → score → rank, across crate boundaries.
 
 use fixy::core::compile::{compile_scene, CompiledScene};
+use fixy::core::score::ComponentScore;
 use fixy::data::{generate_scene, DatasetProfile, ObservationSource, ScenarioFuzzer, SceneConfig};
-use fixy::graph::ComponentScore;
 use fixy::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
