@@ -105,3 +105,43 @@ pub mod prelude {
     };
     pub use crate::score::ScoreEngine;
 }
+
+#[cfg(test)]
+mod tests {
+    use crate::pipeline::pool_map;
+
+    #[test]
+    fn map_preserves_order() {
+        let v: Vec<u64> = (0..1000).collect();
+        for workers in [1, 4] {
+            let doubled = pool_map(workers, v.clone(), |_, x| Ok::<_, ()>(x * 2));
+            assert_eq!(doubled, Ok(v.iter().map(|x| x * 2).collect::<Vec<_>>()));
+        }
+    }
+
+    #[test]
+    fn collect_results() {
+        for workers in [1, 3] {
+            let ok = pool_map(workers, vec![1u32, 2, 3], |_, x| Ok::<_, String>(x));
+            assert_eq!(ok, Ok(vec![1, 2, 3]));
+            let err = pool_map(workers, vec![1u32, 2, 3, 4], |_, x| {
+                if x % 2 == 0 {
+                    Err(format!("boom {x}"))
+                } else {
+                    Ok(x)
+                }
+            });
+            assert_eq!(err, Err("boom 2".to_string()), "{workers} workers");
+        }
+    }
+
+    #[test]
+    fn empty_and_single() {
+        for workers in [1, 2] {
+            let none = pool_map(workers, Vec::<u8>::new(), |_, x| Ok::<_, ()>(x));
+            assert_eq!(none, Ok(Vec::new()));
+            let one = pool_map(workers, vec![7u8], |_, x| Ok::<_, ()>(x + 1));
+            assert_eq!(one, Ok(vec![8]));
+        }
+    }
+}
