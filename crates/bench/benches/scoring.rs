@@ -8,7 +8,13 @@
 //! * `scoring/components_*` — scoring every track of a scene through the
 //!   Section 4.3 reference (per-candidate `score_component` over the
 //!   compiled factor graph: set rebuilds) vs the engine's single-sweep
-//!   `score_all_tracks` over its per-track stores.
+//!   `score_all_tracks` over its factor columns.
+//! * `scoring/engine_new` vs `scoring/rescore_stream` — the column
+//!   kernel that fills the factor columns, run once over the whole scene
+//!   (`ScoreEngine::new`) and over every frame's delta of the same scene
+//!   (`IncrementalScorer::rescore_delta` from an empty scorer through the
+//!   last frame; the snapshots are taken beforehand, so only the rescore
+//!   is timed).
 //!
 //! Set `FIXY_BENCH_SMOKE=1` to run on a miniature scene with 3 samples —
 //! the CI smoke mode that keeps the bench compiling *and* executing.
@@ -16,6 +22,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use fixy_core::compile::compile_scene;
 use fixy_core::prelude::*;
+use fixy_core::scene::{AssemblyEngine, FrameDelta};
 use fixy_core::score::ScoreEngine;
 use fixy_core::{FittedDistribution, Learner};
 use loa_data::{generate_scene, DatasetProfile, ObjectClass, SceneData};
@@ -117,5 +124,51 @@ fn bench_component_scoring(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_density, bench_component_scoring);
+fn bench_factor_columns(c: &mut Criterion) {
+    let (data, library, finder) = setup();
+    let features = finder.feature_set();
+    let scene = Scene::assemble(&data, &AssemblyConfig::default());
+    let mut assembler = AssemblyEngine::new(AssemblyConfig::default());
+    assembler.begin(data.frame_dt);
+    let mut snapshot = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
+    let frames: Vec<(Scene, FrameDelta)> = data
+        .frames
+        .iter()
+        .map(|frame| {
+            assembler.push_frame(frame);
+            assembler.update_snapshot(&mut snapshot).expect("snapshot");
+            (snapshot.clone(), assembler.last_delta().expect("delta").clone())
+        })
+        .collect();
+    assert!(
+        frames.last().is_some_and(|(last, _)| *last == scene),
+        "stream ends at the batch scene"
+    );
+    let mut scorer = IncrementalScorer::new(&features, &library).expect("scorer");
+
+    let mut group = c.benchmark_group("scoring");
+    group.sample_size(if smoke() { 3 } else { 20 });
+
+    group.bench_function("engine_new", |b| {
+        b.iter(|| {
+            let engine = ScoreEngine::new(black_box(&scene), &features, &library).expect("engine");
+            black_box(engine.score_track(TrackIdx(0)))
+        })
+    });
+
+    group.bench_function("rescore_stream", |b| {
+        b.iter(|| {
+            scorer.begin();
+            let mut dirty = 0usize;
+            for (snapshot, delta) in &frames {
+                dirty += scorer.rescore_delta(black_box(snapshot), delta);
+            }
+            black_box(dirty)
+        })
+    });
+
+    group.finish();
+}
+
+criterion_group!(benches, bench_density, bench_component_scoring, bench_factor_columns);
 criterion_main!(benches);

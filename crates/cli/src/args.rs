@@ -59,8 +59,8 @@ the extension swapped).
 stream replays one scene frame-by-frame through the StreamingAssembler,
 re-ranking the partial scene after every frame and printing per-frame
 latency: the live-deployment path, where errors surface before the
-scene has even finished recording. Re-ranking is incremental (per-track
-log-probability stores, re-folded only for the tracks a frame changed);
+scene has even finished recording. Re-ranking is incremental (scene-wide
+log-probability columns, re-folded only for the tracks a frame changed);
 --compare-full additionally scores the whole snapshot every frame,
 prints delta-vs-full latency, and exits non-zero if the worklists ever
 diverge. --trace enables loa_obs span tracing and prints a per-frame

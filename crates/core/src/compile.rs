@@ -9,7 +9,7 @@
 //! the group and the feature distribution."*
 //!
 //! Ranking does not go through the graph: [`crate::score`] folds the same
-//! factors from per-track stores, bit-identical to
+//! factors from scene-wide factor columns, bit-identical to
 //! [`CompiledScene::score`] under its precondition. The graph stays as the
 //! paper's semantics spelled out, for the equivalence tests and figures.
 

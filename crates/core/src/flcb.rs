@@ -18,12 +18,18 @@
 //! │            tag u8 · distribution state                       │
 //! │              (a KDE: kernel · bandwidth · samples · grid     │
 //! │               start, step, max density, densities)           │
+//! │          checksum u64 (FNV-1a-64 over the payload's words)   │
 //! └──────────────────────────────────────────────────────────────┘
 //! ```
 //!
 //! Grids travel bit-exact (`to_le_bytes`), so an `.flcb` load scores
 //! **bit-identically** to the JSON path — which rebuilds the same grids
-//! deterministically — without ever running the rebuild.
+//! deterministically — without ever running the rebuild. Because a grid
+//! is taken as stored, not rebuilt, each entry carries a checksum of its
+//! payload, checked before the entry is decoded: a grid altered on disk
+//! fails the load ([`CodecError::Corrupt`], naming the entry) instead of
+//! ranking differently from the library it came from. The checksum
+//! guards against damage, not against a deliberate forgery.
 //!
 //! Truncation surfaces [`CodecError::Io`]/[`CodecError::Corrupt`] —
 //! never a panic — and every length prefix is capped
@@ -48,7 +54,7 @@ pub const FLCB_EXTENSION: &str = "flcb";
 /// The four magic bytes opening every `.flcb` file.
 pub const FLCB_MAGIC: [u8; 4] = *b"FLCB";
 
-const VERSION: u16 = 2;
+const VERSION: u16 = 3;
 
 // Section tags (one per [`FittedDistribution`] variant).
 const FIT_CLASS_COND: u8 = 1;
@@ -59,6 +65,21 @@ const FIT_JOINT: u8 = 5;
 
 fn corrupt(msg: impl Into<String>) -> CodecError {
     CodecError::Corrupt(msg.into())
+}
+
+/// The per-entry checksum: FNV-1a-64 (offset basis and prime) over the
+/// bytes as 8-byte little-endian words, a trailing partial word byte by
+/// byte. One multiply per word instead of per byte keeps a checked load
+/// a bulk copy in cost, not a byte loop. Each step is a bijection of the
+/// running hash, so damage confined to one word always changes it.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    const PRIME: u64 = 0x0100_0000_01b3;
+    let step = |h: u64, x: u64| (h ^ x).wrapping_mul(PRIME);
+    let mut words = bytes.chunks_exact(8);
+    let h = words.by_ref().fold(0xcbf2_9ce4_8422_2325, |h, w| {
+        step(h, u64::from_le_bytes(w.try_into().expect("8-byte chunk")))
+    });
+    words.remainder().iter().fold(h, |h, &b| step(h, b as u64))
 }
 
 /// Stored parts a distribution's `from_parts` rejected — the same checks
@@ -228,12 +249,14 @@ pub fn encode_library(app: &str, library: &FeatureLibrary) -> Vec<u8> {
         enc_fitted(&mut entry, fitted);
         out.len(entry.buf.len());
         out.buf.extend_from_slice(&entry.buf);
+        out.u64(fnv1a64(&entry.buf));
     }
     out.buf
 }
 
 /// Decode `.flcb` bytes into the fitting app and the library, KDE grids
-/// bulk-copied straight off the wire (no rebuild).
+/// bulk-copied straight off the wire (no rebuild) once their entry's
+/// checksum matches.
 pub fn decode_library(bytes: &[u8]) -> Result<(String, FeatureLibrary), CodecError> {
     let mut dec = Dec::new(bytes);
     let magic = dec.take(4)?;
@@ -249,12 +272,18 @@ pub fn decode_library(bytes: &[u8]) -> Result<(String, FeatureLibrary), CodecErr
     let app = dec.str()?;
     let n_entries = dec.len()?;
     let mut library = FeatureLibrary::default();
-    for _ in 0..n_entries {
+    for i in 0..n_entries {
         let payload_len = dec.u32()?;
         if payload_len > MAX_RECORD_LEN {
             return Err(corrupt(format!("implausible record length {payload_len}")));
         }
-        let mut entry = Dec::new(dec.take(payload_len as usize)?);
+        let payload = dec.take(payload_len as usize)?;
+        if dec.u64()? != fnv1a64(payload) {
+            // The name is read from the damaged payload: best effort.
+            let name = Dec::new(payload).str().unwrap_or_else(|_| String::from("?"));
+            return Err(corrupt(format!("checksum mismatch in entry {i} '{name}'")));
+        }
+        let mut entry = Dec::new(payload);
         let name = entry.str()?;
         let fitted = dec_fitted(&mut entry)?;
         entry.finish()?;
@@ -404,6 +433,23 @@ mod tests {
         enc
     }
 
+    /// Frame `payload` as an entry the way `encode_library` does: length,
+    /// payload, checksum.
+    fn push_entry(enc: &mut Enc, payload: &[u8]) {
+        enc.len(payload.len());
+        enc.buf.extend_from_slice(payload);
+        enc.u64(fnv1a64(payload));
+    }
+
+    /// Recompute a one-entry library's checksum after its payload was
+    /// patched, so the load reaches the entry's own validation.
+    fn reseal(bytes: &mut [u8]) {
+        let app_len = u32::from_le_bytes(bytes[6..10].try_into().unwrap()) as usize;
+        let payload = 10 + app_len + 4 + 4..bytes.len() - 8;
+        let sum = fnv1a64(&bytes[payload.clone()]);
+        bytes[payload.end..].copy_from_slice(&sum.to_le_bytes());
+    }
+
     /// Truncation at *every* byte boundary — which includes every section
     /// boundary — must surface an error, never a panic, and never a
     /// partial library.
@@ -458,8 +504,7 @@ mod tests {
         payload.f64(1.0); // bandwidth
         payload.u32(u32::MAX); // sample count with no samples behind it
         let mut enc = header("x", 1);
-        enc.len(payload.buf.len());
-        enc.buf.extend_from_slice(&payload.buf);
+        push_entry(&mut enc, &payload.buf);
         let err = decode_library(&enc.buf).unwrap_err();
         assert!(err.to_string().contains("implausible element count"), "got: {err}");
 
@@ -467,8 +512,7 @@ mod tests {
         let mut payload = Enc::default();
         payload.u32(u32::MAX); // name length
         let mut enc = header("x", 1);
-        enc.len(payload.buf.len());
-        enc.buf.extend_from_slice(&payload.buf);
+        push_entry(&mut enc, &payload.buf);
         assert!(matches!(decode_library(&enc.buf), Err(CodecError::Corrupt(_))));
     }
 
@@ -490,8 +534,7 @@ mod tests {
         payload.f64(0.25);
         payload.u8(0xff); // one stray byte inside the declared payload
         let mut enc = header("x", 1);
-        enc.len(payload.buf.len());
-        enc.buf.extend_from_slice(&payload.buf);
+        push_entry(&mut enc, &payload.buf);
         assert!(matches!(decode_library(&enc.buf), Err(CodecError::Corrupt(_))));
     }
 
@@ -503,8 +546,7 @@ mod tests {
         payload.f64(0.5);
         let mut enc = header("x", 2);
         for _ in 0..2 {
-            enc.len(payload.buf.len());
-            enc.buf.extend_from_slice(&payload.buf);
+            push_entry(&mut enc, &payload.buf);
         }
         let err = decode_library(&enc.buf).unwrap_err();
         assert!(err.to_string().contains("duplicate entry 'flag'"), "got: {err}");
@@ -525,11 +567,12 @@ mod tests {
     }
 
     /// A one-entry library's bytes with the `nth` stored copy of `old`
-    /// replaced by `new`.
+    /// replaced by `new`, checksum recomputed.
     fn patched(dist: FittedDistribution, old: f64, nth: usize, new: f64) -> Vec<u8> {
         let mut bytes = encoded(dist);
         let at = offset_of(&bytes, old, nth);
         bytes[at..at + 8].copy_from_slice(&new.to_le_bytes());
+        reseal(&mut bytes);
         bytes
     }
 
@@ -600,12 +643,13 @@ mod tests {
         let mut bytes = encoded(FittedDistribution::Kde(kde));
         let at = offset_of(&bytes, h, 0);
         bytes[at - 1] = 1;
+        reseal(&mut bytes);
         let err = decode_library(&bytes).unwrap_err();
         assert!(err.to_string().contains("unknown kernel tag 1"), "got: {err}");
     }
 
     /// Handwritten golden bytes for a one-entry Bernoulli library lock
-    /// the v2 layout in both directions: `encode_library` must emit
+    /// the v3 layout in both directions: `encode_library` must emit
     /// exactly these bytes, and decoding them must yield the library.
     /// If this test breaks, the wire format changed — bump [`VERSION`].
     #[test]
@@ -619,7 +663,7 @@ mod tests {
         #[rustfmt::skip]
         let golden: Vec<u8> = [
             b"FLCB".as_slice(),            // magic
-            &[0x02, 0x00],                 // version 2, u16 LE
+            &[0x03, 0x00],                 // version 3, u16 LE
             &[0x01, 0x00, 0x00, 0x00],     // app length 1
             b"a",                          // app
             &[0x01, 0x00, 0x00, 0x00],     // entry count 1
@@ -628,13 +672,15 @@ mod tests {
             b"b",                          // name
             &[FIT_BERN],                   // distribution tag
             &0.5f64.to_le_bytes(),         // p_one
+            &[0xa1, 0xc4, 0x2c, 0x62,      // checksum of the 14 payload
+              0x20, 0x7d, 0x2c, 0x54],     //   bytes, u64 LE
         ]
         .concat();
 
         assert_eq!(
             encode_library("a", &lib),
             golden,
-            "encoder output diverged from the v2 golden layout"
+            "encoder output diverged from the v3 golden layout"
         );
         let (app, back) = decode_library(&golden).expect("golden bytes decode");
         assert_eq!(app, "a");
@@ -642,6 +688,83 @@ mod tests {
             panic!("wrong variant");
         };
         assert_eq!(b.p_one(), 0.5);
+
+        // The same library in the v2 layout (no checksum) is refused by
+        // version, before any entry is read.
+        let mut v2 = golden[..golden.len() - 8].to_vec();
+        v2[4] = 2;
+        let err = decode_library(&v2).unwrap_err();
+        assert!(
+            err.to_string().contains("unsupported flcb version 2 (expected 3)"),
+            "got: {err}"
+        );
+    }
+
+    /// A changed payload byte fails its entry's checksum, and the error
+    /// names the entry.
+    #[test]
+    fn checksum_mismatch_names_the_entry() {
+        let bytes = encode_library("x", &sample_library());
+        let at = offset_of(&bytes, 0.7, 0); // a car sample of 'speed'
+        let mut flipped = bytes.clone();
+        flipped[at] ^= 0x01;
+        match decode_library(&flipped) {
+            Err(CodecError::Corrupt(msg)) => {
+                assert!(msg.contains("checksum mismatch in entry 1 'speed'"), "got: {msg}")
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|(app, _)| app)),
+        }
+        // A flipped checksum byte fails the same way.
+        let mut flipped = bytes;
+        let last = flipped.len() - 1;
+        flipped[last] ^= 0x80;
+        let err = decode_library(&flipped).unwrap_err();
+        assert!(err.to_string().contains("checksum mismatch in entry 4"), "got: {err}");
+    }
+
+    /// A grid altered on disk but still plausible (finite, non-negative)
+    /// passes every `from_parts` check and would rank differently from
+    /// the library it was written from; its checksum refuses it. Learned
+    /// the way `fixy learn` fits missing-tracks on two short lyft-like
+    /// scenes, then every density of `velocity`'s first grid halved.
+    #[test]
+    fn halved_velocity_grid_is_refused() {
+        let mut cfg = loa_data::DatasetProfile::LyftLike.scene_config();
+        cfg.world.duration = 3.0;
+        let train: Vec<_> = (0..2)
+            .map(|i| loa_data::generate_scene(&cfg, &format!("flcb-{i}"), 3 + i))
+            .collect();
+        let features = crate::apps::MissingTrackFinder::default().feature_set();
+        let library = crate::learner::Learner::new().fit(&features, &train).unwrap();
+        let grid = match library.get("velocity").expect("velocity fitted") {
+            FittedDistribution::ClassConditional { per_class, pooled } => {
+                per_class.values().next().unwrap_or(pooled).grid()
+            }
+            FittedDistribution::Kde(kde) => kde.grid(),
+            other => panic!("velocity is a KDE, got {other:?}"),
+        };
+        let stored: Vec<u8> = grid.densities().iter().flat_map(|d| d.to_le_bytes()).collect();
+        let halved: Vec<u8> = grid
+            .densities()
+            .iter()
+            .flat_map(|d| (d * 0.5).to_le_bytes())
+            .collect();
+
+        let mut bytes = encode_library("missing-tracks", &library);
+        let at = bytes
+            .windows(stored.len())
+            .position(|w| w == stored)
+            .expect("grid stored");
+        bytes[at..at + stored.len()].copy_from_slice(&halved);
+        match decode_library(&bytes) {
+            Err(CodecError::Corrupt(msg)) => {
+                assert!(
+                    msg.contains("checksum mismatch") && msg.contains("'velocity'"),
+                    "{msg}"
+                )
+            }
+            other => panic!("expected Corrupt, got {:?}", other.map(|(app, _)| app)),
+        }
     }
 
     // -- Property tests ------------------------------------------------------

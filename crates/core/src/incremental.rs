@@ -5,38 +5,37 @@
 //! makes that O(scene) per frame — per-frame latency *grows* with scene
 //! length, which a resident audit service over long-lived sessions
 //! cannot afford. [`IncrementalScorer`] makes it O(Δ): it keeps the same
-//! per-track `ln p` stores the batch engine folds from (see
+//! scene-wide factor columns the batch engine folds from (see
 //! [`crate::score`] for their layout and why they are bit-identical to
-//! the Section 4.3 reference), evaluates every factor once, when the
-//! frame that creates it arrives, and re-folds only the tracks a pushed
-//! frame's [`FrameDelta`] changed. What is stream-only is the stale list
-//! and the score cache.
+//! the Section 4.3 reference), runs the same column kernel over each
+//! frame's [`FrameDelta`] only, and re-folds only the tracks the delta
+//! changed. What is stream-only is the stale list and the score cache.
 //!
 //! ## Cache lifecycle
 //!
 //! Per frame, [`rescore_delta`](IncrementalScorer::rescore_delta)
-//! ingests assembly facts (no snapshot diffing). Each changed track
-//! appends its new bundle: the members' observation factors, the
-//! bundle's own factors and the transition into it from the previous
-//! bundle. It then re-evaluates its track factors and drops its cached
-//! score; a bundle drops its cached score when it is new, or when it is
-//! the first of a track that now has more than this one bundle (it loses
-//! the track factors). The next
+//! ingests assembly facts (no snapshot diffing). The kernel evaluates
+//! each feature once over the delta: the frame's new observations and
+//! bundles, the transitions into the new bundles, and the changed
+//! tracks' track factors. Each changed track drops its cached score; a
+//! bundle drops its cached score when it is new, or when it is the first
+//! of a track that now has more than this one bundle (it loses the track
+//! factors). The next
 //! [`score_all_tracks`](IncrementalScorer::score_all_tracks) /
 //! [`score_all_bundles`](IncrementalScorer::score_all_bundles) sweep
 //! serves every other candidate from cache and re-folds the dropped
 //! ones: a zeroed one in O(1) from its counts, any other in one
-//! sequential pass over its stored values.
+//! sequential pass over its column values.
 
 use crate::error::FixyError;
 use crate::feature::FeatureSet;
 use crate::learner::FeatureLibrary;
 use crate::scene::{BundleIdx, FrameDelta, Scene, TrackIdx};
-use crate::score::{ComponentScore, Evaluator, TrackStores};
+use crate::score::{ComponentScore, Evaluator, FactorColumns};
 
 /// Streaming counterpart of [`crate::score::ScoreEngine`]: the same
-/// stores and folds (so the same scores, bit for bit), O(Δ) per streamed
-/// frame.
+/// columns, kernel and folds (so the same scores, bit for bit), O(Δ) per
+/// streamed frame.
 ///
 /// ```text
 /// let mut scorer = IncrementalScorer::new(&features, &library)?;
@@ -50,7 +49,7 @@ use crate::score::{ComponentScore, Evaluator, TrackStores};
 /// ```
 pub struct IncrementalScorer<'a> {
     ev: Evaluator<'a>,
-    stores: TrackStores,
+    columns: FactorColumns,
     /// Every track's score as of the last sweep, in track order — the
     /// sweep's output, patched in place.
     track_scores: Vec<(TrackIdx, ComponentScore)>,
@@ -70,9 +69,10 @@ impl<'a> IncrementalScorer<'a> {
     /// when a learned feature has no library entry (manual features need
     /// none), so the per-frame path cannot fail halfway.
     pub fn new(features: &'a FeatureSet, library: &'a FeatureLibrary) -> Result<Self, FixyError> {
+        let ev = Evaluator::new(features, library)?;
         Ok(IncrementalScorer {
-            ev: Evaluator::new(features, library)?,
-            stores: TrackStores::new(features),
+            columns: FactorColumns::new(&ev),
+            ev,
             track_scores: Vec::new(),
             stale: Vec::new(),
             is_stale: Vec::new(),
@@ -85,7 +85,7 @@ impl<'a> IncrementalScorer<'a> {
     /// Start a new scene (pair with the assembler's `begin`). Drops all
     /// cached state.
     pub fn begin(&mut self) {
-        self.stores.clear();
+        self.columns.clear();
         self.track_scores.clear();
         self.stale.clear();
         self.is_stale.clear();
@@ -113,6 +113,13 @@ impl<'a> IncrementalScorer<'a> {
             "rescore_delta: bundle watermark mismatch"
         );
 
+        self.columns.ingest(
+            &self.ev,
+            scene,
+            delta.bundle_start,
+            delta.changed_tracks.iter().copied(),
+        );
+
         // New bundles start uncached.
         self.bundle_scores.resize(scene.n_bundles(), None);
         for &t in &delta.changed_tracks {
@@ -121,11 +128,11 @@ impl<'a> IncrementalScorer<'a> {
                 self.is_stale.push(false);
             }
             debug_assert!(t.0 < self.track_scores.len(), "new tracks are contiguous");
-            let known = self.stores.ingest_track(&self.ev, scene, t);
             // The first bundle scores with the track factors while it is
             // the whole track, and stops when a second one joins.
-            if known <= 1 {
-                if let Some(&first) = scene.track_bundles(t).first() {
+            let bundles = scene.track_bundles(t);
+            if bundles.get(1).is_none_or(|b| b.0 >= delta.bundle_start) {
+                if let Some(&first) = bundles.first() {
                     self.bundle_scores[first.0] = None;
                 }
             }
@@ -133,10 +140,6 @@ impl<'a> IncrementalScorer<'a> {
                 self.stale.push(t);
             }
         }
-        debug_assert!(
-            (delta.bundle_start..scene.n_bundles()).all(|b| self.stores.holds(scene, BundleIdx(b))),
-            "every new bundle belongs to a changed track"
-        );
 
         self.n_obs = scene.n_observations();
         self.n_bundles = scene.n_bundles();
@@ -156,7 +159,7 @@ impl<'a> IncrementalScorer<'a> {
         let misses = self.stale.len() as u64;
         for t in self.stale.drain(..) {
             self.is_stale[t.0] = false;
-            self.track_scores[t.0].1 = self.stores.track_score(t);
+            self.track_scores[t.0].1 = self.columns.track_score(scene, t);
         }
         if let Some(metrics) = loa_obs::recorder() {
             metrics.cache_hits.add(self.track_scores.len() as u64 - misses);
@@ -181,7 +184,7 @@ impl<'a> IncrementalScorer<'a> {
                 let b = BundleIdx(b);
                 let cached = &mut self.bundle_scores[b.0];
                 hits += cached.is_some() as u64;
-                (b, *cached.get_or_insert_with(|| self.stores.bundle_score(scene, b)))
+                (b, *cached.get_or_insert_with(|| self.columns.bundle_score(scene, b)))
             })
             .collect();
         if let Some(metrics) = loa_obs::recorder() {

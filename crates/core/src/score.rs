@@ -6,13 +6,32 @@
 //! factor is excluded from ranking. `ComponentScore::from_fold` states
 //! that rule once; [`normalized_log_score`] applies it to a list of
 //! probabilities (the reference graph's fold), and the engine applies it
-//! to counts kept beside its stores. Batch [`ScoreEngine`] and streamed
-//! [`IncrementalScorer`](crate::incremental::IncrementalScorer) both
-//! evaluate every factor once into per-track `ln p` stores and fold
-//! candidates from them; the batch engine ingests the whole scene as a
-//! single delta (every track changed, nothing ingested before).
+//! to counts kept beside its factor columns. Batch [`ScoreEngine`] and
+//! streamed [`IncrementalScorer`](crate::incremental::IncrementalScorer)
+//! both evaluate every factor once into scene-wide factor columns and
+//! fold candidates from them.
 //!
-//! ## Why per-track stores suffice
+//! ## Factor columns
+//!
+//! Each feature has one `Vec<f64>` of `ln p`, indexed by its target:
+//! observation features by [`ObsIdx`], bundle features by [`BundleIdx`],
+//! transition features by the `BundleIdx` the transition enters (a
+//! track's first bundle has none), and track features by [`TrackIdx`].
+//! Per-bundle counts (its members' observation factors and its own
+//! bundle factors) and per-track counts (its other factors, and its
+//! track factors) sit beside them. One column kernel fills them one
+//! feature at a time over a delta: the batch engine runs it once over the
+//! whole scene, the streamed scorer over each frame's new observations
+//! and bundles, the transitions into them, and the changed tracks' track
+//! factors. Each feature is resolved once per scorer — its AOF, its
+//! probability model and, for a KDE, a dense per-class table of scoring
+//! grids with the pooled grid as fallback — so the kernel reads the grid
+//! [`FittedDistribution::probability`] would, without its per-factor
+//! dispatch and `BTreeMap` lookup. `compile_scene` keeps the per-factor
+//! path through `FittedDistribution::probability`: it is the independent
+//! reference the kernel is checked against.
+//!
+//! ## Why track-local folds suffice
 //!
 //! Under the Section 4.3 compilation semantics no factor's scope spans
 //! two tracks (observation and bundle factors live inside one bundle,
@@ -40,15 +59,16 @@
 //! lexicographically in `(feature_index, target-visit-order)` and folds a
 //! candidate's factors in ascending id order. Per feature the visit order
 //! is: observation index, bundle index, `(track, later-bundle)` for
-//! transitions, track index. A store appends each track's bundles in
-//! track order (a bundle's members in ascending index), so when
-//! observation and bundle indices ascend along every track its runs
-//! already hold the reference fold order: no sort, and no `ln` at score
-//! time. The fold starts at `+0.0` and adds the same values in the same
-//! order as `normalized_log_score` — f64 addition is not associative, so
-//! this is what makes the scores bit-identical, not merely close (the
-//! correctness bar, locked by `tests/pipeline.rs` and
-//! `tests/incremental.rs`).
+//! transitions, track index. A track's fold reads the columns feature by
+//! feature in feature-set order: its observations in bundle order
+//! (members ascending), its bundles, the transitions into its later
+//! bundles, and its own track value. When member, observation and bundle
+//! indices ascend along every track, that is the reference fold order:
+//! no sort, and no `ln` at score time. The fold starts at `+0.0` and adds
+//! the same values in the same order as `normalized_log_score` — f64
+//! addition is not associative, so this is what makes the scores
+//! bit-identical, not merely close (the correctness bar, locked by
+//! `tests/pipeline.rs` and `tests/incremental.rs`).
 //!
 //! Slots whose feature returned no value, and zeroed factors, hold
 //! `+0.0`. Adding `+0.0` changes no sum the fold can reach (a sum is
@@ -57,20 +77,26 @@
 //!
 //! ## Precondition
 //!
-//! Every bundle is in exactly one track, and observation and bundle
-//! indices ascend along each track. [`AssemblyEngine`] guarantees both
-//! (tracks grow at their ends, and a frame's observations and bundles
-//! are numbered after every earlier frame's), and it is the only
-//! producer of scored scenes: the CLI, the pipeline and the server all
-//! assemble from `SceneData`. Debug builds assert it; there is no
-//! fallback path.
+//! Every bundle is in exactly one track, each bundle's members ascend,
+//! and observation and bundle indices ascend along each track.
+//! [`AssemblyEngine`] guarantees all three (a frame's bundles list their
+//! members in ascending order, tracks grow at their ends, and a frame's
+//! observations and bundles are numbered after every earlier frame's),
+//! and it is the only producer of scored scenes: the CLI, the pipeline
+//! and the server all assemble from `SceneData`. Debug builds assert it;
+//! there is no fallback path.
 //!
 //! [`AssemblyEngine`]: crate::scene::AssemblyEngine
 
+use crate::aof::Aof;
 use crate::error::FixyError;
-use crate::feature::{FeatureKind, FeatureSet, FeatureTarget, ProbabilityModel};
+use crate::feature::{
+    Feature, FeatureKind, FeatureSet, FeatureTarget, FeatureValue, ProbabilityModel,
+};
 use crate::learner::{FeatureLibrary, FittedDistribution};
 use crate::scene::{BundleIdx, ObsIdx, Scene, TrackIdx};
+use loa_data::ObjectClass;
+use loa_stats::{BinnedKde, Density1d};
 use std::ops::Add;
 
 /// The result of scoring a component.
@@ -140,13 +166,96 @@ pub fn normalized_log_score(probabilities: impl IntoIterator<Item = f64>) -> Com
     ComponentScore::from_fold(count, zeroed, || sum)
 }
 
+/// A KDE feature's scoring grids, resolved once per [`Evaluator`]: one
+/// slot per class (`None` reads the pooled grid). The same lookup as
+/// [`FittedDistribution::probability`] without its per-value `BTreeMap`
+/// search, so the same bits.
+#[derive(Debug, Clone, Copy)]
+struct GridTable<'f> {
+    by_class: [Option<&'f BinnedKde>; ObjectClass::ALL.len()],
+    pooled: &'f BinnedKde,
+}
+
+impl<'f> GridTable<'f> {
+    /// The grids of a KDE-backed distribution; `None` for any other.
+    fn of(fitted: &'f FittedDistribution) -> Option<Self> {
+        match fitted {
+            FittedDistribution::ClassConditional { per_class, pooled } => {
+                let mut by_class = [None; ObjectClass::ALL.len()];
+                for (class, kde) in per_class {
+                    by_class[class.index()] = Some(kde.grid());
+                }
+                Some(GridTable { by_class, pooled: pooled.grid() })
+            }
+            FittedDistribution::Kde(kde) => {
+                Some(GridTable { by_class: [None; ObjectClass::ALL.len()], pooled: kde.grid() })
+            }
+            _ => None,
+        }
+    }
+
+    fn probability(&self, value: &FeatureValue) -> f64 {
+        let grid = value
+            .class
+            .and_then(|c| self.by_class[c.index()])
+            .unwrap_or(self.pooled);
+        grid.relative_likelihood(value.x)
+    }
+}
+
+/// How a feature's value becomes a probability.
+#[derive(Debug, Clone, Copy)]
+enum Model<'f> {
+    /// The value is the probability.
+    Manual,
+    /// A joint KDE over the vector value.
+    Joint(&'f FittedDistribution),
+    /// A scalar distribution, and its grids when it is a KDE.
+    Scalar { fitted: &'f FittedDistribution, grids: Option<GridTable<'f>> },
+}
+
+/// One feature, resolved once: its value hook, kind, AOF and
+/// probability model.
+struct Resolved<'f> {
+    feature: &'f dyn Feature,
+    kind: FeatureKind,
+    aof: Aof,
+    model: Model<'f>,
+}
+
+impl Resolved<'_> {
+    /// The AOF-transformed probability through the library entry, one
+    /// `FittedDistribution` dispatch per factor: the reference path.
+    fn reference(&self, scene: &Scene, target: &FeatureTarget<'_>) -> Option<f64> {
+        let p = match self.model {
+            Model::Manual => self.feature.value(scene, target)?.x,
+            Model::Joint(fitted) => {
+                fitted.probability_vector(&self.feature.vector_value(scene, target)?)
+            }
+            Model::Scalar { fitted, .. } => fitted.probability(&self.feature.value(scene, target)?),
+        };
+        Some(self.aof.apply(p))
+    }
+
+    /// The same probability, KDEs read through their [`GridTable`]: the
+    /// column kernel's path.
+    fn probability(&self, scene: &Scene, target: &FeatureTarget<'_>) -> Option<f64> {
+        match &self.model {
+            Model::Scalar { grids: Some(grids), .. } => {
+                let v = self.feature.value(scene, target)?;
+                Some(self.aof.apply(grids.probability(&v)))
+            }
+            _ => self.reference(scene, target),
+        }
+    }
+}
+
 /// Resolves a feature on a target to its AOF-transformed probability —
-/// the one resolution path, shared by the stores and by `compile_scene`.
+/// the one resolution, shared by the factor columns and by
+/// `compile_scene`.
 pub(crate) struct Evaluator<'f> {
-    features: &'f FeatureSet,
-    /// Pre-resolved distributions, one slot per feature (None for manual
-    /// features).
-    dists: Vec<Option<&'f FittedDistribution>>,
+    /// One per feature, in feature-set order.
+    features: Vec<Resolved<'f>>,
 }
 
 impl<'f> Evaluator<'f> {
@@ -158,51 +267,42 @@ impl<'f> Evaluator<'f> {
         features: &'f FeatureSet,
         library: &'f FeatureLibrary,
     ) -> Result<Self, FixyError> {
-        let mut dists = Vec::with_capacity(features.len());
+        let mut resolved = Vec::with_capacity(features.len());
         for bf in &features.features {
-            let name = bf.feature.name();
-            let dist = match bf.feature.probability_model() {
-                ProbabilityModel::Manual => None,
-                model => Some(
-                    library
+            let feature = bf.feature.as_ref();
+            let name = feature.name();
+            let model = match feature.probability_model() {
+                ProbabilityModel::Manual => Model::Manual,
+                model => {
+                    let joint = model == ProbabilityModel::LearnedJointKde;
+                    let fitted = library
                         .get(name)
-                        .filter(|d| {
-                            model == ProbabilityModel::LearnedJointKde
-                                || !matches!(d, FittedDistribution::Joint(_))
-                        })
+                        .filter(|d| joint || !matches!(d, FittedDistribution::Joint(_)))
                         .ok_or_else(|| FixyError::MissingDistribution {
                             feature: name.to_string(),
-                        })?,
-                ),
+                        })?;
+                    if joint {
+                        Model::Joint(fitted)
+                    } else {
+                        Model::Scalar { fitted, grids: GridTable::of(fitted) }
+                    }
+                }
             };
-            dists.push(dist);
+            resolved.push(Resolved { feature, kind: feature.kind(), aof: bf.aof, model });
         }
-        Ok(Evaluator { features, dists })
+        Ok(Evaluator { features: resolved })
     }
 
     /// Evaluate feature `fi` on a target: its AOF-transformed
     /// probability, or `None` when the feature has no value there (no
     /// factor).
     pub(crate) fn eval(&self, scene: &Scene, fi: usize, target: &FeatureTarget<'_>) -> Option<f64> {
-        let bf = &self.features.features[fi];
-        let feature = bf.feature.as_ref();
-        let p = match feature.probability_model() {
-            ProbabilityModel::Manual => feature.value(scene, target)?.x,
-            ProbabilityModel::LearnedJointKde => {
-                let v = feature.vector_value(scene, target)?;
-                self.dists[fi].expect("validated in new").probability_vector(&v)
-            }
-            _ => {
-                let v = feature.value(scene, target)?;
-                self.dists[fi].expect("validated in new").probability(&v)
-            }
-        };
-        Some(bf.aof.apply(p))
+        self.features[fi].reference(scene, target)
     }
 }
 
-/// Where one feature's values sit in a [`TrackStore`]: the column of the
-/// rows its feature kind fills.
+/// Where one feature's values sit: its column among the columns of its
+/// kind.
 #[derive(Debug, Clone, Copy)]
 enum Slot {
     Obs(usize),
@@ -249,279 +349,270 @@ impl Counts {
     }
 }
 
-/// How a feature set's values are laid out in every [`TrackStore`]: one
-/// column per feature of a kind, in feature-set order.
-#[derive(Debug)]
-struct Layout {
+/// A bundle's place: its track, and the counts over its members'
+/// observation factors and its own bundle factors.
+#[derive(Debug, Clone, Copy)]
+struct BundleFacts {
+    track: TrackIdx,
+    counts: Counts,
+}
+
+/// A track's counts: over its observation, bundle and transition factors
+/// (`body`), and over its track factors (`own`, replaced whenever the
+/// track changes).
+#[derive(Debug, Clone, Copy, Default)]
+struct TrackCounts {
+    body: Counts,
+    own: Counts,
+}
+
+/// A bundle no delta has placed in a track yet.
+const UNPLACED: BundleFacts = BundleFacts {
+    track: TrackIdx(usize::MAX),
+    counts: Counts { present: 0, zeroed: 0 },
+};
+
+/// One scene's factor values as scene-wide columns: one `Vec<f64>` of
+/// `ln p` (`+0.0` for absent or zeroed factors, see the module docs) per
+/// feature, indexed by its target — observation features by [`ObsIdx`],
+/// bundle features by [`BundleIdx`], transition features by the
+/// `BundleIdx` the transition enters, track features by [`TrackIdx`] —
+/// with the counts beside them. [`ingest`](Self::ingest) is the one
+/// kernel that fills them; every candidate folds from them by `&self`
+/// reads.
+#[derive(Debug, Default)]
+pub(crate) struct FactorColumns {
     /// Each feature's slot, in feature-set (= fold) order.
     slots: Vec<Slot>,
-    /// Feature indices by kind, in feature-set order (a feature's column
-    /// is its position here).
-    obs: Vec<usize>,
-    bundle: Vec<usize>,
-    transition: Vec<usize>,
-    track: Vec<usize>,
+    /// Columns by kind, each paired with its feature's index.
+    obs: Vec<(usize, Vec<f64>)>,
+    bundle: Vec<(usize, Vec<f64>)>,
+    transition: Vec<(usize, Vec<f64>)>,
+    track: Vec<(usize, Vec<f64>)>,
+    /// By bundle index.
+    bundles: Vec<BundleFacts>,
+    /// By track index.
+    tracks: Vec<TrackCounts>,
+    /// Scratch: the delta's transitions as `(from, to, track)`.
+    delta_transitions: Vec<(BundleIdx, BundleIdx, TrackIdx)>,
 }
 
-impl Layout {
-    fn new(features: &FeatureSet) -> Self {
-        let mut slots = Vec::with_capacity(features.len());
-        let mut by_kind: [Vec<usize>; 4] = Default::default();
-        for (fi, bf) in features.features.iter().enumerate() {
-            let (kind, slot): (usize, fn(usize) -> Slot) = match bf.feature.kind() {
-                FeatureKind::Observation => (0, Slot::Obs),
-                FeatureKind::Bundle => (1, Slot::Bundle),
-                FeatureKind::Transition => (2, Slot::Transition),
-                FeatureKind::Track => (3, Slot::Track),
+impl FactorColumns {
+    /// Empty columns for the evaluator's features.
+    pub(crate) fn new(ev: &Evaluator<'_>) -> Self {
+        let mut columns = FactorColumns::default();
+        for (fi, f) in ev.features.iter().enumerate() {
+            let (kind, slot): (&mut Vec<_>, fn(usize) -> Slot) = match f.kind {
+                FeatureKind::Observation => (&mut columns.obs, Slot::Obs),
+                FeatureKind::Bundle => (&mut columns.bundle, Slot::Bundle),
+                FeatureKind::Transition => (&mut columns.transition, Slot::Transition),
+                FeatureKind::Track => (&mut columns.track, Slot::Track),
             };
-            slots.push(slot(by_kind[kind].len()));
-            by_kind[kind].push(fi);
+            columns.slots.push(slot(kind.len()));
+            kind.push((fi, Vec::new()));
         }
-        let [obs, bundle, transition, track] = by_kind;
-        Layout { slots, obs, bundle, transition, track }
+        columns
     }
 
-    /// Values per bundle row: bundle features, then transition features.
-    fn row_width(&self) -> usize {
-        self.bundle.len() + self.transition.len()
-    }
-
-    /// Sum a track's stored values in fold order.
-    fn fold_track(&self, store: &TrackStore) -> f64 {
-        let (obs_width, row_width) = (self.obs.len(), self.row_width());
-        let body = &store.rows[self.track.len()..];
-        let mut sum = 0.0;
-        for &slot in &self.slots {
-            match slot {
-                Slot::Obs(c) => {
-                    for &v in store.obs_rows.iter().skip(c).step_by(obs_width) {
-                        sum += v;
-                    }
-                }
-                Slot::Bundle(c) => {
-                    for &v in body.iter().skip(c).step_by(row_width) {
-                        sum += v;
-                    }
-                }
-                // The first row has no transition into it.
-                Slot::Transition(c) => {
-                    let first = row_width + self.bundle.len() + c;
-                    for &v in body.iter().skip(first).step_by(row_width) {
-                        sum += v;
-                    }
-                }
-                Slot::Track(c) => sum += store.rows[c],
-            }
-        }
-        sum
-    }
-
-    /// Sum a bundle's stored values in fold order: its members' rows, its
-    /// own row's bundle values, and the track values when the track is
-    /// this one bundle.
-    fn fold_bundle(&self, store: &TrackStore, loc: &BundleLoc, members: usize) -> f64 {
-        let (obs_width, row_width) = (self.obs.len(), self.row_width());
-        let obs = &store.obs_rows[loc.obs_row * obs_width..][..members * obs_width];
-        let row = &store.rows[self.track.len() + loc.pos * row_width..][..row_width];
-        let alone = store.n_bundles == 1;
-        let mut sum = 0.0;
-        for &slot in &self.slots {
-            match slot {
-                Slot::Obs(c) => {
-                    for &v in obs.iter().skip(c).step_by(obs_width) {
-                        sum += v;
-                    }
-                }
-                Slot::Bundle(c) => sum += row[c],
-                Slot::Transition(_) => {}
-                Slot::Track(c) => {
-                    if alone {
-                        sum += store.rows[c];
-                    }
-                }
-            }
-        }
-        sum
-    }
-}
-
-/// One track's factor values, kept as `ln p` (`+0.0` for absent or
-/// zeroed factors, see the module docs) in rows the [`Layout`] folds in
-/// reference order.
-#[derive(Debug, Default)]
-struct TrackStore {
-    /// One row of observation-feature values per observation, ascending
-    /// observation index.
-    obs_rows: Vec<f64>,
-    /// The track-feature values, then one row per bundle: its
-    /// bundle-feature values and the transition into it from the previous
-    /// bundle (the first row's transition slots are never folded).
-    rows: Vec<f64>,
-    n_obs: usize,
-    n_bundles: usize,
-    /// Counts over the observation, bundle and transition factors.
-    counts: Counts,
-    /// Counts over the track factors, replaced whenever the track changes.
-    track_counts: Counts,
-}
-
-/// Where a bundle's values sit in its track's store.
-#[derive(Debug, Clone, Copy, Default)]
-struct BundleLoc {
-    track: usize,
-    /// Its first member's observation row.
-    obs_row: usize,
-    /// Its position in the track (its bundle row).
-    pos: usize,
-    /// Counts over its members' observation factors and its own bundle
-    /// factors.
-    counts: Counts,
-}
-
-/// The per-track `ln p` stores of one scene: every factor evaluated
-/// once, every candidate folded from them by `&self` reads.
-#[derive(Debug)]
-pub(crate) struct TrackStores {
-    layout: Layout,
-    /// One store per track, by track index.
-    tracks: Vec<TrackStore>,
-    /// One location per bundle, by bundle index.
-    bundles: Vec<BundleLoc>,
-    /// Scratch: a bundle's members in ascending order.
-    members: Vec<ObsIdx>,
-}
-
-impl TrackStores {
-    /// Empty stores laid out for `features`.
-    pub(crate) fn new(features: &FeatureSet) -> Self {
-        TrackStores {
-            layout: Layout::new(features),
-            tracks: Vec::new(),
-            bundles: Vec::new(),
-            members: Vec::new(),
-        }
-    }
-
-    /// Drop every store (a new scene starts).
+    /// Drop every value (a new scene starts).
     pub(crate) fn clear(&mut self) {
-        self.tracks.clear();
+        let kinds = [&mut self.obs, &mut self.bundle, &mut self.transition, &mut self.track];
+        for (_, col) in kinds.into_iter().flatten() {
+            col.clear();
+        }
         self.bundles.clear();
+        self.tracks.clear();
     }
 
-    /// Ingest a new or changed track: append its bundles not yet stored
-    /// (their members' observation factors, their own bundle factors and
-    /// the transition into each from the previous bundle) and re-evaluate
-    /// its track factors. Returns how many bundles the track had before.
-    /// New tracks must arrive in index order.
-    pub(crate) fn ingest_track(&mut self, ev: &Evaluator<'_>, scene: &Scene, t: TrackIdx) -> usize {
-        if t.0 == self.tracks.len() {
-            let head = vec![0.0; self.layout.track.len()];
-            self.tracks.push(TrackStore { rows: head, ..TrackStore::default() });
+    /// The column kernel: evaluate each feature once over a delta — the
+    /// bundles from `bundle_start` on (all of them members of `tracks`),
+    /// their members' observations, the transitions into them, and the
+    /// track factors of `tracks` (re-evaluated wholesale: the track
+    /// changed, so its values may have too, e.g. the count crossing its
+    /// threshold). Earlier bundles must have been ingested already; a
+    /// whole scene is the delta from bundle 0 with every track.
+    pub(crate) fn ingest(
+        &mut self,
+        ev: &Evaluator<'_>,
+        scene: &Scene,
+        bundle_start: usize,
+        tracks: impl Iterator<Item = TrackIdx> + Clone,
+    ) {
+        let (n_bundles, new) = (scene.n_bundles(), bundle_start..scene.n_bundles());
+        for (_, col) in &mut self.obs {
+            col.resize(scene.n_observations(), 0.0);
         }
-        if self.bundles.len() < scene.n_bundles() {
-            self.bundles.resize(scene.n_bundles(), BundleLoc::default());
+        for (_, col) in self.bundle.iter_mut().chain(&mut self.transition) {
+            col.resize(n_bundles, 0.0);
         }
-        let layout = &self.layout;
-        let bundles = scene.track_bundles(t);
-        let store = &mut self.tracks[t.0];
-        let known = store.n_bundles;
-        for (pos, &b) in bundles.iter().enumerate().skip(known) {
-            let mut own = Counts::default();
-            let obs_row = store.n_obs;
-            self.members.clear();
-            self.members.extend_from_slice(scene.bundle_obs(b));
-            self.members.sort_unstable();
-            for &o in &self.members {
-                let target = FeatureTarget::Obs(scene.obs(o));
-                for &fi in &layout.obs {
-                    store.obs_rows.push(own.record(ev.eval(scene, fi, &target)));
+        for (_, col) in &mut self.track {
+            col.resize(scene.n_tracks(), 0.0);
+        }
+        self.bundles.resize(n_bundles, UNPLACED);
+        self.tracks.resize(scene.n_tracks(), TrackCounts::default());
+
+        // Place the new bundles (a track's new bundles are its suffix past
+        // the watermark), list the transitions into them, and drop the
+        // changed tracks' track-factor counts.
+        self.delta_transitions.clear();
+        for t in tracks.clone() {
+            self.tracks[t.0].own = Counts::default();
+            let bundles = scene.track_bundles(t);
+            let first_new =
+                bundles.len() - bundles.iter().rev().take_while(|b| b.0 >= bundle_start).count();
+            for (pos, &b) in bundles.iter().enumerate().skip(first_new) {
+                self.bundles[b.0].track = t;
+                if pos > 0 {
+                    self.delta_transitions.push((bundles[pos - 1], b, t));
                 }
             }
-            store.n_obs += self.members.len();
+        }
+        debug_assert!(
+            self.bundles[new.clone()].iter().all(|f| f.track != UNPLACED.track),
+            "every new bundle belongs to a delta track"
+        );
 
-            let target = FeatureTarget::Bundle(scene.bundle(b));
-            for &fi in &layout.bundle {
-                store.rows.push(own.record(ev.eval(scene, fi, &target)));
+        let features = &ev.features;
+        for (fi, col) in &mut self.obs {
+            let f = &features[*fi];
+            for b in new.clone() {
+                let counts = &mut self.bundles[b].counts;
+                for &o in scene.bundle_obs(BundleIdx(b)) {
+                    let p = f.probability(scene, &FeatureTarget::Obs(scene.obs(o)));
+                    col[o.0] = counts.record(p);
+                }
             }
-            let mut transition = Counts::default();
-            if pos == 0 {
-                store.rows.resize(store.rows.len() + layout.transition.len(), 0.0);
-            } else {
-                let (from, to) = (scene.bundle(bundles[pos - 1]), scene.bundle(b));
+        }
+        for (fi, col) in &mut self.bundle {
+            let f = &features[*fi];
+            for b in new.clone() {
+                let p = f.probability(scene, &FeatureTarget::Bundle(scene.bundle(BundleIdx(b))));
+                col[b] = self.bundles[b].counts.record(p);
+            }
+        }
+        for (fi, col) in &mut self.transition {
+            let f = &features[*fi];
+            for &(from, to, t) in &self.delta_transitions {
+                let (from, to) = (scene.bundle(from), scene.bundle(to));
                 let dt = (to.frame.0.saturating_sub(from.frame.0)) as f64 * scene.frame_dt;
-                let target = FeatureTarget::Transition(from, to, dt);
-                for &fi in &layout.transition {
-                    store.rows.push(transition.record(ev.eval(scene, fi, &target)));
+                let p = f.probability(scene, &FeatureTarget::Transition(from, to, dt));
+                col[to.idx.0] = self.tracks[t.0].body.record(p);
+            }
+        }
+        for facts in &self.bundles[new] {
+            let track = &mut self.tracks[facts.track.0];
+            track.body = track.body + facts.counts;
+        }
+
+        for (fi, col) in &mut self.track {
+            let f = &features[*fi];
+            for t in tracks.clone() {
+                let p = f.probability(scene, &FeatureTarget::Track(scene.track(t)));
+                col[t.0] = self.tracks[t.0].own.record(p);
+            }
+        }
+    }
+
+    /// A track's score: its observations in bundle order (members
+    /// ascending), its bundles, the transitions into its later bundles and
+    /// its own values, column by column in feature-set order.
+    pub(crate) fn track_score(&self, scene: &Scene, t: TrackIdx) -> ComponentScore {
+        let counts = self.tracks[t.0];
+        (counts.body + counts.own).score(|| {
+            let bundles = scene.track_bundles(t);
+            let mut sum = 0.0;
+            for &slot in &self.slots {
+                match slot {
+                    Slot::Obs(c) => {
+                        let col = &self.obs[c].1;
+                        for &b in bundles {
+                            for &o in scene.bundle_obs(b) {
+                                sum += col[o.0];
+                            }
+                        }
+                    }
+                    Slot::Bundle(c) => {
+                        let col = &self.bundle[c].1;
+                        for &b in bundles {
+                            sum += col[b.0];
+                        }
+                    }
+                    // The first bundle has no transition into it.
+                    Slot::Transition(c) => {
+                        let col = &self.transition[c].1;
+                        for &b in bundles.iter().skip(1) {
+                            sum += col[b.0];
+                        }
+                    }
+                    Slot::Track(c) => sum += self.track[c].1[t.0],
                 }
             }
-            store.counts = store.counts + own + transition;
-            self.bundles[b.0] = BundleLoc { track: t.0, obs_row, pos, counts: own };
-        }
-        store.n_bundles = bundles.len();
-
-        // Track factors: replaced wholesale — the track changed, so its
-        // factor values may have too (e.g. the count crossing its
-        // threshold).
-        store.track_counts = Counts::default();
-        let target = FeatureTarget::Track(scene.track(t));
-        for (c, &fi) in layout.track.iter().enumerate() {
-            store.rows[c] = store.track_counts.record(ev.eval(scene, fi, &target));
-        }
-        known
+            sum
+        })
     }
 
-    /// True when bundle `b` is stored at its place in its track.
-    pub(crate) fn holds(&self, scene: &Scene, b: BundleIdx) -> bool {
-        let loc = &self.bundles[b.0];
-        scene.track_bundles(TrackIdx(loc.track)).get(loc.pos) == Some(&b)
-    }
-
-    /// A track's score, folded from its store.
-    pub(crate) fn track_score(&self, t: TrackIdx) -> ComponentScore {
-        let store = &self.tracks[t.0];
-        (store.counts + store.track_counts).score(|| self.layout.fold_track(store))
-    }
-
-    /// A bundle's score, folded from its track's store.
+    /// A bundle's score: its members' values, its own bundle values, and
+    /// its track's own values when the track is this one bundle.
     pub(crate) fn bundle_score(&self, scene: &Scene, b: BundleIdx) -> ComponentScore {
-        let loc = &self.bundles[b.0];
-        let store = &self.tracks[loc.track];
-        let counts =
-            if store.n_bundles == 1 { loc.counts + store.track_counts } else { loc.counts };
-        let members = scene.bundle_obs(b).len();
-        counts.score(|| self.layout.fold_bundle(store, loc, members))
+        let BundleFacts { track, counts } = self.bundles[b.0];
+        let alone = scene.track_bundles(track).len() == 1;
+        let counts = if alone { counts + self.tracks[track.0].own } else { counts };
+        counts.score(|| {
+            let mut sum = 0.0;
+            for &slot in &self.slots {
+                match slot {
+                    Slot::Obs(c) => {
+                        let col = &self.obs[c].1;
+                        for &o in scene.bundle_obs(b) {
+                            sum += col[o.0];
+                        }
+                    }
+                    Slot::Bundle(c) => sum += self.bundle[c].1[b.0],
+                    Slot::Transition(_) => {}
+                    Slot::Track(c) => {
+                        if alone {
+                            sum += self.track[c].1[track.0];
+                        }
+                    }
+                }
+            }
+            sum
+        })
     }
 }
 
 /// The module docs' precondition: every bundle is in exactly one track,
-/// and observation and bundle indices ascend along each track.
+/// each bundle's members ascend, and observation and bundle indices
+/// ascend along each track.
 fn assembly_ordered(scene: &Scene) -> bool {
     let mut placed = vec![false; scene.n_bundles()];
     let tracks_ok = scene.tracks().iter().all(|t| {
         let mut last: Option<(BundleIdx, ObsIdx)> = None;
         scene.track_bundles(t.idx).iter().all(|&b| {
             let obs = scene.bundle_obs(b);
-            let (Some(&lo), Some(&hi)) = (obs.iter().min(), obs.iter().max()) else {
+            let (Some(&lo), Some(&hi)) = (obs.first(), obs.last()) else {
                 return false;
             };
+            let members_ascend = obs.windows(2).all(|w| w[0] < w[1]);
             let ascends = last.is_none_or(|(lb, lo_hi)| lb < b && lo_hi < lo);
             last = Some((b, hi));
-            ascends && !std::mem::replace(&mut placed[b.0], true)
+            members_ascend && ascends && !std::mem::replace(&mut placed[b.0], true)
         })
     });
     tracks_ok && placed.into_iter().all(|p| p)
 }
 
-/// A scene's per-track stores, ready to score any track or bundle.
+/// A scene's factor columns, ready to score any track or bundle.
 pub struct ScoreEngine<'a> {
     scene: &'a Scene,
-    stores: TrackStores,
+    columns: FactorColumns,
 }
 
 impl<'a> ScoreEngine<'a> {
     /// Evaluate every factor of `scene` against `features`/`library` into
-    /// per-track stores: the whole scene ingested as a single delta. Fails
-    /// like `compile_scene` when a learned feature has no library entry.
+    /// factor columns: the column kernel run once over the whole scene.
+    /// Fails like `compile_scene` when a learned feature has no library
+    /// entry.
     ///
     /// `scene` must satisfy the module docs' precondition (true of every
     /// assembled scene; debug builds assert it).
@@ -536,21 +627,19 @@ impl<'a> ScoreEngine<'a> {
             "scene violates the assembly-order precondition"
         );
         let ev = Evaluator::new(features, library)?;
-        let mut stores = TrackStores::new(features);
-        for t in scene.tracks() {
-            stores.ingest_track(&ev, scene, t.idx);
-        }
-        Ok(ScoreEngine { scene, stores })
+        let mut columns = FactorColumns::new(&ev);
+        columns.ingest(&ev, scene, 0, (0..scene.n_tracks()).map(TrackIdx));
+        Ok(ScoreEngine { scene, columns })
     }
 
     /// Score an observation bundle.
     pub fn score_bundle(&self, bundle: BundleIdx) -> ComponentScore {
-        self.stores.bundle_score(self.scene, bundle)
+        self.columns.bundle_score(self.scene, bundle)
     }
 
     /// Score a track.
     pub fn score_track(&self, track: TrackIdx) -> ComponentScore {
-        self.stores.track_score(track)
+        self.columns.track_score(self.scene, track)
     }
 
     /// Score every track, in track order: one sequential fold per track.
@@ -687,6 +776,42 @@ mod tests {
         let reference = normalized_log_score([0.37, 0.39, 0.21]);
         assert_eq!(reference.factor_count, 3);
         assert_eq!(reference.score.unwrap().to_bits(), expected.to_bits());
+    }
+
+    /// The dense class table reads the grid `FittedDistribution::probability`
+    /// reads, bit for bit: every class (Car has no KDE of its own, so the
+    /// pooled grid), no class, and values off the grid or not finite.
+    #[test]
+    fn grid_table_matches_fitted_probability() {
+        use loa_stats::{Bernoulli, Kde1d};
+        let xs = |lo: f64| (0..40).map(|i| lo + (i % 9) as f64 * 0.6).collect::<Vec<_>>();
+        let per_class = ObjectClass::ALL[1..]
+            .iter()
+            .map(|&class| (class, Kde1d::fit(&xs(class.index() as f64)).unwrap()))
+            .collect();
+        let pooled = Kde1d::fit(&xs(0.5)).unwrap();
+        let dists = [
+            FittedDistribution::ClassConditional { per_class, pooled },
+            FittedDistribution::Kde(Kde1d::fit(&xs(2.0)).unwrap()),
+        ];
+        let classes = ObjectClass::ALL.map(Some).into_iter().chain([None]);
+        for fitted in &dists {
+            let table = GridTable::of(fitted).expect("KDE-backed");
+            for x in
+                [-50.0, 0.0, 1.3, 2.9, 4.4, 7.7, 1e6, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
+            {
+                for class in classes.clone() {
+                    let v = FeatureValue { x, class };
+                    assert_eq!(
+                        table.probability(&v).to_bits(),
+                        fitted.probability(&v).to_bits(),
+                        "{v:?}"
+                    );
+                }
+            }
+        }
+        let flag = FittedDistribution::Bernoulli(Bernoulli::from_p(0.5).unwrap());
+        assert!(GridTable::of(&flag).is_none(), "only KDEs have grids");
     }
 
     #[test]

@@ -16,8 +16,8 @@ use crate::text;
 pub enum Stage {
     /// Batch scene assembly (`ScenePipeline`).
     Assemble,
-    /// Whole-scene store ingest (`ScoreEngine::new`: every factor
-    /// evaluated into its track's `ln p` store). Labelled `compile`.
+    /// Whole-scene factor evaluation (`ScoreEngine::new`: every factor
+    /// evaluated into the scene's `ln p` columns). Labelled `compile`.
     Compile,
     /// Full candidate score sweep.
     Score,

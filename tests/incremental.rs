@@ -2,13 +2,13 @@
 //! path.
 //!
 //! The contract is **bit-identity**: after every pushed frame, scores
-//! served by `IncrementalScorer` (per-track `ln p` stores re-folded only
-//! for changed tracks) must equal the Section 4.3 reference —
+//! served by `IncrementalScorer` (scene-wide `ln p` columns re-folded
+//! only for changed tracks) must equal the Section 4.3 reference —
 //! `compile_scene` + `score_component` of the same snapshot — same f64
 //! bits, same factor counts, same zeroed flags; and every track app's
 //! incremental worklist must equal its `rank_scored` over the reference
 //! scores of a freshly materialized snapshot, field for field. (Batch
-//! `ScoreEngine` folds from the same stores, so the reference, not the
+//! `ScoreEngine` folds from the same columns, so the reference, not the
 //! batch engine, is what these tests compare against.) Covered: fuzzed
 //! corpora, all three `AssemblyConfig` presets (each paired with the
 //! application feature set that actually runs on it) plus
@@ -273,7 +273,7 @@ proptest! {
     }
 }
 
-/// Mid-stream events the stores must absorb: a count factor crossing
+/// Mid-stream events the columns must absorb: a count factor crossing
 /// its threshold (the track's score goes from zeroed to ranked) and a
 /// track gaining its second bundle (its first bundle loses the track
 /// factors). Both occur under every fixture, and every frame still

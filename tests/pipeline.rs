@@ -238,7 +238,7 @@ fn for_each_compiled(
 
 #[test]
 fn indexed_sweep_matches_generic_component_scoring_bit_for_bit() {
-    // The scoring engine (per-track `ln p` stores) against the reference
+    // The scoring engine (scene-wide `ln p` columns) against the reference
     // (`score_component` per candidate over the compiled factor graph),
     // for every track and bundle: same f64 bits, factor counts and zeroed
     // flags. Both fold the same factors in the same order.
