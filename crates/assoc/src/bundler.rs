@@ -15,14 +15,24 @@
 //! most once — but can end up in one bundle through a shared partner
 //! (e.g. a duplicated model box overlapping the same human label).
 //!
-//! Bundling is no longer all-pairs: predicates that can only fire on
+//! Every entry point runs one sweep, [`bundle_prepared_into`]. It reads a
+//! frame as one flat slice of [`PreparedBox`] footprints, each source a
+//! consecutive run of it, and emits each bundle as ascending offsets into
+//! that slice. The assembly engine prepares each observation's footprint
+//! once while it gathers the frame and hands the same slice on to the
+//! tracker; the box-list entry points ([`bundle_frame_into`],
+//! [`bundle_frame`]) prepare their input and call the same sweep, so the
+//! equivalence proptests against [`bundle_frame_brute`] cover the
+//! engine's code.
+//!
+//! Bundling is not all-pairs: predicates that can only fire on
 //! overlapping footprints ([`Bundler::overlap_only`], true for the IOU
-//! default) prune candidate pairs through a [`BevGrid`] spatial index
-//! before the predicate runs. The pruned path fires the predicate on the
-//! identical subsequence of pairs the brute-force sweep would have fired
-//! it on, so the resulting union-find — and therefore every bundle — is
-//! identical; [`bundle_frame_brute`] stays as the reference the
-//! equivalence proptests check against.
+//! default) only see pairs whose AABBs intersect. A small frame tests each
+//! row's AABBs branch-free into a bit mask and visits the set bits; a
+//! large one prunes through a [`BevGrid`] spatial index. The pruned paths
+//! fire the predicate on the identical subsequence of pairs the
+//! brute-force sweep would have fired it on, so the resulting union-find —
+//! and therefore every bundle — is identical.
 
 use crate::union_find::UnionFind;
 use loa_geom::{iou_bev, iou_bev_prepared, Aabb2, BevGrid, Box3, Vec2};
@@ -40,9 +50,8 @@ pub const DEFAULT_BUNDLE_IOU: f64 = 0.5;
 const GRID_MIN_ITEMS: usize = 96;
 
 /// Precomputed per-box footprint geometry (AABB, corners, area). The
-/// indexed bundling paths build one per observation per frame, so the
-/// predicate's per-pair cost is the clip alone — no repeated corner
-/// trigonometry.
+/// assembly engine builds one per observation per frame, so a pair's
+/// predicate costs the clip alone — no repeated corner trigonometry.
 #[derive(Debug, Clone, Copy)]
 pub struct PreparedBox {
     pub aabb: Aabb2,
@@ -57,17 +66,76 @@ impl PreparedBox {
     }
 }
 
+/// A list of AABBs stored column by column, for the flat sweeps: testing
+/// one box against a run of them compiles to packed compares.
+#[derive(Debug, Clone, Default)]
+pub(crate) struct AabbColumns {
+    min_x: Vec<f64>,
+    min_y: Vec<f64>,
+    max_x: Vec<f64>,
+    max_y: Vec<f64>,
+}
+
+impl AabbColumns {
+    pub(crate) fn refill(&mut self, aabbs: impl Iterator<Item = Aabb2>) {
+        self.min_x.clear();
+        self.min_y.clear();
+        self.max_x.clear();
+        self.max_y.clear();
+        for b in aabbs {
+            self.min_x.push(b.min.x);
+            self.min_y.push(b.min.y);
+            self.max_x.push(b.max.x);
+            self.max_y.push(b.max.y);
+        }
+    }
+
+    /// Visit, ascending, every index from `from` on whose box intersects
+    /// `query` ([`Aabb2::intersects`], comparison for comparison). The
+    /// tests run branch-free, 64 at a time, into a bit mask, and only the
+    /// set bits are visited: the flat sweeps' tests mostly fail, and a
+    /// branch per test would mispredict on them.
+    #[inline]
+    pub(crate) fn for_each_overlap(
+        &self,
+        query: &Aabb2,
+        from: usize,
+        mut visit: impl FnMut(usize),
+    ) {
+        let n = self.min_x.len();
+        let mut base = from;
+        while base < n {
+            let end = n.min(base + 64);
+            let (min_x, min_y) = (&self.min_x[base..end], &self.min_y[base..end]);
+            let (max_x, max_y) = (&self.max_x[base..end], &self.max_y[base..end]);
+            let mut mask = 0u64;
+            for k in 0..end - base {
+                let hit = (query.min.x <= max_x[k])
+                    & (min_x[k] <= query.max.x)
+                    & (query.min.y <= max_y[k])
+                    & (min_y[k] <= query.max.y);
+                mask |= (hit as u64) << k;
+            }
+            while mask != 0 {
+                visit(base + mask.trailing_zeros() as usize);
+                mask &= mask - 1;
+            }
+            base = end;
+        }
+    }
+}
+
 /// The association predicate between two boxes.
 pub trait Bundler {
     /// Whether two boxes (from different sources) are the same object.
     fn is_associated(&self, a: &Box3, b: &Box3) -> bool;
 
     /// [`is_associated`](Self::is_associated) when the caller has already
-    /// prepared both boxes' footprint geometry (the indexed bundling
-    /// paths do, once per box per frame). Implementations that derive
-    /// their own AABBs/corners (e.g. for an upper-bound reject or the
-    /// clip itself) can use the prepared ones instead; the decision must
-    /// be identical to `is_associated`.
+    /// prepared both boxes' footprint geometry (the bundling sweep always
+    /// has, once per box per frame). Implementations that derive their
+    /// own AABBs/corners (e.g. for an upper-bound reject or the clip
+    /// itself) can use the prepared ones instead; the decision must be
+    /// identical to `is_associated`.
     fn is_associated_prepared(
         &self,
         a: &Box3,
@@ -100,26 +168,19 @@ impl Default for IouBundler {
     }
 }
 
-impl Bundler for IouBundler {
-    fn is_associated(&self, a: &Box3, b: &Box3) -> bool {
-        iou_bev(a, b) > self.threshold
-    }
-
-    fn is_associated_prepared(
-        &self,
-        a: &Box3,
-        b: &Box3,
-        pa: &PreparedBox,
-        pb: &PreparedBox,
-    ) -> bool {
+impl IouBundler {
+    /// The predicate on two prepared footprints — all it reads, so the
+    /// assembly engine calls it without the boxes. Decision-equivalent to
+    /// [`Bundler::is_associated`]: on AABB-overlapping pairs the prepared
+    /// clip computes the identical IOU, and at a threshold `≤ 0` (no
+    /// pruning) both IOUs are finite and in `[0, 1]`, so every pair
+    /// passes either way.
+    pub fn associates(&self, pa: &PreparedBox, pb: &PreparedBox) -> bool {
         // Exact upper-bound reject before the polygon clip: the footprint
         // intersection is contained in the AABB intersection, so
         // `iou > t` requires `aabb_inter > t·(A + B)/(1 + t)`. Most
         // sub-threshold candidate pairs stop here, paying four min/max
-        // instead of a Sutherland–Hodgman clip. (Decision-equivalent to
-        // `is_associated`: the bound is exact, and on AABB-overlapping
-        // pairs the prepared clip computes the identical IOU.)
-        let _ = (a, b);
+        // instead of a Sutherland–Hodgman clip.
         if self.threshold > 0.0 {
             let (aabb_a, aabb_b) = (&pa.aabb, &pb.aabb);
             let ix = (aabb_a.max.x.min(aabb_b.max.x) - aabb_a.min.x.max(aabb_b.min.x)).max(0.0);
@@ -130,6 +191,22 @@ impl Bundler for IouBundler {
             }
         }
         iou_bev_prepared(&pa.corners, pa.area, &pb.corners, pb.area) > self.threshold
+    }
+}
+
+impl Bundler for IouBundler {
+    fn is_associated(&self, a: &Box3, b: &Box3) -> bool {
+        iou_bev(a, b) > self.threshold
+    }
+
+    fn is_associated_prepared(
+        &self,
+        _a: &Box3,
+        _b: &Box3,
+        pa: &PreparedBox,
+        pb: &PreparedBox,
+    ) -> bool {
+        self.associates(pa, pb)
     }
 
     fn overlap_only(&self) -> bool {
@@ -168,14 +245,14 @@ impl BundleGroup {
 }
 
 /// One frame's bundles in CSR form: group `g` is
-/// `members[offsets[g]..offsets[g + 1]]`, each member a
-/// `(source, index_within_source)` pair. The reusable-output twin of
-/// `Vec<BundleGroup>` — [`bundle_frame_into`] refills one of these per
-/// frame without allocating once warm.
+/// `members[offsets[g]..offsets[g + 1]]`, each member an offset into the
+/// frame's flat observation slice, ascending within the group. The
+/// reusable-output twin of `Vec<BundleGroup>` — [`bundle_prepared_into`]
+/// refills one of these per frame without allocating once warm.
 #[derive(Debug, Clone, Default)]
 pub struct FrameBundles {
     offsets: Vec<u32>,
-    members: Vec<(usize, usize)>,
+    members: Vec<u32>,
 }
 
 impl FrameBundles {
@@ -189,31 +266,26 @@ impl FrameBundles {
     }
 
     /// Members of group `g`.
-    pub fn group(&self, g: usize) -> &[(usize, usize)] {
+    pub fn group(&self, g: usize) -> &[u32] {
         &self.members[self.offsets[g] as usize..self.offsets[g + 1] as usize]
     }
 
     /// Iterate groups in order.
-    pub fn iter(&self) -> impl Iterator<Item = &[(usize, usize)]> + '_ {
+    pub fn iter(&self) -> impl Iterator<Item = &[u32]> + '_ {
         (0..self.len()).map(|g| self.group(g))
-    }
-
-    fn clear(&mut self) {
-        self.offsets.clear();
-        self.offsets.push(0);
-        self.members.clear();
     }
 }
 
-/// Reusable buffers for [`bundle_frame_into`]: the flattened observation
-/// list, its AABBs, the spatial grid, the union-find, and the grouping
-/// sort — everything the per-frame bundling pass would otherwise
-/// reallocate.
+/// Reusable buffers for [`bundle_prepared_into`] (AABBs, spatial grid,
+/// union-find, grouping sort) and for the box-list staging of
+/// [`bundle_frame_into`] — everything the per-frame bundling pass would
+/// otherwise reallocate.
 #[derive(Debug, Clone, Default)]
 pub struct BundleScratch {
-    flat: Vec<(usize, usize)>,
     boxes: Vec<Box3>,
     prepared: Vec<PreparedBox>,
+    source_ends: Vec<usize>,
+    columns: AabbColumns,
     aabbs: Vec<Aabb2>,
     grid: BevGrid,
     candidates: Vec<u32>,
@@ -222,120 +294,148 @@ pub struct BundleScratch {
     group_start: Vec<u32>,
 }
 
-impl BundleScratch {
-    /// Footprint geometry of every observation of the most recently
-    /// bundled frame, in source-then-index order (observation `i` of
-    /// source `s` sits after all of sources `0..s`).
-    pub fn prepared(&self) -> &[PreparedBox] {
-        &self.prepared
-    }
-}
-
 /// Bundle one frame's observations.
 ///
 /// `sources` is a list of per-source box lists (e.g. `[human_labels,
 /// model_predictions]`). Returns bundles covering *every* observation;
-/// unmatched observations become singleton bundles. Bundles are sorted by
-/// their first member for determinism.
+/// unmatched observations become singleton bundles. Bundles come in a
+/// deterministic order: by union-find root, as [`bundle_frame_brute`]
+/// orders them.
 pub fn bundle_frame(sources: &[&[Box3]], bundler: &impl Bundler) -> Vec<BundleGroup> {
     let mut scratch = BundleScratch::default();
     let mut out = FrameBundles::default();
     bundle_frame_into(sources, bundler, &mut scratch, &mut out);
-    out.iter().map(|g| BundleGroup { members: g.to_vec() }).collect()
+    let ends = &scratch.source_ends;
+    let source_of = |m: u32| {
+        let m = m as usize;
+        let s = ends.partition_point(|&end| end <= m);
+        (s, m - if s == 0 { 0 } else { ends[s - 1] })
+    };
+    out.iter()
+        .map(|g| BundleGroup { members: g.iter().map(|&m| source_of(m)).collect() })
+        .collect()
 }
 
 /// [`bundle_frame`] with caller-owned scratch and CSR output (both reused
-/// across frames). This is the path `AssemblyEngine` drives.
+/// across frames): prepares the boxes' footprints in source order and
+/// runs [`bundle_prepared_into`] over them, so member `m` of a group is
+/// the `m`-th box of the sources laid end to end.
 pub fn bundle_frame_into(
     sources: &[&[Box3]],
     bundler: &impl Bundler,
     scratch: &mut BundleScratch,
     out: &mut FrameBundles,
 ) {
-    // Flatten with source tags.
-    scratch.flat.clear();
-    scratch.boxes.clear();
-    for (s, boxes) in sources.iter().enumerate() {
-        for (i, b) in boxes.iter().enumerate() {
-            scratch.flat.push((s, i));
-            scratch.boxes.push(*b);
-        }
+    let mut boxes = std::mem::take(&mut scratch.boxes);
+    let mut prepared = std::mem::take(&mut scratch.prepared);
+    let mut ends = std::mem::take(&mut scratch.source_ends);
+    boxes.clear();
+    ends.clear();
+    for source in sources {
+        boxes.extend_from_slice(source);
+        ends.push(boxes.len());
     }
-    let n = scratch.flat.len();
-    scratch.uf.reset(n);
-    // Every observation's footprint geometry, in flat order: the pruned
-    // sweeps below score pairs from it, and the caller's tracker reuses
-    // it for the bundles' representative boxes.
-    scratch.prepared.clear();
-    scratch.prepared.extend(scratch.boxes.iter().map(PreparedBox::new));
+    prepared.clear();
+    prepared.extend(boxes.iter().map(PreparedBox::new));
+    bundle_prepared_into(
+        &prepared,
+        &ends,
+        bundler.overlap_only(),
+        |a, b| bundler.is_associated_prepared(&boxes[a], &boxes[b], &prepared[a], &prepared[b]),
+        scratch,
+        out,
+    );
+    (scratch.boxes, scratch.prepared, scratch.source_ends) = (boxes, prepared, ends);
+}
 
-    // Pairs are visited in ascending (a, b) order on all paths, and the
-    // pruned paths only skip pairs the predicate could not fire on
-    // (same-source or disjoint-AABB pairs), so the union sequence — and
-    // the resulting roots — are identical. Small frames prune through a
-    // precomputed-AABB pair sweep (four comparisons per pair, no index
-    // setup) whose rows start at the next source, as `flat` is grouped by
-    // source; past [`GRID_MIN_ITEMS`] the `BevGrid` takes over and the
-    // sweep's `O(n²)` disappears.
-    if n >= 2 && bundler.overlap_only() {
-        let prepared = &scratch.prepared;
-        if n < GRID_MIN_ITEMS {
-            let mut start = 0;
-            for boxes in sources {
-                let end = start + boxes.len();
-                for a in start..end {
-                    for b in end..n {
-                        if !prepared[a].aabb.intersects(&prepared[b].aabb) {
-                            continue;
-                        }
-                        if bundler.is_associated_prepared(
-                            &scratch.boxes[a],
-                            &scratch.boxes[b],
-                            &prepared[a],
-                            &prepared[b],
-                        ) {
-                            scratch.uf.union(a, b);
-                        }
+/// The bundling sweep every entry point runs.
+///
+/// `prepared` is one frame's observation footprints, source after source:
+/// source `s` is `prepared[source_ends[s - 1]..source_ends[s]]` (from 0
+/// for the first), and the last end is `prepared.len()`. `associated(a,
+/// b)` is the predicate on offsets `a < b` into `prepared`. It is asked
+/// only about pairs from different sources, in ascending `(a, b)` order,
+/// and, when `overlap_only`, only about pairs whose AABBs intersect. Every
+/// observation lands in exactly one group of `out`; an unmatched one is a
+/// singleton.
+pub fn bundle_prepared_into(
+    prepared: &[PreparedBox],
+    source_ends: &[usize],
+    overlap_only: bool,
+    mut associated: impl FnMut(usize, usize) -> bool,
+    scratch: &mut BundleScratch,
+    out: &mut FrameBundles,
+) {
+    let n = prepared.len();
+    debug_assert_eq!(source_ends.last().copied().unwrap_or(0), n, "sources cover the frame");
+    // Pairs exist only when a source boundary splits the frame, i.e. when
+    // two sources have observations.
+    let paired = source_ends.iter().any(|&end| 0 < end && end < n);
+    if paired {
+        scratch.uf.reset(n);
+    }
+
+    // Source runs are consecutive, so a row `a` pairs with exactly the
+    // columns from its run's end on. All three paths visit rows ascending
+    // and only skip pairs the predicate could not fire on (disjoint
+    // AABBs), so the union sequence — and the resulting roots — are the
+    // brute-force sweep's. Small frames test each row's AABBs into a mask
+    // (no index setup); past [`GRID_MIN_ITEMS`] the `BevGrid` takes over
+    // and the sweep's `O(n²)` disappears.
+    let mut merged = false;
+    if paired && overlap_only && n < GRID_MIN_ITEMS {
+        scratch.columns.refill(prepared.iter().map(|p| p.aabb));
+        let mut start = 0;
+        for &end in source_ends {
+            for a in start..end {
+                scratch.columns.for_each_overlap(&prepared[a].aabb, end, |b| {
+                    if associated(a, b) {
+                        merged |= scratch.uf.union(a, b);
                     }
-                }
-                start = end;
+                });
             }
-        } else {
-            scratch.aabbs.clear();
-            scratch.aabbs.extend(prepared.iter().map(|p| p.aabb));
-            scratch.grid.build(&scratch.aabbs);
-            for a in 0..n {
-                let query = prepared[a].aabb;
-                scratch.grid.query_into(&query, &mut scratch.candidates);
+            start = end;
+        }
+    } else if paired && overlap_only {
+        scratch.aabbs.clear();
+        scratch.aabbs.extend(prepared.iter().map(|p| p.aabb));
+        scratch.grid.build(&scratch.aabbs);
+        let mut start = 0;
+        for &end in source_ends {
+            for a in start..end {
+                scratch.grid.query_into(&prepared[a].aabb, &mut scratch.candidates);
                 for &cand in &scratch.candidates {
                     let b = cand as usize;
-                    if b <= a || scratch.flat[a].0 == scratch.flat[b].0 {
-                        continue;
-                    }
-                    if bundler.is_associated_prepared(
-                        &scratch.boxes[a],
-                        &scratch.boxes[b],
-                        &prepared[a],
-                        &prepared[b],
-                    ) {
-                        scratch.uf.union(a, b);
+                    if b >= end && associated(a, b) {
+                        merged |= scratch.uf.union(a, b);
                     }
                 }
             }
+            start = end;
         }
-    } else {
-        for a in 0..n {
-            for b in (a + 1)..n {
-                if scratch.flat[a].0 == scratch.flat[b].0 {
-                    continue;
-                }
-                if bundler.is_associated(&scratch.boxes[a], &scratch.boxes[b]) {
-                    scratch.uf.union(a, b);
+    } else if paired {
+        let mut start = 0;
+        for &end in source_ends {
+            for a in start..end {
+                for b in end..n {
+                    if associated(a, b) {
+                        merged |= scratch.uf.union(a, b);
+                    }
                 }
             }
+            start = end;
         }
     }
 
+    out.offsets.clear();
+    out.members.clear();
+    if !merged {
+        // Every observation is its own root: singletons in index order
+        // (always so for a frame with one source).
+        out.offsets.extend(0..=n as u32);
+        out.members.extend(0..n as u32);
+        return;
+    }
     // Group by root, roots ascending, members ascending within a group —
     // the order `UnionFind::groups` produces — by a counting sort over
     // the root ids (all `< n`): no comparisons, no BTreeMap.
@@ -347,7 +447,7 @@ pub fn bundle_frame_into(
         scratch.roots.push(r as u32);
         scratch.group_start[r + 1] += 1;
     }
-    out.clear();
+    out.offsets.push(0);
     for r in 0..n {
         let count = scratch.group_start[r + 1];
         scratch.group_start[r + 1] += scratch.group_start[r];
@@ -355,10 +455,10 @@ pub fn bundle_frame_into(
             out.offsets.push(scratch.group_start[r + 1]);
         }
     }
-    out.members.resize(n, (0, 0));
+    out.members.resize(n, 0);
     for x in 0..n {
         let slot = &mut scratch.group_start[scratch.roots[x] as usize];
-        out.members[*slot as usize] = scratch.flat[x];
+        out.members[*slot as usize] = x as u32;
         *slot += 1;
     }
 }
@@ -516,7 +616,7 @@ mod tests {
         let human2 = [car(1.0, 1.0)];
         bundle_frame_into(&[&human2, &empty], &IouBundler::default(), &mut scratch, &mut out);
         assert_eq!(out.len(), 1);
-        assert_eq!(out.group(0), &[(0, 0)]);
+        assert_eq!(out.group(0), &[0]);
     }
 
     /// Deterministic pseudo-random box cloud, dense enough for plenty of

@@ -31,8 +31,8 @@ pub mod tracker;
 pub mod union_find;
 
 pub use bundler::{
-    bundle_frame, bundle_frame_brute, bundle_frame_into, BundleGroup, BundleScratch, Bundler,
-    FrameBundles, IouBundler, PreparedBox, DEFAULT_BUNDLE_IOU,
+    bundle_frame, bundle_frame_brute, bundle_frame_into, bundle_prepared_into, BundleGroup,
+    BundleScratch, Bundler, FrameBundles, IouBundler, PreparedBox, DEFAULT_BUNDLE_IOU,
 };
 pub use matching::{
     greedy_match, greedy_match_into, greedy_match_matrix, Match, MatchScratch, ScoreMatrix,

@@ -92,8 +92,9 @@ pub struct MatchScratch {
 
 /// Greedy maximum-score-first matching over a [`ScoreMatrix`].
 ///
-/// Sorts all explicit pairs with `score >= min_score` by descending score
-/// and takes each pair whose endpoints are both unused.
+/// Sorts all explicit pairs with a finite `score >= min_score` by
+/// descending score and takes each pair whose endpoints are both unused.
+/// Matches come out ordered by `(left, right)`.
 pub fn greedy_match_matrix(scores: &ScoreMatrix, min_score: f64) -> Vec<Match> {
     let mut scratch = MatchScratch::default();
     let mut out = Vec::new();
@@ -103,19 +104,44 @@ pub fn greedy_match_matrix(scores: &ScoreMatrix, min_score: f64) -> Vec<Match> {
 
 /// [`greedy_match_matrix`] with caller-owned scratch and output buffers
 /// (both are cleared first).
+///
+/// When no row and no column holds two qualifying pairs, greedy takes
+/// every qualifying pair whatever the order, so neither sort runs: the
+/// output is the qualifying pairs themselves, sorted only if they were
+/// not pushed in `(left, right)` order. The tracker's per-frame matrices
+/// are nearly always of this kind.
 pub fn greedy_match_into(
     scores: &ScoreMatrix,
     min_score: f64,
     scratch: &mut MatchScratch,
     out: &mut Vec<Match>,
 ) {
+    scratch.used_left.clear();
+    scratch.used_left.resize(scores.rows(), false);
+    scratch.used_right.clear();
+    scratch.used_right.resize(scores.cols(), false);
+    out.clear();
+    let (mut conflict, mut ascending) = (false, true);
+    for &m in scores.entries() {
+        if m.score >= min_score && m.score.is_finite() {
+            conflict |= scratch.used_left[m.left] | scratch.used_right[m.right];
+            scratch.used_left[m.left] = true;
+            scratch.used_right[m.right] = true;
+            ascending &= out
+                .last()
+                .is_none_or(|p: &Match| (p.left, p.right) < (m.left, m.right));
+            out.push(m);
+        }
+    }
+    if !conflict {
+        if !ascending {
+            out.sort_by_key(|m| (m.left, m.right));
+        }
+        return;
+    }
+
     scratch.pairs.clear();
-    scratch.pairs.extend(
-        scores
-            .entries()
-            .iter()
-            .filter(|m| m.score >= min_score && m.score.is_finite()),
-    );
+    scratch.pairs.append(out);
     // Descending by score; ties broken by indices for determinism.
     scratch.pairs.sort_by(|a, b| {
         b.score
@@ -124,11 +150,8 @@ pub fn greedy_match_into(
             .then(a.left.cmp(&b.left))
             .then(a.right.cmp(&b.right))
     });
-    scratch.used_left.clear();
-    scratch.used_left.resize(scores.rows(), false);
-    scratch.used_right.clear();
-    scratch.used_right.resize(scores.cols(), false);
-    out.clear();
+    scratch.used_left.fill(false);
+    scratch.used_right.fill(false);
     for &m in &scratch.pairs {
         if !scratch.used_left[m.left] && !scratch.used_right[m.right] {
             scratch.used_left[m.left] = true;
@@ -266,6 +289,39 @@ mod tests {
         }
     }
 
+    /// The sort-everything greedy the conflict-free shortcut must
+    /// reproduce: qualifying pairs by descending score (ties by indices),
+    /// each taken when both ends are free, output by `(left, right)`.
+    fn greedy_sorted(scores: &ScoreMatrix, min_score: f64) -> Vec<Match> {
+        let mut pairs: Vec<Match> = scores
+            .entries()
+            .iter()
+            .copied()
+            .filter(|m| m.score >= min_score && m.score.is_finite())
+            .collect();
+        pairs.sort_by(|a, b| {
+            b.score
+                .partial_cmp(&a.score)
+                .unwrap()
+                .then(a.left.cmp(&b.left))
+                .then(a.right.cmp(&b.right))
+        });
+        let (mut used_l, mut used_r) = (vec![false; scores.rows()], vec![false; scores.cols()]);
+        let mut out: Vec<Match> = pairs
+            .into_iter()
+            .filter(|m| {
+                let free = !used_l[m.left] && !used_r[m.right];
+                if free {
+                    used_l[m.left] = true;
+                    used_r[m.right] = true;
+                }
+                free
+            })
+            .collect();
+        out.sort_by_key(|m| (m.left, m.right));
+        out
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -288,6 +344,69 @@ mod tests {
                 prop_assert!(seen_l.insert(m.left));
                 prop_assert!(seen_r.insert(m.right));
             }
+        }
+
+        #[test]
+        fn prop_unsorted_shortcut_equals_sorted_greedy(
+            rows in 1usize..7, cols in 1usize..7, seed in 0u64..20_000,
+            one_to_one in any::<bool>(), shuffle in any::<bool>(),
+        ) {
+            // Qualifying scores (at or above 0.4, finite) either sit on a
+            // partial one-to-one matching — no row or column holds two, so
+            // greedy may skip its sorts — or anywhere, with row and column
+            // conflicts. The palette has scores equal to the threshold,
+            // ties, and NaN/±∞ entries; the push order is row-major or
+            // shuffled (as the grid path pushes it).
+            const MIN: f64 = 0.4;
+            const QUALIFYING: [f64; 6] = [MIN, MIN, 0.9, 0.9, 0.6, 1.0];
+            const OTHER: [f64; 5] = [0.1, 0.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY];
+            let mut state = seed.wrapping_mul(0x9e3779b97f4a7c15).wrapping_add(5);
+            let mut next = |n: usize| {
+                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                ((state >> 33) % n as u64) as usize
+            };
+            let mut entries = Vec::new();
+            if one_to_one {
+                let mut perm: Vec<usize> = (0..cols).collect();
+                for i in (1..cols).rev() {
+                    perm.swap(i, next(i + 1));
+                }
+                for (i, &j) in perm.iter().enumerate().take(rows) {
+                    if next(4) != 0 {
+                        entries.push((i, j, QUALIFYING[next(QUALIFYING.len())]));
+                    }
+                }
+                for _ in 0..next(8) {
+                    entries.push((next(rows), next(cols), OTHER[next(OTHER.len())]));
+                }
+            } else {
+                for i in 0..rows {
+                    for j in 0..cols {
+                        if next(3) != 0 {
+                            let k = next(QUALIFYING.len() + OTHER.len());
+                            let score = if k < QUALIFYING.len() {
+                                QUALIFYING[k]
+                            } else {
+                                OTHER[k - QUALIFYING.len()]
+                            };
+                            entries.push((i, j, score));
+                        }
+                    }
+                }
+            }
+            if shuffle {
+                for i in (1..entries.len()).rev() {
+                    entries.swap(i, next(i + 1));
+                }
+            } else {
+                entries.sort_by_key(|&(i, j, _)| (i, j));
+            }
+            let mut m = ScoreMatrix::new();
+            m.reset(rows, cols);
+            for (i, j, score) in entries {
+                m.push(i, j, score);
+            }
+            prop_assert_eq!(greedy_match_matrix(&m, MIN), greedy_sorted(&m, MIN));
         }
 
         #[test]

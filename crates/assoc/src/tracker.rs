@@ -5,19 +5,27 @@
 //! within a track by box overlap across time"*. A configurable frame gap
 //! lets tracks survive single-frame dropouts (real detectors flicker).
 //!
+//! A frame's items arrive as offsets into a slice of prepared footprints
+//! ([`TrackBuilder::step_prepared`]): the assembly engine passes the
+//! footprints it prepared for bundling and the offsets of the bundles'
+//! representatives, so no footprint is computed or copied twice. The
+//! box-list entry points ([`build_tracks`], [`TrackBuilder::step`])
+//! prepare their boxes and run the same step.
+//!
 //! The per-frame assignment is spatially pruned: active tracks only score
 //! against items whose AABBs overlap their last box (a necessary
-//! condition for any IOU above a positive threshold), collected through a
-//! [`BevGrid`] built over the frame's items. Scores land in a sparse
-//! [`ScoreMatrix`] — unscored pairs have IOU exactly 0, below any
-//! positive threshold — so the matching is identical to the retained
-//! dense reference, [`build_tracks_brute`], which the equivalence
-//! proptests check against. All per-frame buffers live in a
-//! [`TrackerScratch`] reused across frames and scenes.
+//! condition for any IOU above a positive threshold). A small frame tests
+//! each track's AABB against all items branch-free into a bit mask; a
+//! large one collects candidates through a [`BevGrid`] built over the
+//! frame's items. Scores land in a sparse [`ScoreMatrix`] — unscored pairs
+//! have IOU exactly 0, below any positive threshold — so the matching is
+//! identical to the retained dense reference, [`build_tracks_brute`],
+//! which the equivalence proptests check against. All per-frame buffers
+//! live in a [`TrackerScratch`] reused across frames and scenes.
 
-use crate::bundler::PreparedBox;
+use crate::bundler::{AabbColumns, PreparedBox};
 use crate::matching::{greedy_match_into, MatchScratch, ScoreMatrix};
-use loa_geom::{iou_bev, iou_bev_prepared, BevGrid, Box3};
+use loa_geom::{iou_bev, iou_bev_prepared, Aabb2, BevGrid, Box3};
 use serde::{Deserialize, Serialize};
 
 /// Track-builder parameters.
@@ -57,27 +65,125 @@ impl TrackPath {
     }
 }
 
+/// `next` of a path's last entry.
+const END: u32 = u32::MAX;
+
+/// One path entry in the [`Paths`] arena.
+#[derive(Debug, Clone, Copy)]
+struct PathEntry {
+    frame: u32,
+    item: u32,
+    /// The path's following entry, or [`END`].
+    next: u32,
+}
+
+/// A path's first and last entry in the [`Paths`] arena, and its length.
+#[derive(Debug, Clone, Copy)]
+struct PathSpan {
+    head: u32,
+    tail: u32,
+    len: u32,
+}
+
+/// Every path's entries in one arena, in push order, each linked to the
+/// next entry of its path: opening or extending a path appends one entry,
+/// so a warm builder allocates nothing per track.
+#[derive(Debug, Clone, Default)]
+struct Paths {
+    entries: Vec<PathEntry>,
+    spans: Vec<PathSpan>,
+}
+
+impl Paths {
+    fn clear(&mut self) {
+        self.entries.clear();
+        self.spans.clear();
+    }
+
+    fn push(&mut self, f: usize, item: usize) -> u32 {
+        let at = u32::try_from(self.entries.len()).expect("fewer than 2³² path entries");
+        let entry = |v: usize| u32::try_from(v).expect("frame and item indices fit u32");
+        self.entries
+            .push(PathEntry { frame: entry(f), item: entry(item), next: END });
+        at
+    }
+
+    /// Start a path at item `item` of frame `f`; returns its index.
+    fn open(&mut self, f: usize, item: usize) -> usize {
+        let at = self.push(f, item);
+        self.spans.push(PathSpan { head: at, tail: at, len: 1 });
+        self.spans.len() - 1
+    }
+
+    /// Append item `item` of frame `f` to path `t`.
+    fn extend(&mut self, t: usize, f: usize, item: usize) {
+        let at = self.push(f, item);
+        let span = &mut self.spans[t];
+        self.entries[span.tail as usize].next = at;
+        span.tail = at;
+        span.len += 1;
+    }
+
+    fn path(&self, t: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        let mut at = self.spans[t].head;
+        std::iter::from_fn(move || {
+            let entry = self.entries.get(at as usize)?;
+            at = entry.next;
+            Some((entry.frame as usize, entry.item as usize))
+        })
+    }
+
+    fn to_vec(&self) -> Vec<TrackPath> {
+        let tracks: Vec<TrackPath> = (0..self.spans.len())
+            .map(|t| TrackPath { entries: self.path(t).collect() })
+            .collect();
+        debug_assert_sorted_by_first_entry(&tracks);
+        tracks
+    }
+}
+
 /// An active (extendable) track during the sweep.
 #[derive(Debug, Clone, Copy)]
 struct Active {
     track_idx: usize,
     last_frame: usize,
+    /// The last box, for the unpruned (threshold ≤ 0) scoring path.
     last_box: Box3,
-    /// Cached footprint geometry of `last_box` — each frame scores this
-    /// track against several items, so corners/area are computed once per
-    /// extension instead of once per pair.
+    /// Footprint geometry of `last_box`, kept from the frame that
+    /// extended the track — each frame scores this track against several
+    /// items, so corners/area are computed once per extension instead of
+    /// once per pair.
     prepared: PreparedBox,
 }
 
-/// Reusable per-frame buffers for [`build_tracks_with`]: the active-track
-/// list, the item grid, the sparse score matrix, and the matcher scratch.
-/// One of these lives in each `AssemblyEngine`; a warm tracker allocates
-/// only for the output paths themselves.
+/// The box-list entry points' staging: the boxes' footprints and the
+/// identity item offsets into them.
+#[derive(Debug, Clone, Default)]
+struct Staged {
+    prepared: Vec<PreparedBox>,
+    items: Vec<u32>,
+}
+
+impl Staged {
+    fn fill(&mut self, boxes: &[Box3]) {
+        self.prepared.clear();
+        self.prepared.extend(boxes.iter().map(PreparedBox::new));
+        self.items.clear();
+        self.items.extend(0..boxes.len() as u32);
+    }
+}
+
+/// Reusable buffers for [`build_tracks_with`]: the paths being built, the
+/// active-track list, the item AABBs and grid, the sparse score matrix,
+/// and the matcher scratch. One of these lives in each `AssemblyEngine`,
+/// whose warm tracker allocates nothing per frame or per track.
 #[derive(Debug, Clone, Default)]
 pub struct TrackerScratch {
+    paths: Paths,
     active: Vec<Active>,
-    item_prepared: Vec<PreparedBox>,
-    item_aabbs: Vec<loa_geom::Aabb2>,
+    staged: Staged,
+    item_columns: AabbColumns,
+    item_aabbs: Vec<Aabb2>,
     grid: BevGrid,
     candidates: Vec<u32>,
     matrix: ScoreMatrix,
@@ -103,15 +209,15 @@ pub fn build_tracks_with(
     cfg: &TrackerConfig,
     scratch: &mut TrackerScratch,
 ) -> Vec<TrackPath> {
-    let mut tracks: Vec<TrackPath> = Vec::new();
+    scratch.paths.clear();
     scratch.active.clear();
-    for (f, items) in frames.iter().enumerate() {
-        scratch.item_prepared.clear();
-        scratch.item_prepared.extend(items.iter().map(PreparedBox::new));
-        track_frame_step(cfg, scratch, &mut tracks, f, items);
+    let mut staged = std::mem::take(&mut scratch.staged);
+    for (f, boxes) in frames.iter().enumerate() {
+        staged.fill(boxes);
+        track_frame_step(cfg, scratch, f, &staged.prepared, &staged.items, |k| boxes[k]);
     }
-    debug_assert_sorted_by_first_entry(&tracks);
-    tracks
+    scratch.staged = staged;
+    scratch.paths.to_vec()
 }
 
 /// Tracks open at the frame sweep's tail, each frame's in ascending item
@@ -125,18 +231,18 @@ fn debug_assert_sorted_by_first_entry(tracks: &[TrackPath]) {
 /// [`build_tracks_with`], exposed one frame at a time so live ingest can
 /// extend tracks as data arrives instead of waiting for the whole scene.
 ///
-/// Feed frames in order through [`step`](TrackBuilder::step);
+/// Feed frames in order through [`step`](TrackBuilder::step) or
+/// [`step_prepared`](TrackBuilder::step_prepared);
 /// [`finish`](TrackBuilder::finish) returns the same frame-ordered,
 /// first-entry-sorted paths the batch entry point produces (the batch
 /// function runs through this exact step), and
 /// [`snapshot`](TrackBuilder::snapshot) clones the paths-so-far without
-/// disturbing the in-progress state. All per-frame buffers live in an
-/// owned [`TrackerScratch`], so a reused builder allocates only for the
-/// output paths.
+/// disturbing the in-progress state; [`path`](TrackBuilder::path) reads
+/// one path in place. All paths and per-frame buffers live in an owned
+/// [`TrackerScratch`], so a reused builder allocates nothing per frame.
 #[derive(Debug, Default)]
 pub struct TrackBuilder {
     scratch: TrackerScratch,
-    tracks: Vec<TrackPath>,
     next_frame: usize,
 }
 
@@ -144,43 +250,40 @@ impl TrackBuilder {
     /// Start a new scene, discarding any in-progress state.
     pub fn begin(&mut self) {
         self.scratch.active.clear();
-        self.tracks.clear();
+        self.scratch.paths.clear();
         self.next_frame = 0;
     }
 
     /// Extend tracks with the next frame's item boxes.
     pub fn step(&mut self, cfg: &TrackerConfig, items: &[Box3]) {
-        self.step_prepared(cfg, items, items.iter().map(PreparedBox::new));
+        let mut staged = std::mem::take(&mut self.scratch.staged);
+        staged.fill(items);
+        self.step_prepared(cfg, &staged.prepared, &staged.items, |k| items[k]);
+        self.scratch.staged = staged;
     }
 
-    /// [`step`](Self::step) with each item's footprint geometry already
-    /// prepared (the `i`-th yielded is `PreparedBox::new(&items[i])`) —
-    /// the assembly engine hands over the bundler's instead of
-    /// recomputing.
+    /// Extend tracks with the next frame's items, given as offsets into
+    /// `prepared`: item `j`'s footprint is `prepared[items[j]]` and its
+    /// box is `item_box(items[j])`, whose footprint that is. Path entries
+    /// index items, not offsets. The assembly engine passes its frame's
+    /// observation footprints and the offsets of the bundles'
+    /// representatives.
     pub fn step_prepared(
         &mut self,
         cfg: &TrackerConfig,
-        items: &[Box3],
-        prepared: impl IntoIterator<Item = PreparedBox>,
+        prepared: &[PreparedBox],
+        items: &[u32],
+        item_box: impl Fn(usize) -> Box3,
     ) {
-        self.scratch.item_prepared.clear();
-        self.scratch.item_prepared.extend(prepared);
-        assert_eq!(
-            self.scratch.item_prepared.len(),
-            items.len(),
-            "one prepared box per item"
-        );
-        track_frame_step(cfg, &mut self.scratch, &mut self.tracks, self.next_frame, items);
+        track_frame_step(cfg, &mut self.scratch, self.next_frame, prepared, items, item_box);
         self.next_frame += 1;
     }
 
-    /// Take the finished paths, sorted by first entry. The builder needs
-    /// a [`begin`](Self::begin) before the next scene.
+    /// Take the finished paths, sorted by first entry, and start over
+    /// (the next scene still begins with [`begin`](Self::begin)).
     pub fn finish(&mut self) -> Vec<TrackPath> {
-        self.scratch.active.clear();
-        self.next_frame = 0;
-        let tracks = std::mem::take(&mut self.tracks);
-        debug_assert_sorted_by_first_entry(&tracks);
+        let tracks = self.snapshot();
+        self.begin();
         tracks
     }
 
@@ -188,141 +291,142 @@ impl TrackBuilder {
     /// [`finish`](Self::finish) would return right now, without ending
     /// the scene.
     pub fn snapshot(&self) -> Vec<TrackPath> {
-        debug_assert_sorted_by_first_entry(&self.tracks);
-        self.tracks.clone()
+        self.scratch.paths.to_vec()
     }
 
     /// The tracks created or extended by the most recent
-    /// [`step`](Self::step), as ascending indices into
-    /// [`paths`](Self::paths) (unique: each track gains at most one entry
-    /// per frame).
+    /// [`step`](Self::step), as ascending path indices (unique: each
+    /// track gains at most one entry per frame).
     pub fn last_touched(&self) -> &[usize] {
         &self.scratch.touched
     }
 
-    /// The paths built so far, in creation order — which is already
-    /// strictly increasing in first entry, so indices here agree with
-    /// [`snapshot`](Self::snapshot) (locked by
+    /// Number of paths built so far. Paths are indexed in creation
+    /// order, which is already strictly increasing in first entry, so the
+    /// indices agree with [`snapshot`](Self::snapshot) (locked by
     /// `last_touched_indexes_snapshot`).
-    pub fn paths(&self) -> &[TrackPath] {
-        &self.tracks
+    pub fn n_paths(&self) -> usize {
+        self.scratch.paths.spans.len()
+    }
+
+    /// Path `t`'s `(frame, item)` entries, frame-ordered.
+    ///
+    /// # Panics
+    /// If `t` is not below [`n_paths`](Self::n_paths).
+    pub fn path(&self, t: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.scratch.paths.path(t)
+    }
+
+    /// Path `t`'s entry count and last entry, without walking it.
+    ///
+    /// # Panics
+    /// If `t` is not below [`n_paths`](Self::n_paths).
+    pub fn path_len_and_last(&self, t: usize) -> (usize, (usize, usize)) {
+        let span = self.scratch.paths.spans[t];
+        let last = self.scratch.paths.entries[span.tail as usize];
+        (span.len as usize, (last.frame as usize, last.item as usize))
     }
 }
 
 /// One frame of the track sweep: expire stale actives, score
 /// spatially-plausible track×item pairs into the sparse matrix, match,
-/// extend matched tracks and open singletons for the rest.
-/// `scratch.item_prepared` holds the items' footprint geometry
-/// (`PreparedBox::new` of each, in order).
+/// extend matched tracks and open singletons for the rest. Items are as
+/// in [`TrackBuilder::step_prepared`].
 fn track_frame_step(
     cfg: &TrackerConfig,
     scratch: &mut TrackerScratch,
-    tracks: &mut Vec<TrackPath>,
     f: usize,
-    items: &[Box3],
+    prepared: &[PreparedBox],
+    items: &[u32],
+    item_box: impl Fn(usize) -> Box3,
 ) {
     // Spatial pruning is exact only for positive thresholds: at ≤ 0 the
     // matcher admits zero-IOU (non-overlapping) pairs the grid would
     // hide, so fall back to scoring every pair.
     let prune = cfg.iou_threshold > 0.0;
 
-    {
-        // Expire tracks that are too old to extend.
-        scratch.active.retain(|a| f - a.last_frame <= cfg.max_gap as usize);
+    // Expire tracks that are too old to extend.
+    scratch.active.retain(|a| f - a.last_frame <= cfg.max_gap as usize);
 
-        scratch.touched.clear();
-        if items.is_empty() {
-            return;
-        }
+    scratch.touched.clear();
+    if items.is_empty() {
+        return;
+    }
+    let item = |j: usize| &prepared[items[j] as usize];
 
-        // Sparse score matrix: active tracks × current items, scoring
-        // only spatially-plausible pairs. Small assignments prune by a
-        // flat AABB sweep; large ones (fleet-scale frames) go through
-        // the grid. Both push the identical AABB-intersecting entry set,
-        // in the identical (track, item-ascending) order.
-        let item_prepared = &scratch.item_prepared;
-        scratch.matrix.reset(scratch.active.len(), items.len());
-        if prune && scratch.active.len() * items.len() < GRID_MIN_PAIRS {
-            for (a, active) in scratch.active.iter().enumerate() {
-                let pa = &active.prepared;
-                for (j, pj) in item_prepared.iter().enumerate() {
-                    if pa.aabb.intersects(&pj.aabb) {
-                        scratch.matrix.push(
-                            a,
-                            j,
-                            iou_bev_prepared(&pa.corners, pa.area, &pj.corners, pj.area),
-                        );
-                    }
-                }
-            }
-        } else if prune {
-            scratch.item_aabbs.clear();
-            scratch.item_aabbs.extend(item_prepared.iter().map(|p| p.aabb));
-            scratch.grid.build(&scratch.item_aabbs);
-            for (a, active) in scratch.active.iter().enumerate() {
-                let pa = active.prepared;
-                scratch.grid.query_into(&pa.aabb, &mut scratch.candidates);
-                for &cand in &scratch.candidates {
-                    let j = cand as usize;
-                    let pj = &item_prepared[j];
-                    scratch.matrix.push(
-                        a,
-                        j,
-                        iou_bev_prepared(&pa.corners, pa.area, &pj.corners, pj.area),
-                    );
-                }
-            }
+    // Sparse score matrix: active tracks × current items, scoring only
+    // spatially-plausible pairs. Small assignments test AABBs into
+    // per-track masks; large ones (fleet-scale frames) go through the
+    // grid. Both push the identical AABB-intersecting entry set; the mask
+    // path pushes it in (track, item) order.
+    scratch.matrix.reset(scratch.active.len(), items.len());
+    if prune {
+        let aabbs = (0..items.len()).map(|j| item(j).aabb);
+        let flat = scratch.active.len() * items.len() < GRID_MIN_PAIRS;
+        if flat {
+            scratch.item_columns.refill(aabbs);
         } else {
-            for (a, active) in scratch.active.iter().enumerate() {
-                for (j, item) in items.iter().enumerate() {
-                    scratch.matrix.push(a, j, iou_bev(&active.last_box, item));
-                }
+            scratch.item_aabbs.clear();
+            scratch.item_aabbs.extend(aabbs);
+            scratch.grid.build(&scratch.item_aabbs);
+        }
+        for (a, active) in scratch.active.iter().enumerate() {
+            let pa = &active.prepared;
+            let mut score = |j: usize| {
+                let pj = item(j);
+                let iou = iou_bev_prepared(&pa.corners, pa.area, &pj.corners, pj.area);
+                scratch.matrix.push(a, j, iou);
+            };
+            if flat {
+                scratch.item_columns.for_each_overlap(&pa.aabb, 0, score);
+            } else {
+                scratch.grid.query_into(&pa.aabb, &mut scratch.candidates);
+                scratch.candidates.iter().for_each(|&j| score(j as usize));
             }
         }
-        greedy_match_into(
-            &scratch.matrix,
-            cfg.iou_threshold,
-            &mut scratch.matcher,
-            &mut scratch.matches,
-        );
+    } else {
+        for (a, active) in scratch.active.iter().enumerate() {
+            for (j, &k) in items.iter().enumerate() {
+                scratch
+                    .matrix
+                    .push(a, j, iou_bev(&active.last_box, &item_box(k as usize)));
+            }
+        }
+    }
+    greedy_match_into(
+        &scratch.matrix,
+        cfg.iou_threshold,
+        &mut scratch.matcher,
+        &mut scratch.matches,
+    );
 
-        scratch.item_taken.clear();
-        scratch.item_taken.resize(items.len(), false);
-        for i in 0..scratch.matches.len() {
-            let m = scratch.matches[i];
-            let prepared = item_prepared[m.right];
-            let a = &mut scratch.active[m.left];
-            tracks[a.track_idx].entries.push((f, m.right));
-            a.last_frame = f;
-            a.last_box = items[m.right];
-            a.prepared = prepared;
-            scratch.item_taken[m.right] = true;
+    // Actives stay in creation (track index) order — new ones are pushed
+    // at the tail, `retain` keeps order — and matches come ordered by
+    // active, so the tracks this frame extends and then opens are touched
+    // in ascending order, without a sort.
+    scratch.item_taken.clear();
+    scratch.item_taken.resize(items.len(), false);
+    for m in &scratch.matches {
+        let k = items[m.right] as usize;
+        let a = &mut scratch.active[m.left];
+        scratch.paths.extend(a.track_idx, f, m.right);
+        scratch.touched.push(a.track_idx);
+        a.last_frame = f;
+        a.last_box = item_box(k);
+        a.prepared = prepared[k];
+        scratch.item_taken[m.right] = true;
+    }
+    for (i, &k) in items.iter().enumerate() {
+        if !scratch.item_taken[i] {
+            let track_idx = scratch.paths.open(f, i);
+            scratch.touched.push(track_idx);
+            scratch.active.push(Active {
+                track_idx,
+                last_frame: f,
+                last_box: item_box(k as usize),
+                prepared: prepared[k as usize],
+            });
         }
-        for i in 0..items.len() {
-            if !scratch.item_taken[i] {
-                let track_idx = tracks.len();
-                let mut entries = Vec::with_capacity(8);
-                entries.push((f, i));
-                tracks.push(TrackPath { entries });
-                let prepared = item_prepared[i];
-                scratch.active.push(Active {
-                    track_idx,
-                    last_frame: f,
-                    last_box: items[i],
-                    prepared,
-                });
-            }
-        }
-        // Actives stay in creation (track index) order — new ones are
-        // pushed at the tail, `retain` keeps order — so the tracks this
-        // frame extended or opened come out ascending, without a sort.
-        scratch.touched.extend(
-            scratch
-                .active
-                .iter()
-                .filter(|a| a.last_frame == f)
-                .map(|a| a.track_idx),
-        );
     }
 }
 
@@ -527,8 +631,13 @@ mod tests {
             let mut prev: Vec<TrackPath> = Vec::new();
             for items in &frames {
                 builder.step(&cfg, items);
-                let paths = builder.paths();
-                assert_eq!(paths, builder.snapshot().as_slice(), "creation order is sorted order");
+                let paths = builder.snapshot();
+                assert_eq!(paths.len(), builder.n_paths());
+                for (t, path) in paths.iter().enumerate() {
+                    assert!(builder.path(t).eq(path.entries.iter().copied()), "path {t} in place");
+                    let last = *path.entries.last().unwrap();
+                    assert_eq!(builder.path_len_and_last(t), (path.len(), last));
+                }
                 let touched: std::collections::BTreeSet<usize> =
                     builder.last_touched().iter().copied().collect();
                 assert_eq!(touched.len(), builder.last_touched().len(), "touched indices unique");
@@ -536,7 +645,7 @@ mod tests {
                     let changed = prev.get(i) != Some(path);
                     assert_eq!(touched.contains(&i), changed, "seed {seed} track {i}");
                 }
-                prev = paths.to_vec();
+                prev = paths;
             }
         }
     }

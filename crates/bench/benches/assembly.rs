@@ -12,6 +12,10 @@
 //! * `assembly/assemble_full` / `assemble_engine_reused` — the whole
 //!   path: a fresh engine per scene vs one warm engine across scenes (the
 //!   `ScenePipeline` worker regime).
+//! * `assembly/corpus_presets` — one corpus-audit-shaped fuzzed scene
+//!   (~15 s at 10 Hz, a crowded cast) assembled under the default,
+//!   model-only and human-only presets on one reused engine: what a
+//!   `ScenePipeline` worker does per scene when it runs every app.
 //!
 //! Set `FIXY_BENCH_SMOKE=1` to run on a miniature scene with 3 samples —
 //! the CI smoke mode that keeps the bench compiling *and* executing.
@@ -23,7 +27,7 @@ use loa_assoc::{
     build_tracks_brute, build_tracks_with, bundle_frame_brute, bundle_frame_into, BundleScratch,
     FrameBundles, IouBundler, TrackerScratch,
 };
-use loa_data::{generate_scene, DatasetProfile, FrameId, SceneData};
+use loa_data::{generate_scene, DatasetProfile, FrameId, FuzzProfile, ScenarioFuzzer, SceneData};
 use loa_geom::Box3;
 use std::hint::black_box;
 
@@ -38,6 +42,19 @@ fn setup() -> SceneData {
         cfg.lidar.beam_count = 240;
     }
     generate_scene(&cfg, "assembly-eval", 4242)
+}
+
+/// A fuzzed scene shaped like the benchmark's corpus-audit scenes: the
+/// fuzzer's default world at 10 Hz for ~15 s with 14–18 extra actors.
+fn corpus_scene() -> SceneData {
+    let duration = if smoke() { (2.0, 2.5) } else { (14.5, 15.5) };
+    let profile = FuzzProfile {
+        duration,
+        frame_dt: 0.1,
+        extra_actors: (14, 18),
+        ..FuzzProfile::default()
+    };
+    ScenarioFuzzer::new(1).with_profile(profile).scene(0)
 }
 
 /// The per-frame `[human, model]` box lists the bundling stage consumes.
@@ -157,6 +174,20 @@ fn bench_stages(c: &mut Criterion) {
         b.iter(|| {
             let scene = engine.assemble(black_box(&data));
             black_box(scene.n_tracks())
+        })
+    });
+    let corpus = corpus_scene();
+    let presets =
+        [AssemblyConfig::default(), AssemblyConfig::model_only(), AssemblyConfig::human_only()];
+    group.bench_function("corpus_presets", |b| {
+        let mut engine = AssemblyEngine::default();
+        b.iter(|| {
+            let mut tracks = 0;
+            for cfg in presets {
+                engine.set_config(cfg);
+                tracks += engine.assemble(black_box(&corpus)).n_tracks();
+            }
+            black_box(tracks)
         })
     });
 

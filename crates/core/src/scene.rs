@@ -23,8 +23,8 @@
 //! is re-assembled from it whenever it is scored.
 
 use loa_assoc::{
-    bundle_frame_into, BundleScratch, FrameBundles, IouBundler, TrackBuilder, TrackerConfig,
-    DEFAULT_BUNDLE_IOU,
+    bundle_prepared_into, BundleScratch, Bundler, FrameBundles, IouBundler, PreparedBox,
+    TrackBuilder, TrackerConfig, DEFAULT_BUNDLE_IOU,
 };
 use loa_data::{Frame, FrameId, ObjectClass, ObservationSource, SceneData};
 use loa_geom::{Box3, Vec2};
@@ -420,15 +420,12 @@ impl Scene {
     /// The representative observation of a bundle: the human label when
     /// present, else the highest-confidence model prediction.
     pub fn bundle_representative(&self, bundle: &Bundle) -> &Observation {
-        let mut best: Option<&Observation> = None;
-        for &o in self.bundle_obs(bundle.idx) {
-            let obs = self.obs(o);
-            best = Some(match best {
-                None => obs,
-                Some(cur) => preferred_representative(cur, obs),
-            });
-        }
-        best.expect("bundles are non-empty by construction")
+        let mut members = self.bundle_obs(bundle.idx).iter().map(|&o| self.obs(o));
+        let first = members.next().expect("bundles are non-empty by construction");
+        members.fold(
+            first,
+            |cur, obs| if replaces_representative(cur, obs) { obs } else { cur },
+        )
     }
 
     /// Number of observations in a track.
@@ -456,34 +453,36 @@ impl Scene {
     }
 }
 
-/// Pick the better bundle representative of two observations: human beats
-/// model, then higher confidence wins.
-fn preferred_representative<'a>(cur: &'a Observation, obs: &'a Observation) -> &'a Observation {
+/// Whether `obs` is a better bundle representative than `cur`, the best
+/// of the members before it: human beats model (human boxes are the
+/// curated ones), then strictly higher confidence wins, so ties keep the
+/// earlier member.
+fn replaces_representative(cur: &Observation, obs: &Observation) -> bool {
     let cur_human = cur.source == ObservationSource::Human;
     let obs_human = obs.source == ObservationSource::Human;
-    if obs_human && !cur_human {
-        obs
-    } else if cur_human && !obs_human {
-        cur
-    } else if obs.confidence.unwrap_or(0.0) > cur.confidence.unwrap_or(0.0) {
-        obs
+    if obs_human != cur_human {
+        obs_human
     } else {
-        cur
+        obs.confidence.unwrap_or(0.0) > cur.confidence.unwrap_or(0.0)
     }
 }
 
-fn representative<'a>(observations: &'a [Observation], members: &[ObsIdx]) -> &'a Observation {
-    // Human boxes are preferred as anchors (they are the curated ones);
-    // among model boxes the highest-confidence wins.
-    let mut best: Option<&Observation> = None;
-    for &m in members {
-        let obs = &observations[m.0];
-        best = Some(match best {
-            None => obs,
-            Some(cur) => preferred_representative(cur, obs),
-        });
-    }
-    best.expect("bundle members non-empty")
+/// The representative of a bundle whose members are `members`, offsets
+/// into one frame's observations `frame_obs`: [`replaces_representative`]
+/// folded over them, as [`Scene::bundle_representative`] does.
+fn representative(frame_obs: &[Observation], members: &[u32]) -> u32 {
+    members
+        .iter()
+        .copied()
+        .reduce(|cur, m| {
+            let better = replaces_representative(&frame_obs[cur as usize], &frame_obs[m as usize]);
+            if better {
+                m
+            } else {
+                cur
+            }
+        })
+        .expect("bundles are non-empty by construction")
 }
 
 /// What one pushed frame changed in the in-progress scene — the assembly
@@ -512,7 +511,9 @@ pub struct FrameDelta {
 /// (spatially-indexed union-find), (2) link bundle representative boxes
 /// across frames into tracks (spatially-pruned assignment), (3)
 /// materialize the [`Scene`] arenas — with every intermediate buffer owned
-/// by the engine and reused across scenes. `ScenePipeline` keeps one
+/// by the engine and reused across scenes. Each observation's footprint
+/// is prepared once, when it is gathered, and the bundler and the tracker
+/// both read it by its offset in the frame. `ScenePipeline` keeps one
 /// engine per worker thread, so a warm batch run allocates only for the
 /// scenes it returns.
 ///
@@ -531,17 +532,17 @@ pub struct FrameDelta {
 #[derive(Debug, Default)]
 pub struct AssemblyEngine {
     cfg: AssemblyConfig,
-    // Per-frame observation gather buffers.
-    human_boxes: Vec<Box3>,
-    human_idx: Vec<ObsIdx>,
-    model_boxes: Vec<Box3>,
-    model_idx: Vec<ObsIdx>,
-    // Bundling scratch (grid, union-find, CSR groups).
+    // This frame's observation footprints, in gather order (humans, then
+    // models): the bundler's input, and the tracker's through `reps`.
+    prepared: Vec<PreparedBox>,
+    // Bundling scratch (grid, union-find) and this frame's groups, as
+    // offsets into `prepared`.
     bundle_scratch: BundleScratch,
     frame_bundles: FrameBundles,
-    // This frame's bundle representative boxes (tracker input), plus the
-    // incremental tracker itself (owns its grid/matrix/matcher scratch).
-    rep_boxes: Vec<Box3>,
+    // Each of this frame's bundles' representative, as an offset into
+    // `prepared` (tracker input), plus the incremental tracker itself
+    // (owns its grid/matrix/matcher scratch).
+    reps: Vec<u32>,
     tracker: TrackBuilder,
     // In-progress scene accumulators: the bundle CSR grows per frame;
     // `frame_obs_start`/`frame_bundle_start` record each frame's
@@ -554,6 +555,9 @@ pub struct AssemblyEngine {
     bundle_obs_arena: Vec<ObsIdx>,
     frame_obs_start: Vec<u32>,
     frame_bundle_start: Vec<u32>,
+    /// Per track, folded as the track gains each bundle (the order a
+    /// from-scratch fold takes, so the sums agree bit for bit).
+    track_facts: Vec<TrackFacts>,
     /// The most recent frame's delta (None before the first push and
     /// after `finish`).
     last_delta: Option<FrameDelta>,
@@ -614,6 +618,7 @@ impl AssemblyEngine {
         self.bundle_obs_arena.clear();
         self.frame_obs_start.clear();
         self.frame_bundle_start.clear();
+        self.track_facts.clear();
         self.tracker.begin();
         self.last_delta = None;
         self.frame_dt = frame_dt;
@@ -636,25 +641,22 @@ impl AssemblyEngine {
             "AssemblyEngine::begin must be called before push_frame"
         );
         let cfg = self.cfg;
-        let bundler = IouBundler { threshold: cfg.bundle_iou };
         let f = self.n_frames;
-        self.frame_obs_start.push(self.observations.len() as u32);
-        self.frame_bundle_start.push(self.bundles.len() as u32);
+        let (obs_start, bundle_start) = (self.observations.len(), self.bundles.len());
+        self.frame_obs_start.push(obs_start as u32);
+        self.frame_bundle_start.push(bundle_start as u32);
 
-        // Stage 1a: gather this frame's observations, with world centres
-        // rotated by one `sin_cos` per frame (what `Pose2::transform`
-        // computes per point).
+        // Stage 1a: gather this frame's observations, each written once
+        // with its footprint beside it, with world centres rotated by one
+        // `sin_cos` per frame (what `Pose2::transform` computes per
+        // point).
         let (sin, cos) = frame.ego_pose.yaw.sin_cos();
         let to_world = |p: Vec2| p.rotated_sin_cos(sin, cos) + frame.ego_pose.translation;
-        self.human_boxes.clear();
-        self.human_idx.clear();
-        self.model_boxes.clear();
-        self.model_idx.clear();
+        self.prepared.clear();
         if cfg.use_human {
             for (i, label) in frame.human_labels.iter().enumerate() {
-                let idx = ObsIdx(self.observations.len());
                 self.observations.push(Observation {
-                    idx,
+                    idx: ObsIdx(self.observations.len()),
                     frame: frame.index,
                     source: ObservationSource::Human,
                     source_index: i,
@@ -663,15 +665,14 @@ impl AssemblyEngine {
                     confidence: None,
                     world_center: to_world(label.bbox.center.bev()),
                 });
-                self.human_boxes.push(label.bbox);
-                self.human_idx.push(idx);
+                self.prepared.push(PreparedBox::new(&label.bbox));
             }
         }
+        let humans = self.prepared.len();
         if cfg.use_model {
             for (i, det) in frame.detections.iter().enumerate() {
-                let idx = ObsIdx(self.observations.len());
                 self.observations.push(Observation {
-                    idx,
+                    idx: ObsIdx(self.observations.len()),
                     frame: frame.index,
                     source: ObservationSource::Model,
                     source_index: i,
@@ -680,57 +681,44 @@ impl AssemblyEngine {
                     confidence: Some(det.confidence),
                     world_center: to_world(det.bbox.center.bev()),
                 });
-                self.model_boxes.push(det.bbox);
-                self.model_idx.push(idx);
+                self.prepared.push(PreparedBox::new(&det.bbox));
             }
         }
 
-        // Stage 1b: bundle the frame.
-        bundle_frame_into(
-            &[&self.human_boxes, &self.model_boxes],
-            &bundler,
+        // Stage 1b: bundle the frame; humans are the first source.
+        let bundler = IouBundler { threshold: cfg.bundle_iou };
+        let prepared = &self.prepared;
+        bundle_prepared_into(
+            prepared,
+            &[humans, prepared.len()],
+            bundler.overlap_only(),
+            |a, b| bundler.associates(&prepared[a], &prepared[b]),
             &mut self.bundle_scratch,
             &mut self.frame_bundles,
         );
 
         // Stage 3a: materialize this frame's bundles into the CSR arena
-        // and collect the tracking inputs.
-        self.rep_boxes.clear();
+        // and pick each one's representative for the tracker.
+        let frame_obs = &self.observations[obs_start..];
+        self.reps.clear();
         for members in self.frame_bundles.iter() {
-            let idx = BundleIdx(self.bundles.len());
-            let start = self.bundle_obs_arena.len();
-            for &(source, i) in members {
-                self.bundle_obs_arena.push(if source == 0 {
-                    self.human_idx[i]
-                } else {
-                    self.model_idx[i]
-                });
-            }
-            let rep = representative(&self.observations, &self.bundle_obs_arena[start..]);
-            self.bundles.push(Bundle { idx, frame: FrameId(f as u32) });
+            self.bundle_obs_arena
+                .extend(members.iter().map(|&m| ObsIdx(obs_start + m as usize)));
+            self.bundles
+                .push(Bundle { idx: BundleIdx(self.bundles.len()), frame: FrameId(f as u32) });
             self.bundle_obs_offsets.push(self.bundle_obs_arena.len() as u32);
-            self.rep_boxes.push(rep.bbox);
+            self.reps.push(representative(frame_obs, members));
         }
 
-        // Stage 2: extend tracks through this frame. The bundler prepared
-        // every observation's footprint in gather order, so each
-        // representative's geometry is at its offset from the frame's
-        // first observation. The representative is re-picked from the
-        // bundle's few members: buffering its offset in stage 3a
-        // measured ~6 MB more peak RSS on session churn (heap placement).
-        let (obs_start, bundle_start) =
-            (self.frame_obs_start[f] as usize, self.frame_bundle_start[f] as usize);
-        let prepared = self.bundle_scratch.prepared();
-        let rep_prepared = (bundle_start..self.bundles.len()).map(|b| {
-            let members = &self.bundle_obs_arena
-                [self.bundle_obs_offsets[b] as usize..self.bundle_obs_offsets[b + 1] as usize];
-            prepared[representative(&self.observations, members).idx.0 - obs_start]
-        });
+        // Stage 2: extend tracks through this frame, over the
+        // representatives' footprints.
         self.tracker
-            .step_prepared(&cfg.tracker, &self.rep_boxes, rep_prepared);
+            .step_prepared(&cfg.tracker, prepared, &self.reps, |k| frame_obs[k].bbox);
 
-        // Record the frame's delta from the watermarks and the tracker's
-        // touched set (reuse the previous delta's vec when possible).
+        // Fold each changed track's new bundle into its facts, and record
+        // the frame's delta from the watermarks and the tracker's touched
+        // set, which it reports ascending (reuse the previous delta's vec
+        // when possible).
         let mut changed_tracks = match self.last_delta.take() {
             Some(mut d) => {
                 d.changed_tracks.clear();
@@ -738,14 +726,20 @@ impl AssemblyEngine {
             }
             None => Vec::new(),
         };
-        // The tracker reports them ascending already.
-        changed_tracks.extend(self.tracker.last_touched().iter().map(|&t| TrackIdx(t)));
-        self.last_delta = Some(FrameDelta {
-            frame: f,
-            obs_start: self.frame_obs_start[f] as usize,
-            bundle_start: self.frame_bundle_start[f] as usize,
-            changed_tracks,
-        });
+        for &t in self.tracker.last_touched() {
+            if t == self.track_facts.len() {
+                self.track_facts.push(TrackFacts::default());
+            }
+            let (_, (_, b)) = self.tracker.path_len_and_last(t);
+            self.track_facts[t].add_bundle(
+                &self.observations,
+                &self.bundle_obs_offsets,
+                &self.bundle_obs_arena,
+                BundleIdx(bundle_start + b),
+            );
+            changed_tracks.push(TrackIdx(t));
+        }
+        self.last_delta = Some(FrameDelta { frame: f, obs_start, bundle_start, changed_tracks });
         self.n_frames += 1;
     }
 
@@ -759,12 +753,12 @@ impl AssemblyEngine {
     /// [`begin`](Self::begin) before the next scene.
     pub fn finish(&mut self) -> Scene {
         // Stage 3b: lay the finished paths out tight in the track arena.
-        let paths = self.tracker.finish();
+        let tracker = &self.tracker;
         let (tracks, track_spans, track_bundle_arena) = tight_tracks(
-            paths.iter().map(|path| {
-                path.entries
-                    .iter()
-                    .map(|&(f, b)| BundleIdx(self.frame_bundle_start[f] as usize + b))
+            (0..tracker.n_paths()).map(|t| {
+                tracker
+                    .path(t)
+                    .map(|(f, b)| BundleIdx(self.frame_bundle_start[f] as usize + b))
             }),
             self.bundles.len(),
         );
@@ -777,11 +771,11 @@ impl AssemblyEngine {
             tracks,
             track_spans,
             track_bundle_arena,
-            track_facts: Vec::new(),
+            track_facts: std::mem::take(&mut self.track_facts),
             frame_dt: self.frame_dt,
             n_frames: self.n_frames,
-        }
-        .with_track_facts();
+        };
+        self.tracker.begin();
         self.frame_obs_start.clear();
         self.frame_bundle_start.clear();
         self.last_delta = None;
@@ -823,19 +817,19 @@ impl AssemblyEngine {
             )
         };
 
-        // The snapshot paths are sorted by first entry; truncating a path
-        // keeps its first entry (or empties it entirely), so the filtered
-        // list stays sorted.
-        let paths = self.tracker.snapshot();
+        // The paths are sorted by first entry; truncating a path keeps
+        // its first entry (or empties it entirely), so the filtered list
+        // stays sorted.
+        let tracker = &self.tracker;
         let (tracks, track_spans, track_bundle_arena) = tight_tracks(
-            paths.iter().filter_map(|path| {
-                let cut = path.entries.partition_point(|&(f, _)| f < n_frames);
-                (cut > 0).then(|| {
-                    path.entries[..cut]
-                        .iter()
-                        .map(|&(f, b)| BundleIdx(self.frame_bundle_start[f] as usize + b))
-                })
-            }),
+            (0..tracker.n_paths())
+                .filter(|&t| tracker.path(t).next().is_some_and(|(f, _)| f < n_frames))
+                .map(|t| {
+                    tracker
+                        .path(t)
+                        .take_while(|&(f, _)| f < n_frames)
+                        .map(|(f, b)| BundleIdx(self.frame_bundle_start[f] as usize + b))
+                }),
             bundle_end,
         );
 
@@ -870,11 +864,12 @@ impl AssemblyEngine {
     /// appends one bundle to each track in the frame's
     /// [`last_delta`](Self::last_delta) (moving a track that outgrows its
     /// slot to the arena's end), opens the frame's new tracks at the end,
-    /// and folds the new bundles into those tracks' facts — in track
-    /// order, so the confidence sums match a from-scratch fold bit for
-    /// bit. The result equals [`snapshot`](Self::snapshot) (tracker path
-    /// indices are creation-ordered and agree with the sorted snapshot,
-    /// locked by the loa_assoc `last_touched_indexes_snapshot` test).
+    /// and copies those tracks' facts, which the stream folds bundle by
+    /// bundle in track order, so the confidence sums match a
+    /// from-scratch fold bit for bit. The result equals
+    /// [`snapshot`](Self::snapshot) (tracker path indices are
+    /// creation-ordered and agree with the sorted snapshot, locked by the
+    /// loa_assoc `last_touched_indexes_snapshot` test).
     ///
     /// # Panics
     /// If [`begin`](Self::begin) was not called.
@@ -883,12 +878,13 @@ impl AssemblyEngine {
             !self.bundle_obs_offsets.is_empty(),
             "AssemblyEngine::begin must be called before update_snapshot"
         );
-        let paths = self.tracker.paths();
+        let n_paths = self.tracker.n_paths();
+        let path_len = |t: TrackIdx| self.tracker.path_len_and_last(t.0).0;
         let foreign = SnapshotMismatch::Foreign { scene_frames: scene.n_frames };
         if scene.n_frames == self.n_frames {
             let current = scene.observations.len() == self.observations.len()
                 && scene.bundles.len() == self.bundles.len()
-                && scene.tracks.len() == paths.len();
+                && scene.tracks.len() == n_paths;
             return if current { Ok(()) } else { Err(foreign) };
         }
         let delta = match &self.last_delta {
@@ -902,19 +898,15 @@ impl AssemblyEngine {
         };
         // A changed track with one entry was opened by this frame; the
         // rest gained exactly one entry each.
-        let opened = delta
-            .changed_tracks
-            .iter()
-            .filter(|t| paths[t.0].entries.len() == 1)
-            .count();
-        let extended_match = delta.changed_tracks.iter().all(|t| {
-            let len = paths[t.0].entries.len();
+        let opened = delta.changed_tracks.iter().filter(|&&t| path_len(t) == 1).count();
+        let extended_match = delta.changed_tracks.iter().all(|&t| {
+            let len = path_len(t);
             len == 1 || scene.track_spans.get(t.0).is_some_and(|s| s.len as usize + 1 == len)
         });
         if scene.observations.len() != delta.obs_start
             || scene.bundles.len() != delta.bundle_start
             || scene.bundle_obs_arena.len() != self.bundle_obs_offsets[delta.bundle_start] as usize
-            || scene.tracks.len() != paths.len() - opened
+            || scene.tracks.len() != n_paths - opened
             || !extended_match
         {
             return Err(foreign);
@@ -934,23 +926,20 @@ impl AssemblyEngine {
             .extend_from_slice(&self.bundle_obs_arena[scene.bundle_obs_arena.len()..]);
 
         // Changed tracks ascend and the opened ones are the last indices,
-        // so each opened track lands at the end in index order.
+        // so each opened track lands at the end in index order. Their
+        // facts are the stream's own, folded as each bundle arrived.
         for &t in &delta.changed_tracks {
+            let facts = self.track_facts[t.0];
             if t.0 == scene.tracks.len() {
                 scene.tracks.push(Track { idx: t });
-                scene.track_facts.push(TrackFacts::default());
+                scene.track_facts.push(facts);
                 let start = scene.track_bundle_arena.len() as u32;
                 scene.track_spans.push(TrackSpan { start, len: 0, cap: 0 });
+            } else {
+                scene.track_facts[t.0] = facts;
             }
-            let &(f, b) = paths[t.0].entries.last().expect("changed tracks are non-empty");
-            let bundle = BundleIdx(self.frame_bundle_start[f] as usize + b);
-            scene.track_facts[t.0].add_bundle(
-                &scene.observations,
-                &scene.bundle_obs_offsets,
-                &scene.bundle_obs_arena,
-                bundle,
-            );
-            scene.push_track_bundle(t, bundle);
+            let (_, (f, b)) = self.tracker.path_len_and_last(t.0);
+            scene.push_track_bundle(t, BundleIdx(self.frame_bundle_start[f] as usize + b));
         }
         scene.frame_dt = self.frame_dt;
         scene.n_frames = self.n_frames;

@@ -42,6 +42,11 @@
 //! trailer ends the file: any byte after it is [`IngestError::Corrupt`],
 //! as trailing characters are for JSON. The reader probes at most 4 KiB
 //! past the trailer to say so, so a long tail is never read in full.
+//!
+//! [`FrameReader`] reads records from any [`Read`] stream; [`read_scene`]
+//! reads the file in one call and decodes each record where it lies. Both
+//! run the one record parser, so they accept the same bytes and fail with
+//! the same errors.
 
 use crate::error::IngestError;
 use fixy_core::codec::{Dec, Enc, MAX_RECORD_LEN};
@@ -521,18 +526,134 @@ impl<W: Write> FrameWriter<W> {
     }
 }
 
+// ---------------------------------------------------------------------------
+// Record parsing
+// ---------------------------------------------------------------------------
+
+/// Where the record parser takes its bytes from: a [`Read`] stream,
+/// copying each piece into a reused buffer, or a whole file already in
+/// memory, lending each piece in place.
+trait Bytes {
+    /// The next `n` bytes; a short source is `UnexpectedEof`.
+    fn take(&mut self, n: usize) -> Result<&[u8], IngestError>;
+    /// How many bytes are left, counting at most `limit` of them.
+    fn remaining(&mut self, limit: u64) -> Result<u64, IngestError>;
+
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], IngestError> {
+        Ok(self.take(N)?.try_into().expect("take(N) yields N bytes"))
+    }
+}
+
+/// A [`Read`] stream and the buffer its pieces are read into.
+#[derive(Debug)]
+struct Stream<Rd> {
+    input: Rd,
+    buf: Vec<u8>,
+}
+
+impl<Rd: Read> Bytes for Stream<Rd> {
+    fn take(&mut self, n: usize) -> Result<&[u8], IngestError> {
+        self.buf.resize(n, 0);
+        self.input.read_exact(&mut self.buf)?;
+        Ok(&self.buf)
+    }
+
+    fn remaining(&mut self, limit: u64) -> Result<u64, IngestError> {
+        Ok(std::io::copy(
+            &mut (&mut self.input).take(limit),
+            &mut std::io::sink(),
+        )?)
+    }
+}
+
+impl Bytes for &[u8] {
+    fn take(&mut self, n: usize) -> Result<&[u8], IngestError> {
+        if n > self.len() {
+            // What `read_exact` reports for a short source.
+            let eof = std::io::ErrorKind::UnexpectedEof;
+            return Err(std::io::Error::new(eof, "failed to fill whole buffer").into());
+        }
+        let (piece, rest) = self.split_at(n);
+        *self = rest;
+        Ok(piece)
+    }
+
+    fn remaining(&mut self, limit: u64) -> Result<u64, IngestError> {
+        Ok((self.len() as u64).min(limit))
+    }
+}
+
+/// Decode the file header: the scene id and `frame_dt`.
+fn read_header(src: &mut impl Bytes) -> Result<(String, f64), IngestError> {
+    let magic = src.array::<4>()?;
+    if magic != MAGIC {
+        return Err(IngestError::Corrupt(format!("bad magic {magic:02x?}")));
+    }
+    let version = u16::from_le_bytes(src.array()?);
+    if version != VERSION {
+        return Err(IngestError::Corrupt(format!(
+            "unsupported fscb version {version} (expected {VERSION})"
+        )));
+    }
+    let id_len = u32::from_le_bytes(src.array()?);
+    if id_len > MAX_RECORD_LEN {
+        return Err(IngestError::Corrupt(format!("implausible id length {id_len}")));
+    }
+    let id = String::from_utf8(src.take(id_len as usize)?.to_vec())
+        .map_err(|e| IngestError::Corrupt(format!("scene id is not utf-8: {e}")))?;
+    let frame_dt = f64::from_le_bytes(src.array()?);
+    Ok((id, frame_dt))
+}
+
+/// One decoded record.
+enum Record {
+    Frame(Frame),
+    Trailer(InjectedErrors),
+}
+
+/// Decode the next record: its tag and length, then its payload. The one
+/// record parser, for [`FrameReader`] and [`read_scene`] alike.
+fn next_record(src: &mut impl Bytes) -> Result<Record, IngestError> {
+    let tag = src.array::<1>()?[0];
+    let payload_len = u32::from_le_bytes(src.array()?);
+    if payload_len > MAX_RECORD_LEN {
+        return Err(IngestError::Corrupt(format!(
+            "implausible record length {payload_len}"
+        )));
+    }
+    let payload = src.take(payload_len as usize)?;
+    match tag {
+        TAG_FRAME => Ok(Record::Frame(decode_frame(payload)?)),
+        TAG_TRAILER => {
+            let injected = decode_injected(payload)?;
+            // The trailer ends the stream: anything after it is not part
+            // of the scene. The probe is bounded, so a long tail is
+            // reported without being read in full.
+            const PROBE: u64 = 4096;
+            let trailing = src.remaining(PROBE)?;
+            if trailing != 0 {
+                let at_least = if trailing == PROBE { "at least " } else { "" };
+                return Err(IngestError::Corrupt(format!(
+                    "{at_least}{trailing} trailing byte(s) after the trailer"
+                )));
+            }
+            Ok(Record::Trailer(injected))
+        }
+        tag => Err(IngestError::Corrupt(format!("unknown record tag {tag:#04x}"))),
+    }
+}
+
 /// Streaming `.fscb` reader: yields frames one at a time, then exposes
 /// the injected-error trailer — so a scene can be decoded straight into
 /// a [`StreamingAssembler`](crate::StreamingAssembler) without ever
 /// holding the full [`SceneData`].
 #[derive(Debug)]
 pub struct FrameReader<Rd: Read> {
-    input: Rd,
+    src: Stream<Rd>,
     id: String,
     frame_dt: f64,
     injected: Option<InjectedErrors>,
     done: bool,
-    buf: Vec<u8>,
 }
 
 impl FrameReader<BufReader<File>> {
@@ -544,41 +665,10 @@ impl FrameReader<BufReader<File>> {
 
 impl<Rd: Read> FrameReader<Rd> {
     /// Wrap a byte source and decode the header.
-    pub fn new(mut input: Rd) -> Result<Self, IngestError> {
-        let mut magic = [0u8; 4];
-        input.read_exact(&mut magic)?;
-        if magic != MAGIC {
-            return Err(IngestError::Corrupt(format!("bad magic {magic:02x?}")));
-        }
-        let mut word = [0u8; 2];
-        input.read_exact(&mut word)?;
-        let version = u16::from_le_bytes(word);
-        if version != VERSION {
-            return Err(IngestError::Corrupt(format!(
-                "unsupported fscb version {version} (expected {VERSION})"
-            )));
-        }
-        let mut len = [0u8; 4];
-        input.read_exact(&mut len)?;
-        let id_len = u32::from_le_bytes(len);
-        if id_len > MAX_RECORD_LEN {
-            return Err(IngestError::Corrupt(format!("implausible id length {id_len}")));
-        }
-        let mut id_bytes = vec![0u8; id_len as usize];
-        input.read_exact(&mut id_bytes)?;
-        let id = String::from_utf8(id_bytes)
-            .map_err(|e| IngestError::Corrupt(format!("scene id is not utf-8: {e}")))?;
-        let mut dt = [0u8; 8];
-        input.read_exact(&mut dt)?;
-        let frame_dt = f64::from_le_bytes(dt);
-        Ok(FrameReader {
-            input,
-            id,
-            frame_dt,
-            injected: None,
-            done: false,
-            buf: Vec::new(),
-        })
+    pub fn new(input: Rd) -> Result<Self, IngestError> {
+        let mut src = Stream { input, buf: Vec::new() };
+        let (id, frame_dt) = read_header(&mut src)?;
+        Ok(FrameReader { src, id, frame_dt, injected: None, done: false })
     }
 
     /// Scene id from the header.
@@ -597,39 +687,13 @@ impl<Rd: Read> FrameReader<Rd> {
         if self.done {
             return Ok(None);
         }
-        let mut tag = [0u8; 1];
-        self.input.read_exact(&mut tag)?;
-        let mut len = [0u8; 4];
-        self.input.read_exact(&mut len)?;
-        let payload_len = u32::from_le_bytes(len);
-        if payload_len > MAX_RECORD_LEN {
-            return Err(IngestError::Corrupt(format!(
-                "implausible record length {payload_len}"
-            )));
-        }
-        self.buf.resize(payload_len as usize, 0);
-        self.input.read_exact(&mut self.buf)?;
-        match tag[0] {
-            TAG_FRAME => Ok(Some(decode_frame(&self.buf)?)),
-            TAG_TRAILER => {
-                let injected = decode_injected(&self.buf)?;
-                // The trailer ends the stream: anything after it is not
-                // part of the scene. The probe is bounded, so a long tail
-                // is reported without being read in full.
-                const PROBE: u64 = 4096;
-                let trailing =
-                    std::io::copy(&mut (&mut self.input).take(PROBE), &mut std::io::sink())?;
-                if trailing != 0 {
-                    let at_least = if trailing == PROBE { "at least " } else { "" };
-                    return Err(IngestError::Corrupt(format!(
-                        "{at_least}{trailing} trailing byte(s) after the trailer"
-                    )));
-                }
+        match next_record(&mut self.src)? {
+            Record::Frame(frame) => Ok(Some(frame)),
+            Record::Trailer(injected) => {
                 self.injected = Some(injected);
                 self.done = true;
                 Ok(None)
             }
-            tag => Err(IngestError::Corrupt(format!("unknown record tag {tag:#04x}"))),
         }
     }
 
@@ -660,22 +724,30 @@ pub fn write_scene(scene: &SceneData, path: &Path) -> Result<(), IngestError> {
 }
 
 /// Read and validate a whole `.fscb` scene (the buffered counterpart of
-/// [`FrameReader`], for callers that need the full [`SceneData`]).
+/// [`FrameReader`], for callers that need the full [`SceneData`]). The
+/// file is read in one call and each record decoded in place, through
+/// the parser [`FrameReader`] uses, so both accept and reject the same
+/// bytes with the same errors.
 pub fn read_scene(path: &Path) -> Result<SceneData, IngestError> {
-    let mut reader = FrameReader::open(path)?;
+    let bytes = std::fs::read(path)?;
+    let mut src = bytes.as_slice();
+    let (id, frame_dt) = read_header(&mut src)?;
     let mut frames = Vec::new();
-    while let Some(frame) = reader.next_frame()? {
-        frames.push(frame);
-    }
-    let injected = reader
-        .take_injected()
-        .expect("next_frame returned None only at the trailer");
-    let scene = SceneData {
-        id: reader.id().to_string(),
-        frame_dt: reader.frame_dt(),
-        frames,
-        injected,
+    let injected = loop {
+        let before = src.len();
+        match next_record(&mut src)? {
+            Record::Frame(frame) => {
+                if frames.is_empty() {
+                    // Frame records are near-equal in size: size the list
+                    // for the rest of the file from the first.
+                    frames.reserve(1 + src.len() / (before - src.len()));
+                }
+                frames.push(frame);
+            }
+            Record::Trailer(injected) => break injected,
+        }
     };
+    let scene = SceneData { id, frame_dt, frames, injected };
     scene
         .validate()
         .map_err(|msg| IngestError::Scene(loa_data::io::IoError::Invalid(msg)))?;
@@ -823,6 +895,48 @@ mod tests {
             );
         }
         // A file with no trailer at a record boundary is also truncated.
+        std::fs::remove_file(&path).unwrap();
+    }
+
+    #[test]
+    fn read_scene_and_frame_reader_fail_alike() {
+        // The whole-file reader and the streamed one share the record
+        // parser: on truncations, on a flipped byte anywhere, and on a
+        // trailing tail, both report the same decode error.
+        let scene = tiny_scene(12);
+        let path = tmp("alike.fscb");
+        write_scene(&scene, &path).unwrap();
+        let good = std::fs::read(&path).unwrap();
+        let streamed = |bytes: &[u8]| -> Result<(), IngestError> {
+            let mut reader = FrameReader::new(bytes)?;
+            while reader.next_frame()?.is_some() {}
+            Ok(())
+        };
+        let mut cases: Vec<Vec<u8>> = Vec::new();
+        for cut in (0..64)
+            .chain((64..good.len()).step_by(211))
+            .chain(good.len() - 9..good.len())
+        {
+            cases.push(good[..cut].to_vec());
+        }
+        for at in (0..good.len()).step_by(307) {
+            let mut bad = good.clone();
+            bad[at] ^= 0xA5;
+            cases.push(bad);
+        }
+        let mut tail = good.clone();
+        tail.extend_from_slice(&[0u8; 5000]);
+        cases.push(tail);
+        for bytes in &cases {
+            std::fs::write(&path, bytes).unwrap();
+            let whole = read_scene(&path).map(|_| ());
+            match (&whole, streamed(bytes)) {
+                // Only read_scene validates the decoded scene.
+                (Ok(()) | Err(IngestError::Scene(_)), Ok(())) => {}
+                (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string()),
+                (a, b) => panic!("{} bytes: read_scene {a:?}, FrameReader {b:?}", bytes.len()),
+            }
+        }
         std::fs::remove_file(&path).unwrap();
     }
 

@@ -15,7 +15,7 @@ cd "$(dirname "$0")/.."
 lines=$(mktemp)
 trap 'rm -f "$lines"' EXIT
 
-for bench in ${BENCHES:-scene_runtime pipeline scoring assembly streaming serving}; do
+for bench in ${BENCHES:-scene_runtime pipeline scoring assembly association streaming serving}; do
     CRITERION_JSON="$lines" cargo bench -p loa_bench --bench "$bench"
 done
 

@@ -3,7 +3,9 @@
 
 use fixy::core::compile::{compile_scene, CompiledScene};
 use fixy::core::score::ComponentScore;
-use fixy::data::{generate_scene, DatasetProfile, ObservationSource, ScenarioFuzzer, SceneConfig};
+use fixy::data::{
+    generate_scene, DatasetProfile, ObservationSource, ScenarioFuzzer, SceneConfig, SceneData,
+};
 use fixy::prelude::*;
 use std::collections::BTreeSet;
 use std::sync::OnceLock;
@@ -131,6 +133,138 @@ fn assembly_engine_matches_scene_assemble_field_for_field() {
             // both CSR membership arenas and their offsets, frame_dt,
             // n_frames.
             assert_eq!(engine_scene, reference, "{name} seed {seed} diverged");
+        }
+    }
+}
+
+/// The reference assembly, built only from the all-pairs oracles: every
+/// frame's humans then models bundled by `bundle_frame_brute`, each
+/// bundle represented by its first human label or else by the first of
+/// its most confident detections, and the representatives' boxes linked
+/// across frames by `build_tracks_brute`.
+fn assemble_brute(data: &SceneData, cfg: &AssemblyConfig) -> Scene {
+    use fixy::assoc::{build_tracks_brute, bundle_frame_brute, IouBundler};
+    use fixy::data::FrameId;
+    use fixy::geom::Box3;
+
+    let bundler = IouBundler { threshold: cfg.bundle_iou };
+    let mut observations: Vec<Observation> = Vec::new();
+    let mut bundles = Vec::new();
+    let mut frame_bundle_start = Vec::new();
+    let mut rep_boxes = Vec::new();
+    for (f, frame) in data.frames.iter().enumerate() {
+        let first = observations.len();
+        let mut observe = |source, source_index, bbox: Box3, class, confidence| {
+            observations.push(Observation {
+                idx: ObsIdx(observations.len()),
+                frame: frame.index,
+                source,
+                source_index,
+                bbox,
+                class,
+                confidence,
+                world_center: frame.ego_pose.transform(bbox.center.bev()),
+            });
+            bbox
+        };
+        let humans: Vec<Box3> = (cfg.use_human)
+            .then(|| frame.human_labels.iter().enumerate())
+            .into_iter()
+            .flatten()
+            .map(|(i, l)| observe(ObservationSource::Human, i, l.bbox, l.class, None))
+            .collect();
+        let models: Vec<Box3> = (cfg.use_model)
+            .then(|| frame.detections.iter().enumerate())
+            .into_iter()
+            .flatten()
+            .map(|(i, d)| observe(ObservationSource::Model, i, d.bbox, d.class, Some(d.confidence)))
+            .collect();
+        frame_bundle_start.push(bundles.len());
+        let mut reps = Vec::new();
+        for group in bundle_frame_brute(&[&humans, &models], &bundler) {
+            let members: Vec<ObsIdx> = group
+                .members
+                .iter()
+                .map(|&(s, i)| ObsIdx(first + if s == 0 { i } else { humans.len() + i }))
+                .collect();
+            let member_obs = members.iter().map(|o| &observations[o.0]);
+            let human = member_obs.clone().find(|o| o.source == ObservationSource::Human);
+            let rep = human.unwrap_or_else(|| {
+                member_obs
+                    .reduce(|best, o| if o.confidence > best.confidence { o } else { best })
+                    .expect("bundles are non-empty")
+            });
+            reps.push(rep.bbox);
+            bundles.push((FrameId(f as u32), members));
+        }
+        rep_boxes.push(reps);
+    }
+    let tracks = build_tracks_brute(&rep_boxes, &cfg.tracker)
+        .into_iter()
+        .map(|path| {
+            path.entries
+                .into_iter()
+                .map(|(f, b)| BundleIdx(frame_bundle_start[f] + b))
+                .collect()
+        })
+        .collect();
+    Scene::from_parts(observations, bundles, tracks, data.frame_dt, data.frames.len())
+}
+
+#[test]
+fn assembly_matches_brute_reference() {
+    // The engine's glue (source order to `ObsIdx`, the representative
+    // pick, the footprints it prepares once and hands from bundler to
+    // tracker) against a reference built from the kernels' oracles, on
+    // fuzzed scenes under every preset. Two variants per scene push the
+    // kernels off their common paths: every detection stacked three
+    // times and every label twice (maximal transitive merging), and that
+    // stacked frame tiled ten times 60 m apart (enough observations and
+    // tracks per frame for both spatial grids).
+    use fixy::core::AssemblyEngine;
+    use fixy::geom::Vec3;
+
+    let mut engine = AssemblyEngine::default();
+    for index in 0..3 {
+        let plain = ScenarioFuzzer::new(31).scene(index);
+        let mut stacked = plain.clone();
+        for frame in &mut stacked.frames {
+            let (labels, dets) = (frame.human_labels.clone(), frame.detections.clone());
+            frame.human_labels.extend(labels);
+            for k in 1..3 {
+                frame.detections.extend(dets.iter().map(|d| {
+                    let mut d = d.clone();
+                    d.bbox = d.bbox.translated(Vec3::new(0.05 * k as f64, 0.0, 0.0));
+                    d.confidence *= 0.9;
+                    d
+                }));
+            }
+        }
+        let mut tiled = stacked.clone();
+        for frame in &mut tiled.frames {
+            let (labels, dets) = (frame.human_labels.clone(), frame.detections.clone());
+            for k in 1..10 {
+                let shift = Vec3::new(60.0 * k as f64, 0.0, 0.0);
+                frame.human_labels.extend(labels.iter().map(|l| {
+                    let mut l = l.clone();
+                    l.bbox = l.bbox.translated(shift);
+                    l
+                }));
+                frame.detections.extend(dets.iter().map(|d| {
+                    let mut d = d.clone();
+                    d.bbox = d.bbox.translated(shift);
+                    d
+                }));
+            }
+        }
+        for (variant, data) in [("plain", &plain), ("stacked", &stacked), ("tiled", &tiled)] {
+            for cfg in presets() {
+                engine.set_config(cfg);
+                assert!(
+                    engine.assemble(data) == assemble_brute(data, &cfg),
+                    "{variant} scene {index} under {cfg:?} differs from the reference"
+                );
+            }
         }
     }
 }
