@@ -21,7 +21,7 @@ fn batch(n: usize, seed: u64) -> Vec<SceneData> {
 }
 
 fn library() -> FeatureLibrary {
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let train = batch(2, 7000);
     Learner::new().fit(&finder.feature_set(), &train).expect("fit")
 }
@@ -35,7 +35,7 @@ fn bench_pipeline(c: &mut Criterion) {
         let scenes = batch(n_scenes, 7100);
 
         group.bench_with_input(BenchmarkId::new("sequential", n_scenes), &scenes, |b, scenes| {
-            let pipeline = ScenePipeline::new(MissingTrackFinder::default()).sequential();
+            let pipeline = ScenePipeline::new(MissingTrackFinder).sequential();
             b.iter(|| {
                 let merged = pipeline.run_merged(&lib, black_box(scenes.clone())).expect("run");
                 black_box(merged.len())
@@ -43,7 +43,7 @@ fn bench_pipeline(c: &mut Criterion) {
         });
 
         group.bench_with_input(BenchmarkId::new("parallel", n_scenes), &scenes, |b, scenes| {
-            let pipeline = ScenePipeline::new(MissingTrackFinder::default());
+            let pipeline = ScenePipeline::new(MissingTrackFinder);
             b.iter(|| {
                 let merged = pipeline.run_merged(&lib, black_box(scenes.clone())).expect("run");
                 black_box(merged.len())

@@ -25,7 +25,7 @@ fn scene_config() -> loa_data::SceneConfig {
 
 fn setup() -> (SceneData, FeatureLibrary, MissingTrackFinder) {
     let cfg = scene_config();
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let train: Vec<_> = (0..2)
         .map(|i| generate_scene(&cfg, &format!("bench-train-{i}"), 42 + i))
         .collect();
@@ -71,7 +71,7 @@ fn bench_scene_runtime(c: &mut Criterion) {
 
 fn bench_offline_learning(c: &mut Criterion) {
     let cfg = scene_config();
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let train: Vec<_> = (0..2)
         .map(|i| generate_scene(&cfg, &format!("bench-fit-{i}"), 77 + i))
         .collect();

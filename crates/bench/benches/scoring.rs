@@ -39,7 +39,7 @@ fn setup() -> (SceneData, FeatureLibrary, MissingTrackFinder) {
         cfg.world.duration = 3.0;
         cfg.lidar.beam_count = 240;
     }
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let train: Vec<_> = (0..2)
         .map(|i| generate_scene(&cfg, &format!("score-train-{i}"), 42 + i))
         .collect();

@@ -151,7 +151,7 @@ fn bench_scene_decode(c: &mut Criterion) {
 
 fn bench_corpus_rank(c: &mut Criterion) {
     let n_scenes = if smoke() { 2 } else { 4 };
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let train: Vec<_> = (0..2)
         .map(|i| scene_data(&format!("stream-train-{i}"), 500 + i))
         .collect();
@@ -175,7 +175,7 @@ fn bench_corpus_rank(c: &mut Criterion) {
     group.bench_function("rank_corpus_streamed", |b| {
         b.iter(|| {
             let source = CorpusSource::open(black_box(&dir)).expect("corpus");
-            let counts = ScenePipeline::new(MissingTrackFinder::default())
+            let counts = ScenePipeline::new(MissingTrackFinder)
                 .process_stream(
                     &library,
                     source.into_paths(),
@@ -193,7 +193,7 @@ fn bench_corpus_rank(c: &mut Criterion) {
                 .iter()
                 .map(|p| loa_ingest::read_scene(p).expect("read"))
                 .collect();
-            let ranked = ScenePipeline::new(MissingTrackFinder::default())
+            let ranked = ScenePipeline::new(MissingTrackFinder)
                 .run(&library, scenes)
                 .expect("buffered rank");
             black_box(ranked.iter().map(|r| r.candidates.len()).sum::<usize>())
@@ -205,7 +205,7 @@ fn bench_corpus_rank(c: &mut Criterion) {
 }
 
 fn bench_incremental_rescore(c: &mut Criterion) {
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let features = finder.feature_set();
     let train: Vec<_> = (0..2)
         .map(|i| scene_data(&format!("incr-train-{i}"), 600 + i))
@@ -309,7 +309,7 @@ fn bench_incremental_rescore(c: &mut Criterion) {
 }
 
 fn bench_obs_overhead(c: &mut Criterion) {
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let features = finder.feature_set();
     let train: Vec<_> = (0..2)
         .map(|i| scene_data(&format!("obs-train-{i}"), 700 + i))

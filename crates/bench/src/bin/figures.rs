@@ -51,7 +51,7 @@ fn main() {
     cfg.world.duration = 2.0;
     cfg.lidar.beam_count = 300;
     let data = generate_scene(&cfg, "figure2", options.seed);
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let library = Learner::new()
         .fit(&finder.feature_set(), std::slice::from_ref(&data))
         .expect("fit");

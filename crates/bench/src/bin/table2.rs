@@ -11,9 +11,6 @@ fn main() {
     for bf in &set.features {
         let model = match bf.feature.probability_model() {
             fixy_core::feature::ProbabilityModel::LearnedKde => "learned (KDE)",
-            fixy_core::feature::ProbabilityModel::LearnedHistogram => "learned (histogram)",
-            fixy_core::feature::ProbabilityModel::LearnedBernoulli => "learned (Bernoulli)",
-            fixy_core::feature::ProbabilityModel::LearnedJointKde => "learned (joint KDE)",
             fixy_core::feature::ProbabilityModel::Manual => "manually specified",
         };
         let kind = match bf.feature.kind() {

@@ -12,7 +12,7 @@
 //! | `model_errors` | §8.4 — Fixy vs uncertainty sampling |
 //! | `runtime` | §8.1 — runtime per scene |
 //! | `figures` | Figures 1, 2, 4–9 — BEV ASCII plots + SVGs + graph dump |
-//! | `ablation_features` | ours — feature subsets, track-length pathology |
+//! | `ablation_features` | ours — Table 2 feature knockouts |
 //!
 //! Pass `--fast` to any binary for a shrunken CI-sized run; default sizes
 //! match the paper's scene counts.

@@ -34,25 +34,19 @@ use std::sync::Arc;
 /// wrong box extents). Assemble scenes human-only
 /// ([`crate::scene::AssemblyConfig::human_only`]): the vendor's output is
 /// the subject of the audit, so model predictions are excluded.
-#[derive(Debug, Clone)]
-pub struct LabelAuditFinder {
-    /// Tracks with at most this many observations are filtered.
-    pub min_track_obs: usize,
-}
-
-impl Default for LabelAuditFinder {
-    fn default() -> Self {
-        LabelAuditFinder { min_track_obs: 2 }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct LabelAuditFinder;
 
 impl LabelAuditFinder {
+    /// Tracks with at most this many observations are filtered.
+    const MIN_TRACK_OBS: usize = 2;
+
     /// The feature set: inverted class-conditional volume (flag labels
     /// whose size is implausible for their class) plus the count filter.
     pub fn feature_set(&self) -> FeatureSet {
         FeatureSet::new(vec![
             BoundFeature::new(Arc::new(VolumeFeature), Aof::Invert),
-            BoundFeature::plain(Arc::new(CountFeature { min_obs: self.min_track_obs })),
+            BoundFeature::plain(Arc::new(CountFeature { min_obs: Self::MIN_TRACK_OBS })),
         ])
     }
 
@@ -157,7 +151,7 @@ mod tests {
 
     #[test]
     fn class_swapped_track_ranks_first() {
-        let finder = LabelAuditFinder::default();
+        let finder = LabelAuditFinder;
         let library = label_audit_library(&finder);
         let fz = fuzzer();
         let mut checked = 0;
@@ -224,7 +218,7 @@ mod tests {
 
     #[test]
     fn audit_candidates_are_sorted_and_multi_member() {
-        let lf = LabelAuditFinder::default();
+        let lf = LabelAuditFinder;
         let bf = BundleAuditFinder;
         let llib = label_audit_library(&lf);
         let blib = bundle_audit_library(&bf);
@@ -236,7 +230,7 @@ mod tests {
             assert!(w[0].score >= w[1].score);
         }
         for c in &ranked {
-            assert!(c.n_obs > lf.min_track_obs);
+            assert!(c.n_obs > LabelAuditFinder::MIN_TRACK_OBS);
         }
 
         let scene = Scene::assemble(&data, &AssemblyConfig::default());

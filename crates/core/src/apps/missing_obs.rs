@@ -15,24 +15,18 @@ use loa_data::ObservationSource;
 use std::sync::Arc;
 
 /// The missing-observation application.
-#[derive(Debug, Clone)]
-pub struct MissingObsFinder {
-    /// Distance-severity scale in meters.
-    pub distance_scale: f64,
-}
-
-impl Default for MissingObsFinder {
-    fn default() -> Self {
-        MissingObsFinder { distance_scale: 40.0 }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct MissingObsFinder;
 
 impl MissingObsFinder {
+    /// Distance-severity scale in meters.
+    const DISTANCE_SCALE: f64 = 40.0;
+
     /// The feature set this application compiles.
     pub fn feature_set(&self) -> FeatureSet {
         FeatureSet::new(vec![
             BoundFeature::plain(Arc::new(VolumeFeature)),
-            BoundFeature::plain(Arc::new(DistanceFeature { scale: self.distance_scale })),
+            BoundFeature::plain(Arc::new(DistanceFeature { scale: Self::DISTANCE_SCALE })),
             BoundFeature::plain(Arc::new(ModelOnlyFeature)),
         ])
     }
@@ -112,7 +106,7 @@ mod tests {
 
     #[test]
     fn candidates_are_model_only_bundles_in_human_tracks() {
-        let finder = MissingObsFinder::default();
+        let finder = MissingObsFinder;
         let lib = library(&finder);
         let scenario = trailing_car_missing_label(7);
         let scene = Scene::assemble(&scenario.scene, &AssemblyConfig::default());
@@ -130,7 +124,7 @@ mod tests {
         // Section 8.3: the single missing observation was ranked at the
         // top. Our scenario has exactly one injected missing box; the
         // corresponding bundle should appear among the very top candidates.
-        let finder = MissingObsFinder::default();
+        let finder = MissingObsFinder;
         let lib = library(&finder);
         let scenario = trailing_car_missing_label(11);
         let scene = Scene::assemble(&scenario.scene, &AssemblyConfig::default());

@@ -20,30 +20,24 @@ use crate::score::ComponentScore;
 use std::sync::Arc;
 
 /// The missing-track application.
-#[derive(Debug, Clone)]
-pub struct MissingTrackFinder {
-    /// Tracks with at most this many observations are filtered (the
-    /// Count feature's threshold).
-    pub min_track_obs: usize,
-    /// Distance-severity scale in meters.
-    pub distance_scale: f64,
-}
-
-impl Default for MissingTrackFinder {
-    fn default() -> Self {
-        MissingTrackFinder { min_track_obs: 2, distance_scale: 40.0 }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct MissingTrackFinder;
 
 impl MissingTrackFinder {
+    /// Tracks with at most this many observations are filtered (the
+    /// Count feature's threshold).
+    const MIN_TRACK_OBS: usize = 2;
+    /// Distance-severity scale in meters.
+    const DISTANCE_SCALE: f64 = 40.0;
+
     /// The feature set this application compiles (Table 2, identity AOFs).
     pub fn feature_set(&self) -> FeatureSet {
         FeatureSet::new(vec![
             BoundFeature::plain(Arc::new(VolumeFeature)),
-            BoundFeature::plain(Arc::new(DistanceFeature { scale: self.distance_scale })),
+            BoundFeature::plain(Arc::new(DistanceFeature { scale: Self::DISTANCE_SCALE })),
             BoundFeature::plain(Arc::new(ModelOnlyFeature)),
             BoundFeature::plain(Arc::new(VelocityFeature)),
-            BoundFeature::plain(Arc::new(CountFeature { min_obs: self.min_track_obs })),
+            BoundFeature::plain(Arc::new(CountFeature { min_obs: Self::MIN_TRACK_OBS })),
         ])
     }
 
@@ -89,7 +83,7 @@ mod tests {
     fn candidates_never_contain_human_labeled_tracks() {
         let train = dataset(2, 50);
         let test = dataset(3, 80);
-        let finder = MissingTrackFinder::default();
+        let finder = MissingTrackFinder;
         let library = Learner::new().fit(&finder.feature_set(), &train).unwrap();
         for data in &test {
             let scene = Scene::assemble(data, &AssemblyConfig::default());
@@ -101,7 +95,7 @@ mod tests {
                     "candidate track {:?} has human labels",
                     c.track
                 );
-                assert!(c.n_obs > finder.min_track_obs);
+                assert!(c.n_obs > MissingTrackFinder::MIN_TRACK_OBS);
             }
         }
     }
@@ -110,7 +104,7 @@ mod tests {
     fn ranking_is_sorted_and_deterministic() {
         let train = dataset(2, 10);
         let test = &dataset(1, 99)[0];
-        let finder = MissingTrackFinder::default();
+        let finder = MissingTrackFinder;
         let library = Learner::new().fit(&finder.feature_set(), &train).unwrap();
         let scene = Scene::assemble(test, &AssemblyConfig::default());
         let r1 = rank(&finder, &scene, &library);
@@ -131,7 +125,7 @@ mod tests {
         // consistent geometry beats ghost geometry under the learned
         // distributions.
         let train = dataset(3, 200);
-        let finder = MissingTrackFinder::default();
+        let finder = MissingTrackFinder;
         let library = Learner::new().fit(&finder.feature_set(), &train).unwrap();
 
         let mut top_half_hits = 0usize;

@@ -79,13 +79,13 @@ impl App {
         App::ALL.into_iter().find(|app| app.name() == name)
     }
 
-    /// The feature set the app compiles, with default finder settings.
+    /// The feature set the app compiles.
     pub fn feature_set(self) -> FeatureSet {
         match self {
-            App::MissingTracks => MissingTrackFinder::default().feature_set(),
-            App::MissingObs => MissingObsFinder::default().feature_set(),
-            App::ModelErrors => ModelErrorFinder::default().feature_set(),
-            App::LabelAudit => LabelAuditFinder::default().feature_set(),
+            App::MissingTracks => MissingTrackFinder.feature_set(),
+            App::MissingObs => MissingObsFinder.feature_set(),
+            App::ModelErrors => ModelErrorFinder.feature_set(),
+            App::LabelAudit => LabelAuditFinder.feature_set(),
             App::BundleAudit => BundleAuditFinder.feature_set(),
         }
     }
@@ -150,21 +150,22 @@ impl App {
         let tracks = |ranked: Vec<_>| ranked.into_iter().map(Candidate::Track).collect();
         let bundles = |ranked: Vec<_>| ranked.into_iter().map(Candidate::Bundle).collect();
         match self {
-            App::MissingTracks => tracks(scores.with_tracks(scene, |s| {
-                MissingTrackFinder::default().rank_scored(scene, s.iter().copied())
-            })),
+            App::MissingTracks => {
+                tracks(scores.with_tracks(scene, |s| {
+                    MissingTrackFinder.rank_scored(scene, s.iter().copied())
+                }))
+            }
             App::ModelErrors => {
                 let excluded = self.pre_excluded(scene).unwrap_or_default();
                 tracks(scores.with_tracks(scene, |s| {
-                    ModelErrorFinder::default().rank_scored(scene, s.iter().copied(), &excluded)
+                    ModelErrorFinder.rank_scored(scene, s.iter().copied(), &excluded)
                 }))
             }
-            App::LabelAudit => tracks(scores.with_tracks(scene, |s| {
-                LabelAuditFinder::default().rank_scored(scene, s.iter().copied())
-            })),
-            App::MissingObs => {
-                bundles(MissingObsFinder::default().rank_scored(scene, scores.bundles(scene)))
-            }
+            App::LabelAudit => tracks(
+                scores
+                    .with_tracks(scene, |s| LabelAuditFinder.rank_scored(scene, s.iter().copied())),
+            ),
+            App::MissingObs => bundles(MissingObsFinder.rank_scored(scene, scores.bundles(scene))),
             App::BundleAudit => {
                 bundles(BundleAuditFinder.rank_scored(scene, scores.bundles(scene)))
             }

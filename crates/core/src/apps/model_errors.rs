@@ -15,9 +15,7 @@
 
 use crate::aof::Aof;
 use crate::feature::{BoundFeature, FeatureSet};
-use crate::features::{
-    CountFeature, TrackLengthFeature, VelocityFeature, VolumeFeature, YawRateFeature,
-};
+use crate::features::{CountFeature, VelocityFeature, VolumeFeature, YawRateFeature};
 use crate::rank::{sort_track_candidates, track_candidate, TrackCandidate};
 use crate::scene::{ObsIdx, Scene, TrackIdx};
 use crate::score::ComponentScore;
@@ -27,49 +25,31 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 /// The model-error application.
-#[derive(Debug, Clone)]
-pub struct ModelErrorFinder {
-    /// Tracks with at most this many observations are filtered: shorter
-    /// tracks are the appear/flicker assertions' territory.
-    pub min_track_obs: usize,
-}
-
-impl Default for ModelErrorFinder {
-    fn default() -> Self {
-        ModelErrorFinder { min_track_obs: 3 }
-    }
-}
+#[derive(Debug, Clone, Default)]
+pub struct ModelErrorFinder;
 
 impl ModelErrorFinder {
+    /// Tracks with at most this many observations are filtered: shorter
+    /// tracks are the appear/flicker assertions' territory.
+    const MIN_TRACK_OBS: usize = 3;
+
     /// The feature set: the learned features of the missing-track app with
-    /// inverted AOFs plus the manual count filter. Distance and model-only
-    /// are dropped, as in the paper.
+    /// inverted AOFs, the inverted yaw rate, and the manual count filter.
+    /// Distance and model-only are dropped, as in the paper.
     ///
     /// The paper additionally deploys a track feature over the total
-    /// number of observations; we expose [`TrackLengthFeature`] for that
-    /// but keep it *out* of the default set: a single inverted track-level
-    /// factor contributes a near-constant log term that the Section 6
-    /// per-factor normalization dilutes for long tracks and concentrates
-    /// on short ones, systematically sinking exactly the short
-    /// inconsistent tracks this application hunts. The `ablation_features`
-    /// binary quantifies the effect.
+    /// number of observations; it is left out: a single inverted
+    /// track-level factor contributes a near-constant log term that the
+    /// Section 6 per-factor normalization dilutes for long tracks and
+    /// concentrates on short ones, systematically sinking exactly the
+    /// short inconsistent tracks this application hunts.
     pub fn feature_set(&self) -> FeatureSet {
         FeatureSet::new(vec![
             BoundFeature::new(Arc::new(VolumeFeature), Aof::Invert),
             BoundFeature::new(Arc::new(VelocityFeature), Aof::Invert),
             BoundFeature::new(Arc::new(YawRateFeature), Aof::Invert),
-            BoundFeature::plain(Arc::new(CountFeature { min_obs: self.min_track_obs })),
+            BoundFeature::plain(Arc::new(CountFeature { min_obs: Self::MIN_TRACK_OBS })),
         ])
-    }
-
-    /// The default set extended with the inverted track-length factor —
-    /// the paper's literal Section 8.4 configuration, kept for the
-    /// ablation.
-    pub fn feature_set_with_track_length(&self) -> FeatureSet {
-        let mut set = self.feature_set();
-        set.features
-            .insert(3, BoundFeature::new(Arc::new(TrackLengthFeature), Aof::Invert));
-        set
     }
 
     /// Rank candidate erroneous tracks from their scores, most suspicious
@@ -253,7 +233,7 @@ mod tests {
 
     #[test]
     fn ghost_tracks_rank_above_real_tracks() {
-        let finder = ModelErrorFinder::default();
+        let finder = ModelErrorFinder;
         let lib = library(&finder);
         let mut cfg = DatasetProfile::LyftLike.scene_config();
         cfg.world.duration = 6.0;
@@ -303,7 +283,7 @@ mod tests {
 
     #[test]
     fn excluded_observations_remove_tracks() {
-        let finder = ModelErrorFinder::default();
+        let finder = ModelErrorFinder;
         let lib = library(&finder);
         let mut cfg = DatasetProfile::LyftLike.scene_config();
         cfg.world.duration = 5.0;
@@ -323,7 +303,7 @@ mod tests {
     fn finds_high_confidence_errors() {
         // The uncertainty-sampling blind spot (Section 8.4): Fixy surfaces
         // errors whose confidence is high.
-        let finder = ModelErrorFinder::default();
+        let finder = ModelErrorFinder;
         let lib = library(&finder);
         let mut cfg = DatasetProfile::LyftLike.scene_config();
         cfg.world.duration = 8.0;

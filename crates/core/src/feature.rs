@@ -20,7 +20,7 @@ use std::sync::Arc;
 pub enum FeatureKind {
     /// Features over single observations (e.g. box volume).
     Observation,
-    /// Features over observation bundles (e.g. class agreement).
+    /// Features over observation bundles (e.g. the model-only selector).
     Bundle,
     /// Features between adjacent bundles within a track (e.g. velocity).
     Transition,
@@ -73,16 +73,9 @@ impl FeatureValue {
 /// How a feature's probability is obtained.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum ProbabilityModel {
-    /// Fit a KDE (default) over historical feature values.
+    /// Fit a KDE (default) over historical feature values — per class
+    /// when the values carry a class.
     LearnedKde,
-    /// Fit a histogram (for integer-ish features).
-    LearnedHistogram,
-    /// Fit a Bernoulli (for 0/1 features, e.g. class agreement).
-    LearnedBernoulli,
-    /// Fit a joint (multivariate) KDE over vector values; the feature
-    /// must implement [`Feature::vector_value`]. Section 5 of the paper:
-    /// features may be *"scalar or vector valued"*.
-    LearnedJointKde,
     /// The feature value already is a probability in `[0, 1]`.
     Manual,
 }
@@ -107,13 +100,6 @@ pub trait Feature: Send + Sync {
     /// Compute the feature value for a target, or `None` when the feature
     /// does not apply (wrong kind, missing inputs).
     fn value(&self, scene: &Scene, target: &FeatureTarget<'_>) -> Option<FeatureValue>;
-
-    /// Compute the *vector* value for joint-KDE features
-    /// ([`ProbabilityModel::LearnedJointKde`]); scalar features keep the
-    /// default `None`.
-    fn vector_value(&self, _scene: &Scene, _target: &FeatureTarget<'_>) -> Option<Vec<f64>> {
-        None
-    }
 
     /// One-line description (Table 2).
     fn description(&self) -> &str {

@@ -42,46 +42,6 @@ impl Feature for ModelOnlyFeature {
     }
 }
 
-/// Learned Bernoulli over class agreement within a bundle — the paper's
-/// Section 5.1 example: value 1 when every member reports the same class,
-/// 0 otherwise.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ClassAgreementFeature;
-
-impl Feature for ClassAgreementFeature {
-    fn name(&self) -> &str {
-        "class_agreement"
-    }
-
-    fn kind(&self) -> FeatureKind {
-        FeatureKind::Bundle
-    }
-
-    fn probability_model(&self) -> ProbabilityModel {
-        ProbabilityModel::LearnedBernoulli
-    }
-
-    fn value(&self, scene: &Scene, target: &FeatureTarget<'_>) -> Option<FeatureValue> {
-        match target {
-            FeatureTarget::Bundle(bundle) => {
-                let members = scene.bundle_obs(bundle.idx);
-                if members.len() < 2 {
-                    // Agreement is vacuous for singletons; skip the factor.
-                    return None;
-                }
-                let first = scene.obs(members[0]).class;
-                let agree = members.iter().all(|&o| scene.obs(o).class == first);
-                Some(FeatureValue::scalar(if agree { 1.0 } else { 0.0 }))
-            }
-            _ => None,
-        }
-    }
-
-    fn description(&self) -> &str {
-        "Bundle members agree on object class"
-    }
-}
-
 /// Learned KDE over the log volume ratio (max/min) of a bundle's member
 /// boxes. Matched human/model observations of one object agree on volume
 /// to within calibration noise, so the historical distribution
@@ -187,41 +147,5 @@ mod tests {
             .value(&scene, &FeatureTarget::Bundle(&bundle))
             .unwrap();
         assert_eq!(v.x, 0.0);
-    }
-
-    #[test]
-    fn class_agreement_values() {
-        let (scene, bundle) = scene_with(
-            vec![
-                obs(0, ObservationSource::Human, ObjectClass::Car),
-                obs(1, ObservationSource::Model, ObjectClass::Car),
-            ],
-            vec![0, 1],
-        );
-        let v = ClassAgreementFeature
-            .value(&scene, &FeatureTarget::Bundle(&bundle))
-            .unwrap();
-        assert_eq!(v.x, 1.0);
-
-        let (scene, bundle) = scene_with(
-            vec![
-                obs(0, ObservationSource::Human, ObjectClass::Pedestrian),
-                obs(1, ObservationSource::Model, ObjectClass::Truck),
-            ],
-            vec![0, 1],
-        );
-        let v = ClassAgreementFeature
-            .value(&scene, &FeatureTarget::Bundle(&bundle))
-            .unwrap();
-        assert_eq!(v.x, 0.0);
-    }
-
-    #[test]
-    fn class_agreement_skips_singletons() {
-        let (scene, bundle) =
-            scene_with(vec![obs(0, ObservationSource::Model, ObjectClass::Car)], vec![0]);
-        assert!(ClassAgreementFeature
-            .value(&scene, &FeatureTarget::Bundle(&bundle))
-            .is_none());
     }
 }

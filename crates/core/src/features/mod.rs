@@ -1,7 +1,7 @@
 //! Built-in features.
 //!
-//! The five features of the paper's Table 2 plus extras used by the
-//! extended applications and ablations:
+//! The five features of the paper's Table 2 plus the two extras the
+//! model-error and bundle-audit applications use:
 //!
 //! | Name | Type | Description | Probability |
 //! |---|---|---|---|
@@ -10,11 +10,7 @@
 //! | `model_only` | Bundle | Selects bundles with model predictions only | manual |
 //! | `velocity` | Trans. | Class-conditional object velocity | learned KDE |
 //! | `count` | Track | Filters tracks with two or fewer obs | manual |
-//! | `aspect_ratio` | Obs. | Class-conditional length/width ratio | learned KDE |
-//! | `class_agreement` | Bundle | All bundle members agree on class | learned Bernoulli |
 //! | `yaw_rate` | Trans. | Absolute heading change rate | learned KDE |
-//! | `motion_vector` | Trans. | Joint speed / heading-change distribution | learned joint KDE |
-//! | `track_length` | Track | Observations per track | learned histogram |
 //! | `volume_ratio` | Bundle | Log max/min volume ratio within a bundle | learned KDE |
 //!
 //! Each is a handful of lines — the paper's claim that *"each feature
@@ -26,7 +22,7 @@ mod obs_feats;
 mod track_feats;
 mod transition_feats;
 
-pub use bundle_feats::{ClassAgreementFeature, ModelOnlyFeature, VolumeRatioFeature};
-pub use obs_feats::{AspectRatioFeature, DistanceFeature, VolumeFeature};
-pub use track_feats::{CountFeature, TrackLengthFeature};
-pub use transition_feats::{MotionVectorFeature, VelocityFeature, YawRateFeature};
+pub use bundle_feats::{ModelOnlyFeature, VolumeRatioFeature};
+pub use obs_feats::{DistanceFeature, VolumeFeature};
+pub use track_feats::CountFeature;
+pub use transition_feats::{VelocityFeature, YawRateFeature};

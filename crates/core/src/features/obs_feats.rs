@@ -75,41 +75,6 @@ impl Feature for DistanceFeature {
     }
 }
 
-/// Class-conditional footprint aspect ratio (length / width) — an extra
-/// learned feature; ghosts with implausibly square or elongated boxes get
-/// low likelihoods.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct AspectRatioFeature;
-
-impl Feature for AspectRatioFeature {
-    fn name(&self) -> &str {
-        "aspect_ratio"
-    }
-
-    fn kind(&self) -> FeatureKind {
-        FeatureKind::Observation
-    }
-
-    fn value(&self, _scene: &Scene, target: &FeatureTarget<'_>) -> Option<FeatureValue> {
-        match target {
-            FeatureTarget::Obs(obs) => {
-                if obs.bbox.size.width <= 0.0 {
-                    return None;
-                }
-                Some(FeatureValue::class_conditional(
-                    obs.bbox.size.length / obs.bbox.size.width,
-                    obs.class,
-                ))
-            }
-            _ => None,
-        }
-    }
-
-    fn description(&self) -> &str {
-        "Class-conditional length/width ratio"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -162,14 +127,5 @@ mod tests {
         assert!((0.0..=1.0).contains(&p_near));
         assert!((0.0..=1.0).contains(&p_far));
         assert_eq!(f.probability_model(), ProbabilityModel::Manual);
-    }
-
-    #[test]
-    fn aspect_ratio_value() {
-        let scene = empty_scene();
-        let o = obs((4.0, 2.0, 1.5), 10.0);
-        let v = AspectRatioFeature.value(&scene, &FeatureTarget::Obs(&o)).unwrap();
-        assert!((v.x - 2.0).abs() < 1e-12);
-        assert_eq!(v.class, Some(ObjectClass::Car));
     }
 }

@@ -47,39 +47,6 @@ impl Feature for CountFeature {
     }
 }
 
-/// Learned histogram over the number of observations per track — used by
-/// the model-error application (Section 8.4 deploys *"a track feature
-/// over the total number of observations"*).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct TrackLengthFeature;
-
-impl Feature for TrackLengthFeature {
-    fn name(&self) -> &str {
-        "track_length"
-    }
-
-    fn kind(&self) -> FeatureKind {
-        FeatureKind::Track
-    }
-
-    fn probability_model(&self) -> ProbabilityModel {
-        ProbabilityModel::LearnedHistogram
-    }
-
-    fn value(&self, scene: &Scene, target: &FeatureTarget<'_>) -> Option<FeatureValue> {
-        match target {
-            FeatureTarget::Track(track) => {
-                Some(FeatureValue::scalar(scene.track_n_obs(track.idx) as f64))
-            }
-            _ => None,
-        }
-    }
-
-    fn description(&self) -> &str {
-        "Total observations within the track"
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -133,19 +100,6 @@ mod tests {
         assert_eq!(f.value(&scene, &FeatureTarget::Track(&track)).unwrap().x, 1.0);
     }
 
-    #[test]
-    fn track_length_counts_observations() {
-        let (scene, track) = scene_with_track(7);
-        let v = TrackLengthFeature
-            .value(&scene, &FeatureTarget::Track(&track))
-            .unwrap();
-        assert_eq!(v.x, 7.0);
-        assert_eq!(
-            TrackLengthFeature.probability_model(),
-            ProbabilityModel::LearnedHistogram
-        );
-    }
-
     /// The O(1) per-track count the features read agrees with a walk of
     /// the track's observations, on batch scenes and on every streamed
     /// snapshot (whose counts are folded per frame), under all three
@@ -158,8 +112,6 @@ mod tests {
                 let walked = scene.track_obs_iter(t.idx).count();
                 assert_eq!(scene.track_n_obs(t.idx), walked, "{what}: track {:?}", t.idx);
                 let target = FeatureTarget::Track(t);
-                let len = TrackLengthFeature.value(scene, &target).unwrap().x;
-                assert_eq!(len, walked as f64, "{what}: track_length");
                 let count = CountFeature::default().value(scene, &target).unwrap().x;
                 assert_eq!(count, if walked > 2 { 1.0 } else { 0.0 }, "{what}: count");
             }
@@ -189,9 +141,6 @@ mod tests {
         let (scene, _) = scene_with_track(3);
         let bundle = *scene.bundle(BundleIdx(0));
         assert!(CountFeature::default()
-            .value(&scene, &FeatureTarget::Bundle(&bundle))
-            .is_none());
-        assert!(TrackLengthFeature
             .value(&scene, &FeatureTarget::Bundle(&bundle))
             .is_none());
     }

@@ -40,60 +40,6 @@ impl Feature for VelocityFeature {
     }
 }
 
-/// Joint (speed, heading-change-rate) distribution between adjacent
-/// bundles, fitted with a 2-D KDE — the paper's *"scalar or vector
-/// valued"* features. Catches motion that is plausible in each marginal
-/// but implausible jointly: real objects turn slowly at speed, while a
-/// ghost can report 10 m/s *and* a 2 rad/s spin at once.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct MotionVectorFeature;
-
-impl MotionVectorFeature {
-    fn components(scene: &Scene, target: &FeatureTarget<'_>) -> Option<(f64, f64)> {
-        match target {
-            FeatureTarget::Transition(a, b, dt) => {
-                if *dt <= 0.0 {
-                    return None;
-                }
-                let ra = scene.bundle_representative(a);
-                let rb = scene.bundle_representative(b);
-                let speed = ra.world_center.distance(rb.world_center) / dt;
-                let yaw_rate = undirected_angle_diff(ra.bbox.yaw, rb.bbox.yaw) / dt;
-                Some((speed, yaw_rate))
-            }
-            _ => None,
-        }
-    }
-}
-
-impl Feature for MotionVectorFeature {
-    fn name(&self) -> &str {
-        "motion_vector"
-    }
-
-    fn kind(&self) -> FeatureKind {
-        FeatureKind::Transition
-    }
-
-    fn probability_model(&self) -> crate::feature::ProbabilityModel {
-        crate::feature::ProbabilityModel::LearnedJointKde
-    }
-
-    fn value(&self, scene: &Scene, target: &FeatureTarget<'_>) -> Option<FeatureValue> {
-        // Scalar projection (speed) — only used if someone fits this
-        // feature with a scalar model; the joint path uses vector_value.
-        Self::components(scene, target).map(|(speed, _)| FeatureValue::scalar(speed))
-    }
-
-    fn vector_value(&self, scene: &Scene, target: &FeatureTarget<'_>) -> Option<Vec<f64>> {
-        Self::components(scene, target).map(|(speed, yaw_rate)| vec![speed, yaw_rate])
-    }
-
-    fn description(&self) -> &str {
-        "Joint speed / heading-change distribution"
-    }
-}
-
 /// Absolute heading change rate (rad/s) between adjacent bundles, treating
 /// θ and θ+π as the same heading (detectors flip yaws). Persistent ghosts
 /// spin; real objects do not.

@@ -3,10 +3,10 @@
 //! Library JSON is convenient but wrong-shaped for fleet cold starts:
 //! loading one pays a full tree-walking parse *and* a
 //! [`BinnedKde`] grid rebuild per KDE before the first frame can be
-//! scored. `.flcb` stores each distribution's state together with its
-//! scoring grid — KDE samples and grids, sorted joint-KDE rows,
-//! histogram and Bernoulli tables — verbatim as flat little-endian `f64`
-//! arrays, so loading is a bounds-checked bulk copy instead of a rebuild:
+//! scored. `.flcb` stores each KDE's state together with its scoring
+//! grid — samples, bandwidth and grid — verbatim as flat little-endian
+//! `f64` arrays, so loading is a bounds-checked bulk copy instead of a
+//! rebuild:
 //!
 //! ```text
 //! ┌──────────────────────────────────────────────────────────────┐
@@ -35,16 +35,18 @@
 //! never a panic — and every length prefix is capped
 //! ([`MAX_RECORD_LEN`]) and checked
 //! against the bytes actually present before any allocation, so a
-//! corrupt count cannot become an allocation bomb. Every distribution
-//! is rebuilt through a validating constructor in `loa_stats` — for all
-//! but KDEs the `from_parts` the JSON deserializers use — so both formats
-//! reject the same implausible stored values. The JSON wire format stays
-//! fully supported; `fixy convert --library` migrates.
+//! corrupt count cannot become an allocation bomb. Every KDE is rebuilt
+//! through validating constructors in `loa_stats`: `Kde1d::with_grid`
+//! checks samples and bandwidth as the JSON load's `Kde1d::from_parts`
+//! does, and `BinnedKde::from_parts` checks the stored grid. Tags 3–5
+//! (the histogram, Bernoulli and joint-KDE forms of earlier builds) are
+//! unknown distribution tags. The JSON wire format stays fully
+//! supported; `fixy convert --library` migrates.
 
 use crate::codec::{CodecError, Dec, Enc, MAX_RECORD_LEN};
 use crate::learner::{FeatureLibrary, FittedDistribution};
 use loa_data::ObjectClass;
-use loa_stats::{Bernoulli, BinnedKde, Density1d, FitError, Histogram, Kde1d, KdeNd, Kernel};
+use loa_stats::{BinnedKde, Density1d, FitError, Kde1d, Kernel};
 use std::collections::BTreeMap;
 use std::path::Path;
 
@@ -59,9 +61,6 @@ const VERSION: u16 = 3;
 // Section tags (one per [`FittedDistribution`] variant).
 const FIT_CLASS_COND: u8 = 1;
 const FIT_KDE: u8 = 2;
-const FIT_HIST: u8 = 3;
-const FIT_BERN: u8 = 4;
-const FIT_JOINT: u8 = 5;
 
 fn corrupt(msg: impl Into<String>) -> CodecError {
     CodecError::Corrupt(msg.into())
@@ -89,7 +88,7 @@ fn implausible(e: FitError) -> CodecError {
 }
 
 // ---------------------------------------------------------------------------
-// Scalar-distribution sections
+// KDE sections
 // ---------------------------------------------------------------------------
 
 fn enc_kde1d(enc: &mut Enc, kde: &Kde1d) {
@@ -127,49 +126,6 @@ fn dec_binned(dec: &mut Dec<'_>) -> Result<BinnedKde, CodecError> {
     BinnedKde::from_parts(grid_start, grid_step, densities, max_density).map_err(implausible)
 }
 
-fn enc_hist(enc: &mut Enc, h: &Histogram) {
-    enc.f64(h.start());
-    enc.f64(h.bin_width());
-    enc.f64(h.max_density());
-    enc.u64(h.sample_count() as u64);
-    enc.f64_slice(h.densities());
-}
-
-fn dec_hist(dec: &mut Dec<'_>) -> Result<Histogram, CodecError> {
-    let start = dec.f64()?;
-    let bin_width = dec.f64()?;
-    let max_density = dec.f64()?;
-    let n = dec.u64()?;
-    let densities = dec.f64_vec()?;
-    Histogram::from_parts(start, bin_width, densities, max_density, n as usize).map_err(implausible)
-}
-
-fn enc_bern(enc: &mut Enc, b: &Bernoulli) {
-    enc.f64(b.p_one());
-}
-
-fn dec_bern(dec: &mut Dec<'_>) -> Result<Bernoulli, CodecError> {
-    let p_one = dec.f64()?;
-    Bernoulli::from_p(p_one).map_err(implausible)
-}
-
-fn enc_kde_nd(enc: &mut Enc, kde: &KdeNd) {
-    enc.u8(kde.kernel().tag());
-    enc.u32(kde.dim() as u32);
-    enc.f64_slice(kde.bandwidths());
-    enc.f64(kde.max_density());
-    enc.f64_slice(kde.samples_flat());
-}
-
-fn dec_kde_nd(dec: &mut Dec<'_>) -> Result<KdeNd, CodecError> {
-    let kernel = dec_kernel(dec)?;
-    let dim = dec.u32()? as usize;
-    let bandwidths = dec.f64_vec()?;
-    let max_density = dec.f64()?;
-    let samples = dec.f64_vec()?;
-    KdeNd::from_flat_parts(dim, samples, kernel, bandwidths, max_density).map_err(implausible)
-}
-
 // ---------------------------------------------------------------------------
 // Entry sections
 // ---------------------------------------------------------------------------
@@ -178,9 +134,6 @@ fn fitted_tag(fitted: &FittedDistribution) -> u8 {
     match fitted {
         FittedDistribution::ClassConditional { .. } => FIT_CLASS_COND,
         FittedDistribution::Kde(_) => FIT_KDE,
-        FittedDistribution::Histogram(_) => FIT_HIST,
-        FittedDistribution::Bernoulli(_) => FIT_BERN,
-        FittedDistribution::Joint(_) => FIT_JOINT,
     }
 }
 
@@ -196,9 +149,6 @@ fn enc_fitted(enc: &mut Enc, fitted: &FittedDistribution) {
             enc_kde1d(enc, pooled);
         }
         FittedDistribution::Kde(kde) => enc_kde1d(enc, kde),
-        FittedDistribution::Histogram(h) => enc_hist(enc, h),
-        FittedDistribution::Bernoulli(b) => enc_bern(enc, b),
-        FittedDistribution::Joint(kde) => enc_kde_nd(enc, kde),
     }
 }
 
@@ -224,9 +174,6 @@ fn dec_fitted(dec: &mut Dec<'_>) -> Result<FittedDistribution, CodecError> {
             Ok(FittedDistribution::ClassConditional { per_class, pooled })
         }
         FIT_KDE => Ok(FittedDistribution::Kde(dec_kde1d(dec)?)),
-        FIT_HIST => Ok(FittedDistribution::Histogram(dec_hist(dec)?)),
-        FIT_BERN => Ok(FittedDistribution::Bernoulli(dec_bern(dec)?)),
-        FIT_JOINT => Ok(FittedDistribution::Joint(dec_kde_nd(dec)?)),
         tag => Err(corrupt(format!("unknown distribution tag {tag}"))),
     }
 }
@@ -317,9 +264,8 @@ mod tests {
     use super::*;
     use crate::feature::FeatureValue;
 
-    /// A small library exercising every variant: class-conditional (one
-    /// class fit to the pooled samples), pooled KDE, histogram, Bernoulli,
-    /// joint.
+    /// A small library exercising both variants: class-conditional (one
+    /// class fit to the pooled samples) and pooled KDE.
     fn sample_library() -> FeatureLibrary {
         let mut lib = FeatureLibrary::default();
         let car: Vec<f64> = (0..40).map(|i| (i % 11) as f64 * 0.7).collect();
@@ -337,20 +283,6 @@ mod tests {
         lib.insert(
             "volume".into(),
             FittedDistribution::Kde(Kde1d::fit(&[1.0, 2.0, 2.5, 4.0, 8.0]).unwrap()),
-        );
-        lib.insert(
-            "track_len".into(),
-            FittedDistribution::Histogram(Histogram::fit(&[1.0, 2.0, 2.0, 3.0, 9.0]).unwrap()),
-        );
-        lib.insert(
-            "consistent".into(),
-            FittedDistribution::Bernoulli(Bernoulli::fit(&[0.0, 1.0, 1.0, 1.0]).unwrap()),
-        );
-        let rows: Vec<Vec<f64>> =
-            (0..30).map(|i| vec![(i % 5) as f64, (i % 3) as f64 * 1.5]).collect();
-        lib.insert(
-            "vel_vec".into(),
-            FittedDistribution::Joint(KdeNd::fit(&rows).unwrap()),
         );
         lib
     }
@@ -382,13 +314,6 @@ mod tests {
                     fitted.probability(&q).to_bits(),
                     loaded.probability(&q).to_bits(),
                     "fitted probability diverges for '{name}' at {q:?}"
-                );
-            }
-            for v in [[0.0, 0.0], [2.0, 1.5], [4.0, 3.0], [9.0, -1.0]] {
-                assert_eq!(
-                    fitted.probability_vector(&v).to_bits(),
-                    loaded.probability_vector(&v).to_bits(),
-                    "vector probability diverges for '{name}'"
                 );
             }
         }
@@ -530,8 +455,7 @@ mod tests {
     fn entry_payload_overdeclaration_rejected() {
         let mut payload = Enc::default();
         payload.str("ok");
-        payload.u8(FIT_BERN);
-        payload.f64(0.25);
+        enc_fitted(&mut payload, &FittedDistribution::Kde(Kde1d::fit(&XS).unwrap()));
         payload.u8(0xff); // one stray byte inside the declared payload
         let mut enc = header("x", 1);
         push_entry(&mut enc, &payload.buf);
@@ -541,15 +465,14 @@ mod tests {
     #[test]
     fn duplicate_entries_rejected() {
         let mut payload = Enc::default();
-        payload.str("flag");
-        payload.u8(FIT_BERN);
-        payload.f64(0.5);
+        payload.str("volume");
+        enc_fitted(&mut payload, &FittedDistribution::Kde(Kde1d::fit(&XS).unwrap()));
         let mut enc = header("x", 2);
         for _ in 0..2 {
             push_entry(&mut enc, &payload.buf);
         }
         let err = decode_library(&enc.buf).unwrap_err();
-        assert!(err.to_string().contains("duplicate entry 'flag'"), "got: {err}");
+        assert!(err.to_string().contains("duplicate entry 'volume'"), "got: {err}");
     }
 
     // -- Stored values no fit produces --------------------------------------
@@ -608,34 +531,6 @@ mod tests {
     }
 
     #[test]
-    fn histogram_max_density_and_densities_must_be_plausible() {
-        let h = Histogram::fit(&[1.0, 2.0, 2.0, 3.0, 9.0]).unwrap();
-        let density = *h
-            .densities()
-            .iter()
-            .find(|&&d| d > 0.0 && d != h.max_density())
-            .unwrap();
-        for bad in BAD_SCALES {
-            let dist = FittedDistribution::Histogram(h.clone());
-            assert_rejected(&patched(dist, h.max_density(), 0, bad), bad);
-        }
-        for bad in [-1.0, f64::NAN, f64::INFINITY] {
-            let dist = FittedDistribution::Histogram(h.clone());
-            assert_rejected(&patched(dist, density, 0, bad), bad);
-        }
-    }
-
-    #[test]
-    fn joint_max_density_must_be_finite_positive() {
-        let rows: Vec<Vec<f64>> = XS.iter().map(|&x| vec![x, 2.0 * x]).collect();
-        let kde = KdeNd::fit(&rows).unwrap();
-        for bad in BAD_SCALES {
-            let dist = FittedDistribution::Joint(kde.clone());
-            assert_rejected(&patched(dist, kde.max_density(), 0, bad), bad);
-        }
-    }
-
-    #[test]
     fn non_gaussian_kernel_tag_rejected() {
         // The kernel tag byte sits right before the stored bandwidth.
         let kde = Kde1d::fit(&XS).unwrap();
@@ -648,34 +543,81 @@ mod tests {
         assert!(err.to_string().contains("unknown kernel tag 1"), "got: {err}");
     }
 
-    /// Handwritten golden bytes for a one-entry Bernoulli library lock
+    /// The hand-built KDE both golden libraries store: samples `[1, 2]`,
+    /// bandwidth 0.5, and a three-point grid from 0 in steps of 1.5. A
+    /// `.flcb` KDE keeps its grid as stored, so any valid grid will do.
+    fn golden_kde() -> Kde1d {
+        let grid = BinnedKde::from_parts(0.0, 1.5, vec![0.25, 0.5, 0.25], 0.5).unwrap();
+        Kde1d::with_grid(vec![1.0, 2.0], Kernel::Gaussian, 0.5, grid).unwrap()
+    }
+
+    /// The stored state of [`golden_kde`], after its distribution tag
+    /// (81 bytes).
+    fn golden_kde_bytes() -> Vec<u8> {
+        #[rustfmt::skip]
+        let bytes = [
+            &[0x00][..],                   // kernel tag: Gaussian
+            &0.5f64.to_le_bytes(),         // bandwidth
+            &[0x02, 0x00, 0x00, 0x00],     // sample count 2
+            &1.0f64.to_le_bytes(),         // samples
+            &2.0f64.to_le_bytes(),
+            &0.0f64.to_le_bytes(),         // grid start
+            &1.5f64.to_le_bytes(),         // grid step
+            &0.5f64.to_le_bytes(),         // max density
+            &[0x03, 0x00, 0x00, 0x00],     // grid point count 3
+            &0.25f64.to_le_bytes(),        // grid densities
+            &0.5f64.to_le_bytes(),
+            &0.25f64.to_le_bytes(),
+        ]
+        .concat();
+        bytes
+    }
+
+    /// A one-entry library in the v3 layout: header, the entry's payload
+    /// length, name `name`, `state` (distribution tag onwards) and the
+    /// payload checksum.
+    fn golden_file(payload_len: u8, name: &[u8], state: &[u8], checksum: [u8; 8]) -> Vec<u8> {
+        #[rustfmt::skip]
+        let bytes = [
+            b"FLCB".as_slice(),            // magic
+            &[0x03, 0x00],                 // version 3, u16 LE
+            &[0x01, 0x00, 0x00, 0x00],     // app length 1
+            b"a",                          // app
+            &[0x01, 0x00, 0x00, 0x00],     // entry count 1
+            &[payload_len, 0, 0, 0],       // entry payload length, u32 LE
+            &[0x01, 0x00, 0x00, 0x00],     // name length 1
+            name,                          // name
+            state,                         // tag · distribution state
+            &checksum,                     // checksum, u64 LE
+        ]
+        .concat();
+        bytes
+    }
+
+    /// Assert a loaded KDE is [`golden_kde`], grid included.
+    fn assert_golden_kde(kde: &Kde1d) {
+        assert_eq!(kde.samples(), [1.0, 2.0]);
+        assert_eq!(kde.bandwidth_value(), 0.5);
+        let grid = kde.grid();
+        assert_eq!(
+            (grid.grid_start(), grid.grid_step(), grid.max_density()),
+            (0.0, 1.5, 0.5)
+        );
+        assert_eq!(grid.densities(), [0.25, 0.5, 0.25]);
+    }
+
+    /// Handwritten golden bytes for a one-entry pooled-KDE library lock
     /// the v3 layout in both directions: `encode_library` must emit
     /// exactly these bytes, and decoding them must yield the library.
     /// If this test breaks, the wire format changed — bump [`VERSION`].
     #[test]
     fn golden_bytes_lock_the_layout() {
         let mut lib = FeatureLibrary::default();
-        lib.insert(
-            "b".into(),
-            FittedDistribution::Bernoulli(Bernoulli::from_p(0.5).unwrap()),
-        );
-
-        #[rustfmt::skip]
-        let golden: Vec<u8> = [
-            b"FLCB".as_slice(),            // magic
-            &[0x03, 0x00],                 // version 3, u16 LE
-            &[0x01, 0x00, 0x00, 0x00],     // app length 1
-            b"a",                          // app
-            &[0x01, 0x00, 0x00, 0x00],     // entry count 1
-            &[0x0e, 0x00, 0x00, 0x00],     // entry payload length 14
-            &[0x01, 0x00, 0x00, 0x00],     // name length 1
-            b"b",                          // name
-            &[FIT_BERN],                   // distribution tag
-            &0.5f64.to_le_bytes(),         // p_one
-            &[0xa1, 0xc4, 0x2c, 0x62,      // checksum of the 14 payload
-              0x20, 0x7d, 0x2c, 0x54],     //   bytes, u64 LE
-        ]
-        .concat();
+        lib.insert("k".into(), FittedDistribution::Kde(golden_kde()));
+        let state = [&[FIT_KDE][..], &golden_kde_bytes()].concat();
+        // 87 = name 5 + tag 1 + KDE 81.
+        let checksum = [0x11, 0xcd, 0x1e, 0x99, 0x97, 0x18, 0xc5, 0x98];
+        let golden = golden_file(87, b"k", &state, checksum);
 
         assert_eq!(
             encode_library("a", &lib),
@@ -684,10 +626,10 @@ mod tests {
         );
         let (app, back) = decode_library(&golden).expect("golden bytes decode");
         assert_eq!(app, "a");
-        let FittedDistribution::Bernoulli(b) = back.get("b").expect("entry") else {
+        let FittedDistribution::Kde(kde) = back.get("k").expect("entry") else {
             panic!("wrong variant");
         };
-        assert_eq!(b.p_one(), 0.5);
+        assert_golden_kde(kde);
 
         // The same library in the v2 layout (no checksum) is refused by
         // version, before any entry is read.
@@ -700,6 +642,80 @@ mod tests {
         );
     }
 
+    /// The class-conditional layout: the per-class count, then each
+    /// class's index byte and KDE, then the pooled KDE.
+    #[test]
+    fn golden_bytes_lock_the_class_conditional_layout() {
+        let mut per_class = BTreeMap::new();
+        per_class.insert(ObjectClass::Pedestrian, golden_kde());
+        let mut lib = FeatureLibrary::default();
+        lib.insert(
+            "c".into(),
+            FittedDistribution::ClassConditional { per_class, pooled: golden_kde() },
+        );
+        #[rustfmt::skip]
+        let state = [
+            &[FIT_CLASS_COND][..],         // distribution tag
+            &[0x01, 0x00, 0x00, 0x00],     // per-class count 1
+            &[0x02],                       // class index: Pedestrian
+            &golden_kde_bytes(),           // its KDE
+            &golden_kde_bytes(),           // the pooled KDE
+        ]
+        .concat();
+        // 173 = name 5 + tag 1 + count 4 + class 1 + two KDEs of 81.
+        let checksum = [0x1b, 0xcc, 0xa9, 0x04, 0xd5, 0x7e, 0xad, 0xa8];
+        let golden = golden_file(173, b"c", &state, checksum);
+
+        assert_eq!(
+            encode_library("a", &lib),
+            golden,
+            "encoder output diverged from the v3 golden layout"
+        );
+        let (_, back) = decode_library(&golden).expect("golden bytes decode");
+        let Some(FittedDistribution::ClassConditional { per_class, pooled }) = back.get("c") else {
+            panic!("wrong variant");
+        };
+        assert_eq!(per_class.keys().collect::<Vec<_>>(), [&ObjectClass::Pedestrian]);
+        assert_golden_kde(&per_class[&ObjectClass::Pedestrian]);
+        assert_golden_kde(pooled);
+    }
+
+    /// Tags 3, 4 and 5 held the histogram, Bernoulli and joint-KDE forms
+    /// of earlier builds. An entry carrying one, laid out as those builds
+    /// wrote it and correctly checksummed, is refused by its tag.
+    #[test]
+    fn removed_distribution_tags_rejected() {
+        let mut histogram = Enc::default();
+        histogram.u8(3);
+        histogram.f64(0.0); // start
+        histogram.f64(1.0); // bin width
+        histogram.f64(0.5); // max density
+        histogram.u64(4); // sample count
+        histogram.f64_slice(&[0.5, 0.25]);
+        let mut bernoulli = Enc::default();
+        bernoulli.u8(4);
+        bernoulli.f64(0.5); // p_one
+        let mut joint = Enc::default();
+        joint.u8(5);
+        joint.u8(Kernel::Gaussian.tag());
+        joint.u32(2); // dimension
+        joint.f64_slice(&[0.5, 0.5]); // bandwidths
+        joint.f64(0.3); // max density
+        joint.f64_slice(&[1.0, 2.0, 3.0, 4.0]); // rows
+        for (tag, state) in [(3, histogram), (4, bernoulli), (5, joint)] {
+            let mut payload = Enc::default();
+            payload.str("f");
+            payload.buf.extend_from_slice(&state.buf);
+            let mut enc = header("x", 1);
+            push_entry(&mut enc, &payload.buf);
+            let err = decode_library(&enc.buf).unwrap_err();
+            assert!(
+                err.to_string().contains(&format!("unknown distribution tag {tag}")),
+                "got: {err}"
+            );
+        }
+    }
+
     /// A changed payload byte fails its entry's checksum, and the error
     /// names the entry.
     #[test]
@@ -710,7 +726,7 @@ mod tests {
         flipped[at] ^= 0x01;
         match decode_library(&flipped) {
             Err(CodecError::Corrupt(msg)) => {
-                assert!(msg.contains("checksum mismatch in entry 1 'speed'"), "got: {msg}")
+                assert!(msg.contains("checksum mismatch in entry 0 'speed'"), "got: {msg}")
             }
             other => panic!("expected Corrupt, got {:?}", other.map(|(app, _)| app)),
         }
@@ -719,7 +735,7 @@ mod tests {
         let last = flipped.len() - 1;
         flipped[last] ^= 0x80;
         let err = decode_library(&flipped).unwrap_err();
-        assert!(err.to_string().contains("checksum mismatch in entry 4"), "got: {err}");
+        assert!(err.to_string().contains("checksum mismatch in entry 1"), "got: {err}");
     }
 
     /// A grid altered on disk but still plausible (finite, non-negative)
@@ -734,14 +750,13 @@ mod tests {
         let train: Vec<_> = (0..2)
             .map(|i| loa_data::generate_scene(&cfg, &format!("flcb-{i}"), 3 + i))
             .collect();
-        let features = crate::apps::MissingTrackFinder::default().feature_set();
+        let features = crate::apps::MissingTrackFinder.feature_set();
         let library = crate::learner::Learner::new().fit(&features, &train).unwrap();
         let grid = match library.get("velocity").expect("velocity fitted") {
             FittedDistribution::ClassConditional { per_class, pooled } => {
                 per_class.values().next().unwrap_or(pooled).grid()
             }
             FittedDistribution::Kde(kde) => kde.grid(),
-            other => panic!("velocity is a KDE, got {other:?}"),
         };
         let stored: Vec<u8> = grid.densities().iter().flat_map(|d| d.to_le_bytes()).collect();
         let halved: Vec<u8> = grid
@@ -771,9 +786,9 @@ mod tests {
 
     use proptest::prelude::*;
 
-    /// A generated library covering KDE, histogram, Bernoulli and
-    /// class-conditional shapes from arbitrary (finite, spread) samples.
-    fn gen_library(xs: Vec<f64>, ys: Vec<f64>, p: f64) -> FeatureLibrary {
+    /// A generated library covering pooled-KDE and class-conditional
+    /// shapes from arbitrary (finite, spread) samples.
+    fn gen_library(xs: Vec<f64>, ys: Vec<f64>) -> FeatureLibrary {
         let spread = [0.0, 1.0, 5.0, -3.0]; // guarantees fit() succeeds
         let xs: Vec<f64> = xs.into_iter().chain(spread).collect();
         let ys: Vec<f64> = ys.into_iter().chain(spread).collect();
@@ -790,14 +805,6 @@ mod tests {
             },
         );
         lib.insert("kde".into(), FittedDistribution::Kde(Kde1d::fit(&ys).unwrap()));
-        lib.insert(
-            "hist".into(),
-            FittedDistribution::Histogram(Histogram::fit(&xs).unwrap()),
-        );
-        lib.insert(
-            "bern".into(),
-            FittedDistribution::Bernoulli(Bernoulli::from_p(p).unwrap()),
-        );
         lib
     }
 
@@ -830,10 +837,9 @@ mod tests {
         fn prop_roundtrip_bit_identical(
             xs in proptest::collection::vec(-50.0f64..50.0, 1..24),
             ys in proptest::collection::vec(-50.0f64..50.0, 1..24),
-            p in 0.0f64..=1.0,
             queries in proptest::collection::vec(-60.0f64..60.0, 1..12),
         ) {
-            let lib = gen_library(xs, ys, p);
+            let lib = gen_library(xs, ys);
             prop_assert_eq!(roundtrip_divergence(&lib, &queries), None);
         }
 

@@ -267,7 +267,7 @@ mod tests {
     #[test]
     fn mid_stream_component_merges_match_batch() {
         let data = tiny(32);
-        let features = crate::apps::ModelErrorFinder::default().feature_set();
+        let features = crate::apps::ModelErrorFinder.feature_set();
         let cfg = AssemblyConfig::model_only();
         let library = Learner { assembly: cfg }
             .fit(&features, std::slice::from_ref(&data))

@@ -4,7 +4,10 @@
 //! To learn feature distributions given a set of scenes, Fixy first
 //! exhaustively generates the features over the data and collects the
 //! scalar or vector values. Then, for each feature, Fixy executes the
-//! fitting function over the scalar/vector values."*
+//! fitting function over the scalar/vector values."* Every shipped
+//! feature is scalar, and its fitting function is the KDE: one pooled
+//! [`Kde1d`], plus one per class with enough samples when the values
+//! carry a class.
 //!
 //! Training scenes are assembled from **human labels only** — the
 //! organizational resource is the existing (possibly noisy) labeled data,
@@ -12,10 +15,10 @@
 
 use crate::compile::for_each_target;
 use crate::error::FixyError;
-use crate::feature::{FeatureSet, FeatureValue, ProbabilityModel};
+use crate::feature::{FeatureSet, FeatureValue};
 use crate::scene::{AssemblyConfig, Scene};
 use loa_data::{ObjectClass, SceneData};
-use loa_stats::{Bernoulli, Density1d, Histogram, Kde1d, KdeNd};
+use loa_stats::{Density1d, Kde1d};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
@@ -30,12 +33,6 @@ pub enum FittedDistribution {
     ClassConditional { per_class: BTreeMap<ObjectClass, Kde1d>, pooled: Kde1d },
     /// A single pooled KDE.
     Kde(Kde1d),
-    /// A histogram (integer-ish features).
-    Histogram(Histogram),
-    /// A Bernoulli over {0, 1} features.
-    Bernoulli(Bernoulli),
-    /// A joint multivariate KDE over vector features.
-    Joint(KdeNd),
 }
 
 impl FittedDistribution {
@@ -45,9 +42,7 @@ impl FittedDistribution {
     /// evaluation is a bin lookup plus a linear interpolation instead of
     /// an `O(window)` kernel sum, which is what makes scene scoring cheap
     /// enough to sweep fleets of scenes (Section 8.1's "nine minutes for
-    /// 1,000 scenes" regime). Joint distributions cannot be evaluated on a
-    /// scalar; they return the floor (callers use
-    /// [`probability_vector`](Self::probability_vector)).
+    /// 1,000 scenes" regime).
     pub fn probability(&self, value: &FeatureValue) -> f64 {
         match self {
             FittedDistribution::ClassConditional { per_class, pooled } => {
@@ -59,17 +54,6 @@ impl FittedDistribution {
                 pooled.grid().relative_likelihood(value.x)
             }
             FittedDistribution::Kde(kde) => kde.grid().relative_likelihood(value.x),
-            FittedDistribution::Histogram(h) => h.relative_likelihood(value.x),
-            FittedDistribution::Bernoulli(b) => b.relative_likelihood(value.x),
-            FittedDistribution::Joint(_) => loa_stats::P_FLOOR,
-        }
-    }
-
-    /// Relative likelihood of a vector value under a joint distribution.
-    pub fn probability_vector(&self, value: &[f64]) -> f64 {
-        match self {
-            FittedDistribution::Joint(kde) => kde.relative_likelihood(value),
-            _ => loa_stats::P_FLOOR,
         }
     }
 
@@ -78,9 +62,6 @@ impl FittedDistribution {
         match self {
             FittedDistribution::ClassConditional { pooled, .. } => pooled.len(),
             FittedDistribution::Kde(kde) => kde.len(),
-            FittedDistribution::Histogram(h) => h.sample_count(),
-            FittedDistribution::Bernoulli(_) => 0,
-            FittedDistribution::Joint(kde) => kde.len(),
         }
     }
 }
@@ -167,8 +148,7 @@ impl Learner {
         use crate::feature::FeatureKind;
 
         let learned: Vec<_> = features.learned().collect();
-        let mut scalar_values: Vec<Vec<FeatureValue>> = vec![Vec::new(); learned.len()];
-        let mut vector_values: Vec<Vec<Vec<f64>>> = vec![Vec::new(); learned.len()];
+        let mut values: Vec<Vec<FeatureValue>> = vec![Vec::new(); learned.len()];
         for kind in [
             FeatureKind::Observation,
             FeatureKind::Bundle,
@@ -187,13 +167,8 @@ impl Learner {
             for scene in scenes {
                 for_each_target(scene, kind, |target, _edges| {
                     for &i in &of_kind {
-                        let feature = learned[i].feature.as_ref();
-                        if feature.probability_model() == ProbabilityModel::LearnedJointKde {
-                            if let Some(v) = feature.vector_value(scene, &target) {
-                                vector_values[i].push(v);
-                            }
-                        } else if let Some(v) = feature.value(scene, &target) {
-                            scalar_values[i].push(v);
+                        if let Some(v) = learned[i].feature.value(scene, &target) {
+                            values[i].push(v);
                         }
                     }
                 });
@@ -204,69 +179,40 @@ impl Learner {
         // with no samples, first failing fit) matches the old
         // per-feature walk exactly.
         let mut library = FeatureLibrary::default();
-        for (i, bf) in learned.iter().enumerate() {
-            let feature = bf.feature.as_ref();
-            let dist = if feature.probability_model() == ProbabilityModel::LearnedJointKde {
-                let vectors = &vector_values[i];
-                if vectors.is_empty() {
-                    return Err(FixyError::NoTrainingData { feature: feature.name().to_string() });
-                }
-                FittedDistribution::Joint(KdeNd::fit(vectors).map_err(|e| FixyError::Fit {
-                    feature: feature.name().to_string(),
-                    error: e,
-                })?)
-            } else {
-                let values = &scalar_values[i];
-                if values.is_empty() {
-                    return Err(FixyError::NoTrainingData { feature: feature.name().to_string() });
-                }
-                fit_values(feature.name(), feature.probability_model(), values)?
-            };
-            library.insert(feature.name().to_string(), dist);
+        for (bf, values) in learned.iter().zip(&values) {
+            let name = bf.feature.name();
+            if values.is_empty() {
+                return Err(FixyError::NoTrainingData { feature: name.to_string() });
+            }
+            library.insert(name.to_string(), fit_kde(name, values)?);
         }
         Ok(library)
     }
 }
 
-fn fit_values(
-    name: &str,
-    model: ProbabilityModel,
-    values: &[FeatureValue],
-) -> Result<FittedDistribution, FixyError> {
+/// Fit one learned feature's values: a pooled KDE, and per-class KDEs
+/// beside it when any value carries a class.
+fn fit_kde(name: &str, values: &[FeatureValue]) -> Result<FittedDistribution, FixyError> {
     let xs: Vec<f64> = values.iter().map(|v| v.x).collect();
     let wrap = |e| FixyError::Fit { feature: name.to_string(), error: e };
-    match model {
-        ProbabilityModel::Manual => unreachable!("manual features are never fitted"),
-        ProbabilityModel::LearnedJointKde => {
-            unreachable!("joint features are fitted from vector values")
-        }
-        ProbabilityModel::LearnedBernoulli => {
-            Ok(FittedDistribution::Bernoulli(Bernoulli::fit(&xs).map_err(wrap)?))
-        }
-        ProbabilityModel::LearnedHistogram => {
-            Ok(FittedDistribution::Histogram(Histogram::fit(&xs).map_err(wrap)?))
-        }
-        ProbabilityModel::LearnedKde => {
-            let class_conditional = values.iter().any(|v| v.class.is_some());
-            let pooled = Kde1d::fit(&xs).map_err(wrap)?;
-            if !class_conditional {
-                return Ok(FittedDistribution::Kde(pooled));
-            }
-            let mut by_class: BTreeMap<ObjectClass, Vec<f64>> = BTreeMap::new();
-            for v in values {
-                if let Some(class) = v.class {
-                    by_class.entry(class).or_default().push(v.x);
-                }
-            }
-            let mut per_class = BTreeMap::new();
-            for (class, xs) in by_class {
-                if xs.len() >= MIN_CLASS_SAMPLES {
-                    per_class.insert(class, Kde1d::fit(&xs).map_err(wrap)?);
-                }
-            }
-            Ok(FittedDistribution::ClassConditional { per_class, pooled })
+    let class_conditional = values.iter().any(|v| v.class.is_some());
+    let pooled = Kde1d::fit(&xs).map_err(wrap)?;
+    if !class_conditional {
+        return Ok(FittedDistribution::Kde(pooled));
+    }
+    let mut by_class: BTreeMap<ObjectClass, Vec<f64>> = BTreeMap::new();
+    for v in values {
+        if let Some(class) = v.class {
+            by_class.entry(class).or_default().push(v.x);
         }
     }
+    let mut per_class = BTreeMap::new();
+    for (class, xs) in by_class {
+        if xs.len() >= MIN_CLASS_SAMPLES {
+            per_class.insert(class, Kde1d::fit(&xs).map_err(wrap)?);
+        }
+    }
+    Ok(FittedDistribution::ClassConditional { per_class, pooled })
 }
 
 #[cfg(test)]
@@ -378,58 +324,6 @@ mod tests {
         assert!(!learner.assembly.use_model);
     }
 
-    #[test]
-    fn joint_feature_fits_and_evaluates() {
-        use crate::aof::Aof;
-        use crate::feature::BoundFeature;
-        use crate::features::MotionVectorFeature;
-        use std::sync::Arc;
-
-        let scenes = training_scenes(2);
-        let features = crate::feature::FeatureSet::new(vec![BoundFeature::new(
-            Arc::new(MotionVectorFeature),
-            Aof::Identity,
-        )]);
-        let library = Learner::new().fit(&features, &scenes).unwrap();
-        let dist = library.get("motion_vector").unwrap();
-        assert!(matches!(dist, FittedDistribution::Joint(_)));
-        assert!(dist.sample_count() > 20);
-        // A plausible (speed, yaw-rate) pair beats an absurd one.
-        let plausible = dist.probability_vector(&[8.0, 0.1]);
-        let absurd = dist.probability_vector(&[60.0, 3.0]);
-        assert!(plausible > 10.0 * absurd, "{plausible} vs {absurd}");
-        // Scalar lookup on a joint distribution degrades to the floor.
-        assert_eq!(dist.probability(&FeatureValue::scalar(8.0)), loa_stats::P_FLOOR);
-    }
-
-    #[test]
-    fn joint_feature_compiles_into_factors() {
-        use crate::aof::Aof;
-        use crate::feature::BoundFeature;
-        use crate::features::MotionVectorFeature;
-        use crate::scene::{AssemblyConfig, Scene};
-        use std::sync::Arc;
-
-        let scenes = training_scenes(1);
-        let features = crate::feature::FeatureSet::new(vec![BoundFeature::new(
-            Arc::new(MotionVectorFeature),
-            Aof::Invert,
-        )]);
-        let library = Learner::new().fit(&features, &scenes).unwrap();
-        let scene = Scene::assemble(&scenes[0], &AssemblyConfig::default());
-        let compiled = crate::compile::compile_scene(&scene, &features, &library).unwrap();
-        let n_transitions: usize = scene
-            .tracks()
-            .iter()
-            .map(|t| scene.track_bundles(t.idx).len().saturating_sub(1))
-            .sum();
-        assert_eq!(compiled.graph.factor_count(), n_transitions);
-        for f in compiled.graph.factor_ids() {
-            let p = compiled.graph.factor(f).probability;
-            assert!((0.0..=1.0).contains(&p));
-        }
-    }
-
     /// The exact-window counterpart of [`FittedDistribution::probability`]
     /// for a KDE entry: the same class lookup, the exact kernel sum.
     fn exact_probability(dist: &FittedDistribution, v: &FeatureValue) -> f64 {
@@ -438,7 +332,6 @@ mod tests {
                 v.class.and_then(|c| per_class.get(&c)).unwrap_or(pooled)
             }
             FittedDistribution::Kde(kde) => kde,
-            other => panic!("KDE entry expected, got {other:?}"),
         };
         kde.relative_likelihood(v.x)
     }
@@ -470,23 +363,6 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn joint_overwrite_evicts_stale_prepared_entry() {
-        // Overwriting a scalar entry with a joint fit must leave nothing of
-        // the scalar fit behind: a scalar lookup scores through the joint
-        // (the floor), as a serde-reloaded copy of the library does.
-        let mut library = FeatureLibrary::default();
-        let kde = loa_stats::Kde1d::fit(&[1.0, 2.0, 3.0]).unwrap();
-        library.insert("f".into(), FittedDistribution::Kde(kde));
-        let v = FeatureValue::scalar(2.0);
-        assert!(library.get("f").unwrap().probability(&v) > 0.5);
-        let joint = loa_stats::KdeNd::fit(&[vec![0.0, 1.0], vec![2.0, 0.5]]).unwrap();
-        library.insert("f".into(), FittedDistribution::Joint(joint));
-        assert!(matches!(library.get("f"), Some(FittedDistribution::Joint(_))));
-        assert_eq!(library.get("f").unwrap().probability(&v), loa_stats::P_FLOOR);
-        assert_eq!(library.len(), 1);
     }
 
     #[test]
@@ -560,18 +436,6 @@ mod tests {
         kde("[3,1,2]", "Gaussian", &bandwidth, &fitted.max_density().to_string())
     }
 
-    fn hist(bin_width: &str, densities: &str, max_density: &str) -> String {
-        format!(
-            r#"{{"Histogram":{{"start":0,"bin_width":{bin_width},"densities":{densities},"max_density":{max_density},"n":4}}}}"#
-        )
-    }
-
-    fn joint(bandwidths: &str, max_density: &str) -> String {
-        format!(
-            r#"{{"Joint":{{"dim":2,"samples":[1,2,3,4],"kernel":"Gaussian","bandwidths":{bandwidths},"max_density":{max_density}}}}}"#
-        )
-    }
-
     /// Not finite and positive (`null` decodes as NaN).
     const BAD_SCALES: [&str; 3] = ["0", "-1", "null"];
 
@@ -586,9 +450,6 @@ mod tests {
             r#"{{"ClassConditional":{{"per_class":{{"Car":{pooled}}},"pooled":{pooled}}}}}"#
         ))
         .unwrap();
-        load(&hist("1", "[0.5,0.25]", "0.5")).unwrap();
-        load(&joint("[0.5,0.5]", "0.3")).unwrap();
-        load(r#"{"Bernoulli":{"p_one":0.7}}"#).unwrap();
     }
 
     #[test]
@@ -642,39 +503,24 @@ mod tests {
         }
     }
 
+    /// The histogram, Bernoulli and joint-KDE forms are not part of the
+    /// format: an entry naming one (here, each with values its old
+    /// constructor accepted) is refused as an unknown variant.
     #[test]
-    fn json_histogram_bin_width_and_max_density_must_be_finite_positive() {
-        for bad in BAD_SCALES {
-            assert!(load(&hist(bad, "[0.5,0.25]", "0.5")).is_err(), "bin width {bad}");
-            assert!(load(&hist("1", "[0.5,0.25]", bad)).is_err(), "max_density {bad}");
-        }
-    }
-
-    #[test]
-    fn json_histogram_densities_must_be_finite_nonnegative() {
-        for bad in ["[0.5,-1]", "[0.5,null]", "[]"] {
-            assert!(load(&hist("1", bad, "0.5")).is_err(), "{bad}");
-        }
-    }
-
-    #[test]
-    fn json_bernoulli_p_must_be_a_probability() {
-        for bad in ["1.5", "-0.1", "null"] {
-            assert!(
-                load(&format!(r#"{{"Bernoulli":{{"p_one":{bad}}}}}"#)).is_err(),
-                "{bad}"
-            );
-        }
-    }
-
-    #[test]
-    fn json_joint_bandwidths_and_max_density_must_be_finite_positive() {
-        for bad in BAD_SCALES {
-            assert!(
-                load(&joint(&format!("[0.5,{bad}]"), "0.3")).is_err(),
-                "bandwidth {bad}"
-            );
-            assert!(load(&joint("[0.5,0.5]", bad)).is_err(), "max_density {bad}");
+    fn json_removed_forms_rejected() {
+        for (variant, body) in [
+            (
+                "Histogram",
+                r#"{"start":0,"bin_width":1,"densities":[0.5,0.25],"max_density":0.5,"n":4}"#,
+            ),
+            ("Bernoulli", r#"{"p_one":0.7}"#),
+            (
+                "Joint",
+                r#"{"dim":2,"samples":[1,2,3,4],"kernel":"Gaussian","bandwidths":[0.5,0.5],"max_density":0.3}"#,
+            ),
+        ] {
+            let err = load(&format!(r#"{{"{variant}":{body}}}"#)).unwrap_err();
+            assert!(err.contains("unknown FittedDistribution variant"), "{variant}: {err}");
         }
     }
 

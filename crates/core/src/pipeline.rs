@@ -149,9 +149,8 @@ where
 /// An application that can rank one assembled scene — the unit of work
 /// the pipeline fans out. Implemented by the registry
 /// [`App`](crate::apps::App) (with [`Candidate`](crate::rank::Candidate)
-/// output), and by each finder with its default settings: the track-level
-/// finders yield [`TrackCandidate`], the bundle-level ones
-/// [`BundleCandidate`]. The finder impls rank without pre-exclusion; the
+/// output), and by each finder: the track-level finders yield
+/// [`TrackCandidate`], the bundle-level ones [`BundleCandidate`]. The finder impls rank without pre-exclusion; the
 /// Section 8.4 protocol is [`App::ModelErrors`](crate::apps::App::ModelErrors).
 pub trait SceneRanker: Sync {
     /// What one ranked worklist entry is for this application.
@@ -463,7 +462,7 @@ mod tests {
     }
 
     fn library(train: &[SceneData]) -> FeatureLibrary {
-        let finder = MissingTrackFinder::default();
+        let finder = MissingTrackFinder;
         Learner::new().fit(&finder.feature_set(), train).expect("fit")
     }
 
@@ -501,10 +500,10 @@ mod tests {
         let lib = library(&train);
         let batch = small_batch(4, 300);
 
-        let par = ScenePipeline::new(MissingTrackFinder::default())
+        let par = ScenePipeline::new(MissingTrackFinder)
             .run_merged(&lib, batch.clone())
             .expect("parallel run");
-        let seq = ScenePipeline::new(MissingTrackFinder::default())
+        let seq = ScenePipeline::new(MissingTrackFinder)
             .sequential()
             .run_merged(&lib, batch)
             .expect("sequential run");
@@ -521,7 +520,7 @@ mod tests {
     fn empty_batch_is_empty() {
         let train = small_batch(2, 100);
         let lib = library(&train);
-        let out = ScenePipeline::new(MissingTrackFinder::default())
+        let out = ScenePipeline::new(MissingTrackFinder)
             .run(&lib, Vec::new())
             .expect("empty batch");
         assert!(out.is_empty());
@@ -534,7 +533,7 @@ mod tests {
         // Feed scenes in reverse-id order; the merge must reorder by id.
         let mut batch = small_batch(3, 300);
         batch.reverse();
-        let merged = ScenePipeline::new(MissingTrackFinder::default())
+        let merged = ScenePipeline::new(MissingTrackFinder)
             .run_merged(&lib, batch)
             .expect("run");
         let mut last: Option<(&str, f64)> = None;
@@ -558,10 +557,10 @@ mod tests {
         let lib = library(&train);
         let batch = small_batch(5, 900);
 
-        let buffered = ScenePipeline::new(MissingTrackFinder::default())
+        let buffered = ScenePipeline::new(MissingTrackFinder)
             .run_merged(&lib, batch.clone())
             .expect("buffered");
-        let streamed = ScenePipeline::new(MissingTrackFinder::default())
+        let streamed = ScenePipeline::new(MissingTrackFinder)
             .process_stream(&lib, batch, Ok::<_, FixyError>, |r| r)
             .expect("streamed");
         let streamed = merge_ranked(streamed);
@@ -580,7 +579,7 @@ mod tests {
         let lib = library(&train);
         let batch = small_batch(3, 900);
         let source = batch.into_iter().map(Some).chain(std::iter::once(None));
-        let err = ScenePipeline::new(MissingTrackFinder::default())
+        let err = ScenePipeline::new(MissingTrackFinder)
             .process_stream(
                 &lib,
                 source,
@@ -604,7 +603,7 @@ mod tests {
         let workers = 3;
         let in_flight = AtomicUsize::new(0);
         let peak = AtomicUsize::new(0);
-        let ids = ScenePipeline::new(MissingTrackFinder::default())
+        let ids = ScenePipeline::new(MissingTrackFinder)
             .process_stream_with_workers(
                 workers,
                 &lib,
@@ -685,7 +684,7 @@ mod tests {
         let lib = library(&train);
         let batch = small_batch(5, 700);
         let ids: Vec<String> = batch.iter().map(|s| s.id.clone()).collect();
-        let seen: Vec<String> = ScenePipeline::new(MissingTrackFinder::default())
+        let seen: Vec<String> = ScenePipeline::new(MissingTrackFinder)
             .process(&lib, batch, |r| r.id)
             .expect("process");
         assert_eq!(seen, ids, "process keeps input order");

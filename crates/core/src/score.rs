@@ -177,20 +177,19 @@ struct GridTable<'f> {
 }
 
 impl<'f> GridTable<'f> {
-    /// The grids of a KDE-backed distribution; `None` for any other.
-    fn of(fitted: &'f FittedDistribution) -> Option<Self> {
+    /// The grids of a fitted distribution.
+    fn of(fitted: &'f FittedDistribution) -> Self {
         match fitted {
             FittedDistribution::ClassConditional { per_class, pooled } => {
                 let mut by_class = [None; ObjectClass::ALL.len()];
                 for (class, kde) in per_class {
                     by_class[class.index()] = Some(kde.grid());
                 }
-                Some(GridTable { by_class, pooled: pooled.grid() })
+                GridTable { by_class, pooled: pooled.grid() }
             }
             FittedDistribution::Kde(kde) => {
-                Some(GridTable { by_class: [None; ObjectClass::ALL.len()], pooled: kde.grid() })
+                GridTable { by_class: [None; ObjectClass::ALL.len()], pooled: kde.grid() }
             }
-            _ => None,
         }
     }
 
@@ -208,10 +207,8 @@ impl<'f> GridTable<'f> {
 enum Model<'f> {
     /// The value is the probability.
     Manual,
-    /// A joint KDE over the vector value.
-    Joint(&'f FittedDistribution),
-    /// A scalar distribution, and its grids when it is a KDE.
-    Scalar { fitted: &'f FittedDistribution, grids: Option<GridTable<'f>> },
+    /// A fitted KDE, and its grids.
+    Kde { fitted: &'f FittedDistribution, grids: GridTable<'f> },
 }
 
 /// One feature, resolved once: its value hook, kind, AOF and
@@ -229,10 +226,7 @@ impl Resolved<'_> {
     fn reference(&self, scene: &Scene, target: &FeatureTarget<'_>) -> Option<f64> {
         let p = match self.model {
             Model::Manual => self.feature.value(scene, target)?.x,
-            Model::Joint(fitted) => {
-                fitted.probability_vector(&self.feature.vector_value(scene, target)?)
-            }
-            Model::Scalar { fitted, .. } => fitted.probability(&self.feature.value(scene, target)?),
+            Model::Kde { fitted, .. } => fitted.probability(&self.feature.value(scene, target)?),
         };
         Some(self.aof.apply(p))
     }
@@ -240,13 +234,12 @@ impl Resolved<'_> {
     /// The same probability, KDEs read through their [`GridTable`]: the
     /// column kernel's path.
     fn probability(&self, scene: &Scene, target: &FeatureTarget<'_>) -> Option<f64> {
-        match &self.model {
-            Model::Scalar { grids: Some(grids), .. } => {
-                let v = self.feature.value(scene, target)?;
-                Some(self.aof.apply(grids.probability(&v)))
-            }
-            _ => self.reference(scene, target),
-        }
+        let v = self.feature.value(scene, target)?;
+        let p = match &self.model {
+            Model::Manual => v.x,
+            Model::Kde { grids, .. } => grids.probability(&v),
+        };
+        Some(self.aof.apply(p))
     }
 }
 
@@ -261,8 +254,7 @@ pub(crate) struct Evaluator<'f> {
 impl<'f> Evaluator<'f> {
     /// Bind a feature set and fitted library. Learned features missing
     /// from the library are an error (manual features need none), so no
-    /// later evaluation can fail halfway. A joint fit under a scalar
-    /// feature's name (a library/feature-set mismatch) counts as missing.
+    /// later evaluation can fail halfway.
     pub(crate) fn new(
         features: &'f FeatureSet,
         library: &'f FeatureLibrary,
@@ -273,19 +265,11 @@ impl<'f> Evaluator<'f> {
             let name = feature.name();
             let model = match feature.probability_model() {
                 ProbabilityModel::Manual => Model::Manual,
-                model => {
-                    let joint = model == ProbabilityModel::LearnedJointKde;
-                    let fitted = library
-                        .get(name)
-                        .filter(|d| joint || !matches!(d, FittedDistribution::Joint(_)))
-                        .ok_or_else(|| FixyError::MissingDistribution {
-                            feature: name.to_string(),
-                        })?;
-                    if joint {
-                        Model::Joint(fitted)
-                    } else {
-                        Model::Scalar { fitted, grids: GridTable::of(fitted) }
-                    }
+                ProbabilityModel::LearnedKde => {
+                    let fitted = library.get(name).ok_or_else(|| {
+                        FixyError::MissingDistribution { feature: name.to_string() }
+                    })?;
+                    Model::Kde { fitted, grids: GridTable::of(fitted) }
                 }
             };
             resolved.push(Resolved { feature, kind: feature.kind(), aof: bf.aof, model });
@@ -783,7 +767,7 @@ mod tests {
     /// pooled grid), no class, and values off the grid or not finite.
     #[test]
     fn grid_table_matches_fitted_probability() {
-        use loa_stats::{Bernoulli, Kde1d};
+        use loa_stats::Kde1d;
         let xs = |lo: f64| (0..40).map(|i| lo + (i % 9) as f64 * 0.6).collect::<Vec<_>>();
         let per_class = ObjectClass::ALL[1..]
             .iter()
@@ -796,7 +780,7 @@ mod tests {
         ];
         let classes = ObjectClass::ALL.map(Some).into_iter().chain([None]);
         for fitted in &dists {
-            let table = GridTable::of(fitted).expect("KDE-backed");
+            let table = GridTable::of(fitted);
             for x in
                 [-50.0, 0.0, 1.3, 2.9, 4.4, 7.7, 1e6, f64::NAN, f64::INFINITY, f64::NEG_INFINITY]
             {
@@ -810,8 +794,6 @@ mod tests {
                 }
             }
         }
-        let flag = FittedDistribution::Bernoulli(Bernoulli::from_p(0.5).unwrap());
-        assert!(GridTable::of(&flag).is_none(), "only KDEs have grids");
     }
 
     #[test]

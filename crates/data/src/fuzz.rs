@@ -1086,6 +1086,19 @@ mod tests {
         }
     }
 
+    /// A profile pinning the duration (`(2.0, 2.0)`) gives every scene
+    /// exactly that duration: 2 s at 0.2 s per frame is 10 frames.
+    #[test]
+    fn equal_bound_duration_builds_fixed_length_scenes() {
+        let profile = FuzzProfile { duration: (2.0, 2.0), ..FuzzProfile::default() };
+        let fuzzer = ScenarioFuzzer::new(5).with_profile(profile);
+        for index in 0..3 {
+            let scene = fuzzer.scene(index);
+            scene.validate().unwrap();
+            assert_eq!(scene.frames.len(), 10, "scene {}", scene.id);
+        }
+    }
+
     #[test]
     fn clean_scenes_have_no_errors() {
         let fuzzer = ScenarioFuzzer::new(3);

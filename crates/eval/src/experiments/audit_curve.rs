@@ -52,7 +52,7 @@ pub fn run_audit_curve(
     if fast {
         shrink_config(&mut scene_cfg, 6.0, 300);
     }
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let train: Vec<_> = (0..n_train)
         .map(|i| generate_scene(&scene_cfg, &format!("ac-train-{i}"), seed + i as u64))
         .collect();

@@ -30,7 +30,7 @@ pub struct MissingObsResult {
 
 /// Run the case study over `n_cases` scenario seeds.
 pub fn run_missing_obs_experiment(seed: u64, n_train: usize, n_cases: usize) -> MissingObsResult {
-    let finder = MissingObsFinder::default();
+    let finder = MissingObsFinder;
     let mut scene_cfg = DatasetProfile::LyftLike.scene_config();
     scene_cfg.world.duration = 6.0;
     scene_cfg.lidar.beam_count = 400;

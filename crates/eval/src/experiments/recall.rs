@@ -41,7 +41,7 @@ pub fn run_recall_experiment(seed: u64, n_train: usize, fast: bool) -> RecallRes
     audited_cfg.vendor.track_miss_base = 0.45;
     audited_cfg.vendor.track_miss_difficulty_weight = 0.45;
 
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let train: Vec<_> = (0..n_train)
         .map(|i| generate_scene(&scene_cfg, &format!("recall-train-{i}"), seed + i as u64))
         .collect();
@@ -107,7 +107,7 @@ pub fn run_scene_level_recall(
     if fast {
         shrink_config(&mut scene_cfg, 6.0, 300);
     }
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let train: Vec<_> = (0..n_train)
         .map(|i| generate_scene(&scene_cfg, &format!("slr-train-{i}"), seed + i as u64))
         .collect();

@@ -33,7 +33,7 @@ impl RuntimeResult {
 /// Measure the end-to-end pipeline on a 15-second Internal-like scene.
 pub fn run_runtime_experiment(seed: u64, n_train: usize) -> RuntimeResult {
     let scene_cfg = DatasetProfile::InternalLike.scene_config();
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let train: Vec<_> = (0..n_train)
         .map(|i| generate_scene(&scene_cfg, &format!("rt-train-{i}"), seed + i as u64))
         .collect();

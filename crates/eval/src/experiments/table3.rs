@@ -82,7 +82,7 @@ pub fn run_table3(cfg: &Table3Config) -> Table3Result {
 
         // Offline phase: learn feature distributions from the training
         // split (human labels are the organizational resource).
-        let finder = MissingTrackFinder::default();
+        let finder = MissingTrackFinder;
         let train: Vec<_> = (0..cfg.n_train)
             .map(|i| {
                 generate_scene(

@@ -8,32 +8,23 @@
 //!
 //! * [`Kde1d`] — Gaussian kernel density estimation with Silverman's
 //!   bandwidth (the "default hyperparameters" the paper says work in all
-//!   cases they tried),
+//!   cases they tried), the one fitted form every application learns,
 //! * [`BinnedKde`] — the interpolated scoring grid each [`Kde1d`] owns,
-//! * [`Histogram`] — Freedman–Diaconis histogram densities,
-//! * [`Bernoulli`] — for binary features (class agreement within a
-//!   bundle),
-//! * [`KdeNd`] — diagonal-bandwidth multivariate KDE for vector features,
-//! * [`summary`] — Welford accumulators and quantiles.
+//! * [`summary`] — the Welford accumulator and quantiles behind the
+//!   bandwidth rule.
 //!
-//! Every distribution implements [`Density1d`], whose
+//! Both implement [`Density1d`], whose
 //! [`relative_likelihood`](Density1d::relative_likelihood) maps a feature
 //! value to `(0, 1]` by normalizing the density by the fitted maximum — the
 //! probability-like quantity the LOA scoring semantics (Section 6) take the
 //! log of.
 
 pub mod bandwidth;
-pub mod discrete;
-pub mod histogram;
 pub mod kde;
-pub mod kde_nd;
 pub mod kernel;
 pub mod summary;
 
-pub use discrete::Bernoulli;
-pub use histogram::Histogram;
 pub use kde::{BinnedKde, Kde1d};
-pub use kde_nd::KdeNd;
 pub use kernel::Kernel;
 
 use serde::{Deserialize, Serialize};
@@ -50,8 +41,6 @@ pub enum FitError {
     EmptySample,
     /// The training sample contained NaN or infinite values.
     NonFiniteSample,
-    /// A dimension mismatch in multivariate fitting.
-    DimensionMismatch { expected: usize, got: usize },
     /// Stored fit parts (a loaded library) break a fitted invariant: a
     /// scale that is not finite and positive, or a negative or
     /// non-finite density.
@@ -64,9 +53,6 @@ impl std::fmt::Display for FitError {
             FitError::EmptySample => write!(f, "cannot fit a distribution to an empty sample"),
             FitError::NonFiniteSample => {
                 write!(f, "training sample contains NaN or infinite values")
-            }
-            FitError::DimensionMismatch { expected, got } => {
-                write!(f, "dimension mismatch: expected {expected}, got {got}")
             }
             FitError::Implausible(what) => write!(f, "implausible {what}"),
         }
@@ -133,8 +119,8 @@ macro_rules! deserialize_via_parts {
 }
 pub(crate) use deserialize_via_parts;
 
-/// Check a stored scale — bandwidth, grid step, bin width or
-/// normalizer: finite and positive.
+/// Check a stored scale — bandwidth, grid step or normalizer: finite
+/// and positive.
 pub(crate) fn check_scale(what: &str, x: f64) -> Result<(), FitError> {
     if x.is_finite() && x > 0.0 {
         Ok(())
@@ -182,9 +168,6 @@ mod tests {
     fn fit_error_display() {
         assert!(FitError::EmptySample.to_string().contains("empty"));
         assert!(FitError::NonFiniteSample.to_string().contains("NaN"));
-        assert!(FitError::DimensionMismatch { expected: 2, got: 3 }
-            .to_string()
-            .contains("expected 2"));
         assert_eq!(
             FitError::Implausible("kde bandwidth 0".into()).to_string(),
             "implausible kde bandwidth 0"

@@ -1,13 +1,10 @@
 //! Streaming summaries: Welford mean/variance, quantiles, IQR.
 //!
-//! Bandwidth selection (Silverman's rule) needs the sample standard deviation
-//! and interquartile range; the dataset simulator and the evaluation harness
-//! reuse the same accumulators for reporting.
-
-use serde::{Deserialize, Serialize};
+//! Bandwidth selection (Silverman's rule) needs the sample standard
+//! deviation and interquartile range.
 
 /// Numerically stable streaming mean/variance (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct Welford {
     count: u64,
     mean: f64,
@@ -74,28 +71,6 @@ impl Welford {
     pub fn max(&self) -> f64 {
         self.max
     }
-
-    /// Merge two accumulators (Chan's parallel update).
-    pub fn merge(&self, other: &Welford) -> Welford {
-        if self.count == 0 {
-            return *other;
-        }
-        if other.count == 0 {
-            return *self;
-        }
-        let n = self.count + other.count;
-        let delta = other.mean - self.mean;
-        let mean = self.mean + delta * other.count as f64 / n as f64;
-        let m2 =
-            self.m2 + other.m2 + delta * delta * self.count as f64 * other.count as f64 / n as f64;
-        Welford {
-            count: n,
-            mean,
-            m2,
-            min: self.min.min(other.min),
-            max: self.max.max(other.max),
-        }
-    }
 }
 
 /// Linear-interpolated sample quantile (type-7, the numpy/R default).
@@ -127,16 +102,6 @@ pub fn iqr(xs: &[f64]) -> f64 {
     q3 - q1
 }
 
-/// Median of an unsorted sample (sorts a copy). Returns `None` when empty.
-pub fn median(xs: &[f64]) -> Option<f64> {
-    if xs.is_empty() {
-        return None;
-    }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    quantile(&sorted, 0.5)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -165,18 +130,6 @@ mod tests {
     }
 
     #[test]
-    fn merge_equals_single_pass() {
-        let a = [1.0, 2.0, 3.0, 4.0];
-        let b = [10.0, 20.0, 30.0];
-        let merged = Welford::from_slice(&a).merge(&Welford::from_slice(&b));
-        let all: Vec<f64> = a.iter().chain(b.iter()).copied().collect();
-        let direct = Welford::from_slice(&all);
-        assert_eq!(merged.count(), direct.count());
-        assert!((merged.mean() - direct.mean()).abs() < 1e-12);
-        assert!((merged.variance() - direct.variance()).abs() < 1e-12);
-    }
-
-    #[test]
     fn quantile_type7() {
         let sorted = [1.0, 2.0, 3.0, 4.0];
         assert_eq!(quantile(&sorted, 0.0), Some(1.0));
@@ -195,13 +148,11 @@ mod tests {
     }
 
     #[test]
-    fn iqr_and_median() {
+    fn iqr_of_unsorted_sample() {
         let xs = [6.0, 2.0, 4.0, 1.0, 3.0, 5.0, 7.0];
-        assert_eq!(median(&xs), Some(4.0));
         // sorted: 1..7 → q1 = 2.5, q3 = 5.5.
         assert!((iqr(&xs) - 3.0).abs() < 1e-12);
         assert_eq!(iqr(&[1.0]), 0.0);
-        assert_eq!(median(&[]), None);
     }
 
     proptest! {
@@ -211,21 +162,6 @@ mod tests {
             prop_assert!(w.mean() >= w.min() - 1e-9);
             prop_assert!(w.mean() <= w.max() + 1e-9);
             prop_assert!(w.variance() >= 0.0);
-        }
-
-        #[test]
-        fn prop_merge_associative(
-            a in proptest::collection::vec(-100.0f64..100.0, 1..30),
-            b in proptest::collection::vec(-100.0f64..100.0, 1..30),
-            c in proptest::collection::vec(-100.0f64..100.0, 1..30),
-        ) {
-            let wa = Welford::from_slice(&a);
-            let wb = Welford::from_slice(&b);
-            let wc = Welford::from_slice(&c);
-            let left = wa.merge(&wb).merge(&wc);
-            let right = wa.merge(&wb.merge(&wc));
-            prop_assert!((left.mean() - right.mean()).abs() < 1e-9);
-            prop_assert!((left.variance() - right.variance()).abs() < 1e-6);
         }
 
         #[test]

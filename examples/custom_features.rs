@@ -81,7 +81,7 @@ fn main() {
         .collect();
 
     // Table 2 features + the two custom ones.
-    let base = MissingTrackFinder::default();
+    let base = MissingTrackFinder;
     let mut features = base.feature_set();
     features
         .features

@@ -21,7 +21,7 @@ fn main() {
     let train: Vec<_> = (0..4)
         .map(|i| generate_scene(&cfg, &format!("ds-train-{i}"), 600 + i))
         .collect();
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let library = Learner::new().fit(&finder.feature_set(), &train).expect("fit");
 
     // A week of incoming drives; budget: audit 3 of 10 scenes.

@@ -24,7 +24,7 @@ fn main() {
         .collect();
 
     // --- Part 1: a truck the vendor missed (Figure 1) ----------------------
-    let track_finder = MissingTrackFinder::default();
+    let track_finder = MissingTrackFinder;
     let library = Learner::new().fit(&track_finder.feature_set(), &train).expect("fit");
 
     let scenario = missing_truck(7);
@@ -56,7 +56,7 @@ fn main() {
     }
 
     // --- Part 2: a missing label within a track (Figure 6) -----------------
-    let obs_finder = MissingObsFinder::default();
+    let obs_finder = MissingObsFinder;
     let obs_library = Learner::new().fit(&obs_finder.feature_set(), &train).expect("fit");
     let scenario = trailing_car_missing_label(11);
     let scene = Scene::assemble(&scenario.scene, &AssemblyConfig::default());

@@ -21,7 +21,7 @@ fn main() {
         .map(|i| generate_scene(&cfg, &format!("train-{i}"), 100 + i))
         .collect();
 
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let library = Learner::new()
         .fit(&finder.feature_set(), &train)
         .expect("training scenes contain labeled objects");

@@ -18,7 +18,7 @@ fn engine_score_matches_manual_graph_computation() {
     cfg.world.duration = 4.0;
     cfg.lidar.beam_count = 240;
     let data = generate_scene(&cfg, "xc-1", 41);
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let library = Learner::new()
         .fit(&finder.feature_set(), std::slice::from_ref(&data))
         .expect("fit");

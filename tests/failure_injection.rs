@@ -4,7 +4,7 @@
 use fixy::data::{Frame, FrameId, InjectedErrors, SceneData};
 use fixy::geom::Pose2;
 use fixy::prelude::*;
-use fixy::stats::{FitError, Histogram, Kde1d};
+use fixy::stats::{FitError, Kde1d};
 
 fn empty_frame(i: u32) -> Frame {
     Frame {
@@ -22,7 +22,7 @@ fn stats_reject_bad_samples() {
     assert!(matches!(Kde1d::fit(&[]), Err(FitError::EmptySample)));
     assert!(matches!(Kde1d::fit(&[f64::NAN]), Err(FitError::NonFiniteSample)));
     assert!(matches!(
-        Histogram::fit(&[f64::INFINITY]),
+        Kde1d::fit(&[1.0, f64::INFINITY]),
         Err(FitError::NonFiniteSample)
     ));
 }
@@ -37,7 +37,7 @@ fn learner_fails_cleanly_without_labels() {
         frames: (0..5).map(empty_frame).collect(),
         injected: InjectedErrors::default(),
     };
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let err = Learner::new().fit(&finder.feature_set(), &[data]).unwrap_err();
     assert!(matches!(err, FixyError::NoTrainingData { .. }));
 }

@@ -139,12 +139,12 @@ fn worklists(
 ) -> (Vec<TrackCandidate>, Vec<TrackCandidate>) {
     let (reference, _) = reference_scores(fresh, &fx.features, &fx.library);
     let reference = match fx.ranking {
-        App::MissingTracks => MissingTrackFinder::default().rank_scored(fresh, reference),
+        App::MissingTracks => MissingTrackFinder.rank_scored(fresh, reference),
         App::ModelErrors => {
             let excluded = fx.ranking.pre_excluded(fresh).expect("model-errors pre-excludes");
-            ModelErrorFinder::default().rank_scored(fresh, reference, &excluded)
+            ModelErrorFinder.rank_scored(fresh, reference, &excluded)
         }
-        App::LabelAudit => LabelAuditFinder::default().rank_scored(fresh, reference),
+        App::LabelAudit => LabelAuditFinder.rank_scored(fresh, reference),
         App::MissingObs | App::BundleAudit => unreachable!("the fixtures rank tracks"),
     };
     let streamed = fx.ranking.rank_streamed(scene, scorer);
@@ -310,7 +310,7 @@ fn incremental_worklists_equal_batch_worklists() {
     let track_fx = &fixtures()[1]; // model_only + ModelErrorFinder
     let bundle_fx = &fixtures()[0]; // default + MissingTrackFinder features
 
-    let finder = ModelErrorFinder::default();
+    let finder = ModelErrorFinder;
     let data = ScenarioFuzzer::new(77).scene(3);
     let mut assembler = StreamingAssembler::new(track_fx.config);
     let mut scorer = IncrementalScorer::new(&track_fx.features, &track_fx.library).expect("scorer");
@@ -340,7 +340,7 @@ fn incremental_worklists_equal_batch_worklists() {
     // Bundle ranking path: the registry's streamed missing-obs worklist
     // against the finder's ranking of the reference bundle scores.
     let app = App::MissingObs;
-    let finder = MissingObsFinder::default();
+    let finder = MissingObsFinder;
     let features = app.feature_set();
     let library = app.fit(&ScenarioFuzzer::new(41).training_corpus(2)).unwrap();
     let data = ScenarioFuzzer::new(78).scene(5);

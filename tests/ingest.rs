@@ -107,7 +107,7 @@ proptest! {
 fn streamed_corpus_rank_matches_buffered() {
     let fuzzer = ScenarioFuzzer::new(41);
     let train = fuzzer.training_corpus(3);
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let library = Learner::new().fit(&finder.feature_set(), &train).expect("fit");
 
     // A mixed-format corpus written in non-sorted order.
@@ -131,7 +131,7 @@ fn streamed_corpus_rank_matches_buffered() {
 
     // Buffered reference: load everything, run the batch engine.
     let buffered_scenes = CorpusSource::open(&dir).unwrap().load_all().unwrap();
-    let pipeline = ScenePipeline::new(MissingTrackFinder::default());
+    let pipeline = ScenePipeline::new(MissingTrackFinder);
     let buffered = pipeline.run_merged(&library, buffered_scenes).expect("buffered");
 
     // Streamed: workers pull scenes lazily from the source.
@@ -165,7 +165,7 @@ fn streamed_corpus_rank_matches_buffered() {
 fn streamed_corpus_surfaces_decode_errors() {
     let fuzzer = ScenarioFuzzer::new(43);
     let train = fuzzer.training_corpus(2);
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let library = Learner::new().fit(&finder.feature_set(), &train).expect("fit");
 
     let dir = std::env::temp_dir().join("fixy_ingest_corpus_err");
@@ -178,7 +178,7 @@ fn streamed_corpus_surfaces_decode_errors() {
     let bytes = std::fs::read(&cut_path).unwrap();
     std::fs::write(&cut_path, &bytes[..bytes.len() / 2]).unwrap();
 
-    let err = ScenePipeline::new(MissingTrackFinder::default())
+    let err = ScenePipeline::new(MissingTrackFinder)
         .process_stream(
             &library,
             CorpusSource::open(&dir).unwrap().into_paths(),

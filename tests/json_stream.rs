@@ -278,7 +278,7 @@ fn legacy_scene_without_taxonomy_fields_loads_on_both_paths() {
 
 #[test]
 fn feature_library_streams_identically_and_rebuilds_prepared() {
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let train: Vec<_> = (0..2).map(|i| fuzzed_scene(900, i)).collect();
     let library = Learner::new().fit(&finder.feature_set(), &train).expect("fit");
     let text = serde_json::to_string(&library).expect("serialize");

@@ -27,7 +27,7 @@ fn train_library(finder_features: &FeatureSet, n: usize, seed: u64) -> FeatureLi
 
 #[test]
 fn full_missing_track_pipeline() {
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let library = train_library(&finder.feature_set(), 3, 9000);
     let cfg = small_cfg();
 
@@ -54,7 +54,7 @@ fn full_missing_track_pipeline() {
 
 #[test]
 fn pipeline_is_deterministic_end_to_end() {
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let library1 = train_library(&finder.feature_set(), 2, 9500);
     let library2 = train_library(&finder.feature_set(), 2, 9500);
     let cfg = small_cfg();
@@ -73,7 +73,7 @@ fn pipeline_is_deterministic_end_to_end() {
 fn library_survives_serialization() {
     // A fitted library can be persisted and reloaded without changing any
     // ranking — required for the offline/online split in deployment.
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let library = train_library(&finder.feature_set(), 2, 9700);
     let json = serde_json::to_string(&library).expect("serialize");
     let reloaded: FeatureLibrary = serde_json::from_str(&json).expect("deserialize");
@@ -273,17 +273,17 @@ fn assembly_matches_brute_reference() {
 fn scene_pipeline_parallel_is_byte_identical_to_sequential() {
     // The batch engine's core contract: fanning scenes out to workers
     // must not change a single bit of any score or the merge order.
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let library = train_library(&finder.feature_set(), 2, 8800);
     let cfg = small_cfg();
     let batch: Vec<_> = (0..8)
         .map(|i| generate_scene(&cfg, &format!("sp-batch-{i}"), 8900 + i))
         .collect();
 
-    let parallel = ScenePipeline::new(MissingTrackFinder::default())
+    let parallel = ScenePipeline::new(MissingTrackFinder)
         .run_merged(&library, batch.clone())
         .expect("parallel run");
-    let sequential = ScenePipeline::new(MissingTrackFinder::default())
+    let sequential = ScenePipeline::new(MissingTrackFinder)
         .sequential()
         .run_merged(&library, batch)
         .expect("sequential run");
@@ -304,9 +304,9 @@ fn scene_pipeline_parallel_is_byte_identical_to_sequential() {
 
 #[test]
 fn scene_pipeline_empty_and_single_scene() {
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let library = train_library(&finder.feature_set(), 2, 8700);
-    let pipeline = ScenePipeline::new(MissingTrackFinder::default());
+    let pipeline = ScenePipeline::new(MissingTrackFinder);
 
     // Empty batch: empty worklist, no error.
     let empty = pipeline.run_merged(&library, Vec::new()).expect("empty batch");
@@ -344,10 +344,10 @@ fn app_fixtures() -> &'static [(&'static str, FeatureSet, FeatureLibrary)] {
         };
         let [default, model_only, human_only] = presets();
         vec![
-            fit("missing_tracks", default, MissingTrackFinder::default().feature_set()),
-            fit("missing_obs", default, MissingObsFinder::default().feature_set()),
-            fit("model_errors", model_only, ModelErrorFinder::default().feature_set()),
-            fit("label_audit", human_only, LabelAuditFinder::default().feature_set()),
+            fit("missing_tracks", default, MissingTrackFinder.feature_set()),
+            fit("missing_obs", default, MissingObsFinder.feature_set()),
+            fit("model_errors", model_only, ModelErrorFinder.feature_set()),
+            fit("label_audit", human_only, LabelAuditFinder.feature_set()),
             fit("bundle_audit", default, BundleAuditFinder.feature_set()),
         ]
     })
@@ -422,18 +422,18 @@ fn fuzzed_batch_is_byte_identical_across_runs_and_vs_sequential() {
 
     let fuzzer = ScenarioFuzzer::new(7);
     let train = fuzzer.training_corpus(2);
-    let finder = MissingTrackFinder::default();
+    let finder = MissingTrackFinder;
     let library = Learner::new().fit(&finder.feature_set(), &train).expect("fit");
     let batch = fuzzer.corpus(6);
 
     let runs: Vec<Vec<BatchCandidate>> = (0..2)
         .map(|_| {
-            ScenePipeline::new(MissingTrackFinder::default())
+            ScenePipeline::new(MissingTrackFinder)
                 .run_merged(&library, fuzzer.corpus(6))
                 .expect("parallel run")
         })
         .collect();
-    let sequential = ScenePipeline::new(MissingTrackFinder::default())
+    let sequential = ScenePipeline::new(MissingTrackFinder)
         .sequential()
         .run_merged(&library, batch)
         .expect("sequential run");
@@ -458,14 +458,14 @@ fn fuzzed_batch_is_byte_identical_across_runs_and_vs_sequential() {
 fn bundle_level_pipeline_matches_direct_rank() {
     // The generalized SceneRanker: a bundle-level app through the batch
     // engine equals its direct per-scene ranking.
-    let finder = MissingObsFinder::default();
+    let finder = MissingObsFinder;
     let library = train_library(&finder.feature_set(), 2, 8600);
     let cfg = small_cfg();
     let data = generate_scene(&cfg, "sp-bundle", 8650);
 
     let scene = Scene::assemble(&data, &AssemblyConfig::default());
     let direct = App::MissingObs.rank(&scene, &library).expect("rank");
-    let batched = ScenePipeline::new(MissingObsFinder::default())
+    let batched = ScenePipeline::new(MissingObsFinder)
         .run_merged(&library, vec![data])
         .expect("bundle batch");
     assert_eq!(batched.len(), direct.len());
