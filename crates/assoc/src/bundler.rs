@@ -8,40 +8,32 @@
 //!         return compute_iou(box1, box2) > 0.5
 //! ```
 //!
-//! [`bundle_frame`] generalizes this: observations from *different* sources
-//! whose association predicate fires are merged (transitively, via
-//! union-find) into observation bundles. Two observations from the same
-//! source are never directly associated — a source reports each object at
-//! most once — but can end up in one bundle through a shared partner
-//! (e.g. a duplicated model box overlapping the same human label).
+//! [`bundle_prepared_into`] runs this rule over one frame: observations
+//! from *different* sources whose BEV IOU exceeds [`BUNDLE_IOU`] are
+//! merged (transitively, via union-find) into observation bundles. Two
+//! observations from the same source are never directly associated — a
+//! source reports each object at most once — but can end up in one
+//! bundle through a shared partner (e.g. a duplicated model box
+//! overlapping the same human label).
 //!
-//! Every entry point runs one sweep, [`bundle_prepared_into`]. It reads a
-//! frame as one flat slice of [`PreparedBox`] footprints, each source a
-//! consecutive run of it, and emits each bundle as ascending offsets into
-//! that slice. The assembly engine prepares each observation's footprint
-//! once while it gathers the frame and hands the same slice on to the
-//! tracker; the box-list entry points ([`bundle_frame_into`],
-//! [`bundle_frame`]) prepare their input and call the same sweep, so the
-//! equivalence proptests against [`bundle_frame_brute`] cover the
-//! engine's code.
+//! The sweep reads a frame as one flat slice of [`PreparedBox`]
+//! footprints, each source a consecutive run of it, and emits each bundle
+//! as ascending offsets into that slice. The assembly engine prepares
+//! each observation's footprint once while it gathers the frame and hands
+//! the same slice on to the tracker.
 //!
-//! Bundling is not all-pairs: predicates that can only fire on
-//! overlapping footprints ([`Bundler::overlap_only`], true for the IOU
-//! default) only see pairs whose AABBs intersect. A small frame tests each
-//! row's AABBs branch-free into a bit mask and visits the set bits; a
-//! large one prunes through a [`BevGrid`] spatial index. The pruned paths
-//! fire the predicate on the identical subsequence of pairs the
-//! brute-force sweep would have fired it on, so the resulting union-find —
-//! and therefore every bundle — is identical.
+//! Bundling is not all-pairs: an IOU above a positive threshold needs
+//! overlapping footprints, so the predicate only sees pairs whose AABBs
+//! intersect. A small frame tests each row's AABBs branch-free into a bit
+//! mask and visits the set bits; a large one prunes through a [`BevGrid`]
+//! spatial index. Both fire the predicate on the identical subsequence of
+//! pairs the all-pairs sweep of [`bundle_frame_brute`] would have fired
+//! it on, so the resulting union-find — and therefore every bundle — is
+//! identical.
 
 use crate::union_find::UnionFind;
+use crate::BUNDLE_IOU;
 use loa_geom::{iou_bev, iou_bev_prepared, Aabb2, BevGrid, Box3, Vec2};
-
-/// The paper's bundling IOU threshold (`compute_iou(box1, box2) > 0.5`).
-///
-/// The single definition: [`IouBundler::default`] and the engine's
-/// `AssemblyConfig` both read it, so the two cannot drift.
-pub const DEFAULT_BUNDLE_IOU: f64 = 0.5;
 
 /// Below this many observations a frame is pruned by a flat
 /// precomputed-AABB pair sweep; from here up the [`BevGrid`] index pays
@@ -125,130 +117,30 @@ impl AabbColumns {
     }
 }
 
-/// The association predicate between two boxes.
-pub trait Bundler {
-    /// Whether two boxes (from different sources) are the same object.
-    fn is_associated(&self, a: &Box3, b: &Box3) -> bool;
-
-    /// [`is_associated`](Self::is_associated) when the caller has already
-    /// prepared both boxes' footprint geometry (the bundling sweep always
-    /// has, once per box per frame). Implementations that derive their
-    /// own AABBs/corners (e.g. for an upper-bound reject or the clip
-    /// itself) can use the prepared ones instead; the decision must be
-    /// identical to `is_associated`.
-    fn is_associated_prepared(
-        &self,
-        a: &Box3,
-        b: &Box3,
-        _pa: &PreparedBox,
-        _pb: &PreparedBox,
-    ) -> bool {
-        self.is_associated(a, b)
+/// The paper's predicate on two prepared footprints: BEV IOU above
+/// [`BUNDLE_IOU`]. On AABB-overlapping pairs the prepared clip computes
+/// the same IOU as `iou_bev` on the boxes, so the decision is
+/// [`bundle_frame_brute`]'s.
+fn associated(pa: &PreparedBox, pb: &PreparedBox) -> bool {
+    // Exact upper-bound reject before the polygon clip: the footprint
+    // intersection is contained in the AABB intersection, so `iou > t`
+    // requires `aabb_inter > t·(A + B)/(1 + t)`. Most sub-threshold
+    // candidate pairs stop here, paying four min/max instead of a
+    // Sutherland–Hodgman clip.
+    let (aabb_a, aabb_b) = (&pa.aabb, &pb.aabb);
+    let ix = (aabb_a.max.x.min(aabb_b.max.x) - aabb_a.min.x.max(aabb_b.min.x)).max(0.0);
+    let iy = (aabb_a.max.y.min(aabb_b.max.y) - aabb_a.min.y.max(aabb_b.min.y)).max(0.0);
+    if ix * iy * (1.0 + BUNDLE_IOU) <= BUNDLE_IOU * (pa.area + pb.area) {
+        return false;
     }
-
-    /// True when the predicate can only fire for boxes whose BEV
-    /// footprints overlap (and hence whose AABBs intersect) — e.g. any
-    /// `iou > t` test with `t ≥ 0`. Enables spatial pruning; the default
-    /// `false` keeps arbitrary predicates (center-distance closures, …)
-    /// on the exhaustive pair sweep.
-    fn overlap_only(&self) -> bool {
-        false
-    }
-}
-
-/// The default BEV-IOU bundler (`iou > threshold`).
-#[derive(Debug, Clone, Copy)]
-pub struct IouBundler {
-    pub threshold: f64,
-}
-
-impl Default for IouBundler {
-    fn default() -> Self {
-        IouBundler { threshold: DEFAULT_BUNDLE_IOU }
-    }
-}
-
-impl IouBundler {
-    /// The predicate on two prepared footprints — all it reads, so the
-    /// assembly engine calls it without the boxes. Decision-equivalent to
-    /// [`Bundler::is_associated`]: on AABB-overlapping pairs the prepared
-    /// clip computes the identical IOU, and at a threshold `≤ 0` (no
-    /// pruning) both IOUs are finite and in `[0, 1]`, so every pair
-    /// passes either way.
-    pub fn associates(&self, pa: &PreparedBox, pb: &PreparedBox) -> bool {
-        // Exact upper-bound reject before the polygon clip: the footprint
-        // intersection is contained in the AABB intersection, so
-        // `iou > t` requires `aabb_inter > t·(A + B)/(1 + t)`. Most
-        // sub-threshold candidate pairs stop here, paying four min/max
-        // instead of a Sutherland–Hodgman clip.
-        if self.threshold > 0.0 {
-            let (aabb_a, aabb_b) = (&pa.aabb, &pb.aabb);
-            let ix = (aabb_a.max.x.min(aabb_b.max.x) - aabb_a.min.x.max(aabb_b.min.x)).max(0.0);
-            let iy = (aabb_a.max.y.min(aabb_b.max.y) - aabb_a.min.y.max(aabb_b.min.y)).max(0.0);
-            let upper = ix * iy;
-            if upper * (1.0 + self.threshold) <= self.threshold * (pa.area + pb.area) {
-                return false;
-            }
-        }
-        iou_bev_prepared(&pa.corners, pa.area, &pb.corners, pb.area) > self.threshold
-    }
-}
-
-impl Bundler for IouBundler {
-    fn is_associated(&self, a: &Box3, b: &Box3) -> bool {
-        iou_bev(a, b) > self.threshold
-    }
-
-    fn is_associated_prepared(
-        &self,
-        _a: &Box3,
-        _b: &Box3,
-        pa: &PreparedBox,
-        pb: &PreparedBox,
-    ) -> bool {
-        self.associates(pa, pb)
-    }
-
-    fn overlap_only(&self) -> bool {
-        // iou > t with t ≥ 0 requires an actual footprint intersection;
-        // a negative threshold would accept disjoint boxes.
-        self.threshold >= 0.0
-    }
-}
-
-impl<F: Fn(&Box3, &Box3) -> bool> Bundler for F {
-    fn is_associated(&self, a: &Box3, b: &Box3) -> bool {
-        self(a, b)
-    }
-}
-
-/// One bundle: the member observations, as `(source, index_within_source)`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct BundleGroup {
-    pub members: Vec<(usize, usize)>,
-}
-
-impl BundleGroup {
-    /// Whether the bundle contains an observation from `source`.
-    pub fn has_source(&self, source: usize) -> bool {
-        self.members.iter().any(|&(s, _)| s == source)
-    }
-
-    /// Number of member observations.
-    pub fn len(&self) -> usize {
-        self.members.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.members.is_empty()
-    }
+    iou_bev_prepared(&pa.corners, pa.area, &pb.corners, pb.area) > BUNDLE_IOU
 }
 
 /// One frame's bundles in CSR form: group `g` is
 /// `members[offsets[g]..offsets[g + 1]]`, each member an offset into the
-/// frame's flat observation slice, ascending within the group. The
-/// reusable-output twin of `Vec<BundleGroup>` — [`bundle_prepared_into`]
-/// refills one of these per frame without allocating once warm.
+/// frame's flat observation slice, ascending within the group.
+/// [`bundle_prepared_into`] refills one of these per frame without
+/// allocating once warm.
 #[derive(Debug, Clone, Default)]
 pub struct FrameBundles {
     offsets: Vec<u32>,
@@ -277,14 +169,10 @@ impl FrameBundles {
 }
 
 /// Reusable buffers for [`bundle_prepared_into`] (AABBs, spatial grid,
-/// union-find, grouping sort) and for the box-list staging of
-/// [`bundle_frame_into`] — everything the per-frame bundling pass would
-/// otherwise reallocate.
+/// union-find, grouping sort) — everything the per-frame bundling pass
+/// would otherwise reallocate.
 #[derive(Debug, Clone, Default)]
 pub struct BundleScratch {
-    boxes: Vec<Box3>,
-    prepared: Vec<PreparedBox>,
-    source_ends: Vec<usize>,
     columns: AabbColumns,
     aabbs: Vec<Aabb2>,
     grid: BevGrid,
@@ -294,75 +182,18 @@ pub struct BundleScratch {
     group_start: Vec<u32>,
 }
 
-/// Bundle one frame's observations.
+/// Bundle one frame's observations by the paper's rule: BEV IOU above
+/// [`BUNDLE_IOU`] between observations from different sources.
 ///
-/// `sources` is a list of per-source box lists (e.g. `[human_labels,
-/// model_predictions]`). Returns bundles covering *every* observation;
-/// unmatched observations become singleton bundles. Bundles come in a
-/// deterministic order: by union-find root, as [`bundle_frame_brute`]
-/// orders them.
-pub fn bundle_frame(sources: &[&[Box3]], bundler: &impl Bundler) -> Vec<BundleGroup> {
-    let mut scratch = BundleScratch::default();
-    let mut out = FrameBundles::default();
-    bundle_frame_into(sources, bundler, &mut scratch, &mut out);
-    let ends = &scratch.source_ends;
-    let source_of = |m: u32| {
-        let m = m as usize;
-        let s = ends.partition_point(|&end| end <= m);
-        (s, m - if s == 0 { 0 } else { ends[s - 1] })
-    };
-    out.iter()
-        .map(|g| BundleGroup { members: g.iter().map(|&m| source_of(m)).collect() })
-        .collect()
-}
-
-/// [`bundle_frame`] with caller-owned scratch and CSR output (both reused
-/// across frames): prepares the boxes' footprints in source order and
-/// runs [`bundle_prepared_into`] over them, so member `m` of a group is
-/// the `m`-th box of the sources laid end to end.
-pub fn bundle_frame_into(
-    sources: &[&[Box3]],
-    bundler: &impl Bundler,
-    scratch: &mut BundleScratch,
-    out: &mut FrameBundles,
-) {
-    let mut boxes = std::mem::take(&mut scratch.boxes);
-    let mut prepared = std::mem::take(&mut scratch.prepared);
-    let mut ends = std::mem::take(&mut scratch.source_ends);
-    boxes.clear();
-    ends.clear();
-    for source in sources {
-        boxes.extend_from_slice(source);
-        ends.push(boxes.len());
-    }
-    prepared.clear();
-    prepared.extend(boxes.iter().map(PreparedBox::new));
-    bundle_prepared_into(
-        &prepared,
-        &ends,
-        bundler.overlap_only(),
-        |a, b| bundler.is_associated_prepared(&boxes[a], &boxes[b], &prepared[a], &prepared[b]),
-        scratch,
-        out,
-    );
-    (scratch.boxes, scratch.prepared, scratch.source_ends) = (boxes, prepared, ends);
-}
-
-/// The bundling sweep every entry point runs.
-///
-/// `prepared` is one frame's observation footprints, source after source:
+/// `prepared` is the frame's observation footprints, source after source:
 /// source `s` is `prepared[source_ends[s - 1]..source_ends[s]]` (from 0
-/// for the first), and the last end is `prepared.len()`. `associated(a,
-/// b)` is the predicate on offsets `a < b` into `prepared`. It is asked
-/// only about pairs from different sources, in ascending `(a, b)` order,
-/// and, when `overlap_only`, only about pairs whose AABBs intersect. Every
-/// observation lands in exactly one group of `out`; an unmatched one is a
-/// singleton.
+/// for the first), and the last end is `prepared.len()`. Every
+/// observation lands in exactly one group of `out`, as its offset into
+/// `prepared`; an unmatched one is a singleton. Groups come ordered by
+/// union-find root, as [`bundle_frame_brute`] orders them.
 pub fn bundle_prepared_into(
     prepared: &[PreparedBox],
     source_ends: &[usize],
-    overlap_only: bool,
-    mut associated: impl FnMut(usize, usize) -> bool,
     scratch: &mut BundleScratch,
     out: &mut FrameBundles,
 ) {
@@ -376,27 +207,27 @@ pub fn bundle_prepared_into(
     }
 
     // Source runs are consecutive, so a row `a` pairs with exactly the
-    // columns from its run's end on. All three paths visit rows ascending
-    // and only skip pairs the predicate could not fire on (disjoint
-    // AABBs), so the union sequence — and the resulting roots — are the
+    // columns from its run's end on. Both paths visit rows ascending and
+    // only skip pairs the predicate could not fire on (disjoint AABBs),
+    // so the union sequence — and the resulting roots — are the
     // brute-force sweep's. Small frames test each row's AABBs into a mask
     // (no index setup); past [`GRID_MIN_ITEMS`] the `BevGrid` takes over
     // and the sweep's `O(n²)` disappears.
     let mut merged = false;
-    if paired && overlap_only && n < GRID_MIN_ITEMS {
+    if paired && n < GRID_MIN_ITEMS {
         scratch.columns.refill(prepared.iter().map(|p| p.aabb));
         let mut start = 0;
         for &end in source_ends {
             for a in start..end {
                 scratch.columns.for_each_overlap(&prepared[a].aabb, end, |b| {
-                    if associated(a, b) {
+                    if associated(&prepared[a], &prepared[b]) {
                         merged |= scratch.uf.union(a, b);
                     }
                 });
             }
             start = end;
         }
-    } else if paired && overlap_only {
+    } else if paired {
         scratch.aabbs.clear();
         scratch.aabbs.extend(prepared.iter().map(|p| p.aabb));
         scratch.grid.build(&scratch.aabbs);
@@ -406,19 +237,7 @@ pub fn bundle_prepared_into(
                 scratch.grid.query_into(&prepared[a].aabb, &mut scratch.candidates);
                 for &cand in &scratch.candidates {
                     let b = cand as usize;
-                    if b >= end && associated(a, b) {
-                        merged |= scratch.uf.union(a, b);
-                    }
-                }
-            }
-            start = end;
-        }
-    } else if paired {
-        let mut start = 0;
-        for &end in source_ends {
-            for a in start..end {
-                for b in end..n {
-                    if associated(a, b) {
+                    if b >= end && associated(&prepared[a], &prepared[b]) {
                         merged |= scratch.uf.union(a, b);
                     }
                 }
@@ -464,31 +283,29 @@ pub fn bundle_prepared_into(
 }
 
 /// The retained all-pairs reference implementation — the oracle the
-/// equivalence proptests hold [`bundle_frame`] to.
-pub fn bundle_frame_brute(sources: &[&[Box3]], bundler: &impl Bundler) -> Vec<BundleGroup> {
-    let mut flat: Vec<(usize, usize)> = Vec::new();
-    for (s, boxes) in sources.iter().enumerate() {
-        for i in 0..boxes.len() {
-            flat.push((s, i));
-        }
-    }
+/// equivalence proptests hold [`bundle_prepared_into`] to. It tests every
+/// cross-source pair with `iou_bev` on the boxes themselves. The sources
+/// are laid end to end as there: each bundle is its members' ascending
+/// offsets, bundles ordered by union-find root.
+pub fn bundle_frame_brute(sources: &[&[Box3]]) -> Vec<Vec<u32>> {
+    let flat: Vec<(usize, &Box3)> = sources
+        .iter()
+        .enumerate()
+        .flat_map(|(s, boxes)| boxes.iter().map(move |b| (s, b)))
+        .collect();
     let n = flat.len();
     let mut uf = UnionFind::new(n);
     for a in 0..n {
         for b in (a + 1)..n {
-            let (sa, ia) = flat[a];
-            let (sb, ib) = flat[b];
-            if sa == sb {
-                continue;
-            }
-            if bundler.is_associated(&sources[sa][ia], &sources[sb][ib]) {
+            let ((sa, box_a), (sb, box_b)) = (flat[a], flat[b]);
+            if sa != sb && iou_bev(box_a, box_b) > BUNDLE_IOU {
                 uf.union(a, b);
             }
         }
     }
     uf.groups()
         .into_iter()
-        .map(|group| BundleGroup { members: group.into_iter().map(|x| flat[x]).collect() })
+        .map(|group| group.into_iter().map(|x| x as u32).collect())
         .collect()
 }
 
@@ -501,83 +318,77 @@ mod tests {
         Box3::on_ground(x, y, 0.0, 4.5, 1.9, 1.6, 0.0)
     }
 
+    /// Run the sweep over box lists laid end to end, through warm
+    /// `scratch`, with each bundle as its members' offsets.
+    fn bundle_with(sources: &[&[Box3]], scratch: &mut BundleScratch) -> Vec<Vec<u32>> {
+        let prepared: Vec<PreparedBox> =
+            sources.iter().flat_map(|s| s.iter().map(PreparedBox::new)).collect();
+        let ends: Vec<usize> = sources
+            .iter()
+            .scan(0, |end, s| {
+                *end += s.len();
+                Some(*end)
+            })
+            .collect();
+        let mut out = FrameBundles::default();
+        bundle_prepared_into(&prepared, &ends, scratch, &mut out);
+        out.iter().map(<[u32]>::to_vec).collect()
+    }
+
+    fn bundle(sources: &[&[Box3]]) -> Vec<Vec<u32>> {
+        bundle_with(sources, &mut BundleScratch::default())
+    }
+
     #[test]
     fn overlapping_cross_source_boxes_bundle() {
         let human = [car(10.0, 0.0)];
         let model = [car(10.2, 0.1)];
-        let bundles = bundle_frame(&[&human, &model], &IouBundler::default());
-        assert_eq!(bundles.len(), 1);
-        assert_eq!(bundles[0].len(), 2);
-        assert!(bundles[0].has_source(0));
-        assert!(bundles[0].has_source(1));
+        assert_eq!(bundle(&[&human, &model]), vec![vec![0, 1]]);
     }
 
     #[test]
     fn distant_boxes_stay_separate() {
         let human = [car(10.0, 0.0)];
         let model = [car(40.0, 5.0)];
-        let bundles = bundle_frame(&[&human, &model], &IouBundler::default());
-        assert_eq!(bundles.len(), 2);
-        assert!(bundles.iter().all(|b| b.len() == 1));
+        assert_eq!(bundle(&[&human, &model]), vec![vec![0], vec![1]]);
     }
 
     #[test]
     fn same_source_boxes_never_directly_bundle() {
         // Two overlapping boxes from the same source remain separate.
         let model = [car(10.0, 0.0), car(10.1, 0.0)];
-        let bundles = bundle_frame(&[&model], &IouBundler::default());
-        assert_eq!(bundles.len(), 2);
+        assert_eq!(bundle(&[&model]), vec![vec![0], vec![1]]);
     }
 
     #[test]
     fn transitive_bundling_through_shared_partner() {
-        // Two model duplicates both overlap one human label → one bundle of
-        // three.
+        // Two model duplicates both overlap one human label → one bundle
+        // of three, though the duplicates never pair directly.
         let human = [car(10.0, 0.0)];
         let model = [car(10.15, 0.05), car(9.9, -0.05)];
-        let bundles = bundle_frame(&[&human, &model], &IouBundler { threshold: 0.4 });
-        assert_eq!(bundles.len(), 1);
-        assert_eq!(bundles[0].len(), 3);
+        assert!(model.iter().all(|m| iou_bev(&human[0], m) > BUNDLE_IOU));
+        assert_eq!(bundle(&[&human, &model]), vec![vec![0, 1, 2]]);
     }
 
     #[test]
     fn all_observations_covered() {
+        // Two matched pairs and one singleton.
         let human = [car(5.0, 0.0), car(20.0, 3.0)];
         let model = [car(5.1, 0.0), car(40.0, -4.0), car(20.1, 3.0)];
-        let bundles = bundle_frame(&[&human, &model], &IouBundler::default());
-        let total: usize = bundles.iter().map(BundleGroup::len).sum();
-        assert_eq!(total, 5);
-        // Two matched pairs and one singleton.
-        assert_eq!(bundles.len(), 3);
-        let sizes: Vec<usize> = {
-            let mut s: Vec<usize> = bundles.iter().map(BundleGroup::len).collect();
-            s.sort();
-            s
-        };
+        let bundles = bundle(&[&human, &model]);
+        let mut members: Vec<u32> = bundles.concat();
+        members.sort_unstable();
+        assert_eq!(members, vec![0, 1, 2, 3, 4]);
+        let mut sizes: Vec<usize> = bundles.iter().map(Vec::len).collect();
+        sizes.sort_unstable();
         assert_eq!(sizes, vec![1, 2, 2]);
     }
 
     #[test]
-    fn closure_bundler_works() {
-        // The paper lets users override is_associated with arbitrary code;
-        // here: center distance < 1 m. Closures keep the exhaustive sweep
-        // (their predicate may fire on non-overlapping boxes).
-        let custom = |a: &Box3, b: &Box3| a.bev_center_distance(b) < 1.0;
-        assert!(!Bundler::overlap_only(&custom));
-        let human = [car(10.0, 0.0)];
-        let model = [car(10.8, 0.0)];
-        let bundles = bundle_frame(&[&human, &model], &custom);
-        assert_eq!(bundles.len(), 1);
-        assert_eq!(bundles[0].len(), 2);
-    }
-
-    #[test]
     fn empty_sources() {
-        let bundles = bundle_frame(&[], &IouBundler::default());
-        assert!(bundles.is_empty());
+        assert!(bundle(&[]).is_empty());
         let empty: [Box3; 0] = [];
-        let bundles = bundle_frame(&[&empty, &empty], &IouBundler::default());
-        assert!(bundles.is_empty());
+        assert!(bundle(&[&empty, &empty]).is_empty());
     }
 
     #[test]
@@ -585,38 +396,39 @@ mod tests {
         let human = [car(10.0, 0.0)];
         let model = [car(10.1, 0.0)];
         let auditor = [car(9.95, 0.02)];
-        let bundles = bundle_frame(&[&human, &model, &auditor], &IouBundler::default());
-        assert_eq!(bundles.len(), 1);
-        assert_eq!(bundles[0].len(), 3);
-        for s in 0..3 {
-            assert!(bundles[0].has_source(s));
-        }
+        assert_eq!(bundle(&[&human, &model, &auditor]), vec![vec![0, 1, 2]]);
     }
 
     #[test]
     fn default_threshold_is_the_shared_constant() {
-        assert_eq!(IouBundler::default().threshold, DEFAULT_BUNDLE_IOU);
-        assert!(IouBundler::default().overlap_only());
-        assert!(!IouBundler { threshold: -0.1 }.overlap_only());
+        // The sweep bundles strictly above `BUNDLE_IOU`, as the brute
+        // reference does. A 2×2 box inside a 4×2 one covers exactly half
+        // their union: no bundle. Stretched to 2.2 m long, it bundles.
+        let wide = Box3::on_ground(0.0, 0.0, 0.0, 4.0, 2.0, 1.6, 0.0);
+        let half = Box3::on_ground(1.0, 0.0, 0.0, 2.0, 2.0, 1.6, 0.0);
+        let above = Box3::on_ground(0.9, 0.0, 0.0, 2.2, 2.0, 1.6, 0.0);
+        assert_eq!(iou_bev(&wide, &half), BUNDLE_IOU);
+        assert!(iou_bev(&wide, &above) > BUNDLE_IOU);
+        for (partner, bundled) in [(half, false), (above, true)] {
+            let sources: [&[Box3]; 2] = [&[wide], &[partner]];
+            let expected = if bundled { vec![vec![0, 1]] } else { vec![vec![0], vec![1]] };
+            assert_eq!(bundle(&sources), expected);
+            assert_eq!(bundle_frame_brute(&sources), expected);
+        }
     }
 
     #[test]
     fn scratch_reuse_across_frames_is_clean() {
         let mut scratch = BundleScratch::default();
-        let mut out = FrameBundles::default();
         // A crowded frame, then an empty one, then a different one: no
         // state may leak between frames.
         let human = [car(5.0, 0.0), car(20.0, 3.0)];
         let model = [car(5.1, 0.0), car(40.0, -4.0), car(20.1, 3.0)];
-        bundle_frame_into(&[&human, &model], &IouBundler::default(), &mut scratch, &mut out);
-        assert_eq!(out.len(), 3);
+        assert_eq!(bundle_with(&[&human, &model], &mut scratch).len(), 3);
         let empty: [Box3; 0] = [];
-        bundle_frame_into(&[&empty, &empty], &IouBundler::default(), &mut scratch, &mut out);
-        assert_eq!(out.len(), 0);
+        assert!(bundle_with(&[&empty, &empty], &mut scratch).is_empty());
         let human2 = [car(1.0, 1.0)];
-        bundle_frame_into(&[&human2, &empty], &IouBundler::default(), &mut scratch, &mut out);
-        assert_eq!(out.len(), 1);
-        assert_eq!(out.group(0), &[0]);
+        assert_eq!(bundle_with(&[&human2, &empty], &mut scratch), vec![vec![0]]);
     }
 
     /// Deterministic pseudo-random box cloud, dense enough for plenty of
@@ -647,20 +459,17 @@ mod tests {
         #[test]
         fn prop_indexed_equals_brute_force(
             seed in 0u64..5_000,
-            n_human in 0usize..24,
-            n_model in 0usize..24,
+            n_human in 0usize..80,
+            n_model in 0usize..80,
             spread in 4.0f64..80.0,
-            threshold in 0.05f64..0.8,
         ) {
             // Tight spreads force heavy overlap (many unions, transitive
-            // chains); wide spreads force sparsity. Either way the pruned
-            // path must produce byte-identical bundles.
+            // chains); wide spreads force sparsity. Frames of up to 158
+            // boxes cross `GRID_MIN_ITEMS`, so both the mask sweep and
+            // the grid must produce byte-identical bundles.
             let human = cloud(seed, n_human, spread);
             let model = cloud(seed ^ 0xABCD, n_model, spread);
-            let bundler = IouBundler { threshold };
-            let fast = bundle_frame(&[&human, &model], &bundler);
-            let brute = bundle_frame_brute(&[&human, &model], &bundler);
-            prop_assert_eq!(fast, brute);
+            prop_assert_eq!(bundle(&[&human, &model]), bundle_frame_brute(&[&human, &model]));
         }
 
         #[test]
@@ -672,10 +481,7 @@ mod tests {
             let a = cloud(seed, n, 0.5);
             let b = cloud(seed ^ 1, n, 0.5);
             let c = cloud(seed ^ 2, n, 0.5);
-            let bundler = IouBundler::default();
-            let fast = bundle_frame(&[&a, &b, &c], &bundler);
-            let brute = bundle_frame_brute(&[&a, &b, &c], &bundler);
-            prop_assert_eq!(fast, brute);
+            prop_assert_eq!(bundle(&[&a, &b, &c]), bundle_frame_brute(&[&a, &b, &c]));
         }
     }
 }

@@ -5,40 +5,52 @@
 //! …) and across time (tracks …)"*. The association itself is a classic
 //! perception problem; this crate provides the machinery:
 //!
-//! * [`matching`] — one-shot assignment between two box sets over a flat
-//!   (possibly sparse) [`ScoreMatrix`]: greedy highest-overlap-first, the
-//!   paper's association rule,
+//! * [`matching`] — one-shot assignment over a flat, sparse
+//!   [`ScoreMatrix`]: greedy highest-overlap-first, the paper's
+//!   association rule,
 //! * [`union_find`] — disjoint sets for multi-source bundling,
 //! * [`bundler`] — group same-frame observations from different sources
 //!   into observation bundles by IOU (the `TrackBundler` of Section 3),
-//!   pruning candidate pairs through a
+//!   pruning candidate pairs through an AABB sweep or a
 //!   [`BevGrid`](loa_geom::BevGrid) spatial index,
-//! * [`tracker`] — link bundles across adjacent frames into tracks by box
-//!   overlap, with a configurable frame gap, scoring only
-//!   spatially-plausible track×item pairs.
+//! * [`tracker`] — link bundles across nearby frames into tracks by box
+//!   overlap, scoring only spatially-plausible track×item pairs.
 //!
-//! Everything here is generic over "things that have a [`Box3`](loa_geom::Box3)"; the LOA
-//! engine supplies its observation types. Both association passes retain
-//! their all-pairs implementations (`bundle_frame_brute`,
-//! `build_tracks_brute`) as the oracles equivalence proptests run
-//! against, and both expose `_into` / `_with` variants whose scratch
-//! buffers (`BundleScratch`, `TrackerScratch`) a long-lived engine reuses
-//! across frames and scenes.
+//! Both passes read one frame as a slice of [`PreparedBox`] footprints:
+//! the assembly engine prepares each observation's footprint once and
+//! hands the slice to [`bundle_prepared_into`] and then, through the
+//! bundles' representatives, to [`TrackBuilder::step_prepared`]. Their
+//! buffers ([`BundleScratch`], the builder's own) survive across frames
+//! and scenes. Both passes retain all-pairs implementations over plain
+//! box lists ([`bundle_frame_brute`], [`build_tracks_brute`]) as the
+//! oracles the equivalence proptests run against.
+//!
+//! The association rule is fixed: the three constants below are the only
+//! thresholds, and every app assembles with them.
 
 pub mod bundler;
 pub mod matching;
 pub mod tracker;
 pub mod union_find;
 
+/// The paper's bundling IOU threshold (`compute_iou(box1, box2) > 0.5`):
+/// two same-frame observations from different sources bundle when their
+/// BEV IOU exceeds it.
+pub const BUNDLE_IOU: f64 = 0.5;
+
+/// Minimum BEV IOU between a bundle and a track's last box for the
+/// bundle to extend the track. Lower than [`BUNDLE_IOU`] because objects
+/// move between frames.
+pub const TRACK_IOU: f64 = 0.05;
+
+/// Maximum number of frames between a track's last entry and a new one
+/// (1 would be strictly adjacent frames), so a track survives a
+/// single-frame dropout.
+pub const TRACK_MAX_GAP: usize = 2;
+
 pub use bundler::{
-    bundle_frame, bundle_frame_brute, bundle_frame_into, bundle_prepared_into, BundleGroup,
-    BundleScratch, Bundler, FrameBundles, IouBundler, PreparedBox, DEFAULT_BUNDLE_IOU,
+    bundle_frame_brute, bundle_prepared_into, BundleScratch, FrameBundles, PreparedBox,
 };
-pub use matching::{
-    greedy_match, greedy_match_into, greedy_match_matrix, Match, MatchScratch, ScoreMatrix,
-};
-pub use tracker::{
-    build_tracks, build_tracks_brute, build_tracks_with, TrackBuilder, TrackPath, TrackerConfig,
-    TrackerScratch,
-};
+pub use matching::{greedy_match_into, Match, MatchScratch, ScoreMatrix};
+pub use tracker::{build_tracks_brute, TrackBuilder, TrackPath};
 pub use union_find::UnionFind;

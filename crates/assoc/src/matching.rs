@@ -7,8 +7,9 @@
 //! explicitly scored pairs with known dimensions. Entries never pushed are
 //! *implicitly below threshold* (score 0) — the representation the
 //! spatially-pruned tracker produces, where only candidate pairs whose
-//! AABBs overlap are ever scored. The legacy `&[Vec<f64>]` entry points
-//! remain as thin wrappers that score every pair explicitly.
+//! AABBs overlap are ever scored. The tracker's dense reference pushes
+//! every pair into the same matrix and runs the same
+//! [`greedy_match_into`].
 
 use serde::{Deserialize, Serialize};
 
@@ -52,20 +53,6 @@ impl ScoreMatrix {
         self.entries.push(Match { left, right, score });
     }
 
-    /// Build a fully-dense matrix from nested rows (every pair explicit).
-    /// Ragged rows are allowed; `cols` becomes the longest row.
-    pub fn from_rows(scores: &[Vec<f64>]) -> Self {
-        let rows = scores.len();
-        let cols = scores.iter().map(Vec::len).max().unwrap_or(0);
-        let mut m = ScoreMatrix { rows, cols, entries: Vec::new() };
-        for (i, row) in scores.iter().enumerate() {
-            for (j, &s) in row.iter().enumerate() {
-                m.push(i, j, s);
-            }
-        }
-        m
-    }
-
     pub fn rows(&self) -> usize {
         self.rows
     }
@@ -90,20 +77,12 @@ pub struct MatchScratch {
     used_right: Vec<bool>,
 }
 
-/// Greedy maximum-score-first matching over a [`ScoreMatrix`].
+/// Greedy maximum-score-first matching over a [`ScoreMatrix`], into
+/// caller-owned scratch and output buffers (both are cleared first).
 ///
 /// Sorts all explicit pairs with a finite `score >= min_score` by
 /// descending score and takes each pair whose endpoints are both unused.
 /// Matches come out ordered by `(left, right)`.
-pub fn greedy_match_matrix(scores: &ScoreMatrix, min_score: f64) -> Vec<Match> {
-    let mut scratch = MatchScratch::default();
-    let mut out = Vec::new();
-    greedy_match_into(scores, min_score, &mut scratch, &mut out);
-    out
-}
-
-/// [`greedy_match_matrix`] with caller-owned scratch and output buffers
-/// (both are cleared first).
 ///
 /// When no row and no column holds two qualifying pairs, greedy takes
 /// every qualifying pair whatever the order, so neither sort runs: the
@@ -162,12 +141,6 @@ pub fn greedy_match_into(
     out.sort_by_key(|m| (m.left, m.right));
 }
 
-/// Greedy matching over nested rows (legacy entry point; scores every
-/// pair explicitly through [`ScoreMatrix::from_rows`]).
-pub fn greedy_match(scores: &[Vec<f64>], min_score: f64) -> Vec<Match> {
-    greedy_match_matrix(&ScoreMatrix::from_rows(scores), min_score)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -175,6 +148,30 @@ mod tests {
 
     fn total(ms: &[Match]) -> f64 {
         ms.iter().map(|m| m.score).sum()
+    }
+
+    /// Every pair of `rows` scored explicitly.
+    fn dense(rows: &[Vec<f64>]) -> ScoreMatrix {
+        let mut m = ScoreMatrix::new();
+        m.reset(rows.len(), rows.iter().map(Vec::len).max().unwrap_or(0));
+        for (i, row) in rows.iter().enumerate() {
+            for (j, &s) in row.iter().enumerate() {
+                m.push(i, j, s);
+            }
+        }
+        m
+    }
+
+    /// [`greedy_match_into`] through fresh buffers.
+    fn greedy(scores: &ScoreMatrix, min_score: f64) -> Vec<Match> {
+        let mut out = Vec::new();
+        greedy_match_into(scores, min_score, &mut MatchScratch::default(), &mut out);
+        out
+    }
+
+    /// Greedy matching over nested rows, every pair explicit.
+    fn greedy_rows(rows: &[Vec<f64>], min_score: f64) -> Vec<Match> {
+        greedy(&dense(rows), min_score)
     }
 
     /// Exhaustive optimal assignment for small matrices (≤ ~6×6).
@@ -200,17 +197,16 @@ mod tests {
 
     #[test]
     fn empty_inputs() {
-        assert!(greedy_match(&[], 0.5).is_empty());
+        assert!(greedy_rows(&[], 0.5).is_empty());
         let no_cols: Vec<Vec<f64>> = vec![vec![], vec![]];
-        assert!(greedy_match(&no_cols, 0.5).is_empty());
-        let empty = ScoreMatrix::new();
-        assert!(greedy_match_matrix(&empty, 0.0).is_empty());
+        assert!(greedy_rows(&no_cols, 0.5).is_empty());
+        assert!(greedy(&ScoreMatrix::new(), 0.0).is_empty());
     }
 
     #[test]
     fn simple_diagonal() {
         let scores = vec![vec![0.9, 0.1], vec![0.2, 0.8]];
-        let ms = greedy_match(&scores, 0.5);
+        let ms = greedy_rows(&scores, 0.5);
         assert_eq!(ms.len(), 2);
         assert_eq!(ms[0], Match { left: 0, right: 0, score: 0.9 });
         assert_eq!(ms[1], Match { left: 1, right: 1, score: 0.8 });
@@ -219,14 +215,14 @@ mod tests {
     #[test]
     fn threshold_filters_pairs() {
         let scores = vec![vec![0.4]];
-        assert!(greedy_match(&scores, 0.5).is_empty());
-        assert_eq!(greedy_match(&scores, 0.3).len(), 1);
+        assert!(greedy_rows(&scores, 0.5).is_empty());
+        assert_eq!(greedy_rows(&scores, 0.3).len(), 1);
     }
 
     #[test]
     fn rectangular_more_rows_than_cols() {
         let scores = vec![vec![0.9], vec![0.8], vec![0.7]];
-        let g = greedy_match(&scores, 0.1);
+        let g = greedy_rows(&scores, 0.1);
         assert_eq!(g.len(), 1);
         assert_eq!(g[0].left, 0);
     }
@@ -234,14 +230,14 @@ mod tests {
     #[test]
     fn rectangular_more_cols_than_rows() {
         let scores = vec![vec![0.1, 0.9, 0.3]];
-        let g = greedy_match(&scores, 0.05);
+        let g = greedy_rows(&scores, 0.05);
         assert_eq!(g, vec![Match { left: 0, right: 1, score: 0.9 }]);
     }
 
     #[test]
     fn matching_is_one_to_one() {
         let scores = vec![vec![0.9, 0.9, 0.9], vec![0.9, 0.9, 0.9], vec![0.9, 0.9, 0.9]];
-        let ms = greedy_match(&scores, 0.5);
+        let ms = greedy_rows(&scores, 0.5);
         assert_eq!(ms.len(), 3);
         let mut lefts: Vec<_> = ms.iter().map(|m| m.left).collect();
         let mut rights: Vec<_> = ms.iter().map(|m| m.right).collect();
@@ -271,8 +267,8 @@ mod tests {
         // admits explicit zero-score pairs the sparse form never sees.
         for min in [0.1, 0.5] {
             assert_eq!(
-                greedy_match_matrix(&sparse, min),
-                greedy_match(&dense_rows, min),
+                greedy(&sparse, min),
+                greedy_rows(&dense_rows, min),
                 "greedy at min {min}"
             );
         }
@@ -280,12 +276,17 @@ mod tests {
 
     #[test]
     fn scratch_reuse_is_equivalent() {
-        let m = ScoreMatrix::from_rows(&[vec![0.9, 0.8], vec![0.8, 0.1]]);
+        // A conflicting matrix (the sorting path) and a conflict-free
+        // one (the shortcut), alternately through one warm scratch.
+        let conflicting = dense(&[vec![0.9, 0.8], vec![0.8, 0.1]]);
+        let diagonal = dense(&[vec![0.9, 0.0], vec![0.0, 0.8]]);
         let mut scratch = MatchScratch::default();
         let mut out = Vec::new();
         for _ in 0..3 {
-            greedy_match_into(&m, 0.05, &mut scratch, &mut out);
-            assert_eq!(out, greedy_match_matrix(&m, 0.05));
+            for m in [&conflicting, &diagonal] {
+                greedy_match_into(m, 0.05, &mut scratch, &mut out);
+                assert_eq!(out, greedy(m, 0.05));
+            }
         }
     }
 
@@ -336,7 +337,7 @@ mod tests {
             };
             let scores: Vec<Vec<f64>> =
                 (0..rows).map(|_| (0..cols).map(|_| next()).collect()).collect();
-            let g = greedy_match(&scores, 0.0);
+            let g = greedy_rows(&scores, 0.0);
             prop_assert!(total(&g) <= brute_force_best(&scores, 0.0) + 1e-9);
             let mut seen_l = std::collections::BTreeSet::new();
             let mut seen_r = std::collections::BTreeSet::new();
@@ -406,7 +407,7 @@ mod tests {
             for (i, j, score) in entries {
                 m.push(i, j, score);
             }
-            prop_assert_eq!(greedy_match_matrix(&m, MIN), greedy_sorted(&m, MIN));
+            prop_assert_eq!(greedy(&m, MIN), greedy_sorted(&m, MIN));
         }
 
         #[test]
@@ -436,7 +437,7 @@ mod tests {
                 }
             }
             let min = min_pct as f64 / 100.0;
-            prop_assert_eq!(greedy_match_matrix(&sparse, min), greedy_match(&scores, min));
+            prop_assert_eq!(greedy(&sparse, min), greedy_rows(&scores, min));
         }
     }
 }

@@ -2,11 +2,13 @@
 //! per scene, plus the end-to-end path with and without engine reuse.
 //!
 //! * `assembly/bundle_frames_*` — stage 1, same-frame bundling of every
-//!   frame's human+model boxes through the spatially-indexed
-//!   `bundle_frame_into` (vs the retained `bundle_frame_brute` reference).
+//!   frame's human+model boxes: their footprints prepared into a reused
+//!   buffer and bundled by the spatially-indexed `bundle_prepared_into`
+//!   (vs the retained `bundle_frame_brute` reference).
 //! * `assembly/build_tracks_*` — stage 2, cross-frame tracking over the
-//!   bundle representative boxes through the sparse, grid-pruned
-//!   `build_tracks_with` (vs `build_tracks_brute`).
+//!   bundle representative boxes: their footprints prepared per frame
+//!   and stepped through a warm `TrackBuilder`, whose assignment is
+//!   sparse and grid-pruned (vs `build_tracks_brute`).
 //! * `assembly/materialize_scene` — stage 3, folding membership lists
 //!   into the CSR `Scene` arenas (`Scene::from_parts`).
 //! * `assembly/assemble_full` / `assemble_engine_reused` — the whole
@@ -24,8 +26,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use fixy_core::prelude::*;
 use fixy_core::{BundleIdx, ObsIdx};
 use loa_assoc::{
-    build_tracks_brute, build_tracks_with, bundle_frame_brute, bundle_frame_into, BundleScratch,
-    FrameBundles, IouBundler, TrackerScratch,
+    build_tracks_brute, bundle_frame_brute, bundle_prepared_into, BundleScratch, FrameBundles,
+    PreparedBox, TrackBuilder,
 };
 use loa_data::{generate_scene, DatasetProfile, FrameId, FuzzProfile, ScenarioFuzzer, SceneData};
 use loa_geom::Box3;
@@ -110,16 +112,17 @@ fn bench_stages(c: &mut Criterion) {
     group.sample_size(if smoke() { 3 } else { 20 });
 
     // ---- Stage 1: bundling ------------------------------------------------
-    let bundler = IouBundler::default();
     group.bench_function("bundle_frames_indexed", |b| {
-        let mut scratch = BundleScratch::default();
-        let mut out = FrameBundles::default();
+        let (mut prepared, mut scratch, mut out) =
+            (Vec::new(), BundleScratch::default(), FrameBundles::default());
         b.iter(|| {
             let mut n = 0usize;
-            for (human, model) in &sources {
-                bundle_frame_into(
-                    &[black_box(human), black_box(model)],
-                    &bundler,
+            for (human, model) in black_box(&sources) {
+                prepared.clear();
+                prepared.extend(human.iter().chain(model).map(PreparedBox::new));
+                bundle_prepared_into(
+                    &prepared,
+                    &[human.len(), prepared.len()],
                     &mut scratch,
                     &mut out,
                 );
@@ -132,20 +135,30 @@ fn bench_stages(c: &mut Criterion) {
         b.iter(|| {
             let mut n = 0usize;
             for (human, model) in &sources {
-                n += bundle_frame_brute(&[black_box(human), black_box(model)], &bundler).len();
+                n += bundle_frame_brute(&[black_box(human), black_box(model)]).len();
             }
             black_box(n)
         })
     });
 
     // ---- Stage 2: tracking ------------------------------------------------
-    let tracker_cfg = AssemblyConfig::default().tracker;
     group.bench_function("build_tracks_indexed", |b| {
-        let mut scratch = TrackerScratch::default();
-        b.iter(|| black_box(build_tracks_with(black_box(&reps), &tracker_cfg, &mut scratch).len()))
+        let (mut builder, mut prepared, mut items) =
+            (TrackBuilder::default(), Vec::new(), Vec::new());
+        b.iter(|| {
+            builder.begin();
+            for boxes in black_box(&reps) {
+                prepared.clear();
+                prepared.extend(boxes.iter().map(PreparedBox::new));
+                items.clear();
+                items.extend(0..boxes.len() as u32);
+                builder.step_prepared(&prepared, &items);
+            }
+            black_box(builder.n_paths())
+        })
     });
     group.bench_function("build_tracks_brute", |b| {
-        b.iter(|| black_box(build_tracks_brute(black_box(&reps), &tracker_cfg).len()))
+        b.iter(|| black_box(build_tracks_brute(black_box(&reps)).len()))
     });
 
     // ---- Stage 3: materialization ------------------------------------------

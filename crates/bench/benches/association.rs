@@ -1,12 +1,17 @@
 //! Association microbenchmarks: bundling, greedy matching, and track
-//! building — the Section 4 substrate.
+//! building — the Section 4 substrate, through the prepared-footprint
+//! API the assembly engine calls. Each iteration prepares its boxes'
+//! footprints into a reused buffer, as the engine does per frame.
 //!
 //! Set `FIXY_BENCH_SMOKE=1` to run the smallest size of each group with 3
 //! samples — the CI smoke mode that keeps the bench compiling *and*
 //! executing.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use loa_assoc::{build_tracks, bundle_frame, greedy_match, IouBundler, TrackerConfig};
+use loa_assoc::{
+    bundle_prepared_into, greedy_match_into, BundleScratch, FrameBundles, MatchScratch,
+    PreparedBox, ScoreMatrix, TrackBuilder,
+};
 use loa_geom::Box3;
 use std::hint::black_box;
 
@@ -46,11 +51,15 @@ fn bench_bundling(c: &mut Criterion) {
     for &n in sizes(&[10, 40, 80]) {
         let human = boxes(n, 0.0);
         let model = boxes(n, 0.3);
-        group.bench_with_input(BenchmarkId::new("bundle_frame", n), &n, |b, _| {
+        let (mut prepared, mut scratch, mut out) =
+            (Vec::new(), BundleScratch::default(), FrameBundles::default());
+        group.bench_with_input(BenchmarkId::new("bundle_prepared", n), &n, |b, _| {
             b.iter(|| {
-                let bundles =
-                    bundle_frame(&[black_box(&human), black_box(&model)], &IouBundler::default());
-                black_box(bundles.len())
+                prepared.clear();
+                prepared.extend(black_box(&human).iter().map(PreparedBox::new));
+                prepared.extend(black_box(&model).iter().map(PreparedBox::new));
+                bundle_prepared_into(&prepared, &[n, 2 * n], &mut scratch, &mut out);
+                black_box(out.len())
             })
         });
     }
@@ -63,12 +72,19 @@ fn bench_matching(c: &mut Criterion) {
     for &n in sizes(&[10, 40, 80]) {
         let a = boxes(n, 0.0);
         let bxs = boxes(n, 0.4);
-        let scores: Vec<Vec<f64>> = a
-            .iter()
-            .map(|x| bxs.iter().map(|y| loa_geom::iou_bev(x, y)).collect())
-            .collect();
-        group.bench_with_input(BenchmarkId::new("greedy", n), &scores, |b, s| {
-            b.iter(|| black_box(greedy_match(black_box(s), 0.1).len()))
+        let mut scores = ScoreMatrix::new();
+        scores.reset(n, n);
+        for (i, x) in a.iter().enumerate() {
+            for (j, y) in bxs.iter().enumerate() {
+                scores.push(i, j, loa_geom::iou_bev(x, y));
+            }
+        }
+        let (mut scratch, mut out) = (MatchScratch::default(), Vec::new());
+        group.bench_with_input(BenchmarkId::new("greedy_into", n), &scores, |b, s| {
+            b.iter(|| {
+                greedy_match_into(black_box(s), 0.1, &mut scratch, &mut out);
+                black_box(out.len())
+            })
         });
     }
     group.finish();
@@ -95,8 +111,18 @@ fn bench_tracking(c: &mut Criterion) {
                     .collect()
             })
             .collect();
-        group.bench_with_input(BenchmarkId::new("build_tracks", frames), &per_frame, |b, pf| {
-            b.iter(|| black_box(build_tracks(black_box(pf), &TrackerConfig::default()).len()))
+        let (mut builder, mut prepared) = (TrackBuilder::default(), Vec::new());
+        let items: Vec<u32> = (0..per_frame[0].len() as u32).collect();
+        group.bench_with_input(BenchmarkId::new("track_builder", frames), &per_frame, |b, pf| {
+            b.iter(|| {
+                builder.begin();
+                for boxes in black_box(pf) {
+                    prepared.clear();
+                    prepared.extend(boxes.iter().map(PreparedBox::new));
+                    builder.step_prepared(&prepared, &items);
+                }
+                black_box(builder.n_paths())
+            })
         });
     }
     group.finish();

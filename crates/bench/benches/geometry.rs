@@ -1,8 +1,8 @@
 //! Geometry microbenchmarks: oriented IOU is the hot inner loop of
 //! association and LIDAR simulation.
 //!
-//! * `iou/*` — single-pair IOU: an overlapping pair, a far pair the
-//!   circumradius test rejects, and volumetric IOU.
+//! * `iou/*` — single-pair BEV IOU: an overlapping pair and a far pair
+//!   the circumradius test rejects.
 //! * `iou/prepared_scene_pairs` — `iou_bev_prepared` over every
 //!   cross-source pair of a generated scene whose footprint AABBs
 //!   intersect (the pairs the bundler scores); the time covers the whole
@@ -19,7 +19,7 @@
 use criterion::{criterion_group, criterion_main, Criterion};
 use loa_assoc::PreparedBox;
 use loa_data::{generate_scene, DatasetProfile};
-use loa_geom::{iou_3d, iou_bev, iou_bev_prepared, Box3};
+use loa_geom::{iou_bev, iou_bev_prepared, Box3};
 use std::hint::black_box;
 
 fn smoke() -> bool {
@@ -71,9 +71,6 @@ fn bench_iou(c: &mut Criterion) {
     });
     group.bench_function("bev_distant_early_reject", |b| {
         b.iter(|| black_box(iou_bev(black_box(&a), black_box(&distant))))
-    });
-    group.bench_function("volumetric", |b| {
-        b.iter(|| black_box(iou_3d(black_box(&a), black_box(&overlapping))))
     });
 
     let pairs = scene_pairs();

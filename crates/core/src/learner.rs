@@ -115,9 +115,7 @@ impl Default for Learner {
 
 impl Learner {
     pub fn new() -> Self {
-        Learner {
-            assembly: AssemblyConfig { use_human: true, use_model: false, ..Default::default() },
-        }
+        Learner { assembly: AssemblyConfig::human_only() }
     }
 
     /// Fit all learned features in `features` over raw training scenes.

@@ -22,10 +22,7 @@
 //! wire format: only the raw [`SceneData`] is persisted, and the scene
 //! is re-assembled from it whenever it is scored.
 
-use loa_assoc::{
-    bundle_prepared_into, BundleScratch, Bundler, FrameBundles, IouBundler, PreparedBox,
-    TrackBuilder, TrackerConfig, DEFAULT_BUNDLE_IOU,
-};
+use loa_assoc::{bundle_prepared_into, BundleScratch, FrameBundles, PreparedBox, TrackBuilder};
 use loa_data::{Frame, FrameId, ObjectClass, ObservationSource, SceneData};
 use loa_geom::{Box3, Vec2};
 use serde::{Deserialize, Serialize};
@@ -157,16 +154,12 @@ impl TrackFacts {
     }
 }
 
-/// How raw observations are associated into bundles and tracks.
-#[derive(Debug, Clone, Copy, Serialize, Deserialize)]
+/// Which observation sources a scene is assembled from. The association
+/// rule itself is fixed: [`loa_assoc::BUNDLE_IOU`] for same-frame
+/// bundling, [`loa_assoc::TRACK_IOU`] and [`loa_assoc::TRACK_MAX_GAP`]
+/// for tracking.
+#[derive(Debug, Clone, Copy)]
 pub struct AssemblyConfig {
-    /// Same-frame bundling IOU threshold — the paper's
-    /// `compute_iou > 0.5`, shared with
-    /// [`IouBundler::default`](loa_assoc::IouBundler) through
-    /// [`loa_assoc::DEFAULT_BUNDLE_IOU`].
-    pub bundle_iou: f64,
-    /// Cross-frame tracking config.
-    pub tracker: TrackerConfig,
     /// Include human labels as observations.
     pub use_human: bool,
     /// Include model detections as observations.
@@ -175,12 +168,7 @@ pub struct AssemblyConfig {
 
 impl Default for AssemblyConfig {
     fn default() -> Self {
-        AssemblyConfig {
-            bundle_iou: DEFAULT_BUNDLE_IOU,
-            tracker: TrackerConfig::default(),
-            use_human: true,
-            use_model: true,
-        }
+        AssemblyConfig { use_human: true, use_model: true }
     }
 }
 
@@ -188,13 +176,13 @@ impl AssemblyConfig {
     /// Model-predictions-only assembly (the Section 8.4 application
     /// assumes no human proposals).
     pub fn model_only() -> Self {
-        AssemblyConfig { use_human: false, ..Default::default() }
+        AssemblyConfig { use_human: false, use_model: true }
     }
 
     /// Human-labels-only assembly (the label-audit application scores the
     /// vendor's own output, so model predictions are excluded).
     pub fn human_only() -> Self {
-        AssemblyConfig { use_model: false, ..Default::default() }
+        AssemblyConfig { use_human: true, use_model: false }
     }
 }
 
@@ -686,13 +674,10 @@ impl AssemblyEngine {
         }
 
         // Stage 1b: bundle the frame; humans are the first source.
-        let bundler = IouBundler { threshold: cfg.bundle_iou };
         let prepared = &self.prepared;
         bundle_prepared_into(
             prepared,
             &[humans, prepared.len()],
-            bundler.overlap_only(),
-            |a, b| bundler.associates(&prepared[a], &prepared[b]),
             &mut self.bundle_scratch,
             &mut self.frame_bundles,
         );
@@ -712,8 +697,7 @@ impl AssemblyEngine {
 
         // Stage 2: extend tracks through this frame, over the
         // representatives' footprints.
-        self.tracker
-            .step_prepared(&cfg.tracker, prepared, &self.reps, |k| frame_obs[k].bbox);
+        self.tracker.step_prepared(prepared, &self.reps);
 
         // Fold each changed track's new bundle into its facts, and record
         // the frame's delta from the watermarks and the tracker's touched
@@ -1338,17 +1322,6 @@ mod tests {
         assert!(scene.tracks().is_empty());
         assert_eq!(scene.n_frames, 0);
         assert_eq!(scene.frame_dt, 0.2);
-    }
-
-    #[test]
-    fn bundle_iou_shares_the_paper_constant() {
-        // The bundling threshold exists exactly once: the assembly default
-        // and the bundler default cannot drift apart.
-        assert_eq!(AssemblyConfig::default().bundle_iou, DEFAULT_BUNDLE_IOU);
-        assert_eq!(
-            AssemblyConfig::default().bundle_iou,
-            loa_assoc::IouBundler::default().threshold
-        );
     }
 
     #[test]

@@ -1,5 +1,5 @@
 //! Procedural scenario fuzzer: seeded world composition plus a
-//! registry-driven taxonomy of typed, injected errors.
+//! taxonomy of typed, injected errors.
 //!
 //! The handcrafted builders in [`crate::scenarios`] reproduce five of the
 //! paper's figures; this module generalizes them into a generator that
@@ -17,8 +17,8 @@
 //! 1. **Clean substrate.** The fuzzer's vendor and detector profiles
 //!    inject *no* spontaneous errors (no random track misses, clutter,
 //!    ghosts, or duplicates) — only calibrated observation noise. The
-//!    registry's injections are therefore the complete error set.
-//! 2. **Observable injections.** Each [`ErrorInjector`] only targets
+//!    injections are therefore the complete error set.
+//! 2. **Observable injections.** Each kind's injector only targets
 //!    elements where the error is detectable in principle (e.g. a track
 //!    is only deleted from the labels if the detector consistently saw
 //!    the object, so a model-only track remains as evidence). An
@@ -43,7 +43,7 @@ use std::collections::BTreeSet;
 // Error taxonomy
 // ---------------------------------------------------------------------------
 
-/// The typed error taxonomy — registry keys, generalizing the paper-figure
+/// The typed error taxonomy, generalizing the paper-figure
 /// scenarios (see the table in [`crate::scenarios`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ErrorKind {
@@ -64,7 +64,7 @@ pub enum ErrorKind {
 }
 
 impl ErrorKind {
-    /// All kinds, in stable registry order.
+    /// All kinds, in the stable order the fuzzer injects them.
     pub const ALL: [ErrorKind; 5] = [
         ErrorKind::MissingTrack,
         ErrorKind::MissingBox,
@@ -80,17 +80,6 @@ impl ErrorKind {
             ErrorKind::ClassSwap => "class-swap",
             ErrorKind::GhostTrack => "ghost-track",
             ErrorKind::InconsistentBundle => "inconsistent-bundle",
-        }
-    }
-
-    /// The paper figure(s) the kind descends from.
-    pub fn paper_figure(self) -> &'static str {
-        match self {
-            ErrorKind::MissingTrack => "Figures 1, 4, 8",
-            ErrorKind::MissingBox => "Figure 6",
-            ErrorKind::ClassSwap => "Section 8.1 (vendor class errors)",
-            ErrorKind::GhostTrack => "Figures 5, 9",
-            ErrorKind::InconsistentBundle => "Figure 7",
         }
     }
 
@@ -197,66 +186,25 @@ pub fn strip_track_labels(scene: &mut SceneData, track: TrackId, class: ObjectCl
 }
 
 // ---------------------------------------------------------------------------
-// Injector registry
+// Injectors
 // ---------------------------------------------------------------------------
 
-/// One typed error injector. `used` carries the actors already targeted
-/// by earlier injections in the scene so two injections never collide on
-/// one track (which could make either unfindable).
-pub trait ErrorInjector: Send + Sync {
-    fn kind(&self) -> ErrorKind;
-
-    /// Inject one error instance; returns `true` (and records the error
-    /// in `scene.injected`) if an eligible target existed.
-    fn inject(&self, scene: &mut SceneData, used: &mut BTreeSet<TrackId>, rng: &mut StdRng)
-        -> bool;
-}
-
-/// The registry mapping each [`ErrorKind`] to its injector.
-pub struct InjectorRegistry {
-    injectors: Vec<Box<dyn ErrorInjector>>,
-}
-
-impl std::fmt::Debug for InjectorRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let kinds: Vec<&str> = self.injectors.iter().map(|i| i.kind().name()).collect();
-        f.debug_struct("InjectorRegistry").field("kinds", &kinds).finish()
-    }
-}
-
-impl InjectorRegistry {
-    /// The standard registry: one injector per taxonomy kind, in
-    /// [`ErrorKind::ALL`] order.
-    pub fn standard() -> Self {
-        InjectorRegistry {
-            injectors: vec![
-                Box::new(MissingTrackInjector::default()),
-                Box::new(MissingBoxInjector::default()),
-                Box::new(ClassSwapInjector::default()),
-                Box::new(GhostTrackInjector::default()),
-                Box::new(InconsistentBundleInjector::default()),
-            ],
+impl ErrorKind {
+    /// Inject one error instance of this kind through its injector;
+    /// returns `true` (and records the error in `scene.injected`) if an
+    /// eligible target existed. `used` carries the actors already
+    /// targeted by earlier injections in the scene so two injections
+    /// never collide on one track (which could make either unfindable).
+    fn inject(self, scene: &mut SceneData, used: &mut BTreeSet<TrackId>, rng: &mut StdRng) -> bool {
+        match self {
+            ErrorKind::MissingTrack => MissingTrackInjector::default().inject(scene, used, rng),
+            ErrorKind::MissingBox => MissingBoxInjector::default().inject(scene, used, rng),
+            ErrorKind::ClassSwap => ClassSwapInjector::default().inject(scene, used, rng),
+            ErrorKind::GhostTrack => GhostTrackInjector::default().inject(scene, used, rng),
+            ErrorKind::InconsistentBundle => {
+                InconsistentBundleInjector::default().inject(scene, used, rng)
+            }
         }
-    }
-
-    pub fn kinds(&self) -> Vec<ErrorKind> {
-        self.injectors.iter().map(|i| i.kind()).collect()
-    }
-
-    pub fn get(&self, kind: ErrorKind) -> Option<&dyn ErrorInjector> {
-        self.injectors.iter().find(|i| i.kind() == kind).map(|b| b.as_ref())
-    }
-
-    pub fn iter(&self) -> impl Iterator<Item = &dyn ErrorInjector> {
-        self.injectors.iter().map(|b| b.as_ref())
-    }
-
-    pub fn len(&self) -> usize {
-        self.injectors.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.injectors.is_empty()
     }
 }
 
@@ -273,9 +221,9 @@ fn pick<'a, T>(items: &'a [T], rng: &mut StdRng) -> Option<&'a T> {
 /// remaining model-only track is long enough to survive the Count filter
 /// and consistent enough to rank as a likely real object.
 #[derive(Debug, Clone)]
-pub struct MissingTrackInjector {
-    pub min_detected_frames: usize,
-    pub max_distance: f64,
+struct MissingTrackInjector {
+    min_detected_frames: usize,
+    max_distance: f64,
 }
 
 impl Default for MissingTrackInjector {
@@ -284,11 +232,7 @@ impl Default for MissingTrackInjector {
     }
 }
 
-impl ErrorInjector for MissingTrackInjector {
-    fn kind(&self) -> ErrorKind {
-        ErrorKind::MissingTrack
-    }
-
+impl MissingTrackInjector {
     fn inject(
         &self,
         scene: &mut SceneData,
@@ -392,9 +336,9 @@ fn track_is_cohesive(scene: &SceneData, track: TrackId, frames: &[FrameId]) -> b
 /// detection becomes a model-only bundle inside a human track, exactly
 /// the shape the missing-observation application surfaces.
 #[derive(Debug, Clone)]
-pub struct MissingBoxInjector {
-    pub min_labeled_frames: usize,
-    pub max_distance: f64,
+struct MissingBoxInjector {
+    min_labeled_frames: usize,
+    max_distance: f64,
 }
 
 impl Default for MissingBoxInjector {
@@ -403,11 +347,7 @@ impl Default for MissingBoxInjector {
     }
 }
 
-impl ErrorInjector for MissingBoxInjector {
-    fn kind(&self) -> ErrorKind {
-        ErrorKind::MissingBox
-    }
-
+impl MissingBoxInjector {
     fn inject(
         &self,
         scene: &mut SceneData,
@@ -492,8 +432,8 @@ fn volume_is_typical(scene: &SceneData, track: TrackId) -> bool {
 /// violated by an order of magnitude, so the class-conditional volume
 /// distribution flags the track.
 #[derive(Debug, Clone)]
-pub struct ClassSwapInjector {
-    pub min_labeled_frames: usize,
+struct ClassSwapInjector {
+    min_labeled_frames: usize,
 }
 
 impl Default for ClassSwapInjector {
@@ -502,11 +442,7 @@ impl Default for ClassSwapInjector {
     }
 }
 
-impl ErrorInjector for ClassSwapInjector {
-    fn kind(&self) -> ErrorKind {
-        ErrorKind::ClassSwap
-    }
-
+impl ClassSwapInjector {
     fn inject(
         &self,
         scene: &mut SceneData,
@@ -547,9 +483,9 @@ impl ErrorInjector for ClassSwapInjector {
 /// Figure 5/9 ghost): consecutive high-confidence boxes that overlap
 /// frame to frame yet teleport, change volume, and spin implausibly.
 #[derive(Debug, Clone)]
-pub struct GhostTrackInjector {
-    pub min_frames: usize,
-    pub max_frames: usize,
+struct GhostTrackInjector {
+    min_frames: usize,
+    max_frames: usize,
 }
 
 impl Default for GhostTrackInjector {
@@ -558,11 +494,7 @@ impl Default for GhostTrackInjector {
     }
 }
 
-impl ErrorInjector for GhostTrackInjector {
-    fn kind(&self) -> ErrorKind {
-        ErrorKind::GhostTrack
-    }
-
+impl GhostTrackInjector {
     fn inject(
         &self,
         scene: &mut SceneData,
@@ -687,13 +619,13 @@ fn ghost_walk_is_isolated(scene: &SceneData, boxes: &[(usize, Box3, f64)]) -> bo
 /// keep BEV IOU above the bundling threshold while the height (and class)
 /// make the bundle's volumes wildly inconsistent.
 #[derive(Debug, Clone)]
-pub struct InconsistentBundleInjector {
-    pub max_distance: f64,
+struct InconsistentBundleInjector {
+    max_distance: f64,
     /// BEV footprint inflation (IOU with the label ≈ 1/f² must stay
     /// above the 0.5 bundling threshold).
-    pub footprint_scale: f64,
+    footprint_scale: f64,
     /// Height inflation — the volume-inconsistency driver.
-    pub height_scale: f64,
+    height_scale: f64,
 }
 
 impl Default for InconsistentBundleInjector {
@@ -702,11 +634,7 @@ impl Default for InconsistentBundleInjector {
     }
 }
 
-impl ErrorInjector for InconsistentBundleInjector {
-    fn kind(&self) -> ErrorKind {
-        ErrorKind::InconsistentBundle
-    }
-
+impl InconsistentBundleInjector {
     fn inject(
         &self,
         scene: &mut SceneData,
@@ -812,7 +740,7 @@ impl Default for FuzzProfile {
 }
 
 /// A vendor that never errs on its own: every injected label error comes
-/// from the registry, keeping the audit record exact.
+/// from the injectors, keeping the audit record exact.
 fn clean_vendor(jitter: f64) -> VendorProfile {
     VendorProfile {
         track_miss_base: 0.0,
@@ -876,18 +804,13 @@ fn mix_seed(seed: u64, index: u64) -> u64 {
 #[derive(Debug)]
 pub struct ScenarioFuzzer {
     pub profile: FuzzProfile,
-    pub registry: InjectorRegistry,
     seed: u64,
 }
 
 impl ScenarioFuzzer {
-    /// A fuzzer with the standard registry and default profile.
+    /// A fuzzer with the default profile.
     pub fn new(seed: u64) -> Self {
-        ScenarioFuzzer {
-            profile: FuzzProfile::default(),
-            registry: InjectorRegistry::standard(),
-            seed,
-        }
+        ScenarioFuzzer { profile: FuzzProfile::default(), seed }
     }
 
     pub fn with_profile(mut self, profile: FuzzProfile) -> Self {
@@ -968,7 +891,7 @@ impl ScenarioFuzzer {
     }
 
     /// Build one scene: compose a world, label and detect it cleanly,
-    /// then (optionally) run the injector registry over it.
+    /// then (optionally) inject each error kind into it.
     fn build(&self, index: u64, with_errors: bool) -> SceneData {
         let mut rng = StdRng::seed_from_u64(mix_seed(self.seed, index));
         let p = &self.profile;
@@ -1006,10 +929,10 @@ impl ScenarioFuzzer {
         };
         if with_errors {
             let mut used = BTreeSet::new();
-            for injector in self.registry.iter() {
+            for kind in ErrorKind::ALL {
                 let n = rng.gen_range(p.errors_per_kind.0..=p.errors_per_kind.1);
                 for _ in 0..n {
-                    injector.inject(&mut scene, &mut used, &mut rng);
+                    kind.inject(&mut scene, &mut used, &mut rng);
                 }
             }
         }
@@ -1233,18 +1156,5 @@ mod tests {
             }
         }
         assert!(seen > 0);
-    }
-
-    #[test]
-    fn registry_covers_taxonomy() {
-        let registry = InjectorRegistry::standard();
-        assert_eq!(registry.kinds(), ErrorKind::ALL.to_vec());
-        for kind in ErrorKind::ALL {
-            assert!(registry.get(kind).is_some(), "{kind} missing from registry");
-            assert!(!kind.name().is_empty());
-            assert!(!kind.paper_figure().is_empty());
-        }
-        assert!(!registry.is_empty());
-        assert_eq!(registry.len(), 5);
     }
 }

@@ -34,7 +34,7 @@ pub mod world;
 
 pub use class::ObjectClass;
 pub use detector::DetectorProfile;
-pub use fuzz::{ErrorKind, FuzzProfile, InjectorRegistry, ScenarioFuzzer};
+pub use fuzz::{ErrorKind, FuzzProfile, ScenarioFuzzer};
 pub use lidar::{LidarConfig, Visibility};
 pub use scene::{generate_dataset, generate_scene, DatasetProfile, SceneConfig};
 pub use types::{

@@ -15,7 +15,7 @@
 //! # Scenario taxonomy
 //!
 //! The [`crate::fuzz`] module generalizes these one-off builders into a
-//! procedural fuzzer whose injector registry spans the full typed error
+//! procedural fuzzer whose injectors span the full typed error
 //! taxonomy. Each fuzzed error kind descends from the figure(s) its
 //! handcrafted ancestor reproduced:
 //!

@@ -129,7 +129,7 @@ impl InjectionRecallResult {
 
     /// The conformance verdict: the corpus actually injected errors and
     /// every one of them ranked in top-k. An empty corpus (or a broken
-    /// injector registry yielding zero injections) is a failure, not a
+    /// injector yielding zero injections) is a failure, not a
     /// vacuous pass — a gate that verified nothing must not stay green.
     pub fn is_perfect(&self) -> bool {
         self.total_injected() > 0 && self.misses.is_empty()
@@ -380,7 +380,7 @@ mod tests {
         let report = result.report();
         assert!(report.contains("FAIL"), "{report}");
         assert!(report.contains("--seed 13"), "{report}");
-        // Every error is listed, grouped by kind in registry order.
+        // Every error is listed, grouped by kind in `ErrorKind::ALL` order.
         assert_eq!(result.misses.len(), result.total_injected());
         let kinds: Vec<usize> = result
             .misses

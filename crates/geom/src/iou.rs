@@ -2,18 +2,12 @@
 //!
 //! The LOA DSL associates observations into bundles and tracks by box
 //! overlap (`compute_iou(box1, box2) > 0.5` in the paper's `TrackBundler`
-//! example). BEV IOU is the workhorse; volumetric IOU adds the vertical
-//! overlap term and is used by evaluation matching.
+//! example), and evaluation matches boxes the same way: every IOU here is
+//! bird's-eye-view, over the boxes' footprint polygons.
 
 use crate::box3::Box3;
 use crate::polygon::box_clip_area;
 use crate::vec::Vec2;
-
-/// BEV footprint intersection area of two boxes, allocation-free: corner
-/// arrays straight into the fixed-buffer 4 × 4 box clip.
-fn bev_intersection_area(a: &Box3, b: &Box3) -> f64 {
-    box_clip_area(&a.bev_corners(), &b.bev_corners())
-}
 
 /// [`iou_bev`] over precomputed footprint corners and areas — for callers
 /// (the association passes) that evaluate many pairs per box and have
@@ -50,25 +44,10 @@ pub fn iou_bev(a: &Box3, b: &Box3) -> f64 {
     if dx * dx + dy * dy > (ra + rb) * (ra + rb) {
         return 0.0;
     }
-    let inter = bev_intersection_area(a, b);
+    // Allocation-free: corner arrays straight into the fixed-buffer 4 × 4
+    // box clip.
+    let inter = box_clip_area(&a.bev_corners(), &b.bev_corners());
     let union = a.bev_area() + b.bev_area() - inter;
-    if union <= 0.0 || !union.is_finite() {
-        return 0.0;
-    }
-    (inter / union).clamp(0.0, 1.0)
-}
-
-/// Volumetric IOU: BEV intersection area times vertical overlap, over the
-/// union of volumes.
-pub fn iou_3d(a: &Box3, b: &Box3) -> f64 {
-    let (amin, amax) = a.z_interval();
-    let (bmin, bmax) = b.z_interval();
-    let z_overlap = (amax.min(bmax) - amin.max(bmin)).max(0.0);
-    if z_overlap == 0.0 {
-        return 0.0;
-    }
-    let inter = bev_intersection_area(a, b) * z_overlap;
-    let union = a.volume() + b.volume() - inter;
     if union <= 0.0 || !union.is_finite() {
         return 0.0;
     }
@@ -90,7 +69,6 @@ mod tests {
     fn identical_boxes_have_iou_one() {
         let b = boxed(1.0, 2.0, 4.5, 1.9, 0.3);
         assert!((iou_bev(&b, &b) - 1.0).abs() < 1e-9);
-        assert!((iou_3d(&b, &b) - 1.0).abs() < 1e-9);
     }
 
     #[test]
@@ -98,7 +76,6 @@ mod tests {
         let a = boxed(0.0, 0.0, 4.0, 2.0, 0.0);
         let b = boxed(100.0, 0.0, 4.0, 2.0, 0.0);
         assert_eq!(iou_bev(&a, &b), 0.0);
-        assert_eq!(iou_3d(&a, &b), 0.0);
     }
 
     #[test]
@@ -110,19 +87,10 @@ mod tests {
     }
 
     #[test]
-    fn vertical_separation_kills_3d_iou_only() {
+    fn bev_iou_ignores_vertical_separation() {
         let a = Box3::new(Vec3::new(0.0, 0.0, 0.5), Size3::new(4.0, 2.0, 1.0), 0.0);
         let b = Box3::new(Vec3::new(0.0, 0.0, 5.0), Size3::new(4.0, 2.0, 1.0), 0.0);
         assert!((iou_bev(&a, &b) - 1.0).abs() < 1e-9);
-        assert_eq!(iou_3d(&a, &b), 0.0);
-    }
-
-    #[test]
-    fn partial_vertical_overlap() {
-        let a = Box3::new(Vec3::new(0.0, 0.0, 0.5), Size3::new(2.0, 2.0, 1.0), 0.0);
-        let b = Box3::new(Vec3::new(0.0, 0.0, 1.0), Size3::new(2.0, 2.0, 1.0), 0.0);
-        // z overlap = 0.5, intersection vol = 4*0.5 = 2, union = 4+4-2 = 6.
-        assert!((iou_3d(&a, &b) - 2.0 / 6.0).abs() < 1e-9);
     }
 
     #[test]
@@ -141,7 +109,6 @@ mod tests {
         let good = boxed(0.0, 0.0, 4.0, 2.0, 0.0);
         let degenerate = Box3::new(Vec3::ZERO, Size3::new(0.0, 0.0, 0.0), 0.0);
         assert_eq!(iou_bev(&good, &degenerate), 0.0);
-        assert_eq!(iou_3d(&good, &degenerate), 0.0);
     }
 
     proptest! {
@@ -158,10 +125,6 @@ mod tests {
             let ba = iou_bev(&b, &a);
             prop_assert!((0.0..=1.0).contains(&ab));
             prop_assert!((ab - ba).abs() < 1e-7);
-            let v = iou_3d(&a, &b);
-            prop_assert!((0.0..=1.0).contains(&v));
-            // Same ground z and height: 3D IOU must equal BEV IOU here.
-            prop_assert!((v - ab).abs() < 1e-7);
         }
 
         #[test]

@@ -11,7 +11,7 @@
 //! * [`ConvexPolygon`] — convex BEV footprints with Sutherland–Hodgman
 //!   clipping,
 //! * [`Box3`] — oriented boxes (center, size, yaw),
-//! * [`iou`] — bird's-eye-view and volumetric intersection-over-union,
+//! * [`iou`] — bird's-eye-view intersection-over-union,
 //! * [`Aabb2`] / [`BevGrid`] — axis-aligned footprint bounds and the
 //!   uniform spatial bin index the association passes prune through.
 //!
@@ -31,7 +31,7 @@ pub use aabb::Aabb2;
 pub use angle::{angle_diff, normalize_angle, undirected_angle_diff};
 pub use box3::{Box3, Size3};
 pub use grid::BevGrid;
-pub use iou::{iou_3d, iou_bev, iou_bev_prepared};
+pub use iou::{iou_bev, iou_bev_prepared};
 pub use polygon::ConvexPolygon;
 pub use pose::Pose2;
 pub use vec::{Vec2, Vec3};

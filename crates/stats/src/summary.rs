@@ -4,13 +4,19 @@
 //! deviation and interquartile range.
 
 /// Numerically stable streaming mean/variance (Welford's algorithm).
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy)]
 pub struct Welford {
     count: u64,
     mean: f64,
     m2: f64,
     min: f64,
     max: f64,
+}
+
+impl Default for Welford {
+    fn default() -> Self {
+        Self::new()
+    }
 }
 
 impl Welford {
@@ -127,6 +133,17 @@ mod tests {
         let w1 = Welford::from_slice(&[3.0]);
         assert_eq!(w1.variance(), 0.0);
         assert_eq!(w1.mean(), 3.0);
+    }
+
+    #[test]
+    fn default_starts_like_new() {
+        // The extremes start at ±∞, so the first push sets both.
+        let mut w = Welford::default();
+        w.push(5.0);
+        w.push(7.0);
+        assert_eq!((w.min(), w.max()), (5.0, 7.0));
+        assert_eq!(w.count(), 2);
+        assert_eq!(w.mean(), 6.0);
     }
 
     #[test]

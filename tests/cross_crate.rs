@@ -1,7 +1,10 @@
 //! Cross-crate consistency tests: the substrates agree with each other
 //! where their responsibilities overlap.
 
-use fixy::assoc::{bundle_frame, greedy_match, IouBundler, Match};
+use fixy::assoc::{
+    bundle_prepared_into, greedy_match_into, BundleScratch, FrameBundles, Match, MatchScratch,
+    PreparedBox, ScoreMatrix,
+};
 use fixy::core::score::normalized_log_score;
 use fixy::data::scenarios::all_scenarios;
 use fixy::data::{generate_scene, DatasetProfile};
@@ -53,21 +56,34 @@ fn engine_score_matches_manual_graph_computation() {
 fn bundling_respects_geometry() {
     // Boxes that loa-geom says overlap > 0.5 must end up bundled.
     let car = |x: f64, y: f64| Box3::on_ground(x, y, 0.0, 4.5, 1.9, 1.6, 0.0);
+    // Humans are offsets 0..2 of the frame, models 2..4.
     let human = [car(10.0, 0.0), car(30.0, 5.0)];
     let model = [car(10.1, 0.05), car(50.0, -5.0)];
-    let bundles = bundle_frame(&[&human, &model], &IouBundler::default());
+    let prepared: Vec<PreparedBox> = human.iter().chain(&model).map(PreparedBox::new).collect();
+    let mut bundles = FrameBundles::default();
+    bundle_prepared_into(&prepared, &[2, 4], &mut BundleScratch::default(), &mut bundles);
     assert!(iou_bev(&human[0], &model[0]) > 0.5);
-    let merged = bundles.iter().find(|b| b.len() == 2).expect("one merged bundle");
-    assert!(merged.has_source(0) && merged.has_source(1));
+    let merged: Vec<&[u32]> = bundles.iter().filter(|b| b.len() == 2).collect();
+    assert_eq!(merged, [&[0, 2]], "one merged bundle, human 0 with model 0");
 }
 
 #[test]
 fn matching_algorithms_agree_on_separable_input() {
-    let scores = vec![vec![0.9, 0.0, 0.0], vec![0.0, 0.8, 0.0], vec![0.0, 0.0, 0.7]];
+    // Every pair scored, as the tracker's dense reference scores them.
+    let scores = [[0.9, 0.0, 0.0], [0.0, 0.8, 0.0], [0.0, 0.0, 0.7]];
     let diagonal: Vec<Match> = (0..3)
         .map(|i| Match { left: i, right: i, score: scores[i][i] })
         .collect();
-    assert_eq!(greedy_match(&scores, 0.5), diagonal);
+    let mut matrix = ScoreMatrix::new();
+    matrix.reset(3, 3);
+    for (i, row) in scores.iter().enumerate() {
+        for (j, &s) in row.iter().enumerate() {
+            matrix.push(i, j, s);
+        }
+    }
+    let mut matches = Vec::new();
+    greedy_match_into(&matrix, 0.5, &mut MatchScratch::default(), &mut matches);
+    assert_eq!(matches, diagonal);
 }
 
 #[test]

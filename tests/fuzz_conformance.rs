@@ -66,7 +66,7 @@ fn same_seed_produces_identical_report() {
     assert_eq!(a, b);
 }
 
-/// The registry-driven taxonomy covers all five error kinds and each is
+/// The injected taxonomy covers all five error kinds and each is
 /// reachable from a small corpus.
 #[test]
 fn taxonomy_reachable_from_small_corpus() {

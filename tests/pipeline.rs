@@ -143,11 +143,10 @@ fn assembly_engine_matches_scene_assemble_field_for_field() {
 /// its most confident detections, and the representatives' boxes linked
 /// across frames by `build_tracks_brute`.
 fn assemble_brute(data: &SceneData, cfg: &AssemblyConfig) -> Scene {
-    use fixy::assoc::{build_tracks_brute, bundle_frame_brute, IouBundler};
+    use fixy::assoc::{build_tracks_brute, bundle_frame_brute};
     use fixy::data::FrameId;
     use fixy::geom::Box3;
 
-    let bundler = IouBundler { threshold: cfg.bundle_iou };
     let mut observations: Vec<Observation> = Vec::new();
     let mut bundles = Vec::new();
     let mut frame_bundle_start = Vec::new();
@@ -181,12 +180,8 @@ fn assemble_brute(data: &SceneData, cfg: &AssemblyConfig) -> Scene {
             .collect();
         frame_bundle_start.push(bundles.len());
         let mut reps = Vec::new();
-        for group in bundle_frame_brute(&[&humans, &models], &bundler) {
-            let members: Vec<ObsIdx> = group
-                .members
-                .iter()
-                .map(|&(s, i)| ObsIdx(first + if s == 0 { i } else { humans.len() + i }))
-                .collect();
+        for group in bundle_frame_brute(&[&humans, &models]) {
+            let members: Vec<ObsIdx> = group.iter().map(|&m| ObsIdx(first + m as usize)).collect();
             let member_obs = members.iter().map(|o| &observations[o.0]);
             let human = member_obs.clone().find(|o| o.source == ObservationSource::Human);
             let rep = human.unwrap_or_else(|| {
@@ -199,7 +194,7 @@ fn assemble_brute(data: &SceneData, cfg: &AssemblyConfig) -> Scene {
         }
         rep_boxes.push(reps);
     }
-    let tracks = build_tracks_brute(&rep_boxes, &cfg.tracker)
+    let tracks = build_tracks_brute(&rep_boxes)
         .into_iter()
         .map(|path| {
             path.entries
