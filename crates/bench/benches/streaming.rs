@@ -4,9 +4,9 @@
 //!   frame-by-frame path (begin/push/finalize) against the one-shot
 //!   engine; the delta is the price of incremental availability (both
 //!   run the same staged internals, so it should be ≈0).
-//! * `streaming/push_and_snapshot_per_frame` — the live regime: push one
-//!   frame, materialize the partial-scene snapshot; divide the median by
-//!   the frame count for per-frame latency.
+//! * `streaming/push_and_grow_per_frame` — the live regime: push one
+//!   frame, grow the partial scene in place (`update_snapshot`); divide
+//!   the median by the frame count for per-frame latency.
 //! * `streaming/fscb_decode_scene` — binary scene loading from disk.
 //! * `streaming/json_decode_tree` vs `json_decode_streamed` (short and
 //!   full-size scene) — the two JSON decode paths: materialize a
@@ -15,12 +15,12 @@
 //!   cost of the intermediate tree.
 //! * `streaming/rank_corpus_streamed` vs `rank_corpus_buffered` — a
 //!   scene-directory rank through `process_stream` + `CorpusSource`
-//!   (O(workers) scenes resident) against load-everything + `run`.
+//!   (O(workers) scenes resident) against load-everything + `process`.
 //! * `streaming/incremental_rescore_per_frame` vs
 //!   `full_rescore_per_frame` — the O(Δ) cached-component path
 //!   (`update_snapshot` + `rescore_delta` + cached sweep) against a
-//!   from-scratch whole-scene score of every snapshot, on a short and a
-//!   long scene. Divide medians by the frame count for per-frame cost:
+//!   from-scratch whole-scene score of the grown scene every frame, on a
+//!   short and a long scene. Divide medians by the frame count for per-frame cost:
 //!   the full path grows with scene length, the incremental path stays
 //!   flat. The bench also times `update_snapshot` alone per frame on
 //!   both scenes and, outside smoke mode, asserts the long scene's
@@ -79,15 +79,17 @@ fn bench_streamed_assembly(c: &mut Criterion) {
         })
     });
 
-    // The live regime: every pushed frame is followed by a partial-scene
-    // snapshot (what an online ranker would score).
-    group.bench_function("push_and_snapshot_per_frame", |b| {
+    // The live regime: every pushed frame grows the partial scene in
+    // place (what an online ranker scores).
+    group.bench_function("push_and_grow_per_frame", |b| {
         b.iter(|| {
             assembler.begin(data.frame_dt);
+            let mut partial = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
             let mut acc = 0usize;
             for frame in &data.frames {
                 assembler.push_frame(black_box(frame)).expect("push");
-                acc += assembler.snapshot().n_tracks();
+                assembler.update_snapshot(&mut partial).expect("grow");
+                acc += partial.n_tracks();
             }
             let scene = assembler.finalize().expect("finalize");
             black_box((acc, scene.n_tracks()))
@@ -194,7 +196,7 @@ fn bench_corpus_rank(c: &mut Criterion) {
                 .map(|p| loa_ingest::read_scene(p).expect("read"))
                 .collect();
             let ranked = ScenePipeline::new(MissingTrackFinder)
-                .run(&library, scenes)
+                .process(&library, scenes, |r| r)
                 .expect("buffered rank");
             black_box(ranked.iter().map(|r| r.candidates.len()).sum::<usize>())
         })
@@ -247,17 +249,18 @@ fn bench_incremental_rescore(c: &mut Criterion) {
             })
         });
 
-        // O(scene): from-scratch snapshot + whole-scene score every frame —
-        // the pre-incremental live path.
+        // O(scene): a from-scratch whole-scene score of the grown scene
+        // every frame — the pre-incremental live path.
         group.bench_function(BenchmarkId::new("full_rescore_per_frame", label), |b| {
             let mut assembler = StreamingAssembler::new(AssemblyConfig::default());
             b.iter(|| {
                 assembler.begin(data.frame_dt);
+                let mut scene = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
                 let mut acc = 0usize;
                 for frame in &data.frames {
                     assembler.push_frame(black_box(frame)).expect("push");
-                    let snapshot = assembler.snapshot();
-                    let engine = ScoreEngine::new(&snapshot, &features, &library).expect("compile");
+                    assembler.update_snapshot(&mut scene).expect("update");
+                    let engine = ScoreEngine::new(&scene, &features, &library).expect("compile");
                     acc += engine.score_all_tracks().len();
                 }
                 assembler.finalize().expect("finalize");

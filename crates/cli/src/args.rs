@@ -61,9 +61,11 @@ re-ranking the partial scene after every frame and printing per-frame
 latency: the live-deployment path, where errors surface before the
 scene has even finished recording. Re-ranking is incremental (scene-wide
 log-probability columns, re-folded only for the tracks a frame changed);
---compare-full additionally scores the whole snapshot every frame,
-prints delta-vs-full latency, and exits non-zero if the worklists ever
-diverge. --trace enables loa_obs span tracing and prints a per-frame
+--compare-full additionally re-assembles the frames pushed so far in
+one batch (Scene::assemble) and ranks that from scratch every frame,
+prints streamed-vs-full latency (the full time includes the batch
+assembly), and exits non-zero if the worklists ever diverge; with .fscb
+input it keeps the frames read so far in memory. --trace enables loa_obs span tracing and prints a per-frame
 stage-timing table: self microseconds per stage (push/snapshot/rescore/
 score/rank, nested spans not counted twice), the rest of the frame
 (other), and the frame's measured time (wall).

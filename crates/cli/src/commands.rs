@@ -163,8 +163,10 @@ struct SceneChunk {
     candidates: usize,
 }
 
-/// Order chunks by the batch engine's deterministic merge key (scene id,
-/// then input index) and stitch the worklist together.
+/// Order chunks by scene id, then input index (the tiebreak for
+/// duplicate ids), and stitch the worklist together: the one place the
+/// batch worklist's merge order is defined. The pipeline itself returns
+/// scenes in input order.
 fn render_chunks(header: &str, mut chunks: Vec<SceneChunk>, n_scenes: usize) -> String {
     chunks.sort_by(|a, b| a.id.cmp(&b.id).then(a.index.cmp(&b.index)));
     let mut out = String::new();
@@ -410,16 +412,20 @@ fn convert_corpus(data: &std::path::Path, out_dir: &std::path::Path) -> Result<S
 /// surfaces while the scene is still recording. `.fscb` input decodes
 /// truly frame-by-frame; `.json` input is parsed once, then replayed.
 ///
-/// Re-ranking runs the O(Δ) incremental path: the snapshot grows in
-/// place, and `IncrementalScorer` re-scores only the tracks the frame's
-/// assembly delta changed. `--compare-full` additionally runs a
-/// from-scratch whole-scene `ScoreEngine` every frame, reports
-/// delta-vs-full latency, and fails on any worklist divergence (labels
-/// or score bits). `--trace` turns on `loa_obs` span recording and
-/// appends a per-frame stage-timing table built from the drained span
-/// stream: each stage's self time (push / snapshot / rescore / score /
-/// rank, nested spans subtracted from their parent), the frame's
-/// measured time, and the remainder no stage span covers.
+/// Re-ranking runs the O(Δ) incremental path: the partial scene grows
+/// in place, and `IncrementalScorer` re-scores only the tracks the
+/// frame's assembly delta changed. `--compare-full` additionally holds
+/// every frame against the batch path: it re-assembles the frames
+/// pushed so far with `Scene::assemble` and ranks that with
+/// [`App::rank`], reports streamed-vs-full latency (full includes the
+/// assembly), and fails on any worklist divergence (labels or score
+/// bits) — so it checks streamed against batch assembly as well as
+/// incremental against whole-scene scoring. `--trace` turns on
+/// `loa_obs` span recording and appends a per-frame stage-timing table
+/// built from the drained span stream: each stage's self time (push /
+/// snapshot / rescore / score / rank, nested spans subtracted from their
+/// parent), the frame's measured time, and the remainder no stage span
+/// covers.
 pub fn stream(args: StreamArgs) -> Result<String, CliError> {
     if args.trace {
         loa_obs::enable_all();
@@ -455,9 +461,19 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
     ];
     let mut trace_rows: Vec<(u64, [u64; TRACE_STAGES.len()], f64)> = Vec::new();
 
+    // `--compare-full`'s batch reference: the frames pushed so far.
+    let pushed_so_far = |id: &str, frame_dt: f64| {
+        args.compare_full.then(|| SceneData {
+            id: id.to_string(),
+            frame_dt,
+            frames: Vec::new(),
+            injected: Default::default(),
+        })
+    };
     let mut replay_frame = |assembler: &mut StreamingAssembler,
                             scene: &mut Scene,
                             scorer: &mut IncrementalScorer<'_>,
+                            pushed: &mut Option<SceneData>,
                             frame: &loa_data::Frame|
      -> Result<(), CliError> {
         let t0 = std::time::Instant::now();
@@ -485,10 +501,11 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
             trace_rows.push((u64::from(frame.index.0), totals, push + score));
         }
 
-        if args.compare_full {
+        if let Some(pushed) = pushed {
+            pushed.frames.push(frame.clone());
             let t2 = std::time::Instant::now();
-            let snapshot = assembler.snapshot();
-            let full_ranked = entries(&snapshot, app.rank(&snapshot, library)?);
+            let batch = Scene::assemble(pushed, &app.assembly());
+            let full_ranked = entries(&batch, app.rank(&batch, library)?);
             let full = t2.elapsed().as_secs_f64() * 1e6;
             let diverged = full_ranked.len() != ranked.len()
                 || full_ranked
@@ -497,7 +514,7 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
                     .any(|(a, b)| a.0 != b.0 || a.1.to_bits() != b.1.to_bits());
             if diverged {
                 return Err(CliError::Invalid(format!(
-                    "frame {}: incremental worklist diverged from full re-rank \
+                    "frame {}: streamed worklist diverged from batch re-assembly and re-rank \
                      ({} vs {} candidate(s))",
                     frame.index.0,
                     ranked.len(),
@@ -537,16 +554,18 @@ pub fn stream(args: StreamArgs) -> Result<String, CliError> {
         scene_id = reader.id().to_string();
         assembler.begin(reader.frame_dt());
         let mut scene = Scene::from_parts(vec![], vec![], vec![], reader.frame_dt(), 0);
+        let mut pushed = pushed_so_far(&scene_id, reader.frame_dt());
         while let Some(frame) = reader.next_frame()? {
-            replay_frame(&mut assembler, &mut scene, &mut scorer, &frame)?;
+            replay_frame(&mut assembler, &mut scene, &mut scorer, &mut pushed, &frame)?;
         }
     } else {
         let data = loa_ingest::load_scene_auto(&args.scene)?;
         scene_id = data.id.clone();
         assembler.begin(data.frame_dt);
         let mut scene = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
+        let mut pushed = pushed_so_far(&scene_id, data.frame_dt);
         for frame in &data.frames {
-            replay_frame(&mut assembler, &mut scene, &mut scorer, frame)?;
+            replay_frame(&mut assembler, &mut scene, &mut scorer, &mut pushed, frame)?;
         }
     }
     let final_scene = assembler.finalize()?;
@@ -830,9 +849,9 @@ fn today() -> String {
 /// The snapshot file is the v2 trajectory format:
 /// `{"schema": "fixy-bench-snapshot/v2", "snapshots": [...]}`, each
 /// snapshot carrying `recorded`/`toolchain`/`host` metadata plus the
-/// bench medians. A v1 single-snapshot file is migrated in place (its
-/// one record becomes the first trajectory point). Re-running a bench
-/// within one lines file keeps the last median per id.
+/// bench medians. An existing `--out` file without a `snapshots` array
+/// is refused and left untouched. Re-running a bench within one lines
+/// file keeps the last median per id.
 pub fn bench_record(args: crate::args::BenchRecordArgs) -> Result<String, CliError> {
     use serde::Value;
 
@@ -881,23 +900,19 @@ pub fn bench_record(args: crate::args::BenchRecordArgs) -> Result<String, CliErr
         (String::from("benches"), Value::Array(benches)),
     ]);
 
-    // Load the existing trajectory (migrating v1 in place) and append.
+    // Load the existing trajectory and append.
     let mut snapshots: Vec<Value> = match std::fs::read_to_string(&args.out) {
-        Ok(existing) => {
-            let v = serde_json::parse_value(&existing)?;
-            match v.get("snapshots").and_then(Value::as_array) {
-                Some(list) => list.to_vec(),
-                // v1: the whole file is one snapshot — keep it as the
-                // trajectory's first point, minus the schema field.
-                None => {
-                    let fields: Vec<(String, Value)> = v
-                        .as_object()
-                        .map(|o| o.iter().filter(|(k, _)| k != "schema").cloned().collect())
-                        .unwrap_or_default();
-                    vec![Value::Object(fields)]
-                }
-            }
-        }
+        Ok(existing) => serde_json::parse_value(&existing)?
+            .get("snapshots")
+            .and_then(Value::as_array)
+            .ok_or_else(|| {
+                CliError::Invalid(format!(
+                    "{} has no \"snapshots\" array (not a fixy-bench-snapshot/v2 file); \
+                     refusing to rewrite it",
+                    args.out.display()
+                ))
+            })?
+            .to_vec(),
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => Vec::new(),
         Err(e) => return Err(CliError::Io(e)),
     };
@@ -1665,14 +1680,14 @@ mod tests {
     }
 
     #[test]
-    fn bench_record_migrates_v1_and_appends() {
+    fn bench_record_appends_to_v2_trajectory() {
         let dir = tmp_dir("bench_record");
         let lines = dir.join("criterion.jsonl");
         let out = dir.join("bench.json");
-        // Seed a v1 single-snapshot file.
+        // Seed a v2 file with one snapshot.
         std::fs::write(
             &out,
-            r#"{"schema":"fixy-bench-snapshot/v1","recorded":"2026-07-30","toolchain":"rustc x","host":{"cpus":1},"benches":[{"id":"a/b","median_ns":5.0,"samples":10}]}"#,
+            r#"{"schema":"fixy-bench-snapshot/v2","snapshots":[{"recorded":"2026-07-30","toolchain":"rustc x","host":{"cpus":1},"benches":[{"id":"a/b","median_ns":5.0,"samples":10}]}]}"#,
         )
         .unwrap();
         // Two records for one id: the re-run median must win.
@@ -1698,7 +1713,7 @@ mod tests {
         );
         let snapshots = merged.get("snapshots").and_then(serde::Value::as_array).unwrap();
         assert_eq!(snapshots.len(), 2);
-        // First point is the migrated v1 snapshot.
+        // First point is the seeded snapshot, kept as it was.
         assert_eq!(
             snapshots[0].get("recorded").and_then(serde::Value::as_str),
             Some("2026-07-30")
@@ -1731,6 +1746,50 @@ mod tests {
                 .len(),
             3
         );
+    }
+
+    #[test]
+    fn bench_record_refuses_file_without_snapshots() {
+        let dir = tmp_dir("bench_record_refuse");
+        let lines = dir.join("criterion.jsonl");
+        let out = dir.join("bench.json");
+        // A single-snapshot (v1) file has no `snapshots` array.
+        let v1 = r#"{"schema":"fixy-bench-snapshot/v1","recorded":"2026-07-30","toolchain":"rustc x","host":{"cpus":1},"benches":[{"id":"a/b","median_ns":5.0,"samples":10}]}"#;
+        std::fs::write(&out, v1).unwrap();
+        std::fs::write(&lines, "{\"id\":\"a/b\",\"median_ns\":3.0,\"samples\":10}\n").unwrap();
+        let cmd = parse(&argv(&format!(
+            "bench-record --json {} --out {}",
+            lines.display(),
+            out.display()
+        )))
+        .unwrap();
+        match run(cmd) {
+            Err(crate::CliError::Invalid(msg)) => {
+                assert!(msg.contains(&out.display().to_string()), "{msg}");
+                assert!(msg.contains("snapshots"), "{msg}");
+            }
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+        assert_eq!(
+            std::fs::read_to_string(&out).unwrap(),
+            v1,
+            "the file must be left untouched"
+        );
+    }
+
+    #[test]
+    fn render_chunks_orders_by_scene_id_then_index() {
+        // The pipeline returns scenes in input order; the printer alone
+        // merges them by scene id, then input index for duplicate ids.
+        let chunk = |id: &str, index: usize| super::SceneChunk {
+            id: id.to_string(),
+            index,
+            body: format!("{id}#{index}\n"),
+            candidates: 1,
+        };
+        let chunks = vec![chunk("b", 0), chunk("a", 3), chunk("c", 1), chunk("a", 2)];
+        let out = super::render_chunks("header", chunks, 4);
+        assert_eq!(out, "header\na#2\na#3\nb#0\nc#1\n4 candidate(s) across 4 scene(s)\n");
     }
 
     #[test]

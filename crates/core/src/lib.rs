@@ -77,9 +77,7 @@ pub use error::FixyError;
 pub use feature::{BoundFeature, Feature, FeatureKind, FeatureSet, FeatureTarget, FeatureValue};
 pub use incremental::IncrementalScorer;
 pub use learner::{FeatureLibrary, FittedDistribution, Learner};
-pub use pipeline::{
-    merge_ranked, sort_ranked_scenes, BatchCandidate, RankedScene, ScenePipeline, SceneRanker,
-};
+pub use pipeline::{RankedScene, ScenePipeline, SceneRanker};
 pub use scene::{
     AssemblyConfig, AssemblyEngine, Bundle, BundleIdx, FrameDelta, ObsIdx, Observation, Scene,
     SnapshotMismatch, Track, TrackIdx,
@@ -95,9 +93,7 @@ pub mod prelude {
     pub use crate::feature::{Feature, FeatureKind, FeatureSet, FeatureTarget, FeatureValue};
     pub use crate::incremental::IncrementalScorer;
     pub use crate::learner::{FeatureLibrary, Learner};
-    pub use crate::pipeline::{
-        sort_ranked_scenes, BatchCandidate, RankedScene, ScenePipeline, SceneRanker,
-    };
+    pub use crate::pipeline::{RankedScene, ScenePipeline, SceneRanker};
     pub use crate::rank::{BundleCandidate, Candidate, TrackCandidate};
     pub use crate::scene::{
         AssemblyConfig, AssemblyEngine, Bundle, BundleIdx, FrameDelta, ObsIdx, Observation, Scene,

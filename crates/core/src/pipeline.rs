@@ -5,27 +5,28 @@
 //! recorded drives per day. Scenes are independent — assembly, factor
 //! graph compilation, and scoring never look across scene boundaries —
 //! so the batch engine fans each scene out to a worker against one
-//! shared, immutable [`FeatureLibrary`] and merges the ranked candidates
-//! deterministically.
+//! shared, immutable [`FeatureLibrary`] and returns one result per
+//! scene, in input order.
 //!
 //! ```text
 //!  SceneData ──┐
-//!  SceneData ──┼─► assemble ─► compile ─► score ─► rank ──┐
-//!  SceneData ──┘   (pull-pool fan-out, shared library)     ├─► merge
-//!                                                          ┘   (scene id, then score)
+//!  SceneData ──┼─► assemble ─► compile ─► score ─► rank ─► per-scene
+//!  SceneData ──┘   (pull-pool fan-out, shared library)     results,
+//!                                                          input order
 //! ```
 //!
-//! One worker pool, [`pool_map`], serves every entry point: workers pull
+//! One worker pool, [`pool_map`], serves both entry points: workers pull
 //! one scene at a time from one shared source
-//! ([`ScenePipeline::process_stream`]); the batch entry points
-//! ([`run`](ScenePipeline::run), [`run_merged`](ScenePipeline::run_merged),
-//! [`process`](ScenePipeline::process)) feed it their collected scenes.
-//! [`worker_count`] sizes it.
+//! ([`ScenePipeline::process_stream`]);
+//! [`process`](ScenePipeline::process) feeds it a collected batch.
+//! [`worker_count`] sizes it. Merging scenes into one worklist is the
+//! printer's job: `fixy rank` orders its per-scene chunks by scene id,
+//! then input index.
 //!
 //! Determinism is a contract, not an accident: the parallel path yields
 //! results byte-identical to the sequential path (`tests/pipeline.rs`
-//! locks this in), because per-scene work is pure and the merge orders
-//! by `(scene id, score desc, track idx)` — never by completion time.
+//! locks this in), because per-scene work is pure and results are
+//! placed by input index — never by completion time.
 
 use crate::apps::{
     BundleAuditFinder, LabelAuditFinder, MissingObsFinder, MissingTrackFinder, ModelErrorFinder,
@@ -254,7 +255,7 @@ impl SceneRanker for BundleAuditFinder {
 pub struct RankedScene<C = TrackCandidate> {
     /// Position in the input batch.
     pub index: usize,
-    /// `SceneData::id`, the deterministic merge key.
+    /// `SceneData::id`, the key a merged worklist orders scenes by.
     pub id: String,
     pub data: SceneData,
     pub scene: Scene,
@@ -262,18 +263,10 @@ pub struct RankedScene<C = TrackCandidate> {
     pub candidates: Vec<C>,
 }
 
-/// One candidate of the merged batch worklist.
-#[derive(Debug, Clone)]
-pub struct BatchCandidate<C = TrackCandidate> {
-    pub scene_index: usize,
-    pub scene_id: String,
-    pub candidate: C,
-}
-
 /// The batch engine. Construct with [`ScenePipeline::new`], then feed
-/// any iterator of [`SceneData`] to [`run`](ScenePipeline::run) /
-/// [`run_merged`](ScenePipeline::run_merged) /
-/// [`process`](ScenePipeline::process).
+/// any iterator of [`SceneData`] to [`process`](ScenePipeline::process),
+/// or a stream of scene tokens to
+/// [`process_stream`](ScenePipeline::process_stream).
 #[derive(Debug, Clone)]
 pub struct ScenePipeline<R> {
     ranker: R,
@@ -311,21 +304,11 @@ impl<R: SceneRanker> ScenePipeline<R> {
         Ok(RankedScene { index, id: data.id.clone(), data, scene, candidates })
     }
 
-    /// Assemble, compile, score, and rank every scene, returning
-    /// per-scene results in input order. The first scene error aborts
-    /// the batch.
-    pub fn run(
-        &self,
-        library: &FeatureLibrary,
-        scenes: impl IntoIterator<Item = SceneData>,
-    ) -> Result<Vec<RankedScene<R::Candidate>>, FixyError> {
-        self.process(library, scenes, |ranked| ranked)
-    }
-
-    /// Like [`run`](ScenePipeline::run), but map each [`RankedScene`]
-    /// through `post` inside the worker (hit resolution, metric
-    /// extraction, …) so per-scene state is dropped before the batch
-    /// collects. Results keep input order.
+    /// Assemble, compile, score, and rank every scene, mapping each
+    /// [`RankedScene`] through `post` inside the worker (hit resolution,
+    /// metric extraction, …) so per-scene state is dropped before the
+    /// batch collects; `|r| r` keeps the whole result. Results keep
+    /// input order, and the first scene error aborts the batch.
     ///
     /// The collected scenes run through [`pool_map`], with at most one
     /// worker per scene so a small batch spawns no idle threads. A worker
@@ -351,8 +334,8 @@ impl<R: SceneRanker> ScenePipeline<R> {
     /// Like [`process`](ScenePipeline::process), but over a *stream* of
     /// scenes, holding at most O(workers) scenes in memory.
     ///
-    /// The batch entry points materialize the whole input before fanning
-    /// out — fine for a handful of scenes, unaffordable for a
+    /// [`process`](Self::process) materializes the whole input before
+    /// fanning out — fine for a handful of scenes, unaffordable for a
     /// fleet-scale corpus directory. Here `sources` yields cheap scene
     /// *tokens* (paths, seeds) which [`pool_map`]'s workers pull one at a
     /// time, in input order; `load` then materializes the scene inside
@@ -407,43 +390,6 @@ impl<R: SceneRanker> ScenePipeline<R> {
             Ok(post(self.process_scene(index, data, library)?))
         })
     }
-
-    /// Run the batch and merge all candidates into one deterministic
-    /// worklist: stable by scene id, then by each scene's ranking
-    /// (score descending, track index tiebreak).
-    pub fn run_merged(
-        &self,
-        library: &FeatureLibrary,
-        scenes: impl IntoIterator<Item = SceneData>,
-    ) -> Result<Vec<BatchCandidate<R::Candidate>>, FixyError> {
-        Ok(merge_ranked(self.run(library, scenes)?))
-    }
-}
-
-/// Order per-scene results by the batch engine's deterministic merge
-/// key: scene id, then input index (tiebreak for duplicate ids). The
-/// single definition of the ordering contract — the merge and every
-/// worklist printer sort through here.
-pub fn sort_ranked_scenes<C>(ranked: &mut [RankedScene<C>]) {
-    ranked.sort_by(|a, b| a.id.cmp(&b.id).then(a.index.cmp(&b.index)));
-}
-
-/// Deterministic merge of per-scene rankings: scenes ordered by
-/// [`sort_ranked_scenes`], candidates within a scene keeping their
-/// score-descending order.
-pub fn merge_ranked<C>(mut ranked: Vec<RankedScene<C>>) -> Vec<BatchCandidate<C>> {
-    sort_ranked_scenes(&mut ranked);
-    ranked
-        .into_iter()
-        .flat_map(|r| {
-            let (index, id) = (r.index, r.id);
-            r.candidates.into_iter().map(move |candidate| BatchCandidate {
-                scene_index: index,
-                scene_id: id.clone(),
-                candidate,
-            })
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -464,6 +410,20 @@ mod tests {
     fn library(train: &[SceneData]) -> FeatureLibrary {
         let finder = MissingTrackFinder;
         Learner::new().fit(&finder.feature_set(), train).expect("fit")
+    }
+
+    /// Per-scene results agree scene by scene, in input order, down to
+    /// the bits of every score.
+    fn assert_same_results(a: &[RankedScene], b: &[RankedScene]) {
+        assert_eq!(a.len(), b.len());
+        for (x, y) in a.iter().zip(b) {
+            assert_eq!((x.index, &x.id), (y.index, &y.id));
+            assert_eq!(x.candidates.len(), y.candidates.len(), "scene {}", x.id);
+            for (p, q) in x.candidates.iter().zip(&y.candidates) {
+                assert_eq!(p.track, q.track);
+                assert_eq!(p.score.to_bits(), q.score.to_bits());
+            }
+        }
     }
 
     #[test]
@@ -501,19 +461,14 @@ mod tests {
         let batch = small_batch(4, 300);
 
         let par = ScenePipeline::new(MissingTrackFinder)
-            .run_merged(&lib, batch.clone())
+            .process(&lib, batch.clone(), |r| r)
             .expect("parallel run");
         let seq = ScenePipeline::new(MissingTrackFinder)
             .sequential()
-            .run_merged(&lib, batch)
+            .process(&lib, batch, |r| r)
             .expect("sequential run");
 
-        assert_eq!(par.len(), seq.len());
-        for (a, b) in par.iter().zip(&seq) {
-            assert_eq!(a.scene_id, b.scene_id);
-            assert_eq!(a.candidate.track, b.candidate.track);
-            assert!(a.candidate.score.to_bits() == b.candidate.score.to_bits());
-        }
+        assert_same_results(&par, &seq);
     }
 
     #[test]
@@ -521,34 +476,9 @@ mod tests {
         let train = small_batch(2, 100);
         let lib = library(&train);
         let out = ScenePipeline::new(MissingTrackFinder)
-            .run(&lib, Vec::new())
+            .process(&lib, Vec::new(), |r| r)
             .expect("empty batch");
         assert!(out.is_empty());
-    }
-
-    #[test]
-    fn merge_orders_by_scene_id_then_rank() {
-        let train = small_batch(2, 100);
-        let lib = library(&train);
-        // Feed scenes in reverse-id order; the merge must reorder by id.
-        let mut batch = small_batch(3, 300);
-        batch.reverse();
-        let merged = ScenePipeline::new(MissingTrackFinder)
-            .run_merged(&lib, batch)
-            .expect("run");
-        let mut last: Option<(&str, f64)> = None;
-        for bc in &merged {
-            if let Some((id, score)) = last {
-                assert!(
-                    bc.scene_id.as_str() >= id,
-                    "scene ids must be non-decreasing in the merge"
-                );
-                if bc.scene_id == id {
-                    assert!(bc.candidate.score <= score, "within-scene order is score desc");
-                }
-            }
-            last = Some((&bc.scene_id, bc.candidate.score));
-        }
     }
 
     #[test]
@@ -558,19 +488,13 @@ mod tests {
         let batch = small_batch(5, 900);
 
         let buffered = ScenePipeline::new(MissingTrackFinder)
-            .run_merged(&lib, batch.clone())
+            .process(&lib, batch.clone(), |r| r)
             .expect("buffered");
         let streamed = ScenePipeline::new(MissingTrackFinder)
             .process_stream(&lib, batch, Ok::<_, FixyError>, |r| r)
             .expect("streamed");
-        let streamed = merge_ranked(streamed);
 
-        assert_eq!(buffered.len(), streamed.len());
-        for (a, b) in buffered.iter().zip(&streamed) {
-            assert_eq!(a.scene_id, b.scene_id);
-            assert_eq!(a.candidate.track, b.candidate.track);
-            assert_eq!(a.candidate.score.to_bits(), b.candidate.score.to_bits());
-        }
+        assert_same_results(&buffered, &streamed);
     }
 
     #[test]

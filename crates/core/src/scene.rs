@@ -513,10 +513,10 @@ pub struct FrameDelta {
 /// has no batch latency floor. [`Scene::assemble`] (and
 /// [`assemble`](AssemblyEngine::assemble)) is the one-shot loop over this
 /// exact path, which is what makes streamed and batch output
-/// field-for-field identical. [`snapshot_prefix`](AssemblyEngine::snapshot_prefix)
-/// materializes the partial scene mid-stream (the sweep never revises a
-/// past frame's assignments, so a prefix snapshot equals a batch assembly
-/// of the truncated scene).
+/// field-for-field identical. Mid-stream, [`update_snapshot`](AssemblyEngine::update_snapshot)
+/// grows one live scene in place after each push (the sweep never
+/// revises a past frame's assignments, so the grown scene equals a batch
+/// assembly of the scene truncated to the frames pushed so far).
 #[derive(Debug, Default)]
 pub struct AssemblyEngine {
     cfg: AssemblyConfig,
@@ -533,15 +533,13 @@ pub struct AssemblyEngine {
     reps: Vec<u32>,
     tracker: TrackBuilder,
     // In-progress scene accumulators: the bundle CSR grows per frame;
-    // `frame_obs_start`/`frame_bundle_start` record each frame's
-    // watermarks (entry `f` = counts before frame `f`), which both maps
-    // a tracker path entry `(f, b)` to its `BundleIdx` and lets
-    // `snapshot_prefix` cut the arenas at any frame boundary.
+    // `frame_bundle_start` records each frame's bundle watermark (entry
+    // `f` = bundles before frame `f`), which maps a tracker path entry
+    // `(f, b)` to its `BundleIdx`.
     observations: Vec<Observation>,
     bundles: Vec<Bundle>,
     bundle_obs_offsets: Vec<u32>,
     bundle_obs_arena: Vec<ObsIdx>,
-    frame_obs_start: Vec<u32>,
     frame_bundle_start: Vec<u32>,
     /// Per track, folded as the track gains each bundle (the order a
     /// from-scratch fold takes, so the sums agree bit for bit).
@@ -556,10 +554,6 @@ pub struct AssemblyEngine {
 impl AssemblyEngine {
     pub fn new(cfg: AssemblyConfig) -> Self {
         AssemblyEngine { cfg, ..Default::default() }
-    }
-
-    pub fn config(&self) -> &AssemblyConfig {
-        &self.cfg
     }
 
     /// Swap the assembly configuration, keeping all scratch buffers (the
@@ -604,7 +598,6 @@ impl AssemblyEngine {
         self.bundle_obs_offsets.clear();
         self.bundle_obs_offsets.push(0);
         self.bundle_obs_arena.clear();
-        self.frame_obs_start.clear();
         self.frame_bundle_start.clear();
         self.track_facts.clear();
         self.tracker.begin();
@@ -631,7 +624,6 @@ impl AssemblyEngine {
         let cfg = self.cfg;
         let f = self.n_frames;
         let (obs_start, bundle_start) = (self.observations.len(), self.bundles.len());
-        self.frame_obs_start.push(obs_start as u32);
         self.frame_bundle_start.push(bundle_start as u32);
 
         // Stage 1a: gather this frame's observations, each written once
@@ -760,100 +752,33 @@ impl AssemblyEngine {
             n_frames: self.n_frames,
         };
         self.tracker.begin();
-        self.frame_obs_start.clear();
         self.frame_bundle_start.clear();
         self.last_delta = None;
         self.n_frames = 0;
         scene
     }
 
-    /// Materialize the scene assembled so far without ending the stream —
-    /// what a live app scores between frames.
-    pub fn snapshot(&self) -> Scene {
-        self.snapshot_prefix(self.n_frames)
-    }
-
-    /// Materialize the partial scene covering pushed frames
-    /// `0..n_frames`. Field-for-field equal to a batch assembly of the
-    /// scene truncated to those frames: the per-frame sweep never revises
-    /// a past assignment, so cutting the arenas at the frame watermark
-    /// and truncating every track path to frames `< n_frames` *is* the
-    /// prefix assembly.
+    /// Grow `scene` in place to cover every pushed frame: the one way a
+    /// live caller sees the partial scene. `scene` must be this stream's
+    /// scene as of the previous push (grown by an earlier call here; an
+    /// empty [`Scene::from_parts`] scene seeds the very first frame) or
+    /// as of the current one, which is left as it is. So a live caller
+    /// grows its scene once after every push. Any other scene is
+    /// refused, untouched, with a [`SnapshotMismatch`]; the check is
+    /// O(Δ) (element counts against the stream's watermarks, and each
+    /// extended track's length against its path).
     ///
-    /// # Panics
-    /// If `n_frames` exceeds [`frames_pushed`](Self::frames_pushed).
-    pub fn snapshot_prefix(&self, n_frames: usize) -> Scene {
-        assert!(
-            n_frames <= self.n_frames,
-            "snapshot_prefix({n_frames}) beyond the {} pushed frame(s)",
-            self.n_frames
-        );
-        assert!(
-            !self.bundle_obs_offsets.is_empty(),
-            "AssemblyEngine::begin must be called before snapshot_prefix"
-        );
-        let (obs_end, bundle_end) = if n_frames == self.n_frames {
-            (self.observations.len(), self.bundles.len())
-        } else {
-            (
-                self.frame_obs_start[n_frames] as usize,
-                self.frame_bundle_start[n_frames] as usize,
-            )
-        };
-
-        // The paths are sorted by first entry; truncating a path keeps
-        // its first entry (or empties it entirely), so the filtered list
-        // stays sorted.
-        let tracker = &self.tracker;
-        let (tracks, track_spans, track_bundle_arena) = tight_tracks(
-            (0..tracker.n_paths())
-                .filter(|&t| tracker.path(t).next().is_some_and(|(f, _)| f < n_frames))
-                .map(|t| {
-                    tracker
-                        .path(t)
-                        .take_while(|&(f, _)| f < n_frames)
-                        .map(|(f, b)| BundleIdx(self.frame_bundle_start[f] as usize + b))
-                }),
-            bundle_end,
-        );
-
-        Scene {
-            observations: self.observations[..obs_end].to_vec(),
-            bundles: self.bundles[..bundle_end].to_vec(),
-            bundle_obs_offsets: self.bundle_obs_offsets[..bundle_end + 1].to_vec(),
-            bundle_obs_arena: self.bundle_obs_arena[..self.bundle_obs_offsets[bundle_end] as usize]
-                .to_vec(),
-            tracks,
-            track_spans,
-            track_bundle_arena,
-            track_facts: Vec::new(),
-            frame_dt: self.frame_dt,
-            n_frames,
-        }
-        .with_track_facts()
-    }
-
-    /// Grow `scene` in place to cover every pushed frame. `scene` must be
-    /// this stream's snapshot as of the previous push (from
-    /// [`snapshot`](Self::snapshot)/[`snapshot_prefix`](Self::snapshot_prefix)
-    /// or an earlier call here; an empty [`Scene::from_parts`] scene seeds
-    /// the very first frame) or as of the current one, which is left as
-    /// it is. So a live caller grows its snapshot once after every push.
-    /// Any other scene is refused, untouched, with a [`SnapshotMismatch`];
-    /// the check is O(Δ) (element counts against the stream's
-    /// watermarks, and each extended track's length against its path).
-    ///
-    /// Where `snapshot` copies the whole prefix (O(scene) per frame),
-    /// this is O(Δ): it appends the frame's observations and bundles,
-    /// appends one bundle to each track in the frame's
+    /// The update is O(Δ) too: it appends the frame's observations and
+    /// bundles, appends one bundle to each track in the frame's
     /// [`last_delta`](Self::last_delta) (moving a track that outgrows its
     /// slot to the arena's end), opens the frame's new tracks at the end,
     /// and copies those tracks' facts, which the stream folds bundle by
     /// bundle in track order, so the confidence sums match a
     /// from-scratch fold bit for bit. The result equals
-    /// [`snapshot`](Self::snapshot) (tracker path indices are
-    /// creation-ordered and agree with the sorted snapshot, locked by the
-    /// loa_assoc `last_touched_indexes_snapshot` test).
+    /// [`Scene::assemble`] over the frames pushed so far (tracker path
+    /// indices are creation-ordered and agree with the sorted batch
+    /// layout, locked by the loa_assoc `last_touched_indexes_snapshot`
+    /// test).
     ///
     /// # Panics
     /// If [`begin`](Self::begin) was not called.
@@ -1001,9 +926,11 @@ mod tests {
     }
 
     #[test]
-    fn update_snapshot_equals_snapshot_every_frame() {
-        // Growing one scene in place frame by frame must reproduce the
-        // full snapshot copy exactly, under every preset.
+    fn update_snapshot_equals_truncated_batch_every_frame() {
+        // Growing one scene in place frame by frame must reproduce a
+        // batch assembly of the scene truncated to the frames pushed so
+        // far, under every preset, and growing never disturbs the stream:
+        // the finished scene still matches batch.
         for cfg in
             [AssemblyConfig::default(), AssemblyConfig::model_only(), AssemblyConfig::human_only()]
         {
@@ -1011,12 +938,20 @@ mod tests {
             let mut engine = AssemblyEngine::new(cfg);
             engine.begin(data.frame_dt);
             let mut current = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
+            let mut truncated = SceneData { frames: Vec::new(), ..data.clone() };
             for frame in &data.frames {
                 engine.push_frame(frame);
                 engine.update_snapshot(&mut current).unwrap();
-                assert_eq!(current, engine.snapshot());
+                truncated.frames.push(frame.clone());
+                assert_eq!(
+                    current,
+                    Scene::assemble(&truncated, &cfg),
+                    "grown scene after {} frame(s) diverged",
+                    truncated.frames.len()
+                );
             }
             assert_eq!(current, engine.finish());
+            assert_eq!(current, Scene::assemble(&data, &cfg));
         }
     }
 
@@ -1024,7 +959,7 @@ mod tests {
     fn grown_track_arena_stays_bounded_and_batch_is_tight() {
         // A streamed snapshot keeps slack and gaps in its track arena but
         // stays within a small factor of the live members; the batch
-        // layouts (finish, snapshot_prefix, from_parts) are tight.
+        // layouts (finish, from_parts) are tight.
         for seed in [7, 23] {
             let data = tiny_scene_data(seed);
             let mut engine = AssemblyEngine::new(AssemblyConfig::default());
@@ -1055,7 +990,6 @@ mod tests {
                     next += s.len;
                 }
             };
-            tight(&engine.snapshot_prefix(data.frames.len() / 2));
             let batch = engine.finish();
             tight(&batch);
             assert_eq!(grown, batch);
@@ -1088,9 +1022,13 @@ mod tests {
         engine.begin(data.frame_dt);
         assert!(engine.last_delta().is_none());
         let mut prev = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
+        let mut truncated = SceneData { frames: Vec::new(), ..data.clone() };
         for (f, frame) in data.frames.iter().enumerate() {
             engine.push_frame(frame);
-            let snap = engine.snapshot();
+            // The reference is batch assembly, not the grown scene, whose
+            // growth follows this very delta.
+            truncated.frames.push(frame.clone());
+            let snap = Scene::assemble(&truncated, &AssemblyConfig::default());
             let delta = engine.last_delta().unwrap();
             assert_eq!(delta.frame, f);
             assert_eq!(delta.obs_start, prev.n_observations());
@@ -1282,40 +1220,12 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_prefix_equals_truncated_batch_assembly() {
-        // After every pushed frame, the prefix snapshot must equal a
-        // batch assembly of the scene truncated to those frames.
-        let data = tiny_scene_data(22);
-        let cfg = AssemblyConfig::default();
-        let mut engine = AssemblyEngine::new(cfg);
-        engine.begin(data.frame_dt);
-        for (k, frame) in data.frames.iter().enumerate() {
-            engine.push_frame(frame);
-            let mut truncated = data.clone();
-            truncated.frames.truncate(k + 1);
-            assert_eq!(
-                engine.snapshot(),
-                Scene::assemble(&truncated, &cfg),
-                "snapshot after {} frame(s) diverged",
-                k + 1
-            );
-        }
-        // Interior prefixes work too, and snapshots never disturb the
-        // stream: the final scene still matches batch.
-        let mut half = data.clone();
-        half.frames.truncate(data.frames.len() / 2);
-        assert_eq!(
-            engine.snapshot_prefix(half.frames.len()),
-            Scene::assemble(&half, &cfg)
-        );
-        assert_eq!(engine.finish(), Scene::assemble(&data, &cfg));
-    }
-
-    #[test]
     fn empty_stream_finishes_to_empty_scene() {
         let mut engine = AssemblyEngine::new(AssemblyConfig::default());
         engine.begin(0.2);
-        assert_eq!(engine.snapshot().n_frames, 0);
+        // Before any push, an empty scene is already current.
+        let mut empty = Scene::from_parts(vec![], vec![], vec![], 0.2, 0);
+        assert_eq!(engine.update_snapshot(&mut empty), Ok(()));
         let scene = engine.finish();
         assert!(scene.observations().is_empty());
         assert!(scene.bundles().is_empty());

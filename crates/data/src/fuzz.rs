@@ -190,20 +190,18 @@ pub fn strip_track_labels(scene: &mut SceneData, track: TrackId, class: ObjectCl
 // ---------------------------------------------------------------------------
 
 impl ErrorKind {
-    /// Inject one error instance of this kind through its injector;
-    /// returns `true` (and records the error in `scene.injected`) if an
-    /// eligible target existed. `used` carries the actors already
+    /// Inject one error instance of this kind through its injector,
+    /// recording it in `scene.injected`; an injector that finds no
+    /// eligible target injects nothing. `used` carries the actors already
     /// targeted by earlier injections in the scene so two injections
     /// never collide on one track (which could make either unfindable).
-    fn inject(self, scene: &mut SceneData, used: &mut BTreeSet<TrackId>, rng: &mut StdRng) -> bool {
+    fn inject(self, scene: &mut SceneData, used: &mut BTreeSet<TrackId>, rng: &mut StdRng) {
         match self {
-            ErrorKind::MissingTrack => MissingTrackInjector::default().inject(scene, used, rng),
-            ErrorKind::MissingBox => MissingBoxInjector::default().inject(scene, used, rng),
-            ErrorKind::ClassSwap => ClassSwapInjector::default().inject(scene, used, rng),
-            ErrorKind::GhostTrack => GhostTrackInjector::default().inject(scene, used, rng),
-            ErrorKind::InconsistentBundle => {
-                InconsistentBundleInjector::default().inject(scene, used, rng)
-            }
+            ErrorKind::MissingTrack => inject_missing_track(scene, used, rng),
+            ErrorKind::MissingBox => inject_missing_box(scene, used, rng),
+            ErrorKind::ClassSwap => inject_class_swap(scene, used, rng),
+            ErrorKind::GhostTrack => inject_ghost_track(scene, rng),
+            ErrorKind::InconsistentBundle => inject_inconsistent_bundle(scene, used, rng),
         }
     }
 }
@@ -220,48 +218,33 @@ fn pick<'a, T>(items: &'a [T], rng: &mut StdRng) -> Option<&'a T> {
 /// Figure 1/4/8 error. Eligibility demands dense model coverage so the
 /// remaining model-only track is long enough to survive the Count filter
 /// and consistent enough to rank as a likely real object.
-#[derive(Debug, Clone)]
-struct MissingTrackInjector {
-    min_detected_frames: usize,
-    max_distance: f64,
+fn inject_missing_track(scene: &mut SceneData, used: &mut BTreeSet<TrackId>, rng: &mut StdRng) {
+    let summaries = summarize_actors(scene);
+    let eligible: Vec<(TrackId, ObjectClass)> = summaries
+        .iter()
+        .filter(|(track, s)| {
+            !used.contains(track)
+                && !s.labeled_frames.is_empty()
+                && s.detected_frames.len() >= MISSING_TRACK_MIN_DETECTED_FRAMES
+                && s.min_distance <= MISSING_TRACK_MAX_DISTANCE
+                && dense_coverage(&s.detected_frames)
+                && track_is_cohesive(scene, *track, &s.detected_frames)
+                && actor_is_isolated(scene, *track, &s.detected_frames)
+                && volume_is_typical(scene, *track)
+        })
+        .map(|(track, s)| (*track, s.class))
+        .collect();
+    let Some(&(track, class)) = pick(&eligible, rng) else {
+        return;
+    };
+    used.insert(track);
+    strip_track_labels(scene, track, class);
 }
 
-impl Default for MissingTrackInjector {
-    fn default() -> Self {
-        MissingTrackInjector { min_detected_frames: 8, max_distance: 30.0 }
-    }
-}
-
-impl MissingTrackInjector {
-    fn inject(
-        &self,
-        scene: &mut SceneData,
-        used: &mut BTreeSet<TrackId>,
-        rng: &mut StdRng,
-    ) -> bool {
-        let summaries = summarize_actors(scene);
-        let eligible: Vec<(TrackId, ObjectClass)> = summaries
-            .iter()
-            .filter(|(track, s)| {
-                !used.contains(track)
-                    && !s.labeled_frames.is_empty()
-                    && s.detected_frames.len() >= self.min_detected_frames
-                    && s.min_distance <= self.max_distance
-                    && dense_coverage(&s.detected_frames)
-                    && track_is_cohesive(scene, *track, &s.detected_frames)
-                    && actor_is_isolated(scene, *track, &s.detected_frames)
-                    && volume_is_typical(scene, *track)
-            })
-            .map(|(track, s)| (*track, s.class))
-            .collect();
-        let Some(&(track, class)) = pick(&eligible, rng) else {
-            return false;
-        };
-        used.insert(track);
-        strip_track_labels(scene, track, class);
-        true
-    }
-}
+/// A missing-track target needs model boxes on at least this many frames.
+const MISSING_TRACK_MIN_DETECTED_FRAMES: usize = 8;
+/// A missing-track target comes within this ground distance (m) of the ego.
+const MISSING_TRACK_MAX_DISTANCE: f64 = 30.0;
 
 /// Whether a frame set has few holes between its first and last entry —
 /// the tracker (max gap 2) will chain such detections into one track.
@@ -335,66 +318,51 @@ fn track_is_cohesive(scene: &SceneData, track: TrackId, frames: &[FrameId]) -> b
 /// the object that frame — the Figure 6 error. The surviving model
 /// detection becomes a model-only bundle inside a human track, exactly
 /// the shape the missing-observation application surfaces.
-#[derive(Debug, Clone)]
-struct MissingBoxInjector {
-    min_labeled_frames: usize,
-    max_distance: f64,
-}
-
-impl Default for MissingBoxInjector {
-    fn default() -> Self {
-        MissingBoxInjector { min_labeled_frames: 6, max_distance: 22.0 }
-    }
-}
-
-impl MissingBoxInjector {
-    fn inject(
-        &self,
-        scene: &mut SceneData,
-        used: &mut BTreeSet<TrackId>,
-        rng: &mut StdRng,
-    ) -> bool {
-        let summaries = summarize_actors(scene);
-        // Eligible: (track, frame) pairs where dropping the label leaves a
-        // detection behind, the track stays labeled elsewhere, and the
-        // object is close enough for the distance-severity weight to rank
-        // it above far association debris.
-        let mut eligible: Vec<(TrackId, ObjectClass, FrameId)> = Vec::new();
-        for (track, s) in &summaries {
-            if used.contains(track)
-                || s.labeled_frames.len() < self.min_labeled_frames
-                || s.min_distance > self.max_distance
-                || !track_is_cohesive(scene, *track, &s.labeled_frames)
-                || !volume_is_typical(scene, *track)
+fn inject_missing_box(scene: &mut SceneData, used: &mut BTreeSet<TrackId>, rng: &mut StdRng) {
+    let summaries = summarize_actors(scene);
+    // Eligible: (track, frame) pairs where dropping the label leaves a
+    // detection behind, the track stays labeled elsewhere, and the
+    // object is close enough for the distance-severity weight to rank
+    // it above far association debris.
+    let mut eligible: Vec<(TrackId, ObjectClass, FrameId)> = Vec::new();
+    for (track, s) in &summaries {
+        if used.contains(track)
+            || s.labeled_frames.len() < MISSING_BOX_MIN_LABELED_FRAMES
+            || s.min_distance > MISSING_BOX_MAX_DISTANCE
+            || !track_is_cohesive(scene, *track, &s.labeled_frames)
+            || !volume_is_typical(scene, *track)
+        {
+            continue;
+        }
+        let detected: BTreeSet<FrameId> = s.detected_frames.iter().copied().collect();
+        // Interior labeled frames only, so the track remains labeled on
+        // both sides and the dropped frame clearly belongs to it. The
+        // actor must also be isolated around the dropped frame: an
+        // overlapping neighbor's label would absorb the surviving
+        // detection into its bundle and zero the model-only factor.
+        for &f in &s.labeled_frames[1..s.labeled_frames.len().saturating_sub(1)] {
+            if detected.contains(&f)
+                && near_at_frame(scene, *track, f, MISSING_BOX_MAX_DISTANCE)
+                && actor_is_isolated(scene, *track, &[f])
             {
-                continue;
-            }
-            let detected: BTreeSet<FrameId> = s.detected_frames.iter().copied().collect();
-            // Interior labeled frames only, so the track remains labeled on
-            // both sides and the dropped frame clearly belongs to it. The
-            // actor must also be isolated around the dropped frame: an
-            // overlapping neighbor's label would absorb the surviving
-            // detection into its bundle and zero the model-only factor.
-            for &f in &s.labeled_frames[1..s.labeled_frames.len().saturating_sub(1)] {
-                if detected.contains(&f)
-                    && near_at_frame(scene, *track, f, self.max_distance)
-                    && actor_is_isolated(scene, *track, &[f])
-                {
-                    eligible.push((*track, s.class, f));
-                }
+                eligible.push((*track, s.class, f));
             }
         }
-        let Some(&(track, class, frame)) = pick(&eligible, rng) else {
-            return false;
-        };
-        used.insert(track);
-        scene.frames[frame.0 as usize]
-            .human_labels
-            .retain(|l| l.gt_track != track);
-        scene.injected.missing_boxes.push(MissingBox { track, class, frame });
-        true
     }
+    let Some(&(track, class, frame)) = pick(&eligible, rng) else {
+        return;
+    };
+    used.insert(track);
+    scene.frames[frame.0 as usize]
+        .human_labels
+        .retain(|l| l.gt_track != track);
+    scene.injected.missing_boxes.push(MissingBox { track, class, frame });
 }
+
+/// A missing-box track is labeled on at least this many frames.
+const MISSING_BOX_MIN_LABELED_FRAMES: usize = 6;
+/// A missing box lies within this ground distance (m) of the ego.
+const MISSING_BOX_MAX_DISTANCE: f64 = 22.0;
 
 fn near_at_frame(scene: &SceneData, track: TrackId, frame: FrameId, max_distance: f64) -> bool {
     scene.frames[frame.0 as usize]
@@ -431,156 +399,125 @@ fn volume_is_typical(scene: &SceneData, track: TrackId) -> bool {
 /// (pedestrian as truck): the boxes stay correct, the class prior is
 /// violated by an order of magnitude, so the class-conditional volume
 /// distribution flags the track.
-#[derive(Debug, Clone)]
-struct ClassSwapInjector {
-    min_labeled_frames: usize,
-}
-
-impl Default for ClassSwapInjector {
-    fn default() -> Self {
-        ClassSwapInjector { min_labeled_frames: 6 }
-    }
-}
-
-impl ClassSwapInjector {
-    fn inject(
-        &self,
-        scene: &mut SceneData,
-        used: &mut BTreeSet<TrackId>,
-        rng: &mut StdRng,
-    ) -> bool {
-        let summaries = summarize_actors(scene);
-        let eligible: Vec<(TrackId, ObjectClass)> = summaries
-            .iter()
-            .filter(|(track, s)| {
-                !used.contains(track)
-                    && s.labeled_frames.len() >= self.min_labeled_frames
-                    && track_is_cohesive(scene, *track, &s.labeled_frames)
-            })
-            .map(|(track, s)| (*track, s.class))
-            .collect();
-        let Some(&(track, true_class)) = pick(&eligible, rng) else {
-            return false;
-        };
-        used.insert(track);
-        let labeled_class = swap_partner(true_class);
-        let mut frames = Vec::new();
-        for frame in &mut scene.frames {
-            for label in frame.human_labels.iter_mut().filter(|l| l.gt_track == track) {
-                label.class = labeled_class;
-                frames.push(frame.index);
-            }
+fn inject_class_swap(scene: &mut SceneData, used: &mut BTreeSet<TrackId>, rng: &mut StdRng) {
+    let summaries = summarize_actors(scene);
+    let eligible: Vec<(TrackId, ObjectClass)> = summaries
+        .iter()
+        .filter(|(track, s)| {
+            !used.contains(track)
+                && s.labeled_frames.len() >= CLASS_SWAP_MIN_LABELED_FRAMES
+                && track_is_cohesive(scene, *track, &s.labeled_frames)
+        })
+        .map(|(track, s)| (*track, s.class))
+        .collect();
+    let Some(&(track, true_class)) = pick(&eligible, rng) else {
+        return;
+    };
+    used.insert(track);
+    let labeled_class = swap_partner(true_class);
+    let mut frames = Vec::new();
+    for frame in &mut scene.frames {
+        for label in frame.human_labels.iter_mut().filter(|l| l.gt_track == track) {
+            label.class = labeled_class;
+            frames.push(frame.index);
         }
-        scene
-            .injected
-            .class_swaps
-            .push(ClassSwap { track, true_class, labeled_class, frames });
-        true
     }
+    scene
+        .injected
+        .class_swaps
+        .push(ClassSwap { track, true_class, labeled_class, frames });
 }
+
+/// A class-swap track is labeled on at least this many frames.
+const CLASS_SWAP_MIN_LABELED_FRAMES: usize = 6;
 
 /// Injects a persistent, geometrically erratic spurious model track (the
 /// Figure 5/9 ghost): consecutive high-confidence boxes that overlap
 /// frame to frame yet teleport, change volume, and spin implausibly.
-#[derive(Debug, Clone)]
-struct GhostTrackInjector {
-    min_frames: usize,
-    max_frames: usize,
-}
-
-impl Default for GhostTrackInjector {
-    fn default() -> Self {
-        GhostTrackInjector { min_frames: 6, max_frames: 10 }
+fn inject_ghost_track(scene: &mut SceneData, rng: &mut StdRng) {
+    let n_frames = scene.frames.len();
+    if n_frames < GHOST_MIN_FRAMES {
+        return;
+    }
+    let ghost = GhostId(
+        scene
+            .injected
+            .ghost_tracks
+            .iter()
+            .map(|(g, _)| g.0 + 1)
+            .max()
+            .unwrap_or(0),
+    );
+    // Every factor of the ghost must be implausible *by construction*
+    // so its inverted score is near the maximum regardless of how the
+    // learned library generalizes: a hugely blown-up truck box (volume
+    // far outside any class's support), teleporting several box
+    // lengths per frame (25+ m/s, beyond every training velocity),
+    // spinning at ≥ 1.25 rad/s (beyond any turning actor). The drift
+    // direction follows the box heading so consecutive boxes still
+    // overlap and the tracker chains them. A walk that wanders onto a
+    // real object would merge with its track and dilute the evidence;
+    // retry placements until the whole walk stays clear.
+    for _attempt in 0..8 {
+        let span = rng.gen_range(GHOST_MIN_FRAMES..=GHOST_MAX_FRAMES.min(n_frames));
+        let start = rng.gen_range(0..=(n_frames - span));
+        let class = ObjectClass::Truck;
+        let (ml, mw, mh) = class.mean_dims();
+        let base_scale = rng.gen_range(2.4..2.8);
+        let r = rng.gen_range(10.0..30.0);
+        let theta = rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI);
+        let mut pos = Vec2::new(r * theta.cos(), r * theta.sin());
+        let mut yaw = rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI);
+        let confidence: f64 = rng.gen_range(0.85..0.95);
+        let mut boxes: Vec<(usize, Box3, f64)> = Vec::new();
+        for k in 0..span {
+            let idx = start + k;
+            let scale = base_scale * rng.gen_range(0.92..1.08);
+            let length = ml * scale;
+            // Drift ~1/3 of the box length along the heading: ≈ 30 m/s
+            // at 5 Hz for a 20 m box.
+            let step = rng.gen_range(0.28..0.35) * length;
+            let dir = yaw + rng.gen_range(-0.25..0.25);
+            pos += Vec2::new(dir.cos(), dir.sin()) * step;
+            // Spin well past any plausible yaw rate, random sign.
+            let spin = rng.gen_range(0.25..0.40) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+            yaw = normalize_angle(yaw + spin);
+            let bbox = Box3::on_ground(
+                pos.x,
+                pos.y,
+                0.0,
+                length,
+                mw * scale * rng.gen_range(0.9..1.1),
+                mh * rng.gen_range(0.8..1.2),
+                yaw,
+            );
+            let conf = (confidence + rng.gen_range(-0.04..0.04)).clamp(0.05, 0.99);
+            boxes.push((idx, bbox, conf));
+        }
+        if !ghost_walk_is_isolated(scene, &boxes) || !ghost_walk_is_cohesive(&boxes) {
+            continue;
+        }
+        let mut frames_hit = Vec::new();
+        for (idx, bbox, conf) in boxes {
+            scene.frames[idx].detections.push(Detection {
+                bbox,
+                class,
+                confidence: conf,
+                provenance: DetectionProvenance::PersistentGhost(ghost),
+                class_correct: true,
+                localization_error: false,
+            });
+            frames_hit.push(FrameId(idx as u32));
+        }
+        scene.injected.ghost_tracks.push((ghost, frames_hit));
+        return;
     }
 }
 
-impl GhostTrackInjector {
-    fn inject(
-        &self,
-        scene: &mut SceneData,
-        _used: &mut BTreeSet<TrackId>,
-        rng: &mut StdRng,
-    ) -> bool {
-        let n_frames = scene.frames.len();
-        if n_frames < self.min_frames {
-            return false;
-        }
-        let ghost = GhostId(
-            scene
-                .injected
-                .ghost_tracks
-                .iter()
-                .map(|(g, _)| g.0 + 1)
-                .max()
-                .unwrap_or(0),
-        );
-        // Every factor of the ghost must be implausible *by construction*
-        // so its inverted score is near the maximum regardless of how the
-        // learned library generalizes: a hugely blown-up truck box (volume
-        // far outside any class's support), teleporting several box
-        // lengths per frame (25+ m/s, beyond every training velocity),
-        // spinning at ≥ 1.25 rad/s (beyond any turning actor). The drift
-        // direction follows the box heading so consecutive boxes still
-        // overlap and the tracker chains them. A walk that wanders onto a
-        // real object would merge with its track and dilute the evidence;
-        // retry placements until the whole walk stays clear.
-        for _attempt in 0..8 {
-            let span = rng.gen_range(self.min_frames..=self.max_frames.min(n_frames));
-            let start = rng.gen_range(0..=(n_frames - span));
-            let class = ObjectClass::Truck;
-            let (ml, mw, mh) = class.mean_dims();
-            let base_scale = rng.gen_range(2.4..2.8);
-            let r = rng.gen_range(10.0..30.0);
-            let theta = rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI);
-            let mut pos = Vec2::new(r * theta.cos(), r * theta.sin());
-            let mut yaw = rng.gen_range(-std::f64::consts::PI..std::f64::consts::PI);
-            let confidence: f64 = rng.gen_range(0.85..0.95);
-            let mut boxes: Vec<(usize, Box3, f64)> = Vec::new();
-            for k in 0..span {
-                let idx = start + k;
-                let scale = base_scale * rng.gen_range(0.92..1.08);
-                let length = ml * scale;
-                // Drift ~1/3 of the box length along the heading: ≈ 30 m/s
-                // at 5 Hz for a 20 m box.
-                let step = rng.gen_range(0.28..0.35) * length;
-                let dir = yaw + rng.gen_range(-0.25..0.25);
-                pos += Vec2::new(dir.cos(), dir.sin()) * step;
-                // Spin well past any plausible yaw rate, random sign.
-                let spin = rng.gen_range(0.25..0.40) * if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
-                yaw = normalize_angle(yaw + spin);
-                let bbox = Box3::on_ground(
-                    pos.x,
-                    pos.y,
-                    0.0,
-                    length,
-                    mw * scale * rng.gen_range(0.9..1.1),
-                    mh * rng.gen_range(0.8..1.2),
-                    yaw,
-                );
-                let conf = (confidence + rng.gen_range(-0.04..0.04)).clamp(0.05, 0.99);
-                boxes.push((idx, bbox, conf));
-            }
-            if !ghost_walk_is_isolated(scene, &boxes) || !ghost_walk_is_cohesive(&boxes) {
-                continue;
-            }
-            let mut frames_hit = Vec::new();
-            for (idx, bbox, conf) in boxes {
-                scene.frames[idx].detections.push(Detection {
-                    bbox,
-                    class,
-                    confidence: conf,
-                    provenance: DetectionProvenance::PersistentGhost(ghost),
-                    class_correct: true,
-                    localization_error: false,
-                });
-                frames_hit.push(FrameId(idx as u32));
-            }
-            scene.injected.ghost_tracks.push((ghost, frames_hit));
-            return true;
-        }
-        false
-    }
-}
+/// A ghost walk spans at least this many frames…
+const GHOST_MIN_FRAMES: usize = 6;
+/// …and at most this many (or the whole scene, if shorter).
+const GHOST_MAX_FRAMES: usize = 10;
 
 /// Whether consecutive boxes of a candidate ghost walk overlap enough
 /// for the tracker to chain them into one track: an erratic draw whose
@@ -618,80 +555,70 @@ fn ghost_walk_is_isolated(scene: &SceneData, boxes: &[(usize, Box3, f64)]) -> bo
 /// Figure 7 inconsistent bundle. The footprint is inflated just enough to
 /// keep BEV IOU above the bundling threshold while the height (and class)
 /// make the bundle's volumes wildly inconsistent.
-#[derive(Debug, Clone)]
-struct InconsistentBundleInjector {
-    max_distance: f64,
-    /// BEV footprint inflation (IOU with the label ≈ 1/f² must stay
-    /// above the 0.5 bundling threshold).
-    footprint_scale: f64,
-    /// Height inflation — the volume-inconsistency driver.
-    height_scale: f64,
-}
-
-impl Default for InconsistentBundleInjector {
-    fn default() -> Self {
-        InconsistentBundleInjector { max_distance: 30.0, footprint_scale: 1.18, height_scale: 5.0 }
-    }
-}
-
-impl InconsistentBundleInjector {
-    fn inject(
-        &self,
-        scene: &mut SceneData,
-        used: &mut BTreeSet<TrackId>,
-        rng: &mut StdRng,
-    ) -> bool {
-        let summaries = summarize_actors(scene);
-        let mut eligible: Vec<(TrackId, ObjectClass, FrameId)> = Vec::new();
-        for (track, s) in &summaries {
-            if used.contains(track) || s.labeled_frames.len() < 4 {
-                continue;
-            }
-            for &f in &s.labeled_frames {
-                if near_at_frame(scene, *track, f, self.max_distance) {
-                    eligible.push((*track, s.class, f));
-                }
+fn inject_inconsistent_bundle(
+    scene: &mut SceneData,
+    used: &mut BTreeSet<TrackId>,
+    rng: &mut StdRng,
+) {
+    let summaries = summarize_actors(scene);
+    let mut eligible: Vec<(TrackId, ObjectClass, FrameId)> = Vec::new();
+    for (track, s) in &summaries {
+        if used.contains(track) || s.labeled_frames.len() < 4 {
+            continue;
+        }
+        for &f in &s.labeled_frames {
+            if near_at_frame(scene, *track, f, BUNDLE_MAX_DISTANCE) {
+                eligible.push((*track, s.class, f));
             }
         }
-        let Some(&(track, true_class, frame)) = pick(&eligible, rng) else {
-            return false;
-        };
-        used.insert(track);
-        let spurious_class = swap_partner(true_class);
-        let frame_data = &mut scene.frames[frame.0 as usize];
-        let label_box = frame_data
-            .human_labels
-            .iter()
-            .find(|l| l.gt_track == track)
-            .map(|l| l.bbox)
-            .expect("eligibility checked the label exists");
-        let size = Size3::new(
-            label_box.size.length * self.footprint_scale,
-            label_box.size.width * self.footprint_scale,
-            label_box.size.height * self.height_scale,
-        );
-        let center = loa_geom::Vec3::new(
-            label_box.center.x,
-            label_box.center.y,
-            size.height / 2.0 - label_box.size.height / 2.0 + label_box.center.z,
-        );
-        frame_data.detections.push(Detection {
-            bbox: Box3::new(center, size, label_box.yaw),
-            class: spurious_class,
-            confidence: rng.gen_range(0.6..0.8),
-            provenance: DetectionProvenance::Clutter,
-            class_correct: true,
-            localization_error: false,
-        });
-        scene.injected.inconsistent_bundles.push(InconsistentBundle {
-            track,
-            frame,
-            true_class,
-            spurious_class,
-        });
-        true
     }
+    let Some(&(track, true_class, frame)) = pick(&eligible, rng) else {
+        return;
+    };
+    used.insert(track);
+    let spurious_class = swap_partner(true_class);
+    let frame_data = &mut scene.frames[frame.0 as usize];
+    let label_box = frame_data
+        .human_labels
+        .iter()
+        .find(|l| l.gt_track == track)
+        .map(|l| l.bbox)
+        .expect("eligibility checked the label exists");
+    let size = Size3::new(
+        label_box.size.length * BUNDLE_FOOTPRINT_SCALE,
+        label_box.size.width * BUNDLE_FOOTPRINT_SCALE,
+        label_box.size.height * BUNDLE_HEIGHT_SCALE,
+    );
+    let center = loa_geom::Vec3::new(
+        label_box.center.x,
+        label_box.center.y,
+        size.height / 2.0 - label_box.size.height / 2.0 + label_box.center.z,
+    );
+    frame_data.detections.push(Detection {
+        bbox: Box3::new(center, size, label_box.yaw),
+        class: spurious_class,
+        confidence: rng.gen_range(0.6..0.8),
+        provenance: DetectionProvenance::Clutter,
+        class_correct: true,
+        localization_error: false,
+    });
+    scene.injected.inconsistent_bundles.push(InconsistentBundle {
+        track,
+        frame,
+        true_class,
+        spurious_class,
+    });
 }
+
+/// An inconsistent bundle's label lies within this ground distance (m)
+/// of the ego.
+const BUNDLE_MAX_DISTANCE: f64 = 30.0;
+/// BEV footprint inflation of the spurious box (IOU with the label
+/// ≈ 1/f² must stay above the 0.5 bundling threshold).
+const BUNDLE_FOOTPRINT_SCALE: f64 = 1.18;
+/// Height inflation of the spurious box — the volume-inconsistency
+/// driver.
+const BUNDLE_HEIGHT_SCALE: f64 = 5.0;
 
 // ---------------------------------------------------------------------------
 // The fuzzer

@@ -9,15 +9,15 @@
 //! [`Scene`] is field-for-field identical to `Scene::assemble` over the
 //! same frames (locked by `tests/ingest.rs` proptests).
 //!
-//! Between frames, [`snapshot`](StreamingAssembler::snapshot) /
-//! [`snapshot_at`](StreamingAssembler::snapshot_at) materialize the
-//! partial scene so a live app can score mid-stream — the per-frame
-//! sweep never revises a past assignment, so a prefix snapshot equals a
-//! batch assembly of the truncated scene.
+//! Between frames, [`update_snapshot`](StreamingAssembler::update_snapshot)
+//! grows one live scene in place so a live app can score mid-stream —
+//! the per-frame sweep never revises a past assignment, so the grown
+//! scene equals a batch assembly of the scene truncated to the frames
+//! pushed so far, which is the reference the tests hold it against.
 
 use crate::error::IngestError;
 use fixy_core::{AssemblyConfig, AssemblyEngine, FrameDelta, Scene};
-use loa_data::{Frame, FrameId, SceneData};
+use loa_data::{Frame, SceneData};
 
 /// The index the next pushed frame must carry. Falls out of the u32
 /// index space only after `u32::MAX + 1` pushes — unreachable for a
@@ -34,9 +34,10 @@ fn expected_index(pushed: usize) -> Result<u32, IngestError> {
 /// ```text
 /// let mut asm = StreamingAssembler::new(AssemblyConfig::default());
 /// asm.begin(frame_dt);
+/// let mut partial = Scene::from_parts(vec![], vec![], vec![], frame_dt, 0);
 /// for frame in stream {            // e.g. FrameReader::next_frame()
 ///     asm.push_frame(&frame)?;
-///     let partial = asm.snapshot();     // score before end-of-scene
+///     asm.update_snapshot(&mut partial)?;  // score before end-of-scene
 /// }
 /// let scene = asm.finalize()?;     // == Scene::assemble over the frames
 /// asm.begin(next_frame_dt);        // buffers survive for the next scene
@@ -52,27 +53,12 @@ impl StreamingAssembler {
         StreamingAssembler { engine: AssemblyEngine::new(cfg), streaming: false }
     }
 
-    pub fn config(&self) -> &AssemblyConfig {
-        self.engine.config()
-    }
-
-    /// Swap the assembly configuration. Applies from the next
-    /// [`begin`](Self::begin); swapping mid-scene is a caller bug.
-    pub fn set_config(&mut self, cfg: AssemblyConfig) {
-        self.engine.set_config(cfg);
-    }
-
     /// Start a new scene. Discards any unfinalized frames; every
     /// internal buffer (grids, union-find, score matrices) survives from
     /// the previous scene.
     pub fn begin(&mut self, frame_dt: f64) {
         self.engine.begin(frame_dt);
         self.streaming = true;
-    }
-
-    /// Number of frames pushed since [`begin`](Self::begin).
-    pub fn frames_pushed(&self) -> usize {
-        self.engine.frames_pushed()
     }
 
     /// Ingest the next frame: bundle its observations and extend tracks.
@@ -101,12 +87,6 @@ impl StreamingAssembler {
         Ok(())
     }
 
-    /// The partial scene over every frame pushed so far — what a live
-    /// app scores between frames. Does not disturb the stream.
-    pub fn snapshot(&self) -> Scene {
-        self.engine.snapshot()
-    }
-
     /// What the most recent [`push_frame`](Self::push_frame) changed —
     /// new observation/bundle watermarks and exactly which tracks were
     /// created or extended. These are assembly facts straight from the
@@ -117,13 +97,13 @@ impl StreamingAssembler {
         self.engine.last_delta()
     }
 
-    /// Grow this stream's snapshot in place to cover every pushed frame —
-    /// O(Δ) instead of the O(scene) of [`snapshot`](Self::snapshot). Seed
-    /// with an empty scene
+    /// Grow this stream's partial scene in place to cover every pushed
+    /// frame, in O(Δ). Seed with an empty scene
     /// (`Scene::from_parts(vec![], vec![], vec![], frame_dt, 0)`) and call
-    /// once after each push: `scene` must be the snapshot as of the
+    /// once after each push: `scene` must be the one grown as of the
     /// previous push (or the current one, which is left as it is). The
-    /// result is always identical to a fresh `snapshot()`.
+    /// result is always identical to `Scene::assemble` over the frames
+    /// pushed so far.
     ///
     /// A scene that lags further behind, or is not this stream's, is
     /// refused with [`IngestError::SnapshotMismatch`] and left untouched.
@@ -139,19 +119,6 @@ impl StreamingAssembler {
             metrics.snapshot_tracks.record(scene.n_tracks() as u64);
         }
         Ok(())
-    }
-
-    /// The partial scene up to and including `frame`, which must already
-    /// be pushed.
-    pub fn snapshot_at(&self, frame: FrameId) -> Result<Scene, IngestError> {
-        let prefix = frame.0 as usize + 1;
-        if !self.streaming || prefix > self.engine.frames_pushed() {
-            return Err(IngestError::FrameOutOfRange {
-                frame: frame.0,
-                pushed: self.engine.frames_pushed(),
-            });
-        }
-        Ok(self.engine.snapshot_prefix(prefix))
     }
 
     /// End the scene and materialize the [`Scene`]. The assembler is
@@ -181,6 +148,17 @@ mod tests {
     use super::*;
     use crate::reorder::ReorderBuffer;
     use loa_data::{generate_scene, DatasetProfile};
+
+    /// The batch reference for a partial scene: `data` truncated to its
+    /// first `n` frames, assembled in one shot.
+    fn batch_prefix(data: &SceneData, n: usize) -> Scene {
+        let truncated = SceneData { frames: data.frames[..n].to_vec(), ..data.clone() };
+        Scene::assemble(&truncated, &AssemblyConfig::default())
+    }
+
+    fn empty_scene(data: &SceneData) -> Scene {
+        Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0)
+    }
 
     fn tiny_scene(seed: u64) -> SceneData {
         let mut cfg = DatasetProfile::LyftLike.scene_config();
@@ -227,29 +205,14 @@ mod tests {
         ));
         // The stream survives the rejections.
         asm.push_frame(&data.frames[1]).unwrap();
-        assert_eq!(asm.frames_pushed(), 2);
-    }
-
-    #[test]
-    fn snapshot_at_bounds() {
-        let data = tiny_scene(6);
-        let mut asm = StreamingAssembler::new(AssemblyConfig::default());
-        asm.begin(data.frame_dt);
-        asm.push_frame(&data.frames[0]).unwrap();
-        asm.push_frame(&data.frames[1]).unwrap();
-        let snap = asm.snapshot_at(FrameId(1)).unwrap();
-        assert_eq!(snap.n_frames, 2);
-        assert!(matches!(
-            asm.snapshot_at(FrameId(2)),
-            Err(IngestError::FrameOutOfRange { frame: 2, pushed: 2 })
-        ));
+        assert_eq!(asm.last_delta().map(|d| d.frame), Some(1));
     }
 
     #[test]
     fn delta_surface_follows_stream_lifecycle() {
         let data = tiny_scene(8);
         let mut asm = StreamingAssembler::new(AssemblyConfig::default());
-        let mut grown = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
+        let mut grown = empty_scene(&data);
         // Outside a stream, both delta APIs refuse.
         assert!(asm.last_delta().is_none());
         assert!(matches!(
@@ -264,7 +227,7 @@ mod tests {
             let delta = asm.last_delta().expect("delta after push");
             assert_eq!(delta.frame, f);
             asm.update_snapshot(&mut grown).unwrap();
-            assert_eq!(grown, asm.snapshot(), "frame {f}");
+            assert_eq!(grown, batch_prefix(&data, f + 1), "frame {f}");
         }
         let final_scene = asm.finalize().unwrap();
         assert_eq!(grown, final_scene);
@@ -278,7 +241,7 @@ mod tests {
         assert!(data.frames.len() >= 3, "scene too short");
         let mut asm = StreamingAssembler::new(AssemblyConfig::default());
         asm.begin(data.frame_dt);
-        let mut grown = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
+        let mut grown = empty_scene(&data);
 
         // Lagging: two pushes since the seed scene's snapshot.
         asm.push_frame(&data.frames[0]).unwrap();
@@ -293,16 +256,21 @@ mod tests {
         ));
         assert_eq!(grown, before, "a refused scene is left untouched");
 
+        // A second stream grows the scenes handed to this one: one frame
+        // of `data` (the previous push's scene) and one frame of another
+        // scene.
+        let grow_first_frame = |data: &SceneData| {
+            let mut other = StreamingAssembler::new(AssemblyConfig::default());
+            other.begin(data.frame_dt);
+            other.push_frame(&data.frames[0]).unwrap();
+            let mut scene = empty_scene(data);
+            other.update_snapshot(&mut scene).unwrap();
+            scene
+        };
+
         // Foreign: the right frame count, another stream's contents.
-        let mut other = StreamingAssembler::new(AssemblyConfig::default());
-        let other_data = tiny_scene(11);
-        other.begin(other_data.frame_dt);
-        other.push_frame(&other_data.frames[0]).unwrap();
-        let mut foreign = other.snapshot();
-        assert_ne!(
-            foreign.n_observations(),
-            asm.snapshot_at(FrameId(0)).unwrap().n_observations()
-        );
+        let mut foreign = grow_first_frame(&tiny_scene(11));
+        assert_ne!(foreign.n_observations(), batch_prefix(&data, 1).n_observations());
         let err = asm.update_snapshot(&mut foreign).unwrap_err();
         assert!(
             matches!(
@@ -313,12 +281,13 @@ mod tests {
         );
         assert!(err.to_string().contains("not a snapshot of this stream"), "{err}");
 
-        // The previous push's snapshot grows; the current one is kept.
-        let mut prev = asm.snapshot_at(FrameId(0)).unwrap();
+        // The previous push's scene grows; the current one is kept.
+        let mut prev = grow_first_frame(&data);
+        assert_eq!(prev, batch_prefix(&data, 1));
         asm.update_snapshot(&mut prev).unwrap();
-        assert_eq!(prev, asm.snapshot());
+        assert_eq!(prev, batch_prefix(&data, 2));
         asm.update_snapshot(&mut prev).unwrap();
-        assert_eq!(prev, asm.snapshot());
+        assert_eq!(prev, batch_prefix(&data, 2));
         // A scene ahead of the stream is refused too.
         asm.begin(data.frame_dt);
         assert!(matches!(

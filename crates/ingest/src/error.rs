@@ -28,8 +28,6 @@ pub enum IngestError {
     /// a resident session has outlived the frame-id space and must be
     /// recycled.
     FrameIndexOverflow { pushed: usize },
-    /// A snapshot was requested for a frame that has not been pushed yet.
-    FrameOutOfRange { frame: u32, pushed: usize },
     /// `update_snapshot` was handed a scene that is neither the previous
     /// push's snapshot of this stream nor the current one.
     SnapshotMismatch(fixy_core::SnapshotMismatch),
@@ -64,9 +62,6 @@ impl std::fmt::Display for IngestError {
                     f,
                     "frame-index overflow: {pushed} frame(s) pushed exhausts the u32 index space"
                 )
-            }
-            IngestError::FrameOutOfRange { frame, pushed } => {
-                write!(f, "frame {frame} not pushed yet ({pushed} frame(s) so far)")
             }
             IngestError::SnapshotMismatch(e) => write!(f, "snapshot mismatch: {e}"),
             IngestError::NotStreaming => {
@@ -137,9 +132,8 @@ mod tests {
         assert!(IngestError::EmptyCorpus(PathBuf::from("/tmp/x"))
             .to_string()
             .contains("/tmp/x"));
-        let fixy: fixy_core::FixyError =
-            IngestError::FrameOutOfRange { frame: 9, pushed: 4 }.into();
+        let fixy: fixy_core::FixyError = IngestError::DuplicateFrame { frame: 9 }.into();
         assert!(matches!(fixy, fixy_core::FixyError::SceneSource(_)));
-        assert!(fixy.to_string().contains("frame 9"));
+        assert!(fixy.to_string().contains("frame index 9"));
     }
 }

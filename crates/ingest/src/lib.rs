@@ -7,17 +7,18 @@
 //!
 //! * **Incremental assembly** — [`StreamingAssembler`] accepts frames
 //!   one at a time and extends bundles/tracks immediately through the
-//!   staged `AssemblyEngine` internals, with partial-scene snapshots for
-//!   scoring before end-of-scene. `finalize()` output is field-for-field
-//!   identical to batch [`Scene::assemble`](fixy_core::Scene::assemble)
-//!   (the conformance proptests in `tests/ingest.rs` lock it). Each push
-//!   also surfaces a [`FrameDelta`] of assembly facts
-//!   ([`last_delta`](StreamingAssembler::last_delta)) and can grow a
-//!   snapshot in place
-//!   ([`update_snapshot`](StreamingAssembler::update_snapshot)), feeding
-//!   the O(Δ) incremental re-scoring path
-//!   ([`fixy_core::IncrementalScorer`]; equivalence proptests in
-//!   `tests/incremental.rs`).
+//!   staged `AssemblyEngine` internals. Each push surfaces a
+//!   [`FrameDelta`] of assembly facts
+//!   ([`last_delta`](StreamingAssembler::last_delta)) and grows one live
+//!   partial scene in place
+//!   ([`update_snapshot`](StreamingAssembler::update_snapshot)) for
+//!   scoring before end-of-scene, feeding the O(Δ) incremental
+//!   re-scoring path ([`fixy_core::IncrementalScorer`]). Batch
+//!   [`Scene::assemble`](fixy_core::Scene::assemble) is the reference
+//!   for both: the grown scene equals it over the frames pushed so far,
+//!   and `finalize()` equals it over the whole scene, field for field
+//!   (the conformance proptests in `tests/ingest.rs` and
+//!   `tests/incremental.rs` lock it).
 //! * **Binary scene format** — [`fscb`]: a compact, frame-framed
 //!   on-disk layout ([`FrameWriter`]/[`FrameReader`]) decodable
 //!   frame-by-frame straight into the assembler, with exact `f64`

@@ -7,7 +7,8 @@
 //! `compile_scene` + `score_component` of the same snapshot — same f64
 //! bits, same factor counts, same zeroed flags; and every track app's
 //! incremental worklist must equal its `rank_scored` over the reference
-//! scores of a freshly materialized snapshot, field for field. (Batch
+//! scores of a batch assembly (`Scene::assemble`) of the scene truncated
+//! to the frames pushed so far, field for field. (Batch
 //! `ScoreEngine` folds from the same columns, so the reference, not the
 //! batch engine, is what these tests compare against.) Covered: fuzzed
 //! corpora, all three `AssemblyConfig` presets (each paired with the
@@ -19,7 +20,7 @@
 use fixy::core::compile::compile_scene;
 use fixy::core::score::ComponentScore;
 use fixy::core::{IncrementalScorer, Learner};
-use fixy::data::ScenarioFuzzer;
+use fixy::data::{ScenarioFuzzer, SceneData};
 use fixy::ingest::StreamingAssembler;
 use fixy::prelude::*;
 use proptest::prelude::*;
@@ -176,7 +177,7 @@ fn assert_stream_matches_reference(
     fx: &Fixture,
     assembler: &mut StreamingAssembler,
     scorer: &mut IncrementalScorer<'_>,
-    data: &fixy::data::SceneData,
+    data: &SceneData,
     ctx: &str,
 ) -> Replay {
     assembler.begin(data.frame_dt);
@@ -188,8 +189,10 @@ fn assert_stream_matches_reference(
         crossings: 0,
     };
     let mut zeroed_before: Vec<bool> = Vec::new();
+    let mut truncated = SceneData { frames: Vec::new(), ..data.clone() };
     for (k, frame) in data.frames.iter().enumerate() {
         assembler.push_frame(frame).expect("push");
+        truncated.frames.push(frame.clone());
         assembler.update_snapshot(&mut scene).expect("update");
         let delta = assembler.last_delta().expect("delta");
         assert_eq!(delta.frame, k, "{ctx}: delta frame");
@@ -220,7 +223,8 @@ fn assert_stream_matches_reference(
             assert_eq!(key(rs), key(is_), "{ctx} frame {k}: bundle {rbk:?}");
         }
 
-        let (incr, reference) = worklists(fx, &scene, &assembler.snapshot(), scorer);
+        let batch = Scene::assemble(&truncated, &fx.config);
+        let (incr, reference) = worklists(fx, &scene, &batch, scorer);
         assert_same_worklist(&incr, &reference, &format!("{ctx} frame {k}"));
     }
     let final_scene = assembler.finalize().expect("finalize");

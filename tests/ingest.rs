@@ -55,31 +55,32 @@ proptest! {
         }
     }
 
-    // Contract 1b: mid-stream snapshots equal batch assemblies of the
-    // truncated scene — partial scenes are scoreable, not approximate.
+    // Contract 1b: the partial scene a live stream grows in place
+    // equals the batch assembly of the scene truncated to the frames
+    // pushed so far — partial scenes are scoreable, not approximate.
     #[test]
     fn prop_snapshots_equal_truncated_batch(seed in 0u64..500, index in 0u64..80) {
         let data = fuzzed_scene(seed, index);
         let cfg = AssemblyConfig::default();
         let mut assembler = StreamingAssembler::new(cfg);
         assembler.begin(data.frame_dt);
+        let mut grown = Scene::from_parts(vec![], vec![], vec![], data.frame_dt, 0);
         for (k, frame) in data.frames.iter().enumerate() {
             assembler.push_frame(frame).expect("push");
-            // Snapshot at a third of the checkpoints (cost control).
+            assembler.update_snapshot(&mut grown).expect("grow");
+            // Compare at a third of the checkpoints (cost control).
             if k % 3 == 0 || k + 1 == data.frames.len() {
                 let mut truncated = data.clone();
                 truncated.frames.truncate(k + 1);
-                let snap = assembler
-                    .snapshot_at(fixy::data::FrameId(k as u32))
-                    .expect("snapshot");
                 prop_assert!(
-                    snap == Scene::assemble(&truncated, &cfg),
-                    "snapshot at frame {} diverged (seed {})", k, seed
+                    grown == Scene::assemble(&truncated, &cfg),
+                    "grown scene at frame {} diverged (seed {})", k, seed
                 );
             }
         }
         let final_scene = assembler.finalize().expect("finalize");
         prop_assert_eq!(&final_scene, &Scene::assemble(&data, &cfg));
+        prop_assert_eq!(&final_scene, &grown);
     }
 
     // Contract 2: `.fscb` round-trips the scene exactly, injected-error
@@ -132,7 +133,7 @@ fn streamed_corpus_rank_matches_buffered() {
     // Buffered reference: load everything, run the batch engine.
     let buffered_scenes = CorpusSource::open(&dir).unwrap().load_all().unwrap();
     let pipeline = ScenePipeline::new(MissingTrackFinder);
-    let buffered = pipeline.run_merged(&library, buffered_scenes).expect("buffered");
+    let buffered = pipeline.process(&library, buffered_scenes, |r| r).expect("buffered");
 
     // Streamed: workers pull scenes lazily from the source.
     let streamed = pipeline
@@ -143,18 +144,16 @@ fn streamed_corpus_rank_matches_buffered() {
             |r| r,
         )
         .expect("streamed");
-    let streamed = fixy::core::merge_ranked(streamed);
 
+    // Per-scene results, compared in input order.
     assert_eq!(buffered.len(), streamed.len());
     for (a, b) in buffered.iter().zip(&streamed) {
-        assert_eq!(a.scene_id, b.scene_id);
-        assert_eq!(a.candidate.track, b.candidate.track);
-        assert_eq!(
-            a.candidate.score.to_bits(),
-            b.candidate.score.to_bits(),
-            "score diverged in {}",
-            a.scene_id
-        );
+        assert_eq!((a.index, &a.id), (b.index, &b.id));
+        assert_eq!(a.candidates.len(), b.candidates.len(), "scene {}", a.id);
+        for (x, y) in a.candidates.iter().zip(&b.candidates) {
+            assert_eq!(x.track, y.track);
+            assert_eq!(x.score.to_bits(), y.score.to_bits(), "score diverged in {}", a.id);
+        }
     }
     std::fs::remove_dir_all(&dir).unwrap();
 }

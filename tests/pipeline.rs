@@ -25,6 +25,27 @@ fn train_library(finder_features: &FeatureSet, n: usize, seed: u64) -> FeatureLi
     Learner::new().fit(finder_features, &train).expect("fit")
 }
 
+/// Run `pipeline` over `scenes` and flatten its per-scene results, in
+/// input order, into `(scene index, scene id, candidate)` rows.
+fn batch_rows<R: SceneRanker>(
+    pipeline: &ScenePipeline<R>,
+    library: &FeatureLibrary,
+    scenes: Vec<SceneData>,
+) -> Vec<(usize, String, R::Candidate)> {
+    pipeline
+        .process(library, scenes, |r| {
+            let (index, id) = (r.index, r.id);
+            r.candidates
+                .into_iter()
+                .map(|c| (index, id.clone(), c))
+                .collect::<Vec<_>>()
+        })
+        .expect("batch run")
+        .into_iter()
+        .flatten()
+        .collect()
+}
+
 #[test]
 fn full_missing_track_pipeline() {
     let finder = MissingTrackFinder;
@@ -267,7 +288,7 @@ fn assembly_matches_brute_reference() {
 #[test]
 fn scene_pipeline_parallel_is_byte_identical_to_sequential() {
     // The batch engine's core contract: fanning scenes out to workers
-    // must not change a single bit of any score or the merge order.
+    // must not change a single bit of any score or the result order.
     let finder = MissingTrackFinder;
     let library = train_library(&finder.feature_set(), 2, 8800);
     let cfg = small_cfg();
@@ -275,23 +296,18 @@ fn scene_pipeline_parallel_is_byte_identical_to_sequential() {
         .map(|i| generate_scene(&cfg, &format!("sp-batch-{i}"), 8900 + i))
         .collect();
 
-    let parallel = ScenePipeline::new(MissingTrackFinder)
-        .run_merged(&library, batch.clone())
-        .expect("parallel run");
-    let sequential = ScenePipeline::new(MissingTrackFinder)
-        .sequential()
-        .run_merged(&library, batch)
-        .expect("sequential run");
+    let parallel = batch_rows(&ScenePipeline::new(MissingTrackFinder), &library, batch.clone());
+    let sequential =
+        batch_rows(&ScenePipeline::new(MissingTrackFinder).sequential(), &library, batch);
 
     assert!(!parallel.is_empty(), "batch should surface candidates");
     assert_eq!(parallel.len(), sequential.len());
     for (p, s) in parallel.iter().zip(&sequential) {
-        assert_eq!(p.scene_id, s.scene_id);
-        assert_eq!(p.scene_index, s.scene_index);
-        assert_eq!(p.candidate.track, s.candidate.track);
+        assert_eq!((p.0, &p.1), (s.0, &s.1));
+        assert_eq!(p.2.track, s.2.track);
         assert_eq!(
-            p.candidate.score.to_bits(),
-            s.candidate.score.to_bits(),
+            p.2.score.to_bits(),
+            s.2.score.to_bits(),
             "scores must match bit-for-bit"
         );
     }
@@ -303,8 +319,8 @@ fn scene_pipeline_empty_and_single_scene() {
     let library = train_library(&finder.feature_set(), 2, 8700);
     let pipeline = ScenePipeline::new(MissingTrackFinder);
 
-    // Empty batch: empty worklist, no error.
-    let empty = pipeline.run_merged(&library, Vec::new()).expect("empty batch");
+    // Empty batch: no results, no error.
+    let empty = pipeline.process(&library, Vec::new(), |r| r).expect("empty batch");
     assert!(empty.is_empty());
 
     // Single scene: the batch result equals the registry app's direct
@@ -313,12 +329,12 @@ fn scene_pipeline_empty_and_single_scene() {
     let data = generate_scene(&cfg, "sp-single", 8750);
     let scene = Scene::assemble(&data, &AssemblyConfig::default());
     let direct = App::MissingTracks.rank(&scene, &library).expect("rank");
-    let batched = pipeline.run_merged(&library, vec![data]).expect("single batch");
+    let batched = batch_rows(&pipeline, &library, vec![data]);
     assert_eq!(batched.len(), direct.len());
-    for (b, d) in batched.iter().zip(&direct) {
-        assert_eq!(b.scene_id, "sp-single");
-        assert_eq!(d.as_track(), Some(&b.candidate));
-        assert_eq!(b.candidate.score.to_bits(), d.score().to_bits());
+    for ((index, id, b), d) in batched.iter().zip(&direct) {
+        assert_eq!((*index, id.as_str()), (0, "sp-single"));
+        assert_eq!(d.as_track(), Some(b));
+        assert_eq!(b.score.to_bits(), d.score().to_bits());
     }
 }
 
@@ -421,28 +437,21 @@ fn fuzzed_batch_is_byte_identical_across_runs_and_vs_sequential() {
     let library = Learner::new().fit(&finder.feature_set(), &train).expect("fit");
     let batch = fuzzer.corpus(6);
 
-    let runs: Vec<Vec<BatchCandidate>> = (0..2)
-        .map(|_| {
-            ScenePipeline::new(MissingTrackFinder)
-                .run_merged(&library, fuzzer.corpus(6))
-                .expect("parallel run")
-        })
+    let runs: Vec<_> = (0..2)
+        .map(|_| batch_rows(&ScenePipeline::new(MissingTrackFinder), &library, fuzzer.corpus(6)))
         .collect();
-    let sequential = ScenePipeline::new(MissingTrackFinder)
-        .sequential()
-        .run_merged(&library, batch)
-        .expect("sequential run");
+    let sequential =
+        batch_rows(&ScenePipeline::new(MissingTrackFinder).sequential(), &library, batch);
 
     assert!(!sequential.is_empty(), "fuzzed batch should surface candidates");
     for run in &runs {
         assert_eq!(run.len(), sequential.len());
         for (p, s) in run.iter().zip(&sequential) {
-            assert_eq!(p.scene_id, s.scene_id);
-            assert_eq!(p.scene_index, s.scene_index);
-            assert_eq!(p.candidate.track, s.candidate.track);
+            assert_eq!((p.0, &p.1), (s.0, &s.1));
+            assert_eq!(p.2.track, s.2.track);
             assert_eq!(
-                p.candidate.score.to_bits(),
-                s.candidate.score.to_bits(),
+                p.2.score.to_bits(),
+                s.2.score.to_bits(),
                 "scores must match bit-for-bit"
             );
         }
@@ -460,13 +469,11 @@ fn bundle_level_pipeline_matches_direct_rank() {
 
     let scene = Scene::assemble(&data, &AssemblyConfig::default());
     let direct = App::MissingObs.rank(&scene, &library).expect("rank");
-    let batched = ScenePipeline::new(MissingObsFinder)
-        .run_merged(&library, vec![data])
-        .expect("bundle batch");
+    let batched = batch_rows(&ScenePipeline::new(MissingObsFinder), &library, vec![data]);
     assert_eq!(batched.len(), direct.len());
-    for (b, d) in batched.iter().zip(&direct) {
-        assert_eq!(d.as_bundle(), Some(&b.candidate));
-        assert_eq!(b.candidate.score.to_bits(), d.score().to_bits());
+    for ((_, _, b), d) in batched.iter().zip(&direct) {
+        assert_eq!(d.as_bundle(), Some(b));
+        assert_eq!(b.score.to_bits(), d.score().to_bits());
     }
 }
 
@@ -485,12 +492,10 @@ fn all_three_applications_run_on_one_scene() {
         let library = app.fit(&train).expect("fit");
         let scene = Scene::assemble(&data, &app.assembly());
         let direct = app.rank(&scene, &library).expect("rank");
-        let batched = ScenePipeline::new(app)
-            .run_merged(&library, vec![data.clone()])
-            .expect("batch");
+        let batched = batch_rows(&ScenePipeline::new(app), &library, vec![data.clone()]);
         assert_eq!(batched.len(), direct.len(), "{}", app.name());
-        for (b, d) in batched.iter().zip(&direct) {
-            assert_eq!(&b.candidate, d, "{}", app.name());
+        for ((_, _, b), d) in batched.iter().zip(&direct) {
+            assert_eq!(b, d, "{}", app.name());
         }
     }
 }

@@ -14,7 +14,7 @@
 
 use fixy::core::apps::App;
 use fixy::core::rank::Candidate;
-use fixy::core::{AssemblyEngine, FeatureLibrary, Learner, Scene};
+use fixy::core::{FeatureLibrary, Learner, Scene};
 use fixy::data::{ScenarioFuzzer, SceneData};
 use fixy::obs::Stage;
 use fixy::serve::{
@@ -125,11 +125,6 @@ fn worklists_rank_on_read_and_equal_batch_rank_of_the_prefix() {
     for ctx in contexts() {
         let data = ScenarioFuzzer::new(21).scene(0);
         let n = data.frames.len();
-        let mut engine = AssemblyEngine::new(ctx.app().assembly());
-        engine.begin(data.frame_dt);
-        for frame in &data.frames {
-            engine.push_frame(frame);
-        }
         let name = ctx.app().name();
         let library = fit(ctx.app());
         let mut svc = AuditService::new(ctx, ServiceCfg::default());
@@ -148,7 +143,9 @@ fn worklists_rank_on_read_and_equal_batch_rank_of_the_prefix() {
             }
             peeked = svc.peek(0).unwrap().to_vec();
             assert_eq!(rank_spans(), 1, "{name} frame {k}: peek ranks once");
-            let want = batch_entries(ctx.app(), &library, &engine.snapshot_prefix(k + 1));
+            let prefix = SceneData { frames: data.frames[..=k].to_vec(), ..data.clone() };
+            let prefix = Scene::assemble(&prefix, &ctx.app().assembly());
+            let want = batch_entries(ctx.app(), &library, &prefix);
             assert_same_list(&peeked, &want, &format!("{name} peek after frame {k}"));
             nonempty_reads += usize::from(!peeked.is_empty());
             let again = svc.peek(0).unwrap().to_vec();
