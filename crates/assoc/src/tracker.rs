@@ -116,14 +116,6 @@ impl Paths {
             Some((entry.frame as usize, entry.item as usize))
         })
     }
-
-    fn to_vec(&self) -> Vec<TrackPath> {
-        let tracks: Vec<TrackPath> = (0..self.spans.len())
-            .map(|t| TrackPath { entries: self.path(t).collect() })
-            .collect();
-        debug_assert_sorted_by_first_entry(&tracks);
-        tracks
-    }
 }
 
 /// An active (extendable) track during the sweep.
@@ -138,23 +130,16 @@ struct Active {
     prepared: PreparedBox,
 }
 
-/// Tracks open at the frame sweep's tail, each frame's in ascending item
-/// order, so creation order is already strictly increasing in first
-/// entry: the "sorted by first entry" the builders promise needs no sort.
-fn debug_assert_sorted_by_first_entry(tracks: &[TrackPath]) {
-    debug_assert!(tracks.windows(2).all(|w| w[0].entries.first() < w[1].entries.first()));
-}
-
 /// Incremental cross-frame track builder: feed a scene's frames in
 /// order through [`step_prepared`](TrackBuilder::step_prepared), so live
 /// ingest extends tracks as data arrives instead of waiting for the whole
 /// scene.
 ///
-/// [`finish`](TrackBuilder::finish) returns the frame-ordered,
-/// first-entry-sorted paths, and [`snapshot`](TrackBuilder::snapshot)
-/// clones the paths-so-far without disturbing the in-progress state;
-/// [`path`](TrackBuilder::path) reads one path in place. The paths, the
-/// active-track list, the item AABBs and grid, the sparse score matrix
+/// Paths are read in place: [`path`](TrackBuilder::path) walks one
+/// below [`n_paths`](TrackBuilder::n_paths), and
+/// [`path_len_and_last`](TrackBuilder::path_len_and_last) reads its
+/// length and tail; [`begin`](TrackBuilder::begin) starts over. The path
+/// arena, the active-track list, the item AABBs and grid, the sparse score matrix
 /// and the matcher scratch all live in the builder, so a reused builder
 /// allocates nothing per frame or per track.
 #[derive(Debug, Default)]
@@ -260,21 +245,6 @@ impl TrackBuilder {
         }
     }
 
-    /// Take the finished paths, sorted by first entry, and start over
-    /// (the next scene still begins with [`begin`](Self::begin)).
-    pub fn finish(&mut self) -> Vec<TrackPath> {
-        let tracks = self.snapshot();
-        self.begin();
-        tracks
-    }
-
-    /// The paths built so far, sorted by first entry — exactly what
-    /// [`finish`](Self::finish) would return right now, without ending
-    /// the scene.
-    pub fn snapshot(&self) -> Vec<TrackPath> {
-        self.paths.to_vec()
-    }
-
     /// The tracks created or extended by the most recent
     /// [`step_prepared`](Self::step_prepared), as ascending path indices (unique: each
     /// track gains at most one entry per frame).
@@ -283,9 +253,10 @@ impl TrackBuilder {
     }
 
     /// Number of paths built so far. Paths are indexed in creation
-    /// order, which is already strictly increasing in first entry, so the
-    /// indices agree with [`snapshot`](Self::snapshot) (locked by
-    /// `last_touched_indexes_snapshot`).
+    /// order: tracks open at the frame sweep's tail, each frame's in
+    /// ascending item order, so the indices are already sorted by first
+    /// entry, the order [`build_tracks_brute`] sorts its paths into
+    /// (locked by `last_touched_indexes_snapshot`).
     pub fn n_paths(&self) -> usize {
         self.paths.spans.len()
     }
@@ -373,11 +344,18 @@ mod tests {
         builder.step_prepared(&prepared, &offsets);
     }
 
-    /// A whole scene through `builder`, begun and finished.
+    /// The builder's paths so far, read in place through `path`.
+    fn paths(builder: &TrackBuilder) -> Vec<TrackPath> {
+        (0..builder.n_paths())
+            .map(|t| TrackPath { entries: builder.path(t).collect() })
+            .collect()
+    }
+
+    /// A whole scene through `builder`, begun and read.
     fn build_with(builder: &mut TrackBuilder, frames: &[Vec<Box3>]) -> Vec<TrackPath> {
         builder.begin();
         frames.iter().for_each(|items| step(builder, items));
-        builder.finish()
+        paths(builder)
     }
 
     fn build_tracks(frames: &[Vec<Box3>]) -> Vec<TrackPath> {
@@ -502,7 +480,7 @@ mod tests {
 
     #[test]
     fn builder_snapshot_is_prefix_batch() {
-        // After k steps the snapshot must equal a build over the first k
+        // After k steps the paths must equal a build over the first k
         // frames: the sweep never revises past assignments.
         let frames = random_frames(3, 7, 4, 25.0);
         let mut builder = TrackBuilder::default();
@@ -511,28 +489,28 @@ mod tests {
             step(&mut builder, items);
             assert_eq!(builder.next_frame, k + 1);
             let prefix = build_tracks_brute(&frames[..=k]);
-            assert_eq!(builder.snapshot(), prefix, "prefix of {} frames", k + 1);
+            assert_eq!(paths(&builder), prefix, "prefix of {} frames", k + 1);
         }
-        // Snapshot does not disturb the in-progress state.
-        assert_eq!(builder.finish(), build_tracks_brute(&frames));
+        // Reading the paths does not disturb the in-progress state.
+        assert_eq!(paths(&builder), build_tracks_brute(&frames));
     }
 
     #[test]
     fn last_touched_indexes_snapshot() {
         // Per frame: the touched set is exactly the tracks whose paths
-        // changed, creation order matches the sorted snapshot order, and
-        // untouched paths are byte-identical to the previous frame's.
+        // changed, creation order matches the batch build's first-entry
+        // order, and untouched paths are byte-identical to the previous
+        // frame's.
         for seed in [2u64, 6, 11] {
             let frames = random_frames(seed, 9, 5, 28.0);
             let mut builder = TrackBuilder::default();
             builder.begin();
             let mut prev: Vec<TrackPath> = Vec::new();
-            for items in &frames {
+            for (k, items) in frames.iter().enumerate() {
                 step(&mut builder, items);
-                let paths = builder.snapshot();
-                assert_eq!(paths.len(), builder.n_paths());
+                let paths = paths(&builder);
+                assert_eq!(paths, build_tracks_brute(&frames[..=k]), "seed {seed} frame {k}");
                 for (t, path) in paths.iter().enumerate() {
-                    assert!(builder.path(t).eq(path.entries.iter().copied()), "path {t} in place");
                     let last = *path.entries.last().unwrap();
                     assert_eq!(builder.path_len_and_last(t), (path.len(), last));
                 }

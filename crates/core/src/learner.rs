@@ -12,19 +12,59 @@
 //! Training scenes are assembled from **human labels only** — the
 //! organizational resource is the existing (possibly noisy) labeled data,
 //! which comes at no additional cost.
+//!
+//! # Cost and schedule
+//!
+//! Values are collected in one sequential pass: one target traversal
+//! per feature kind, every feature of that kind collecting its values
+//! in the same walk, in (scene, target) order. The features are then
+//! fitted as independent jobs on [`pool_map`], one per learned feature
+//! in declaration order, with [`worker_count`] workers capped at the
+//! job count. Each job sorts its feature's values **once**: a plain
+//! feature's KDE reads its bandwidth's IQR off the sorted copy it keeps
+//! ([`Kde1d::fit`]); a class-conditional feature folds the pooled and
+//! every class's σ̂ in one input-order pass, stably sorts its
+//! `(value, class)` pairs and splits the sorted run per class, so no
+//! class is copied or sorted again ([`Kde1d::fit_sorted`]). Collection
+//! stays on the calling thread: collected on workers, the per-scene
+//! value lists raised the benchmark's peak RSS by more than its noise.
+//!
+//! **Bit identity.** The schedule never changes the bytes. Every
+//! feature's values keep their sequential order, σ̂ is folded in that
+//! order, and the sort is the stable `partial_cmp` sort, so the kept
+//! samples, bandwidths and grids are those of a one-thread fit at any
+//! worker count (`fit_is_bit_identical_at_any_worker_count`, and the
+//! pinned library digests in `tests/fuzz_conformance.rs`). Errors
+//! follow declaration order too: [`pool_map`] returns the lowest-index
+//! failure, and jobs are listed only up to the first feature without
+//! values, whose [`FixyError::NoTrainingData`] is returned only when no
+//! earlier feature's fit failed.
+//!
+//! **No nesting.** A fit starts its own pool, so it must not run inside
+//! a [`pool_map`] worker: that would multiply the thread count by the
+//! worker count. No caller does — [`Learner::fit`] assembles on its
+//! pool before it fits, and the `loa_eval` experiments fit before their
+//! parallel scene maps — and a new caller should fit first, then fan
+//! out.
 
 use crate::compile::for_each_target;
 use crate::error::FixyError;
 use crate::feature::{FeatureSet, FeatureValue};
+use crate::pipeline::{pool_map, worker_count};
 use crate::scene::{AssemblyConfig, Scene};
 use loa_data::{ObjectClass, SceneData};
-use loa_stats::{Density1d, Kde1d};
+use loa_stats::summary::Welford;
+use loa_stats::{Density1d, FitError, Kde1d};
 use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
+use std::convert::Infallible;
 
 /// Minimum per-class sample count before a class gets its own
 /// distribution (smaller classes fall back to the pooled fit).
 const MIN_CLASS_SAMPLES: usize = 8;
+
+/// Number of object classes, the length of per-class arrays.
+const N_CLASSES: usize = ObjectClass::ALL.len();
 
 /// A fitted feature distribution.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -119,14 +159,30 @@ impl Learner {
     }
 
     /// Fit all learned features in `features` over raw training scenes.
+    ///
+    /// The scenes are assembled on [`pool_map`], in input order, before
+    /// the fit; see [`fit_assembled`](Self::fit_assembled) for the rest.
     pub fn fit(
         &self,
         features: &FeatureSet,
         scenes: &[SceneData],
     ) -> Result<FeatureLibrary, FixyError> {
-        let assembled: Vec<Scene> =
-            scenes.iter().map(|s| Scene::assemble(s, &self.assembly)).collect();
-        self.fit_assembled(features, &assembled)
+        self.fit_with_workers(worker_count(), features, scenes)
+    }
+
+    /// [`fit`](Self::fit) on `workers` workers (the public entry points
+    /// take [`worker_count`]; tests pin it).
+    fn fit_with_workers(
+        &self,
+        workers: usize,
+        features: &FeatureSet,
+        scenes: &[SceneData],
+    ) -> Result<FeatureLibrary, FixyError> {
+        let assembled = pool_map(workers.min(scenes.len()), scenes, |_, scene| {
+            Ok::<_, Infallible>(Scene::assemble(scene, &self.assembly))
+        })
+        .unwrap_or_else(|never| match never {});
+        self.fit_assembled_with_workers(workers, features, &assembled)
     }
 
     /// Fit over already-assembled scenes.
@@ -138,8 +194,22 @@ impl Learner {
     /// feature's sample sequence (scene order, target order) is
     /// identical to a per-feature walk, so the fitted distributions are
     /// bit-identical.
+    ///
+    /// The features are then fitted on [`pool_map`] with
+    /// [`worker_count`] workers; the library is bit-identical at any
+    /// count (module doc).
     pub fn fit_assembled(
         &self,
+        features: &FeatureSet,
+        scenes: &[Scene],
+    ) -> Result<FeatureLibrary, FixyError> {
+        self.fit_assembled_with_workers(worker_count(), features, scenes)
+    }
+
+    /// [`fit_assembled`](Self::fit_assembled) on `workers` workers.
+    fn fit_assembled_with_workers(
+        &self,
+        workers: usize,
         features: &FeatureSet,
         scenes: &[Scene],
     ) -> Result<FeatureLibrary, FixyError> {
@@ -173,16 +243,21 @@ impl Learner {
             }
         }
 
-        // Fit in declaration order, so error reporting (first feature
-        // with no samples, first failing fit) matches the old
-        // per-feature walk exactly.
+        // One job per feature, in declaration order, up to the first
+        // feature without values: its `NoTrainingData` is the error
+        // unless an earlier feature's fit fails first, as in a
+        // feature-by-feature walk.
+        let with_values = values.iter().position(Vec::is_empty).unwrap_or(values.len());
+        let name = |i: usize| learned[i].feature.name().to_string();
+        let fitted = pool_map(workers.min(with_values), &values[..with_values], |i, values| {
+            fit_feature(values).map_err(|error| FixyError::Fit { feature: name(i), error })
+        })?;
+        if with_values < learned.len() {
+            return Err(FixyError::NoTrainingData { feature: name(with_values) });
+        }
         let mut library = FeatureLibrary::default();
-        for (bf, values) in learned.iter().zip(&values) {
-            let name = bf.feature.name();
-            if values.is_empty() {
-                return Err(FixyError::NoTrainingData { feature: name.to_string() });
-            }
-            library.insert(name.to_string(), fit_kde(name, values)?);
+        for (i, dist) in fitted.into_iter().enumerate() {
+            library.insert(name(i), dist);
         }
         Ok(library)
     }
@@ -190,25 +265,58 @@ impl Learner {
 
 /// Fit one learned feature's values: a pooled KDE, and per-class KDEs
 /// beside it when any value carries a class.
-fn fit_kde(name: &str, values: &[FeatureValue]) -> Result<FittedDistribution, FixyError> {
-    let xs: Vec<f64> = values.iter().map(|v| v.x).collect();
-    let wrap = |e| FixyError::Fit { feature: name.to_string(), error: e };
-    let class_conditional = values.iter().any(|v| v.class.is_some());
-    let pooled = Kde1d::fit(&xs).map_err(wrap)?;
-    if !class_conditional {
-        return Ok(FittedDistribution::Kde(pooled));
+///
+/// The values are sorted once. A class-conditional feature folds the
+/// pooled and every class's σ̂ in one pass in input order, stably sorts
+/// the values' indices by value, and splits the sorted run per class: a
+/// stable sort filtered to one class is that class's own stable sort,
+/// so each KDE is bit-identical to [`Kde1d::fit`] of its values.
+fn fit_feature(values: &[FeatureValue]) -> Result<FittedDistribution, FitError> {
+    if !values.iter().any(|v| v.class.is_some()) {
+        let xs: Vec<f64> = values.iter().map(|v| v.x).collect();
+        return Kde1d::fit(&xs).map(FittedDistribution::Kde);
     }
-    let mut by_class: BTreeMap<ObjectClass, Vec<f64>> = BTreeMap::new();
+    // The sort's comparator needs finite values; this is `Kde1d::fit`'s
+    // check (the values are never empty here).
+    if values.iter().any(|v| !v.x.is_finite()) {
+        return Err(FitError::NonFiniteSample);
+    }
+    let mut pooled_spread = Welford::new();
+    let mut class_spread = [Welford::new(); N_CLASSES];
     for v in values {
+        pooled_spread.push(v.x);
         if let Some(class) = v.class {
-            by_class.entry(class).or_default().push(v.x);
+            class_spread[class.index()].push(v.x);
         }
     }
-    let mut per_class = BTreeMap::new();
-    for (class, xs) in by_class {
-        if xs.len() >= MIN_CLASS_SAMPLES {
-            per_class.insert(class, Kde1d::fit(&xs).map_err(wrap)?);
+    // The stable sort permutes indices, not `(value, class)` pairs: the
+    // same order, in a quarter of the memory (and of the sort's scratch).
+    let n = u32::try_from(values.len()).expect("fewer than 2³² values per feature");
+    let mut order: Vec<u32> = (0..n).collect();
+    order.sort_by(|&a, &b| {
+        values[a as usize]
+            .x
+            .partial_cmp(&values[b as usize].x)
+            .expect("finite")
+    });
+
+    // Split the sorted run for the classes that get their own KDE.
+    let fitted_class = |c: usize| class_spread[c].count() >= MIN_CLASS_SAMPLES as u64;
+    let mut class_sorted: [Vec<f64>; N_CLASSES] = std::array::from_fn(|c| {
+        Vec::with_capacity(if fitted_class(c) { class_spread[c].count() as usize } else { 0 })
+    });
+    for &i in &order {
+        let v = values[i as usize];
+        if let Some(class) = v.class.filter(|c| fitted_class(c.index())) {
+            class_sorted[class.index()].push(v.x);
         }
+    }
+    let sorted: Vec<f64> = order.iter().map(|&i| values[i as usize].x).collect();
+    drop(order);
+    let pooled = Kde1d::fit_sorted(sorted, &pooled_spread)?;
+    let mut per_class = BTreeMap::new();
+    for (c, xs) in class_sorted.into_iter().enumerate().filter(|&(c, _)| fitted_class(c)) {
+        per_class.insert(ObjectClass::ALL[c], Kde1d::fit_sorted(xs, &class_spread[c])?);
     }
     Ok(FittedDistribution::ClassConditional { per_class, pooled })
 }
@@ -311,6 +419,146 @@ mod tests {
     fn empty_training_set_fails_cleanly() {
         let err = Learner::new().fit(&FeatureSet::paper_default(), &[]).unwrap_err();
         assert!(matches!(err, FixyError::NoTrainingData { .. }));
+    }
+
+    #[test]
+    fn fit_is_bit_identical_at_any_worker_count() {
+        // The fan-out changes the schedule, never the bytes: each KDE is
+        // one job over its own value list, and results go back in job
+        // order.
+        let scenes = training_scenes(2);
+        for app in crate::apps::App::ALL {
+            let learner = Learner { assembly: app.train_assembly() };
+            let bytes = |workers| {
+                let library = learner.fit_with_workers(workers, &app.feature_set(), &scenes);
+                crate::flcb::encode_library(app.name(), &library.unwrap())
+            };
+            let one = bytes(1);
+            assert_eq!(bytes(2), one, "{} at 2 workers", app.name());
+            assert_eq!(bytes(8), one, "{} at 8 workers", app.name());
+        }
+    }
+
+    #[test]
+    fn split_class_fits_equal_each_class_fit_alone() {
+        // Ties across classes and signed zeros: the split of the stably
+        // sorted pairs must keep each class's input order among equal
+        // values, as the class's own stable sort does.
+        let classes = [ObjectClass::Car, ObjectClass::Truck, ObjectClass::Bus];
+        let values: Vec<FeatureValue> = (0..200u64)
+            .map(|i| {
+                let h = i.wrapping_mul(0x9e37_79b9_7f4a_7c15) >> 40;
+                let x = match h % 5 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    _ => (h % 17) as f64 - 6.0,
+                };
+                FeatureValue::class_conditional(x, classes[(h % 3) as usize])
+            })
+            .collect();
+        let bits = |kde: &Kde1d| {
+            let mut out: Vec<u64> = kde.samples().iter().map(|x| x.to_bits()).collect();
+            out.extend([kde.bandwidth_value().to_bits(), kde.max_density().to_bits()]);
+            out
+        };
+        let FittedDistribution::ClassConditional { per_class, pooled } =
+            fit_feature(&values).unwrap()
+        else {
+            panic!("class-conditional values fit a class-conditional distribution")
+        };
+        let xs: Vec<f64> = values.iter().map(|v| v.x).collect();
+        assert_eq!(bits(&pooled), bits(&Kde1d::fit(&xs).unwrap()));
+        assert_eq!(per_class.len(), classes.len());
+        for (class, kde) in &per_class {
+            let own: Vec<f64> = values
+                .iter()
+                .filter(|v| v.class == Some(*class))
+                .map(|v| v.x)
+                .collect();
+            assert_eq!(bits(kde), bits(&Kde1d::fit(&own).unwrap()), "{class:?}");
+        }
+    }
+
+    /// A learned observation feature: the observation's volume, or NaN
+    /// for cars when `poisoned`.
+    struct VolumeOrNan {
+        name: &'static str,
+        poisoned: bool,
+    }
+
+    impl crate::feature::Feature for VolumeOrNan {
+        fn name(&self) -> &str {
+            self.name
+        }
+        fn kind(&self) -> crate::feature::FeatureKind {
+            crate::feature::FeatureKind::Observation
+        }
+        fn value(
+            &self,
+            _scene: &Scene,
+            target: &crate::feature::FeatureTarget<'_>,
+        ) -> Option<FeatureValue> {
+            let crate::feature::FeatureTarget::Obs(obs) = target else { return None };
+            let poison = self.poisoned && obs.class == ObjectClass::Car;
+            let x = if poison { f64::NAN } else { obs.bbox.volume() };
+            Some(FeatureValue::class_conditional(x, obs.class))
+        }
+    }
+
+    /// A learned track feature that never applies: no training values.
+    struct NeverApplies;
+
+    impl crate::feature::Feature for NeverApplies {
+        fn name(&self) -> &str {
+            "never"
+        }
+        fn kind(&self) -> crate::feature::FeatureKind {
+            crate::feature::FeatureKind::Track
+        }
+        fn value(
+            &self,
+            _scene: &Scene,
+            _target: &crate::feature::FeatureTarget<'_>,
+        ) -> Option<FeatureValue> {
+            None
+        }
+    }
+
+    #[test]
+    fn fit_errors_follow_declaration_order_at_any_worker_count() {
+        use crate::feature::{BoundFeature, Feature};
+        use std::sync::Arc;
+        let scenes = training_scenes(1);
+        let bind = |f: Arc<dyn Feature>| BoundFeature::plain(f);
+        let poisoned = || bind(Arc::new(VolumeOrNan { name: "poisoned", poisoned: true }));
+        let clean = || bind(Arc::new(VolumeOrNan { name: "clean", poisoned: false }));
+        let never = || bind(Arc::new(NeverApplies));
+        for workers in [1, 2, 8] {
+            let fit = |set: Vec<BoundFeature>| {
+                Learner::new().fit_with_workers(workers, &FeatureSet::new(set), &scenes)
+            };
+            // A failing fit of the first feature wins over the second's
+            // missing values, although the values are collected first.
+            let err = fit(vec![poisoned(), never()]).unwrap_err();
+            assert!(
+                matches!(
+                    &err,
+                    FixyError::Fit { feature, error: loa_stats::FitError::NonFiniteSample }
+                        if feature == "poisoned"
+                ),
+                "{workers} workers: {err:?}"
+            );
+            // The first feature without values wins over a later failing
+            // fit, and a later feature without values over nothing.
+            for set in [vec![never(), poisoned()], vec![clean(), never()]] {
+                let err = fit(set).unwrap_err();
+                assert!(
+                    matches!(&err, FixyError::NoTrainingData { feature } if feature == "never"),
+                    "{workers} workers: {err:?}"
+                );
+            }
+            assert_eq!(fit(vec![clean()]).unwrap().len(), 1);
+        }
     }
 
     #[test]

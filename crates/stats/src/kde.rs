@@ -6,6 +6,7 @@
 
 use crate::bandwidth::silverman;
 use crate::kernel::Kernel;
+use crate::summary::Welford;
 use crate::{check_densities, check_scale, validate_sample, Density1d, FitError};
 use serde::{Deserialize, Serialize};
 
@@ -52,12 +53,39 @@ crate::deserialize_via_parts!(Kde1d, StoredKde1d, |s| {
 
 impl Kde1d {
     /// Fit with the Gaussian kernel and Silverman's bandwidth.
+    ///
+    /// The samples are sorted once, into the copy the KDE keeps, and the
+    /// bandwidth's IQR is read off that copy; σ̂ is folded over `samples`
+    /// in input order ([`silverman`]). The sort is stable on
+    /// `partial_cmp`, so equal values (`-0.0` and `0.0`) keep their input
+    /// order and the kept samples, bandwidth and grid are a function of
+    /// the input sequence alone.
     pub fn fit(samples: &[f64]) -> Result<Self, FitError> {
         validate_sample(samples)?;
-        let bandwidth = silverman(samples);
+        let spread = Welford::from_slice(samples);
         let mut sorted = samples.to_vec();
         sorted.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
-        Ok(Kde1d::with_bandwidth(sorted, Kernel::Gaussian, bandwidth))
+        Ok(Kde1d::from_sorted(sorted, &spread))
+    }
+
+    /// [`fit`](Self::fit) with the sort and σ̂ done by the caller:
+    /// `sorted` must be the sample stably sorted on `partial_cmp`
+    /// (debug-asserted for order), and `spread` its [`Welford`]
+    /// accumulator folded in input order. The KDE is then bit-identical
+    /// to `fit` of the sample. The learner folds every class's σ̂ in one
+    /// pass and splits one sorted run per class, so no class is copied
+    /// or sorted again.
+    pub fn fit_sorted(sorted: Vec<f64>, spread: &Welford) -> Result<Self, FitError> {
+        validate_sample(&sorted)?;
+        debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "sorted ascending");
+        Ok(Kde1d::from_sorted(sorted, spread))
+    }
+
+    /// Fit a validated sample, given its stable ascending sort and its
+    /// input-order σ̂ accumulator.
+    fn from_sorted(sorted: Vec<f64>, spread: &Welford) -> Self {
+        let bandwidth = silverman(spread, &sorted);
+        Kde1d::with_bandwidth(sorted, Kernel::Gaussian, bandwidth)
     }
 
     /// Build the grid for sorted, validated samples.

@@ -96,15 +96,15 @@ pub fn quantile(sorted: &[f64], q: f64) -> Option<f64> {
     Some(sorted[lo] + (sorted[hi] - sorted[lo]) * frac)
 }
 
-/// Interquartile range of an unsorted sample (sorts a copy).
-pub fn iqr(xs: &[f64]) -> f64 {
-    if xs.len() < 2 {
+/// Interquartile range of a sample sorted ascending (type-7 quartiles).
+/// The caller sorts: a KDE fit reads it off the sorted copy it keeps,
+/// so the sample is sorted once.
+pub fn iqr(sorted: &[f64]) -> f64 {
+    if sorted.len() < 2 {
         return 0.0;
     }
-    let mut sorted = xs.to_vec();
-    sorted.sort_by(|a, b| a.partial_cmp(b).expect("finite samples"));
-    let q3 = quantile(&sorted, 0.75).unwrap_or(0.0);
-    let q1 = quantile(&sorted, 0.25).unwrap_or(0.0);
+    let q3 = quantile(sorted, 0.75).unwrap_or(0.0);
+    let q1 = quantile(sorted, 0.25).unwrap_or(0.0);
     q3 - q1
 }
 
@@ -166,7 +166,8 @@ mod tests {
 
     #[test]
     fn iqr_of_unsorted_sample() {
-        let xs = [6.0, 2.0, 4.0, 1.0, 3.0, 5.0, 7.0];
+        let mut xs = [6.0, 2.0, 4.0, 1.0, 3.0, 5.0, 7.0];
+        xs.sort_by(|a, b| a.partial_cmp(b).unwrap());
         // sorted: 1..7 → q1 = 2.5, q3 = 5.5.
         assert!((iqr(&xs) - 3.0).abs() < 1e-12);
         assert_eq!(iqr(&[1.0]), 0.0);

@@ -111,3 +111,35 @@ fn fuzzer_output_is_pinned_across_builds() {
     let train = digest(serde_json::to_string(&fuzzer.training_corpus(2)).unwrap());
     assert_eq!(train, 0x16fc_f5ce_8ab1_c2da, "training corpus of 2 (seed 7) moved");
 }
+
+/// Every registry app's fitted library is pinned across builds: the
+/// digests of the `.flcb` bytes of `App::fit` over the seed-7 training
+/// corpus are literals taken from a known-good build. The fitted
+/// samples, bandwidths and scoring grids are all in those bytes, so a
+/// change to value collection, sorting, bandwidth selection, grid
+/// building or the fit's parallel schedule that moves one bit fails
+/// here.
+#[test]
+fn fitted_libraries_are_pinned_across_builds() {
+    use fixy::core::apps::App;
+    use fixy::core::flcb::encode_library;
+    let training = ScenarioFuzzer::new(7).training_corpus(6);
+    let digests: Vec<(&str, u64)> = App::ALL
+        .into_iter()
+        .map(|app| {
+            let bytes = encode_library(app.name(), &app.fit(&training).unwrap());
+            (app.name(), fnv1a64(&bytes))
+        })
+        .collect();
+    assert_eq!(
+        digests,
+        [
+            ("missing-tracks", 0x9888_66f5_0fd4_8993),
+            ("missing-obs", 0x659e_e491_6749_a82a),
+            ("model-errors", 0x8790_e559_ad83_cdeb),
+            ("label-audit", 0x2e87_01cb_5e29_ba2d),
+            ("bundle-audit", 0x80da_7c81_0d4c_ca57)
+        ],
+        "fitted library bytes (seed-7 training corpus of 6) moved"
+    );
+}
