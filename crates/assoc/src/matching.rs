@@ -11,10 +11,8 @@
 //! every pair into the same matrix and runs the same
 //! [`greedy_match_into`].
 
-use serde::{Deserialize, Serialize};
-
 /// One matched pair: `left[i] ↔ right[j]` with its score.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Match {
     pub left: usize,
     pub right: usize,

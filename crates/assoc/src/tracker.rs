@@ -27,14 +27,13 @@ use crate::bundler::{AabbColumns, PreparedBox};
 use crate::matching::{greedy_match_into, Match, MatchScratch, ScoreMatrix};
 use crate::{TRACK_IOU, TRACK_MAX_GAP};
 use loa_geom::{iou_bev, iou_bev_prepared, Aabb2, BevGrid, Box3};
-use serde::{Deserialize, Serialize};
 
 /// Below this many track×item pairs the per-frame assignment prunes by a
 /// flat AABB sweep; from here up the [`BevGrid`] pays for its build.
 const GRID_MIN_PAIRS: usize = 4096;
 
 /// A built track: `(frame_index, item_index)` entries in frame order.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct TrackPath {
     pub entries: Vec<(usize, usize)>,
 }

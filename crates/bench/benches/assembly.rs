@@ -13,7 +13,7 @@
 //!   into the CSR `Scene` arenas (`Scene::from_parts`).
 //! * `assembly/assemble_full` / `assemble_engine_reused` — the whole
 //!   path: a fresh engine per scene vs one warm engine across scenes (the
-//!   `ScenePipeline` worker regime).
+//!   regime of `Scene::assemble`, which reuses its thread's engine).
 //! * `assembly/corpus_presets` — one corpus-audit-shaped fuzzed scene
 //!   (~15 s at 10 Hz, a crowded cast) assembled under the default,
 //!   model-only and human-only presets on one reused engine: what a
@@ -178,7 +178,8 @@ fn bench_stages(c: &mut Criterion) {
     // ---- End to end ---------------------------------------------------------
     group.bench_function("assemble_full", |b| {
         b.iter(|| {
-            let scene = Scene::assemble(black_box(&data), &AssemblyConfig::default());
+            let mut engine = AssemblyEngine::new(AssemblyConfig::default());
+            let scene = engine.assemble(black_box(&data));
             black_box(scene.n_tracks())
         })
     });

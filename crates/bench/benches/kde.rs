@@ -5,6 +5,9 @@
 //! (`sequential`) and on the worker pool (`parallel`, `RAYON_NUM_THREADS`
 //! or the machine's parallelism).
 //!
+//! `kde_fit` also fits a corpus-audit-scale sample: 47,632 unsorted
+//! two-mode values, the size of that benchmark's `volume` fit.
+//!
 //! Set `FIXY_BENCH_SMOKE=1` to run the smallest training set of each group
 //! with 3 samples — the CI smoke mode that keeps the bench compiling *and*
 //! executing (`learner_fit/{sequential,parallel}/2` on default-profile
@@ -31,6 +34,10 @@ fn sizes() -> &'static [usize] {
     }
 }
 
+/// The size of the corpus-audit benchmark's largest fit (its `volume`
+/// feature's training values), fitted in the `kde_fit` group only.
+const CORPUS_AUDIT_FIT: usize = 47_632;
+
 fn samples(n: usize) -> Vec<f64> {
     // Deterministic pseudo-random mixture: two modes, like real volume
     // distributions (cars + trucks).
@@ -49,7 +56,8 @@ fn samples(n: usize) -> Vec<f64> {
 fn bench_fit(c: &mut Criterion) {
     let mut group = c.benchmark_group("kde_fit");
     group.sample_size(if smoke() { 3 } else { 20 });
-    for &n in sizes() {
+    let corpus_audit = if smoke() { None } else { Some(CORPUS_AUDIT_FIT) };
+    for &n in sizes().iter().chain(&corpus_audit) {
         let xs = samples(n);
         group.bench_with_input(BenchmarkId::new("exact", n), &xs, |b, xs| {
             b.iter(|| black_box(Kde1d::fit(black_box(xs)).unwrap().grid().bins()))

@@ -84,11 +84,13 @@ impl Enc {
         self.buf.extend_from_slice(s.as_bytes());
     }
     /// A length-prefixed flat `f64` array (the bulk payload of the
-    /// library format: samples, grids, bins).
+    /// library format: samples and grids), written into space sized once.
     pub fn f64_slice(&mut self, xs: &[f64]) {
         self.len(xs.len());
-        for &x in xs {
-            self.f64(x);
+        let start = self.buf.len();
+        self.buf.resize(start + 8 * xs.len(), 0);
+        for (dst, x) in self.buf[start..].chunks_exact_mut(8).zip(xs) {
+            dst.copy_from_slice(&x.to_le_bytes());
         }
     }
 }

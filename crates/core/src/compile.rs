@@ -229,6 +229,43 @@ impl CompiledScene {
     }
 }
 
+/// Visit every target of the given feature kind in a scene, in the order
+/// [`for_each_target`] visits them. The learner collects values this
+/// way: it needs no factor edges.
+pub(crate) fn visit_targets(
+    scene: &Scene,
+    kind: FeatureKind,
+    mut visit: impl FnMut(FeatureTarget<'_>),
+) {
+    match kind {
+        FeatureKind::Observation => {
+            for obs in scene.observations() {
+                visit(FeatureTarget::Obs(obs));
+            }
+        }
+        FeatureKind::Bundle => {
+            for bundle in scene.bundles() {
+                visit(FeatureTarget::Bundle(bundle));
+            }
+        }
+        FeatureKind::Transition => {
+            for track in scene.tracks() {
+                for pair in scene.track_bundles(track.idx).windows(2) {
+                    let a = scene.bundle(pair[0]);
+                    let b = scene.bundle(pair[1]);
+                    let dt = (b.frame.0.saturating_sub(a.frame.0)) as f64 * scene.frame_dt;
+                    visit(FeatureTarget::Transition(a, b, dt));
+                }
+            }
+        }
+        FeatureKind::Track => {
+            for track in scene.tracks() {
+                visit(FeatureTarget::Track(track));
+            }
+        }
+    }
+}
+
 /// Visit every target of the given feature kind in a scene, along with the
 /// observations a factor on that target would attach to.
 pub fn for_each_target(
@@ -236,40 +273,25 @@ pub fn for_each_target(
     kind: FeatureKind,
     mut visit: impl FnMut(FeatureTarget<'_>, &[ObsIdx]),
 ) {
-    match kind {
-        FeatureKind::Observation => {
-            for obs in scene.observations() {
-                visit(FeatureTarget::Obs(obs), std::slice::from_ref(&obs.idx));
+    let mut edges: Vec<ObsIdx> = Vec::new();
+    visit_targets(scene, kind, |target| {
+        let edge_obs = match target {
+            FeatureTarget::Obs(obs) => std::slice::from_ref(&obs.idx),
+            FeatureTarget::Bundle(bundle) => scene.bundle_obs(bundle.idx),
+            FeatureTarget::Transition(a, b, _) => {
+                edges.clear();
+                edges.extend_from_slice(scene.bundle_obs(a.idx));
+                edges.extend_from_slice(scene.bundle_obs(b.idx));
+                &edges
             }
-        }
-        FeatureKind::Bundle => {
-            for bundle in scene.bundles() {
-                visit(FeatureTarget::Bundle(bundle), scene.bundle_obs(bundle.idx));
-            }
-        }
-        FeatureKind::Transition => {
-            let mut edges: Vec<ObsIdx> = Vec::new();
-            for track in scene.tracks() {
-                for pair in scene.track_bundles(track.idx).windows(2) {
-                    let a = scene.bundle(pair[0]);
-                    let b = scene.bundle(pair[1]);
-                    let dt = (b.frame.0.saturating_sub(a.frame.0)) as f64 * scene.frame_dt;
-                    edges.clear();
-                    edges.extend_from_slice(scene.bundle_obs(a.idx));
-                    edges.extend_from_slice(scene.bundle_obs(b.idx));
-                    visit(FeatureTarget::Transition(a, b, dt), &edges);
-                }
-            }
-        }
-        FeatureKind::Track => {
-            let mut edges: Vec<ObsIdx> = Vec::new();
-            for track in scene.tracks() {
+            FeatureTarget::Track(track) => {
                 edges.clear();
                 edges.extend(scene.track_obs_iter(track.idx));
-                visit(FeatureTarget::Track(track), &edges);
+                &edges
             }
-        }
-    }
+        };
+        visit(target, edge_obs);
+    });
 }
 
 /// Compile a scene against a feature set and fitted library.

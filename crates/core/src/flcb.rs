@@ -189,14 +189,17 @@ pub fn encode_library(app: &str, library: &FeatureLibrary) -> Vec<u8> {
     out.u16(VERSION);
     out.str(app);
     out.len(library.len());
-    let mut entry = Enc::default();
     for (name, fitted) in library.entries() {
-        entry.buf.clear();
-        entry.str(name);
-        enc_fitted(&mut entry, fitted);
-        out.len(entry.buf.len());
-        out.buf.extend_from_slice(&entry.buf);
-        out.u64(fnv1a64(&entry.buf));
+        // The payload is written in place behind a length placeholder,
+        // which is patched once the payload's size is known.
+        let len_at = out.buf.len();
+        out.u32(0);
+        out.str(name);
+        enc_fitted(&mut out, fitted);
+        let payload = &out.buf[len_at + 4..];
+        let (len, checksum) = (payload.len() as u32, fnv1a64(payload));
+        out.buf[len_at..len_at + 4].copy_from_slice(&len.to_le_bytes());
+        out.u64(checksum);
     }
     out.buf
 }

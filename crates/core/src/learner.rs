@@ -20,21 +20,27 @@
 //! in the same walk, in (scene, target) order. The features are then
 //! fitted as independent jobs on [`pool_map`], one per learned feature
 //! in declaration order, with [`worker_count`] workers capped at the
-//! job count. Each job sorts its feature's values **once**: a plain
-//! feature's KDE reads its bandwidth's IQR off the sorted copy it keeps
+//! job count. Each job sorts its feature's values **once**, with the
+//! stable key sort [`radix_sort_by_value`]: at most eight linear passes
+//! over an order-preserving `u64` key of each value. A plain feature's
+//! KDE reads its bandwidth's IQR off the sorted copy it keeps
 //! ([`Kde1d::fit`]); a class-conditional feature folds the pooled and
 //! every class's σ̂ in one input-order pass, stably sorts its
-//! `(value, class)` pairs and splits the sorted run per class, so no
-//! class is copied or sorted again ([`Kde1d::fit_sorted`]). Collection
-//! stays on the calling thread: collected on workers, the per-scene
-//! value lists raised the benchmark's peak RSS by more than its noise.
+//! `(value, class)` pairs in place (each job owns its feature's values)
+//! and splits the sorted run per class, so no class is copied or sorted
+//! again ([`Kde1d::fit_sorted`]). Collection stays on the calling thread:
+//! collected on workers, the per-scene value lists raised the
+//! benchmark's peak RSS by more than its noise.
 //!
 //! **Bit identity.** The schedule never changes the bytes. Every
 //! feature's values keep their sequential order, σ̂ is folded in that
-//! order, and the sort is the stable `partial_cmp` sort, so the kept
-//! samples, bandwidths and grids are those of a one-thread fit at any
-//! worker count (`fit_is_bit_identical_at_any_worker_count`, and the
-//! pinned library digests in `tests/fuzz_conformance.rs`). Errors
+//! order, and the sort's permutation is that of a stable `partial_cmp`
+//! sort: the key orders finite values as they compare, gives equal
+//! values equal keys (`-0.0` is folded onto `0.0`), and an LSD radix
+//! sort keeps equal keys in input order. So the kept samples,
+//! bandwidths and grids are those of a one-thread comparison-sorted fit
+//! at any worker count (`fit_is_bit_identical_at_any_worker_count`, and
+//! the pinned library digests in `tests/fuzz_conformance.rs`). Errors
 //! follow declaration order too: [`pool_map`] returns the lowest-index
 //! failure, and jobs are listed only up to the first feature without
 //! values, whose [`FixyError::NoTrainingData`] is returned only when no
@@ -47,12 +53,13 @@
 //! parallel scene maps — and a new caller should fit first, then fan
 //! out.
 
-use crate::compile::for_each_target;
+use crate::compile::visit_targets;
 use crate::error::FixyError;
 use crate::feature::{FeatureSet, FeatureValue};
 use crate::pipeline::{pool_map, worker_count};
 use crate::scene::{AssemblyConfig, Scene};
 use loa_data::{ObjectClass, SceneData};
+use loa_stats::sort::radix_sort_by_value;
 use loa_stats::summary::Welford;
 use loa_stats::{Density1d, FitError, Kde1d};
 use serde::{Deserialize, Serialize};
@@ -233,7 +240,7 @@ impl Learner {
                 continue;
             }
             for scene in scenes {
-                for_each_target(scene, kind, |target, _edges| {
+                visit_targets(scene, kind, |target| {
                     for &i in &of_kind {
                         if let Some(v) = learned[i].feature.value(scene, &target) {
                             values[i].push(v);
@@ -249,7 +256,8 @@ impl Learner {
         // feature-by-feature walk.
         let with_values = values.iter().position(Vec::is_empty).unwrap_or(values.len());
         let name = |i: usize| learned[i].feature.name().to_string();
-        let fitted = pool_map(workers.min(with_values), &values[..with_values], |i, values| {
+        let jobs = values.into_iter().take(with_values);
+        let fitted = pool_map(workers.min(with_values), jobs, |i, values| {
             fit_feature(values).map_err(|error| FixyError::Fit { feature: name(i), error })
         })?;
         if with_values < learned.len() {
@@ -268,51 +276,41 @@ impl Learner {
 ///
 /// The values are sorted once. A class-conditional feature folds the
 /// pooled and every class's σ̂ in one pass in input order, stably sorts
-/// the values' indices by value, and splits the sorted run per class: a
-/// stable sort filtered to one class is that class's own stable sort,
-/// so each KDE is bit-identical to [`Kde1d::fit`] of its values.
-fn fit_feature(values: &[FeatureValue]) -> Result<FittedDistribution, FitError> {
+/// the values by value, and splits the sorted run per class: a stable
+/// sort filtered to one class is that class's own stable sort, so each
+/// KDE is bit-identical to [`Kde1d::fit`] of its values.
+fn fit_feature(mut values: Vec<FeatureValue>) -> Result<FittedDistribution, FitError> {
     if !values.iter().any(|v| v.class.is_some()) {
-        let xs: Vec<f64> = values.iter().map(|v| v.x).collect();
+        let xs: Vec<f64> = values.into_iter().map(|v| v.x).collect();
         return Kde1d::fit(&xs).map(FittedDistribution::Kde);
     }
-    // The sort's comparator needs finite values; this is `Kde1d::fit`'s
-    // check (the values are never empty here).
+    // The sort's key needs finite values; this is `Kde1d::fit`'s check
+    // (the values are never empty here).
     if values.iter().any(|v| !v.x.is_finite()) {
         return Err(FitError::NonFiniteSample);
     }
     let mut pooled_spread = Welford::new();
     let mut class_spread = [Welford::new(); N_CLASSES];
-    for v in values {
+    for v in &values {
         pooled_spread.push(v.x);
         if let Some(class) = v.class {
             class_spread[class.index()].push(v.x);
         }
     }
-    // The stable sort permutes indices, not `(value, class)` pairs: the
-    // same order, in a quarter of the memory (and of the sort's scratch).
-    let n = u32::try_from(values.len()).expect("fewer than 2³² values per feature");
-    let mut order: Vec<u32> = (0..n).collect();
-    order.sort_by(|&a, &b| {
-        values[a as usize]
-            .x
-            .partial_cmp(&values[b as usize].x)
-            .expect("finite")
-    });
+    radix_sort_by_value(&mut values, |v| v.x);
 
     // Split the sorted run for the classes that get their own KDE.
     let fitted_class = |c: usize| class_spread[c].count() >= MIN_CLASS_SAMPLES as u64;
     let mut class_sorted: [Vec<f64>; N_CLASSES] = std::array::from_fn(|c| {
         Vec::with_capacity(if fitted_class(c) { class_spread[c].count() as usize } else { 0 })
     });
-    for &i in &order {
-        let v = values[i as usize];
+    for v in &values {
         if let Some(class) = v.class.filter(|c| fitted_class(c.index())) {
             class_sorted[class.index()].push(v.x);
         }
     }
-    let sorted: Vec<f64> = order.iter().map(|&i| values[i as usize].x).collect();
-    drop(order);
+    let sorted: Vec<f64> = values.iter().map(|v| v.x).collect();
+    drop(values);
     let pooled = Kde1d::fit_sorted(sorted, &pooled_spread)?;
     let mut per_class = BTreeMap::new();
     for (c, xs) in class_sorted.into_iter().enumerate().filter(|&(c, _)| fitted_class(c)) {
@@ -462,7 +460,7 @@ mod tests {
             out
         };
         let FittedDistribution::ClassConditional { per_class, pooled } =
-            fit_feature(&values).unwrap()
+            fit_feature(values.clone()).unwrap()
         else {
             panic!("class-conditional values fit a class-conditional distribution")
         };

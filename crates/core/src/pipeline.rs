@@ -34,31 +34,13 @@ use crate::apps::{
 use crate::error::FixyError;
 use crate::learner::FeatureLibrary;
 use crate::rank::{BundleCandidate, TrackCandidate};
-use crate::scene::{AssemblyConfig, AssemblyEngine, Scene};
+use crate::scene::{AssemblyConfig, Scene};
 use crate::score::ScoreEngine;
 use loa_data::SceneData;
-use std::cell::RefCell;
 use std::collections::BTreeSet;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-
-thread_local! {
-    /// One [`AssemblyEngine`] per worker thread: scenes fanned out to the
-    /// same thread reuse its grids, union-find, and score-matrix buffers
-    /// instead of reallocating per scene. Assembly is pure, so per-thread
-    /// reuse cannot perturb the byte-determinism contract.
-    static ASSEMBLY_ENGINE: RefCell<AssemblyEngine> = RefCell::new(AssemblyEngine::default());
-}
-
-/// Assemble through the calling thread's reusable engine.
-fn assemble_reusing_engine(data: &SceneData, cfg: &AssemblyConfig) -> Scene {
-    ASSEMBLY_ENGINE.with(|engine| {
-        let mut engine = engine.borrow_mut();
-        engine.set_config(*cfg);
-        engine.assemble(data)
-    })
-}
 
 /// The worker count of the parallel pool: a positive integer in
 /// `RAYON_NUM_THREADS` (the conventional name, which the benchmark sets),
@@ -295,7 +277,7 @@ impl<R: SceneRanker> ScenePipeline<R> {
     ) -> Result<RankedScene<R::Candidate>, FixyError> {
         let scene = {
             let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Assemble);
-            assemble_reusing_engine(&data, &self.ranker.assembly())
+            Scene::assemble(&data, &self.ranker.assembly())
         };
         let candidates = {
             let _span = loa_obs::ObsSpan::enter(loa_obs::Stage::Rank);
@@ -313,9 +295,10 @@ impl<R: SceneRanker> ScenePipeline<R> {
     /// The collected scenes run through [`pool_map`], with at most one
     /// worker per scene so a small batch spawns no idle threads. A worker
     /// takes the next scene as soon as it is free, so uneven scenes
-    /// balance and each worker's thread-local `AssemblyEngine` buffers
-    /// amortize over every scene it takes. The returned error is the
-    /// lowest-index failure, as on the sequential path.
+    /// balance and the buffers of each worker's thread-local engine
+    /// (behind [`Scene::assemble`]) amortize over every scene it takes.
+    /// The returned error is the lowest-index failure, as on the
+    /// sequential path.
     pub fn process<T, F>(
         &self,
         library: &FeatureLibrary,

@@ -26,6 +26,13 @@ use loa_assoc::{bundle_prepared_into, BundleScratch, FrameBundles, PreparedBox, 
 use loa_data::{Frame, FrameId, ObjectClass, ObservationSource, SceneData};
 use loa_geom::{Box3, Vec2};
 use serde::{Deserialize, Serialize};
+use std::cell::RefCell;
+
+thread_local! {
+    /// The engine behind [`Scene::assemble`]: one per thread, kept for
+    /// the thread's life.
+    static THREAD_ENGINE: RefCell<AssemblyEngine> = RefCell::new(AssemblyEngine::default());
+}
 
 /// Index of an observation within a [`Scene`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -238,10 +245,19 @@ impl PartialEq for Scene {
 impl Scene {
     /// Assemble bundles and tracks from a raw scene.
     ///
-    /// One-shot convenience over [`AssemblyEngine`]; batch callers hold an
-    /// engine and reuse its buffers across scenes.
+    /// Runs on the calling thread's reusable [`AssemblyEngine`], switched
+    /// to `cfg`: every call on a thread — the batch pipeline's workers,
+    /// the learner's training scenes, any preset in any order — reuses
+    /// that engine's grids, union-find and matcher buffers instead of
+    /// allocating them per scene. Assembly is pure and an engine resets
+    /// between scenes, so the result equals a fresh
+    /// [`AssemblyEngine::new`]`(cfg).assemble(data)`.
     pub fn assemble(data: &SceneData, cfg: &AssemblyConfig) -> Scene {
-        AssemblyEngine::new(*cfg).assemble(data)
+        THREAD_ENGINE.with(|engine| {
+            let mut engine = engine.borrow_mut();
+            engine.set_config(*cfg);
+            engine.assemble(data)
+        })
     }
 
     /// Build a scene from explicit membership lists (the v1 shape): one
@@ -501,8 +517,8 @@ pub struct FrameDelta {
 /// materialize the [`Scene`] arenas — with every intermediate buffer owned
 /// by the engine and reused across scenes. Each observation's footprint
 /// is prepared once, when it is gathered, and the bundler and the tracker
-/// both read it by its offset in the frame. `ScenePipeline` keeps one
-/// engine per worker thread, so a warm batch run allocates only for the
+/// both read it by its offset in the frame. [`Scene::assemble`] keeps
+/// one engine per thread, so a warm batch run allocates only for the
 /// scenes it returns.
 ///
 /// The stages are exposed incrementally: [`begin`](AssemblyEngine::begin)
@@ -557,7 +573,8 @@ impl AssemblyEngine {
     }
 
     /// Swap the assembly configuration, keeping all scratch buffers (the
-    /// pipeline's per-thread engines serve whatever app comes next).
+    /// per-thread engine behind [`Scene::assemble`] serves whatever
+    /// preset comes next).
     /// Takes effect from the next pushed frame — swap between scenes,
     /// not mid-stream.
     pub fn set_config(&mut self, cfg: AssemblyConfig) {
@@ -1184,19 +1201,41 @@ mod tests {
         // One engine across heterogeneous scenes (different sizes, an
         // empty one in between) must produce exactly what fresh engines
         // produce — no state may leak through the reused buffers.
+        let fresh = |data: &SceneData, cfg: AssemblyConfig| AssemblyEngine::new(cfg).assemble(data);
         let mut engine = AssemblyEngine::new(AssemblyConfig::default());
         for seed in [3, 11, 4, 12] {
             let data = tiny_scene_data(seed);
             let reused = engine.assemble(&data);
-            let fresh = Scene::assemble(&data, &AssemblyConfig::default());
-            assert_eq!(reused, fresh, "seed {seed} diverged through reuse");
+            assert_eq!(
+                reused,
+                fresh(&data, AssemblyConfig::default()),
+                "seed {seed} diverged"
+            );
         }
         // And a config swap mid-stream behaves like a fresh engine too.
         engine.set_config(AssemblyConfig::model_only());
         let data = tiny_scene_data(5);
         let reused = engine.assemble(&data);
-        let fresh = Scene::assemble(&data, &AssemblyConfig::model_only());
-        assert_eq!(reused, fresh, "config swap diverged");
+        assert_eq!(
+            reused,
+            fresh(&data, AssemblyConfig::model_only()),
+            "config swap diverged"
+        );
+        // `Scene::assemble` reuses this thread's engine across presets:
+        // interleaving all three on one thread must match fresh engines.
+        for (seed, cfg) in [
+            (6, AssemblyConfig::default()),
+            (7, AssemblyConfig::human_only()),
+            (8, AssemblyConfig::model_only()),
+            (9, AssemblyConfig::default()),
+        ] {
+            let data = tiny_scene_data(seed);
+            assert_eq!(
+                Scene::assemble(&data, &cfg),
+                fresh(&data, cfg),
+                "{cfg:?} on seed {seed}"
+            );
+        }
     }
 
     #[test]

@@ -6,6 +6,7 @@
 
 use crate::bandwidth::silverman;
 use crate::kernel::Kernel;
+use crate::sort::radix_sort_by_value;
 use crate::summary::Welford;
 use crate::{check_densities, check_scale, validate_sample, Density1d, FitError};
 use serde::{Deserialize, Serialize};
@@ -56,25 +57,26 @@ impl Kde1d {
     ///
     /// The samples are sorted once, into the copy the KDE keeps, and the
     /// bandwidth's IQR is read off that copy; σ̂ is folded over `samples`
-    /// in input order ([`silverman`]). The sort is stable on
-    /// `partial_cmp`, so equal values (`-0.0` and `0.0`) keep their input
-    /// order and the kept samples, bandwidth and grid are a function of
-    /// the input sequence alone.
+    /// in input order ([`silverman`]). The sort is the stable key sort
+    /// [`radix_sort_by_value`]: its order-preserving `u64` key folds
+    /// `-0.0` onto `0.0`, so equal values keep their input order exactly
+    /// as under a stable `partial_cmp` sort, and the kept samples,
+    /// bandwidth and grid are a function of the input sequence alone.
     pub fn fit(samples: &[f64]) -> Result<Self, FitError> {
         validate_sample(samples)?;
         let spread = Welford::from_slice(samples);
         let mut sorted = samples.to_vec();
-        sorted.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
+        radix_sort_by_value(&mut sorted, |&x| x);
         Ok(Kde1d::from_sorted(sorted, &spread))
     }
 
     /// [`fit`](Self::fit) with the sort and σ̂ done by the caller:
-    /// `sorted` must be the sample stably sorted on `partial_cmp`
-    /// (debug-asserted for order), and `spread` its [`Welford`]
-    /// accumulator folded in input order. The KDE is then bit-identical
-    /// to `fit` of the sample. The learner folds every class's σ̂ in one
-    /// pass and splits one sorted run per class, so no class is copied
-    /// or sorted again.
+    /// `sorted` must be the sample in the stable ascending order
+    /// [`radix_sort_by_value`] gives (debug-asserted for order), and
+    /// `spread` its [`Welford`] accumulator folded in input order. The
+    /// KDE is then bit-identical to `fit` of the sample. The learner
+    /// folds every class's σ̂ in one pass and splits one sorted run per
+    /// class, so no class is copied or sorted again.
     pub fn fit_sorted(sorted: Vec<f64>, spread: &Welford) -> Result<Self, FitError> {
         validate_sample(&sorted)?;
         debug_assert!(sorted.windows(2).all(|w| w[0] <= w[1]), "sorted ascending");
@@ -164,11 +166,15 @@ impl Kde1d {
     }
 }
 
-/// Validate stored samples and bandwidth, and sort the samples.
+/// Validate stored samples and bandwidth, and sort the samples. A
+/// well-formed file's samples are already sorted, so a load pays only
+/// the check.
 fn checked_samples(mut samples: Vec<f64>, bandwidth: f64) -> Result<Vec<f64>, FitError> {
     validate_sample(&samples)?;
     check_scale("kde bandwidth", bandwidth)?;
-    samples.sort_by(|a, b| a.partial_cmp(b).expect("validated finite"));
+    if !samples.windows(2).all(|w| w[0] <= w[1]) {
+        radix_sort_by_value(&mut samples, |&x| x);
+    }
     Ok(samples)
 }
 
@@ -250,11 +256,12 @@ impl BinnedKde {
         let step = span / (bins - 1) as f64;
 
         // Linear binning: each sample splits its unit mass between the two
-        // surrounding grid points.
+        // surrounding grid points. `pos` is clamped non-negative, so
+        // truncating it is its floor.
         let mut mass = vec![0.0f64; bins];
         for &x in samples {
             let pos = ((x - lo) / step).clamp(0.0, (bins - 1) as f64);
-            let j = (pos.floor() as usize).min(bins - 2);
+            let j = (pos as usize).min(bins - 2);
             let frac = pos - j as f64;
             mass[j] += 1.0 - frac;
             mass[j + 1] += frac;
@@ -265,20 +272,23 @@ impl BinnedKde {
         let k = ((radius / step).ceil() as usize).min(bins - 1);
         let weights: Vec<f64> = (0..=k).map(|d| kernel.eval(d as f64 * step / h)).collect();
 
-        // Scatter each non-empty bin's mass through the kernel window.
+        // Scatter each non-empty bin's mass through the kernel window,
+        // clipped to the grid once per bin. A bin adds at most one term
+        // to each grid point, so every point still sums its terms in
+        // ascending bin order.
         let mut densities = vec![0.0f64; bins];
         for (j, &m) in mass.iter().enumerate() {
             if m == 0.0 {
                 continue;
             }
             densities[j] += m * weights[0];
-            for (d, &w) in weights.iter().enumerate().skip(1) {
-                if j >= d {
-                    densities[j - d] += m * w;
-                }
-                if j + d < bins {
-                    densities[j + d] += m * w;
-                }
+            let left = k.min(j);
+            for (dst, &w) in densities[j - left..j].iter_mut().rev().zip(&weights[1..=left]) {
+                *dst += m * w;
+            }
+            let right = k.min(bins - 1 - j);
+            for (dst, &w) in densities[j + 1..=j + right].iter_mut().zip(&weights[1..=right]) {
+                *dst += m * w;
             }
         }
         let norm = 1.0 / (n as f64 * h);

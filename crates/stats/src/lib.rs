@@ -11,7 +11,8 @@
 //!   cases they tried), the one fitted form every application learns,
 //! * [`BinnedKde`] — the interpolated scoring grid each [`Kde1d`] owns,
 //! * [`summary`] — the Welford accumulator and quantiles behind the
-//!   bandwidth rule.
+//!   bandwidth rule,
+//! * [`sort`] — the stable key sort every fit orders its sample with.
 //!
 //! Both implement [`Density1d`], whose
 //! [`relative_likelihood`](Density1d::relative_likelihood) maps a feature
@@ -22,6 +23,7 @@
 pub mod bandwidth;
 pub mod kde;
 pub mod kernel;
+pub mod sort;
 pub mod summary;
 
 pub use kde::{BinnedKde, Kde1d};
