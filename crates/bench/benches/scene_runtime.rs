@@ -1,6 +1,8 @@
 //! Section 8.1 runtime benchmark: the end-to-end online phase on a
 //! 15-second Internal-like scene (paper bound: < 5 s on one core), plus
-//! the phases broken out.
+//! the phases broken out. Each timed assembly builds a fresh
+//! `AssemblyEngine`, as a one-off scene would: `Scene::assemble` reuses
+//! its thread's engine, which would be warm after the first iteration.
 
 use criterion::{criterion_group, criterion_main, BatchSize, Criterion};
 use fixy_core::prelude::*;
@@ -41,7 +43,8 @@ fn bench_scene_runtime(c: &mut Criterion) {
 
     group.bench_function("online_phase_15s_scene", |b| {
         b.iter(|| {
-            let scene = Scene::assemble(black_box(&data), &AssemblyConfig::default());
+            let mut engine = AssemblyEngine::new(AssemblyConfig::default());
+            let scene = engine.assemble(black_box(&data));
             let ranked = finder.rank_scene(&data, &scene, &library).expect("rank");
             black_box(ranked.len())
         })
@@ -49,7 +52,8 @@ fn bench_scene_runtime(c: &mut Criterion) {
 
     group.bench_function("assemble_only", |b| {
         b.iter(|| {
-            let scene = Scene::assemble(black_box(&data), &AssemblyConfig::default());
+            let mut engine = AssemblyEngine::new(AssemblyConfig::default());
+            let scene = engine.assemble(black_box(&data));
             black_box(scene.n_tracks())
         })
     });

@@ -46,7 +46,9 @@ pub fn run_runtime_experiment(seed: u64, n_train: usize) -> RuntimeResult {
 
     let data = generate_scene(&scene_cfg, "rt-eval", seed + 10_000);
     let online_start = Instant::now();
-    let scene = Scene::assemble(&data, &AssemblyConfig::default());
+    // A fresh engine: `Scene::assemble` reuses its thread's engine, which
+    // the fit may have warmed on this thread.
+    let scene = AssemblyEngine::new(AssemblyConfig::default()).assemble(&data);
     let ranked = finder.rank_scene(&data, &scene, &library).expect("library fits");
     let online_ms = online_start.elapsed().as_secs_f64() * 1_000.0;
     // Keep the ranking alive so the work is not optimized away.

@@ -352,7 +352,9 @@ mod tests {
         for seed in [3, 7, 4] {
             let data = tiny_scene(seed);
             let streamed = asm.assemble_streamed(&data).unwrap();
-            assert_eq!(streamed, Scene::assemble(&data, &cfg), "seed {seed}");
+            // A fresh engine: `Scene::assemble` reuses its thread's
+            // engine across these scenes too.
+            assert_eq!(streamed, AssemblyEngine::new(cfg).assemble(&data), "seed {seed}");
         }
     }
 }

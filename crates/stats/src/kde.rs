@@ -500,6 +500,30 @@ mod tests {
     }
 
     #[test]
+    fn unsorted_stored_samples_load_as_their_fit() {
+        // Stored samples out of order are sorted on load into the order a
+        // fit of the same list keeps, signed-zero ties included.
+        let mut xs = normal_sample(300, 0.0, 1.0, 17);
+        for (at, z) in [(3, -0.0), (40, 0.0), (41, -0.0), (150, 0.0), (299, -0.0)] {
+            xs.insert(at, z);
+        }
+        xs.extend([1.5, -1.5, 1.5]);
+        assert!(xs.windows(2).any(|w| w[0] > w[1]), "the stored order is unsorted");
+        let fitted = Kde1d::fit(&xs).unwrap();
+        let (kernel, bandwidth) = (fitted.kernel(), fitted.bandwidth_value());
+        let bits = |kde: &Kde1d| {
+            let samples = kde.samples().iter().map(|x| x.to_bits());
+            let grid = kde.grid().densities().iter().map(|d| d.to_bits());
+            (samples.collect::<Vec<_>>(), grid.collect::<Vec<_>>())
+        };
+        let from_parts =
+            Kde1d::from_parts(xs.clone(), kernel, bandwidth, fitted.max_density()).unwrap();
+        assert_eq!(bits(&from_parts), bits(&fitted));
+        let with_grid = Kde1d::with_grid(xs, kernel, bandwidth, fitted.grid().clone()).unwrap();
+        assert_eq!(bits(&with_grid), bits(&fitted));
+    }
+
+    #[test]
     fn binned_kde_tracks_exact_kde() {
         let xs = normal_sample(2000, -3.0, 1.5, 99);
         let kde = Kde1d::fit(&xs).unwrap();

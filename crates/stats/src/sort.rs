@@ -31,38 +31,26 @@ fn sort_key(x: f64) -> u64 {
 /// finite: the permutation `sort_by` on `partial_cmp` makes.
 ///
 /// One pass counts every digit of every key; then one scatter pass per
-/// digit, least significant first, into a scratch copy and back. A digit
-/// every key shares moves nothing, so its pass is skipped. Digits are
-/// eleven bits (six passes, 2048 buckets each) from 512 values up, and
-/// eight bits (eight passes, 256 buckets) below, where clearing and
-/// summing the larger bucket arrays would cost more than the passes.
+/// byte-wide digit, least significant first, into a scratch copy and
+/// back. A digit every key shares moves nothing, so its pass is skipped.
 pub fn radix_sort_by_value<T: Copy>(items: &mut Vec<T>, value: impl Fn(&T) -> f64) {
-    if items.len() < 512 {
-        lsd_radix::<T, 8>(items, value);
-    } else {
-        lsd_radix::<T, 11>(items, value);
-    }
-}
-
-/// [`radix_sort_by_value`] with `BITS`-bit digits (a constant, so the
-/// digit loops unroll).
-fn lsd_radix<T: Copy, const BITS: usize>(items: &mut Vec<T>, value: impl Fn(&T) -> f64) {
-    let buckets = 1usize << BITS;
-    let digits = (u64::BITS as usize).div_ceil(BITS);
-    let digit = |item: &T, d: usize| (sort_key(value(item)) >> (BITS * d)) as usize & (buckets - 1);
+    const BITS: usize = 8;
+    const BUCKETS: usize = 1 << BITS;
+    const DIGITS: usize = u64::BITS as usize / BITS;
+    let digit = |item: &T, d: usize| (sort_key(value(item)) >> (BITS * d)) as usize & (BUCKETS - 1);
     let n = items.len();
     if n < 2 {
         return;
     }
-    let mut counts = vec![0usize; buckets * digits];
+    let mut counts = vec![0usize; BUCKETS * DIGITS];
     for item in items.iter() {
-        for d in 0..digits {
-            counts[d * buckets + digit(item, d)] += 1;
+        for d in 0..DIGITS {
+            counts[d * BUCKETS + digit(item, d)] += 1;
         }
     }
     let mut scratch = items.clone();
-    for d in 0..digits {
-        let next = &mut counts[d * buckets..(d + 1) * buckets];
+    for d in 0..DIGITS {
+        let next = &mut counts[d * BUCKETS..(d + 1) * BUCKETS];
         if next[digit(&items[0], d)] == n {
             continue;
         }
@@ -133,7 +121,6 @@ mod tests {
             small in 2usize..1200,
             seed in any::<u64>(),
         ) {
-            // Both digit widths: `small` lies on either side of 512.
             let n = [0, 1, 50_000, small][size];
             let xs = values(seed, n);
             let mut radix: Vec<(f64, u32)> = xs.iter().zip(0..).map(|(&x, i)| (x, i)).collect();

@@ -223,7 +223,9 @@ fn assert_stream_matches_reference(
             assert_eq!(key(rs), key(is_), "{ctx} frame {k}: bundle {rbk:?}");
         }
 
-        let batch = Scene::assemble(&truncated, &fx.config);
+        // A fresh engine, not `Scene::assemble`: its thread engine, like
+        // the reused assembler, would have just assembled the last scene.
+        let batch = AssemblyEngine::new(fx.config).assemble(&truncated);
         let (incr, reference) = worklists(fx, &scene, &batch, scorer);
         assert_same_worklist(&incr, &reference, &format!("{ctx} frame {k}"));
     }

@@ -4,7 +4,7 @@
 //! Three contracts, each locked over fuzzed corpora:
 //!
 //! 1. **Assembly conformance** — `StreamingAssembler` output is
-//!    field-for-field equal to batch `Scene::assemble`, across all three
+//!    field-for-field equal to a fresh engine's batch assembly, across all three
 //!    `AssemblyConfig` presets, with one reused assembler sweeping the
 //!    whole corpus (buffer reuse must not leak state between scenes).
 //! 2. **Format conformance** — a scene round-trips `.fscb` exactly
@@ -46,7 +46,9 @@ proptest! {
             for index in start..start + 3 {
                 let data = fuzzed_scene(seed, index);
                 let streamed = assembler.assemble_streamed(&data).expect("stream");
-                let batch = Scene::assemble(&data, &cfg);
+                // A fresh engine, not `Scene::assemble`, whose thread
+                // engine is reused across scenes as the assembler is.
+                let batch = AssemblyEngine::new(cfg).assemble(&data);
                 prop_assert!(
                     streamed == batch,
                     "{} assembly diverged on seed {} scene {}", name, seed, index

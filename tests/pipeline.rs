@@ -133,9 +133,11 @@ fn scene_roundtrips_through_disk() {
 #[test]
 fn assembly_engine_matches_scene_assemble_field_for_field() {
     // The staged, buffer-reusing AssemblyEngine is the pipeline's
-    // assembly path; it must produce exactly what the one-shot
-    // Scene::assemble produces — same observations, same bundles, same
-    // tracks, same order — across configs and across reuse.
+    // assembly path; it must produce exactly what a fresh engine
+    // produces — same observations, same bundles, same tracks, same
+    // order — across configs and across reuse. The reference is a new
+    // engine per scene, not Scene::assemble, which reuses its thread's
+    // engine and so would share any leak through reused buffers.
     use fixy::core::AssemblyEngine;
 
     let cfg = small_cfg();
@@ -149,7 +151,7 @@ fn assembly_engine_matches_scene_assemble_field_for_field() {
         ] {
             engine.set_config(assembly);
             let engine_scene = engine.assemble(&data);
-            let reference = Scene::assemble(&data, &assembly);
+            let reference = AssemblyEngine::new(assembly).assemble(&data);
             // Scene's derived PartialEq spans every field: observations,
             // both CSR membership arenas and their offsets, frame_dt,
             // n_frames.
